@@ -1,86 +1,50 @@
 #include "cache/element_cache.hpp"
 
+#include <algorithm>
+
 namespace globe::cache {
 
 std::optional<ElementCache::Hit> ElementCache::lookup(const CacheKey& key,
                                                       util::SimTime now) {
   util::LockGuard lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  if (it->second.expires <= now) {
-    evict_locked(it, EvictReason::kExpired);
-    return std::nullopt;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  return Hit{it->second.element, it->second.expires};
+  auto* slot = lru_.find(key, now);
+  if (slot == nullptr) return std::nullopt;
+  return Hit{slot->value, slot->expires};
 }
 
 void ElementCache::insert(const CacheKey& key,
                           const globedoc::PageElement& element,
                           util::SimTime expires) {
-  const std::uint64_t cost = entry_bytes(element);
-  if (cost > config_.max_bytes || config_.max_entries == 0) return;
-
   util::LockGuard lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // Same content hash ⇒ same bytes; a re-insert only widens the window
-    // (a refreshed certificate re-verified the same content).
-    if (expires > it->second.expires) it->second.expires = expires;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return;
-  }
-
-  while (entries_.size() >= config_.max_entries ||
-         bytes_ + cost > config_.max_bytes) {
-    evict_locked(entries_.find(lru_.back()), EvictReason::kCapacity);
-  }
-
-  lru_.push_front(key);
-  Entry entry;
-  entry.element = element;
-  entry.expires = expires;
-  entry.bytes = cost;
-  entry.lru_pos = lru_.begin();
-  entries_.emplace(key, std::move(entry));
-  bytes_ += cost;
+  // Same content hash ⇒ same bytes; a re-insert only widens the window
+  // (a refreshed certificate re-verified the same content).
+  if (const auto* old = lru_.peek(key)) expires = std::max(expires, old->expires);
+  lru_.put(key, element, expires, entry_bytes(element));
 }
 
 bool ElementCache::contains(const CacheKey& key) const {
   util::LockGuard lock(mutex_);
-  return entries_.find(key) != entries_.end();
+  return lru_.peek(key) != nullptr;
 }
 
 void ElementCache::erase(const CacheKey& key) {
   util::LockGuard lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) evict_locked(it, EvictReason::kExplicit);
+  lru_.erase(key);
 }
 
 void ElementCache::clear() {
   util::LockGuard lock(mutex_);
-  while (!entries_.empty()) {
-    evict_locked(entries_.begin(), EvictReason::kExplicit);
-  }
+  lru_.clear();
 }
 
 std::size_t ElementCache::size() const {
   util::LockGuard lock(mutex_);
-  return entries_.size();
+  return lru_.size();
 }
 
 std::uint64_t ElementCache::bytes() const {
   util::LockGuard lock(mutex_);
-  return bytes_;
-}
-
-void ElementCache::evict_locked(std::map<CacheKey, Entry>::iterator it,
-                                EvictReason reason) {
-  const CacheKey key = it->first;
-  bytes_ -= it->second.bytes;
-  lru_.erase(it->second.lru_pos);
-  entries_.erase(it);
-  if (listener_) listener_(key, reason);
+  return lru_.cost();
 }
 
 }  // namespace globe::cache

@@ -1,4 +1,5 @@
-// Verified element cache (DESIGN.md §12): bounded, content-addressed LRU.
+// Verified element cache (DESIGN.md §12): the shared bounded, expiring LRU
+// (util/lru_cache.hpp), content-addressed and locked for concurrent flows.
 //
 // Admission discipline: insert() is a trusted sink — only elements that
 // passed IntegrityCertificate::check_element may enter, and every entry
@@ -16,24 +17,18 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <optional>
 
 #include "cache/cache_key.hpp"
 #include "globedoc/element.hpp"
 #include "util/clock.hpp"
-#include "util/bounds_annotations.hpp"
+#include "util/lru_cache.hpp"
 #include "util/mutex.hpp"
 #include "util/taint_annotations.hpp"
 
 namespace globe::cache {
 
-enum class EvictReason {
-  kCapacity,  // LRU displacement under entry/byte bounds
-  kExpired,   // certificate-entry validity window closed
-  kExplicit,  // erase()/clear()
-};
+using util::EvictReason;
 
 class ElementCache {
  public:
@@ -49,11 +44,13 @@ class ElementCache {
 
   using EvictionListener = std::function<void(const CacheKey&, EvictReason)>;
 
-  explicit ElementCache(Config config) : config_(config) {}
+  explicit ElementCache(Config config)
+      : lru_({config.max_entries, config.max_bytes}) {}
 
   /// Setup-time only: must be installed before concurrent use.
   void set_eviction_listener(EvictionListener listener) {
-    listener_ = std::move(listener);
+    util::LockGuard lock(mutex_);
+    lru_.set_eviction_listener(std::move(listener));
   }
 
   /// Returns the entry and refreshes its recency; an entry whose validity
@@ -77,27 +74,13 @@ class ElementCache {
   std::uint64_t bytes() const GLOBE_EXCLUDES(mutex_);
 
  private:
-  struct Entry {
-    globedoc::PageElement element;
-    util::SimTime expires = 0;
-    std::uint64_t bytes = 0;
-    std::list<CacheKey>::iterator lru_pos;
-  };
-
   static std::uint64_t entry_bytes(const globedoc::PageElement& element) {
     return element.content.size() + element.name.size() +
            element.content_type.size();
   }
 
-  void evict_locked(std::map<CacheKey, Entry>::iterator it, EvictReason reason)
-      GLOBE_REQUIRES(mutex_);
-
-  Config config_;
-  EvictionListener listener_;  // set before use, then read-only
   mutable util::Mutex mutex_;
-  std::map<CacheKey, Entry> entries_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  std::list<CacheKey> lru_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);  // front = most recent
-  std::uint64_t bytes_ GLOBE_GUARDED_BY(mutex_) = 0;
+  util::LruCache<CacheKey, globedoc::PageElement> lru_ GLOBE_GUARDED_BY(mutex_);
 };
 
 }  // namespace globe::cache

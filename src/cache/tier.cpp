@@ -23,7 +23,8 @@ const std::vector<double>& fill_ms_bounds() {
 EdgeCacheTier::EdgeCacheTier(TierConfig config)
     : config_(config),
       cache_(config.cache),
-      replicator_(config.replicator, cache_) {
+      replicator_(config.replicator, cache_),
+      seen_({.max_entries = 4096}) {
   if (config_.registry) {
     auto& reg = *config_.registry;
     hits_ = &reg.counter("cache.hits");
@@ -59,15 +60,8 @@ EdgeCacheTier::EdgeCacheTier(TierConfig config)
 
 bool EdgeCacheTier::first_access(const globedoc::Oid& oid) {
   util::LockGuard lock(seen_mutex_);
-  if (!seen_oids_.insert(oid).second) return false;
-  seen_order_.push_back(oid);
-  // Bound the tracking set; forgetting an old document merely means a later
-  // access may schedule a (deduped) pull again.
-  constexpr std::size_t kMaxSeen = 4096;
-  if (seen_order_.size() > kMaxSeen) {
-    seen_oids_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
+  if (seen_.peek(oid) != nullptr) return false;
+  seen_.put(oid, true);  // oldest first out: peek() leaves recency alone
   return true;
 }
 

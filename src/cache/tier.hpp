@@ -23,15 +23,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <set>
 
 #include "cache/delayed_replicator.hpp"
 #include "cache/element_cache.hpp"
 #include "cache/single_flight.hpp"
 #include "globedoc/cache_iface.hpp"
 #include "obs/metrics.hpp"
-#include "util/bounds_annotations.hpp"
+#include "util/lru_cache.hpp"
 #include "util/mutex.hpp"
 
 namespace globe::cache {
@@ -76,7 +74,8 @@ class EdgeCacheTier final : public globedoc::ElementCacheTier {
                               const std::string& element_name,
                               const util::Bytes& digest);
 
-  // First-access tracking for delayed replication, bounded FIFO.
+  // First-access tracking for delayed replication.  Forgetting an old
+  // document merely means a later access may schedule a (deduped) pull again.
   bool first_access(const globedoc::Oid& oid) GLOBE_EXCLUDES(seen_mutex_);
 
   TierConfig config_;
@@ -85,8 +84,7 @@ class EdgeCacheTier final : public globedoc::ElementCacheTier {
   SingleFlight<CacheKey, EdgeFill> flights_;
 
   util::Mutex seen_mutex_;
-  std::set<globedoc::Oid> seen_oids_ GLOBE_BOUNDED GLOBE_GUARDED_BY(seen_mutex_);
-  std::deque<globedoc::Oid> seen_order_ GLOBE_BOUNDED GLOBE_GUARDED_BY(seen_mutex_);
+  util::LruCache<globedoc::Oid, bool> seen_ GLOBE_GUARDED_BY(seen_mutex_);
 
   // cache.* metric family (nullptr when unmetered).
   obs::Counter* hits_ = nullptr;

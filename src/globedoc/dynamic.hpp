@@ -29,6 +29,7 @@
 #include "globedoc/oid.hpp"
 #include "net/transport.hpp"
 #include "rpc/rpc.hpp"
+#include "util/bounds_annotations.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
 #include "util/taint_annotations.hpp"
@@ -94,7 +95,7 @@ class DynamicReplicaServer {
   std::string name_;
   crypto::RsaKeyPair key_;
   mutable util::Mutex mutex_;
-  std::map<std::pair<Oid, std::string>, Generator> generators_
+  std::map<std::pair<Oid, std::string>, Generator> generators_ GLOBE_BOUNDED
       GLOBE_GUARDED_BY(mutex_);
   std::function<util::Bytes(util::Bytes)> cheat_ GLOBE_GUARDED_BY(mutex_);
   std::size_t queries_served_ GLOBE_GUARDED_BY(mutex_) = 0;

@@ -1,5 +1,7 @@
 #include "globedoc/proxy.hpp"
 
+#include <algorithm>
+
 #include "crypto/sha1.hpp"
 #include "globedoc/server.hpp"
 #include "obs/admin.hpp"
@@ -70,6 +72,14 @@ GlobeDocProxy::GlobeDocProxy(net::Transport& transport, ProxyConfig config)
   replicas_tried_ = &registry_->counter("proxy.replicas_tried");
   cert_verifies_ = &registry_->counter("proxy.cert_verifies");
   cert_verify_memo_hits_ = &registry_->counter("proxy.cert_verify_memo_hits");
+  element_cache_.set_eviction_listener(
+      [this](const std::pair<std::string, std::string>& key,
+             util::EvictReason why) {
+        if (why != util::EvictReason::kExpired) return;
+        obs::global_event_log().emit(
+            obs::EventLevel::kDebug, "proxy", "element_cache_evict",
+            key.first + "/" + key.second + " expired", transport_->now());
+      });
 }
 
 Result<FetchResult> GlobeDocProxy::fetch_url(const std::string& hybrid_url) {
@@ -152,7 +162,7 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
     // The probe covers hit and miss alike, so /profilez shows cert_verify
     // at ~zero ns/call when the memo is absorbing re-binds.
     GLOBE_PROFILE_SCOPE("cert_verify");
-    if (cert_verify_memo_.contains(memo_key)) {
+    if (cert_verify_memo_.find(memo_key, transport_->now()) != nullptr) {
       cert_verify_memo_hits_->inc();
     } else {
       transport_->charge(net::CpuOp::kRsaVerify, 1);
@@ -161,13 +171,7 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
         return Result<Binding>(ErrorCode::kBadSignature,
                                "integrity certificate signature invalid");
       }
-      constexpr std::size_t kCertMemoCapacity = 64;
-      if (cert_verify_memo_order_.size() >= kCertMemoCapacity) {
-        cert_verify_memo_.erase(cert_verify_memo_order_.front());
-        cert_verify_memo_order_.pop_front();
-      }
-      cert_verify_memo_.insert(memo_key);
-      cert_verify_memo_order_.push_back(std::move(memo_key));
+      cert_verify_memo_.put(std::move(memo_key), true);
     }
   }
   if (certificate->oid() != oid) {
@@ -233,8 +237,9 @@ void GlobeDocProxy::cache_element(const std::string& object_name,
   if (!config_.cache_elements) return;
   const ElementEntry* entry = binding.certificate.find(element_name);
   if (entry == nullptr) return;
-  element_cache_[{object_name, element_name}] =
-      CachedElement{element, entry->expires, binding.certified_as};
+  element_cache_.put({object_name, element_name},
+                     CachedElement{element, binding.certified_as},
+                     entry->expires, element.content.size());
 }
 
 Result<FetchResult> GlobeDocProxy::fetch(const std::string& object_name,
@@ -280,39 +285,34 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
   // entry's validity interval ends (freshness is exactly what the interval
   // certifies).
   if (config_.cache_elements) {
-    auto it = element_cache_.find({object_name, element_name});
-    if (it != element_cache_.end()) {
-      if (transport_->now() < it->second.expires) {
-        metrics.used_cached_element = true;
-        metrics.content_bytes = it->second.element.content.size();
-        element_cache_hits_->inc();
-        return FetchResult{it->second.element, it->second.certified_as, metrics};
-      }
-      obs::global_event_log().emit(
-          obs::EventLevel::kDebug, "proxy", "element_cache_evict",
-          object_name + "/" + element_name + " expired", transport_->now());
-      element_cache_.erase(it);
+    const auto* hit =
+        element_cache_.find({object_name, element_name}, transport_->now());
+    if (hit != nullptr) {
+      metrics.used_cached_element = true;
+      metrics.content_bytes = hit->value.element.content.size();
+      element_cache_hits_->inc();
+      return FetchResult{hit->value.element, hit->value.certified_as, metrics};
     }
   }
 
   // Cached binding fast path (re-binds on any failure below).
   if (config_.cache_bindings) {
-    auto it = bindings_.find(object_name);
-    if (it != bindings_.end()) {
+    if (const auto* hit = bindings_.find(object_name, transport_->now())) {
+      const Binding& binding = hit->value;
       metrics.used_cached_binding = true;
       metrics.replicas_tried = 1;
-      auto element = fetch_element(it->second, element_name, metrics, tracer);
+      auto element = fetch_element(binding, element_name, metrics, tracer);
       if (element.is_ok()) {
         metrics.total_time = transport_->now() - start;
         registry_
             ->histogram("proxy.fetch_ms", fetch_ms_bounds(),
-                        {{"replica", it->second.replica.to_string()}})
+                        {{"replica", binding.replica.to_string()}})
             .observe(util::to_millis(metrics.total_time));
         binding_cache_hits_->inc();
-        cache_element(object_name, element_name, it->second, *element);
-        return FetchResult{std::move(*element), it->second.certified_as, metrics};
+        cache_element(object_name, element_name, binding, *element);
+        return FetchResult{std::move(*element), binding.certified_as, metrics};
       }
-      bindings_.erase(it);
+      bindings_.erase(object_name);
       metrics.used_cached_binding = false;
     }
   }
@@ -358,7 +358,13 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
       continue;
     }
     if (config_.cache_bindings) {
-      bindings_[object_name] = *binding;
+      // A binding outlives no entry of its certificate: once the last one
+      // expires, no element can verify under it.
+      util::SimTime expires = 0;
+      for (const auto& entry : binding->certificate.entries()) {
+        expires = std::max(expires, entry.expires);
+      }
+      bindings_.put(object_name, *binding, expires);
     }
     last_replica_.store((std::uint64_t{1} << 63) |
                             (std::uint64_t{address.host.value} << 16) |

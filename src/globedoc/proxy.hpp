@@ -22,10 +22,9 @@
 // security-specific time of steps 3-6 — the quantity plotted in Figure 4.
 #pragma once
 
-#include <deque>
 #include <optional>
-#include <set>
 #include <string>
+#include <utility>
 
 #include "globedoc/cache_iface.hpp"
 #include "globedoc/hybrid_url.hpp"
@@ -40,8 +39,8 @@
 #include "obs/collector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "util/bounds_annotations.hpp"
 #include "obs/trace.hpp"
+#include "util/lru_cache.hpp"
 #include "util/taint_annotations.hpp"
 
 #include <atomic>
@@ -59,11 +58,14 @@ struct ProxyConfig {
   TrustStore trust;                      // user's trusted CAs
   bool request_identity = false;         // run step 4 during binding
   bool require_identity = false;         // fail binding when no trusted cert
-  bool cache_bindings = false;           // reuse verified bindings
+  // Reuse verified bindings until their integrity certificate's last entry
+  // expires (GlobeDocProxy::kMaxBindings documents, LRU).
+  bool cache_bindings = false;
   // Client-side element cache: a verified element may be served locally
   // until its certificate entry expires — the per-element validity interval
   // of §3.2.2 doubles as a sound cache TTL (the "Verif" client strategy of
-  // ref [13]).
+  // ref [13]).  LRU, bounded by GlobeDocProxy::kMaxCachedElements and
+  // kMaxCachedBytes of content.
   bool cache_elements = false;
   // Shared verified edge-cache tier (src/cache/, DESIGN.md §12).  When set,
   // step 6 routes through the tier: hits serve locally, misses coalesce into
@@ -162,6 +164,12 @@ class GlobeDocProxy {
 
   net::Transport& transport() { return *transport_; }
 
+  /// Bounds of the proxy's caches, each a least-recently-used store.
+  static constexpr std::size_t kMaxBindings = 256;
+  static constexpr std::size_t kMaxCachedElements = 1024;
+  static constexpr std::uint64_t kMaxCachedBytes = 64ull << 20;
+  static constexpr std::size_t kCertMemoCapacity = 64;  // documents
+
  private:
   struct Binding {
     Oid oid;
@@ -198,7 +206,6 @@ class GlobeDocProxy {
 
   struct CachedElement {
     PageElement element;
-    util::SimTime expires = 0;  // the certificate entry's validity end
     std::optional<std::string> certified_as;
   };
 
@@ -221,16 +228,20 @@ class GlobeDocProxy {
   naming::SecureResolver resolver_;
   location::LocationClient locator_;
   std::optional<net::Endpoint> origin_;
-  std::map<std::string, Binding> bindings_;  // object name -> verified binding
+  // object name -> verified binding, until its certificate's last entry
+  // expires.
+  util::LruCache<std::string, Binding> bindings_{{.max_entries = kMaxBindings}};
   // (object name, element name) -> verified element, until entry expiry.
-  std::map<std::pair<std::string, std::string>, CachedElement> element_cache_;
+  util::LruCache<std::pair<std::string, std::string>, CachedElement>
+      element_cache_{{.max_entries = kMaxCachedElements,
+                      .max_cost = kMaxCachedBytes}};
   // Integrity-certificate verification memo: one RSA verify per
   // (document key, certificate), not one per element fetched.  Keyed on the
   // EXACT raw bytes of (serialized object key, serialized certificate), so a
   // memo hit replays a verification of byte-identical inputs — no weaker
-  // than re-running it.  Only successes are remembered; bounded FIFO.
-  std::set<std::pair<util::Bytes, util::Bytes>> cert_verify_memo_ GLOBE_BOUNDED;
-  std::deque<std::pair<util::Bytes, util::Bytes>> cert_verify_memo_order_ GLOBE_BOUNDED;
+  // than re-running it.  Only successes are remembered.
+  util::LruCache<std::pair<util::Bytes, util::Bytes>, bool> cert_verify_memo_{
+      {.max_entries = kCertMemoCapacity}};
 };
 
 }  // namespace globe::globedoc

@@ -62,6 +62,7 @@ ObjectServer::ObjectServer(std::string name, std::uint64_t nonce_seed,
                            obs::ProfileRegistry* profile)
     : name_(std::move(name)),
       nonce_rng_(crypto::HmacDrbg::from_seed(nonce_seed)),
+      outstanding_nonces_({.max_entries = kMaxOutstandingNonces}),
       profile_(profile) {
   if (registry == nullptr) registry = &obs::global_registry();
   obs::Labels labels{{"server", name_}};
@@ -480,17 +481,11 @@ Result<Bytes> ObjectServer::handle_challenge(net::ServerContext&, BytesView payl
     return Result<Bytes>(ErrorCode::kProtocol, "challenge takes no payload");
   }
   util::LockGuard lock(mutex_);
-  // Bound against nonce flooding: evict the OLDEST outstanding challenge
-  // (FIFO), so a flood cannot selectively displace a fresh one.
-  // (Bounding the FIFO also drains entries whose nonce was already
-  // consumed, keeping both structures at most kMaxOutstandingNonces.)
-  while (nonce_order_.size() >= kMaxOutstandingNonces) {
-    outstanding_nonces_.erase(nonce_order_.front());
-    nonce_order_.pop_front();
-  }
+  // Bound against nonce flooding: a nonce is never looked up before it is
+  // consumed, so LRU order is issue order and the OLDEST outstanding
+  // challenge is evicted — a flood cannot selectively displace a fresh one.
   Bytes nonce = nonce_rng_.bytes(kNonceSize);
-  outstanding_nonces_.insert(nonce);
-  nonce_order_.push_back(nonce);
+  outstanding_nonces_.put(nonce, true);
   util::Writer w;
   w.bytes(nonce);
   return w.take();
@@ -509,11 +504,9 @@ Result<Bytes> ObjectServer::check_admin_auth(net::ServerContext& ctx,
   };
   {
     util::LockGuard lock(mutex_);
-    auto it = outstanding_nonces_.find(nonce);
-    if (it == outstanding_nonces_.end()) {
+    if (!outstanding_nonces_.erase(nonce)) {  // single use
       return denied("unknown or replayed nonce");
     }
-    outstanding_nonces_.erase(it);  // single use
     if (keystore_.count(pubkey) == 0) {
       return denied("key not in keystore");
     }

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -28,9 +27,10 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "rpc/rpc.hpp"
+#include "util/bounds_annotations.hpp"
+#include "util/lru_cache.hpp"
 #include "util/mutex.hpp"
 #include "util/taint_annotations.hpp"
-#include "util/bounds_annotations.hpp"
 
 namespace globe::obs {
 class AdminHttpServer;  // obs/admin.hpp
@@ -215,16 +215,15 @@ class ObjectServer {
   crypto::HmacDrbg nonce_rng_ GLOBE_GUARDED_BY(mutex_);
   // authorized serialized public keys
   std::set<util::Bytes> keystore_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  std::set<util::Bytes> outstanding_nonces_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  // FIFO for bounded nonce eviction
-  std::deque<util::Bytes> nonce_order_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  std::map<Oid, ReplicaState> replicas_ GLOBE_GUARDED_BY(mutex_);
+  // Challenges issued and not yet answered; single use, oldest evicted first.
+  util::LruCache<util::Bytes, bool> outstanding_nonces_ GLOBE_GUARDED_BY(mutex_);
+  std::map<Oid, ReplicaState> replicas_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   // oid -> when its current state was installed (freshness probe input)
-  std::map<Oid, util::SimTime> installed_at_ GLOBE_GUARDED_BY(mutex_);
+  std::map<Oid, util::SimTime> installed_at_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   // oid -> serialized creator key
-  std::map<Oid, util::Bytes> creators_ GLOBE_GUARDED_BY(mutex_);
+  std::map<Oid, util::Bytes> creators_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   // absent = unlimited
-  std::map<Oid, util::SimTime> lease_until_ GLOBE_GUARDED_BY(mutex_);
+  std::map<Oid, util::SimTime> lease_until_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   ResourceLimits limits_ GLOBE_GUARDED_BY(mutex_);
   std::size_t elements_served_ GLOBE_GUARDED_BY(mutex_) = 0;
   std::uint64_t content_bytes_served_ GLOBE_GUARDED_BY(mutex_) = 0;

@@ -10,6 +10,7 @@
 #include "net/transport.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
+#include "util/bounds_annotations.hpp"
 #include "util/mutex.hpp"
 
 namespace globe::http {
@@ -50,7 +51,7 @@ class StaticHttpServer {
 
   std::string server_name_;
   mutable util::Mutex mutex_;
-  std::map<std::string, FileEntry> files_ GLOBE_GUARDED_BY(mutex_);
+  std::map<std::string, FileEntry> files_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   // Registry series, labeled by server name; status label added per reply.
   obs::MetricsRegistry* registry_;
   obs::Counter* requests_counter_;

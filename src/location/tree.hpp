@@ -24,6 +24,7 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "rpc/rpc.hpp"
+#include "util/bounds_annotations.hpp"
 #include "util/bytes.hpp"
 #include "util/mutex.hpp"
 #include "util/taint_annotations.hpp"
@@ -99,7 +100,7 @@ class LocationNode {
   bool is_site_;
   bool has_parent_ = false;
   net::Endpoint parent_;
-  std::map<std::string, net::Endpoint> children_;
+  std::map<std::string, net::Endpoint> children_ GLOBE_BOUNDED;
 
   mutable util::Mutex mutex_;
   // Site: OID -> contact addresses.  Interior: OID -> child domains.

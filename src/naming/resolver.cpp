@@ -27,13 +27,9 @@ SecureResolver::SecureResolver(net::Transport& transport, net::Endpoint root_ser
 Result<Bytes> SecureResolver::resolve(const std::string& name) {
   GLOBE_PROFILE_SCOPE("naming.resolve");
   if (cache_enabled_) {
-    auto it = cache_.find(name);
-    if (it != cache_.end()) {
-      if (it->second.expires > transport_->now()) {
-        cache_hits_->inc();
-        return it->second.oid;
-      }
-      cache_.erase(it);
+    if (const auto* hit = cache_.find(name, transport_->now())) {
+      cache_hits_->inc();
+      return hit->value;
     }
   }
   auto result = resolve_walk(name);
@@ -80,7 +76,7 @@ Result<Bytes> SecureResolver::resolve_walk(const std::string& name) {
         return Result<Bytes>(ErrorCode::kExpired, "OID record expired");
       }
       if (cache_enabled_) {
-        cache_[name] = CacheEntry{rec->oid, rec->expires};
+        cache_.put(name, rec->oid, rec->expires);
       }
       return rec->oid;
     }

@@ -3,13 +3,13 @@
 // a name (paper §3.1.2).
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "crypto/rsa.hpp"
 #include "naming/records.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
+#include "util/lru_cache.hpp"
 #include "util/taint_annotations.hpp"
 
 namespace globe::naming {
@@ -31,7 +31,10 @@ class SecureResolver {
   /// against the chain rooted in the configured trust anchor.
   GLOBE_SANITIZER util::Result<util::Bytes> resolve(const std::string& name);
 
-  /// Enables client-side positive caching of verified answers.
+  /// Enables client-side positive caching of verified answers: each one is
+  /// served until its OID record expires, at most kCacheEntries names at a
+  /// time (least recently resolved evicted first).
+  static constexpr std::size_t kCacheEntries = 1024;
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   std::size_t cache_size() const { return cache_.size(); }
   void clear_cache() { cache_.clear(); }
@@ -42,16 +45,12 @@ class SecureResolver {
  private:
   util::Result<util::Bytes> resolve_walk(const std::string& name);
 
-  struct CacheEntry {
-    util::Bytes oid;
-    util::SimTime expires;
-  };
-
   net::Transport* transport_;
   net::Endpoint root_server_;
   crypto::RsaPublicKey anchor_;
   bool cache_enabled_ = false;
-  std::map<std::string, CacheEntry> cache_;
+  // name -> OID, each until its record expires
+  util::LruCache<std::string, util::Bytes> cache_{{.max_entries = kCacheEntries}};
   std::size_t signatures_verified_ = 0;
   // Registry series: resolves by outcome, cache hits, referral hops,
   // signatures verified.

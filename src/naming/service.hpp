@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 
+#include "util/bounds_annotations.hpp"
 #include "util/mutex.hpp"
 
 #include "crypto/rsa.hpp"
@@ -95,7 +96,7 @@ class NamingServer {
                                             GLOBE_UNTRUSTED util::BytesView payload);
 
   util::Mutex mutex_;
-  std::map<std::string, std::shared_ptr<ZoneAuthority>> zones_
+  std::map<std::string, std::shared_ptr<ZoneAuthority>> zones_ GLOBE_BOUNDED
       GLOBE_GUARDED_BY(mutex_);
   obs::Counter* lookups_answer_;
   obs::Counter* lookups_referral_;

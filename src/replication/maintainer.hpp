@@ -14,6 +14,7 @@
 #include "globedoc/server.hpp"
 #include "obs/metrics.hpp"
 #include "replication/refresher.hpp"
+#include "util/bounds_annotations.hpp"
 
 namespace globe::replication {
 
@@ -61,7 +62,7 @@ class ReplicaMaintainer {
   globedoc::ObjectServer* server_;
   net::Transport* transport_;
   Config config_;
-  std::map<globedoc::Oid, Entry> entries_;
+  std::map<globedoc::Oid, Entry> entries_ GLOBE_BOUNDED;
   obs::Counter* checked_counter_;
   obs::Counter* refreshed_counter_;
   // replication.maintainer.failed split by reason= so operators can tell a

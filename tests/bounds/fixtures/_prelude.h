@@ -41,6 +41,7 @@ class vector {
   void clear();
   size_t size() const;
   bool empty() const;
+  T& operator[](size_t i);
 };
 
 template <typename T>
@@ -57,6 +58,7 @@ class map {
   void emplace(const K& k, const V& v);
   void erase(const K& k);
   size_t size() const;
+  V& operator[](const K& k);
 };
 
 class string {

@@ -2,7 +2,10 @@
 // interval doubles as a sound cache TTL ([13]'s "Verif" client strategy).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "globedoc/proxy.hpp"
+#include "obs/metrics.hpp"
 #include "tests/globedoc/world_fixture.hpp"
 
 namespace globe::globedoc {
@@ -120,6 +123,67 @@ TEST_F(ElementCacheFixture, StaleCacheCannotHideAnUpdateBeyondItsWindow) {
   ASSERT_TRUE(outside.is_ok());
   EXPECT_FALSE(outside->metrics.used_cached_element);
   EXPECT_EQ(util::to_string(outside->element.content), "<html>v2</html>");
+}
+
+TEST_F(ElementCacheFixture, DistinctNameCrawlKeepsEveryProxyCacheAtItsBound) {
+  // A crawler visiting many distinct names must not grow the proxy: the
+  // bindings, the element cache and the certificate memo all sit behind
+  // bounded LRUs.  Every name here resolves to the same document, so the
+  // memo also proves one RSA verify serves the whole crawl.
+  constexpr std::size_t kBindings = GlobeDocProxy::kMaxBindings;
+  constexpr std::size_t kElements = GlobeDocProxy::kMaxCachedElements;
+  constexpr int kNames = kElements + 64;
+  for (int i = 0; i < kNames; ++i) {
+    owner->register_name(*root_zone, "mirror" + std::to_string(i) + ".vu.nl",
+                         util::seconds(5000));
+  }
+  obs::MetricsRegistry registry;
+  ProxyConfig config = proxy_config();
+  config.cache_bindings = true;
+  config.cache_elements = true;
+  config.registry = &registry;
+  GlobeDocProxy proxy(*client_flow, config);
+
+  for (int i = 0; i < kNames; ++i) {
+    auto result = proxy.fetch("mirror" + std::to_string(i) + ".vu.nl", "index.html");
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    ASSERT_LE(proxy.binding_count(), kBindings);
+    ASSERT_LE(proxy.element_cache_size(), kElements);
+  }
+  EXPECT_EQ(registry.counter("proxy.cert_verifies").value(), 1u);
+  EXPECT_EQ(registry.counter("proxy.cert_verify_memo_hits").value(), kNames - 1u);
+
+  // The most recent names are still served locally; the oldest were evicted.
+  auto recent = proxy.fetch("mirror" + std::to_string(kNames - 1) + ".vu.nl",
+                            "index.html");
+  ASSERT_TRUE(recent.is_ok());
+  EXPECT_TRUE(recent->metrics.used_cached_element);
+  auto oldest = proxy.fetch("mirror0.vu.nl", "index.html");
+  ASSERT_TRUE(oldest.is_ok());
+  EXPECT_FALSE(oldest->metrics.used_cached_element);
+  EXPECT_FALSE(oldest->metrics.used_cached_binding);
+}
+
+TEST_F(ElementCacheFixture, BindingExpiresWithItsCertificate) {
+  ProxyConfig config = proxy_config();
+  config.cache_bindings = true;
+  GlobeDocProxy proxy(*client_flow, config);
+  ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());
+  ASSERT_EQ(proxy.binding_count(), 1u);
+
+  // Past the certificate's last entry the binding can verify nothing: it is
+  // dropped instead of being tried, and the proxy binds afresh against the
+  // refreshed replica.
+  client_flow->advance(util::seconds(4000));
+  publish_flow->set_time(client_flow->now());
+  ASSERT_TRUE(owner
+                  ->refresh_replicas(*publish_flow, client_flow->now(),
+                                     util::seconds(3600))
+                  .is_ok());
+  auto result = proxy.fetch(object_name, "index.html");
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_FALSE(result->metrics.used_cached_binding);
+  EXPECT_EQ(result->metrics.replicas_tried, 1u);
 }
 
 }  // namespace

@@ -262,5 +262,26 @@ TEST_F(ResolverFixture, CachingSkipsNetworkUntilExpiry) {
   EXPECT_EQ(resolver.resolve("doc.vu.nl").code(), ErrorCode::kExpired);
 }
 
+TEST_F(ResolverFixture, CacheStaysAtItsBoundUnderADistinctNameCrawl) {
+  constexpr int kNames = SecureResolver::kCacheEntries + 64;
+  for (int i = 0; i < kNames; ++i) {
+    vu->add_oid("page" + std::to_string(i) + ".vu.nl",
+                fake_oid(static_cast<std::uint8_t>(i % 256)), util::seconds(1000));
+  }
+  SecureResolver resolver(*flow, root_ep, root_key.pub);
+  resolver.set_cache_enabled(true);
+  for (int i = 0; i < kNames; ++i) {
+    ASSERT_TRUE(resolver.resolve("page" + std::to_string(i) + ".vu.nl").is_ok());
+    ASSERT_LE(resolver.cache_size(), SecureResolver::kCacheEntries);
+  }
+  // The latest answer is cached (zero time); the first was evicted.
+  util::SimTime t = flow->now();
+  auto last = resolver.resolve("page" + std::to_string(kNames - 1) + ".vu.nl");
+  ASSERT_TRUE(last.is_ok());
+  EXPECT_EQ(flow->now(), t);
+  ASSERT_TRUE(resolver.resolve("page0.vu.nl").is_ok());
+  EXPECT_GT(flow->now(), t);
+}
+
 }  // namespace
 }  // namespace globe::naming

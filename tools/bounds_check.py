@@ -18,7 +18,8 @@ This analyzer proves two resource invariants over the whole call graph:
      tainted buffer is input-bounded metadata, not an untrusted size.
 
   2. Unbounded-growth state: a container member grown
-     (push_back/emplace/insert/append/+=) from a member function of a
+     (push_back/emplace/insert/append/+=, or ``m[k] = v`` on a map, whose
+     ``operator[]`` inserts every new key) from a member function of a
      long-lived class (anything in src/cache, src/replication, src/obs, or a
      class whose name marks it as a server/proxy/dispatcher/pool/...) must
      either carry GLOBE_BOUNDED (src/util/bounds_annotations.hpp) or be
@@ -123,10 +124,13 @@ GROWTH_SUBSYS = {"cache", "replication", "obs"}
 LONGLIVED_RE = re.compile(
     r"(Server|Dispatcher|Proxy|Tier|Framer|Pool|Registry|Replicator|"
     r"Coordinator|Maintainer|Collector|Aggregator|Auditor|Evaluator|"
-    r"Tracer|Cache|Node|Client|SingleFlight|EventLog)")
+    r"Tracer|Cache|Node|Client|SingleFlight|EventLog|Resolver)")
 
 GROWTH_METHODS = {"push_back", "emplace_back", "emplace", "try_emplace",
                   "insert", "push", "append", "push_front", "emplace_front"}
+# Containers whose operator[] inserts a missing key: `m[k] = v` is growth.
+MAP_TYPES = {"map", "unordered_map"}
+ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "|=", "&=", "^=", "<<=", ">>="}
 CONTAINER_TYPES = {"vector", "deque", "list", "map", "multimap",
                    "unordered_map", "set", "multiset", "unordered_set",
                    "queue", "priority_queue", "string", "basic_string",
@@ -179,6 +183,7 @@ class Stmt:
     is_return: bool = False
     lhs: str | None = None
     lhs_is_member = False
+    lhs_subscript = False                        # `lhs[...] = ...`
     compound: bool = False
     decl_type: str | None = None
     refs: list = field(default_factory=list)
@@ -531,7 +536,7 @@ def _parse_stmt(seg) -> Stmt | None:
             if tk[0] == "=":
                 eq = idx
                 break
-            if tk[0] in ("+=", "-=", "*=", "/=", "|=", "&=", "^=", "<<=", ">>="):
+            if tk[0] in ASSIGN_OPS and tk[0] != "=":
                 eq = idx
                 compound = True
                 break
@@ -545,6 +550,10 @@ def _parse_stmt(seg) -> Stmt | None:
             if member:
                 st.lhs = idents[0]
                 st.lhs_is_member = True
+                first = next(i for i, tk in enumerate(lhs_toks)
+                             if tk[0] == idents[0])
+                st.lhs_subscript = first + 1 < len(lhs_toks) \
+                    and lhs_toks[first + 1][0] == "["
                 st.refs.extend(idents[1:])
             else:
                 st.lhs = idents[-1]
@@ -974,6 +983,53 @@ def _clang_collect(tu, prog, in_scope, ci):
         for ch in node.get_children():
             collect_expr(ch, refs, calls)
 
+    def unwrap(node):
+        while node.kind == ci.CursorKind.UNEXPOSED_EXPR:
+            kids = list(node.get_children())
+            if len(kids) != 1:
+                break
+            node = kids[0]
+        return node
+
+    def assigned_subscript(node):
+        """`member` when `node` assigns through `member[...]` — what
+        `m[k] = v` on a map compiles to: a built-in assignment whose left
+        side is an operator[] call, or an operator= call on its result."""
+        node = unwrap(node)
+        if node.kind == ci.CursorKind.CALL_EXPR:
+            name = node.spelling or ""
+            if not name.startswith("operator") \
+                    or name[len("operator"):] not in ASSIGN_OPS:
+                return None
+            args = list(node.get_arguments())
+            lhs = args[0] if args else None
+        elif node.kind in (ci.CursorKind.BINARY_OPERATOR,
+                           ci.CursorKind.COMPOUND_ASSIGNMENT_OPERATOR):
+            kids = list(node.get_children())
+            if len(kids) != 2:
+                return None
+            end = kids[0].extent.end.offset
+            op = next((t.spelling for t in node.get_tokens()
+                       if t.extent.start.offset >= end), "")
+            lhs = kids[0] if op in ASSIGN_OPS else None
+        else:
+            return None
+        if lhs is None:
+            return None
+        lhs = unwrap(lhs)
+        if lhs.kind != ci.CursorKind.CALL_EXPR or lhs.spelling != "operator[]":
+            return None
+        args = list(lhs.get_arguments())
+        refs = []
+        if args:
+            collect_expr(args[0], refs, [])
+        return refs[0] if len(refs) == 1 else None
+
+    def mark_subscript(st, node):
+        base = assigned_subscript(node)
+        if base:
+            st.lhs, st.lhs_is_member, st.lhs_subscript = base, True, True
+
     def linearize(node, stmts, local_types):
         k = node.kind
         if k == ci.CursorKind.COMPOUND_STMT:
@@ -1024,12 +1080,14 @@ def _clang_collect(tu, prog, in_scope, ci):
                     st.lhs = lrefs[0]
                     st.lhs_is_member = len(lrefs) > 1
                 st.compound = (k == ci.CursorKind.COMPOUND_ASSIGNMENT_OPERATOR)
+                mark_subscript(st, node)
                 collect_expr(kids[1], st.refs, st.calls)
                 st.calls.extend(lcalls)
                 stmts.append(st)
                 return
         st = Stmt(line=node.location.line)
         collect_expr(node, st.refs, st.calls)
+        mark_subscript(st, node)
         if st.refs or st.calls:
             stmts.append(st)
 
@@ -1569,9 +1627,9 @@ class Analyzer:
         """{(cls, member) -> {"id", "info", "sites": [(q, file, line, how)]}}"""
         events = {}
 
-        def note(f, member, line, how):
+        def note(f, member, line, how, types=CONTAINER_TYPES):
             info = self.prog.field_info.get(f.cls, {}).get(member)
-            if info is None or info["type"] not in CONTAINER_TYPES:
+            if info is None or info["type"] not in types:
                 return
             if member in f.local_types:
                 return  # shadowed by a parameter or local
@@ -1590,6 +1648,8 @@ class Analyzer:
                         note(f, cs.recv, cs.line, cs.name)
                 if st.compound and st.lhs and not st.lhs_is_member:
                     note(f, st.lhs, st.line, "+=")
+                if st.lhs_subscript:
+                    note(f, st.lhs, st.line, "operator[]", MAP_TYPES)
         return events
 
     def _has_enforcement(self, cls: str, member: str) -> bool:
