@@ -25,14 +25,13 @@ fixpoint:
     OWN lock (`cv_.wait(lock)`); any other lock held across the wait
     still flags.
 
-Two interchangeable frontends produce the same per-function event IR
-(mirroring tools/taint_check.py):
-
-  * ``clang`` — libclang over compile_commands.json; reads the
-    [[clang::annotate("globe::blocking")]] attribute.  Used in CI.
-  * ``lite``  — stdlib-only tokenizer recognizing the GLOBE_* macros and
-    guard declarations textually, so plain ``ctest`` enforces the
-    invariant on toolchains without clang.
+This file is a thin command-line shim over the conc pass of the analyzer
+package in tools/analysis/.  The package's two frontends (libclang over
+compile_commands.json, reading [[clang::annotate("globe::blocking")]], in
+CI; the stdlib-only ``lite`` tokenizer under plain ``ctest``) hand each
+function body to the pass's own event builder, which records guard
+declarations, manual lock/unlock, condvar waits and calls, and lifts
+lambdas into functions of their own.
 
 Intentional holds (e.g. the proxy's documented one-browser-one-proxy
 serialization) are suppressed through tools/conc_baseline.txt, which
@@ -43,1878 +42,14 @@ Exit status: 0 = clean (modulo baseline), 1 = findings or stale baseline,
 
 Usage:
   tools/conc_check.py [--frontend auto|clang|lite] [paths...]
-  tools/conc_check.py --self-test           # fixture corpus in tests/conc/
+  tools/conc_check.py --self-test [--frontend clang]    # tests/conc/
   tools/conc_check.py --edges               # dump the acquisition graph
   tools/conc_check.py --list                # dump mutexes + blocking fns
 """
 
-from __future__ import annotations
-
-import argparse
-import os
-import re
 import sys
-from dataclasses import dataclass, field
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-ANNOT_BLOCKING = "blocking"
-
-CLANG_ANNOTATION_OF = {"globe::blocking": ANNOT_BLOCKING}
-
-GUARD_KINDS = {"LockGuard": "guard", "RecursiveLockGuard": "guard_rec",
-               "UniqueLock": "unique"}
-
-MUTEX_TYPES = {"Mutex": "mutex", "RecursiveMutex": "recursive"}
-
-# Thread primitives that park the calling thread without an annotation of
-# their own (std::this_thread & friends).
-SLEEP_FNS = {"sleep_for", "sleep_until", "usleep", "nanosleep"}
-
-# Method names of std:: containers/strings: a receiver call with one of
-# these names and an unknown receiver type must never alias onto project
-# code through name-only resolution (same guard as taint_check.py).
-STD_CONTAINER_METHODS = {
-    "insert", "erase", "assign", "append", "push_back", "pop_back",
-    "emplace", "emplace_back", "find", "count", "at", "substr", "clear",
-    "resize", "reserve", "begin", "end", "front", "back", "data", "c_str",
-    "str", "push", "pop", "top", "get", "reset", "swap", "size", "empty",
-}
-
-MAX_CHAIN = 8  # call-chain depth cap in diagnostics
-
-
-# --------------------------------------------------------------------------
-# Shared IR
-# --------------------------------------------------------------------------
-
-@dataclass
-class CallSite:
-    line: int = 0
-    chain: list = field(default_factory=list)
-    explicit: bool = False
-    recv: str | None = None
-    recv_path: list = field(default_factory=list)
-    nargs: int = 0
-    arg_refs: list = field(default_factory=list)   # flattened ident refs
-    lambdas: list = field(default_factory=list)    # lifted lambda qnames in args
-    lambda_target: str | None = None               # IIFE / direct lambda call
-
-    @property
-    def name(self):
-        return self.chain[-1] if self.chain else ""
-
-
-@dataclass
-class Ev:
-    """One concurrency-relevant event, in textual order.
-
-    kind: 'acq'  guard declaration        (var, lock, guard)
-          'rel'  guard leaves scope       (var)
-          'mlock'/'munlock' manual calls  (lock)
-          'wait' condvar wait on a guard  (var)
-          'call' any other call           (cs)
-    lock: either a tuple of ident chain ('mu_',) / ('host','lock') or a
-          clang-resolved ('::', Class, member) triple.
-    """
-    kind: str
-    line: int = 0
-    var: str | None = None
-    lock: tuple = ()
-    guard: str = ""
-    cs: CallSite | None = None
-
-
-@dataclass
-class Func:
-    qname: str = ""
-    file: str = ""
-    line: int = 0
-    cls: str | None = None
-    annots: set = field(default_factory=set)
-    params: list = field(default_factory=list)     # param names
-    events: list = field(default_factory=list)
-    has_body: bool = False
-    local_types: dict = field(default_factory=dict)
-    requires: set = field(default_factory=set)     # set[tuple chain]
-
-
-@dataclass
-class Program:
-    funcs: dict = field(default_factory=dict)
-    by_name: dict = field(default_factory=dict)
-    fields: dict = field(default_factory=dict)     # class -> {field -> type}
-    mutexes: dict = field(default_factory=dict)    # lockid -> info dict
-    member_owner: dict = field(default_factory=dict)  # member -> [lockid]
-
-    def add(self, f: Func):
-        prev = self.funcs.get(f.qname)
-        if prev is None:
-            self.funcs[f.qname] = f
-            self.by_name.setdefault(f.qname.split("::")[-1], []).append(f.qname)
-            return
-        prev.annots |= f.annots
-        prev.requires |= f.requires
-        if f.has_body and not prev.has_body:
-            prev.events, prev.has_body = f.events, True
-            prev.file, prev.line = f.file, f.line
-            prev.local_types.update(f.local_types)
-            prev.params = f.params or prev.params
-
-    def register_mutex(self, subsys, cls, member, kind, file, line):
-        lockid = f"{subsys}.{cls}.{member}"
-        if lockid not in self.mutexes:
-            self.mutexes[lockid] = {"cls": cls, "member": member,
-                                    "kind": kind, "file": file, "line": line}
-            self.member_owner.setdefault(member, []).append(lockid)
-
-    def lock_by_cls(self, cls, member):
-        for lid, info in self.mutexes.items():
-            if info["cls"] == cls and info["member"] == member:
-                return lid
-        return None
-
-
-def subsys_of(relpath: str) -> str:
-    parts = relpath.replace("\\", "/").split("/")
-    if parts[0] == "src" and len(parts) >= 3:
-        return parts[1]
-    return "test"
-
-
-# --------------------------------------------------------------------------
-# Lite frontend
-# --------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"""[A-Za-z_]\w*
-      | 0[xX][0-9a-fA-F']+ | \d[\d.'eEfuUlL]*
-      | ::|->\*?|\.\*|<<=|>>=|<=>|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<|>>|\+\+|--
-      | [{}()\[\];,<>=!&|*+\-/%?:~^.\#@]
-    """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = {
-    "if", "else", "for", "while", "do", "switch", "case", "default", "break",
-    "continue", "return", "goto", "try", "catch", "throw", "new", "delete",
-    "sizeof", "alignof", "static_cast", "dynamic_cast", "const_cast",
-    "reinterpret_cast", "true", "false", "nullptr", "this", "const",
-    "constexpr", "static", "inline", "virtual", "override", "final",
-    "noexcept", "mutable", "explicit", "auto", "void", "bool", "char", "int",
-    "unsigned", "signed", "long", "short", "float", "double", "class",
-    "struct", "enum", "union", "namespace", "using", "typedef", "template",
-    "typename", "public", "private", "protected", "friend", "operator",
-    "co_await", "co_return", "co_yield", "std",
-}
-
-# Macro tokens that may sit in a declarator's qualifier zone.  All are
-# skipped (with their argument lists); GLOBE_REQUIRES and GLOBE_BLOCKING
-# additionally feed the IR.
-_QUAL_MACROS = {"GLOBE_EXCLUDES", "GLOBE_REQUIRES", "GLOBE_GUARDED_BY",
-                "GLOBE_PT_GUARDED_BY", "GLOBE_ACQUIRE", "GLOBE_RELEASE",
-                "GLOBE_NO_THREAD_SAFETY_ANALYSIS", "GLOBE_SCOPED_CAPABILITY",
-                "GLOBE_ACQUIRED_BEFORE", "GLOBE_ACQUIRED_AFTER",
-                "GLOBE_TRY_ACQUIRE", "GLOBE_ASSERT_CAPABILITY",
-                "GLOBE_RETURN_CAPABILITY", "GLOBE_REQUIRES_SHARED"}
-_PREFIX_MACROS = {"GLOBE_BLOCKING", "GLOBE_UNTRUSTED", "GLOBE_SANITIZER",
-                  "GLOBE_TRUSTED_SINK", "GLOBE_CAPABILITY"}
-_NOISE_IDENTS = _QUAL_MACROS | _PREFIX_MACROS
-
-_CONTROL = {"if", "for", "while", "switch", "catch", "else", "do", "try"}
-
-_LAMBDA_PREV = {None, "(", ",", "=", "return", "{", ";", ":", "?",
-                "&&", "||", "!", "(", "co_return"}
-
-
-def _strip_comments(text: str) -> str:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            seg = text[i:(n if j < 0 else j + 2)]
-            out.append("\n" * seg.count("\n"))
-            i = n if j < 0 else j + 2
-        elif c == "'" and i > 0 and text[i - 1] in "0123456789abcdefABCDEF" \
-                and i + 1 < n and text[i + 1].isalnum():
-            i += 1  # digit separator (1'000'000), not a char literal
-        elif c in "\"'":
-            quote, j = c, i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            out.append('""' if quote == '"' else "0")
-            i = min(j + 1, n)
-        elif c == "#" and (i == 0 or text[i - 1] == "\n"):
-            j = i
-            while j < n:
-                k = text.find("\n", j)
-                if k < 0:
-                    j = n
-                    break
-                if text[k - 1] == "\\":
-                    j = k + 1
-                    continue
-                j = k
-                break
-            seg = text[i:j]
-            out.append("\n" * seg.count("\n"))
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def _tokenize(text: str):
-    toks = []
-    line = 1
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        line += text.count("\n", pos, m.start())
-        pos = m.start()
-        toks.append((m.group(0), line))
-    return toks
-
-
-def _match_forward(toks, i, open_t, close_t):
-    depth = 0
-    while i < len(toks):
-        t = toks[i][0]
-        if t == open_t:
-            depth += 1
-        elif t == close_t:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        i += 1
-    return len(toks)
-
-
-def _split_top(toks, sep=","):
-    parts, cur = [], []
-    p = a = 0
-    for tk in toks:
-        t = tk[0]
-        if t in "([{":
-            p += 1
-        elif t in ")]}":
-            p -= 1
-        elif t == "<":
-            a += 1
-        elif t == ">" and a > 0:
-            a -= 1
-        if t == sep and p == 0 and a == 0:
-            parts.append(cur)
-            cur = []
-        else:
-            cur.append(tk)
-    parts.append(cur)
-    return parts
-
-
-def _chain_of(toks):
-    """Token list -> ident chain tuple, dropping this/namespaces/derefs."""
-    out = []
-    for tk in toks:
-        t = tk[0]
-        if re.match(r"[A-Za-z_]", t) and t not in _KEYWORDS \
-                and t not in ("util", "globe", "std") and t not in _NOISE_IDENTS:
-            out.append(t)
-    return tuple(out)
-
-
-def _parse_expr(toks):
-    """Expression token list -> (refs, calls).  Mirrors taint_check.py."""
-    refs, calls = [], []
-    i = 0
-    n = len(toks)
-    while i < n:
-        t, line = toks[i]
-        if re.match(r"[A-Za-z_]", t) and t not in _KEYWORDS \
-                and t not in _NOISE_IDENTS:
-            chain, seps = [t], []
-            j = i + 1
-            while j + 1 < n and toks[j][0] in ("::", ".", "->") \
-                    and re.match(r"[A-Za-z_]", toks[j + 1][0]) \
-                    and toks[j + 1][0] not in _KEYWORDS:
-                seps.append(toks[j][0])
-                chain.append(toks[j + 1][0])
-                j += 2
-            if j < n and toks[j][0] == "(":
-                cs = CallSite(line=line, chain=chain)
-                if seps and seps[-1] in (".", "->"):
-                    cs.recv_path = chain[:-1]
-                    cs.recv = cs.recv_path[0]
-                else:
-                    cs.explicit = bool(seps)
-                end = _match_forward(toks, j, "(", ")")
-                inner = toks[j + 1:end - 1]
-                for part in _split_top(inner):
-                    if not part:
-                        continue
-                    cs.nargs += 1
-                    arefs, acalls = _parse_expr(part)
-                    cs.arg_refs.extend(arefs)
-                    calls.extend(acalls)       # nested calls flattened
-                calls.append(cs)
-                i = end
-                continue
-            if seps and all(s == "::" for s in seps):
-                i = j
-                continue
-            refs.append(chain[0])
-            i = j
-            continue
-        i += 1
-    return refs, calls
-
-
-# ---- lambda lifting -------------------------------------------------------
-
-def _lift_lambdas(toks, owner_qname, owner_cls, owner_locals, sink, counter):
-    """Replaces every lambda literal in `toks` with a placeholder ident and
-    appends (qname, param_toks, body_toks, line) records to `sink`.
-    Nested lambdas are lifted recursively.  Returns the rewritten tokens."""
-    out = []
-    i, n = 0, len(toks)
-    while i < n:
-        t, line = toks[i]
-        if t == "[":
-            prev = out[-1][0] if out else None
-            # `[[` attribute or indexing (`x[i]`) are not lambdas.
-            nxt = toks[i + 1][0] if i + 1 < n else None
-            if prev in _LAMBDA_PREV and nxt != "[":
-                close = _match_forward(toks, i, "[", "]")
-                k = close
-                param_toks = []
-                if k < n and toks[k][0] == "(":
-                    pend = _match_forward(toks, k, "(", ")")
-                    param_toks = toks[k + 1:pend - 1]
-                    k = pend
-                # specifiers / trailing return up to the body brace
-                ok = True
-                while k < n and toks[k][0] != "{":
-                    if toks[k][0] in (";", ")", ","):
-                        ok = False
-                        break
-                    k += 1
-                if ok and k < n and toks[k][0] == "{":
-                    bend = _match_forward(toks, k, "{", "}")
-                    body = toks[k + 1:bend - 1]
-                    idx = counter[0]
-                    counter[0] += 1
-                    qn = f"{owner_qname}::$lambda{idx}"
-                    body = _lift_lambdas(body, owner_qname, owner_cls,
-                                         owner_locals, sink, counter)
-                    sink.append((qn, param_toks, body, line))
-                    out.append((f"__GLOBE_LAMBDA__{qn}__", line))
-                    i = bend
-                    continue
-        out.append(toks[i])
-        i += 1
-    return out
-
-
-_LAMBDA_PH = re.compile(r"^__GLOBE_LAMBDA__(.+)__$")
-
-
-# ---- statement/event extraction ------------------------------------------
-
-def _guard_decl(seg):
-    """Matches `[util::]GuardType var(lockexpr);` -> (kind, var, chain, line)
-    or None."""
-    idents = [(i, tk[0]) for i, tk in enumerate(seg)
-              if re.match(r"[A-Za-z_]", tk[0])]
-    for i, name in idents:
-        if name in GUARD_KINDS:
-            # must be the type position: next ident is the variable
-            j = i + 1
-            if j < len(seg) and seg[j][0] == "<":   # UniqueLock<...>? no
-                j = _match_forward(seg, j, "<", ">")
-            if j < len(seg) and re.match(r"[A-Za-z_]", seg[j][0]) \
-                    and seg[j][0] not in _KEYWORDS:
-                var = seg[j][0]
-                k = j + 1
-                if k < len(seg) and seg[k][0] in ("(", "{"):
-                    close_t = ")" if seg[k][0] == "(" else "}"
-                    end = _match_forward(seg, k, seg[k][0], close_t)
-                    inner = seg[k + 1:end - 1]
-                    parts = _split_top(inner)
-                    chain = _chain_of(parts[0]) if parts else ()
-                    return (GUARD_KINDS[name], var, chain, seg[i][1])
-        break_names = ("return", "if", "while", "for")
-        if name in break_names:
-            break
-    return None
-
-
-def _stmt_events(seg, scopes, events, local_types):
-    """Appends events for one statement's tokens.  `scopes` is the full
-    stack of guard-variable scopes (innermost last)."""
-    if not seg:
-        return
-    while seg and seg[0][0] in ("else", "do", "try"):
-        seg = seg[1:]
-    if not seg:
-        return
-    head = seg[0][0]
-    if head in ("case", "default", "goto", "using", "public", "private",
-                "protected", "break", "continue"):
-        return
-    gd = _guard_decl(seg)
-    if gd is not None:
-        kind, var, chain, line = gd
-        events.append(Ev("acq", line=line, var=var, lock=chain, guard=kind))
-        scopes[-1].append(var)
-        return
-    # local declarations worth typing: `Type name(...)` / `Type name = ...`
-    refs, calls = _parse_expr(seg)
-    # remember `Foo x` declarations for receiver typing (cheap heuristic:
-    # two leading idents, first uppercase-ish type name)
-    lead = [tk[0] for tk in seg[:6] if re.match(r"[A-Za-z_]", tk[0])
-            and tk[0] not in _KEYWORDS and tk[0] not in _NOISE_IDENTS]
-    # the type may be namespace-qualified (`rpc::RpcClient replica(...)`):
-    # take the first uppercase-ish token as the type, the next as the name
-    for li in range(min(2, max(0, len(lead) - 1))):
-        if lead[li][:1].isupper():
-            local_types.setdefault(lead[li + 1], lead[li])
-            break
-    for cs in calls:
-        ph = _LAMBDA_PH.match(cs.name or "")
-        if ph and len(cs.chain) == 1:
-            cs.lambda_target = ph.group(1)
-            events.append(Ev("call", line=cs.line, cs=cs))
-            continue
-        # collect lambda placeholders passed as arguments
-        for r in list(cs.arg_refs):
-            m = _LAMBDA_PH.match(r)
-            if m:
-                cs.lambdas.append(m.group(1))
-        if cs.name == "wait" and cs.arg_refs:
-            gv = cs.arg_refs[0]
-            if any(gv in sc for sc in scopes):
-                events.append(Ev("wait", line=cs.line, var=gv))
-                continue
-        if cs.name in ("lock", "unlock") and cs.recv_path and cs.nargs == 0:
-            kind = "mlock" if cs.name == "lock" else "munlock"
-            events.append(Ev(kind, line=cs.line, lock=tuple(
-                x for x in cs.recv_path
-                if x not in ("util", "globe", "std"))))
-            continue
-        if cs.name == "try_lock":
-            continue
-        events.append(Ev("call", line=cs.line, cs=cs))
-
-
-def _build_body(toks, local_types):
-    """Linearizes a body into events with scope-accurate guard release:
-    a guard declared in a block emits an explicit 'rel' at that block's
-    closing brace, which stays correct under early returns (the next
-    acquisition in the outer scope sees the right held-set)."""
-    events = []
-    scopes = [[]]          # stack of [guard vars declared in this scope]
-    seg = []
-    i, n = 0, len(toks)
-    pdepth = 0
-
-    while i < n:
-        t, line = toks[i]
-        if t == "(":
-            pdepth += 1
-            seg.append(toks[i])
-        elif t == ")":
-            pdepth -= 1
-            seg.append(toks[i])
-        elif t == ";" and pdepth == 0:
-            _stmt_events(seg, scopes, events, local_types)
-            seg = []
-        elif t == "{" and pdepth == 0:
-            heads = [tk[0] for tk in seg]
-            if not seg or heads[0] in _CONTROL:
-                _stmt_events(seg, scopes, events, local_types)
-                seg = []
-                scopes.append([])
-            else:
-                # init-list brace: swallow into current statement
-                end = _match_forward(toks, i, "{", "}")
-                seg.extend(toks[i + 1:end - 1])
-                i = end
-                continue
-        elif t == "}" and pdepth == 0:
-            _stmt_events(seg, scopes, events, local_types)
-            seg = []
-            released = scopes.pop() if len(scopes) > 1 else []
-            if not scopes:
-                scopes = [[]]
-            for var in reversed(released):
-                events.append(Ev("rel", line=line, var=var))
-        else:
-            seg.append(toks[i])
-        i += 1
-    _stmt_events(seg, scopes, events, local_types)
-    # function exit: release anything still registered (top scope)
-    for var in reversed(scopes[0]):
-        events.append(Ev("rel", line=0, var=var))
-    return events
-
-
-def _parse_params_lite(ptoks):
-    """Parameter list tokens -> ([name], {name: type_basename})."""
-    names, types = [], {}
-    for part in _split_top(ptoks):
-        idents = [tk[0] for tk in part if re.match(r"[A-Za-z_]", tk[0])
-                  and tk[0] not in ("const", "struct", "typename", "volatile",
-                                    "util", "globe", "std")
-                  and tk[0] not in _NOISE_IDENTS]
-        if not idents:
-            continue
-        if len(idents) >= 2:
-            names.append(idents[-1])
-            types[idents[-1]] = idents[-2]
-        else:
-            names.append(idents[-1])
-    return names, types
-
-
-def parse_file_lite(path: str, prog: Program):
-    text = _strip_comments(open(path, encoding="utf-8",
-                                errors="replace").read())
-    relpath = os.path.relpath(path, REPO)
-    toks = _tokenize(text)
-    scopes = []
-    pending = []
-    i, n = 0, len(toks)
-
-    def qname(parts):
-        names = [s[1] for s in scopes if s[0] in ("ns", "class") and s[1]]
-        return "::".join(names + parts)
-
-    def cur_class():
-        for s in reversed(scopes):
-            if s[0] == "class":
-                return s[1]
-        return None
-
-    def add_lambda_funcs(lifted, owner_cls):
-        for qn, ptoks, btoks, lline in lifted:
-            lf = Func(qname=qn, file=relpath, line=lline, cls=owner_cls)
-            names, types = _parse_params_lite(ptoks)
-            lf.params = names
-            lf.local_types.update(types)
-            lf.events = _build_body(btoks, lf.local_types)
-            lf.has_body = True
-            prog.add(lf)
-
-    while i < n:
-        t, line = toks[i]
-        if t == "namespace":
-            j = i + 1
-            names = []
-            while j < n and toks[j][0] not in ("{", ";", "="):
-                if re.match(r"[A-Za-z_]", toks[j][0]):
-                    names.append(toks[j][0])
-                j += 1
-            if j < n and toks[j][0] == "{":
-                scopes.append(("ns", "::".join(names)))
-            i = j + 1
-            pending = []
-            continue
-        if t in ("class", "struct") and not (pending and pending[-1][0] == "enum"):
-            j = i + 1
-            name = None
-            while j < n and toks[j][0] not in ("{", ";"):
-                if re.match(r"[A-Za-z_]", toks[j][0]) and name is None \
-                        and toks[j][0] not in _NOISE_IDENTS:
-                    name = toks[j][0]
-                if toks[j][0] == "(":
-                    break
-                j += 1
-            if j < n and toks[j][0] == "{" and name:
-                scopes.append(("class", name))
-                i = j + 1
-                pending = []
-                continue
-            pending.append(toks[i])
-            i += 1
-            continue
-        if t == "template":
-            if i + 1 < n and toks[i + 1][0] == "<":
-                d = 0
-                j = i + 1
-                while j < n:
-                    if toks[j][0] == "<":
-                        d += 1
-                    elif toks[j][0] == ">":
-                        d -= 1
-                        if d == 0:
-                            break
-                    j += 1
-                i = j + 1
-                continue
-        if t == "{":
-            i = _match_forward(toks, i, "{", "}")
-            pending = []
-            continue
-        if t == "}":
-            if scopes:
-                scopes.pop()
-            if i + 1 < n and toks[i + 1][0] == ";":
-                i += 1
-            i += 1
-            pending = []
-            continue
-        if t == ";":
-            pending = []
-            i += 1
-            continue
-        if t == "(" and pending:
-            name_parts = []
-            j = len(pending) - 1
-            if re.match(r"[A-Za-z_]", pending[j][0]) \
-                    and pending[j][0] not in _KEYWORDS - {"operator"}:
-                name_parts.append(pending[j][0])
-                j -= 1
-                while j >= 1 and pending[j][0] == "::" \
-                        and re.match(r"[A-Za-z_]", pending[j - 1][0]):
-                    name_parts.append(pending[j - 1][0])
-                    j -= 2
-            name_parts.reverse()
-            is_dtor = j >= 0 and pending[j][0] == "~"
-            is_op = "operator" in [p[0] for p in pending[max(0, j - 1):]]
-            if not name_parts or is_op or name_parts[-1] in _NOISE_IDENTS:
-                i = _match_forward(toks, i, "(", ")")
-                continue
-            close = _match_forward(toks, i, "(", ")")
-            ptoks = toks[i + 1:close - 1]
-            # qualifier zone: find ';' (decl) or '{' (def); harvest
-            # GLOBE_REQUIRES arguments along the way.
-            k = close
-            kind = None
-            requires = set()
-            while k < n:
-                q = toks[k][0]
-                if q == ";":
-                    kind = "decl"
-                    break
-                if q == "{":
-                    kind = "def"
-                    break
-                if q == "=":
-                    kind = "decl"
-                    while k < n and toks[k][0] != ";":
-                        k += 1
-                    break
-                if q == ":":
-                    k += 1
-                    while k < n:
-                        qq = toks[k][0]
-                        if qq == "(":
-                            k = _match_forward(toks, k, "(", ")")
-                            continue
-                        if qq == "{":
-                            if toks[k - 1][0] in (")", "}"):
-                                break
-                            k = _match_forward(toks, k, "{", "}")
-                            continue
-                        if qq == ";":
-                            break
-                        k += 1
-                    kind = "def" if k < n and toks[k][0] == "{" else "decl"
-                    break
-                if q in _QUAL_MACROS and k + 1 < n and toks[k + 1][0] == "(":
-                    mend = _match_forward(toks, k + 1, "(", ")")
-                    if q == "GLOBE_REQUIRES":
-                        for part in _split_top(toks[k + 2:mend - 1]):
-                            ch = _chain_of(part)
-                            if ch:
-                                requires.add(ch)
-                    k = mend
-                    continue
-                if q == "(":
-                    kind = "skip"
-                    break
-                k += 1
-            if kind is None or is_dtor:
-                kind = "skip"
-            if kind == "skip":
-                i = close
-                continue
-            f = Func(file=relpath, line=line)
-            f.requires = requires
-            ann_toks = [p[0] for p in pending] + \
-                       [toks[m][0] for m in range(close, min(k, n))]
-            if "GLOBE_BLOCKING" in ann_toks:
-                f.annots.add(ANNOT_BLOCKING)
-            names, types = _parse_params_lite(ptoks)
-            f.params = names
-            f.local_types.update(types)
-            cls = cur_class()
-            parts = name_parts[:]
-            f.qname = qname(parts)
-            f.cls = cls if cls else (parts[-2] if len(parts) >= 2 else None)
-            if kind == "def":
-                body_start = k
-                body_end = _match_forward(toks, body_start, "{", "}")
-                body = toks[body_start + 1:body_end - 1]
-                lifted = []
-                body = _lift_lambdas(body, f.qname, f.cls, f.local_types,
-                                     lifted, [0])
-                f.events = _build_body(body, f.local_types)
-                f.has_body = True
-                prog.add(f)
-                add_lambda_funcs(lifted, f.cls)
-                i = body_end
-            else:
-                prog.add(f)
-                i = k + 1
-            pending = []
-            continue
-        pending.append(toks[i])
-        i += 1
-
-    _harvest_fields(text, prog)
-    _harvest_mutexes(text, relpath, prog)
-
-
-_FIELD_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:const\s+)?([A-Za-z_][\w:]*(?:<[^;<>{}]*>)?)"
-    r"[&*\s]+([A-Za-z_]\w*_?)\s*(?:GLOBE_(?:PT_)?GUARDED_BY\([^)]*\))?"
-    r"\s*(?:=[^;]*|\{[^;]*\})?;",
-    re.MULTILINE,
-)
-_CLASS_RE = re.compile(r"\b(?:class|struct)\s+(?:GLOBE_\w+(?:\([^)]*\))?\s+)?"
-                       r"([A-Za-z_]\w*)[^;{()]*\{")
-
-
-def _class_bodies(text):
-    spans = []
-    for cm in _CLASS_RE.finditer(text):
-        cls = cm.group(1)
-        depth = 0
-        j = cm.end() - 1
-        start = j
-        while j < len(text):
-            if text[j] == "{":
-                depth += 1
-            elif text[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        spans.append((cls, start, j))
-    for cls, start, end in spans:
-        body = text[start:end]
-        # Mask nested class/struct bodies so their members attribute to the
-        # inner class only (SimNet's nested HostState must not re-register
-        # HostState's lock under SimNet).
-        for _c2, s2, e2 in spans:
-            if start < s2 and e2 <= end:
-                a, b = s2 - start, min(e2 - start, len(body))
-                body = body[:a] + " " * (b - a) + body[b:]
-        yield cls, body, start
-
-
-def _harvest_fields(text: str, prog: Program):
-    for cls, body, _off in _class_bodies(text):
-        table = prog.fields.setdefault(cls, {})
-        for fm in _FIELD_RE.finditer(body):
-            raw = fm.group(1)
-            ftype = raw.split("<")[0].split("::")[-1]
-            # unwrap smart pointers / optional to the pointee type, so a
-            # `std::unique_ptr<GlobeDocProxy> proxy_` receiver resolves.
-            if ftype in ("unique_ptr", "shared_ptr", "optional") and "<" in raw:
-                inner = raw.split("<", 1)[1].rsplit(">", 1)[0]
-                ftype = inner.split("<")[0].split("::")[-1].strip("& *")
-            if ftype in ("return", "using", "typedef"):
-                continue
-            table.setdefault(fm.group(2), ftype)
-
-
-_MUTEX_FIELD_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:globe::)?(?:util::)?(Mutex|RecursiveMutex)\s+"
-    r"([A-Za-z_]\w*)\s*(?:GLOBE_\w+(?:\([^)]*\))?\s*)*;",
-    re.MULTILINE,
-)
-_MUTEX_PTR_RE = re.compile(
-    r"^\s*(?:mutable\s+)?std::unique_ptr<\s*(?:globe::)?(?:util::)?"
-    r"(Mutex|RecursiveMutex)\s*>\s+([A-Za-z_]\w*)\s*"
-    r"(?:GLOBE_\w+(?:\([^)]*\))?\s*)*(?:=[^;]*|\{[^;]*\})?;",
-    re.MULTILINE,
-)
-
-
-def _harvest_mutexes(text: str, relpath: str, prog: Program):
-    subsys = subsys_of(relpath)
-    for cls, body, off in _class_bodies(text):
-        for rx, kindmap in ((_MUTEX_FIELD_RE, MUTEX_TYPES),
-                            (_MUTEX_PTR_RE, MUTEX_TYPES)):
-            for fm in rx.finditer(body):
-                line = text.count("\n", 0, off + fm.start()) + 1
-                prog.register_mutex(subsys, cls, fm.group(2),
-                                    kindmap[fm.group(1)], relpath, line)
-
-
-def collect_sources(root):
-    out = []
-    for base, _dirs, files in os.walk(root):
-        for fn in sorted(files):
-            if fn.endswith((".hpp", ".cpp", ".h", ".cc")):
-                out.append(os.path.join(base, fn))
-    return out
-
-
-def build_program_lite(paths) -> Program:
-    prog = Program()
-    for p in paths:
-        parse_file_lite(p, prog)
-    return prog
-
-
-# --------------------------------------------------------------------------
-# libclang frontend
-# --------------------------------------------------------------------------
-
-_REQ_RE = re.compile(r"GLOBE_REQUIRES\(([^)]*)\)")
-_file_cache: dict = {}
-
-
-def _requires_at(abspath, line):
-    """Raw-source scan for GLOBE_REQUIRES on the declaration at `line`.
-    Uniform across frontends: the macro only expands under clang's
-    thread-safety mode, so the attribute is not reliably in the AST."""
-    try:
-        if abspath not in _file_cache:
-            _file_cache[abspath] = open(abspath, encoding="utf-8",
-                                        errors="replace").read().splitlines()
-        lines = _file_cache[abspath]
-    except OSError:
-        return set()
-    snippet = "\n".join(lines[line - 1:line + 6])
-    cut = len(snippet)
-    for stop in ("{", ";"):
-        p = snippet.find(stop)
-        if 0 <= p < cut:
-            cut = p
-    out = set()
-    for m in _REQ_RE.finditer(snippet[:cut + 1]):
-        for arg in m.group(1).split(","):
-            ch = tuple(x for x in re.findall(r"[A-Za-z_]\w*", arg)
-                       if x not in ("this", "util", "globe", "std"))
-            if ch:
-                out.add(ch)
-    return out
-
-
-def _clang_walk_tu(tu, prog: Program, in_scope, ci):
-    """Walks one TU, adding in-scope functions (with event IR) and fields."""
-
-    def qualified(cursor):
-        parts = []
-        c = cursor
-        while c is not None and c.kind != ci.CursorKind.TRANSLATION_UNIT:
-            if c.spelling:
-                parts.append(c.spelling)
-            c = c.semantic_parent
-        return "::".join(reversed(parts))
-
-    def annots_of(cursor):
-        out = set()
-        for ch in cursor.get_children():
-            if ch.kind == ci.CursorKind.ANNOTATE_ATTR:
-                a = CLANG_ANNOTATION_OF.get(ch.spelling)
-                if a:
-                    out.add(a)
-        return out
-
-    def type_base(tspell):
-        return tspell.split("<")[0].split("::")[-1].strip("& *")
-
-    def unwrap(tspell):
-        base = type_base(tspell)
-        if base in ("unique_ptr", "shared_ptr", "optional") and "<" in tspell:
-            inner = tspell.split("<", 1)[1].rsplit(">", 1)[0]
-            return type_base(inner)
-        return base
-
-    def mutex_field(cursor):
-        """referenced FIELD_DECL that is a util Mutex -> ('::', cls, member)
-        or None."""
-        ref = cursor.referenced
-        if ref is None or ref.kind != ci.CursorKind.FIELD_DECL:
-            return None
-        if unwrap(ref.type.spelling) not in MUTEX_TYPES:
-            return None
-        owner = ref.semantic_parent.spelling if ref.semantic_parent else None
-        if not owner:
-            return None
-        return ("::", owner, ref.spelling)
-
-    def find_lock_ref(node):
-        """First util-Mutex field reference in a subtree."""
-        if node.kind in (ci.CursorKind.MEMBER_REF_EXPR,
-                         ci.CursorKind.DECL_REF_EXPR):
-            mf = mutex_field(node)
-            if mf:
-                return mf
-        for ch in node.get_children():
-            r = find_lock_ref(ch)
-            if r:
-                return r
-        return None
-
-    def collect_refs(node, refs):
-        if node.kind in (ci.CursorKind.DECL_REF_EXPR,
-                         ci.CursorKind.MEMBER_REF_EXPR):
-            if node.spelling:
-                refs.append(node.spelling)
-        for ch in node.get_children():
-            collect_refs(ch, refs)
-
-    def find_lambdas(node, out):
-        """LAMBDA_EXPR cursors not nested inside a further CALL_EXPR."""
-        if node.kind == ci.CursorKind.LAMBDA_EXPR:
-            out.append(node)
-            return
-        if node.kind == ci.CursorKind.CALL_EXPR:
-            return
-        for ch in node.get_children():
-            find_lambdas(ch, out)
-
-    def make_func_ctx(owner_qname, owner_cls, relfile):
-        return {"qname": owner_qname, "cls": owner_cls, "file": relfile,
-                "lcount": 0}
-
-    def lift_lambda(node, fctx):
-        idx = fctx["lcount"]
-        fctx["lcount"] += 1
-        qn = f"{fctx['qname']}::$lambda{idx}"
-        if qn in prog.funcs and prog.funcs[qn].has_body:
-            return qn
-        lf = Func(qname=qn, file=fctx["file"], line=node.location.line,
-                  cls=fctx["cls"])
-        body = None
-        for ch in node.get_children():
-            if ch.kind == ci.CursorKind.COMPOUND_STMT:
-                body = ch
-            elif ch.kind == ci.CursorKind.PARM_DECL:
-                lf.params.append(ch.spelling)
-                bt = unwrap(ch.type.spelling)
-                if ch.spelling and bt:
-                    lf.local_types[ch.spelling] = bt
-        sub = make_func_ctx(qn, fctx["cls"], fctx["file"])
-        if body is not None:
-            lf.has_body = True
-            walk(body, lf.events, [[]], lf.local_types, sub)
-        prog.add(lf)
-        return qn
-
-    def handle_call(node, events, scopes, local_types, fctx):
-        ref = node.referenced
-        name = (ref.spelling if ref is not None and ref.spelling
-                else node.spelling) or ""
-        args = list(node.get_arguments())
-        children = list(node.get_children())
-        cs = CallSite(line=node.location.line)
-        # receiver path (member calls put the base expr first)
-        base_refs = []
-        if children and (not args or not children[0] == args[0]):
-            collect_refs(children[0], base_refs)
-        if ref is not None and ref.spelling:
-            cs.chain = qualified(ref).split("::")
-            cs.explicit = True
-        else:
-            cs.chain = [name or "?"]
-        if base_refs:
-            cs.recv = base_refs[0]
-            cs.recv_path = base_refs
-        cs.nargs = len(args)
-        # IIFE: the callee expression itself is a lambda
-        if children and (not args or not children[0] == args[0]):
-            callee_lams = []
-            find_lambdas(children[0], callee_lams)
-            if callee_lams and name in ("operator()", ""):
-                cs.lambda_target = lift_lambda(callee_lams[0], fctx)
-        for a in args:
-            lams = []
-            find_lambdas(a, lams)
-            for lam in lams:
-                cs.lambdas.append(lift_lambda(lam, fctx))
-            arefs = []
-            collect_refs(a, arefs)
-            cs.arg_refs.extend(arefs)
-            walk(a, events, scopes, local_types, fctx)  # nested calls first
-        if cs.lambda_target:
-            events.append(Ev("call", line=cs.line, cs=cs))
-            return
-        # std::function invocation: `listener_(...)` presents as a call to
-        # function<...>::operator() — normalize to an indirect call through
-        # the receiver field so callback binding can resolve it.
-        if name == "operator()" and base_refs:
-            cs.chain = [base_refs[-1]]
-            cs.explicit = False
-            cs.recv = None
-            cs.recv_path = []
-            events.append(Ev("call", line=cs.line, cs=cs))
-            return
-        if name == "wait" and args:
-            wrefs = []
-            collect_refs(args[0], wrefs)
-            if wrefs and any(wrefs[0] in sc for sc in scopes):
-                events.append(Ev("wait", line=node.location.line,
-                                 var=wrefs[0]))
-                return
-        if name in ("lock", "unlock", "try_lock") and children:
-            mf = find_lock_ref(children[0]) if children else None
-            if mf:
-                if name == "try_lock":
-                    return
-                events.append(Ev("mlock" if name == "lock" else "munlock",
-                                 line=node.location.line, lock=mf))
-                return
-        events.append(Ev("call", line=cs.line, cs=cs))
-
-    def walk(node, events, scopes, local_types, fctx):
-        k = node.kind
-        if k == ci.CursorKind.COMPOUND_STMT:
-            scopes.append([])
-            for ch in node.get_children():
-                walk(ch, events, scopes, local_types, fctx)
-            released = scopes.pop()
-            for var in reversed(released):
-                events.append(Ev("rel", line=node.extent.end.line, var=var))
-            return
-        if k == ci.CursorKind.LAMBDA_EXPR:
-            lift_lambda(node, fctx)
-            return
-        if k == ci.CursorKind.CALL_EXPR:
-            handle_call(node, events, scopes, local_types, fctx)
-            return
-        if k == ci.CursorKind.DECL_STMT:
-            for ch in node.get_children():
-                if ch.kind != ci.CursorKind.VAR_DECL:
-                    continue
-                base = type_base(ch.type.spelling)
-                if base in GUARD_KINDS:
-                    lockref = find_lock_ref(ch)
-                    if lockref is None:
-                        refs = []
-                        collect_refs(ch, refs)
-                        lockref = tuple(r for r in refs if r != ch.spelling)
-                    events.append(Ev("acq", line=ch.location.line,
-                                     var=ch.spelling, lock=lockref,
-                                     guard=GUARD_KINDS[base]))
-                    scopes[-1].append(ch.spelling)
-                    continue
-                if ch.spelling and base:
-                    local_types[ch.spelling] = unwrap(ch.type.spelling)
-                for sub in ch.get_children():
-                    walk(sub, events, scopes, local_types, fctx)
-            return
-        for ch in node.get_children():
-            walk(ch, events, scopes, local_types, fctx)
-
-    for cur in tu.cursor.walk_preorder():
-        if cur.kind == ci.CursorKind.FIELD_DECL:
-            floc = cur.location.file.name if cur.location.file else None
-            if not in_scope(floc):
-                continue
-            cls = cur.semantic_parent.spelling
-            t = cur.type.spelling
-            base = unwrap(t)
-            if cls and base:
-                prog.fields.setdefault(cls, {}).setdefault(cur.spelling, base)
-            if base in MUTEX_TYPES and ("util::" in t or "<" not in t):
-                rel = os.path.relpath(floc, REPO)
-                prog.register_mutex(subsys_of(rel), cls, cur.spelling,
-                                    MUTEX_TYPES[base], rel,
-                                    cur.location.line)
-            continue
-        if cur.kind not in (ci.CursorKind.FUNCTION_DECL,
-                            ci.CursorKind.CXX_METHOD,
-                            ci.CursorKind.CONSTRUCTOR,
-                            ci.CursorKind.FUNCTION_TEMPLATE):
-            continue
-        floc = cur.location.file.name if cur.location.file else None
-        if not in_scope(floc):
-            continue
-        qn = qualified(cur)
-        rel = os.path.relpath(floc, REPO)
-        f = Func(qname=qn, file=rel, line=cur.location.line)
-        f.annots = annots_of(cur)
-        f.requires = _requires_at(floc, cur.location.line)
-        sp = cur.semantic_parent
-        if sp is not None and sp.kind in (ci.CursorKind.CLASS_DECL,
-                                          ci.CursorKind.STRUCT_DECL,
-                                          ci.CursorKind.CLASS_TEMPLATE):
-            f.cls = sp.spelling
-        for pc in cur.get_arguments():
-            if pc.spelling:
-                f.params.append(pc.spelling)
-                bt = unwrap(pc.type.spelling)
-                if bt:
-                    f.local_types[pc.spelling] = bt
-        body = None
-        for ch in cur.get_children():
-            if ch.kind == ci.CursorKind.COMPOUND_STMT:
-                body = ch
-        prev = prog.funcs.get(qn)
-        if body is not None and not (prev is not None and prev.has_body):
-            f.has_body = True
-            fctx = make_func_ctx(qn, f.cls, rel)
-            walk(body, f.events, [[]], f.local_types, fctx)
-        prog.add(f)
-
-
-def build_program_clang(paths, compile_commands_dir) -> Program:
-    import clang.cindex as ci  # noqa: imported lazily; CI installs libclang
-
-    prog = Program()
-    index = ci.Index.create()
-    try:
-        cdb = ci.CompilationDatabase.fromDirectory(compile_commands_dir)
-    except ci.CompilationDatabaseError:
-        raise RuntimeError(
-            f"no compile_commands.json under {compile_commands_dir} "
-            "(configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)")
-
-    wanted = {os.path.abspath(p) for p in paths}
-    wanted_dirs = {p for p in wanted if os.path.isdir(p)}
-
-    def in_scope(fname):
-        if not fname:
-            return False
-        f = os.path.abspath(fname)
-        return f in wanted or any(f.startswith(d + os.sep)
-                                  for d in wanted_dirs)
-
-    seen_tus = set()
-    for cmd in cdb.getAllCompileCommands():
-        src = os.path.join(cmd.directory, cmd.filename) \
-            if not os.path.isabs(cmd.filename) else cmd.filename
-        src = os.path.normpath(src)
-        if src in seen_tus:
-            continue
-        seen_tus.add(src)
-        cargs = [a for a in list(cmd.arguments)[1:]
-                 if a not in ("-c", "-o", cmd.filename)
-                 and not a.endswith(".o")]
-        try:
-            tu = index.parse(src, args=cargs)
-        except ci.TranslationUnitLoadError:
-            continue
-        _clang_walk_tu(tu, prog, in_scope, ci)
-    return prog
-
-
-def build_program_clang_single(path, include_dirs) -> Program:
-    """Parses one standalone TU (fixture self-test mode)."""
-    import clang.cindex as ci
-
-    prog = Program()
-    index = ci.Index.create()
-    args = ["-std=c++20", "-x", "c++"]
-    for d in include_dirs:
-        args += ["-I", d]
-    tu = index.parse(path, args=args)
-    target = os.path.abspath(path)
-
-    def in_scope(fname):
-        return fname and os.path.abspath(fname) == target
-
-    _clang_walk_tu(tu, prog, in_scope, ci)
-    # mutex registry + field fallback come from the same raw scan the lite
-    # frontend uses, so lock ids agree between frontends.
-    text = _strip_comments(open(path, encoding="utf-8",
-                                errors="replace").read())
-    rel = os.path.relpath(path, REPO)
-    _harvest_mutexes(text, rel, prog)
-    _harvest_fields(text, prog)
-    return prog
-
-
-# --------------------------------------------------------------------------
-# Analysis core
-# --------------------------------------------------------------------------
-
-@dataclass
-class CSummary:
-    acquires: dict = field(default_factory=dict)  # lockid -> (file,line,chain)
-    blocks: dict = field(default_factory=dict)    # sinkdesc -> (file,line,chain)
-
-
-@dataclass
-class Finding:
-    kind: str          # order | unranked | block | deadlock | cycle
-    key: str
-    file: str = ""
-    line: int = 0
-    detail: list = field(default_factory=list)
-
-
-class Analyzer:
-    def __init__(self, prog: Program, hier: dict, verbose=False):
-        self.prog = prog
-        self.hier = hier
-        self.verbose = verbose
-        self.sum: dict[str, CSummary] = {}
-        self.findings: list[Finding] = []
-        self.edges: dict = {}   # (H, L) -> (func, file, line, chain)
-        for q, f in prog.funcs.items():
-            s = CSummary()
-            if ANNOT_BLOCKING in f.annots:
-                s.blocks[q] = (f.file, f.line, ())
-            self.sum[q] = s
-        self.bound: dict[str, list] = {}   # class -> [lambda qnames]
-        self._bind_callbacks()
-
-    # -- callback binding --------------------------------------------------
-
-    def _bind_callbacks(self):
-        """A lambda passed to a method of class T is considered invocable by
-        any of T's methods through a callable field or parameter — this is
-        how `listener_(key, why)` inside ElementCache reaches the lambda the
-        cache tier registered on it."""
-        for f in self.prog.funcs.values():
-            for ev in f.events:
-                if ev.kind != "call" or ev.cs is None or not ev.cs.lambdas:
-                    continue
-                t = self.resolve_one(ev.cs, f)
-                if t is not None and t.cls:
-                    lst = self.bound.setdefault(t.cls, [])
-                    for qn in ev.cs.lambdas:
-                        if qn not in lst:
-                            lst.append(qn)
-
-    # -- resolution --------------------------------------------------------
-
-    def resolve_one(self, cs: CallSite, f: Func):
-        if cs.lambda_target:
-            return self.prog.funcs.get(cs.lambda_target)
-        name = cs.name
-        cands = self.prog.by_name.get(name, [])
-        if cs.explicit and len(cs.chain) >= 2:
-            suffix = "::".join(cs.chain)
-            matches = [q for q in cands
-                       if q == suffix or q.endswith("::" + suffix)
-                       or suffix.endswith("::" + q)]
-            if matches:
-                return self.prog.funcs[matches[0]]
-        if cs.recv is not None:
-            rtype = self._recv_type(cs, f)
-            if rtype:
-                matches = [q for q in cands
-                           if q.endswith(f"::{rtype}::{name}")
-                           or q == f"{rtype}::{name}"]
-                if matches:
-                    return self.prog.funcs[matches[0]]
-                return None   # typed receiver, method not in index: external
-            if name in STD_CONTAINER_METHODS:
-                return None
-        cands = [q for q in cands if self._viable(cs, q)]
-        if len(cands) == 1:
-            return self.prog.funcs[cands[0]]
-        if len(cands) > 1:
-            def sig(q):
-                s = self.sum[q]
-                return (ANNOT_BLOCKING in self.prog.funcs[q].annots,
-                        tuple(sorted(s.acquires)), tuple(sorted(s.blocks)))
-            if all(sig(q) == sig(cands[0]) for q in cands[1:]):
-                return self.prog.funcs[cands[0]]
-        return None
-
-    def resolve_targets(self, cs: CallSite, f: Func) -> list:
-        t = self.resolve_one(cs, f)
-        if t is not None:
-            return [t]
-        # Indirect call through a callable field / parameter: the bound
-        # lambdas of the enclosing class are the candidate targets.
-        if len(cs.chain) == 1 and f.cls:
-            name = cs.name
-            is_field = name in self.prog.fields.get(f.cls, {})
-            is_param = name in f.params
-            is_fn_local = f.local_types.get(name) == "function"
-            if is_field or is_param or is_fn_local:
-                return [self.prog.funcs[q]
-                        for q in self.bound.get(f.cls, [])
-                        if q in self.prog.funcs]
-        return []
-
-    def _viable(self, cs: CallSite, q: str) -> bool:
-        cand = self.prog.funcs[q]
-        if cs.recv is not None and cand.cls is None:
-            return False
-        return True
-
-    def _recv_type(self, cs: CallSite, f: Func):
-        if not cs.recv_path:
-            return None
-        t = f.local_types.get(cs.recv_path[0])
-        if t is None and f.cls:
-            t = self.prog.fields.get(f.cls, {}).get(cs.recv_path[0])
-        for fieldname in cs.recv_path[1:]:
-            if t is None:
-                return None
-            t = self.prog.fields.get(t, {}).get(fieldname)
-        return t
-
-    def resolve_lock(self, lockref, f: Func):
-        """Lock expression -> lockid or None."""
-        if not lockref:
-            return None
-        if lockref[0] == "::":
-            _, cls, member = lockref
-            lid = self.prog.lock_by_cls(cls, member)
-            if lid:
-                return lid
-            owners = self.prog.member_owner.get(member, [])
-            return owners[0] if len(owners) == 1 else None
-        chain = tuple(lockref)
-        member = chain[-1]
-        if len(chain) == 1:
-            if f.cls:
-                lid = self.prog.lock_by_cls(f.cls, member)
-                if lid:
-                    return lid
-        else:
-            t = f.local_types.get(chain[0])
-            if t is None and f.cls:
-                t = self.prog.fields.get(f.cls, {}).get(chain[0])
-            for mid in chain[1:-1]:
-                if t is None:
-                    break
-                t = self.prog.fields.get(t, {}).get(mid)
-            if t:
-                lid = self.prog.lock_by_cls(t, member)
-                if lid:
-                    return lid
-        owners = self.prog.member_owner.get(member, [])
-        return owners[0] if len(owners) == 1 else None
-
-    # -- fixpoint ----------------------------------------------------------
-
-    def run(self):
-        changed = True
-        guard = 0
-        while changed and guard < 60:
-            changed = False
-            guard += 1
-            self.findings = []
-            self.edges = {}
-            for q, f in self.prog.funcs.items():
-                if not f.has_body:
-                    continue
-                if self._analyze_function(f):
-                    changed = True
-        self._find_cycles()
-        self._dedupe()
-
-    def _dedupe(self):
-        seen = set()
-        uniq = []
-        for fd in self.findings:
-            if fd.key not in seen:
-                seen.add(fd.key)
-                uniq.append(fd)
-        self.findings = uniq
-
-    def _is_recursive(self, lid, guard_kind=""):
-        if guard_kind == "guard_rec":
-            return True
-        info = self.prog.mutexes.get(lid)
-        return bool(info and info["kind"] == "recursive")
-
-    def _check_edge(self, H, L, f, line, hinfo, via):
-        self.edges.setdefault((H, L), (f.qname, f.file, line, via))
-        rH, rL = self.hier.get(H), self.hier.get(L)
-        via_lines = [f"    {fn} at {fl}:{ln}" for fn, fl, ln in via[:MAX_CHAIN]]
-        if rH is None or rL is None:
-            missing = [x for x, r in ((H, rH), (L, rL)) if r is None]
-            self.findings.append(Finding(
-                kind="unranked",
-                key=f"{f.qname} | unranked {H} -> {L}",
-                file=f.file, line=line,
-                detail=[f"  acquires {L} while holding {H} "
-                        f"(held since {f.file}:{hinfo[0]})",
-                        f"  unranked mutex(es): {', '.join(missing)} — add "
-                        "to tools/lock_hierarchy.txt"] + via_lines))
-        elif rH >= rL:
-            self.findings.append(Finding(
-                kind="order",
-                key=f"{f.qname} | order {H} -> {L}",
-                file=f.file, line=line,
-                detail=[f"  acquires {L} (rank {rL}) while holding {H} "
-                        f"(rank {rH}, held since {f.file}:{hinfo[0]})",
-                        "  declared order requires "
-                        f"{L if rL < rH else H} to be acquired first"]
-                + via_lines))
-
-    def _block_finding(self, H, f, line, hinfo, descs):
-        rep = min(descs)
-        chain = descs[rep]
-        more = len(descs) - 1
-        detail = [f"  blocking call: {rep}"
-                  + (f" (+{more} more reachable sink(s))" if more else ""),
-                  f"  while holding {H} (held since {f.file}:{hinfo[0]})"]
-        detail += [f"    via {fn} at {fl}:{ln}"
-                   for fn, fl, ln in chain[:MAX_CHAIN]]
-        self.findings.append(Finding(
-            kind="block", key=f"{f.qname} | block {H}",
-            file=f.file, line=line, detail=detail))
-
-    def _analyze_function(self, f: Func) -> bool:
-        s = self.sum[f.qname]
-        grew = False
-        held: dict = {}     # lid -> [ (line, seeded) ] stack
-        guards: dict = {}   # guard var -> lid (or None)
-
-        for ch in f.requires:
-            lid = self.resolve_lock(ch, f)
-            if lid is not None:
-                held.setdefault(lid, []).append((f.line, True))
-
-        def held_items():
-            return [(H, stack[0]) for H, stack in held.items() if stack]
-
-        def do_acquire(lid, line, guard_kind, var):
-            nonlocal grew
-            if lid is None:
-                if var is not None:
-                    guards[var] = None
-                return
-            if held.get(lid) and not self._is_recursive(lid, guard_kind):
-                self.findings.append(Finding(
-                    kind="deadlock", key=f"{f.qname} | deadlock {lid}",
-                    file=f.file, line=line,
-                    detail=[f"  re-acquires non-recursive {lid} already "
-                            f"held (since {f.file}:{held[lid][0][0]})"]))
-            else:
-                for H, hinfo in held_items():
-                    if H != lid:
-                        self._check_edge(H, lid, f, line, hinfo, ())
-            held.setdefault(lid, []).append((line, False))
-            if var is not None:
-                guards[var] = lid
-            if lid not in s.acquires:
-                s.acquires[lid] = (f.file, line, ())
-                grew = True
-
-        def do_release(lid):
-            stack = held.get(lid)
-            if stack:
-                stack.pop()
-
-        def export_block(desc, line, chain):
-            nonlocal grew
-            if desc not in s.blocks and len(chain) <= MAX_CHAIN:
-                s.blocks[desc] = (f.file, line, chain)
-                grew = True
-
-        for ev in f.events:
-            if ev.kind == "acq":
-                do_acquire(self.resolve_lock(ev.lock, f), ev.line,
-                           ev.guard, ev.var)
-            elif ev.kind == "rel":
-                lid = guards.pop(ev.var, None)
-                if lid is not None:
-                    do_release(lid)
-            elif ev.kind == "mlock":
-                do_acquire(self.resolve_lock(ev.lock, f), ev.line, "manual",
-                           None)
-            elif ev.kind == "munlock":
-                lid = self.resolve_lock(ev.lock, f)
-                if lid is not None:
-                    do_release(lid)
-            elif ev.kind == "wait":
-                own = guards.get(ev.var)
-                desc = "util::CondVar::wait"
-                export_block(desc, ev.line, ())
-                for H, hinfo in held_items():
-                    if H != own:   # waiting releases only its OWN lock
-                        self._block_finding(H, f, ev.line, hinfo,
-                                            {desc: ()})
-            elif ev.kind == "call":
-                cs = ev.cs
-                if cs.name in SLEEP_FNS:
-                    desc = f"sleep ({cs.name})"
-                    export_block(desc, ev.line, ())
-                    for H, hinfo in held_items():
-                        self._block_finding(H, f, ev.line, hinfo, {desc: ()})
-                    continue
-                for t in self.resolve_targets(cs, f):
-                    ts = self.sum[t.qname]
-                    hop = (t.qname, t.file, t.line)
-                    bdescs = {}
-                    if ANNOT_BLOCKING in t.annots:
-                        bdescs[t.qname] = (hop,)
-                    for d, (_df, dl, dchain) in ts.blocks.items():
-                        if d != t.qname and len(dchain) < MAX_CHAIN:
-                            bdescs.setdefault(d, (hop,) + dchain)
-                    for d, chain in bdescs.items():
-                        export_block(d, ev.line, chain)
-                    if bdescs:
-                        for H, hinfo in held_items():
-                            self._block_finding(H, f, ev.line, hinfo, bdescs)
-                    for L, (_lf, _ll, lchain) in ts.acquires.items():
-                        via = ((hop,) + lchain)[:MAX_CHAIN]
-                        if held.get(L) and not self._is_recursive(L):
-                            self.findings.append(Finding(
-                                kind="deadlock",
-                                key=f"{f.qname} | deadlock {L}",
-                                file=f.file, line=ev.line,
-                                detail=[f"  calls {t.qname}, which acquires "
-                                        f"{L} already held (since "
-                                        f"{f.file}:{held[L][0][0]})"]
-                                + [f"    via {fn} at {fl}:{ln}"
-                                   for fn, fl, ln in via]))
-                        else:
-                            for H, hinfo in held_items():
-                                if H != L:
-                                    self._check_edge(H, L, f, ev.line,
-                                                     hinfo, via)
-                        if L not in s.acquires and len(lchain) < MAX_CHAIN:
-                            s.acquires[L] = (f.file, ev.line, via)
-                            grew = True
-        return grew
-
-    def _find_cycles(self):
-        adj: dict = {}
-        for (H, L) in self.edges:
-            adj.setdefault(H, []).append(L)
-        color: dict = {}
-        stack: list = []
-        cycles = set()
-
-        def dfs(u):
-            color[u] = 1
-            stack.append(u)
-            for v in sorted(adj.get(u, [])):
-                if color.get(v, 0) == 0:
-                    dfs(v)
-                elif color.get(v) == 1:
-                    cyc = stack[stack.index(v):]
-                    k = cyc.index(min(cyc))
-                    cycles.add(tuple(cyc[k:] + cyc[:k]))
-            stack.pop()
-            color[u] = 2
-
-        for u in sorted(adj):
-            if color.get(u, 0) == 0:
-                dfs(u)
-        for cyc in sorted(cycles):
-            path = " -> ".join(cyc + (cyc[0],))
-            detail = []
-            for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-                fn, fl, ln, _via = self.edges[(a, b)]
-                detail.append(f"  {a} -> {b}: {fn} at {fl}:{ln}")
-            self.findings.append(Finding(
-                kind="cycle", key=f"lock-graph | cycle {path}",
-                detail=detail))
-
-
-# --------------------------------------------------------------------------
-# Hierarchy, baseline, reporting
-# --------------------------------------------------------------------------
-
-def load_hierarchy(path):
-    """Lines: `<rank> <lockid>  [# comment]`.  Lower rank = outer lock."""
-    ranks = {}
-    if not os.path.exists(path):
-        return ranks
-    for lineno, raw in enumerate(open(path, encoding="utf-8"), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise SystemExit(f"{path}:{lineno}: expected `<rank> <lockid>`, "
-                             f"got: {raw.strip()}")
-        try:
-            rank = int(parts[0])
-        except ValueError:
-            raise SystemExit(f"{path}:{lineno}: rank must be an integer")
-        if parts[1] in ranks:
-            raise SystemExit(f"{path}:{lineno}: duplicate lock id {parts[1]}")
-        ranks[parts[1]] = rank
-    return ranks
-
-
-def load_baseline(path):
-    """Lines: `<finding key>  # justification` (justification required)."""
-    entries = {}
-    if not os.path.exists(path):
-        return entries
-    for lineno, raw in enumerate(open(path, encoding="utf-8"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "#" not in line:
-            raise SystemExit(
-                f"{path}:{lineno}: baseline entry lacks a justification "
-                "comment — every suppression must say why")
-        key = line.split("#", 1)[0].strip()
-        entries[key] = {"line": lineno, "used": False}
-    return entries
-
-
-_HEADLINE = {
-    "order":    "CONC: lock acquisition violates the declared hierarchy",
-    "unranked": "CONC: lock acquisition edge touches an unranked mutex",
-    "block":    "CONC: blocking call reachable while a lock is held",
-    "deadlock": "CONC: self-deadlock on a non-recursive mutex",
-    "cycle":    "CONC: cycle in the lock-acquisition graph",
-}
-
-
-def render(fd: Finding) -> str:
-    lines = [_HEADLINE.get(fd.kind, "CONC: finding")]
-    if fd.file:
-        lines.append(f"  at {fd.file}:{fd.line}")
-    lines.extend(fd.detail)
-    lines.append(f"  suppression key: {fd.key}")
-    return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------
-# Drivers
-# --------------------------------------------------------------------------
-
-def build_program(paths, frontend, cc_dir):
-    if frontend in ("clang", "auto"):
-        try:
-            return build_program_clang(paths, cc_dir), "clang"
-        except ImportError:
-            if frontend == "clang":
-                raise SystemExit(
-                    "frontend 'clang' requested but python libclang is not "
-                    "importable (pip install libclang); use --frontend lite")
-            print("[conc] libclang unavailable; using lite frontend",
-                  file=sys.stderr)
-        except RuntimeError as e:
-            if frontend == "clang":
-                raise SystemExit(f"clang frontend failed: {e}")
-            print(f"[conc] clang frontend failed ({e}); using lite frontend",
-                  file=sys.stderr)
-    files = []
-    for p in paths:
-        if os.path.isdir(p):
-            files.extend(collect_sources(p))
-        else:
-            files.append(p)
-    return build_program_lite(files), "lite"
-
-
-def analyze(paths, frontend, cc_dir, hier, verbose=False):
-    prog, used = build_program(paths, frontend, cc_dir)
-    an = Analyzer(prog, hier, verbose=verbose)
-    an.run()
-    return an, used
-
-
-def _stats_line(an: Analyzer, used, new, suppressed):
-    n_block = sum(1 for q, s in an.sum.items() if s.blocks)
-    ranked = sum(1 for lid in an.prog.mutexes if lid in an.hier)
-    return (f"[conc] frontend={used} functions={len(an.prog.funcs)} "
-            f"mutexes={len(an.prog.mutexes)} ranked={ranked} "
-            f"edges={len(an.edges)} blocking_fns={n_block} "
-            f"findings={len(an.findings)} suppressed={suppressed} "
-            f"new={len(new)}")
-
-
-def run_tree(args):
-    paths = args.paths or [os.path.join(REPO, "src")]
-    hier = load_hierarchy(args.hierarchy)
-    an, used = analyze(paths, args.frontend, args.compile_commands, hier,
-                       args.verbose)
-    baseline = load_baseline(args.baseline)
-    new = []
-    for fd in an.findings:
-        ent = baseline.get(fd.key)
-        if ent is not None:
-            ent["used"] = True
-        else:
-            new.append(fd)
-    rc = 0
-    for fd in new:
-        print(render(fd))
-        print()
-        rc = 1
-    stale = [k for k, e in baseline.items() if not e["used"]]
-    for k in stale:
-        print(f"STALE BASELINE: `{k}` no longer matches any finding — "
-              f"remove it from {os.path.relpath(args.baseline, REPO)}")
-        if args.strict_baseline:
-            rc = 1
-    print(_stats_line(an, used, new, len(an.findings) - len(new)))
-    if rc == 0:
-        print("[conc] OK: lock order respects the declared hierarchy and "
-              "no lock is held across a blocking call (modulo justified "
-              "baseline)")
-    return rc
-
-
-def run_edges(args):
-    paths = args.paths or [os.path.join(REPO, "src")]
-    hier = load_hierarchy(args.hierarchy)
-    an, used = analyze(paths, args.frontend, args.compile_commands, hier,
-                       args.verbose)
-    print(f"# lock-acquisition edges ({used} frontend); "
-          "H -> L means L acquired while H held")
-    for (H, L), (fn, fl, ln, _via) in sorted(an.edges.items()):
-        rh = an.hier.get(H, "?")
-        rl = an.hier.get(L, "?")
-        print(f"{H} (rank {rh}) -> {L} (rank {rl})   first: {fn} "
-              f"at {fl}:{ln}")
-    print()
-    print("# functions that may block (transitively)")
-    for q in sorted(an.sum):
-        s = an.sum[q]
-        if s.blocks and self_has_body(an.prog, q):
-            sinks = ", ".join(sorted(s.blocks)[:4])
-            print(f"{q}: {sinks}")
-    return 0
-
-
-def self_has_body(prog, q):
-    f = prog.funcs.get(q)
-    return bool(f and (f.has_body or f.annots))
-
-
-def run_list(args):
-    paths = args.paths or [os.path.join(REPO, "src")]
-    hier = load_hierarchy(args.hierarchy)
-    prog, used = build_program(paths, args.frontend, args.compile_commands)
-    print(f"# mutex registry ({used} frontend)")
-    for lid in sorted(prog.mutexes):
-        info = prog.mutexes[lid]
-        rank = hier.get(lid, "UNRANKED")
-        print(f"{lid}  kind={info['kind']} rank={rank}  "
-              f"({info['file']}:{info['line']})")
-    print()
-    print("# GLOBE_BLOCKING-annotated functions")
-    for q in sorted(prog.funcs):
-        f = prog.funcs[q]
-        if ANNOT_BLOCKING in f.annots:
-            print(f"{q}  ({f.file}:{f.line})")
-    return 0
-
-
-# --------------------------------------------------------------------------
-# Self-test (fixture corpus)
-# --------------------------------------------------------------------------
-
-EXPECT_RE = re.compile(
-    r"//\s*CONC-EXPECT:\s*(clean|flag\s+kind=(\S+)(?:\s+detail=(\S+))?)")
-HIER_RE = re.compile(r"//\s*CONC-HIERARCHY:\s*(-?\d+)\s+(\S+)")
-
-
-def run_self_test(args):
-    fixture_dir = os.path.join(REPO, "tests", "conc", "fixtures")
-    if not os.path.isdir(fixture_dir):
-        print(f"no fixture directory at {fixture_dir}", file=sys.stderr)
-        return 2
-    use_clang = args.frontend == "clang"
-    if use_clang:
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            print("frontend 'clang' requested for self-test but libclang "
-                  "is unavailable", file=sys.stderr)
-            return 2
-    fixtures = sorted(f for f in os.listdir(fixture_dir) if f.endswith(".cpp"))
-    failures = []
-    for fx in fixtures:
-        path = os.path.join(fixture_dir, fx)
-        raw = open(path, encoding="utf-8").read()
-        expects = EXPECT_RE.findall(raw)
-        if not expects:
-            failures.append(f"{fx}: no CONC-EXPECT comment")
-            continue
-        hier = {}
-        for rank, lid in HIER_RE.findall(raw):
-            hier[lid] = int(rank)
-        if use_clang:
-            try:
-                prog = build_program_clang_single(path, [fixture_dir])
-            except Exception as e:  # noqa: BLE001 - report as test failure
-                failures.append(f"{fx}: clang parse failed: {e}")
-                continue
-        else:
-            prog = build_program_lite([path])
-        an = Analyzer(prog, hier)
-        an.run()
-        want_clean = any(e[0] == "clean" for e in expects)
-        flags = [e for e in expects if e[0].startswith("flag")]
-        if want_clean and an.findings:
-            failures.append(
-                f"{fx}: expected clean, got {len(an.findings)} finding(s):\n"
-                + "\n".join("    " + f.key for f in an.findings))
-            continue
-        if not want_clean:
-            unmatched = []
-            for _e, kind, detail in flags:
-                ok = any(fd.kind == kind and (not detail or detail in fd.key)
-                         for fd in an.findings)
-                if not ok:
-                    unmatched.append(f"kind={kind} detail={detail}")
-            extra = [fd for fd in an.findings
-                     if not any(fd.kind == kind and
-                                (not detail or detail in fd.key)
-                                for _e, kind, detail in flags)]
-            if unmatched:
-                failures.append(
-                    f"{fx}: expected finding not produced: "
-                    f"{'; '.join(unmatched)}\n    got: "
-                    + ("; ".join(fd.key for fd in an.findings) or "nothing"))
-            if extra:
-                failures.append(
-                    f"{fx}: unexpected finding(s): "
-                    + "; ".join(fd.key for fd in extra))
-    frontend = "clang" if use_clang else "lite"
-    print(f"[conc] self-test ({frontend}): {len(fixtures)} fixtures, "
-          f"{len(failures)} failure(s)")
-    for msg in failures:
-        print("  FAIL " + msg)
-    if len(fixtures) < 15:
-        print(f"  FAIL corpus too small: {len(fixtures)} fixtures (< 15)")
-        return 1
-    return 1 if failures else 0
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("paths", nargs="*", help="files/dirs (default: src/)")
-    ap.add_argument("--frontend", choices=("auto", "clang", "lite"),
-                    default="auto")
-    ap.add_argument("--compile-commands", default=os.path.join(REPO, "build"),
-                    help="directory containing compile_commands.json")
-    ap.add_argument("--hierarchy",
-                    default=os.path.join(REPO, "tools", "lock_hierarchy.txt"))
-    ap.add_argument("--baseline",
-                    default=os.path.join(REPO, "tools", "conc_baseline.txt"))
-    ap.add_argument("--strict-baseline", action="store_true",
-                    help="stale baseline entries are errors")
-    ap.add_argument("--self-test", action="store_true")
-    ap.add_argument("--edges", action="store_true",
-                    help="dump the lock-acquisition graph and blockers")
-    ap.add_argument("--list", action="store_true",
-                    help="dump mutex registry and blocking functions")
-    ap.add_argument("--verbose", action="store_true")
-    args = ap.parse_args()
-    if args.self_test:
-        if args.frontend == "auto":
-            args.frontend = "lite"
-        sys.exit(run_self_test(args))
-    if args.list:
-        sys.exit(run_list(args))
-    if args.edges:
-        sys.exit(run_edges(args))
-    sys.exit(run_tree(args))
-
+from analysis import driver, conc
 
 if __name__ == "__main__":
-    main()
+    sys.exit(driver.main(conc, __doc__))

@@ -49,8 +49,9 @@ Documents"):
                  src/ must hold a rank in tools/lock_hierarchy.txt, so a new
                  mutex cannot join the lock-acquisition graph unranked and
                  invisible to tools/conc_check.py's order checking (DESIGN.md
-                 §13).  Scanning is shared with conc_check so the two tools
-                 can never disagree about what counts as a mutex member.
+                 §13).  The member scan is the analyzer package's
+                 (tools/analysis), so the two tools can never disagree about
+                 what counts as a mutex member.
 
   capacity-rank  Every GLOBE_BOUNDED container member in src/ must be
   capacity-stale ranked in tools/capacity_bounds.txt, and every registry
@@ -58,8 +59,8 @@ Documents"):
                  is what tools/bounds_check.py enforces, so a missing line
                  hides a member from the unbounded-growth check and a stale
                  line suggests enforcement that no longer exists (DESIGN.md
-                 §14).  Scanning is shared with bounds_check so the two
-                 tools can never disagree about what counts as a bounded
+                 §14).  The member scan is the analyzer package's, so the
+                 two tools can never disagree about what counts as a bounded
                  member.
 
 Exit status: 0 when clean, 1 when any violation is found, 2 on usage errors.
@@ -73,6 +74,14 @@ import argparse
 import pathlib
 import re
 import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from analysis.bounds import load_capacity  # noqa: E402
+from analysis.conc import load_hierarchy  # noqa: E402
+from analysis.ir import Program, subsys_of  # noqa: E402
+from analysis.lexer import strip_comments  # noqa: E402
+from analysis.lite import harvest_members  # noqa: E402
+sys.path.pop(0)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -360,26 +369,29 @@ def check_slo_catalog(violations: list[str]) -> None:
 
 
 LOCK_HIERARCHY = "tools/lock_hierarchy.txt"
+CAPACITY_BOUNDS = "tools/capacity_bounds.txt"
 
 
-def check_lock_hierarchy(violations: list[str]) -> None:
-    """Every mutex member in src/ must be ranked in the lock hierarchy."""
-    # Reuse conc_check's scanner (same directory) so lint and the analyzer
-    # agree, byte for byte, on what a mutex member and its lock id are.
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-    try:
-        import conc_check
-    finally:
-        sys.path.pop(0)
-    ranks = conc_check.load_hierarchy(str(REPO / LOCK_HIERARCHY))
+def src_members():
+    """Yields (relpath, Program) with the member harvest of each src/ file.
+
+    The harvester and the registry loaders come from the analyzer package
+    (tools/analysis), so lint and the conc and bounds passes agree, byte
+    for byte, on what a mutex or bounded member and its id are."""
     for path in iter_sources():
         rel = relpath(path)
         if not rel.startswith("src/"):
             continue
-        prog = conc_check.Program()
-        text = conc_check._strip_comments(
-            path.read_text(encoding="utf-8", errors="replace"))
-        conc_check._harvest_mutexes(text, rel, prog)
+        prog = Program()
+        harvest_members(strip_comments(
+            path.read_text(encoding="utf-8", errors="replace")), rel, prog)
+        yield rel, prog
+
+
+def check_lock_hierarchy(violations: list[str]) -> None:
+    """Every mutex member in src/ must be ranked in the lock hierarchy."""
+    ranks = load_hierarchy(str(REPO / LOCK_HIERARCHY))
+    for rel, prog in src_members():
         for lock_id, info in sorted(prog.mutexes.items()):
             if lock_id not in ranks:
                 violations.append(
@@ -390,32 +402,15 @@ def check_lock_hierarchy(violations: list[str]) -> None:
                 )
 
 
-CAPACITY_BOUNDS = "tools/capacity_bounds.txt"
-
-
 def check_capacity_registry(violations: list[str]) -> None:
     """GLOBE_BOUNDED members and tools/capacity_bounds.txt must match 1:1."""
-    # Reuse bounds_check's field harvest (same directory) so lint and the
-    # analyzer agree, byte for byte, on what a bounded member and its id are.
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-    try:
-        import bounds_check
-    finally:
-        sys.path.pop(0)
-    caps = bounds_check.load_capacity(str(REPO / CAPACITY_BOUNDS))
+    caps = load_capacity(str(REPO / CAPACITY_BOUNDS))
     bounded: dict[str, tuple[str, int]] = {}
-    for path in iter_sources():
-        rel = relpath(path)
-        if not rel.startswith("src/"):
-            continue
-        prog = bounds_check.Program()
-        text = bounds_check._strip_comments(
-            path.read_text(encoding="utf-8", errors="replace"))
-        bounds_check._harvest_fields(text, rel, prog)
+    for rel, prog in src_members():
         for cls, members in prog.field_info.items():
             for member, info in members.items():
                 if info["bounded"]:
-                    mid = f"{bounds_check.subsys_of(rel)}.{cls}.{member}"
+                    mid = f"{subsys_of(rel)}.{cls}.{member}"
                     bounded[mid] = (rel, info["line"])
     for mid, (rel, line) in sorted(bounded.items()):
         if mid not in caps:

@@ -9,17 +9,13 @@ insert, client response, replica-state install, importer store, contact
 dial).  Sources, sanitizers and sinks are declared in the source itself via
 the macros in src/util/taint_annotations.hpp.
 
-Two interchangeable frontends produce the same per-function IR:
+This file is a thin command-line shim over the taint pass of the analyzer
+package in tools/analysis/, which holds the lexer, both frontends (libclang
+over compile_commands.json; the stdlib-only ``lite`` tokenizer), the driver
+(``--frontend auto`` tries clang, then falls back to lite) and the
+dataflow core this pass shares with bounds_check.py.
 
-  * ``clang`` — parses each TU with libclang using compile_commands.json and
-    reads the ``[[clang::annotate("globe::...")]]`` attributes the macros
-    expand to.  Preferred in CI, where python libclang is installed.
-  * ``lite``  — a self-contained tokenizer that recognizes the GLOBE_* macro
-    tokens directly in the text.  No dependencies beyond the stdlib, so the
-    invariant is also enforced by plain ``ctest`` on toolchains without
-    clang.  ``--frontend auto`` (the default) tries clang, then falls back.
-
-The shared core then runs a flow-sensitive intraprocedural walk (statements
+The dataflow core runs a flow-sensitive intraprocedural walk (statements
 in textual order, so sanitize-then-retaint is caught) plus an
 interprocedural fixpoint over function summaries:
 
@@ -42,1641 +38,13 @@ Exit status: 0 = clean (modulo baseline), 1 = findings or stale baseline,
 
 Usage:
   tools/taint_check.py [--frontend auto|clang|lite] [paths...]
-  tools/taint_check.py --self-test          # fixture corpus in tests/taint/
+  tools/taint_check.py --self-test [--frontend clang]   # tests/taint/
   tools/taint_check.py --list               # dump annotated functions
 """
 
-from __future__ import annotations
-
-import argparse
-import os
-import re
 import sys
-from dataclasses import dataclass, field
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-ANNOT_UNTRUSTED = "untrusted"
-ANNOT_SANITIZER = "sanitizer"
-ANNOT_SINK = "trusted_sink"
-
-MACRO_OF = {
-    "GLOBE_UNTRUSTED": ANNOT_UNTRUSTED,
-    "GLOBE_SANITIZER": ANNOT_SANITIZER,
-    "GLOBE_TRUSTED_SINK": ANNOT_SINK,
-}
-CLANG_ANNOTATION_OF = {
-    "globe::untrusted": ANNOT_UNTRUSTED,
-    "globe::sanitizer": ANNOT_SANITIZER,
-    "globe::trusted_sink": ANNOT_SINK,
-}
-
-# Accessor methods whose results are treated as metadata, not content:
-# calling .status() on a tainted Result yields an error description, not the
-# untrusted payload.  Kept deliberately short — anything not listed
-# propagates taint.
-TAINT_FILTER_METHODS = {"is_ok", "status", "code", "size", "empty", "length"}
-
-# Method names of std:: containers/strings.  A receiver call with one of
-# these names and an UNKNOWN receiver type (`em.insert(...)` on a local the
-# frontend couldn't type) must never fall back to name-only resolution —
-# that is how `bytes.insert(...)` would alias onto some project class's
-# `insert` and import its sink paths.  Receiver calls whose type IS known
-# still resolve normally (so `locator_.insert(...)` finds
-# LocationClient::insert through the field-type step).
-STD_CONTAINER_METHODS = {
-    "insert", "erase", "assign", "append", "push_back", "pop_back",
-    "emplace", "emplace_back", "find", "count", "at", "substr", "clear",
-    "resize", "reserve", "begin", "end", "front", "back", "data", "c_str",
-    "str",
-}
-
-MAX_CHAIN = 12  # call-chain depth cap when materializing findings
-
-
-# --------------------------------------------------------------------------
-# Shared IR
-# --------------------------------------------------------------------------
-
-@dataclass
-class Arg:
-    """One argument expression: identifier references + nested calls."""
-    refs: list = field(default_factory=list)
-    calls: list = field(default_factory=list)
-
-
-@dataclass
-class CallSite:
-    line: int = 0
-    chain: list = field(default_factory=list)   # e.g. ["Oid", "matches_key"]
-    explicit: bool = False                       # qualified with :: (no receiver)
-    recv: str | None = None                      # receiver variable, if any
-    recv_path: list = field(default_factory=list)  # receiver chain idents
-    args: list = field(default_factory=list)     # list[Arg]
-
-    @property
-    def name(self):
-        return self.chain[-1] if self.chain else ""
-
-
-@dataclass
-class Stmt:
-    line: int = 0
-    is_return: bool = False
-    lhs: str | None = None
-    lhs_is_member = False                        # write through x.f / x->f / x[i]
-    compound: bool = False                       # += style: taint accumulates
-    decl_type: str | None = None                 # declared type of lhs, if a decl
-    refs: list = field(default_factory=list)     # rhs identifier references
-    calls: list = field(default_factory=list)    # rhs calls (top level)
-
-
-@dataclass
-class Param:
-    name: str | None = None
-    type: str | None = None
-    annots: set = field(default_factory=set)
-
-
-@dataclass
-class Func:
-    qname: str = ""
-    file: str = ""
-    line: int = 0
-    cls: str | None = None
-    annots: set = field(default_factory=set)
-    params: list = field(default_factory=list)   # list[Param]
-    stmts: list = field(default_factory=list)    # list[Stmt] (empty: decl only)
-    has_body: bool = False
-    local_types: dict = field(default_factory=dict)  # var -> type name
-
-
-@dataclass
-class Program:
-    funcs: dict = field(default_factory=dict)    # qname -> Func
-    by_name: dict = field(default_factory=dict)  # unqualified -> [qname]
-    fields: dict = field(default_factory=dict)   # class -> {field -> type}
-
-    def add(self, f: Func):
-        prev = self.funcs.get(f.qname)
-        if prev is None:
-            self.funcs[f.qname] = f
-            self.by_name.setdefault(f.qname.split("::")[-1], []).append(f.qname)
-            return
-        # Merge declaration + definition: annotations union (positionally for
-        # params), body/param-names from whichever has them.
-        prev.annots |= f.annots
-        for i, p in enumerate(f.params):
-            if i < len(prev.params):
-                prev.params[i].annots |= p.annots
-                if prev.params[i].name is None:
-                    prev.params[i].name = p.name
-                if prev.params[i].type is None:
-                    prev.params[i].type = p.type
-            else:
-                prev.params.append(p)
-        if f.has_body and not prev.has_body:
-            prev.stmts, prev.has_body = f.stmts, True
-            prev.file, prev.line = f.file, f.line
-            prev.local_types.update(f.local_types)
-
-
-# --------------------------------------------------------------------------
-# Lite frontend: tokenizer + scope-tracking parser
-# --------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"""[A-Za-z_]\w*          # identifier
-      | 0[xX][0-9a-fA-F']+ | \d[\d.'eEfuUlL]*   # numbers
-      | ::|->\*?|\.\*|<<=|>>=|<=>|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<|>>|\+\+|--
-      | [{}()\[\];,<>=!&|*+\-/%?:~^.\#@]
-    """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = {
-    "if", "else", "for", "while", "do", "switch", "case", "default", "break",
-    "continue", "return", "goto", "try", "catch", "throw", "new", "delete",
-    "sizeof", "alignof", "static_cast", "dynamic_cast", "const_cast",
-    "reinterpret_cast", "true", "false", "nullptr", "this", "const",
-    "constexpr", "static", "inline", "virtual", "override", "final",
-    "noexcept", "mutable", "explicit", "auto", "void", "bool", "char", "int",
-    "unsigned", "signed", "long", "short", "float", "double", "class",
-    "struct", "enum", "union", "namespace", "using", "typedef", "template",
-    "typename", "public", "private", "protected", "friend", "operator",
-    "co_await", "co_return", "co_yield", "std",
-}
-
-_QUAL_MACROS = {"GLOBE_EXCLUDES", "GLOBE_REQUIRES", "GLOBE_GUARDED_BY",
-                "GLOBE_PT_GUARDED_BY", "GLOBE_ACQUIRE", "GLOBE_RELEASE",
-                "GLOBE_NO_THREAD_SAFETY_ANALYSIS", "GLOBE_SCOPED_CAPABILITY",
-                "GLOBE_BLOCKING"}  # conc_check's marker: noise to taint
-
-_CONTROL = {"if", "for", "while", "switch", "catch", "else", "do", "try"}
-
-
-def _strip_comments(text: str) -> str:
-    """Removes comments, string/char literals and preprocessor directives,
-    preserving newlines so token line numbers stay correct."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            seg = text[i:(n if j < 0 else j + 2)]
-            out.append("\n" * seg.count("\n"))
-            i = n if j < 0 else j + 2
-        elif c == "'" and i > 0 and text[i - 1] in "0123456789abcdefABCDEF" \
-                and i + 1 < n and text[i + 1].isalnum():
-            i += 1  # digit separator (1'000'000), not a char literal
-        elif c in "\"'":
-            quote, j = c, i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            out.append('""' if quote == '"' else "0")
-            i = min(j + 1, n)
-        elif c == "#" and (i == 0 or text[i - 1] == "\n"):
-            j = i
-            while j < n:
-                k = text.find("\n", j)
-                if k < 0:
-                    j = n
-                    break
-                if text[k - 1] == "\\":
-                    j = k + 1
-                    continue
-                j = k
-                break
-            seg = text[i:j]
-            out.append("\n" * seg.count("\n"))
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def _tokenize(text: str):
-    """Returns [(token, line)]."""
-    toks = []
-    line = 1
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        line += text.count("\n", pos, m.start())
-        pos = m.start()
-        toks.append((m.group(0), line))
-    return toks
-
-
-def _match_forward(toks, i, open_t, close_t):
-    """Index just past the bracket pair opening at toks[i]."""
-    depth = 0
-    while i < len(toks):
-        t = toks[i][0]
-        if t == open_t:
-            depth += 1
-        elif t == close_t:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        i += 1
-    return len(toks)
-
-
-def _split_top(toks, sep=","):
-    """Splits a token list at top-level `sep` (paren/brace/angle aware)."""
-    parts, cur = [], []
-    p = b = a = 0
-    for tk in toks:
-        t = tk[0]
-        if t in "([{":
-            p += 1
-        elif t in ")]}":
-            p -= 1
-        elif t == "<":
-            a += 1
-        elif t == ">" and a > 0:
-            a -= 1
-        if t == sep and p == 0 and b == 0 and a == 0:
-            parts.append(cur)
-            cur = []
-        else:
-            cur.append(tk)
-    parts.append(cur)
-    return parts
-
-
-def _parse_param(toks) -> Param:
-    p = Param()
-    # Truncate default argument.
-    for idx, tk in enumerate(toks):
-        if tk[0] == "=" and _paren_depth_ok(toks, idx):
-            toks = toks[:idx]
-            break
-    idents = [(i, tk[0]) for i, tk in enumerate(toks)
-              if re.match(r"[A-Za-z_]", tk[0])]
-    kept = []
-    for i, name in idents:
-        if name in MACRO_OF:
-            p.annots.add(MACRO_OF[name])
-        elif name not in ("const", "struct", "typename", "volatile"):
-            kept.append((i, name))
-    if not kept:
-        return p
-    li, lname = kept[-1]
-    prev = toks[li - 1][0] if li > 0 else None
-    if len(kept) >= 2 and prev not in ("::", "<", ","):
-        p.name = lname
-        p.type = kept[-2][1] if kept[-2][1] != "::" else None
-        # walk back over template closers to the principal type ident
-        for i, name in reversed(kept[:-1]):
-            p.type = name
-            break
-    else:
-        p.type = lname  # unnamed parameter
-    return p
-
-
-def _paren_depth_ok(toks, idx):
-    d = a = 0
-    for tk in toks[:idx]:
-        t = tk[0]
-        if t in "([{":
-            d += 1
-        elif t in ")]}":
-            d -= 1
-        elif t == "<":
-            a += 1
-        elif t == ">" and a > 0:
-            a -= 1
-    return d == 0 and a == 0
-
-
-def _parse_expr(toks):
-    """Recursive descent over an expression token list -> (refs, calls)."""
-    refs, calls = [], []
-    i = 0
-    n = len(toks)
-    while i < n:
-        t, line = toks[i]
-        if re.match(r"[A-Za-z_]", t) and t not in _KEYWORDS \
-                and t not in MACRO_OF and t not in _QUAL_MACROS:
-            # Parse the whole postfix chain forward: a::b, x.f, p->q ...
-            chain, seps = [t], []
-            j = i + 1
-            while j + 1 < n and toks[j][0] in ("::", ".", "->") \
-                    and re.match(r"[A-Za-z_]", toks[j + 1][0]) \
-                    and toks[j + 1][0] not in _KEYWORDS:
-                seps.append(toks[j][0])
-                chain.append(toks[j + 1][0])
-                j += 2
-            if j < n and toks[j][0] == "(":
-                cs = CallSite(line=line, chain=chain)
-                if seps and seps[-1] in (".", "->"):
-                    cs.recv_path = chain[:-1]
-                    cs.recv = cs.recv_path[0]
-                else:
-                    cs.explicit = bool(seps)
-                end = _match_forward(toks, j, "(", ")")
-                inner = toks[j + 1:end - 1]
-                for part in _split_top(inner):
-                    if not part:
-                        continue
-                    arefs, acalls = _parse_expr(part)
-                    cs.args.append(Arg(refs=arefs, calls=acalls))
-                calls.append(cs)
-                i = end
-                continue
-            if seps and all(s == "::" for s in seps):
-                i = j  # qualified constant (ErrorCode::kNotFound): not a var
-                continue
-            refs.append(chain[0])  # member-access base variable
-            i = j
-            continue
-        i += 1
-    return refs, calls
-
-
-_SINGLE_TYPES = {"auto", "bool", "int", "unsigned", "long", "short", "float",
-                 "double", "char", "size_t", "uint32_t", "uint64_t"}
-
-
-def _parse_stmt(seg) -> Stmt | None:
-    """seg: token list (no trailing ';')."""
-    if not seg:
-        return None
-    st = Stmt(line=seg[0][1])
-    # Strip leading control keywords / labels.
-    while seg and seg[0][0] in ("else", "do", "try"):
-        seg = seg[1:]
-    if not seg:
-        return None
-    head = seg[0][0]
-    if head in ("case", "default", "break", "continue", "goto", "using",
-                "public", "private", "protected"):
-        return None
-    cond_refs, cond_calls = [], []
-    if head == "return":
-        st.is_return = True
-        seg = seg[1:]
-    elif head in ("if", "while", "switch", "for", "catch"):
-        seg = seg[1:]
-        if seg and seg[0][0] == "(":
-            end = _match_forward(seg, 0, "(", ")")
-            inner = seg[1:end - 1]
-            rest = seg[end:]  # brace-less body: `if (ok) do_thing(x);`
-            if head == "for":
-                colon = [i for i, tk in enumerate(inner)
-                         if tk[0] == ":" and _paren_depth_ok(inner, i)]
-                if colon:  # range-for: `for (decl : expr)` is a declaration
-                    lhs = inner[:colon[0]]
-                    idents = [tk[0] for tk in lhs if re.match(r"[A-Za-z_]", tk[0])
-                              and tk[0] not in _KEYWORDS]
-                    st.lhs = idents[-1] if idents else None
-                    inner = inner[colon[0] + 1:]
-            if rest:
-                cond_refs, cond_calls = _parse_expr(inner)
-                if rest[0][0] == "return":
-                    st.is_return = True
-                    rest = rest[1:]
-                seg = rest
-            else:
-                seg = inner
-    # Assignment split at top-level '='.
-    eq = None
-    compound = False
-    for idx, tk in enumerate(seg):
-        if _paren_depth_ok(seg, idx):
-            if tk[0] == "=":
-                eq = idx
-                break
-            if tk[0] in ("+=", "-=", "*=", "/=", "|=", "&=", "^=", "<<=", ">>="):
-                eq = idx
-                compound = True
-                break
-    if eq is not None and st.lhs is None:
-        lhs_toks = seg[:eq]
-        idents = [tk[0] for tk in lhs_toks if re.match(r"[A-Za-z_]", tk[0])
-                  and tk[0] not in _KEYWORDS and tk[0] not in MACRO_OF]
-        member = any(tk[0] in (".", "->", "[") for tk in lhs_toks)
-        if idents:
-            if member:
-                st.lhs = idents[0]
-                st.lhs_is_member = True
-                # index expressions are reads
-                st.refs.extend(idents[1:])
-            else:
-                st.lhs = idents[-1]
-                if len(idents) >= 2:
-                    st.decl_type = idents[-2]
-        st.compound = compound
-        seg = seg[eq + 1:]
-    elif eq is None and st.lhs is None and not st.is_return:
-        # Constructor-style declaration: `Type name(args)` / `Type name{args}`
-        idents = []
-        for idx, tk in enumerate(seg):
-            if re.match(r"[A-Za-z_]", tk[0]):
-                idents.append((idx, tk[0]))
-            elif tk[0] in ("(", "{"):
-                break
-            elif tk[0] not in ("::", "<", ">", "&", "*", ",", "const"):
-                idents = []
-                break
-        vals = [x for x in idents if x[1] not in _KEYWORDS or x[1] in _SINGLE_TYPES]
-        if len(vals) >= 2:
-            last_idx, last = vals[-1]
-            nxt = seg[last_idx + 1][0] if last_idx + 1 < len(seg) else None
-            prev = seg[last_idx - 1][0] if last_idx > 0 else None
-            if nxt in ("(", "{") and prev not in ("::", ".", "->"):
-                st.lhs = last
-                st.decl_type = vals[-2][1]
-                # the ctor call: Type(args)
-                end = _match_forward(seg, last_idx + 1,
-                                     nxt, ")" if nxt == "(" else "}")
-                inner = seg[last_idx + 2:end - 1]
-                cs = CallSite(line=st.line, chain=[st.decl_type, st.decl_type],
-                              explicit=True)
-                for part in _split_top(inner):
-                    if not part:
-                        continue
-                    arefs, acalls = _parse_expr(part)
-                    cs.args.append(Arg(refs=arefs, calls=acalls))
-                st.calls.append(cs)
-                return st
-    refs, calls = _parse_expr(seg)
-    st.refs.extend(refs)
-    st.calls.extend(calls)
-    # Condition refs/calls of a brace-less control statement ride along so
-    # sanitizer calls in the condition (e.g. `if (x.verify()) use(x)`) and
-    # their taint still take effect.
-    st.refs.extend(cond_refs)
-    st.calls.extend(cond_calls)
-    if st.lhs is None and st.decl_type is None and not st.is_return \
-            and not st.calls and not st.refs:
-        return None
-    return st
-
-
-def _parse_body(toks):
-    """Linearizes a function body into statements (textual order)."""
-    stmts = []
-    local_types = {}
-    seg = []
-    i, n = 0, len(toks)
-    pdepth = 0
-    while i < n:
-        t, line = toks[i]
-        if t == "(":
-            pdepth += 1
-            seg.append(toks[i])
-        elif t == ")":
-            pdepth -= 1
-            seg.append(toks[i])
-        elif t == ";" and pdepth == 0:
-            st = _parse_stmt(seg)
-            if st:
-                stmts.append(st)
-                if st.decl_type and st.lhs:
-                    local_types[st.lhs] = st.decl_type
-                elif st.lhs and st.lhs not in local_types \
-                        and len(st.calls) == 1 and st.calls[0].explicit \
-                        and len(st.calls[0].chain) >= 2 \
-                        and st.calls[0].chain[-2][:1].isupper():
-                    # Factory idiom: `auto x = Type::parse(...)` — remember
-                    # Type so later `x->method()` receiver calls resolve.
-                    local_types[st.lhs] = st.calls[0].chain[-2]
-            seg = []
-        elif t == "{" and pdepth == 0:
-            heads = [tk[0] for tk in seg]
-            is_control = (not seg) or heads[0] in _CONTROL or heads[-1] == ")" \
-                and heads[0] in _CONTROL
-            if not seg or heads[0] in _CONTROL:
-                st = _parse_stmt(seg)
-                if st:
-                    stmts.append(st)
-                seg = []  # descend into the block
-            else:
-                # init-list / lambda body: swallow balanced braces into the
-                # current statement so its refs stay attached.
-                end = _match_forward(toks, i, "{", "}")
-                seg.extend(toks[i + 1:end - 1])
-                i = end
-                continue
-        elif t == "}" and pdepth == 0:
-            st = _parse_stmt(seg)
-            if st:
-                stmts.append(st)
-            seg = []
-        else:
-            seg.append(toks[i])
-        i += 1
-    st = _parse_stmt(seg)
-    if st:
-        stmts.append(st)
-    return stmts, local_types
-
-
-def parse_file_lite(path: str, prog: Program):
-    text = _strip_comments(open(path, encoding="utf-8", errors="replace").read())
-    toks = _tokenize(text)
-    scopes = []   # (kind, name, brace_marker)
-    pending = []  # tokens since the last boundary
-    i, n = 0, len(toks)
-
-    def qname(parts):
-        names = [s[1] for s in scopes if s[0] in ("ns", "class") and s[1]]
-        return "::".join(names + parts)
-
-    def cur_class():
-        for s in reversed(scopes):
-            if s[0] == "class":
-                return s[1]
-        return None
-
-    while i < n:
-        t, line = toks[i]
-        if t == "namespace":
-            # C++17 nested namespaces (`namespace a::b {`) open ONE brace.
-            j = i + 1
-            names = []
-            while j < n and toks[j][0] not in ("{", ";", "="):
-                if re.match(r"[A-Za-z_]", toks[j][0]):
-                    names.append(toks[j][0])
-                j += 1
-            if j < n and toks[j][0] == "{":
-                scopes.append(("ns", "::".join(names)))
-                i = j + 1
-            else:  # namespace alias / using directive fragment
-                i = j + 1
-            pending = []
-            continue
-        if t in ("class", "struct") and not (pending and pending[-1][0] == "enum"):
-            j = i + 1
-            name = None
-            while j < n and toks[j][0] not in ("{", ";"):
-                if re.match(r"[A-Za-z_]", toks[j][0]) and name is None:
-                    name = toks[j][0]
-                if toks[j][0] == "(":  # e.g. `struct X x(...)` — not a defn
-                    break
-                j += 1
-            if j < n and toks[j][0] == "{" and name:
-                scopes.append(("class", name, 1))
-                i = j + 1
-                pending = []
-                continue
-            pending.append(toks[i])
-            i += 1
-            continue
-        if t == "template":
-            if i + 1 < n and toks[i + 1][0] == "<":
-                d = 0
-                j = i + 1
-                while j < n:
-                    if toks[j][0] == "<":
-                        d += 1
-                    elif toks[j][0] == ">":
-                        d -= 1
-                        if d == 0:
-                            break
-                    j += 1
-                i = j + 1
-                continue
-        if t == "{":
-            i = _match_forward(toks, i, "{", "}")  # stray block (enum, init)
-            pending = []
-            continue
-        if t == "}":
-            if scopes:
-                scopes.pop()
-            if i + 1 < n and toks[i + 1][0] == ";":
-                i += 1
-            i += 1
-            pending = []
-            continue
-        if t == ";":
-            pending = []
-            i += 1
-            continue
-        if t == "(" and pending:
-            # candidate function declarator
-            name_parts = []
-            j = len(pending) - 1
-            if re.match(r"[A-Za-z_]", pending[j][0]) \
-                    and pending[j][0] not in _KEYWORDS - {"operator"}:
-                name_parts.append(pending[j][0])
-                j -= 1
-                while j >= 1 and pending[j][0] == "::" \
-                        and re.match(r"[A-Za-z_]", pending[j - 1][0]):
-                    name_parts.append(pending[j - 1][0])
-                    j -= 2
-            name_parts.reverse()
-            is_dtor = j >= 0 and pending[j][0] == "~"
-            is_op = "operator" in [p[0] for p in pending[max(0, j - 1):]]
-            if not name_parts or is_op:
-                i = _match_forward(toks, i, "(", ")")
-                continue
-            close = _match_forward(toks, i, "(", ")")
-            ptoks = toks[i + 1:close - 1]
-            # qualifier zone: find ';' (decl) or '{' (def)
-            k = close
-            kind = None
-            while k < n:
-                q = toks[k][0]
-                if q == ";":
-                    kind = "decl"
-                    break
-                if q == "{":
-                    kind = "def"
-                    break
-                if q == "=":  # = 0; / = default; / = delete;
-                    kind = "decl"
-                    while k < n and toks[k][0] != ";":
-                        k += 1
-                    break
-                if q == ":":  # ctor init list: skip to body '{'
-                    k += 1
-                    depth = 0
-                    while k < n:
-                        qq = toks[k][0]
-                        if qq in ("(", "{") and depth == 0 and qq == "{":
-                            break
-                        if qq in ("(",):
-                            k = _match_forward(toks, k, "(", ")")
-                            continue
-                        if qq == "{":
-                            d2 = 0
-                            # init-list brace vs body brace: body follows a
-                            # closing paren/brace or identifier directly; we
-                            # treat a '{' preceded by ')' or '}' as the body.
-                            prev = toks[k - 1][0]
-                            if prev in (")", "}"):
-                                break
-                            k = _match_forward(toks, k, "{", "}")
-                            continue
-                        k += 1
-                    kind = "def"
-                    break
-                if q in _QUAL_MACROS and k + 1 < n and toks[k + 1][0] == "(":
-                    k = _match_forward(toks, k + 1, "(", ")")
-                    continue
-                if q == "(":  # not a declarator after all (an expression)
-                    kind = "skip"
-                    break
-                k += 1
-            if kind is None:
-                kind = "skip"
-            if is_dtor:
-                kind_final = "skip"
-            else:
-                kind_final = kind
-            if kind_final == "skip":
-                i = close
-                continue
-            f = Func(file=os.path.relpath(path, REPO), line=line)
-            ann_toks = [p[0] for p in pending] + \
-                       [toks[m][0] for m in range(close, min(k, n))]
-            for tok in ann_toks:
-                if tok in MACRO_OF:
-                    f.annots.add(MACRO_OF[tok])
-            for part in _split_top(ptoks):
-                part = [tk for tk in part]
-                if not part or (len(part) == 1 and part[0][0] == "void"):
-                    continue
-                f.params.append(_parse_param(part))
-            cls = cur_class()
-            parts = name_parts[:]
-            f.qname = qname(parts)  # class scope is already on the stack
-            f.cls = cls if cls else (parts[-2] if len(parts) >= 2 else None)
-            if kind == "def":
-                body_start = k  # toks[k] == '{'
-                body_end = _match_forward(toks, body_start, "{", "}")
-                f.stmts, f.local_types = _parse_body(toks[body_start + 1:body_end - 1])
-                f.has_body = True
-                # parameters are locals too
-                for p in f.params:
-                    if p.name and p.type:
-                        f.local_types.setdefault(p.name, p.type)
-                prog.add(f)
-                i = body_end
-                pending = []
-                continue
-            else:
-                prog.add(f)
-                i = k + 1
-                pending = []
-                continue
-        pending.append(toks[i])
-        i += 1
-
-    # Field types: cheap second pass per class body is folded into decl
-    # parsing above; for receiver-chain resolution we also harvest
-    # `Type name_;`-shaped member declarations.
-    _harvest_fields(text, prog)
-
-
-_FIELD_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:const\s+)?([A-Za-z_][\w:]*(?:<[^;<>]*>)?)[&*\s]+"
-    r"([A-Za-z_]\w*_?)\s*(?:GLOBE_GUARDED_BY\([^)]*\))?\s*(?:=[^;]*)?;",
-    re.MULTILINE,
-)
-_CLASS_RE = re.compile(r"\b(?:class|struct)\s+([A-Za-z_]\w*)[^;{]*\{")
-
-
-def _harvest_fields(text: str, prog: Program):
-    for cm in _CLASS_RE.finditer(text):
-        cls = cm.group(1)
-        # naive body span: to matching brace
-        depth = 0
-        j = cm.end() - 1
-        start = j
-        while j < len(text):
-            if text[j] == "{":
-                depth += 1
-            elif text[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        body = text[start:j]
-        table = prog.fields.setdefault(cls, {})
-        for fm in _FIELD_RE.finditer(body):
-            ftype = fm.group(1).split("<")[0].split("::")[-1]
-            if ftype in ("return", "using", "typedef"):
-                continue
-            table.setdefault(fm.group(2), ftype)
-
-
-def build_program_lite(paths) -> Program:
-    prog = Program()
-    for p in paths:
-        parse_file_lite(p, prog)
-    return prog
-
-
-# --------------------------------------------------------------------------
-# libclang frontend
-# --------------------------------------------------------------------------
-
-def build_program_clang(paths, compile_commands_dir) -> Program:
-    import clang.cindex as ci  # noqa: imported lazily; CI installs libclang
-
-    prog = Program()
-    index = ci.Index.create()
-    try:
-        cdb = ci.CompilationDatabase.fromDirectory(compile_commands_dir)
-    except ci.CompilationDatabaseError:
-        raise RuntimeError(
-            f"no compile_commands.json under {compile_commands_dir} "
-            "(configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)")
-
-    wanted = {os.path.abspath(p) for p in paths}
-    wanted_dirs = {p for p in wanted if os.path.isdir(p)}
-
-    def in_scope(fname):
-        if not fname:
-            return False
-        f = os.path.abspath(fname)
-        return f in wanted or any(f.startswith(d + os.sep) for d in wanted_dirs)
-
-    def annots_of(cursor):
-        out = set()
-        for ch in cursor.get_children():
-            if ch.kind == ci.CursorKind.ANNOTATE_ATTR:
-                a = CLANG_ANNOTATION_OF.get(ch.spelling)
-                if a:
-                    out.add(a)
-        return out
-
-    def qualified(cursor):
-        parts = []
-        c = cursor
-        while c is not None and c.kind != ci.CursorKind.TRANSLATION_UNIT:
-            if c.spelling:
-                parts.append(c.spelling)
-            c = c.semantic_parent
-        return "::".join(reversed(parts))
-
-    def expr_to_arg(node) -> Arg:
-        arg = Arg()
-        collect_expr(node, arg.refs, arg.calls)
-        return arg
-
-    def collect_expr(node, refs, calls):
-        k = node.kind
-        if k == ci.CursorKind.CALL_EXPR:
-            cs = CallSite(line=node.location.line)
-            ref = node.referenced
-            if ref is not None and ref.spelling:
-                cs.chain = qualified(ref).split("::")
-                cs.explicit = True
-            else:
-                cs.chain = [node.spelling or "?"]
-            children = list(node.get_children())
-            args = list(node.get_arguments())
-            # receiver: for member calls the first child subtree holds the
-            # base expression
-            if children and children[0] not in args:
-                base_refs, base_calls = [], []
-                collect_expr(children[0], base_refs, base_calls)
-                if base_refs:
-                    cs.recv = base_refs[0]
-                    cs.recv_path = base_refs
-                    refs.extend(base_refs)
-            for a in args:
-                cs.args.append(expr_to_arg(a))
-            calls.append(cs)
-            return
-        if k == ci.CursorKind.DECL_REF_EXPR:
-            if node.spelling:
-                refs.append(node.spelling)
-            return
-        if k == ci.CursorKind.MEMBER_REF_EXPR:
-            base = list(node.get_children())
-            if base:
-                collect_expr(base[0], refs, calls)
-            elif node.spelling:
-                refs.append(node.spelling)
-            return
-        for ch in node.get_children():
-            collect_expr(ch, refs, calls)
-
-    STMT_BLOCKS = None
-
-    def linearize(node, stmts, local_types):
-        k = node.kind
-        if k == ci.CursorKind.COMPOUND_STMT:
-            for ch in node.get_children():
-                linearize(ch, stmts, local_types)
-            return
-        if k in (ci.CursorKind.IF_STMT, ci.CursorKind.WHILE_STMT,
-                 ci.CursorKind.FOR_STMT, ci.CursorKind.SWITCH_STMT,
-                 ci.CursorKind.CXX_TRY_STMT, ci.CursorKind.CXX_CATCH_STMT,
-                 ci.CursorKind.DO_STMT, ci.CursorKind.CASE_STMT,
-                 ci.CursorKind.DEFAULT_STMT, ci.CursorKind.CXX_FOR_RANGE_STMT):
-            for ch in node.get_children():
-                if k == ci.CursorKind.CXX_FOR_RANGE_STMT \
-                        and ch.kind == ci.CursorKind.VAR_DECL:
-                    st = Stmt(line=ch.location.line, lhs=ch.spelling)
-                    for sub in ch.get_children():
-                        collect_expr(sub, st.refs, st.calls)
-                    stmts.append(st)
-                    continue
-                linearize(ch, stmts, local_types)
-            return
-        if k == ci.CursorKind.DECL_STMT:
-            for ch in node.get_children():
-                if ch.kind == ci.CursorKind.VAR_DECL:
-                    st = Stmt(line=ch.location.line, lhs=ch.spelling)
-                    tname = ch.type.spelling.split("<")[0].split("::")[-1].strip("& *")
-                    st.decl_type = tname or None
-                    if st.decl_type:
-                        local_types[ch.spelling] = st.decl_type
-                    for sub in ch.get_children():
-                        collect_expr(sub, st.refs, st.calls)
-                    stmts.append(st)
-            return
-        if k == ci.CursorKind.RETURN_STMT:
-            st = Stmt(line=node.location.line, is_return=True)
-            for ch in node.get_children():
-                collect_expr(ch, st.refs, st.calls)
-            stmts.append(st)
-            return
-        if k == ci.CursorKind.BINARY_OPERATOR or \
-                k == ci.CursorKind.COMPOUND_ASSIGNMENT_OPERATOR:
-            kids = list(node.get_children())
-            if len(kids) == 2:
-                lrefs, lcalls = [], []
-                collect_expr(kids[0], lrefs, lcalls)
-                st = Stmt(line=node.location.line)
-                if lrefs:
-                    st.lhs = lrefs[0]
-                    st.lhs_is_member = len(lrefs) > 1
-                st.compound = (k == ci.CursorKind.COMPOUND_ASSIGNMENT_OPERATOR)
-                collect_expr(kids[1], st.refs, st.calls)
-                st.calls.extend(lcalls)
-                stmts.append(st)
-                return
-        # generic statement/expression
-        st = Stmt(line=node.location.line)
-        collect_expr(node, st.refs, st.calls)
-        if st.refs or st.calls:
-            stmts.append(st)
-
-    seen_tus = set()
-    for cmd in cdb.getAllCompileCommands():
-        src = os.path.join(cmd.directory, cmd.filename) \
-            if not os.path.isabs(cmd.filename) else cmd.filename
-        src = os.path.normpath(src)
-        if src in seen_tus:
-            continue
-        seen_tus.add(src)
-        cargs = [a for a in list(cmd.arguments)[1:]
-                 if a not in ("-c", "-o", cmd.filename) and not a.endswith(".o")]
-        try:
-            tu = index.parse(src, args=cargs)
-        except ci.TranslationUnitLoadError:
-            continue
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind not in (ci.CursorKind.FUNCTION_DECL,
-                                ci.CursorKind.CXX_METHOD,
-                                ci.CursorKind.CONSTRUCTOR):
-                continue
-            if not in_scope(cur.location.file.name if cur.location.file else None):
-                continue
-            f = Func(qname=qualified(cur),
-                     file=os.path.relpath(cur.location.file.name, REPO),
-                     line=cur.location.line)
-            f.annots = annots_of(cur)
-            sp = cur.semantic_parent
-            if sp is not None and sp.kind in (ci.CursorKind.CLASS_DECL,
-                                              ci.CursorKind.STRUCT_DECL):
-                f.cls = sp.spelling
-            for pc in cur.get_arguments():
-                p = Param(name=pc.spelling or None,
-                          type=pc.type.spelling.split("<")[0]
-                          .split("::")[-1].strip("& *") or None)
-                p.annots = annots_of(pc)
-                f.params.append(p)
-            body = None
-            for ch in cur.get_children():
-                if ch.kind == ci.CursorKind.COMPOUND_STMT:
-                    body = ch
-            if body is not None:
-                f.has_body = True
-                linearize(body, f.stmts, f.local_types)
-                for p in f.params:
-                    if p.name and p.type:
-                        f.local_types.setdefault(p.name, p.type)
-            prog.add(f)
-        # fields for receiver-type resolution
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind == ci.CursorKind.FIELD_DECL and \
-                    in_scope(cur.location.file.name if cur.location.file else None):
-                cls = cur.semantic_parent.spelling
-                t = cur.type.spelling.split("<")[0].split("::")[-1].strip("& *")
-                if cls and t:
-                    prog.fields.setdefault(cls, {}).setdefault(cur.spelling, t)
-    return prog
-
-
-# --------------------------------------------------------------------------
-# Analysis core
-# --------------------------------------------------------------------------
-
-class SourceAtom(tuple):
-    """(desc, file, line) — a concrete taint origin."""
-    __slots__ = ()
-
-    def __new__(cls, desc, file, line):
-        return super().__new__(cls, (desc, file, line))
-
-
-class ParamAtom(tuple):
-    """(param_index,) — symbolic taint of the enclosing function's param."""
-    __slots__ = ()
-
-    def __new__(cls, i):
-        return super().__new__(cls, (i,))
-
-
-@dataclass
-class SinkPath:
-    sink: str                       # sink function qname (or f"{q} (return)")
-    sink_file: str = ""
-    sink_line: int = 0
-    chain: tuple = ()               # ((func_qname, file, line), ...)
-
-
-@dataclass
-class Summary:
-    returns_param: set = field(default_factory=set)      # param indices
-    returns_sources: set = field(default_factory=set)    # SourceAtoms
-    sanitizes: set = field(default_factory=set)          # param indices
-    sanitizes_all: bool = False
-    sink_params: dict = field(default_factory=dict)      # idx -> [SinkPath]
-    return_sink: bool = False
-
-
-@dataclass
-class Finding:
-    enclosing: str
-    file: str
-    line: int
-    source: SourceAtom
-    sink: SinkPath
-
-    def key(self):
-        sink_name = self.sink.sink
-        return f"{self.enclosing} | {self.source[0]} -> {sink_name}"
-
-
-class Analyzer:
-    def __init__(self, prog: Program, verbose=False):
-        self.prog = prog
-        self.verbose = verbose
-        self.sum: dict[str, Summary] = {}
-        self.findings: list[Finding] = []
-        for q, f in prog.funcs.items():
-            s = Summary()
-            if ANNOT_SANITIZER in f.annots:
-                s.sanitizes_all = True
-            if ANNOT_SINK in f.annots:
-                s.return_sink = True
-            for i, p in enumerate(f.params):
-                if ANNOT_SANITIZER in p.annots:
-                    s.sanitizes.add(i)
-                if ANNOT_SINK in p.annots:
-                    s.sink_params.setdefault(i, []).append(
-                        SinkPath(sink=q, sink_file=f.file, sink_line=f.line))
-            self.sum[q] = s
-
-    # -- resolution --------------------------------------------------------
-
-    def resolve(self, cs: CallSite, enclosing: Func):
-        """CallSite -> Func or None."""
-        name = cs.name
-        if name in TAINT_FILTER_METHODS:
-            return "FILTER"
-        cands = self.prog.by_name.get(name, [])
-        if cs.explicit and len(cs.chain) >= 2:
-            suffix = "::".join(cs.chain)
-            matches = [q for q in cands
-                       if q == suffix or q.endswith("::" + suffix)]
-            if matches:
-                return self.prog.funcs[matches[0]]
-        if cs.recv is not None:
-            rtype = self._recv_type(cs, enclosing)
-            if rtype:
-                matches = [q for q in cands
-                           if q.endswith(f"::{rtype}::{name}")]
-                if matches:
-                    return self.prog.funcs[matches[0]]
-                # The receiver's type is known and has no such method in the
-                # index: this is an external call (std container, stdlib).
-                # Falling through to name-only matching here is how
-                # `bytes.insert(...)` would alias onto an unrelated class's
-                # `insert` — treat it as opaque instead.
-                return None
-            if name in STD_CONTAINER_METHODS:
-                # Untyped receiver + std-container method name: almost
-                # certainly a std:: call; never alias it onto project code.
-                return None
-        # Name-only fallback: drop candidates that cannot be this call —
-        # more arguments than parameters, or a free function invoked through
-        # a receiver (`vec.insert(...)` must never resolve to a free or
-        # unrelated-class `insert`).  This prevents std-container method
-        # names from aliasing onto annotated project functions.
-        cands = [q for q in cands if self._viable(cs, q)]
-        if len(cands) == 1:
-            return self.prog.funcs[cands[0]]
-        if len(cands) > 1:
-            # all candidates agreeing on their effect signature may be merged
-            sums = [self.sum[q] for q in cands]
-            f0 = self.prog.funcs[cands[0]]
-            sig0 = (self.prog.funcs[cands[0]].annots,
-                    tuple(sorted(sums[0].sink_params)),
-                    tuple(sorted(sums[0].sanitizes)))
-            same = all((self.prog.funcs[q].annots,
-                        tuple(sorted(self.sum[q].sink_params)),
-                        tuple(sorted(self.sum[q].sanitizes))) == sig0
-                       for q in cands[1:])
-            if same:
-                return f0
-        return None
-
-    def _viable(self, cs: CallSite, q: str) -> bool:
-        cand = self.prog.funcs[q]
-        if len(cs.args) > len(cand.params):
-            return False
-        if cs.recv is not None and cand.cls is None:
-            return False
-        return True
-
-    def _recv_type(self, cs: CallSite, enclosing: Func):
-        if not cs.recv_path:
-            return None
-        t = enclosing.local_types.get(cs.recv_path[0])
-        if t is None and enclosing.cls:
-            t = self.prog.fields.get(enclosing.cls, {}).get(cs.recv_path[0])
-        for fieldname in cs.recv_path[1:]:
-            if t is None:
-                return None
-            t = self.prog.fields.get(t, {}).get(fieldname)
-        return t
-
-    # -- phase 1: derived sanitization ------------------------------------
-
-    def compute_sanitizers(self):
-        changed = True
-        guard = 0
-        while changed and guard < 50:
-            changed = False
-            guard += 1
-            for q, f in self.prog.funcs.items():
-                if not f.has_body:
-                    continue
-                s = self.sum[q]
-                pidx = {p.name: i for i, p in enumerate(f.params) if p.name}
-                for st in f.stmts:
-                    for cs in self._all_calls(st):
-                        callee = self.resolve(cs, f)
-                        if callee in (None, "FILTER"):
-                            continue
-                        csum = self.sum[callee.qname]
-                        # receiver position: `p.verify(...)`
-                        if cs.recv in pidx and csum.sanitizes_all:
-                            if pidx[cs.recv] not in s.sanitizes:
-                                s.sanitizes.add(pidx[cs.recv])
-                                changed = True
-                        for ai, arg in enumerate(cs.args):
-                            names = set(arg.refs)
-                            if len(names) != 1 or arg.calls and \
-                                    any(c.name not in ("move",) for c in arg.calls):
-                                continue
-                            nm = next(iter(names))
-                            if nm not in pidx:
-                                continue
-                            if csum.sanitizes_all or ai in csum.sanitizes:
-                                if pidx[nm] not in s.sanitizes:
-                                    s.sanitizes.add(pidx[nm])
-                                    changed = True
-
-    def _opaque(self, callee: Func) -> bool:
-        """Known symbol, but no body and no annotations anywhere: its
-        dataflow is unknowable, so treat it like an external function."""
-        return (not callee.has_body and not callee.annots
-                and not any(p.annots for p in callee.params)
-                and not self.sum[callee.qname].sink_params
-                and not self.sum[callee.qname].sanitizes)
-
-    @staticmethod
-    def _all_calls(st: Stmt):
-        out = []
-
-        def rec(calls):
-            for c in calls:
-                out.append(c)
-                for a in c.args:
-                    rec(a.calls)
-        rec(st.calls)
-        return out
-
-    # -- phase 2: taint fixpoint ------------------------------------------
-
-    def run(self):
-        self.compute_sanitizers()
-        changed = True
-        guard = 0
-        while changed and guard < 50:
-            changed = False
-            guard += 1
-            self.findings = []
-            for q, f in self.prog.funcs.items():
-                if not f.has_body:
-                    continue
-                if self._analyze_function(f):
-                    changed = True
-        # final pass already produced self.findings
-        self._dedupe()
-
-    def _dedupe(self):
-        seen = set()
-        uniq = []
-        for fd in self.findings:
-            k = fd.key()
-            if k not in seen:
-                seen.add(k)
-                uniq.append(fd)
-        self.findings = uniq
-
-    def _analyze_function(self, f: Func) -> bool:
-        """Returns True if f's summary grew."""
-        s = self.sum[f.qname]
-        state: dict[str, set] = {}
-        for i, p in enumerate(f.params):
-            atoms = {ParamAtom(i)}
-            if ANNOT_UNTRUSTED in p.annots:
-                atoms.add(SourceAtom(f"{f.qname} (untrusted param"
-                                     f" '{p.name or i}')", f.file, f.line))
-            if p.name:
-                state[p.name] = atoms
-        grew = False
-
-        def eval_arg(arg: Arg) -> set:
-            atoms = set()
-            for r in arg.refs:
-                atoms |= state.get(r, set())
-            for c in arg.calls:
-                atoms |= call_atoms(c)
-            return atoms
-
-        def call_atoms(cs: CallSite) -> set:
-            callee = self.resolve(cs, f)
-            if callee == "FILTER":
-                return set()
-            arg_atoms = [eval_arg(a) for a in cs.args]
-            recv_atoms = state.get(cs.recv, set()) if cs.recv else set()
-            if (callee is None or self._opaque(callee)) and cs.recv \
-                    and cs.name in ("find", "at", "count"):
-                # Container lookup: the result is a stored value, whose taint
-                # is the container's — the lookup KEY does not taint it
-                # (selecting a trusted endpoint out of a config map by an
-                # attacker-chosen name yields a trusted endpoint).
-                return set(recv_atoms)
-            if callee is None or self._opaque(callee):
-                # Unknown or bodyless-unannotated callee: conservatively
-                # propagate every input (including the receiver) to the result.
-                out = set(recv_atoms)
-                for a in arg_atoms:
-                    out |= a
-                return out
-            csum = self.sum[callee.qname]
-            if ANNOT_UNTRUSTED in callee.annots:
-                return {SourceAtom(callee.qname, f.file, cs.line)}
-            if csum.sanitizes_all:
-                return set()
-            # A method invoked on a tainted object yields tainted data
-            # (readers, serializers, accessors) unless filtered above.
-            out = set(recv_atoms)
-            if len(callee.qname.split("::")) >= 2 and \
-                    callee.qname.split("::")[-1] == callee.qname.split("::")[-2]:
-                # constructor: the "return value" is the built object, which
-                # absorbs every argument
-                for a in arg_atoms:
-                    out |= a
-            for i in csum.returns_param:
-                if i < len(arg_atoms):
-                    out |= arg_atoms[i]
-            for src in csum.returns_sources:
-                out.add(SourceAtom(src[0], f.file, cs.line))
-            return out
-
-        def apply_sanitizers(cs: CallSite):
-            callee = self.resolve(cs, f)
-            if callee in (None, "FILTER"):
-                return
-            csum = self.sum[callee.qname]
-            if csum.sanitizes_all:
-                if cs.recv:
-                    state[cs.recv] = set()
-                for a in cs.args:
-                    for r in a.refs:
-                        state[r] = set()
-            else:
-                for i in csum.sanitizes:
-                    if i < len(cs.args):
-                        for r in cs.args[i].refs:
-                            state[r] = set()
-
-        def check_sinks(cs: CallSite):
-            nonlocal grew
-            callee = self.resolve(cs, f)
-            if callee in (None, "FILTER"):
-                return
-            csum = self.sum[callee.qname]
-            for i, paths in csum.sink_params.items():
-                if i >= len(cs.args):
-                    continue
-                atoms = eval_arg(cs.args[i])
-                if not atoms:
-                    continue
-                # If the parameter is itself sink-annotated (a chainless
-                # path ending at the callee), that IS the boundary — do not
-                # also report the paths it forwards to further down.
-                direct = [p for p in paths
-                          if p.sink == callee.qname and not p.chain]
-                if direct:
-                    paths = direct
-                for path in paths:
-                    if len(path.chain) >= MAX_CHAIN:
-                        continue
-                    hop = (f.qname, f.file, cs.line)
-                    for atom in atoms:
-                        if isinstance(atom, SourceAtom):
-                            self.findings.append(Finding(
-                                enclosing=f.qname, file=f.file, line=cs.line,
-                                source=atom,
-                                sink=SinkPath(path.sink, path.sink_file,
-                                              path.sink_line,
-                                              (hop,) + path.chain)))
-                        elif isinstance(atom, ParamAtom):
-                            j = atom[0]
-                            lst = self.sum[f.qname].sink_params.setdefault(j, [])
-                            np = SinkPath(path.sink, path.sink_file,
-                                          path.sink_line, (hop,) + path.chain)
-                            if not any(e.sink == np.sink and e.chain == np.chain
-                                       for e in lst):
-                                lst.append(np)
-                                grew = True
-
-        def check_return(st: Stmt):
-            nonlocal grew
-            atoms = set()
-            for r in st.refs:
-                atoms |= state.get(r, set())
-            for c in st.calls:
-                atoms |= call_atoms(c)
-            s_here = self.sum[f.qname]
-            if s_here.return_sink:
-                for atom in atoms:
-                    if isinstance(atom, SourceAtom):
-                        self.findings.append(Finding(
-                            enclosing=f.qname, file=f.file, line=st.line,
-                            source=atom,
-                            sink=SinkPath(f"{f.qname} (return)", f.file,
-                                          f.line, ((f.qname, f.file, st.line),))))
-                    elif isinstance(atom, ParamAtom):
-                        j = atom[0]
-                        lst = s_here.sink_params.setdefault(j, [])
-                        np = SinkPath(f"{f.qname} (return)", f.file, f.line,
-                                      ((f.qname, f.file, st.line),))
-                        if not any(e.sink == np.sink for e in lst):
-                            lst.append(np)
-                            grew = True
-            if s_here.sanitizes_all or ANNOT_SANITIZER in f.annots:
-                return  # sanitizer's return is clean by contract
-            for atom in atoms:
-                if isinstance(atom, ParamAtom):
-                    if atom[0] not in s_here.returns_param:
-                        s_here.returns_param.add(atom[0])
-                        grew = True
-                elif isinstance(atom, SourceAtom):
-                    if atom not in s_here.returns_sources \
-                            and len(s_here.returns_sources) < 8:
-                        s_here.returns_sources.add(atom)
-                        grew = True
-
-        if ANNOT_UNTRUSTED in f.annots:
-            src = SourceAtom(f.qname, f.file, f.line)
-            if src not in s.returns_sources:
-                s.returns_sources.add(src)
-                grew = True
-
-        # Two passes over the (linearized) statements: the second pass starts
-        # from the first pass's end state, which approximates loop back-edges
-        # (`node = reply->parent` feeding next iteration's dial).  Findings
-        # and summary updates are deduplicated, so the repeat is harmless.
-        for _pass in (0, 1):
-            self._walk(f, state, eval_arg, call_atoms, apply_sanitizers,
-                       check_sinks, check_return)
-        return grew
-
-    def _walk(self, f, state, eval_arg, call_atoms, apply_sanitizers,
-              check_sinks, check_return):
-        for st in f.stmts:
-            # Sinks are checked against the PRE-state: arguments are
-            # evaluated before the callee runs, so a sanitizer cannot bless
-            # the very call that smuggles its argument to a sink.
-            for cs in self._all_calls(st):
-                check_sinks(cs)
-            for cs in self._all_calls(st):
-                apply_sanitizers(cs)
-            if st.is_return:
-                check_return(st)
-            if st.lhs is not None:
-                atoms = set()
-                for r in st.refs:
-                    atoms |= state.get(r, set())
-                for c in st.calls:
-                    atoms |= call_atoms(c)
-                if st.lhs_is_member or st.compound:
-                    state[st.lhs] = state.get(st.lhs, set()) | atoms
-                else:
-                    state[st.lhs] = atoms
-            else:
-                # mutating call on a receiver with tainted arguments: an
-                # opaque method (push_back, add_cert, ...) may store them
-                for cs in st.calls:
-                    callee = self.resolve(cs, f)
-                    if cs.recv and (callee is None or
-                                    callee != "FILTER" and self._opaque(callee)):
-                        extra = set()
-                        for a in cs.args:
-                            extra |= eval_arg(a)
-                        if extra:
-                            state[cs.recv] = state.get(cs.recv, set()) | extra
-
-
-# --------------------------------------------------------------------------
-# Baseline
-# --------------------------------------------------------------------------
-
-def load_baseline(path):
-    """Lines: `enclosing | source -> sink  # justification` (justification
-    required)."""
-    entries = {}
-    if not os.path.exists(path):
-        return entries
-    for lineno, raw in enumerate(open(path, encoding="utf-8"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "#" not in line:
-            raise SystemExit(
-                f"{path}:{lineno}: baseline entry lacks a justification "
-                "comment — every suppression must say why")
-        key = line.split("#", 1)[0].strip()
-        entries[key] = {"line": lineno, "used": False}
-    return entries
-
-
-# --------------------------------------------------------------------------
-# Reporting & drivers
-# --------------------------------------------------------------------------
-
-def render(fd: Finding) -> str:
-    lines = [
-        "TAINT: untrusted data reaches trusted sink without sanitization",
-        f"  source: {fd.source[0]}",
-        f"          reaches taint at {fd.source[1]}:{fd.source[2]}",
-        f"  sink:   {fd.sink.sink} ({fd.sink.sink_file}:{fd.sink.sink_line})",
-        "  path:",
-    ]
-    for func, file, line in fd.sink.chain:
-        lines.append(f"    {func} at {file}:{line}")
-    lines.append(f"  suppression key: {fd.key()}")
-    return "\n".join(lines)
-
-
-def collect_sources(root):
-    out = []
-    for base, _dirs, files in os.walk(root):
-        for fn in sorted(files):
-            if fn.endswith((".hpp", ".cpp", ".h", ".cc")):
-                out.append(os.path.join(base, fn))
-    return out
-
-
-def build_program(paths, frontend, cc_dir):
-    if frontend in ("clang", "auto"):
-        try:
-            prog = build_program_clang(paths, cc_dir)
-            return prog, "clang"
-        except ImportError:
-            if frontend == "clang":
-                raise SystemExit(
-                    "frontend 'clang' requested but python libclang is not "
-                    "importable (pip install libclang); use --frontend lite")
-            print("[taint] libclang unavailable; using lite frontend",
-                  file=sys.stderr)
-        except RuntimeError as e:
-            if frontend == "clang":
-                raise SystemExit(f"clang frontend failed: {e}")
-            print(f"[taint] clang frontend failed ({e}); using lite frontend",
-                  file=sys.stderr)
-    files = []
-    for p in paths:
-        if os.path.isdir(p):
-            files.extend(collect_sources(p))
-        else:
-            files.append(p)
-    return build_program_lite(files), "lite"
-
-
-def analyze(paths, frontend, cc_dir, verbose=False):
-    prog, used = build_program(paths, frontend, cc_dir)
-    an = Analyzer(prog, verbose=verbose)
-    an.run()
-    return an, used
-
-
-def run_tree(args):
-    paths = args.paths or [os.path.join(REPO, "src")]
-    an, used = analyze(paths, args.frontend, args.compile_commands,
-                       args.verbose)
-    baseline = load_baseline(args.baseline)
-    new = []
-    for fd in an.findings:
-        ent = baseline.get(fd.key())
-        if ent is not None:
-            ent["used"] = True
-        else:
-            new.append(fd)
-    rc = 0
-    for fd in new:
-        print(render(fd))
-        print()
-        rc = 1
-    stale = [k for k, e in baseline.items() if not e["used"]]
-    for k in stale:
-        print(f"STALE BASELINE: `{k}` no longer matches any finding — "
-              f"remove it from {os.path.relpath(args.baseline, REPO)}")
-        if args.strict_baseline:
-            rc = 1
-    n_funcs = len(an.prog.funcs)
-    n_annot = sum(1 for f in an.prog.funcs.values()
-                  if f.annots or any(p.annots for p in f.params))
-    print(f"[taint] frontend={used} functions={n_funcs} annotated={n_annot} "
-          f"findings={len(an.findings)} suppressed="
-          f"{len(an.findings) - len(new)} new={len(new)}")
-    if rc == 0:
-        print("[taint] OK: every untrusted-byte path is sanitized or "
-              "has a justified suppression")
-    return rc
-
-
-def run_list(args):
-    paths = args.paths or [os.path.join(REPO, "src")]
-    prog, used = build_program(paths, args.frontend, args.compile_commands)
-    for q in sorted(prog.funcs):
-        f = prog.funcs[q]
-        tags = sorted(f.annots)
-        ptags = [f"{p.name or i}:{'|'.join(sorted(p.annots))}"
-                 for i, p in enumerate(f.params) if p.annots]
-        if tags or ptags:
-            print(f"{q}  [{', '.join(tags)}]  {' '.join(ptags)}  "
-                  f"({f.file}:{f.line})")
-    return 0
-
-
-EXPECT_RE = re.compile(
-    r"//\s*TAINT-EXPECT:\s*(clean|flag(?:\s+source=(\S+))?(?:\s+sink=(\S+))?)")
-
-
-def run_self_test(args):
-    fixture_dir = os.path.join(REPO, "tests", "taint", "fixtures")
-    if not os.path.isdir(fixture_dir):
-        print(f"no fixture directory at {fixture_dir}", file=sys.stderr)
-        return 2
-    fixtures = sorted(f for f in os.listdir(fixture_dir) if f.endswith(".cpp"))
-    failures = []
-    for fx in fixtures:
-        path = os.path.join(fixture_dir, fx)
-        raw = open(path, encoding="utf-8").read()
-        expects = EXPECT_RE.findall(raw)
-        if not expects:
-            failures.append(f"{fx}: no TAINT-EXPECT comment")
-            continue
-        prog = build_program_lite([path])
-        an = Analyzer(prog)
-        an.run()
-        want_clean = any(e[0] == "clean" for e in expects)
-        flags = [e for e in expects if e[0].startswith("flag")]
-        if want_clean and an.findings:
-            failures.append(
-                f"{fx}: expected clean, got {len(an.findings)} finding(s):\n"
-                + "\n".join("    " + f.key() for f in an.findings))
-            continue
-        if not want_clean:
-            unmatched_expect = []
-            for _e, src, sink in flags:
-                ok = any((not src or src in fd.source[0]) and
-                         (not sink or sink in fd.sink.sink)
-                         for fd in an.findings)
-                if not ok:
-                    unmatched_expect.append(f"source={src} sink={sink}")
-            extra = [fd for fd in an.findings
-                     if not any((not src or src in fd.source[0]) and
-                                (not sink or sink in fd.sink.sink)
-                                for _e, src, sink in flags)]
-            if unmatched_expect:
-                failures.append(
-                    f"{fx}: expected finding not produced: "
-                    f"{'; '.join(unmatched_expect)}\n    got: "
-                    + ("; ".join(fd.key() for fd in an.findings) or "nothing"))
-            if extra:
-                failures.append(
-                    f"{fx}: unexpected finding(s): "
-                    + "; ".join(fd.key() for fd in extra))
-    # Baseline machinery self-test: a finding listed in a baseline must be
-    # suppressed, an unused entry must be reported as stale.
-    bl_fx = [f for f in fixtures if "baseline" in f]
-    print(f"[taint] self-test: {len(fixtures)} fixtures, "
-          f"{len(failures)} failure(s)")
-    for msg in failures:
-        print("  FAIL " + msg)
-    if len(fixtures) < 15:
-        print(f"  FAIL corpus too small: {len(fixtures)} fixtures (< 15)")
-        return 1
-    return 1 if failures else 0
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("paths", nargs="*", help="files/dirs (default: src/)")
-    ap.add_argument("--frontend", choices=("auto", "clang", "lite"),
-                    default="auto")
-    ap.add_argument("--compile-commands", default=os.path.join(REPO, "build"),
-                    help="directory containing compile_commands.json")
-    ap.add_argument("--baseline",
-                    default=os.path.join(REPO, "tools", "taint_baseline.txt"))
-    ap.add_argument("--strict-baseline", action="store_true",
-                    help="stale baseline entries are errors")
-    ap.add_argument("--self-test", action="store_true")
-    ap.add_argument("--list", action="store_true",
-                    help="dump annotated functions and exit")
-    ap.add_argument("--verbose", action="store_true")
-    args = ap.parse_args()
-    if args.self_test:
-        sys.exit(run_self_test(args))
-    if args.list:
-        sys.exit(run_list(args))
-    sys.exit(run_tree(args))
-
+from analysis import driver, taint
 
 if __name__ == "__main__":
-    main()
+    sys.exit(driver.main(taint, __doc__))
