@@ -69,7 +69,6 @@ util::Result<globedoc::EdgeFetch> EdgeCacheTier::fetch_through(
     net::Transport& transport, const net::Endpoint& replica,
     const globedoc::Oid& oid, const globedoc::IntegrityCertificate& cert,
     const std::string& element_name) {
-  GLOBE_PROFILE_SCOPE("edge_cache");
   const auto* entry = cert.find(element_name);
   if (entry == nullptr) {
     return util::Status(util::ErrorCode::kNotFound,

@@ -40,10 +40,6 @@ std::string html_escape(const std::string& text) {
   return out;
 }
 
-}  // namespace
-
-namespace {
-
 /// proxy.fetch_ms bucket bounds (milliseconds).  The SLO latency evaluator
 /// counts whole buckets, so latency objectives should sit on one of these.
 /// Sub-millisecond bounds resolve cache-hit latencies, which cost memcopy
@@ -54,6 +50,16 @@ const std::vector<double>& fetch_ms_bounds() {
                                              100,  200, 500, 1000, 2000, 5000};
   return bounds;
 }
+
+/// One fetch-path stage under one name: the FetchStage trace span and a
+/// cost probe of that name, opened and ended together.
+struct Stage {
+  Stage(obs::Tracer& tracer, const char* name)
+      : span(tracer.span(name)), probe(std::in_place, name) {}
+  void end() { probe.reset(); span.end(); }
+  obs::Tracer::Span span;
+  std::optional<obs::CostProbe> probe;
+};
 
 }  // namespace
 
@@ -91,11 +97,10 @@ Result<FetchResult> GlobeDocProxy::fetch_url(const std::string& hybrid_url) {
 Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
                                                            const net::Endpoint& address,
                                                            obs::Tracer& tracer) {
-  GLOBE_PROFILE_SCOPE("bind");
   rpc::RpcClient replica(*transport_, address);
 
   // --- Step 3: public key, self-certifying check (security time).
-  auto key_span = tracer.span(FetchStage::kKeyCheck);
+  Stage key_check(tracer, FetchStage::kKeyCheck);
   util::Writer oid_req;
   oid_req.raw(oid.to_bytes());
   auto key_raw = replica.call(rpc::kGlobeDocSecurity, kGetPublicKey, oid_req.buffer());
@@ -108,7 +113,7 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
                            "public key does not hash to the OID at " +
                                address.to_string());
   }
-  key_span.end();
+  key_check.end();
 
   Binding binding;
   binding.oid = oid;
@@ -117,15 +122,16 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
 
   // --- Step 4: identity certificates against the user's trusted CAs.
   if (config_.request_identity) {
-    GLOBE_PROFILE_SCOPE("identity");
-    auto identity_span = tracer.span(FetchStage::kIdentity);
+    Stage identity(tracer, FetchStage::kIdentity);
     auto certs_raw =
         replica.call(rpc::kGlobeDocSecurity, kGetIdentityCerts, oid_req.buffer());
     if (certs_raw.is_ok()) {
       std::vector<IdentityCertificate> certs;
       try {
+        // Each certificate may cost an RSA verify: cap the replica's count.
         util::Reader r(*certs_raw);
-        std::uint32_t n = r.u32();
+        std::uint32_t n = util::checked_count(
+            r.u32(), static_cast<std::uint32_t>(kMaxIdentityCerts));
         for (std::uint32_t i = 0; i < n; ++i) {
           auto cert = IdentityCertificate::parse(r.bytes());
           if (cert.is_ok()) certs.push_back(std::move(*cert));
@@ -146,7 +152,7 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
   }
 
   // --- Step 5: integrity certificate, signature check.
-  auto integrity_span = tracer.span(FetchStage::kIntegrityVerify);
+  Stage integrity_verify(tracer, FetchStage::kIntegrityVerify);
   auto cert_raw =
       replica.call(rpc::kGlobeDocSecurity, kGetIntegrityCert, oid_req.buffer());
   if (!cert_raw.is_ok()) return cert_raw.status();
@@ -192,11 +198,11 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
   // carry the same guarantees as the direct path below; verification time
   // lands in the edge_cache span instead of element_verify.
   if (config_.edge_cache != nullptr) {
-    auto edge_span = tracer.span(FetchStage::kEdgeCache);
+    Stage edge_cache(tracer, FetchStage::kEdgeCache);
     auto fetched = config_.edge_cache->fetch_through(
         *transport_, binding.replica, binding.oid, binding.certificate,
         element_name);
-    edge_span.end();
+    edge_cache.end();
     if (!fetched.is_ok()) return fetched.status();
     metrics.served_from_edge_cache = fetched->cache_hit;
     metrics.coalesced_fill = fetched->coalesced;
@@ -215,31 +221,36 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
   if (!element.is_ok()) return element.status();
 
   // --- Step 6: authenticity, consistency, freshness (security time).
-  auto verify_span = tracer.span(FetchStage::kElementVerify);
-  Status check = Status::ok();
-  {
-    GLOBE_PROFILE_SCOPE("element_verify");
-    transport_->charge(net::CpuOp::kSha1, raw->size());
-    check = binding.certificate.check_element(element_name, *element,
-                                              transport_->now());
-  }
-  verify_span.end();
+  Stage element_verify(tracer, FetchStage::kElementVerify);
+  transport_->charge(net::CpuOp::kSha1, raw->size());
+  Status check = binding.certificate.check_element(element_name, *element,
+                                                   transport_->now());
+  element_verify.end();
   if (!check.is_ok()) return check;
 
   metrics.content_bytes += element->content.size();
   return element;
 }
 
-void GlobeDocProxy::cache_element(const std::string& object_name,
-                                  const std::string& element_name,
-                                  const Binding& binding,
-                                  const PageElement& element) {
-  if (!config_.cache_elements) return;
-  const ElementEntry* entry = binding.certificate.find(element_name);
-  if (entry == nullptr) return;
-  element_cache_.put({object_name, element_name},
-                     CachedElement{element, binding.certified_as},
-                     entry->expires, element.content.size());
+FetchResult GlobeDocProxy::serve(const std::string& object_name,
+                                 const std::string& element_name,
+                                 const Binding& binding, PageElement element,
+                                 FetchMetrics& metrics, util::SimTime start) {
+  metrics.total_time = transport_->now() - start;
+  // Per-replica end-to-end latency: the series the latency SLO watches,
+  // labeled so a burn-rate alert names the slow replica directly.
+  registry_
+      ->histogram("proxy.fetch_ms", fetch_ms_bounds(),
+                  {{"replica", binding.replica.to_string()}})
+      .observe(util::to_millis(metrics.total_time));
+  const ElementEntry* entry =
+      config_.cache_elements ? binding.certificate.find(element_name) : nullptr;
+  if (entry != nullptr) {
+    element_cache_.put({object_name, element_name},
+                       CachedElement{element, binding.certified_as},
+                       entry->expires, element.content.size());
+  }
+  return FetchResult{std::move(element), binding.certified_as, metrics};
 }
 
 Result<FetchResult> GlobeDocProxy::fetch(const std::string& object_name,
@@ -247,7 +258,6 @@ Result<FetchResult> GlobeDocProxy::fetch(const std::string& object_name,
   // Everything below — resolver walk, binding crypto, element verification —
   // is attributed to this proxy's profile registry (DESIGN.md §15).
   obs::ProfileRegistryScope profile_scope(config_.profile);
-  GLOBE_PROFILE_SCOPE("proxy.fetch");
   FetchMetrics metrics;
   obs::Tracer tracer([this] { return transport_->now(); });
   tracer.set_host("proxy");
@@ -278,7 +288,7 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
                                                const std::string& element_name,
                                                FetchMetrics& metrics,
                                                obs::Tracer& tracer) {
-  auto fetch_span = tracer.span(FetchStage::kFetch);
+  Stage root(tracer, FetchStage::kFetch);
   util::SimTime start = transport_->now();
 
   // Verified element cache: sound to serve locally until the certificate
@@ -303,14 +313,9 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
       metrics.replicas_tried = 1;
       auto element = fetch_element(binding, element_name, metrics, tracer);
       if (element.is_ok()) {
-        metrics.total_time = transport_->now() - start;
-        registry_
-            ->histogram("proxy.fetch_ms", fetch_ms_bounds(),
-                        {{"replica", binding.replica.to_string()}})
-            .observe(util::to_millis(metrics.total_time));
         binding_cache_hits_->inc();
-        cache_element(object_name, element_name, binding, *element);
-        return FetchResult{std::move(*element), binding.certified_as, metrics};
+        return serve(object_name, element_name, binding, std::move(*element),
+                     metrics, start);
       }
       bindings_.erase(object_name);
       metrics.used_cached_binding = false;
@@ -318,21 +323,21 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
   }
 
   // --- Step 1: secure name resolution.
-  auto resolve_span = tracer.span(FetchStage::kResolve);
+  Stage resolve(tracer, FetchStage::kResolve);
   auto oid_bytes = resolver_.resolve(object_name);
   if (!oid_bytes.is_ok()) return oid_bytes.status();
   auto oid = Oid::from_bytes(*oid_bytes);
   if (!oid.is_ok()) return oid.status();
-  resolve_span.end();
+  resolve.end();
 
   // --- Step 2: replica location (untrusted).
-  auto locate_span = tracer.span(FetchStage::kLocate);
+  Stage locate(tracer, FetchStage::kLocate);
   auto addresses = locator_.lookup(*oid_bytes);
   if (!addresses.is_ok()) return addresses.status();
   if (addresses->empty()) {
     return Result<FetchResult>(ErrorCode::kNotFound, "no replicas registered");
   }
-  locate_span.end();
+  locate.end();
 
   // --- Steps 3-6 with fallback across contact addresses.
   Status last_error(ErrorCode::kUnavailable, "no address tried");
@@ -370,15 +375,8 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
                             (std::uint64_t{address.host.value} << 16) |
                             address.port,
                         std::memory_order_relaxed);
-    metrics.total_time = transport_->now() - start;
-    // Per-replica end-to-end latency: the series the latency SLO watches,
-    // labeled so a burn-rate alert names the slow replica directly.
-    registry_
-        ->histogram("proxy.fetch_ms", fetch_ms_bounds(),
-                    {{"replica", address.to_string()}})
-        .observe(util::to_millis(metrics.total_time));
-    cache_element(object_name, element_name, *binding, *element);
-    return FetchResult{std::move(*element), binding->certified_as, metrics};
+    return serve(object_name, element_name, *binding, std::move(*element),
+                 metrics, start);
   }
   return last_error;
 }

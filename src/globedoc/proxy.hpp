@@ -89,7 +89,7 @@ struct ProxyConfig {
   obs::ProfileRegistry* profile = nullptr;
 };
 
-/// Stage names of the per-fetch span tree (children of the "fetch" root).
+/// Stage names of the per-fetch span tree and profile (children of "fetch").
 struct FetchStage {
   static constexpr const char* kFetch = "fetch";                      // root
   static constexpr const char* kResolve = "resolve";                  // step 1
@@ -196,13 +196,15 @@ class GlobeDocProxy {
                                           const std::string& element_name,
                                           FetchMetrics& metrics, obs::Tracer& tracer);
 
-  /// Stores a verified element with its certificate-entry expiry.  Trusted
-  /// sink: only elements that passed check_element() may enter the cache —
-  /// a cached element is served without re-verification until expiry.
-  void cache_element(const std::string& object_name,
-                     const std::string& element_name,
-                     GLOBE_TRUSTED_SINK const Binding& binding,
-                     GLOBE_TRUSTED_SINK const PageElement& element);
+  /// Success tail of a fetch served under a cached or fresh binding: observes
+  /// proxy.fetch_ms since `start` and caches the element until its entry
+  /// expires.  Trusted sink: only elements that passed check_element() may
+  /// enter the cache, which serves them without re-verification.
+  FetchResult serve(const std::string& object_name,
+                    const std::string& element_name,
+                    GLOBE_TRUSTED_SINK const Binding& binding,
+                    GLOBE_TRUSTED_SINK PageElement element,
+                    FetchMetrics& metrics, util::SimTime start);
 
   struct CachedElement {
     PageElement element;

@@ -274,11 +274,14 @@ obs::ConsistencyReport ObjectServer::consistency_report() const {
 void ObjectServer::register_with(rpc::ServiceDispatcher& dispatcher) {
   auto bindm = [&](std::uint16_t service, std::uint16_t method, auto fn) {
     dispatcher.register_method(
-        service, method, [this, fn](net::ServerContext& ctx, BytesView payload) {
-          // Single choke point for every bound method: attribute the whole
-          // handler (crypto included) to this server's profile registry.
+        service, method,
+        [this, fn, span_name = rpc::rpc_span_name(service, method)](
+            net::ServerContext& ctx, BytesView payload) {
+          // Single choke point for every bound method: the whole handler
+          // (crypto included) is profiled in this server's registry under
+          // its server span's name.
           obs::ProfileRegistryScope profile_scope(profile_);
-          GLOBE_PROFILE_SCOPE("server.handle");
+          obs::CostProbe probe(span_name.c_str());
           return (this->*fn)(ctx, payload);
         });
   };
@@ -328,7 +331,6 @@ Result<Bytes> ObjectServer::handle_negotiate(net::ServerContext&, BytesView payl
 
 Result<Bytes> ObjectServer::handle_get_element(net::ServerContext& ctx,
                                                BytesView payload) {
-  GLOBE_PROFILE_SCOPE("server.get_element");
   requests_counter_->inc();
   try {
     util::Reader r(payload);
@@ -358,7 +360,6 @@ Result<Bytes> ObjectServer::handle_get_element(net::ServerContext& ctx,
 
 Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
                                               BytesView payload) {
-  GLOBE_PROFILE_SCOPE("server.fetch_many");
   requests_counter_->inc();
   batch_requests_counter_->inc();
   auto req = FetchManyRequest::parse(payload);
@@ -416,7 +417,6 @@ Result<Bytes> ObjectServer::handle_list_elements(net::ServerContext& ctx,
 
 Result<Bytes> ObjectServer::handle_get_public_key(net::ServerContext& ctx,
                                                   BytesView payload) {
-  GLOBE_PROFILE_SCOPE("server.get_public_key");
   requests_counter_->inc();
   try {
     util::Reader r(payload);
@@ -436,7 +436,6 @@ Result<Bytes> ObjectServer::handle_get_public_key(net::ServerContext& ctx,
 
 Result<Bytes> ObjectServer::handle_get_integrity_cert(net::ServerContext& ctx,
                                                       BytesView payload) {
-  GLOBE_PROFILE_SCOPE("server.get_integrity_cert");
   requests_counter_->inc();
   try {
     util::Reader r(payload);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/profile.hpp"
 #include "util/serial.hpp"
 
 namespace globe::location {
@@ -340,7 +339,6 @@ LocationClient::LocationClient(net::Transport& transport, net::Endpoint local_si
 }
 
 Result<std::vector<net::Endpoint>> LocationClient::lookup(BytesView oid) {
-  GLOBE_PROFILE_SCOPE("locate");
   lookups_counter_->inc();
   net::Endpoint node = local_site_;
   last_rings_ = 0;

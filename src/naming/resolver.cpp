@@ -1,7 +1,6 @@
 #include "naming/resolver.hpp"
 
 #include "naming/service.hpp"
-#include "obs/profile.hpp"
 #include "rpc/rpc.hpp"
 #include "util/serial.hpp"
 
@@ -25,7 +24,6 @@ SecureResolver::SecureResolver(net::Transport& transport, net::Endpoint root_ser
 }
 
 Result<Bytes> SecureResolver::resolve(const std::string& name) {
-  GLOBE_PROFILE_SCOPE("naming.resolve");
   if (cache_enabled_) {
     if (const auto* hit = cache_.find(name, transport_->now())) {
       cache_hits_->inc();

@@ -7,7 +7,7 @@
 // scoped RAII guard: on entry it reads a wall clock and the calling
 // thread's CPU clock (CLOCK_THREAD_CPUTIME_ID), on exit it records the
 // deltas plus one call into a ProfileRegistry, keyed by the *stack* of
-// open probes on this thread, so `proxy.fetch;bind;rsa_verify` folds
+// open probes on this thread, so `fetch;resolve;rsa_verify` folds
 // exactly like a flamegraph frame.
 //
 //   {
@@ -58,7 +58,7 @@ struct ProbeStat {
 };
 
 /// One stack's state at snapshot time.  `stack` is the folded path
-/// ("proxy.fetch;bind;rsa_verify"); `leaf` is its last frame.
+/// ("fetch;resolve;rsa_verify"); `leaf` is its last frame.
 struct ProfileSample {
   std::string stack;
   std::string leaf;

@@ -128,8 +128,9 @@ Result<PullResult> pull_replica(net::Transport& transport,
   if (ids_raw.is_ok()) {
     try {
       util::Reader r(*ids_raw);
-      std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n && i < 64; ++i) {
+      std::uint32_t n = util::checked_count(
+          r.u32(), static_cast<std::uint32_t>(globedoc::kMaxIdentityCerts));
+      for (std::uint32_t i = 0; i < n; ++i) {
         auto cert = globedoc::IdentityCertificate::parse(r.bytes());
         if (cert.is_ok()) state.identity_certs.push_back(std::move(*cert));
       }

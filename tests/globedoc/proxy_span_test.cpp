@@ -1,9 +1,18 @@
 // The proxy's per-fetch span tree: structure matches the Fig. 3 pipeline
 // and the security-stage spans sum to the reported security_time (they ARE
-// the Fig. 4 numerator — derived, not separately accumulated).
+// the Fig. 4 numerator — derived, not separately accumulated).  Each stage
+// is also the cost-profile frame of the same name, so the profile's stacks
+// follow the stitched trace tree.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <sstream>
+
+#include "cache/tier.hpp"
 #include "globedoc/proxy.hpp"
+#include "obs/collector.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "tests/globedoc/world_fixture.hpp"
 
@@ -107,6 +116,85 @@ TEST_F(ProxySpanFixture, FetchCountersTrackOutcomes) {
             ok_before + 1);
   EXPECT_EQ(registry.counter("proxy.fetches", {{"outcome", "error"}}).value(),
             err_before + 1);
+}
+
+// --- One stage vocabulary: profile frames are trace spans ---------------
+
+/// Counts every span of `node`'s subtree under its `;`-joined path.
+void count_span_paths(const obs::SpanRecord& node, const std::string& parent,
+                      std::map<std::string, std::uint64_t>& out) {
+  std::string path = parent.empty() ? node.name : parent + ";" + node.name;
+  ++out[path];
+  for (const auto& child : node.children) count_span_paths(child, path, out);
+}
+
+/// Probes that time part of a stage and have no span of their own.
+bool is_sub_step(const std::string& frame) {
+  static const std::set<std::string> kSubSteps = {
+      "cert_verify",  "cache.fill",    "rsa_sign",     "rsa_verify",
+      "rsa_encrypt",  "rsa_decrypt",   "sha1",         "merkle_build",
+      "merkle_prove", "merkle_verify", "fetch_many.encode",
+      "fetch_many.decode"};
+  return kSubSteps.count(frame) > 0;
+}
+
+TEST_F(ProxySpanFixture, ProfileFramesAreTheStitchedTraceSpans) {
+  obs::TraceCollector& collector = obs::global_trace_collector();
+  collector.set_policy({/*keep_slower_than=*/0, /*keep_one_in=*/1});
+  collector.clear();
+  obs::ProfileRegistry profile;
+
+  // One direct fetch with identity checks, one through an edge tier.
+  ProxyConfig direct_config = proxy_config();
+  direct_config.profile = &profile;
+  GlobeDocProxy direct(*client_flow, direct_config);
+  auto via_direct = direct.fetch(object_name, "index.html");
+  ASSERT_TRUE(via_direct.is_ok()) << via_direct.status().to_string();
+
+  cache::TierConfig tier_config;
+  tier_config.delayed_replication = false;
+  cache::EdgeCacheTier tier(tier_config);
+  ProxyConfig edge_config = proxy_config();
+  edge_config.profile = &profile;
+  edge_config.edge_cache = &tier;
+  GlobeDocProxy edge(*client_flow, edge_config);
+  auto via_edge = edge.fetch(object_name, "logo.gif");
+  ASSERT_TRUE(via_edge.is_ok()) << via_edge.status().to_string();
+
+  std::map<std::string, std::uint64_t> spans;
+  for (const FetchResult* result : {&*via_direct, &*via_edge}) {
+    auto trace =
+        collector.find(result->metrics.trace_hi, result->metrics.trace_lo);
+    ASSERT_TRUE(trace.has_value());
+    ASSERT_TRUE(trace->complete);
+    count_span_paths(trace->root, "", spans);
+  }
+
+  // Every stack, with its sub-step frames elided, names a span path, and
+  // the probe fired exactly as often as that span was recorded.
+  std::map<std::string, std::uint64_t> frames;
+  for (const obs::ProfileSample& s : profile.snapshot().samples) {
+    std::string path;
+    std::istringstream stack(s.stack);
+    for (std::string frame; std::getline(stack, frame, ';');) {
+      EXPECT_NE(frame, "proxy.fetch") << s.stack;
+      EXPECT_NE(frame, "bind") << s.stack;
+      EXPECT_NE(frame, "naming.resolve") << s.stack;
+      EXPECT_NE(frame.rfind("server.", 0), 0u) << s.stack;
+      if (frame == "cert_verify") {
+        EXPECT_EQ(path, "fetch;integrity_verify") << s.stack;
+      }
+      if (is_sub_step(frame)) continue;
+      path += (path.empty() ? "" : ";") + frame;
+    }
+    if (!is_sub_step(s.leaf)) frames[path] += s.stat.calls;
+  }
+  EXPECT_EQ(frames["fetch"], 2u);
+  EXPECT_EQ(frames["fetch;key_check;rpc:gd.security/1"], 2u);
+  EXPECT_EQ(frames["fetch;edge_cache;rpc:gd.access/3"], 1u);
+  for (const auto& [path, calls] : frames) {
+    EXPECT_EQ(spans[path], calls) << path;
+  }
 }
 
 }  // namespace

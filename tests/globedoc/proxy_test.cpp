@@ -73,6 +73,38 @@ TEST_F(ProxyFixture, RequireIdentityFailsWithoutTrustedCa) {
             ErrorCode::kUntrustedIssuer);
 }
 
+TEST_F(ProxyFixture, IdentityCertificateFloodIsRejectedBeforeVerifying) {
+  // A replica serves more certificates than any honest state may carry, all
+  // naming the user's trusted CA but signed by an impostor key: each one
+  // verified would cost an RSA verify.  The over-long list is malformed, so
+  // none is verified and binding fails over on the missing identity.
+  CertificateAuthority impostor(ca->name(), fixture_key(666));
+  ReplicaState state = owner->object().snapshot();
+  state.identity_certs.assign(
+      2 * kMaxIdentityCerts,
+      impostor.issue("Evil Corp", owner->object().oid(), util::seconds(5000)));
+  object_server->install_replica_unchecked(state, client_flow->now());
+
+  obs::ProfileRegistry profile;
+  ProxyConfig config = proxy_config();
+  config.require_identity = true;
+  config.profile = &profile;
+  GlobeDocProxy proxy(*client_flow, config);
+  EXPECT_EQ(proxy.fetch(object_name, "index.html").code(),
+            ErrorCode::kUntrustedIssuer);
+
+  std::uint64_t identity_stages = 0, identity_verifies = 0;
+  for (const obs::ProfileSample& s : profile.snapshot().samples) {
+    if (s.leaf == FetchStage::kIdentity) identity_stages += s.stat.calls;
+    if (s.leaf == "rsa_verify" &&
+        (";" + s.stack + ";").find(";identity;") != std::string::npos) {
+      identity_verifies += s.stat.calls;
+    }
+  }
+  EXPECT_EQ(identity_stages, 1u);
+  EXPECT_LE(identity_verifies, kMaxIdentityCerts);
+}
+
 // --- Adversarial replicas ----------------------------------------------
 
 struct AdversaryFixture : ProxyFixture {

@@ -34,7 +34,9 @@ Documents"):
                  surface; an undocumented series is an unreviewable one.
 
   probe-catalog  Every cost-probe label declared at a GLOBE_PROFILE_SCOPE
-                 site in src/ must be documented in docs/metrics.md (listed
+                 site in src/, and every FetchStage string constant in
+                 src/globedoc/proxy.hpp (each proxy stage opens a probe of
+                 that name), must be documented in docs/metrics.md (listed
                  in backticks).  Probe labels become the `probe=` label of
                  the profile.* series and the frames of /profilez stacks —
                  an undocumented label is an unreviewable flamegraph frame.
@@ -173,6 +175,11 @@ METRIC_SCAN_DIRS = ("src", "bench")
 # the only sanctioned spelling in src/; labels are always string literals.
 PROBE_RE = re.compile(r'GLOBE_PROFILE_SCOPE\s*\(\s*"([^"]+)"\s*\)')
 PROBE_SCAN_DIRS = ("src",)
+# The proxy's stages open a span and a probe named by each FetchStage
+# string constant, so those constants are probe labels too.
+FETCH_STAGE_HEADER = "src/globedoc/proxy.hpp"
+FETCH_STAGE_RE = re.compile(r"struct\s+FetchStage\s*\{(.*?)\};", re.S)
+STAGE_CONST_RE = re.compile(r'\bk\w+\s*=\s*"([^"]+)"')
 
 # ---------------------------------------------------------------------------
 # slo-catalog: SLO specs may only reference cataloged metric names.
@@ -319,8 +326,21 @@ def check_metric_catalog(violations: list[str]) -> None:
                     )
 
 
+def fetch_stage_labels(text: str) -> list[tuple[int, str]]:
+    """(line, label) of each string constant in `struct FetchStage`."""
+    m = FETCH_STAGE_RE.search(text)
+    if m is None:
+        return []
+    first = text.count("\n", 0, m.start(1)) + 1
+    return [(first + off, label)
+            for off, line in enumerate(m.group(1).split("\n"))
+            if not COMMENT_RE.match(line)
+            for label in STAGE_CONST_RE.findall(line)]
+
+
 def check_probe_catalog(violations: list[str]) -> None:
-    """Every GLOBE_PROFILE_SCOPE label literal must be in the catalog."""
+    """Every probe label (GLOBE_PROFILE_SCOPE literal or FetchStage
+    constant) must be in the catalog."""
     catalog_path = REPO / METRIC_CATALOG
     cataloged: set[str] = set()
     if catalog_path.is_file():
@@ -330,17 +350,19 @@ def check_probe_catalog(violations: list[str]) -> None:
         rel = relpath(path)
         if not rel.startswith(tuple(d + "/" for d in PROBE_SCAN_DIRS)):
             continue
-        for lineno, line in enumerate(
-                path.read_text(encoding="utf-8", errors="replace").splitlines(),
-                start=1):
-            if COMMENT_RE.match(line):
-                continue
-            for label in PROBE_RE.findall(line):
-                if label not in cataloged:
-                    violations.append(
-                        f"{rel}:{lineno}: [probe-catalog] probe label "
-                        f"\"{label}\" is not documented in {METRIC_CATALOG}"
-                    )
+        text = path.read_text(encoding="utf-8", errors="replace")
+        labels = [(lineno, label)
+                  for lineno, line in enumerate(text.splitlines(), start=1)
+                  if not COMMENT_RE.match(line)
+                  for label in PROBE_RE.findall(line)]
+        if rel == FETCH_STAGE_HEADER:
+            labels += fetch_stage_labels(text)
+        for lineno, label in labels:
+            if label not in cataloged:
+                violations.append(
+                    f"{rel}:{lineno}: [probe-catalog] probe label "
+                    f"\"{label}\" is not documented in {METRIC_CATALOG}"
+                )
 
 
 def check_slo_catalog(violations: list[str]) -> None:
@@ -558,7 +580,8 @@ SELF_TEST_CASES = [
         '  // registry.counter("proxy.surprise_total") would be flagged\n',
         None,
     ),
-    # The self-test catalog documents exactly one probe label: `rsa_verify`.
+    # The self-test catalog documents exactly two probe labels: `rsa_verify`
+    # and the stage `key_check`.
     (
         "uncataloged probe label fires",
         "src/crypto/rsa.cpp",
@@ -581,6 +604,24 @@ SELF_TEST_CASES = [
         "probe outside src clean",
         "bench/bench_fig4_security_overhead.cpp",
         '  GLOBE_PROFILE_SCOPE("bench_only_frame");\n',
+        None,
+    ),
+    (
+        "uncataloged fetch stage fires",
+        "src/globedoc/proxy.hpp",
+        "struct FetchStage {\n"
+        '  static constexpr const char* kKeyCheck = "key_check";\n'
+        '  static constexpr const char* kSurprise = "surprise_stage";\n'
+        "};\n",
+        "probe-catalog",
+    ),
+    (
+        "cataloged fetch stage clean",
+        "src/globedoc/proxy.hpp",
+        "struct FetchStage {\n"
+        '  static constexpr const char* kKeyCheck = "key_check";  // step 3\n'
+        "};\n"
+        'const char* kElsewhere = "not_a_stage";\n',
         None,
     ),
     (
@@ -687,8 +728,8 @@ def run_self_test() -> int:
             # documented series from an undocumented one.
             catalog = root / METRIC_CATALOG
             catalog.parent.mkdir(parents=True, exist_ok=True)
-            catalog.write_text(
-                "# Metric catalog\n\n`proxy.fetches`\n`rsa_verify`\n")
+            catalog.write_text("# Metric catalog\n\n`proxy.fetches`\n"
+                               "`rsa_verify`\n`key_check`\n")
             # Minimal lock hierarchy so lock-rank cases can distinguish a
             # ranked mutex from an unranked one.
             hierarchy = root / LOCK_HIERARCHY
