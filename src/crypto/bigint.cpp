@@ -265,6 +265,96 @@ BigInt BigInt::operator>>(std::size_t bits) const {
   return out;
 }
 
+namespace {
+
+using u128 = unsigned __int128;
+
+/// Limb i of `limbs` regrouped as 64-bit limbs (zero past the end).
+u64 limb64(const std::vector<u32>& limbs, std::size_t i) {
+  u64 lo = 2 * i < limbs.size() ? limbs[2 * i] : 0;
+  u64 hi = 2 * i + 1 < limbs.size() ? limbs[2 * i + 1] : 0;
+  return hi << 32 | lo;
+}
+
+/// a[0..len) <<= s in place for 0 < s < 64; a[len - 1]'s top s bits drop.
+void shift_left(u64* a, std::size_t len, unsigned s) {
+  for (std::size_t i = len; i-- > 1;) a[i] = a[i] << s | a[i - 1] >> (64 - s);
+  a[0] <<= s;
+}
+
+/// Knuth's Algorithm D (TAOCP 4.3.1) on 64-bit digits.  Divides u[0..len)
+/// by v[0..n), where v[n - 1] != 0 and u[len - 1] == 0 (room to normalize),
+/// leaving the remainder in u[0..n) and, unless q is null, the quotient in
+/// q[0..len - n).  v is left shifted.
+void long_divide(u64* u, std::size_t len, u64* v, std::size_t n, u64* q) {
+  // Normalize so v's top bit is set: the quotient digit estimates below
+  // are then at most two too large.
+  const auto s = static_cast<unsigned>(__builtin_clzll(v[n - 1]));
+  if (s) {
+    shift_left(u, len, s);
+    shift_left(v, n, s);
+  }
+  for (std::size_t j = len - n; j-- > 0;) {
+    // Estimate the quotient digit from the top two limbs; the test
+    // against v[n - 2] leaves it at most one too large.
+    u64 qhat;
+    u128 rhat;
+    if (u[j + n] == v[n - 1]) {
+      qhat = ~u64{0};
+      rhat = u128{u[j + n - 1]} + v[n - 1];
+    } else {
+      u128 num = u128{u[j + n]} << 64 | u[j + n - 1];
+      qhat = static_cast<u64>(num / v[n - 1]);
+      rhat = num % v[n - 1];
+    }
+    while (n > 1 && rhat >> 64 == 0 &&
+           u128{qhat} * v[n - 2] > (rhat << 64 | u[j + n - 2])) {
+      --qhat;
+      rhat += v[n - 1];
+    }
+    // u[j..j+n] -= qhat · v
+    u64 carry = 0, borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      u128 p = u128{qhat} * v[i] + carry;
+      carry = static_cast<u64>(p >> 64);
+      u128 d = u128{u[i + j]} - static_cast<u64>(p) - borrow;
+      u[i + j] = static_cast<u64>(d);
+      borrow = static_cast<u64>(d >> 64) & 1;
+    }
+    u128 top = u128{u[j + n]} - carry - borrow;
+    u[j + n] = static_cast<u64>(top);
+    if (top >> 64) {
+      // qhat was one too large: add the divisor back.
+      --qhat;
+      u64 c = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        u128 sum = u128{u[i + j]} + v[i] + c;
+        u[i + j] = static_cast<u64>(sum);
+        c = static_cast<u64>(sum >> 64);
+      }
+      u[j + n] += c;
+    }
+    if (q) q[j] = qhat;
+  }
+  // Denormalize the remainder (u[n] is zero now).
+  if (s) {
+    for (std::size_t i = 0; i < n; ++i) u[i] = u[i] >> s | u[i + 1] << (64 - s);
+  }
+}
+
+}  // namespace
+
+BigInt BigInt::from_limbs64(const std::uint64_t* limbs, std::size_t n) {
+  BigInt out;
+  out.limbs_.resize(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.limbs_[2 * i] = static_cast<u32>(limbs[i]);
+    out.limbs_[2 * i + 1] = static_cast<u32>(limbs[i] >> 32);
+  }
+  out.trim();
+  return out;
+}
+
 void BigInt::divmod(const BigInt& num, const BigInt& den, BigInt& quot, BigInt& rem) {
   if (den.is_zero()) throw std::domain_error("BigInt division by zero");
   if (cmp(num, den) < 0) {
@@ -272,106 +362,14 @@ void BigInt::divmod(const BigInt& num, const BigInt& den, BigInt& quot, BigInt& 
     rem = num;
     return;
   }
-  if (den.limbs_.size() == 1) {
-    // Short division by a single limb.
-    u64 d = den.limbs_[0];
-    BigInt q;
-    q.limbs_.assign(num.limbs_.size(), 0);
-    u64 r = 0;
-    for (std::size_t i = num.limbs_.size(); i-- > 0;) {
-      u64 cur = r << 32 | num.limbs_[i];
-      q.limbs_[i] = static_cast<u32>(cur / d);
-      r = cur % d;
-    }
-    q.trim();
-    quot = std::move(q);
-    rem = BigInt(r);
-    return;
-  }
-
-  // Knuth Algorithm D (TAOCP 4.3.1) with 32-bit digits.
-  const std::size_t n = den.limbs_.size();
-  const std::size_t m = num.limbs_.size() - n;
-
-  // Normalize: shift so the divisor's top limb has its high bit set.
-  unsigned s = 0;
-  for (u32 top = den.limbs_.back(); !(top & 0x80000000u); top <<= 1) ++s;
-
-  std::vector<u32> v(n);
-  for (std::size_t i = n; i-- > 0;) {
-    v[i] = den.limbs_[i] << s;
-    if (s && i > 0) v[i] |= static_cast<u32>(u64{den.limbs_[i - 1]} >> (32 - s));
-  }
-  std::vector<u32> u(num.limbs_.size() + 1, 0);
-  u[num.limbs_.size()] =
-      s ? static_cast<u32>(u64{num.limbs_.back()} >> (32 - s)) : 0;
-  for (std::size_t i = num.limbs_.size(); i-- > 0;) {
-    u[i] = num.limbs_[i] << s;
-    if (s && i > 0) u[i] |= static_cast<u32>(u64{num.limbs_[i - 1]} >> (32 - s));
-  }
-
-  BigInt q;
-  q.limbs_.assign(m + 1, 0);
-
-  for (std::size_t j = m + 1; j-- > 0;) {
-    u64 num2 = u64{u[j + n]} << 32 | u[j + n - 1];
-    u64 qhat = num2 / v[n - 1];
-    u64 rhat = num2 % v[n - 1];
-    while (qhat >= kBase ||
-           qhat * v[n - 2] > (rhat << 32 | u[j + n - 2])) {
-      --qhat;
-      rhat += v[n - 1];
-      if (rhat >= kBase) break;
-    }
-    // Multiply-and-subtract: u[j..j+n] -= qhat * v.
-    std::int64_t borrow = 0;
-    u64 carry = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      u64 p = qhat * v[i] + carry;
-      carry = p >> 32;
-      std::int64_t t = static_cast<std::int64_t>(u[i + j]) -
-                       static_cast<std::int64_t>(p & 0xffffffffu) - borrow;
-      if (t < 0) {
-        t += static_cast<std::int64_t>(kBase);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      u[i + j] = static_cast<u32>(t);
-    }
-    std::int64_t t = static_cast<std::int64_t>(u[j + n]) -
-                     static_cast<std::int64_t>(carry) - borrow;
-    if (t < 0) {
-      // qhat was one too large: add the divisor back.
-      t += static_cast<std::int64_t>(kBase);
-      --qhat;
-      u64 carry2 = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        u64 sum = u64{u[i + j]} + v[i] + carry2;
-        u[i + j] = static_cast<u32>(sum);
-        carry2 = sum >> 32;
-      }
-      t += static_cast<std::int64_t>(carry2);
-      t &= 0xffffffff;
-    }
-    u[j + n] = static_cast<u32>(t);
-    q.limbs_[j] = static_cast<u32>(qhat);
-  }
-  q.trim();
-
-  // Denormalize the remainder.
-  BigInt r;
-  r.limbs_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    r.limbs_[i] = u[i] >> s;
-    if (s && i + 1 < u.size()) {
-      r.limbs_[i] |= static_cast<u32>(u64{u[i + 1]} << (32 - s));
-    }
-  }
-  r.trim();
-
-  quot = std::move(q);
-  rem = std::move(r);
+  const std::size_t n = (den.limbs_.size() + 1) / 2;
+  const std::size_t len = (num.limbs_.size() + 1) / 2 + 1;  // top limb stays 0
+  std::vector<u64> u(len), v(n), q(len - n);
+  for (std::size_t i = 0; i + 1 < len; ++i) u[i] = limb64(num.limbs_, i);
+  for (std::size_t i = 0; i < n; ++i) v[i] = limb64(den.limbs_, i);
+  long_divide(u.data(), len, v.data(), n, q.data());
+  quot = from_limbs64(q.data(), q.size());
+  rem = from_limbs64(u.data(), n);
 }
 
 BigInt BigInt::operator/(const BigInt& rhs) const {
@@ -388,145 +386,127 @@ BigInt BigInt::operator%(const BigInt& rhs) const {
 
 namespace {
 
-// Montgomery context for an odd modulus m of k limbs.
-struct MontCtx {
-  std::vector<u32> m;   // modulus limbs
-  u32 m0inv;            // -m^{-1} mod 2^32
-  std::size_t k;
+/// Fixed-window width for a `bits`-bit exponent: one bit (square-and-
+/// multiply, no table) for short exponents such as e = 65537, wider
+/// windows once their 2^w − 1 table entries pay for themselves.
+std::size_t window_bits(std::size_t bits) {
+  return bits > 671 ? 6 : bits > 239 ? 5 : bits > 79 ? 4 : bits > 23 ? 3 : 1;
+}
 
-  explicit MontCtx(const BigInt& modulus) : m(modulus.limbs()), k(m.size()) {
-    // Newton iteration: inv = m[0]^{-1} mod 2^32.
-    u32 inv = 1;
-    for (int i = 0; i < 5; ++i) inv *= 2 - m[0] * inv;
-    m0inv = static_cast<u32>(0u - inv);
-  }
+/// Montgomery multiplication modulo an odd n-limb m, R = 2^(64n), over
+/// storage the caller owns.
+struct Montgomery {
+  const u64* m;
+  std::size_t n;
+  u64 m0inv;  // −m⁻¹ mod 2^64
+  u64* t;     // n + 2 limbs
 
-  // r = a * b * R^{-1} mod m  (CIOS).  a, b, r are k-limb vectors; a and b
-  // must be < m.
-  void mul(const std::vector<u32>& a, const std::vector<u32>& b,
-           std::vector<u32>& r) const {
-    std::vector<u32> t(k + 2, 0);
-    for (std::size_t i = 0; i < k; ++i) {
-      // t += a[i] * b
+  /// out = a·b·R⁻¹ mod m (CIOS) for a, b < m; out may alias a or b.
+  void mul(const u64* a, const u64* b, u64* out) const {
+    std::fill(t, t + n + 2, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      // t += a · b[i]
       u64 carry = 0;
-      u64 ai = a[i];
-      for (std::size_t j = 0; j < k; ++j) {
-        u64 cur = t[j] + ai * b[j] + carry;
-        t[j] = static_cast<u32>(cur);
-        carry = cur >> 32;
+      for (std::size_t j = 0; j < n; ++j) {
+        u128 cur = u128{a[j]} * b[i] + t[j] + carry;
+        t[j] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> 64);
       }
-      u64 cur = u64{t[k]} + carry;
-      t[k] = static_cast<u32>(cur);
-      t[k + 1] = static_cast<u32>(u64{t[k + 1]} + (cur >> 32));
-
-      // t = (t + mu * m) / base
-      u32 mu = static_cast<u32>(t[0] * m0inv);
-      cur = u64{t[0]} + u64{mu} * m[0];
-      carry = cur >> 32;
-      for (std::size_t j = 1; j < k; ++j) {
-        cur = t[j] + u64{mu} * m[j] + carry;
-        t[j - 1] = static_cast<u32>(cur);
-        carry = cur >> 32;
+      u128 top = u128{t[n]} + carry;
+      t[n] = static_cast<u64>(top);
+      t[n + 1] = static_cast<u64>(top >> 64);
+      // t = (t + mu·m) / 2^64, mu chosen so the low limb cancels
+      u64 mu = t[0] * m0inv;
+      carry = static_cast<u64>((u128{mu} * m[0] + t[0]) >> 64);
+      for (std::size_t j = 1; j < n; ++j) {
+        u128 cur = u128{mu} * m[j] + t[j] + carry;
+        t[j - 1] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> 64);
       }
-      cur = u64{t[k]} + carry;
-      t[k - 1] = static_cast<u32>(cur);
-      t[k] = static_cast<u32>(u64{t[k + 1]} + (cur >> 32));
-      t[k + 1] = 0;
+      top = u128{t[n]} + carry;
+      t[n - 1] = static_cast<u64>(top);
+      t[n] = t[n + 1] + static_cast<u64>(top >> 64);
     }
-    // Conditional final subtraction: t may be in [0, 2m).
-    bool ge = t[k] != 0;
-    if (!ge) {
-      ge = true;
-      for (std::size_t i = k; i-- > 0;) {
-        if (t[i] != m[i]) {
-          ge = t[i] > m[i];
-          break;
-        }
-      }
+    // t < 2m: subtract m unless that borrows out of t[n].
+    u64 borrow = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      u128 d = u128{t[j]} - m[j] - borrow;
+      out[j] = static_cast<u64>(d);
+      borrow = static_cast<u64>(d >> 64) & 1;
     }
-    r.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k));
-    if (ge) {
-      std::int64_t borrow = 0;
-      for (std::size_t i = 0; i < k; ++i) {
-        std::int64_t d = static_cast<std::int64_t>(r[i]) -
-                         static_cast<std::int64_t>(m[i]) - borrow;
-        if (d < 0) {
-          d += static_cast<std::int64_t>(kBase);
-          borrow = 1;
-        } else {
-          borrow = 0;
-        }
-        r[i] = static_cast<u32>(d);
-      }
-    }
+    if (borrow > t[n]) std::copy(t, t + n, out);
   }
 };
-
-BigInt from_limbs(std::vector<u32> limbs) {
-  // Round-trip through bytes to reuse normalization; cheap relative to modexp.
-  util::Bytes be;
-  be.reserve(limbs.size() * 4);
-  for (std::size_t i = limbs.size(); i-- > 0;) {
-    be.push_back(static_cast<std::uint8_t>(limbs[i] >> 24));
-    be.push_back(static_cast<std::uint8_t>(limbs[i] >> 16));
-    be.push_back(static_cast<std::uint8_t>(limbs[i] >> 8));
-    be.push_back(static_cast<std::uint8_t>(limbs[i]));
-  }
-  return BigInt::from_bytes(be);
-}
-
-std::vector<u32> to_fixed_limbs(const BigInt& v, std::size_t k) {
-  std::vector<u32> out(k, 0);
-  const auto& l = v.limbs();
-  std::copy(l.begin(), l.end(), out.begin());
-  return out;
-}
 
 }  // namespace
 
 BigInt BigInt::mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
   if (m.is_zero()) throw std::domain_error("mod_pow: zero modulus");
-  if (m == BigInt(1)) return BigInt();
-  BigInt b = base % m;
+  if (m.limbs_.size() == 1 && m.limbs_[0] == 1) return BigInt();
   if (exp.is_zero()) return BigInt(1);
 
-  if (m.is_odd()) {
-    MontCtx ctx(m);
-    const std::size_t k = ctx.k;
-    // R mod m and R^2 mod m via division (one-time cost).
-    BigInt R = BigInt(1) << (32 * k);
-    BigInt r_mod = R % m;
-    BigInt r2_mod = (r_mod * r_mod) % m;
-
-    std::vector<u32> x = to_fixed_limbs(r_mod, k);            // 1 in Mont form
-    std::vector<u32> a = to_fixed_limbs(b, k);
-    std::vector<u32> a_bar(k), tmp(k);
-    ctx.mul(a, to_fixed_limbs(r2_mod, k), a_bar);             // a*R mod m
-
-    std::size_t bits = exp.bit_length();
-    for (std::size_t i = bits; i-- > 0;) {
-      ctx.mul(x, x, tmp);
-      x.swap(tmp);
-      if (exp.bit(i)) {
-        ctx.mul(x, a_bar, tmp);
-        x.swap(tmp);
-      }
+  if (m.is_even()) {
+    // Even modulus: plain square-and-multiply with division-based reduction.
+    BigInt b = base % m;
+    BigInt result(1);
+    for (std::size_t i = exp.bit_length(); i-- > 0;) {
+      result = (result * result) % m;
+      if (exp.bit(i)) result = (result * b) % m;
     }
-    // Convert out of Montgomery form: x * 1 * R^{-1}.
-    std::vector<u32> one(k, 0);
-    one[0] = 1;
-    ctx.mul(x, one, tmp);
-    return from_limbs(std::move(tmp));
+    return result;
   }
 
-  // Even modulus: plain square-and-multiply with division-based reduction.
-  BigInt result(1);
-  std::size_t bits = exp.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    result = (result * result) % m;
-    if (exp.bit(i)) result = (result * b) % m;
+  const std::size_t n = (m.limbs_.size() + 1) / 2;
+  const std::size_t base_n = (base.limbs_.size() + 1) / 2;
+  const std::size_t bits = exp.bit_length();
+  const std::size_t w = window_bits(bits);
+  const std::size_t entries = (std::size_t{1} << w) - 1;
+
+  // The one allocation: modulus, CIOS temporary, window table, accumulator,
+  // and the dividend and divisor that bring the base into Montgomery form.
+  const std::size_t num_len = n + base_n + 1;
+  std::vector<u64> scratch(n + (n + 2) + entries * n + n + num_len + n);
+  u64* mod = scratch.data();
+  u64* t = mod + n;
+  u64* table = t + n + 2;  // table[(d − 1)·n ..] = base^d·R mod m
+  u64* acc = table + entries * n;
+  u64* num = acc + n;
+  u64* div = num + num_len;
+
+  for (std::size_t i = 0; i < n; ++i) mod[i] = limb64(m.limbs_, i);
+  u64 inv = 1;  // Newton: each step doubles the correct low bits of m⁻¹
+  for (int i = 0; i < 6; ++i) inv *= 2 - mod[0] * inv;
+  const Montgomery mont{mod, n, 0 - inv, t};
+
+  // table[0] = base·R mod m, the remainder of base·2^(64n) divided by m.
+  for (std::size_t i = 0; i < base_n; ++i) num[n + i] = limb64(base.limbs_, i);
+  std::copy(mod, mod + n, div);
+  long_divide(num, num_len, div, n, nullptr);
+  std::copy(num, num + n, table);
+  for (std::size_t d = 1; d < entries; ++d) {
+    mont.mul(table + (d - 1) * n, table, table + d * n);
   }
-  return result;
+
+  // Left-to-right fixed windows.  The top window holds the exponent's top
+  // bit, so it is nonzero and seeds the accumulator.
+  auto digit = [&exp](std::size_t lo, std::size_t width) {
+    std::size_t d = 0;
+    for (std::size_t i = width; i-- > 0;) d = d << 1 | (exp.bit(lo + i) ? 1 : 0);
+    return d;
+  };
+  std::size_t pos = (bits - 1) / w * w;
+  std::copy_n(table + (digit(pos, bits - pos) - 1) * n, n, acc);
+  while (pos > 0) {
+    pos -= w;
+    for (std::size_t i = 0; i < w; ++i) mont.mul(acc, acc, acc);
+    if (std::size_t d = digit(pos, w)) mont.mul(acc, table + (d - 1) * n, acc);
+  }
+
+  // Out of Montgomery form: acc·1·R⁻¹ (the spent dividend holds the 1).
+  std::fill(num, num + n, 0);
+  num[0] = 1;
+  mont.mul(acc, num, acc);
+  return from_limbs64(acc, n);
 }
 
 BigInt BigInt::mod_inverse(const BigInt& a, const BigInt& m) {

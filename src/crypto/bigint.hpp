@@ -2,9 +2,18 @@
 //
 // Representation: little-endian vector of 32-bit limbs, normalized so the
 // most significant limb is non-zero (zero is the empty vector).  All
-// arithmetic is constant-correctness-first; modular exponentiation uses
-// Montgomery multiplication (CIOS) when the modulus is odd, which covers
-// every RSA/prime use in this codebase.
+// arithmetic is correctness-first and variable-time.
+//
+// divmod and mod_pow regroup the limbs as 64-bit limbs with 128-bit
+// products.  divmod is Knuth's Algorithm D on 64-bit digits.  mod_pow with
+// an odd modulus, which covers every RSA/prime use in this codebase, is
+// Montgomery multiplication (CIOS) over fixed exponent windows: one bit up
+// to 23-bit exponents, so e = 65537 builds no table, then 3 to 6 bits as the
+// exponent grows (5 for the 512-bit CRT and Miller–Rabin exponents of
+// RSA-1024).  It allocates one scratch buffer per call, sized from the
+// modulus, the base and the window: modulus, window table, accumulator, CIOS
+// temporary, and the long division that brings the base into Montgomery
+// form.
 #pragma once
 
 #include <cstdint>
@@ -93,6 +102,9 @@ class BigInt {
   /// Lowest `limbs` limbs / everything above them (Karatsuba split).
   BigInt split_low(std::size_t limbs) const;
   BigInt split_high(std::size_t limbs) const;
+  /// The value of n little-endian 64-bit limbs (the width divmod and
+  /// mod_pow compute in).
+  static BigInt from_limbs64(const std::uint64_t* limbs, std::size_t n);
 
   std::vector<std::uint32_t> limbs_;
 };

@@ -17,9 +17,12 @@ constexpr std::uint32_t kSmallPrimes[] = {
 bool is_probable_prime(const BigInt& n, util::RandomSource& rng, int rounds) {
   if (n < BigInt(2)) return false;
   for (std::uint32_t p : kSmallPrimes) {
-    BigInt bp(p);
-    if (n == bp) return true;
-    if ((n % bp).is_zero()) return false;
+    // n mod p from the top limb down; the running remainder stays below p.
+    std::uint64_t rem = 0;
+    for (std::size_t i = n.limbs().size(); i-- > 0;) {
+      rem = (rem << 32 | n.limbs()[i]) % p;
+    }
+    if (rem == 0) return n.limbs().size() == 1 && n.limbs()[0] == p;  // n is p
   }
   // n - 1 = d * 2^r with d odd.
   BigInt n_minus_1 = n - BigInt(1);

@@ -72,4 +72,11 @@ class function<R(A...)> {
   R operator()(A... a) const;
   explicit operator bool() const;
 };
+
+template <class T>
+class atomic {
+ public:
+  T load() const;
+  void store(T v);
+};
 }  // namespace std

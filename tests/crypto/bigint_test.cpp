@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "crypto/drbg.hpp"
 #include "util/bytes.hpp"
 
@@ -113,6 +116,13 @@ TEST(BigIntTest, DivisionKnownValues) {
   EXPECT_EQ(q * b + r, a);
   EXPECT_LT(r, b);
   EXPECT_THROW(a / BigInt(), std::domain_error);
+  // A quotient digit estimate one too large, so Algorithm D adds the
+  // divisor back: about a 2^-63 event on random 64-bit digits.
+  BigInt num = BigInt::from_hex("7fffffffffffffff8000000000000000") << 128;
+  BigInt den = (BigInt(1) << 191) + BigInt(1);
+  BigInt::divmod(num, den, q, r);
+  EXPECT_EQ(q * den + r, num);
+  EXPECT_LT(r, den);
 }
 
 TEST(BigIntTest, DivisionBySingleLimb) {
@@ -197,6 +207,18 @@ TEST(BigIntTest, ModPowEvenModulusAgrees) {
   }
 }
 
+// Naive square-and-multiply with division-based reduction: the reference
+// the Montgomery path is checked against.
+BigInt naive_mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
+  BigInt expected(1);
+  BigInt b = base % m;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    expected = (expected * expected) % m;
+    if (exp.bit(i)) expected = (expected * b) % m;
+  }
+  return expected;
+}
+
 // Property: Montgomery path agrees with naive square-and-multiply for odd
 // moduli across many random cases.
 class BigIntModPowProperty : public ::testing::TestWithParam<int> {};
@@ -208,18 +230,44 @@ TEST_P(BigIntModPowProperty, MontgomeryMatchesNaive) {
     if (m.is_even()) m = m + BigInt(1);
     BigInt base = BigInt::random_bits(100, rng);
     BigInt exp = BigInt::random_bits(24, rng);
-    // Naive reference.
-    BigInt expected(1);
-    BigInt b = base % m;
-    for (std::size_t i = exp.bit_length(); i-- > 0;) {
-      expected = (expected * expected) % m;
-      if (exp.bit(i)) expected = (expected * b) % m;
-    }
-    EXPECT_EQ(BigInt::mod_pow(base, exp, m), expected);
+    EXPECT_EQ(BigInt::mod_pow(base, exp, m), naive_mod_pow(base, exp, m));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntModPowProperty, ::testing::Range(0, 8));
+
+// Property at RSA sizes: odd moduli from 33 bits to the 8192-bit key cap
+// (an odd count of 32-bit limbs leaves the top 64-bit limb half full), short
+// exponents and exponents either side of each window-width step, and the
+// edge bases.  Exponents stay short on the largest moduli so the naive
+// reference stays fast.
+TEST(BigIntTest, ModPowMatchesNaiveAtRsaSizes) {
+  auto rng = HmacDrbg::from_seed(4000);
+  // Exponent lengths at which the window widens (1 → 3 → 4 → 5 → 6 bits).
+  const std::size_t kWindowSteps[] = {24, 80, 240, 672};
+  const std::pair<std::size_t, std::size_t> kSizes[] = {
+      {33, 673}, {544, 673}, {1056, 673}, {2048, 241}, {4096, 81}, {8192, 25}};
+  for (auto [mod_bits, max_exp_bits] : kSizes) {
+    BigInt m = BigInt::random_bits(mod_bits, rng);
+    if (m.is_even()) m = m + BigInt(1);
+    std::vector<BigInt> exps = {BigInt(1), BigInt(2), BigInt(3), BigInt(65537)};
+    for (std::size_t step : kWindowSteps) {
+      for (std::size_t bits : {step - 1, step, step + 1}) {
+        if (bits <= max_exp_bits) exps.push_back(BigInt::random_bits(bits, rng));
+      }
+    }
+    const BigInt bases[] = {BigInt(), BigInt(1), m - BigInt(1),
+                            BigInt::random_below(m, rng),
+                            m + BigInt::random_bits(mod_bits + 40, rng)};
+    for (const BigInt& exp : exps) {
+      for (const BigInt& base : bases) {
+        EXPECT_EQ(BigInt::mod_pow(base, exp, m), naive_mod_pow(base, exp, m))
+            << "modulus bits=" << mod_bits << " exponent bits="
+            << exp.bit_length() << " base bits=" << base.bit_length();
+      }
+    }
+  }
+}
 
 TEST(BigIntTest, ModInverseKnownValues) {
   // 3 * 4 = 12 = 1 mod 11.

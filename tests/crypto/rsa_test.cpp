@@ -4,6 +4,7 @@
 
 #include "crypto/drbg.hpp"
 #include "crypto/sha1.hpp"
+#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 #include "util/serial.hpp"
 
@@ -177,6 +178,31 @@ TEST(RsaTest, DeterministicKeygenFromSeed) {
   RsaKeyPair a = rsa_generate(512, r1);
   RsaKeyPair b = rsa_generate(512, r2);
   EXPECT_EQ(a.pub, b.pub);
+}
+
+// Seeded keys are pinned byte for byte: a document's OID is the hash of
+// its public key, so arithmetic changes below rsa_generate must not move
+// any key.  The last seed is the one bench_live derives its fleet from.
+TEST(RsaTest, SeededKeygenIsByteStable) {
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t bits;
+    const char* priv_sha256;
+  };
+  const Golden kGolden[] = {
+      {4242, 1024,
+       "e83f042b37f9026ecec57adbc5f3a1c06ddc228e088a00edca91d8792b96b1e1"},
+      {31337, 512,
+       "0f1f7c081dbc1963d408a0a4af8d37fd33c06c96841ca95131da26e479efbc4c"},
+      {0x6c697665'6b657973ull, 1024,
+       "e84967d561e899d23319e18b879bc4818e7a1ddd2437e37fbc6608f7c8cba504"},
+  };
+  for (const Golden& g : kGolden) {
+    auto rng = HmacDrbg::from_seed(g.seed);
+    Bytes priv = rsa_generate(g.bits, rng).priv.serialize();
+    EXPECT_EQ(util::hex_encode(Sha256::digest_bytes(priv)), g.priv_sha256)
+        << "seed=" << g.seed << " bits=" << g.bits;
+  }
 }
 
 TEST(RsaTest, SmallKeySignVerify) {

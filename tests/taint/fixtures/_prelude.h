@@ -33,3 +33,8 @@ inline Buffer make_buffer() { return Buffer{}; }
 struct Table {
   const Bytes& find(const Bytes& key) const;
 };
+// Declared only, as in <algorithm>: a call spelled std::fill stays external.
+namespace std {
+template <class It, class T>
+void fill(It first, It last, const T& value);
+}  // namespace std

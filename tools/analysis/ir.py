@@ -159,11 +159,14 @@ class CallGraph:
     # project class's `insert` and import its effects.  Receiver calls
     # whose type IS known still resolve normally (so `locator_.insert(...)`
     # finds LocationClient::insert through the field-type step).
+    # The std::atomic members belong here too: the tree's `.load()` and
+    # `.store()` receivers are mostly untyped.
     STD_METHODS = frozenset({
         "insert", "erase", "assign", "append", "push_back", "pop_back",
         "emplace", "emplace_back", "find", "count", "at", "substr", "clear",
         "resize", "reserve", "begin", "end", "front", "back", "data",
-        "c_str", "str",
+        "c_str", "str", "load", "store", "exchange", "fetch_add",
+        "fetch_sub", "compare_exchange_weak", "compare_exchange_strong",
     })
 
     def __init__(self, prog: Program):
@@ -180,6 +183,10 @@ class CallGraph:
         name = cs.name
         if name in self.FILTER_METHODS:
             return FILTER
+        if cs.explicit and cs.chain[0] == "std":
+            # std::fill(...) is the standard library, never a project
+            # method that happens to share its bare name.
+            return None
         cands = self.prog.by_name.get(name, [])
         if cs.explicit and len(cs.chain) >= 2:
             suffix = "::".join(cs.chain)

@@ -353,7 +353,11 @@ def parse_expr(toks):
     n = len(toks)
     while i < n:
         t, line = toks[i]
-        if is_ident(t) and t not in KEYWORDS and t not in MACROS:
+        # `std` is a keyword, but a `std::` prefix heads its chain so a
+        # call spelled std::name(...) stays qualified (and external).
+        std_chain = t == "std" and i + 1 < n and toks[i + 1][0] == "::"
+        if is_ident(t) and (std_chain or t not in KEYWORDS) \
+                and t not in MACROS:
             # Parse the whole postfix chain forward: a::b, x.f, p->q ...
             chain, seps = [t], []
             j = i + 1
