@@ -1,9 +1,10 @@
 // Update storm: a master republishes every document at once and an
-// 8-replica fleet converges by pulling.  The consistency auditor
-// (obs/consistency.hpp) watches the whole time, so the numbers this bench
-// reports — propagation-lag p50/p99 and time-to-convergence — are derived
-// from the observatory itself, not from bench-side bookkeeping alone:
-// convergence is "the first audit round where every replica is fresh".
+// 8-replica fleet converges by pulling.  A TelemetryAggregator scrapes and
+// audits the fleet (obs/consistency.hpp) the whole time, so the numbers
+// this bench reports — propagation-lag p50/p99 and time-to-convergence —
+// are derived from the observatory itself, not from bench-side
+// bookkeeping alone: convergence is "the first round where every replica
+// is fresh".
 //
 // Emits update_storm.* gauges to a JSON artifact (argv[1]) for the
 // perf-regression gate; everything here runs on the deterministic
@@ -20,7 +21,6 @@
 #include "globedoc/owner.hpp"
 #include "globedoc/server.hpp"
 #include "net/simnet.hpp"
-#include "obs/consistency.hpp"
 #include "obs/export.hpp"
 #include "obs/telemetry.hpp"
 #include "replication/refresher.hpp"
@@ -36,7 +36,7 @@ constexpr util::SimDuration kPollPeriod = util::seconds(2);
 constexpr util::SimDuration kAuditPeriod = util::seconds(2);
 constexpr int kMaxRounds = 60;
 // Per-tick pull budget: a real maintainer refreshes incrementally, so the
-// fleet converges over several rounds and the auditor actually witnesses
+// fleet converges over several rounds and the audit actually witnesses
 // the stale window (stale_peak > 0), not just the end state.
 constexpr int kPullsPerTick = 4;
 
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
 
   net::SimNet net;
   net::HostId master_host = net.add_host({"master", net::CpuModel{}});
-  net::HostId auditor_host = net.add_host({"auditor", net::CpuModel{}});
+  net::HostId aggregator_host = net.add_host({"aggregator", net::CpuModel{}});
   net.set_default_link({util::millis(5), 1e6});
 
   // --- Master object server, reporting consistency on its dispatcher.
@@ -142,16 +142,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- The auditor watches master + fleet.
-  obs::ConsistencyAuditor auditor;
-  auditor.set_master({"master", master_ep});
+  // --- The aggregator scrapes and audits master + fleet.
+  obs::TelemetryAggregator aggregator;
+  aggregator.add_target(
+      {"master", "object-server", master_ep, obs::AuditRole::kMaster});
   for (int r = 0; r < kReplicas; ++r) {
-    auditor.add_replica({"replica-" + std::to_string(r + 1), fleet[r].ep});
+    aggregator.add_target({"replica-" + std::to_string(r + 1),
+                           "object-server", fleet[r].ep,
+                           obs::AuditRole::kReplica});
   }
-  auto audit_flow = net.open_flow(auditor_host);
+  auto audit_flow = net.open_flow(aggregator_host);
   audit_flow->set_time(util::seconds(10));
-  auditor.audit_round(*audit_flow);
-  if (!auditor.converged()) {
+  aggregator.scrape_round(*audit_flow);
+  if (!aggregator.converged()) {
     std::fprintf(stderr, "fleet not converged after seeding\n");
     return 1;
   }
@@ -165,7 +168,7 @@ int main(int argc, char** argv) {
     master.install_replica_unchecked(state, kStorm);
   }
 
-  // --- Replicas poll on staggered 2s ticks; the auditor rounds every 2s.
+  // --- Replicas poll on staggered 2s ticks; the aggregator rounds every 2s.
   //     Propagation lag per (replica, doc) = install time - storm time.
   std::vector<double> lag_ms;
   double convergence_ms = 0;
@@ -193,12 +196,12 @@ int main(int argc, char** argv) {
     util::SimTime audit_at = kStorm + util::seconds(1) +
                              kAuditPeriod * static_cast<std::uint64_t>(round + 1);
     audit_flow->set_time(audit_at);
-    auditor.audit_round(*audit_flow);
+    aggregator.scrape_round(*audit_flow);
     ++audit_rounds;
     stale_peak = std::max(
         stale_peak,
-        auditor.self_registry().gauge("replication.stale_replicas").value());
-    if (auditor.converged()) {
+        aggregator.self_registry().gauge("replication.stale_replicas").value());
+    if (aggregator.converged()) {
       convergence_ms = util::to_millis(audit_at - kStorm);
     }
   }
@@ -211,7 +214,7 @@ int main(int argc, char** argv) {
   double p99 = percentile(lag_ms, 0.99);
   std::printf("  propagation lag: p50 %.1f ms, p99 %.1f ms (%zu installs)\n",
               p50, p99, lag_ms.size());
-  std::printf("  convergence (auditor-observed): %.1f ms after the storm\n",
+  std::printf("  convergence (audit-observed): %.1f ms after the storm\n",
               convergence_ms);
   std::printf("  pulls %llu, audit rounds %llu, stale peak %.0f replicas\n",
               static_cast<unsigned long long>(pulls),

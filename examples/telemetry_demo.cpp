@@ -1,9 +1,9 @@
 // Live telemetry plane: a per-node-instrumented GlobeDoc fleet (proxy,
-// object server, naming server) scraped by a central TelemetryAggregator
-// over SimNet RPC, watched by an SLO burn-rate evaluator and a consistency
-// auditor, and surfaced on a real localhost HTTP socket (/metrics /healthz
-// /tracez /federate /alertz /profilez /replicaz — see DESIGN.md §10-11,
-// §15-16).
+// object servers, naming server) scraped and consistency-audited by a
+// central TelemetryAggregator over SimNet RPC, watched by an SLO burn-rate
+// evaluator, and surfaced on a real localhost HTTP socket (/metrics
+// /healthz /tracez /federate /alertz /profilez /replicaz — see DESIGN.md
+// §10-11, §15-16).
 //
 //   ./telemetry_demo [port]      # default 9090
 //   curl -s localhost:9090/metrics        # the proxy node's local view
@@ -51,7 +51,6 @@
 #include "net/simnet.hpp"
 #include "obs/admin.hpp"
 #include "obs/collector.hpp"
-#include "obs/consistency.hpp"
 #include "obs/log.hpp"
 #include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
@@ -218,18 +217,6 @@ int main(int argc, char** argv) {
   os3_maintainer.track(doc_oid, {server_ep}, os3_seed->version,
                        os3_seed->earliest_expiry);
 
-  // --- The consistency auditor: cross-checks every replica's reported
-  // (epoch, digest, expiry) against the master's each round; its registry
-  // is a scrape target so the staleness SLO below sees the audit verdicts.
-  obs::MetricsRegistry auditor_registry;
-  obs::ConsistencyAuditor::Config auditor_config;
-  auditor_config.self_registry = &auditor_registry;
-  obs::ConsistencyAuditor auditor(auditor_config);
-  auditor.set_master({"os-1", server_ep});
-  auditor.add_replica({"os-2", os2_ep});
-  auditor.add_replica({"os-3", os3_ep});
-  auto audit_flow = net.open_flow(client_host);
-
   // --- The verifying proxy, itself a scrapable fleet member.
   obs::global_trace_collector().set_policy(
       {/*keep_slower_than=*/0, /*keep_one_in=*/1});
@@ -257,22 +244,22 @@ int main(int argc, char** argv) {
   net::Endpoint proxy_telemetry_ep{client_host, 9101};
   net.bind(proxy_telemetry_ep, proxy_dispatcher.handler());
 
-  // --- The cluster plane: aggregator scraping all three nodes, and an SLO
+  // --- The cluster plane: aggregator scraping all five nodes, and an SLO
   // on the per-replica fetch latency.  500 ms sits on a proxy.fetch_ms
   // bucket boundary; healthy fetches over the 15 ms link run ~170-260 ms
-  // (crypto-dominated), degraded ones blow far past it.
+  // (crypto-dominated), degraded ones blow far past it.  Each round also
+  // cross-checks every replica's reported (epoch, digest, expiry) against
+  // the master's, and the verdicts land on the aggregator's own registry,
+  // which joins the round, so the staleness SLO below sees them.
   obs::TelemetryAggregator aggregator;
   aggregator.add_target({"proxy-1", "proxy", proxy_telemetry_ep});
-  aggregator.add_target({"os-1", "object-server", server_ep});
+  aggregator.add_target(
+      {"os-1", "object-server", server_ep, obs::AuditRole::kMaster});
   aggregator.add_target({"ns-1", "naming", naming_ep});
-  // The auditor's own verdict series join the fleet view (and feed the
-  // replication-staleness SLO) through an ordinary scrape target.
-  obs::TelemetryNode auditor_telemetry(auditor_registry, "auditor", "auditor");
-  rpc::ServiceDispatcher auditor_dispatcher;
-  auditor_telemetry.register_with(auditor_dispatcher);
-  net::Endpoint auditor_ep{client_host, 9102};
-  net.bind(auditor_ep, auditor_dispatcher.handler());
-  aggregator.add_target({"auditor", "auditor", auditor_ep});
+  aggregator.add_target(
+      {"os-2", "object-server", os2_ep, obs::AuditRole::kReplica});
+  aggregator.add_target(
+      {"os-3", "object-server", os3_ep, obs::AuditRole::kReplica});
 
   obs::SloEvaluator slo(aggregator);
   obs::SloSpec latency;
@@ -286,8 +273,8 @@ int main(int argc, char** argv) {
   latency.burn_threshold = 2.0;
   slo.add_spec(latency);
 
-  // Staleness SLO (DESIGN.md §16): at least 95% of the auditor's per-round
-  // replica checks must come back fresh.  With one of two replicas stuck,
+  // Staleness SLO (DESIGN.md §16): at least 95% of the per-round replica
+  // checks must come back fresh.  With one of two replicas stuck,
   // the good fraction drops to ~50% and both burn windows blow past 2x.
   obs::SloSpec staleness;
   staleness.name = "replication-staleness";
@@ -320,8 +307,7 @@ int main(int argc, char** argv) {
     }
     edge_cache.run_delayed_pulls(*client_flow);  // background sibling pulls
     // The epoch story: the owner re-signs (master moves to a new epoch),
-    // the pull replicas refresh from it, then the auditor takes its round
-    // — all before the scrape that carries the verdicts to the aggregator.
+    // the pull replicas refresh from it, then the scrape round audits them.
     util::SimTime t = client_flow->now();
     owner_flow->set_time(t);
     if (!owner.refresh_replicas(*owner_flow, t, util::seconds(3600)).is_ok()) {
@@ -332,8 +318,6 @@ int main(int argc, char** argv) {
     os3_flow->set_time(t + util::seconds(2));
     os2_maintainer.tick(os2_flow->now());
     os3_maintainer.tick(os3_flow->now());
-    audit_flow->set_time(t + util::seconds(4));
-    auditor.audit_round(*audit_flow);
     aggregator.scrape_round(*client_flow);
     slo.evaluate(client_flow->now());
     return true;
@@ -371,7 +355,6 @@ int main(int argc, char** argv) {
   admin_config.profile = &proxy_profile;
   admin_config.aggregator = &aggregator;
   admin_config.slo = &slo;
-  admin_config.auditor = &auditor;
   obs::AdminHttpServer admin(admin_config);
   proxy.register_health_checks(admin);
   // Freshness probe on the master: unhealthy if no state installed within

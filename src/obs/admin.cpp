@@ -285,11 +285,12 @@ HttpResponse AdminHttpServer::serve_replicaz(const std::string& query) {
         "400 bad query: expected "
         "state=<fresh|stale|diverged|expired|missing|unreachable>\n");
   }
-  std::vector<ReplicaRow> rows = config_.auditor->rows();
+  const TelemetryAggregator& fleet = *config_.aggregator;
+  std::vector<ReplicaRow> rows = fleet.rows();
   std::ostringstream os;
-  os << "# replicaz rounds=" << config_.auditor->rounds()
-     << " replicas=" << config_.auditor->replica_count() << " converged="
-     << (config_.auditor->converged() ? "true" : "false") << '\n';
+  os << "# replicaz rounds=" << fleet.rounds()
+     << " replicas=" << fleet.replica_count() << " converged="
+     << (fleet.converged() ? "true" : "false") << '\n';
   os << "# replica oid epoch master lag staleness_ms expiry_s state\n";
   for (const ReplicaRow& row : rows) {
     const char* state = replica_consistency_name(row.state);
@@ -335,7 +336,7 @@ HttpResponse AdminHttpServer::handle(net::ServerContext& ctx,
     if (!query.empty()) return error_response(400, "400 bad query\n");
     return serve_alertz(ctx);
   }
-  if (path == "/replicaz" && config_.auditor != nullptr) {
+  if (path == "/replicaz" && config_.aggregator != nullptr) {
     return serve_replicaz(query);
   }
   return error_response(404, "404 not found\n");

@@ -33,12 +33,12 @@
 //                         wall_ns); with fmt=folded, flamegraph-compatible
 //                         folded stacks ("frame;frame <self_cpu_ns>").
 //   GET /replicaz[?state=S]
-//                         Fleet consistency table from the auditor
-//                         (DESIGN.md §16): one line per (replica, OID) with
-//                         epoch, master epoch, lag, staleness, certificate
-//                         horizon and the fresh/stale/diverged/... state,
-//                         filterable to one state.  404 unless an auditor
-//                         is configured.
+//                         Fleet consistency table from the aggregator's
+//                         latest round (DESIGN.md §16): one line per
+//                         (replica, OID) with epoch, master epoch, lag,
+//                         staleness, certificate horizon and the
+//                         fresh/stale/diverged/... state, filterable to one
+//                         state.  404 unless an aggregator is configured.
 //
 // Security: the request — target, query string included — crossed the wire
 // from an untrusted peer (DESIGN.md §9).  The query is parsed by a strict
@@ -68,7 +68,6 @@ namespace globe::obs {
 
 class TelemetryAggregator;   // obs/telemetry.hpp
 class SloEvaluator;          // obs/slo.hpp
-class ConsistencyAuditor;    // obs/consistency.hpp
 
 /// Probe helper: true reachability of a peer endpoint.  Sends a minimal
 /// no-op frame and reports UNAVAILABLE only when the transport does (link
@@ -90,10 +89,10 @@ struct AdminConfig {
   /// global_profile_registry().
   ProfileRegistry* profile = nullptr;
   /// Cluster-plane sources; these have no process-wide default — leaving
-  /// any null simply 404s its endpoint (/federate, /alertz, /replicaz).
+  /// either null simply 404s its endpoints (/federate and /replicaz,
+  /// /alertz).
   TelemetryAggregator* aggregator = nullptr;
   SloEvaluator* slo = nullptr;
-  ConsistencyAuditor* auditor = nullptr;
 };
 
 class AdminHttpServer {

@@ -1,15 +1,9 @@
 #include "obs/consistency.hpp"
 
-#include <algorithm>
 #include <utility>
-
-#include "obs/collector.hpp"
-#include "obs/telemetry.hpp"
-#include "rpc/rpc.hpp"
 
 namespace globe::obs {
 
-using util::Bytes;
 using util::BytesView;
 using util::ErrorCode;
 using util::Reader;
@@ -19,11 +13,6 @@ using util::Writer;
 namespace {
 
 constexpr std::size_t kOidSize = 20;
-
-// Staleness is dominated by refresh cadence (seconds), not link latency;
-// buckets span one tick to many minutes.
-const std::vector<double> kStalenessBoundsMs = {
-    100, 500, 1000, 2500, 5000, 10000, 30000, 60000, 300000, 900000};
 
 }  // namespace
 
@@ -78,314 +67,6 @@ const char* replica_consistency_name(ReplicaConsistency state) {
     case ReplicaConsistency::kUnreachable: return "unreachable";
   }
   return "unreachable";
-}
-
-ConsistencyAuditor::ConsistencyAuditor() : ConsistencyAuditor(Config()) {}
-
-ConsistencyAuditor::ConsistencyAuditor(Config config)
-    : config_(std::move(config)) {
-  if (config_.self_registry != nullptr) {
-    self_registry_ = config_.self_registry;
-  } else {
-    owned_registry_ = std::make_unique<MetricsRegistry>();
-    owned_registry_->set_default_labels(
-        {{"node", config_.node}, {"role", "auditor"}});
-    self_registry_ = owned_registry_.get();
-  }
-  audit_rounds_ = &self_registry_->counter("replication.audit.rounds");
-  stale_replicas_ = &self_registry_->gauge("replication.stale_replicas");
-  diverged_replicas_ = &self_registry_->gauge("replication.diverged_replicas");
-}
-
-void ConsistencyAuditor::set_master(AuditTarget master) {
-  util::LockGuard lock(mutex_);
-  master_ = std::move(master);
-}
-
-void ConsistencyAuditor::add_replica(AuditTarget replica) {
-  // Pre-create every per-state check series at zero: SLO burn windows
-  // (windowed_delta_sum) only count series present at the window START, so
-  // a stale counter born mid-incident would be invisible to the very alert
-  // it exists to fire.
-  for (ReplicaConsistency state :
-       {ReplicaConsistency::kFresh, ReplicaConsistency::kStale,
-        ReplicaConsistency::kDiverged, ReplicaConsistency::kExpired,
-        ReplicaConsistency::kMissing, ReplicaConsistency::kUnreachable}) {
-    self_registry_->counter("replication.audit.checks",
-                            {{"replica", replica.node},
-                             {"state", replica_consistency_name(state)}});
-  }
-  util::LockGuard lock(mutex_);
-  replicas_.push_back(std::move(replica));
-}
-
-std::size_t ConsistencyAuditor::replica_count() const {
-  util::LockGuard lock(mutex_);
-  return replicas_.size();
-}
-
-std::optional<ConsistencyReport> ConsistencyAuditor::fetch_report(
-    net::Transport& transport, Tracer& tracer, const AuditTarget& target,
-    std::string* error) {
-  auto span = tracer.span("audit:" + target.node);
-  rpc::RpcClient client(transport, target.endpoint);
-  Result<Bytes> reply =
-      client.call(rpc::kTelemetryService, kConsistency, BytesView());
-  if (!reply.is_ok()) {
-    *error = reply.status().to_string();
-    return std::nullopt;
-  }
-  try {
-    Reader r(*reply);
-    std::string node = r.str();
-    if (node != target.node) {
-      // Same rule as metrics scrapes: an endpoint answering with someone
-      // else's identity must not be filed under the claimed node.
-      *error = "identity mismatch: target " + target.node + " answered as " +
-               node;
-      return std::nullopt;
-    }
-    BytesView body = BytesView(*reply).subspan(reply->size() - r.remaining());
-    Result<ConsistencyReport> report = decode_consistency(body);
-    if (!report.is_ok()) {
-      *error = report.status().to_string();
-      return std::nullopt;
-    }
-    return std::move(*report);
-  } catch (const util::SerialError& e) {
-    *error = std::string("malformed consistency reply: ") + e.what();
-    return std::nullopt;
-  }
-}
-
-void ConsistencyAuditor::audit_round(net::Transport& transport) {
-  std::optional<AuditTarget> master;
-  std::vector<AuditTarget> replicas;
-  {
-    util::LockGuard lock(mutex_);
-    master = master_;
-    replicas = replicas_;
-  }
-
-  Tracer tracer([&transport] { return transport.now(); });
-  tracer.set_host(config_.node);
-  tracer.set_sink(config_.trace_sink != nullptr ? config_.trace_sink
-                                                : &global_trace_collector());
-
-  struct Outcome {
-    bool ok = false;
-    std::string error;
-    ConsistencyReport report;
-  };
-  Outcome master_out;
-  std::vector<Outcome> outcomes(replicas.size());
-  {
-    auto round_span = tracer.span("replication.audit_round");
-    if (master.has_value()) {
-      auto report = fetch_report(transport, tracer, *master, &master_out.error);
-      if (report.has_value()) {
-        master_out.ok = true;
-        master_out.report = std::move(*report);
-      }
-    }
-    for (std::size_t i = 0; i < replicas.size(); ++i) {
-      auto report =
-          fetch_report(transport, tracer, replicas[i], &outcomes[i].error);
-      if (report.has_value()) {
-        outcomes[i].ok = true;
-        outcomes[i].report = std::move(*report);
-      }
-    }
-  }
-  util::SimTime now = transport.now();
-
-  // Classification under the lock; metric flushes are collected into plain
-  // locals and applied after release (registry handles are atomics, and the
-  // registry has its own lock).
-  struct Observation {
-    std::string replica;
-    ReplicaConsistency state = ReplicaConsistency::kUnreachable;
-    double staleness_ms = 0;
-    bool forged = false;
-  };
-  std::vector<Observation> observations;
-  std::vector<std::pair<std::string, double>> horizons;  // replica -> min s
-  std::size_t stale_count = 0, diverged_count = 0;
-  {
-    util::LockGuard lock(mutex_);
-    if (master_out.ok) {
-      std::map<Bytes, DocState> next;
-      for (const DocConsistency& d : master_out.report.docs) {
-        DocState state;
-        state.epoch = d.epoch;
-        state.digest = d.digest;
-        auto it = docs_.find(d.oid);
-        state.epoch_since =
-            (it != docs_.end() && it->second.epoch == d.epoch)
-                ? it->second.epoch_since
-                : now;
-        next.emplace(d.oid, std::move(state));
-      }
-      docs_.clear();
-      docs_ = std::move(next);
-      master_reachable_ = true;
-    } else {
-      // Keep the last-known authoritative view: replicas are still
-      // classified against it, just flagged by the master scrape error.
-      master_reachable_ = false;
-    }
-
-    rows_.clear();
-    // Behind-pairs carry their first-behind time across rounds even while
-    // the master keeps advancing epochs; recovered pairs drop out here.
-    std::map<std::pair<std::string, Bytes>, util::SimTime> next_stale;
-    for (std::size_t i = 0; i < replicas.size(); ++i) {
-      const Outcome& out = outcomes[i];
-      std::map<Bytes, const DocConsistency*> reported;
-      if (out.ok) {
-        for (const DocConsistency& d : out.report.docs) {
-          reported.emplace(d.oid, &d);
-        }
-      }
-      bool any_behind = false, any_diverged = false;
-      double min_horizon_s = 0;
-      bool has_horizon = false;
-      for (const auto& [oid, authoritative] : docs_) {
-        ReplicaRow row;
-        row.replica = replicas[i].node;
-        row.oid_hex = util::hex_encode(oid);
-        row.master_epoch = authoritative.epoch;
-        std::pair<std::string, Bytes> stale_key{replicas[i].node, oid};
-        auto since_it = stale_since_.find(stale_key);
-        util::SimTime behind_since = since_it != stale_since_.end()
-                                         ? since_it->second
-                                         : authoritative.epoch_since;
-        double behind_ms = util::to_millis(now - behind_since);
-        if (!out.ok) {
-          row.state = ReplicaConsistency::kUnreachable;
-          // Keep the behind-marker: an unreachable replica has not caught
-          // up, its staleness clock must not reset when it reappears.
-          if (since_it != stale_since_.end()) {
-            next_stale.emplace(std::move(stale_key), behind_since);
-          }
-        } else {
-          auto found = reported.find(oid);
-          if (found == reported.end()) {
-            row.state = ReplicaConsistency::kMissing;
-            row.staleness_ms = behind_ms;
-            next_stale.emplace(std::move(stale_key), behind_since);
-            any_behind = true;
-          } else {
-            const DocConsistency& d = *found->second;
-            row.epoch = d.epoch;
-            row.expiry_horizon_s =
-                util::to_seconds(d.earliest_expiry) - util::to_seconds(now);
-            if (!has_horizon || row.expiry_horizon_s < min_horizon_s) {
-              min_horizon_s = row.expiry_horizon_s;
-              has_horizon = true;
-            }
-            if (d.epoch == authoritative.epoch) {
-              row.state = d.digest == authoritative.digest
-                              ? ReplicaConsistency::kFresh
-                              : ReplicaConsistency::kDiverged;
-            } else if (d.epoch > authoritative.epoch) {
-              // A replica cannot be fresher than the signing authority:
-              // well-formed lie, counted and quarantined as divergence.
-              row.state = ReplicaConsistency::kDiverged;
-            } else {
-              row.state = d.earliest_expiry > now
-                              ? ReplicaConsistency::kStale
-                              : ReplicaConsistency::kExpired;
-              row.staleness_ms = behind_ms;
-              next_stale.emplace(std::move(stale_key), behind_since);
-              any_behind = true;
-            }
-            any_diverged |= row.state == ReplicaConsistency::kDiverged;
-          }
-        }
-        Observation obs;
-        obs.replica = row.replica;
-        obs.state = row.state;
-        obs.staleness_ms = row.staleness_ms;
-        obs.forged = out.ok && row.epoch > row.master_epoch;
-        observations.push_back(std::move(obs));
-        rows_.push_back(std::move(row));
-      }
-      if (any_behind) ++stale_count;
-      if (any_diverged) ++diverged_count;
-      if (has_horizon) horizons.emplace_back(replicas[i].node, min_horizon_s);
-    }
-    stale_since_.clear();
-    stale_since_ = std::move(next_stale);
-    round_count_ += 1;
-  }
-
-  // Self-telemetry outside the lock.
-  if (master.has_value() && !master_out.ok) {
-    self_registry_
-        ->counter("telemetry.scrape_errors", {{"node", master->node}})
-        .inc();
-  }
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    if (!outcomes[i].ok) {
-      self_registry_
-          ->counter("telemetry.scrape_errors", {{"node", replicas[i].node}})
-          .inc();
-    }
-  }
-  for (const Observation& obs : observations) {
-    self_registry_
-        ->counter("replication.audit.checks",
-                  {{"replica", obs.replica},
-                   {"state", replica_consistency_name(obs.state)}})
-        .inc();
-    if (obs.state == ReplicaConsistency::kStale ||
-        obs.state == ReplicaConsistency::kExpired ||
-        obs.state == ReplicaConsistency::kMissing) {
-      self_registry_
-          ->histogram("replication.staleness_ms", kStalenessBoundsMs,
-                      {{"replica", obs.replica}})
-          .observe(obs.staleness_ms);
-    }
-    if (obs.forged) {
-      self_registry_
-          ->counter("replication.audit.forged", {{"replica", obs.replica}})
-          .inc();
-    }
-  }
-  for (const auto& [replica, horizon_s] : horizons) {
-    self_registry_
-        ->gauge("replication.cert_expiry_horizon_s", {{"replica", replica}})
-        .set(horizon_s);
-  }
-  stale_replicas_->set(static_cast<double>(stale_count));
-  diverged_replicas_->set(static_cast<double>(diverged_count));
-  audit_rounds_->inc();
-}
-
-std::vector<ReplicaRow> ConsistencyAuditor::rows() const {
-  util::LockGuard lock(mutex_);
-  return rows_;
-}
-
-bool ConsistencyAuditor::converged() const {
-  util::LockGuard lock(mutex_);
-  if (!master_reachable_ || rows_.empty()) return false;
-  return std::all_of(rows_.begin(), rows_.end(), [](const ReplicaRow& row) {
-    return row.state == ReplicaConsistency::kFresh;
-  });
-}
-
-std::uint64_t ConsistencyAuditor::rounds() const {
-  util::LockGuard lock(mutex_);
-  return round_count_;
-}
-
-std::uint64_t ConsistencyAuditor::master_epoch_sum() const {
-  util::LockGuard lock(mutex_);
-  std::uint64_t sum = 0;
-  for (const auto& [oid, state] : docs_) sum += state.epoch;
-  return sum;
 }
 
 }  // namespace globe::obs

@@ -1,17 +1,19 @@
-// Fleet consistency observatory (DESIGN.md §16): per-document epochs,
-// staleness and divergence auditing.
+// Fleet consistency observatory (DESIGN.md §16): per-document epochs and
+// the report a node sends about them.
 //
 // Every hosted document has a *state epoch* — the version stamped into its
 // integrity certificate by the master's signing key, bumped on every
 // re-sign — and a *content digest* — the Merkle root over the serialized
 // elements the replica actually stores, recomputed at report time so a
 // byte flipped after installation is visible, not just a stale pull.  A
-// TelemetryNode serves its server's per-OID (epoch, digest, expiry
-// horizon) triples as `telemetry/consistency`, riding the same RPC wire
-// and trace propagation as a metrics scrape.
+// TelemetryNode with a consistency source appends its server's per-OID
+// (epoch, digest, expiry horizon) triples to every scrape reply, after the
+// metrics snapshot, so the report rides the same RPC, trace and node
+// identity check as the scrape itself.
 //
-// A ConsistencyAuditor polls the master plus every replica and classifies
-// each (replica, OID) pair:
+// The TelemetryAggregator (obs/telemetry.hpp) audits what its round
+// collected: the master target's report is the authority, and each
+// (replica target, OID) pair is classified
 //   * fresh      epoch matches the master AND the digest matches;
 //   * stale      epoch behind the master but the certificate window is
 //                still open — the replica serves verifiably-signed old
@@ -24,30 +26,23 @@
 //
 // Security note: reports cross the wire from possibly-malicious replicas.
 // decode_consistency() is the sanitizing gate — strict lengths, hard doc
-// cap, kProtocol on any violation; a malformed report marks the sender
-// unreachable and counts a telemetry.scrape_errors, never poisoning the
-// fleet view.  A *well-formed lie* (epoch ahead of the master's) is
-// classified diverged and counted in replication.audit.forged: a replica
-// can deny its own telemetry but cannot claim to be fresher than the
-// signing authority.
+// cap, kProtocol on any violation; a malformed report rejects the sender's
+// whole scrape reply (stale node, unreachable replica, one
+// telemetry.scrape_errors), never poisoning the fleet view.  A *well-formed
+// lie* (epoch ahead of the master's) is classified diverged and counted in
+// replication.audit.forged: a replica can deny its own telemetry but
+// cannot claim to be fresher than the signing authority.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "net/transport.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "util/bounds_annotations.hpp"
 #include "util/bytes.hpp"
-#include "util/mutex.hpp"
+#include "util/clock.hpp"
 #include "util/serial.hpp"
+#include "util/status.hpp"
 #include "util/taint_annotations.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace globe::obs {
 
@@ -78,12 +73,6 @@ void encode_consistency(util::Writer& w, const ConsistencyReport& report);
 GLOBE_SANITIZER util::Result<ConsistencyReport> decode_consistency(
     GLOBE_UNTRUSTED util::BytesView data);
 
-/// One fleet member the auditor polls for consistency reports.
-struct AuditTarget {
-  std::string node;  // unique node label, e.g. "replica-3"
-  net::Endpoint endpoint;
-};
-
 enum class ReplicaConsistency {
   kFresh,
   kStale,
@@ -95,108 +84,16 @@ enum class ReplicaConsistency {
 const char* replica_consistency_name(ReplicaConsistency state);
 
 /// One row of the /replicaz table: a (replica, OID) pair as of the latest
-/// audit round.  Every field is derived by the auditor from sanitized
+/// scrape round.  Every field is derived by the aggregator from sanitized
 /// reports — safe to render verbatim on the admin plane.
 struct ReplicaRow {
-  std::string replica;       // target node label from the auditor's config
+  std::string replica;       // replica target's node label
   std::string oid_hex;       // hex rendering of the 20-byte OID
   std::uint64_t epoch = 0;          // replica's reported epoch
   std::uint64_t master_epoch = 0;   // authoritative epoch at the master
   double staleness_ms = 0;          // time the master has been ahead
   double expiry_horizon_s = 0;      // replica cert window remaining (<=0: shut)
   ReplicaConsistency state = ReplicaConsistency::kUnreachable;
-};
-
-/// Cross-checks replica consistency reports against the master's.
-///
-/// Per audit round the auditor pulls the master's report first (the
-/// authoritative epoch/digest per OID), then every replica's, and exports:
-///   * replication.staleness_ms{replica=}        histogram of how far
-///     behind non-fresh replicas are (time since the master's epoch moved);
-///   * replication.stale_replicas /
-///     replication.diverged_replicas             fleet gauges (replicas
-///     with >=1 stale/behind doc, resp. >=1 diverged doc);
-///   * replication.cert_expiry_horizon_s{replica=}  worst-case remaining
-///     certificate validity across the replica's docs;
-///   * replication.audit.checks{replica=,state=} counter of per-doc
-///     classifications — the staleness burn-rate SLO's good/total source;
-///   * replication.audit.forged{replica=}        well-formed lies (epoch
-///     ahead of the master);
-///   * telemetry.scrape_errors{node=}            unreachable targets and
-///     reports rejected at the decode gate.
-class ConsistencyAuditor {
- public:
-  struct Config {
-    /// Registry for the auditor's replication.* series; nullptr gives the
-    /// auditor a private registry (tagged node=/role= auditor).
-    MetricsRegistry* self_registry = nullptr;
-    /// Audit spans land here; nullptr = obs::global_trace_collector().
-    TraceSink* trace_sink = nullptr;
-    std::string node = "auditor";
-  };
-
-  ConsistencyAuditor();
-  explicit ConsistencyAuditor(Config config);
-
-  void set_master(AuditTarget master) GLOBE_EXCLUDES(mutex_);
-  void add_replica(AuditTarget replica) GLOBE_EXCLUDES(mutex_);
-  std::size_t replica_count() const GLOBE_EXCLUDES(mutex_);
-
-  /// One audit round over `transport` at transport.now(): fetches the
-  /// master's report, then each replica's, classifies every (replica, OID)
-  /// pair and updates the exported series plus the /replicaz row table.
-  /// Blocking: one RPC per fleet target.  Targets are snapshotted under
-  /// the lock; the RPCs themselves run with no lock held.
-  GLOBE_BLOCKING void audit_round(net::Transport& transport)
-      GLOBE_EXCLUDES(mutex_);
-
-  /// Latest round's rows, replica-major then OID order.
-  std::vector<ReplicaRow> rows() const GLOBE_EXCLUDES(mutex_);
-
-  /// True when the latest round reached the master and saw every replica
-  /// fresh on every master document (and there was something to check).
-  bool converged() const GLOBE_EXCLUDES(mutex_);
-
-  std::uint64_t rounds() const GLOBE_EXCLUDES(mutex_);
-  std::uint64_t master_epoch_sum() const GLOBE_EXCLUDES(mutex_);
-  MetricsRegistry& self_registry() { return *self_registry_; }
-
- private:
-  /// Authoritative per-document state from the master's latest report.
-  struct DocState {
-    std::uint64_t epoch = 0;
-    util::Bytes digest;
-    util::SimTime epoch_since = 0;  // when this epoch was first observed
-  };
-
-  /// Fetch + sanitize one target's report; nullopt records the error.
-  std::optional<ConsistencyReport> fetch_report(net::Transport& transport,
-                                                Tracer& tracer,
-                                                const AuditTarget& target,
-                                                std::string* error);
-
-  Config config_;
-  MetricsRegistry* self_registry_;
-  std::unique_ptr<MetricsRegistry> owned_registry_;
-  Counter* audit_rounds_;
-  Gauge* stale_replicas_;
-  Gauge* diverged_replicas_;
-
-  mutable util::Mutex mutex_;
-  std::optional<AuditTarget> master_ GLOBE_GUARDED_BY(mutex_);
-  std::vector<AuditTarget> replicas_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  // Keyed by raw OID bytes; rebuilt from the master's report every round
-  // (epoch_since carried over while the epoch holds still), so it is
-  // bounded by the decode gate's kMaxReportDocs cap.
-  std::map<util::Bytes, DocState> docs_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  std::vector<ReplicaRow> rows_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  // When each currently-behind (replica, OID) pair first fell behind the
-  // master; rebuilt every round (entries for recovered pairs drop out), so
-  // it never outgrows replicas x master docs.
-  std::map<std::pair<std::string, util::Bytes>, util::SimTime> stale_since_
-      GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  bool master_reachable_ GLOBE_GUARDED_BY(mutex_) = false;
-  std::uint64_t round_count_ GLOBE_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace globe::obs

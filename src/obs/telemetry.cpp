@@ -56,6 +56,20 @@ Labels strip_node_labels(const Labels& labels) {
   return out;
 }
 
+/// Names and label pairs reach /federate text verbatim, so a control
+/// byte could forge exposition lines there.
+bool printable(const std::string& s) {
+  return std::none_of(s.begin(), s.end(), [](char c) {
+    auto b = static_cast<unsigned char>(c);
+    return b < 0x20 || b == 0x7f;
+  });
+}
+
+// Staleness is dominated by refresh cadence (seconds), not link latency;
+// buckets span one tick to many minutes.
+const std::vector<double> kStalenessBoundsMs = {
+    100, 500, 1000, 2500, 5000, 10000, 30000, 60000, 300000, 900000};
+
 bool labels_contain(const Labels& haystack, const Labels& needles) {
   for (const auto& need : needles) {
     bool found = false;
@@ -102,9 +116,12 @@ void encode_snapshot(Writer& w, const Snapshot& snapshot) {
   }
 }
 
-Result<Snapshot> decode_snapshot(BytesView data) {
+namespace {
+
+/// The decode_snapshot gate proper: one snapshot off the front of `r`,
+/// leaving whatever follows it (a consistency report) unread.
+Result<Snapshot> read_snapshot(Reader& r) {
   try {
-    Reader r(data);
     std::uint8_t version = r.u8();
     if (version != kSnapshotVersion) {
       return Result<Snapshot>(ErrorCode::kProtocol,
@@ -131,6 +148,10 @@ Result<Snapshot> decode_snapshot(BytesView data) {
       if (s.name.empty()) {
         return Result<Snapshot>(ErrorCode::kProtocol, "empty metric name");
       }
+      if (!printable(s.name)) {
+        return Result<Snapshot>(ErrorCode::kProtocol,
+                                "control byte in a metric name");
+      }
       std::uint8_t labels = r.u8();
       if (labels > kMaxLabels) {
         return Result<Snapshot>(ErrorCode::kProtocol,
@@ -141,9 +162,22 @@ Result<Snapshot> decode_snapshot(BytesView data) {
       for (std::uint8_t l = 0; l < labels; ++l) {
         std::string key = r.str();
         std::string value = r.str();
+        if (!printable(key) || !printable(value)) {
+          return Result<Snapshot>(ErrorCode::kProtocol,
+                                  "control byte in a label of " + s.name);
+        }
         s.labels.emplace_back(std::move(key), std::move(value));
       }
       std::sort(s.labels.begin(), s.labels.end());
+      // A repeated key would survive force_label's single rewrite: a
+      // second node= would pull this sample into another node's sums.
+      if (std::adjacent_find(s.labels.begin(), s.labels.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first == b.first;
+                             }) != s.labels.end()) {
+        return Result<Snapshot>(ErrorCode::kProtocol,
+                                "repeated label key in " + s.name);
+      }
       s.value = get_f64(r);
       if (!std::isfinite(s.value)) {
         return Result<Snapshot>(ErrorCode::kProtocol,
@@ -189,11 +223,21 @@ Result<Snapshot> decode_snapshot(BytesView data) {
       }
       snap.samples.push_back(std::move(s));
     }
-    r.expect_end();
     return snap;
   } catch (const util::SerialError& e) {
     return Result<Snapshot>(ErrorCode::kProtocol, e.what());
   }
+}
+
+}  // namespace
+
+Result<Snapshot> decode_snapshot(BytesView data) {
+  Reader r(data);
+  Result<Snapshot> snap = read_snapshot(r);
+  if (snap.is_ok() && !r.at_end()) {
+    return Result<Snapshot>(ErrorCode::kProtocol, "trailing bytes");
+  }
+  return snap;
 }
 
 TelemetryNode::TelemetryNode(MetricsRegistry& registry, std::string node,
@@ -210,27 +254,16 @@ void TelemetryNode::register_with(rpc::ServiceDispatcher& dispatcher) {
   ProfileRegistry* profile = profile_;
   std::string node = node_;
   std::string role = role_;
+  std::function<ConsistencyReport()> source = consistency_source_;
   dispatcher.register_method(
       rpc::kTelemetryService, kScrape,
-      [registry, profile, node, role](net::ServerContext&, BytesView) {
+      [registry, profile, node, role, source](net::ServerContext&, BytesView) {
         if (profile != nullptr) profile->publish_to(*registry);
         Writer w;
         w.str(node);
         w.str(role);
         encode_snapshot(w, registry->snapshot());
-        return Result<Bytes>(w.take());
-      });
-  std::function<ConsistencyReport()> source = consistency_source_;
-  dispatcher.register_method(
-      rpc::kTelemetryService, kConsistency,
-      [source, node](net::ServerContext&, BytesView) {
-        if (!source) {
-          return Result<Bytes>(ErrorCode::kNotFound,
-                               "no consistency source on " + node);
-        }
-        Writer w;
-        w.str(node);
-        encode_consistency(w, source());
+        if (source) encode_consistency(w, source());
         return Result<Bytes>(w.take());
       });
 }
@@ -239,20 +272,28 @@ TelemetryAggregator::TelemetryAggregator() : TelemetryAggregator(Config()) {}
 
 TelemetryAggregator::TelemetryAggregator(Config config)
     : config_(std::move(config)) {
-  if (config_.self_registry != nullptr) {
-    self_registry_ = config_.self_registry;
-  } else {
-    owned_registry_ = std::make_unique<MetricsRegistry>();
-    owned_registry_->set_default_labels(
-        {{"node", config_.node}, {"role", "aggregator"}});
-    self_registry_ = owned_registry_.get();
-  }
-  scrape_rounds_ = &self_registry_->counter("telemetry.scrape_rounds");
-  nodes_fresh_ = &self_registry_->gauge("telemetry.nodes_fresh");
-  nodes_stale_ = &self_registry_->gauge("telemetry.nodes_stale");
+  self_registry_.set_default_labels(
+      {{"node", config_.node}, {"role", "aggregator"}});
+  scrape_rounds_ = &self_registry_.counter("telemetry.scrape_rounds");
+  nodes_fresh_ = &self_registry_.gauge("telemetry.nodes_fresh");
+  nodes_stale_ = &self_registry_.gauge("telemetry.nodes_stale");
 }
 
 void TelemetryAggregator::add_target(ScrapeTarget target) {
+  if (target.audit == AuditRole::kReplica) {
+    // Pre-create every per-state check series at zero: SLO burn windows
+    // (windowed_delta_sum) only count series present at the window START,
+    // so a stale counter born mid-incident would be invisible to the very
+    // alert it exists to fire.
+    for (ReplicaConsistency state :
+         {ReplicaConsistency::kFresh, ReplicaConsistency::kStale,
+          ReplicaConsistency::kDiverged, ReplicaConsistency::kExpired,
+          ReplicaConsistency::kMissing, ReplicaConsistency::kUnreachable}) {
+      self_registry_.counter("replication.audit.checks",
+                             {{"replica", target.node},
+                              {"state", replica_consistency_name(state)}});
+    }
+  }
   util::LockGuard lock(mutex_);
   NodeStatus status;
   status.node = target.node;
@@ -284,6 +325,7 @@ void TelemetryAggregator::scrape_round(net::Transport& transport) {
     bool ok = false;
     std::string error;
     Snapshot snapshot;
+    std::optional<ConsistencyReport> report;
   };
   std::vector<Outcome> outcomes(targets.size());
   {
@@ -312,15 +354,28 @@ void TelemetryAggregator::scrape_round(net::Transport& transport) {
           continue;
         }
         (void)role;  // advisory; the target table's role is authoritative
-        BytesView body = BytesView(*reply).subspan(reply->size() - r.remaining());
-        Result<Snapshot> snap = decode_snapshot(body);
+        Result<Snapshot> snap = read_snapshot(r);
         if (!snap.is_ok()) {
           out.error = snap.status().to_string();
           continue;
         }
         out.snapshot = std::move(*snap);
+        if (!r.at_end()) {
+          // The node's consistency report: the reply stands or falls whole.
+          Result<ConsistencyReport> report = decode_consistency(
+              BytesView(*reply).subspan(reply->size() - r.remaining()));
+          if (!report.is_ok()) {
+            out.error = report.status().to_string();
+            continue;
+          }
+          out.report = std::move(*report);
+        }
       } catch (const util::SerialError& e) {
         out.error = std::string("malformed scrape reply: ") + e.what();
+        continue;
+      }
+      if (target.audit != AuditRole::kNone && !out.report.has_value()) {
+        out.error = "no consistency report";
         continue;
       }
       for (MetricSample& s : out.snapshot.samples) {
@@ -332,42 +387,165 @@ void TelemetryAggregator::scrape_round(net::Transport& transport) {
   }
 
   std::size_t fresh = 0, stale = 0;
-  {
-    util::LockGuard lock(mutex_);
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      NodeStatus& status = status_[targets[i].node];
-      status.node = targets[i].node;
-      status.role = targets[i].role;
-      if (outcomes[i].ok) {
-        status.stale = false;
-        status.scrapes_ok += 1;
-        status.last_success = round.time;
-        status.last_error.clear();
-        round.per_node[targets[i].node] = std::move(outcomes[i].snapshot);
-        ++fresh;
-      } else {
-        status.stale = true;
-        status.scrapes_failed += 1;
-        status.last_error = outcomes[i].error;
-        ++stale;
-      }
-    }
-    ring_.push_back(std::move(round));
-    while (ring_.size() > config_.max_rounds) ring_.pop_front();
-    round_count_ += 1;
-  }
-
-  // Self-telemetry outside the lock: metric handles are atomics.
+  util::LockGuard lock(mutex_);
+  std::vector<const ConsistencyReport*> reports(targets.size(), nullptr);
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (!outcomes[i].ok) {
+    NodeStatus& status = status_[targets[i].node];
+    status.node = targets[i].node;
+    status.role = targets[i].role;
+    if (outcomes[i].ok) {
+      status.stale = false;
+      status.scrapes_ok += 1;
+      status.last_success = round.time;
+      status.last_error.clear();
+      round.per_node[targets[i].node] = std::move(outcomes[i].snapshot);
+      if (outcomes[i].report.has_value()) reports[i] = &*outcomes[i].report;
+      ++fresh;
+    } else {
+      status.stale = true;
+      status.scrapes_failed += 1;
+      status.last_error = outcomes[i].error;
       self_registry_
-          ->counter("telemetry.scrape_errors", {{"node", targets[i].node}})
+          .counter("telemetry.scrape_errors", {{"node", targets[i].node}})
           .inc();
+      ++stale;
     }
   }
+  audit_locked(targets, reports, round.time);
   scrape_rounds_->inc();
   nodes_fresh_->set(static_cast<double>(fresh));
   nodes_stale_->set(static_cast<double>(stale));
+  // The aggregator's own registry joins the round as one more node (not a
+  // target): this round's verdicts and health counters are windowable in
+  // this round, and merged() serves them with the fleet's.
+  round.per_node[config_.node] = self_registry_.snapshot();
+  ring_.push_back(std::move(round));
+  while (ring_.size() > config_.max_rounds) ring_.pop_front();
+  round_count_ += 1;
+}
+
+void TelemetryAggregator::audit_locked(
+    const std::vector<ScrapeTarget>& targets,
+    const std::vector<const ConsistencyReport*>& reports, util::SimTime now) {
+  if (std::all_of(targets.begin(), targets.end(), [](const ScrapeTarget& t) {
+        return t.audit == AuditRole::kNone;
+      })) {
+    return;
+  }
+  auto master = std::find_if(
+      targets.begin(), targets.end(),
+      [](const ScrapeTarget& t) { return t.audit == AuditRole::kMaster; });
+  const ConsistencyReport* authority =
+      master == targets.end() ? nullptr : reports[master - targets.begin()];
+  // Without the master's report the last-known authoritative view stands:
+  // replicas are still classified against it, flagged by the master's
+  // scrape error.
+  master_reachable_ = authority != nullptr;
+  if (authority != nullptr) {
+    std::map<Bytes, DocState> next;
+    for (const DocConsistency& d : authority->docs) {
+      auto it = docs_.find(d.oid);
+      util::SimTime since = it != docs_.end() && it->second.epoch == d.epoch
+                                ? it->second.epoch_since
+                                : now;
+      next.emplace(d.oid, DocState{d.epoch, d.digest, since});
+    }
+    docs_ = std::move(next);
+  }
+
+  rows_.clear();
+  // Behind-pairs carry their first-behind time across rounds even while
+  // the master keeps advancing epochs; recovered pairs drop out here.
+  std::map<std::pair<std::string, Bytes>, util::SimTime> next_stale;
+  std::size_t stale_count = 0, diverged_count = 0;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i].audit != AuditRole::kReplica) continue;
+    const std::string& replica = targets[i].node;
+    std::map<Bytes, const DocConsistency*> reported;
+    if (reports[i] != nullptr) {
+      for (const DocConsistency& d : reports[i]->docs) {
+        reported.emplace(d.oid, &d);
+      }
+    }
+    bool any_behind = false, any_diverged = false;
+    std::optional<double> min_horizon_s;
+    for (const auto& [oid, authoritative] : docs_) {
+      ReplicaRow row;
+      row.replica = replica;
+      row.oid_hex = util::hex_encode(oid);
+      row.master_epoch = authoritative.epoch;
+      std::pair<std::string, Bytes> stale_key{replica, oid};
+      auto since_it = stale_since_.find(stale_key);
+      util::SimTime behind_since = since_it != stale_since_.end()
+                                       ? since_it->second
+                                       : authoritative.epoch_since;
+      bool behind = false;
+      auto found = reported.find(oid);
+      if (reports[i] == nullptr) {
+        row.state = ReplicaConsistency::kUnreachable;
+        // Keep the behind-marker: an unreachable replica has not caught
+        // up, its staleness clock must not reset when it reappears.
+        if (since_it != stale_since_.end()) {
+          next_stale.emplace(std::move(stale_key), behind_since);
+        }
+      } else if (found == reported.end()) {
+        row.state = ReplicaConsistency::kMissing;
+        behind = true;
+      } else {
+        const DocConsistency& d = *found->second;
+        row.epoch = d.epoch;
+        row.expiry_horizon_s =
+            util::to_seconds(d.earliest_expiry) - util::to_seconds(now);
+        min_horizon_s =
+            std::min(min_horizon_s.value_or(row.expiry_horizon_s),
+                     row.expiry_horizon_s);
+        if (d.epoch == authoritative.epoch) {
+          row.state = d.digest == authoritative.digest
+                          ? ReplicaConsistency::kFresh
+                          : ReplicaConsistency::kDiverged;
+        } else if (d.epoch > authoritative.epoch) {
+          // A replica cannot be fresher than the signing authority:
+          // well-formed lie, counted and quarantined as divergence.
+          row.state = ReplicaConsistency::kDiverged;
+          self_registry_
+              .counter("replication.audit.forged", {{"replica", replica}})
+              .inc();
+        } else {
+          row.state = d.earliest_expiry > now ? ReplicaConsistency::kStale
+                                              : ReplicaConsistency::kExpired;
+          behind = true;
+        }
+        any_diverged |= row.state == ReplicaConsistency::kDiverged;
+      }
+      if (behind) {
+        row.staleness_ms = util::to_millis(now - behind_since);
+        next_stale.emplace(std::move(stale_key), behind_since);
+        any_behind = true;
+        self_registry_
+            .histogram("replication.staleness_ms", kStalenessBoundsMs,
+                       {{"replica", replica}})
+            .observe(row.staleness_ms);
+      }
+      self_registry_
+          .counter("replication.audit.checks",
+                   {{"replica", replica},
+                    {"state", replica_consistency_name(row.state)}})
+          .inc();
+      rows_.push_back(std::move(row));
+    }
+    if (any_behind) ++stale_count;
+    if (any_diverged) ++diverged_count;
+    if (min_horizon_s.has_value()) {
+      self_registry_
+          .gauge("replication.cert_expiry_horizon_s", {{"replica", replica}})
+          .set(*min_horizon_s);
+    }
+  }
+  stale_since_ = std::move(next_stale);
+  self_registry_.gauge("replication.stale_replicas")
+      .set(static_cast<double>(stale_count));
+  self_registry_.gauge("replication.diverged_replicas")
+      .set(static_cast<double>(diverged_count));
 }
 
 Snapshot TelemetryAggregator::merged() const {
@@ -376,7 +554,8 @@ Snapshot TelemetryAggregator::merged() const {
   if (ring_.empty()) return out;
   const Round& latest = ring_.back();
 
-  // 1. Per-node series, exactly as scraped (node=/role= enforced above).
+  // 1. Per-node series: each scraped node's exactly as scraped (node=/role=
+  //    enforced above), and the aggregator's own.
   for (const auto& [node, snap] : latest.per_node) {
     for (const MetricSample& s : snap.samples) out.samples.push_back(s);
   }
@@ -462,11 +641,6 @@ Snapshot TelemetryAggregator::merged() const {
   };
   derive(util::seconds(60), /*counters=*/true);
   derive(util::seconds(300), /*counters=*/false);
-
-  // 4. The aggregator's own telemetry.* series ride along so one /federate
-  //    page shows fleet data AND the health of its collection.
-  Snapshot self = self_registry_->snapshot();
-  for (MetricSample& s : self.samples) out.samples.push_back(std::move(s));
 
   std::sort(out.samples.begin(), out.samples.end(),
             [](const MetricSample& a, const MetricSample& b) {
@@ -607,6 +781,33 @@ std::uint64_t TelemetryAggregator::rounds() const {
 util::SimTime TelemetryAggregator::last_round_time() const {
   util::LockGuard lock(mutex_);
   return ring_.empty() ? 0 : ring_.back().time;
+}
+
+std::vector<ReplicaRow> TelemetryAggregator::rows() const {
+  util::LockGuard lock(mutex_);
+  return rows_;
+}
+
+bool TelemetryAggregator::converged() const {
+  util::LockGuard lock(mutex_);
+  if (!master_reachable_ || rows_.empty()) return false;
+  return std::all_of(rows_.begin(), rows_.end(), [](const ReplicaRow& row) {
+    return row.state == ReplicaConsistency::kFresh;
+  });
+}
+
+std::size_t TelemetryAggregator::replica_count() const {
+  util::LockGuard lock(mutex_);
+  return static_cast<std::size_t>(std::count_if(
+      targets_.begin(), targets_.end(),
+      [](const ScrapeTarget& t) { return t.audit == AuditRole::kReplica; }));
+}
+
+std::uint64_t TelemetryAggregator::master_epoch_sum() const {
+  util::LockGuard lock(mutex_);
+  std::uint64_t sum = 0;
+  for (const auto& [oid, state] : docs_) sum += state.epoch;
+  return sum;
 }
 
 }  // namespace globe::obs

@@ -1,4 +1,5 @@
-// Cluster telemetry plane (DESIGN.md §11): per-node registry federation.
+// Cluster telemetry plane (DESIGN.md §11): per-node registry federation
+// and the fleet consistency audit (DESIGN.md §16) in one poller.
 //
 // Every fleet role (proxy, object server, static server, naming node,
 // location node, replication coordinator) owns a MetricsRegistry tagged
@@ -7,10 +8,13 @@
 // wire framing as every GlobeDoc protocol, so a scrape crosses SimNet links
 // (and pays their latency) exactly like a fetch does, and carries the
 // caller's trace header so scrape rounds are themselves visible in /tracez.
+// A node with a consistency source (an object server) appends its
+// per-document report (obs/consistency.hpp) after the snapshot.
 //
 // A central TelemetryAggregator polls the fleet:
-//   * one scrape round = one traced RPC per target, each decoded snapshot
-//     stamped with the target's node/role labels;
+//   * one scrape round = one traced RPC per target, each reply accepted or
+//     rejected whole, each decoded snapshot stamped with the target's
+//     node/role labels;
 //   * snapshots merge across nodes (counter sums, gauge last-write,
 //     histogram bucket-wise merge via obs::merge_histogram_sample);
 //   * every round is retained in a bounded ring of timestamped windows, so
@@ -18,25 +22,31 @@
 //     of the bucket deltas over the last W) are computable, not just
 //     lifetime values — this is what the SLO burn-rate evaluator
 //     (obs/slo.hpp) reads;
+//   * the round ends with the consistency audit: the master target's
+//     report is the authority and every (replica target, OID) pair gets a
+//     verdict on the aggregator's own registry, which joins the round as
+//     one more node so the verdicts are windowable in the round that saw
+//     them;
 //   * a target that times out, is unreachable, or returns a malformed
-//     snapshot is marked stale — its data simply drops out of the merged
+//     reply is marked stale — its data simply drops out of the merged
 //     view until it answers again (telemetry.scrape_errors counts each
 //     failure) — a flaky untrusted replica can deny its own telemetry, but
 //     never poison the fleet's.
 //
-// Security note: a scraped snapshot crossed the wire from a possibly
-// malicious node (DESIGN.md §9).  decode_snapshot() is the sanitizing gate:
-// strict bounds-checked parsing, hard caps on series/bucket counts, and
-// bucket-layout validation — beyond it the data can still *lie* about that
-// node's numbers (untrusted replicas always could), but it cannot corrupt
-// the aggregator or other nodes' series.
+// Security note: a scraped reply crossed the wire from a possibly
+// malicious node (DESIGN.md §9).  decode_snapshot() and
+// decode_consistency() are the sanitizing gates: strict bounds-checked
+// parsing, hard caps on series/bucket/document counts, printable names
+// with unique label keys, and bucket-layout validation — beyond them the
+// data can still *lie* about that node's numbers (untrusted replicas
+// always could), but it cannot corrupt the aggregator or other nodes'
+// series.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,8 +67,7 @@ class ProfileRegistry;  // obs/profile.hpp
 
 /// RPC method ids under rpc::kTelemetryService.
 enum TelemetryMethod : std::uint16_t {
-  kScrape = 1,       // {} -> telemetry reply (version, node, role, snapshot)
-  kConsistency = 2,  // {} -> node, consistency report (obs/consistency.hpp)
+  kScrape = 1,  // {} -> node, role, snapshot[, consistency report]
 };
 
 /// Wire codec for a registry snapshot (u8 version, then the sample list).
@@ -71,8 +80,9 @@ inline constexpr std::size_t kMaxLabels = 16;
 
 void encode_snapshot(util::Writer& w, const Snapshot& snapshot);
 /// Sanitizer: the only path wire bytes take into Snapshot values.  Rejects
-/// truncation, unknown versions, oversized series/label/bucket counts and
-/// non-increasing bucket bounds with kProtocol.
+/// truncation, unknown versions, oversized series/label/bucket counts,
+/// control bytes (below 0x20, 0x7f) in names and labels, repeated label
+/// keys and non-increasing bucket bounds with kProtocol.
 GLOBE_SANITIZER util::Result<Snapshot> decode_snapshot(
     GLOBE_UNTRUSTED util::BytesView data);
 
@@ -90,11 +100,10 @@ class TelemetryNode {
 
   void register_with(rpc::ServiceDispatcher& dispatcher);
 
-  /// Wires the node to answer `telemetry/consistency` with this callback's
-  /// report (an object server's per-OID epoch/digest/expiry view — see
-  /// obs/consistency.hpp).  Must be set before register_with(); nodes
-  /// without a source answer kConsistency with kNotFound, so pure
-  /// proxies and naming nodes stay auditable-free.
+  /// Appends this callback's report (an object server's per-OID
+  /// epoch/digest/expiry view — see obs/consistency.hpp) to every scrape
+  /// reply, after the snapshot.  Must be set before register_with(); a
+  /// node without a source answers with the snapshot alone.
   void set_consistency_source(std::function<ConsistencyReport()> source) {
     consistency_source_ = std::move(source);
   }
@@ -110,11 +119,19 @@ class TelemetryNode {
   std::function<ConsistencyReport()> consistency_source_;
 };
 
+/// A target's part in the consistency audit.
+enum class AuditRole {
+  kNone,
+  kMaster,   // its report is the authoritative epoch/digest per document
+  kReplica,  // each of its documents is classified against the master's
+};
+
 /// One fleet member the aggregator polls.
 struct ScrapeTarget {
   std::string node;   // unique node label, e.g. "proxy-paris"
   std::string role;   // role label, e.g. "proxy", "object-server"
   net::Endpoint endpoint;
+  AuditRole audit = AuditRole::kNone;
 };
 
 /// Aggregator-side view of one target's scrape health.
@@ -128,13 +145,24 @@ struct NodeStatus {
   std::string last_error;        // most recent failure, "" when none yet
 };
 
+/// Polls the fleet and audits its consistency.  Besides its telemetry.*
+/// health series, the aggregator's own registry (node=<Config::node>,
+/// role=aggregator) carries the audit's exports:
+///   * replication.staleness_ms{replica=}        histogram of how far
+///     behind non-fresh replicas are (time since the pair fell behind);
+///   * replication.stale_replicas /
+///     replication.diverged_replicas             fleet gauges (replicas
+///     with >=1 stale/behind doc, resp. >=1 diverged doc);
+///   * replication.cert_expiry_horizon_s{replica=}  worst-case remaining
+///     certificate validity across the replica's docs;
+///   * replication.audit.checks{replica=,state=} counter of per-doc
+///     verdicts — the staleness burn-rate SLO's good/total source;
+///   * replication.audit.forged{replica=}        well-formed lies (epoch
+///     ahead of the master).
 class TelemetryAggregator {
  public:
   struct Config {
     std::size_t max_rounds = 128;  // bounded ring of scrape rounds
-    /// Registry for the aggregator's own telemetry.* series; nullptr gives
-    /// the aggregator a private registry (tagged node=/role= aggregator).
-    MetricsRegistry* self_registry = nullptr;
     /// Scrape spans land here; nullptr = obs::global_trace_collector().
     TraceSink* trace_sink = nullptr;
     std::string node = "aggregator";
@@ -147,19 +175,21 @@ class TelemetryAggregator {
   std::size_t target_count() const GLOBE_EXCLUDES(mutex_);
 
   /// One scrape round over `transport` at transport.now(): calls every
-  /// target under a "scrape_round" trace (one child span per target), and
-  /// appends the round to the ring.  Thread-compatible like a client flow:
-  /// call from one driving thread.
+  /// target under a "scrape_round" trace (one child span per target),
+  /// audits the round's consistency reports, and appends the round —
+  /// with the aggregator's own registry filed as one more node — to the
+  /// ring.  Thread-compatible like a client flow: call from one driving
+  /// thread.
   /// Blocking: one RPC per fleet target.  Targets are snapshotted under
   /// the lock; the RPCs themselves run with no lock held.
   GLOBE_BLOCKING void scrape_round(net::Transport& transport) GLOBE_EXCLUDES(mutex_);
 
-  /// Per-node series of the latest round (fresh nodes only, node=/role=
-  /// labels guaranteed) plus cluster-level aggregates with node/role labels
-  /// stripped (counter sums, gauge last-write in target order, histogram
-  /// bucket merges), plus derived windowed series: for each cluster counter
-  /// a `<name>:rate1m` gauge, for each cluster histogram a `<name>:p99_5m`
-  /// gauge, when the ring spans enough history.
+  /// Per-node series of the latest round (fresh nodes and the aggregator
+  /// itself, node=/role= labels guaranteed) plus cluster-level aggregates
+  /// with node/role labels stripped (counter sums, gauge last-write in
+  /// target order, histogram bucket merges), plus derived windowed series:
+  /// for each cluster counter a `<name>:rate1m` gauge, for each cluster
+  /// histogram a `<name>:p99_5m` gauge, when the ring spans enough history.
   Snapshot merged() const GLOBE_EXCLUDES(mutex_);
 
   std::vector<NodeStatus> nodes() const GLOBE_EXCLUDES(mutex_);
@@ -206,7 +236,15 @@ class TelemetryAggregator {
   std::uint64_t rounds() const GLOBE_EXCLUDES(mutex_);
   util::SimTime last_round_time() const GLOBE_EXCLUDES(mutex_);
 
-  MetricsRegistry& self_registry() { return *self_registry_; }
+  /// Latest round's audit verdicts, replica-major then OID order.
+  std::vector<ReplicaRow> rows() const GLOBE_EXCLUDES(mutex_);
+  /// True when the latest round reached the master and saw every replica
+  /// fresh on every master document (and there was something to check).
+  bool converged() const GLOBE_EXCLUDES(mutex_);
+  std::size_t replica_count() const GLOBE_EXCLUDES(mutex_);
+  std::uint64_t master_epoch_sum() const GLOBE_EXCLUDES(mutex_);
+
+  MetricsRegistry& self_registry() { return self_registry_; }
 
  private:
   struct Round {
@@ -224,9 +262,22 @@ class TelemetryAggregator {
   const Round* window_start_locked(util::SimDuration window) const
       GLOBE_REQUIRES(mutex_);
 
+  /// Authoritative per-document state from the master's latest report.
+  struct DocState {
+    std::uint64_t epoch = 0;
+    util::Bytes digest;
+    util::SimTime epoch_since = 0;  // when this epoch was first observed
+  };
+
+  /// The consistency pass at the end of a round: `reports[i]` is target
+  /// i's sanitized report, null when its reply was rejected.  Rebuilds the
+  /// audit state and counts the verdicts on the aggregator's registry.
+  void audit_locked(const std::vector<ScrapeTarget>& targets,
+                    const std::vector<const ConsistencyReport*>& reports,
+                    util::SimTime now) GLOBE_REQUIRES(mutex_);
+
   Config config_;
-  MetricsRegistry* self_registry_;
-  std::unique_ptr<MetricsRegistry> owned_registry_;
+  MetricsRegistry self_registry_;
   Counter* scrape_rounds_;
   Gauge* nodes_fresh_;
   Gauge* nodes_stale_;
@@ -236,6 +287,17 @@ class TelemetryAggregator {
   std::map<std::string, NodeStatus> status_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   std::deque<Round> ring_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);  // oldest first
   std::uint64_t round_count_ GLOBE_GUARDED_BY(mutex_) = 0;
+  // Keyed by raw OID bytes; rebuilt from the master's report every round
+  // (epoch_since carried over while the epoch holds still), so it is
+  // bounded by the decode gate's kMaxReportDocs cap.
+  std::map<util::Bytes, DocState> docs_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
+  std::vector<ReplicaRow> rows_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
+  // When each currently-behind (replica, OID) pair first fell behind the
+  // master; rebuilt every round (entries for recovered pairs drop out), so
+  // it never outgrows replica targets x master docs.
+  std::map<std::pair<std::string, util::Bytes>, util::SimTime> stale_since_
+      GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
+  bool master_reachable_ GLOBE_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace globe::obs

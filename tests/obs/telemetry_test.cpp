@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <random>
 #include <vector>
 
 #include "net/simnet.hpp"
 #include "obs/collector.hpp"
+#include "obs/export.hpp"
 #include "rpc/rpc.hpp"
 
 namespace globe::obs {
@@ -311,6 +314,33 @@ struct FleetFixture : ::testing::Test {
     agg.add_target({name, role, node.endpoint});
   }
 
+  /// A node answering the scrape with whatever `build` makes, under its
+  /// own (matching) identity, so only the decode gate stands in its way.
+  void add_hostile(const std::string& name, std::function<Snapshot()> build) {
+    hostile.push_back(std::make_unique<Node>());
+    Node& node = *hostile.back();
+    node.host = net.add_host({name, net::CpuModel{}});
+    node.dispatcher.register_method(
+        rpc::kTelemetryService, kScrape,
+        [name, build](net::ServerContext&, BytesView) -> util::Result<Bytes> {
+          Writer w;
+          w.str(name);
+          w.str("object-server");
+          encode_snapshot(w, build());
+          return w.take();
+        });
+    node.endpoint = net::Endpoint{node.host, 9100};
+    net.bind(node.endpoint, node.dispatcher.handler());
+    agg.add_target({name, "object-server", node.endpoint});
+  }
+
+  std::optional<NodeStatus> status_of(const std::string& name) {
+    for (const NodeStatus& n : agg.nodes()) {
+      if (n.node == name) return n;
+    }
+    return std::nullopt;
+  }
+
   void SetUp() override {
     agg_host = net.add_host({"agg", net::CpuModel{}});
     add_node(a, "os-1", "object-server");
@@ -329,6 +359,7 @@ struct FleetFixture : ::testing::Test {
   net::SimNet net;
   net::HostId agg_host;
   Node a, b;
+  std::vector<std::unique_ptr<Node>> hostile;
   TelemetryAggregator agg;
   std::unique_ptr<net::SimFlow> flow;
 };
@@ -480,7 +511,8 @@ TEST_F(FleetFixture, DeadTargetGoesStaleWithoutPoisoningMergedView) {
 
   agg.scrape_round(*flow);
 
-  const MetricSample* cluster = find(agg.merged(), "x", {});
+  Snapshot merged = agg.merged();
+  const MetricSample* cluster = find(merged, "x", {});
   ASSERT_NE(cluster, nullptr);
   EXPECT_DOUBLE_EQ(cluster->value, 5);  // healthy nodes only
 
@@ -499,7 +531,7 @@ TEST_F(FleetFixture, DeadTargetGoesStaleWithoutPoisoningMergedView) {
 
   // telemetry.scrape_errors names the failing node.
   const MetricSample* errors =
-      find(agg.merged(), "telemetry.scrape_errors",
+      find(merged, "telemetry.scrape_errors",
            {{"node", "ghost-1"}, {"role", "aggregator"}});
   ASSERT_NE(errors, nullptr);
   EXPECT_DOUBLE_EQ(errors->value, 1);
@@ -585,6 +617,89 @@ TEST_F(FleetFixture, IdentityMismatchIsRejected) {
   EXPECT_EQ(find(agg.merged(), "stolen",
                  {{"node", "mallory-1"}, {"role", "object-server"}}),
             nullptr);
+}
+
+TEST_F(FleetFixture, ReplyWithoutConsistencySourceIsNodeRoleSnapshot) {
+  // Only a node with a consistency source appends a report; every other
+  // node's scrape reply keeps the snapshot-only wire shape.
+  a.registry.counter("x").inc(3);
+  rpc::RpcClient client(*flow, a.endpoint);
+  auto reply = client.call(rpc::kTelemetryService, kScrape, BytesView());
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  Writer w;
+  w.str("os-1");
+  w.str("object-server");
+  encode_snapshot(w, a.registry.snapshot());
+  EXPECT_EQ(*reply, w.take());
+}
+
+TEST_F(FleetFixture, RepeatedLabelKeyIsRejectedAtDecode) {
+  // force_label rewrites only the first node=, so a second node=os-1 would
+  // survive and windowed_delta_sum's subset match would add this node's
+  // errors to os-1's SLO instance.
+  auto errors = std::make_shared<double>(0);
+  add_hostile("evil-1", [errors] {
+    MetricSample s;
+    s.name = "req";
+    s.kind = MetricSample::Kind::kCounter;
+    s.labels = {{"node", "evil-1"}, {"node", "os-1"}, {"outcome", "error"}};
+    s.value = (*errors += 50);
+    Snapshot snap;
+    snap.samples.push_back(s);
+    return snap;
+  });
+  a.registry.counter("req", {{"outcome", "ok"}}).inc();
+
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    flow->set_time(util::seconds(10) * round);
+    agg.scrape_round(*flow);
+  }
+
+  std::optional<NodeStatus> evil = status_of("evil-1");
+  ASSERT_TRUE(evil.has_value());
+  EXPECT_TRUE(evil->stale);
+  EXPECT_NE(evil->last_error.find("repeated label key"), std::string::npos)
+      << evil->last_error;
+  // os-1 served no errors; nothing may count any toward it.
+  EXPECT_FALSE(agg.windowed_delta_sum("req",
+                                      {{"node", "os-1"}, {"outcome", "error"}},
+                                      seconds(60))
+                   .has_value());
+}
+
+TEST_F(FleetFixture, ControlBytesAreRejectedAtDecode) {
+  // A newline in a metric name would forge a node-health line in the
+  // /federate text; a control byte in a label is the same hole.
+  add_hostile("evil-1", [] {
+    MetricSample s;
+    s.name = "x 1\n# node os-2 role=object-server fresh ok=9 failed=0\ny";
+    Snapshot snap;
+    snap.samples.push_back(s);
+    return snap;
+  });
+  add_hostile("evil-2", [] {
+    MetricSample s;
+    s.name = "y";
+    s.labels = {{"note", "a\x7f"}};
+    Snapshot snap;
+    snap.samples.push_back(s);
+    return snap;
+  });
+  a.registry.counter("x").inc();
+
+  agg.scrape_round(*flow);
+
+  for (const char* name : {"evil-1", "evil-2"}) {
+    std::optional<NodeStatus> evil = status_of(name);
+    ASSERT_TRUE(evil.has_value()) << name;
+    EXPECT_TRUE(evil->stale) << name;
+    EXPECT_NE(evil->last_error.find("control byte"), std::string::npos)
+        << evil->last_error;
+  }
+  std::string text = to_text(agg.merged());
+  EXPECT_EQ(text.find("# node os-2 role=object-server fresh ok=9"),
+            std::string::npos);
+  EXPECT_EQ(text.find("note="), std::string::npos);
 }
 
 TEST_F(FleetFixture, LinkDownMarksStaleThenRecovers) {

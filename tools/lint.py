@@ -48,12 +48,14 @@ Documents"):
                  disables the alert it defines.
 
   lock-rank      Every util::Mutex / util::RecursiveMutex class member in
-                 src/ must hold a rank in tools/lock_hierarchy.txt, so a new
+  lock-stale     src/ must hold a rank in tools/lock_hierarchy.txt, so a new
                  mutex cannot join the lock-acquisition graph unranked and
                  invisible to tools/conc_check.py's order checking (DESIGN.md
-                 §13).  The member scan is the analyzer package's
-                 (tools/analysis), so the two tools can never disagree about
-                 what counts as a mutex member.
+                 §13), and every ranked lock must still name a mutex member —
+                 a deleted mutex's leftover line ranks nothing.  The member
+                 scan is the analyzer package's (tools/analysis), so the two
+                 tools can never disagree about what counts as a mutex
+                 member.
 
   capacity-rank  Every GLOBE_BOUNDED container member in src/ must be
   capacity-stale ranked in tools/capacity_bounds.txt, and every registry
@@ -411,10 +413,12 @@ def src_members():
 
 
 def check_lock_hierarchy(violations: list[str]) -> None:
-    """Every mutex member in src/ must be ranked in the lock hierarchy."""
+    """Mutex members in src/ and the lock hierarchy must match 1:1."""
     ranks = load_hierarchy(str(REPO / LOCK_HIERARCHY))
+    harvested: set[str] = set()
     for rel, prog in src_members():
         for lock_id, info in sorted(prog.mutexes.items()):
+            harvested.add(lock_id)
             if lock_id not in ranks:
                 violations.append(
                     f"{rel}:{info['line']}: [lock-rank] mutex member "
@@ -422,6 +426,11 @@ def check_lock_hierarchy(violations: list[str]) -> None:
                     "`tools/conc_check.py --edges src` to place it, then "
                     f"add a `<rank> {lock_id}` line"
                 )
+    for lock_id in sorted(set(ranks) - harvested):
+        violations.append(
+            f"{LOCK_HIERARCHY}: [lock-stale] entry \"{lock_id}\" matches no "
+            "mutex member in src/ — remove the line or restore the mutex"
+        )
 
 
 def check_capacity_registry(violations: list[str]) -> None:
@@ -648,8 +657,8 @@ SELF_TEST_CASES = [
         '  // spec.metric = "proxy.fetchez" would be flagged\n',
         None,
     ),
-    # The self-test hierarchy (see run_self_test) ranks exactly one lock:
-    # `util.Ranked.mu_`.
+    # The self-test hierarchy (see run_self_test) ranks exactly one lock,
+    # `util.Ranked.mu_`, and seeds its member.
     (
         "unranked mutex member fires",
         "src/util/widget.hpp",
@@ -679,6 +688,13 @@ SELF_TEST_CASES = [
         "src/util/widget.hpp",
         "class Widget {\n  // util::Mutex mu_; (gone since PR 3)\n};\n",
         None,
+    ),
+    (
+        "stale hierarchy entry fires",
+        "tools/lock_hierarchy.txt",
+        "10 util.Ranked.mu_  # self-test seed\n"
+        "20 util.Ghost.mutex_  # mutex deleted long ago\n",
+        "lock-stale",
     ),
     (
         "unranked bounded member fires",
@@ -730,11 +746,18 @@ def run_self_test() -> int:
             catalog.parent.mkdir(parents=True, exist_ok=True)
             catalog.write_text("# Metric catalog\n\n`proxy.fetches`\n"
                                "`rsa_verify`\n`key_check`\n")
-            # Minimal lock hierarchy so lock-rank cases can distinguish a
-            # ranked mutex from an unranked one.
+            # Minimal lock hierarchy + a matching mutex member so lock cases
+            # can distinguish ranked from unranked and live from stale
+            # (skipped when the case under test owns these paths).
             hierarchy = root / LOCK_HIERARCHY
             hierarchy.parent.mkdir(parents=True, exist_ok=True)
-            hierarchy.write_text("10 util.Ranked.mu_  # self-test seed\n")
+            if not hierarchy.exists():
+                hierarchy.write_text("10 util.Ranked.mu_  # self-test seed\n")
+            seedmutex = root / "src/util/ranked.hpp"
+            if not seedmutex.exists():
+                seedmutex.parent.mkdir(parents=True, exist_ok=True)
+                seedmutex.write_text(
+                    "class Ranked {\n  mutable util::Mutex mu_;\n};\n")
             # Minimal capacity registry + a matching GLOBE_BOUNDED member so
             # capacity cases can distinguish ranked from unranked and live
             # from stale (skipped when the case under test owns these paths).
