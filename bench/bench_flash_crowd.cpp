@@ -16,14 +16,11 @@
 // origin's p99 explodes under the crowd while the Paris replica's stays
 // at LAN level the moment it exists.
 #include <algorithm>
-#include <barrier>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/paper_world.hpp"
@@ -64,7 +61,7 @@ double percentile(std::vector<double> samples, double p) {
 // of edge proxies hammer herd.vu.nl/index.html inside a 10 s window, then a
 // smaller browse wave walks the sibling assets.  With the shared
 // EdgeCacheTier the herd collapses to ONE verified upstream fill per element
-// (single-flight + verified-once-serve-many) and the siblings arrive via
+// (verified once, served many times) and the siblings arrive via
 // delayed replication before the browse wave asks for them; without it every
 // request is an origin round trip.
 void run_thundering_herd(obs::MetricsRegistry& registry, bool fast) {
@@ -72,7 +69,7 @@ void run_thundering_herd(obs::MetricsRegistry& registry, bool fast) {
   const std::vector<std::string> kAssets = {"style.css", "app.js", "logo.gif",
                                             "story.txt"};
   const std::size_t kElements = 1 + kAssets.size();
-  constexpr std::size_t kEdgeProxies = 8;  // worker threads, one proxy each
+  constexpr std::size_t kEdgeProxies = 8;  // proxies sharing the node's tier
   constexpr double kHerdSeconds = 10.0;
 
   std::printf("\nThundering herd: shared edge-cache tier vs direct fetches\n\n");
@@ -102,51 +99,44 @@ void run_thundering_herd(obs::MetricsRegistry& registry, bool fast) {
       }
 
       const std::size_t origin_before = world.object_server().elements_served();
-      // Per-cell crypto attribution: the herd's worker threads carry no
-      // registry scope, so their probes land in the process-global profile
-      // registry — reset it after setup (publication signs/hashes are not
-      // part of the herd) and read the cell's own serving-path deltas.
+      // Per-cell crypto attribution: the herd's proxies carry no profile
+      // registry, so their probes land in the process-global one — reset it
+      // after setup (publication signs/hashes are not part of the herd) and
+      // read the cell's own serving-path deltas.
       obs::global_profile_registry().reset();
       const util::SimDuration gap = static_cast<util::SimDuration>(
           kHerdSeconds * static_cast<double>(util::kSecond) /
           static_cast<double>(clients));
 
-      std::vector<double> herd_ms;
-      std::mutex herd_mutex;
-      bool failed = false;
-      // All edge proxies bind first, then release together onto the cold
-      // cache so their first misses genuinely overlap (the coalescing case).
-      std::barrier start_line(kEdgeProxies);
-      std::vector<std::thread> workers;
+      // One edge proxy per flow, all sharing the tier.  The clients are
+      // walked on this thread in arrival order, client i on edge proxy
+      // i % kEdgeProxies, so the fill order — and with it every cache count
+      // and every booking of the origin's CPU — is the same on every run.
+      // The first client misses and fills; every later one hits.  Real
+      // concurrent coalescing is covered by the SingleFlight and tier tests.
+      std::vector<std::unique_ptr<net::SimFlow>> flows;
+      std::vector<std::unique_ptr<globedoc::GlobeDocProxy>> proxies;
       for (std::size_t t = 0; t < kEdgeProxies; ++t) {
-        workers.emplace_back([&, t] {
-          auto flow = world.topo.net.open_flow(world.topo.paris);
-          auto pc = world.proxy_config_for(world.topo.paris);
-          pc.cache_bindings = true;  // one bind per edge proxy, not per client
-          pc.edge_cache = tier.get();
-          globedoc::GlobeDocProxy proxy(*flow, pc);
-          std::vector<double> local;
-          start_line.arrive_and_wait();
-          for (std::size_t i = t; i < clients; i += kEdgeProxies) {
-            flow->set_time(std::max(
-                flow->now(), static_cast<util::SimTime>(i) * gap));
-            auto result = proxy.fetch(kDoc, "index.html");
-            if (!result.is_ok()) {
-              std::lock_guard<std::mutex> lock(herd_mutex);
-              failed = true;
-              return;
-            }
-            local.push_back(util::to_millis(result->metrics.total_time));
-          }
-          std::lock_guard<std::mutex> lock(herd_mutex);
-          herd_ms.insert(herd_ms.end(), local.begin(), local.end());
-        });
+        flows.push_back(world.topo.net.open_flow(world.topo.paris));
+        auto pc = world.proxy_config_for(world.topo.paris);
+        pc.cache_bindings = true;  // one bind per edge proxy, not per client
+        pc.edge_cache = tier.get();
+        proxies.push_back(
+            std::make_unique<globedoc::GlobeDocProxy>(*flows.back(), pc));
       }
-      for (auto& worker : workers) worker.join();
-      if (failed) {
-        std::fprintf(stderr, "herd fetch failed (clients=%zu cache=%d)\n",
-                     clients, cache_on ? 1 : 0);
-        std::exit(1);
+      std::vector<double> herd_ms;
+      for (std::size_t i = 0; i < clients; ++i) {
+        net::SimFlow& flow = *flows[i % kEdgeProxies];
+        flow.set_time(
+            std::max(flow.now(), static_cast<util::SimTime>(i) * gap));
+        auto result = proxies[i % kEdgeProxies]->fetch(kDoc, "index.html");
+        if (!result.is_ok()) {
+          std::fprintf(stderr, "herd fetch failed (clients=%zu cache=%d): %s\n",
+                       clients, cache_on ? 1 : 0,
+                       result.status().to_string().c_str());
+          std::exit(1);
+        }
+        herd_ms.push_back(util::to_millis(result->metrics.total_time));
       }
 
       // Background: delayed replication pulls the sibling assets while the

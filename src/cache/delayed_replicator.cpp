@@ -109,7 +109,7 @@ DelayedReplicator::PumpStats DelayedReplicator::pump(
         ++stats.elements_failed;
         continue;
       }
-      transport.charge(net::CpuOp::kSha1, 1);
+      transport.charge(net::CpuOp::kSha1, item.element.size());
       if (!batch->certificate
                .check_element(batch->names[i], *element, transport.now())
                .is_ok()) {

@@ -156,7 +156,7 @@ util::Result<EdgeCacheTier::EdgeFill> EdgeCacheTier::fill(
   auto element = globedoc::PageElement::parse(item.element);
   if (!element.is_ok()) return element.status();
 
-  transport.charge(net::CpuOp::kSha1, 1);
+  transport.charge(net::CpuOp::kSha1, item.element.size());
   util::Status check =
       cert.check_element(element_name, *element, transport.now());
   if (!check.is_ok()) return check;  // nothing cached: failures never admit

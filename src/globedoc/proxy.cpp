@@ -7,7 +7,6 @@
 #include "obs/admin.hpp"
 #include "obs/log.hpp"
 #include "rpc/rpc.hpp"
-#include "util/log.hpp"
 #include "util/serial.hpp"
 
 namespace globe::globedoc {
@@ -74,18 +73,9 @@ GlobeDocProxy::GlobeDocProxy(net::Transport& transport, ProxyConfig config)
   fetches_ok_ = &registry_->counter("proxy.fetches", {{"outcome", "ok"}});
   fetches_failed_ = &registry_->counter("proxy.fetches", {{"outcome", "error"}});
   binding_cache_hits_ = &registry_->counter("proxy.cache.binding_hits");
-  element_cache_hits_ = &registry_->counter("proxy.cache.element_hits");
   replicas_tried_ = &registry_->counter("proxy.replicas_tried");
   cert_verifies_ = &registry_->counter("proxy.cert_verifies");
   cert_verify_memo_hits_ = &registry_->counter("proxy.cert_verify_memo_hits");
-  element_cache_.set_eviction_listener(
-      [this](const std::pair<std::string, std::string>& key,
-             util::EvictReason why) {
-        if (why != util::EvictReason::kExpired) return;
-        obs::global_event_log().emit(
-            obs::EventLevel::kDebug, "proxy", "element_cache_evict",
-            key.first + "/" + key.second + " expired", transport_->now());
-      });
 }
 
 Result<FetchResult> GlobeDocProxy::fetch_url(const std::string& hybrid_url) {
@@ -192,7 +182,7 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
                                                  const std::string& element_name,
                                                  FetchMetrics& metrics,
                                                  obs::Tracer& tracer) {
-  // Edge-cache tier (step 6 via the shared verified cache): hits are served
+  // Edge-cache tier (step 6 via the verified element cache): hits are served
   // locally, misses coalesce into one batched fill.  The tier performs the
   // §3.2.2 element checks itself under `binding.certificate`, so its results
   // carry the same guarantees as the direct path below; verification time
@@ -232,9 +222,7 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
   return element;
 }
 
-FetchResult GlobeDocProxy::serve(const std::string& object_name,
-                                 const std::string& element_name,
-                                 const Binding& binding, PageElement element,
+FetchResult GlobeDocProxy::serve(const Binding& binding, PageElement element,
                                  FetchMetrics& metrics, util::SimTime start) {
   metrics.total_time = transport_->now() - start;
   // Per-replica end-to-end latency: the series the latency SLO watches,
@@ -243,13 +231,6 @@ FetchResult GlobeDocProxy::serve(const std::string& object_name,
       ->histogram("proxy.fetch_ms", fetch_ms_bounds(),
                   {{"replica", binding.replica.to_string()}})
       .observe(util::to_millis(metrics.total_time));
-  const ElementEntry* entry =
-      config_.cache_elements ? binding.certificate.find(element_name) : nullptr;
-  if (entry != nullptr) {
-    element_cache_.put({object_name, element_name},
-                       CachedElement{element, binding.certified_as},
-                       entry->expires, element.content.size());
-  }
   return FetchResult{std::move(element), binding.certified_as, metrics};
 }
 
@@ -291,20 +272,6 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
   Stage root(tracer, FetchStage::kFetch);
   util::SimTime start = transport_->now();
 
-  // Verified element cache: sound to serve locally until the certificate
-  // entry's validity interval ends (freshness is exactly what the interval
-  // certifies).
-  if (config_.cache_elements) {
-    const auto* hit =
-        element_cache_.find({object_name, element_name}, transport_->now());
-    if (hit != nullptr) {
-      metrics.used_cached_element = true;
-      metrics.content_bytes = hit->value.element.content.size();
-      element_cache_hits_->inc();
-      return FetchResult{hit->value.element, hit->value.certified_as, metrics};
-    }
-  }
-
   // Cached binding fast path (re-binds on any failure below).
   if (config_.cache_bindings) {
     if (const auto* hit = bindings_.find(object_name, transport_->now())) {
@@ -314,8 +281,7 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
       auto element = fetch_element(binding, element_name, metrics, tracer);
       if (element.is_ok()) {
         binding_cache_hits_->inc();
-        return serve(object_name, element_name, binding, std::move(*element),
-                     metrics, start);
+        return serve(binding, std::move(*element), metrics, start);
       }
       bindings_.erase(object_name);
       metrics.used_cached_binding = false;
@@ -375,8 +341,7 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
                             (std::uint64_t{address.host.value} << 16) |
                             address.port,
                         std::memory_order_relaxed);
-    return serve(object_name, element_name, *binding, std::move(*element),
-                 metrics, start);
+    return serve(*binding, std::move(*element), metrics, start);
   }
   return last_error;
 }

@@ -61,18 +61,16 @@ struct ProxyConfig {
   // Reuse verified bindings until their integrity certificate's last entry
   // expires (GlobeDocProxy::kMaxBindings documents, LRU).
   bool cache_bindings = false;
-  // Client-side element cache: a verified element may be served locally
-  // until its certificate entry expires — the per-element validity interval
-  // of §3.2.2 doubles as a sound cache TTL (the "Verif" client strategy of
-  // ref [13]).  LRU, bounded by GlobeDocProxy::kMaxCachedElements and
-  // kMaxCachedBytes of content.
-  bool cache_elements = false;
-  // Shared verified edge-cache tier (src/cache/, DESIGN.md §12).  When set,
-  // step 6 routes through the tier: hits serve locally, misses coalesce into
-  // one batched upstream fill per distinct element.  One tier instance is
-  // typically shared by every proxy/flow on a node — the sharing is what
-  // collapses a thundering herd.  Must outlive the proxy; nullptr = direct
-  // per-request fetches (the pre-tier behaviour).
+  // Verified edge-cache tier (src/cache/, DESIGN.md §12): the one place a
+  // verified element is kept.  When set, step 6 routes through the tier:
+  // hits serve locally until the element's certificate entry expires (the
+  // per-element validity interval of §3.2.2 doubles as a sound cache TTL),
+  // misses coalesce into one batched upstream fill per distinct element.
+  // With cache_bindings on too, a repeat fetch is a binding hit plus a tier
+  // hit with zero upstream RPCs (the "Verif" client strategy of ref [13]).
+  // A tier may be private to this proxy or shared by every proxy on a node
+  // — the sharing is what collapses a thundering herd.  Must outlive the
+  // proxy; nullptr = direct per-request fetches.
   ElementCacheTier* edge_cache = nullptr;
   // Completed fetch traces (and, via RPC propagation, the server-side
   // fragments they caused) are stitched here; nullptr means the process-wide
@@ -110,7 +108,6 @@ struct FetchMetrics {
   std::size_t content_bytes = 0;
   std::size_t replicas_tried = 0;
   bool used_cached_binding = false;
-  bool used_cached_element = false;  // served from the verified local cache
   bool served_from_edge_cache = false;  // edge tier hit, zero upstream RPCs
   bool coalesced_fill = false;  // waited on another flow's in-flight fill
   /// Span tree of this fetch: a "fetch" root whose children are the
@@ -148,13 +145,7 @@ class GlobeDocProxy {
       const http::HttpRequest& request);
   void set_origin_fallback(const net::Endpoint& origin) { origin_ = origin; }
 
-  /// Drops verified bindings (next fetch re-binds from scratch).
-  void clear_bindings() { bindings_.clear(); }
   std::size_t binding_count() const { return bindings_.size(); }
-
-  /// Drops cached elements; expired entries are also evicted lazily.
-  void clear_element_cache() { element_cache_.clear(); }
-  std::size_t element_cache_size() const { return element_cache_.size(); }
 
   /// Registers this proxy's readiness probes on an admin surface:
   /// "naming" (root name server reachable), "location" (local Location
@@ -166,8 +157,6 @@ class GlobeDocProxy {
 
   /// Bounds of the proxy's caches, each a least-recently-used store.
   static constexpr std::size_t kMaxBindings = 256;
-  static constexpr std::size_t kMaxCachedElements = 1024;
-  static constexpr std::uint64_t kMaxCachedBytes = 64ull << 20;
   static constexpr std::size_t kCertMemoCapacity = 64;  // documents
 
  private:
@@ -197,19 +186,12 @@ class GlobeDocProxy {
                                           FetchMetrics& metrics, obs::Tracer& tracer);
 
   /// Success tail of a fetch served under a cached or fresh binding: observes
-  /// proxy.fetch_ms since `start` and caches the element until its entry
-  /// expires.  Trusted sink: only elements that passed check_element() may
-  /// enter the cache, which serves them without re-verification.
-  FetchResult serve(const std::string& object_name,
-                    const std::string& element_name,
-                    GLOBE_TRUSTED_SINK const Binding& binding,
+  /// proxy.fetch_ms since `start` and hands the element to the caller (and so
+  /// to the browser).  Trusted sink: only elements that passed
+  /// check_element(), directly or inside the edge tier, may reach it.
+  FetchResult serve(GLOBE_TRUSTED_SINK const Binding& binding,
                     GLOBE_TRUSTED_SINK PageElement element,
                     FetchMetrics& metrics, util::SimTime start);
-
-  struct CachedElement {
-    PageElement element;
-    std::optional<std::string> certified_as;
-  };
 
   net::Transport* transport_;
   ProxyConfig config_;
@@ -223,7 +205,6 @@ class GlobeDocProxy {
   obs::Counter* fetches_ok_;
   obs::Counter* fetches_failed_;
   obs::Counter* binding_cache_hits_;
-  obs::Counter* element_cache_hits_;
   obs::Counter* replicas_tried_;
   obs::Counter* cert_verifies_;
   obs::Counter* cert_verify_memo_hits_;
@@ -233,10 +214,6 @@ class GlobeDocProxy {
   // object name -> verified binding, until its certificate's last entry
   // expires.
   util::LruCache<std::string, Binding> bindings_{{.max_entries = kMaxBindings}};
-  // (object name, element name) -> verified element, until entry expiry.
-  util::LruCache<std::pair<std::string, std::string>, CachedElement>
-      element_cache_{{.max_entries = kMaxCachedElements,
-                      .max_cost = kMaxCachedBytes}};
   // Integrity-certificate verification memo: one RSA verify per
   // (document key, certificate), not one per element fetched.  Keyed on the
   // EXACT raw bytes of (serialized object key, serialized certificate), so a

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "util/log.hpp"
 #include "util/serial.hpp"
 
 namespace globe::net {

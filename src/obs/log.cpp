@@ -1,22 +1,23 @@
 #include "obs/log.hpp"
 
+#include <cstdio>
 #include <sstream>
 
 #include "obs/export.hpp"
-#include "util/log.hpp"
 
 namespace globe::obs {
 
 namespace {
 
-util::LogLevel to_util_level(EventLevel level) {
-  switch (level) {
-    case EventLevel::kDebug: return util::LogLevel::kDebug;
-    case EventLevel::kInfo: return util::LogLevel::kInfo;
-    case EventLevel::kWarn: return util::LogLevel::kWarn;
-    case EventLevel::kError: return util::LogLevel::kError;
-  }
-  return util::LogLevel::kInfo;
+/// Writes "[WARN] component: event: detail" to stderr as one fwrite of the
+/// whole line (stderr is unbuffered), so concurrent emitters never
+/// interleave mid-line.
+void write_stderr_line(const EventRecord& record) {
+  std::string line = record.level == EventLevel::kError ? "[ERROR] " : "[WARN] ";
+  line += record.component + ": " + record.event;
+  if (!record.detail.empty()) line += ": " + record.detail;
+  line += '\n';
+  std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 }  // namespace
@@ -70,10 +71,9 @@ void EventLog::emit(EventLevel level, std::string component, std::string event,
   record.trace_lo = ctx.trace_lo;
   record.span_id = ctx.parent_span;
 
-  // Mirror to the plain stderr logger (which applies its own threshold), so
-  // examples narrating the protocol see structured events too.
-  util::logf(to_util_level(level), record.component,
-             record.event + (record.detail.empty() ? "" : ": " + record.detail));
+  // Warnings and errors also go to stderr, where an operator (and
+  // bench_live's captured server logs) sees them without polling the ring.
+  if (level >= EventLevel::kWarn) write_stderr_line(record);
 
   util::LockGuard lock(mutex_);
   if (level < min_level_) return;

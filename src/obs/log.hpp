@@ -3,8 +3,8 @@
 // Where the metrics registry answers "how often" and the trace collector
 // answers "where did the time go", the event log answers "what exactly
 // happened": discrete, security- and availability-relevant occurrences
-// (an element failing verification, a replica failing over, a cache
-// eviction) recorded as JSON lines.  Every record is stamped with the
+// (an element failing verification, a replica failing over, a replica
+// installed) recorded as JSON lines.  Every record is stamped with the
 // trace context in force on the emitting thread, so an event can be
 // joined back to the exact fetch (and the exact span) that triggered it —
 // `grep <trace_id>` across /tracez output and the event log tells the
@@ -12,6 +12,8 @@
 //
 // Records live in a bounded ring (oldest evicted first).  Emission is
 // thread-safe and cheap when the record is below the minimum level.
+// Records at warn or above are also written to stderr, one line each
+// (`[WARN] component: event: detail`) — the process's only plain-text log.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +55,9 @@ class EventLog {
  public:
   explicit EventLog(std::size_t capacity = 1024);
 
-  /// Records an event, stamping the calling thread's trace context.
-  /// Discarded when below the minimum level.  Thread-safe.
+  /// Records an event, stamping the calling thread's trace context, and
+  /// writes warn-and-above records to stderr.  Discarded when below the
+  /// minimum level.  Thread-safe.
   void emit(EventLevel level, std::string component, std::string event,
             std::string detail = "", util::SimTime time = 0)
       GLOBE_EXCLUDES(mutex_);

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/log.hpp"
-#include "util/log.hpp"
 
 namespace globe::replication {
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/log.hpp"
-#include "util/log.hpp"
 
 namespace globe::replication {
 
@@ -64,13 +63,9 @@ ReplicaMaintainer::TickReport ReplicaMaintainer::tick(util::SimTime now) {
         entry.earliest_expiry = result->earliest_expiry;
         refreshed = true;
         ++report.refreshed;
-        GLOBE_LOG_INFO("maintainer", "refreshed ", oid.to_hex(), " to v",
-                       result->version, " from ", source.to_string());
         break;
       }
       last_failure = result.status();
-      GLOBE_LOG_INFO("maintainer", "source ", source.to_string(),
-                     " failed: ", result.status().to_string());
     }
     if (!refreshed) {
       ++report.failed;

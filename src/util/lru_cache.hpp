@@ -1,8 +1,8 @@
 // Bounded, expiring LRU map (DESIGN.md §12) — the one store behind every
-// verified cache and memo in the tree: the edge tier's ElementCache and
-// first-access set, the proxy's bindings, element cache and certificate-
-// verification memo, the resolver's answer cache, and the object server's
-// outstanding admin nonces.
+// verified cache and memo in the tree: the edge tier's ElementCache (the
+// only store of verified elements) and first-access set, the proxy's
+// bindings and certificate-verification memo, the resolver's answer cache,
+// and the object server's outstanding admin nonces.
 //
 // Bounds: at most `max_entries` entries and at most `max_cost` summed cost
 // (callers charge what they want bounded, e.g. content bytes).  Admission

@@ -170,6 +170,23 @@ TEST_F(TierFixture, TamperedFillFailsEveryCallerAndPoisonsNothing) {
   EXPECT_FALSE(good->cache_hit);
 }
 
+TEST_F(TierFixture, FillChargesSha1OverTheWholeElement) {
+  // A fill verifies like the direct path: one SHA-1 over the serialized
+  // element, charged to the client's CPU — not a one-byte token charge.
+  TierConfig config = tier_config();
+  config.delayed_replication = false;
+  EdgeCacheTier tier(config);
+  const std::size_t serialized =
+      owner->object().element("logo.gif")->serialize().size();
+
+  const util::SimDuration before = client_flow->client_cpu();
+  ASSERT_TRUE(tier.fetch_through(*client_flow, server_ep, oid(), current_cert(),
+                                 "logo.gif")
+                  .is_ok());
+  EXPECT_GE(client_flow->client_cpu() - before,
+            net.host(client_host).cpu.cost(net::CpuOp::kSha1, serialized));
+}
+
 TEST_F(TierFixture, ExpiredEntryIsRefetchedNotServed) {
   EdgeCacheTier tier(tier_config());
   auto cert = current_cert();

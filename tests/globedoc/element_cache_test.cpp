@@ -1,9 +1,12 @@
-// Verified client-side element caching: the certificate entry's validity
-// interval doubles as a sound cache TTL ([13]'s "Verif" client strategy).
+// Verified client-side element caching ([13]'s "Verif" client strategy): a
+// proxy with cached bindings and its own edge-cache tier serves a verified
+// element locally until its certificate entry expires — the entry's validity
+// interval doubles as a sound cache TTL (§3.2.2).
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "cache/tier.hpp"
 #include "globedoc/proxy.hpp"
 #include "obs/metrics.hpp"
 #include "tests/globedoc/world_fixture.hpp"
@@ -15,26 +18,60 @@ using globe::globedoc::testing::WorldFixture;
 using util::to_bytes;
 
 struct ElementCacheFixture : WorldFixture {
+  /// A tier private to one proxy.  No background sibling pulls, so every
+  /// cached element is one the proxy itself fetched.
+  static cache::TierConfig private_tier(obs::MetricsRegistry* registry) {
+    cache::TierConfig config;
+    config.delayed_replication = false;
+    config.registry = registry;
+    return config;
+  }
+
   GlobeDocProxy make_proxy() {
     ProxyConfig config = proxy_config();
     config.cache_bindings = true;
-    config.cache_elements = true;
+    config.edge_cache = &tier;
+    config.registry = &registry;
     return GlobeDocProxy(*client_flow, config);
   }
+
+  /// What the client has asked of the network so far: elements the object
+  /// server returned, the proxy's name resolutions, and lookups at its
+  /// Location Service site.
+  struct Upstream {
+    std::size_t elements = 0;
+    std::uint64_t resolves = 0;
+    std::size_t lookups = 0;
+    bool operator==(const Upstream&) const = default;
+  };
+  Upstream upstream() {
+    return {object_server->elements_served(),
+            registry.counter("naming.resolves", {{"outcome", "ok"}}).value(),
+            tree->node("site-client").lookups_served()};
+  }
+
+  obs::MetricsRegistry registry;
+  cache::EdgeCacheTier tier{private_tier(&registry)};
 };
 
 TEST_F(ElementCacheFixture, SecondFetchServedLocally) {
   auto proxy = make_proxy();
   auto first = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(first.is_ok());
-  EXPECT_FALSE(first->metrics.used_cached_element);
-  EXPECT_EQ(proxy.element_cache_size(), 1u);
+  EXPECT_FALSE(first->metrics.served_from_edge_cache);
+  EXPECT_EQ(tier.element_cache().size(), 1u);
 
+  const Upstream before = upstream();
   util::SimTime t = client_flow->now();
   auto second = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(second.is_ok());
-  EXPECT_TRUE(second->metrics.used_cached_element);
-  EXPECT_EQ(client_flow->now(), t);  // zero network, zero virtual time
+  EXPECT_TRUE(second->metrics.used_cached_binding);
+  EXPECT_TRUE(second->metrics.served_from_edge_cache);
+  // Zero upstream RPCs: the only time spent is the copy out of the tier.
+  EXPECT_EQ(upstream(), before);
+  EXPECT_EQ(client_flow->now() - t,
+            net.host(client_host)
+                .cpu.cost(net::CpuOp::kMemCopy, first->element.content.size()));
   EXPECT_EQ(second->element.content, first->element.content);
   EXPECT_EQ(second->certified_as, first->certified_as);
 }
@@ -50,49 +87,57 @@ TEST_F(ElementCacheFixture, CacheExpiresWithCertificateEntry) {
   auto result = proxy.fetch(object_name, "index.html");
   EXPECT_FALSE(result.is_ok());
   EXPECT_EQ(result.code(), util::ErrorCode::kExpired);
-  EXPECT_EQ(proxy.element_cache_size(), 0u);  // stale entry evicted
 
-  // A refreshed replica repopulates the cache.
+  // A refreshed replica repopulates the cache; the stale entry is evicted,
+  // not served.
   publish_flow->set_time(client_flow->now());
   ASSERT_TRUE(owner
                   ->refresh_replicas(*publish_flow, client_flow->now(),
                                      util::seconds(3600))
                   .is_ok());
+  const std::size_t served = object_server->elements_served();
   auto again = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(again.is_ok());
-  EXPECT_FALSE(again->metrics.used_cached_element);
-  EXPECT_EQ(proxy.element_cache_size(), 1u);
+  EXPECT_FALSE(again->metrics.served_from_edge_cache);
+  EXPECT_EQ(object_server->elements_served(), served + 1);
+  EXPECT_EQ(tier.element_cache().size(), 1u);
+  EXPECT_EQ(registry.counter("cache.evictions", {{"reason", "expired"}}).value(),
+            1u);
 }
 
 TEST_F(ElementCacheFixture, DistinctElementsCachedSeparately) {
   auto proxy = make_proxy();
   ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());
   ASSERT_TRUE(proxy.fetch(object_name, "story.txt").is_ok());
-  EXPECT_EQ(proxy.element_cache_size(), 2u);
+  EXPECT_EQ(tier.element_cache().size(), 2u);
   auto cached = proxy.fetch(object_name, "story.txt");
   ASSERT_TRUE(cached.is_ok());
-  EXPECT_TRUE(cached->metrics.used_cached_element);
+  EXPECT_TRUE(cached->metrics.served_from_edge_cache);
   EXPECT_EQ(util::to_string(cached->element.content), "full text");
 }
 
 TEST_F(ElementCacheFixture, ClearCacheForcesRefetch) {
   auto proxy = make_proxy();
   ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());
-  proxy.clear_element_cache();
-  EXPECT_EQ(proxy.element_cache_size(), 0u);
+  tier.element_cache().clear();
+  EXPECT_EQ(tier.element_cache().size(), 0u);
+  const std::size_t served = object_server->elements_served();
   auto result = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(result.is_ok());
-  EXPECT_FALSE(result->metrics.used_cached_element);
+  EXPECT_FALSE(result->metrics.served_from_edge_cache);
+  EXPECT_EQ(object_server->elements_served(), served + 1);
 }
 
 TEST_F(ElementCacheFixture, DisabledByDefault) {
   ProxyConfig config = proxy_config();
+  ASSERT_EQ(config.edge_cache, nullptr);
   GlobeDocProxy proxy(*client_flow, config);
   ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());
+  const std::size_t served = object_server->elements_served();
   auto second = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(second.is_ok());
-  EXPECT_FALSE(second->metrics.used_cached_element);
-  EXPECT_EQ(proxy.element_cache_size(), 0u);
+  EXPECT_FALSE(second->metrics.served_from_edge_cache);
+  EXPECT_EQ(object_server->elements_served(), served + 1);
 }
 
 TEST_F(ElementCacheFixture, StaleCacheCannotHideAnUpdateBeyondItsWindow) {
@@ -115,53 +160,50 @@ TEST_F(ElementCacheFixture, StaleCacheCannotHideAnUpdateBeyondItsWindow) {
   // Still inside the old entry's window: cache may answer with v1.
   auto inside = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(inside.is_ok());
-  EXPECT_TRUE(inside->metrics.used_cached_element);
+  EXPECT_TRUE(inside->metrics.served_from_edge_cache);
+  EXPECT_EQ(inside->element.content, v1->element.content);
 
   // Past the old window (but inside v2's): the proxy refetches, sees v2.
   client_flow->advance(util::seconds(1700));
   auto outside = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(outside.is_ok());
-  EXPECT_FALSE(outside->metrics.used_cached_element);
+  EXPECT_FALSE(outside->metrics.served_from_edge_cache);
   EXPECT_EQ(util::to_string(outside->element.content), "<html>v2</html>");
 }
 
 TEST_F(ElementCacheFixture, DistinctNameCrawlKeepsEveryProxyCacheAtItsBound) {
   // A crawler visiting many distinct names must not grow the proxy: the
-  // bindings, the element cache and the certificate memo all sit behind
-  // bounded LRUs.  Every name here resolves to the same document, so the
-  // memo also proves one RSA verify serves the whole crawl.
+  // bindings and the certificate memo sit behind bounded LRUs.  Every name
+  // here resolves to the same document, so the memo proves one RSA verify
+  // serves the whole crawl, and the content-addressed tier holds one entry.
   constexpr std::size_t kBindings = GlobeDocProxy::kMaxBindings;
-  constexpr std::size_t kElements = GlobeDocProxy::kMaxCachedElements;
-  constexpr int kNames = kElements + 64;
+  constexpr int kNames = kBindings + 64;
   for (int i = 0; i < kNames; ++i) {
     owner->register_name(*root_zone, "mirror" + std::to_string(i) + ".vu.nl",
                          util::seconds(5000));
   }
-  obs::MetricsRegistry registry;
-  ProxyConfig config = proxy_config();
-  config.cache_bindings = true;
-  config.cache_elements = true;
-  config.registry = &registry;
-  GlobeDocProxy proxy(*client_flow, config);
+  auto proxy = make_proxy();
 
   for (int i = 0; i < kNames; ++i) {
     auto result = proxy.fetch("mirror" + std::to_string(i) + ".vu.nl", "index.html");
     ASSERT_TRUE(result.is_ok()) << result.status().to_string();
     ASSERT_LE(proxy.binding_count(), kBindings);
-    ASSERT_LE(proxy.element_cache_size(), kElements);
   }
   EXPECT_EQ(registry.counter("proxy.cert_verifies").value(), 1u);
   EXPECT_EQ(registry.counter("proxy.cert_verify_memo_hits").value(), kNames - 1u);
+  EXPECT_EQ(tier.element_cache().size(), 1u);
 
-  // The most recent names are still served locally; the oldest were evicted.
+  // The most recent names keep their bindings; the oldest were evicted and
+  // re-bind, but every alias is served from the one tier entry.
   auto recent = proxy.fetch("mirror" + std::to_string(kNames - 1) + ".vu.nl",
                             "index.html");
   ASSERT_TRUE(recent.is_ok());
-  EXPECT_TRUE(recent->metrics.used_cached_element);
+  EXPECT_TRUE(recent->metrics.used_cached_binding);
+  EXPECT_TRUE(recent->metrics.served_from_edge_cache);
   auto oldest = proxy.fetch("mirror0.vu.nl", "index.html");
   ASSERT_TRUE(oldest.is_ok());
-  EXPECT_FALSE(oldest->metrics.used_cached_element);
   EXPECT_FALSE(oldest->metrics.used_cached_binding);
+  EXPECT_TRUE(oldest->metrics.served_from_edge_cache);
 }
 
 TEST_F(ElementCacheFixture, BindingExpiresWithItsCertificate) {

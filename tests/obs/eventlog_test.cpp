@@ -1,4 +1,5 @@
-// Structured event log: trace stamping, level filtering, bounded ring.
+// Structured event log: trace stamping, level filtering, bounded ring,
+// stderr lines for warnings and errors.
 #include "obs/log.hpp"
 
 #include <gtest/gtest.h>
@@ -101,6 +102,19 @@ TEST(EventRecord, JsonCarriesTraceIdOnlyInsideATrace) {
   EXPECT_NE(traced.find("\"trace_id\":\"00000000000000ff0000000000000001\""),
             std::string::npos);
   EXPECT_NE(traced.find("\"span_id\":7"), std::string::npos);
+}
+
+TEST(EventLog, WarnAndAboveWriteOneStderrLineEach) {
+  EventLog log(8);
+  ::testing::internal::CaptureStderr();
+  log.emit(EventLevel::kInfo, "proxy", "pull_installed", "v2");
+  log.emit(EventLevel::kWarn, "proxy", "binding_failed", "host1:8000: kExpired");
+  log.emit(EventLevel::kError, "replication", "gave_up");
+  std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err,
+            "[WARN] proxy: binding_failed: host1:8000: kExpired\n"
+            "[ERROR] replication: gave_up\n");
+  EXPECT_EQ(log.size(), 3u);  // the info record is kept, just not printed
 }
 
 TEST(EventLog, ClearResets) {

@@ -28,10 +28,14 @@ Documents"):
                  deterministic and nonces unpredictable.
 
   metric-catalog Every metric name registered with obs::MetricsRegistry
-                 (`.counter("...")` / `.gauge("...")` / `.histogram("...")`)
-                 in src/ or bench/ must be documented in docs/metrics.md
-                 (listed in backticks).  /metrics is part of the operational
-                 surface; an undocumented series is an unreviewable one.
+  metric-stale   (`.counter("...")` / `->gauge("...")` / `.histogram("...")`,
+                 through an object or a pointer) in src/ or bench/ must be
+                 documented in docs/metrics.md (listed in backticks), and
+                 every catalog table row (| `name` | counter|gauge|histogram |)
+                 must name a series some src/ or bench/ registration still
+                 creates.  /metrics is part of the operational surface; an
+                 undocumented series is an unreviewable one, and a row whose
+                 series is gone documents a signal nobody can see.
 
   probe-catalog  Every cost-probe label declared at a GLOBE_PROFILE_SCOPE
                  site in src/, and every FetchStage string constant in
@@ -160,13 +164,20 @@ RAW_CRYPTO_ALLOWED_DIRS = ("src/crypto/", "tests/", "bench/", "examples/")
 RAND_RE = re.compile(r"(?<![\w:.])(?:std::)?(?:rand|srand|random|drand48)\s*\(")
 
 # ---------------------------------------------------------------------------
-# metric-catalog: registered metric names must appear in docs/metrics.md.
+# metric-catalog / metric-stale: registered metric names and the rows of
+# docs/metrics.md must match.
 # ---------------------------------------------------------------------------
 
-# A registry registration with a literal series name.  The registry API takes
-# the name as the first argument, always a string literal in this tree.
-METRIC_REG_RE = re.compile(r'\.\s*(counter|gauge|histogram)\s*\(\s*"([^"]+)"')
+# A registry registration with a literal series name, through a registry
+# object (`registry.counter(`) or pointer (`registry_->counter(`).  The
+# registry API takes the name as the first argument, always a string literal
+# in this tree.
+METRIC_REG_RE = re.compile(
+    r'(?:\.|->)\s*(counter|gauge|histogram)\s*\(\s*"([^"]+)"')
 METRIC_CATALOG = "docs/metrics.md"
+# A catalog table row: | `name` | counter | ... (metric-stale).
+METRIC_ROW_RE = re.compile(
+    r'^\|\s*`([^`]+)`\s*\|\s*(?:counter|gauge|histogram)\s*\|')
 METRIC_SCAN_DIRS = ("src", "bench")
 
 # ---------------------------------------------------------------------------
@@ -305,12 +316,14 @@ def check_file(path: pathlib.Path, violations: list[str]) -> None:
 
 
 def check_metric_catalog(violations: list[str]) -> None:
-    """Every registered metric series name must be listed in the catalog."""
+    """Every registered metric series name must be listed in the catalog,
+    and every catalog table row must name a registered series."""
     catalog_path = REPO / METRIC_CATALOG
-    cataloged: set[str] = set()
+    catalog_text = ""
     if catalog_path.is_file():
-        cataloged = set(re.findall(r"`([^`\n]+)`",
-                                   catalog_path.read_text(encoding="utf-8")))
+        catalog_text = catalog_path.read_text(encoding="utf-8")
+    cataloged = set(re.findall(r"`([^`\n]+)`", catalog_text))
+    registered: set[str] = set()
     for path in iter_sources():
         rel = relpath(path)
         if not rel.startswith(tuple(d + "/" for d in METRIC_SCAN_DIRS)):
@@ -321,11 +334,20 @@ def check_metric_catalog(violations: list[str]) -> None:
             if COMMENT_RE.match(line):
                 continue
             for kind, name in METRIC_REG_RE.findall(line):
+                registered.add(name)
                 if name not in cataloged:
                     violations.append(
                         f"{rel}:{lineno}: [metric-catalog] {kind} \"{name}\" "
                         f"is not documented in {METRIC_CATALOG}"
                     )
+    for lineno, line in enumerate(catalog_text.splitlines(), start=1):
+        row = METRIC_ROW_RE.match(line)
+        if row and row.group(1) not in registered:
+            violations.append(
+                f"{METRIC_CATALOG}:{lineno}: [metric-stale] row "
+                f"\"{row.group(1)}\" names no series registered in src/ or "
+                "bench/ — remove the row or restore the registration"
+            )
 
 
 def fetch_stage_labels(text: str) -> list[tuple[int, str]]:
@@ -564,7 +586,7 @@ SELF_TEST_CASES = [
         "nodiscard",
     ),
     # The self-test catalog (see run_self_test) documents exactly one
-    # series: `proxy.fetches`.
+    # series, `proxy.fetches`, in a table row, and seeds its registration.
     (
         "uncataloged metric fires",
         "src/obs/usage.cpp",
@@ -587,6 +609,28 @@ SELF_TEST_CASES = [
         "metric in comment clean",
         "src/obs/usage.cpp",
         '  // registry.counter("proxy.surprise_total") would be flagged\n',
+        None,
+    ),
+    (
+        "uncataloged metric through a pointer fires",
+        "src/obs/usage.cpp",
+        '  hits_ = &registry_->counter("proxy.surprise_hits");\n',
+        "metric-catalog",
+    ),
+    (
+        "stale catalog row fires",
+        "docs/metrics.md",
+        "| `proxy.fetches` | counter | `outcome` | Completed fetches. |\n"
+        "| `proxy.ghost_hits` | counter | — | Counter deleted long ago. |\n"
+        "`rsa_verify` `key_check`\n",
+        "metric-stale",
+    ),
+    (
+        "live catalog row clean",
+        "docs/metrics.md",
+        "| `proxy.fetches` | counter | `outcome` | Completed fetches. |\n"
+        "| `key_check` | `globedoc/proxy.cpp` | A probe, not a series. |\n"
+        "`rsa_verify`\n",
         None,
     ),
     # The self-test catalog documents exactly two probe labels: `rsa_verify`
@@ -740,12 +784,21 @@ def run_self_test() -> int:
             target = root / rel
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(snippet)
-            # Minimal catalog so metric-catalog cases can distinguish a
-            # documented series from an undocumented one.
+            # Minimal catalog + a matching registration so metric cases can
+            # distinguish documented from undocumented series and live from
+            # stale rows (skipped when the case under test owns these paths).
             catalog = root / METRIC_CATALOG
             catalog.parent.mkdir(parents=True, exist_ok=True)
-            catalog.write_text("# Metric catalog\n\n`proxy.fetches`\n"
-                               "`rsa_verify`\n`key_check`\n")
+            if not catalog.exists():
+                catalog.write_text(
+                    "# Metric catalog\n\n"
+                    "| `proxy.fetches` | counter | `outcome` | Fetches. |\n\n"
+                    "`rsa_verify`\n`key_check`\n")
+            seedmetric = root / "src/globedoc/seeded_proxy.cpp"
+            if not seedmetric.exists():
+                seedmetric.parent.mkdir(parents=True, exist_ok=True)
+                seedmetric.write_text(
+                    '  ok_ = &registry_->counter("proxy.fetches", labels);\n')
             # Minimal lock hierarchy + a matching mutex member so lock cases
             # can distinguish ranked from unranked and live from stale
             # (skipped when the case under test owns these paths).
