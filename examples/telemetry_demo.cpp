@@ -51,7 +51,6 @@
 #include "net/simnet.hpp"
 #include "obs/admin.hpp"
 #include "obs/collector.hpp"
-#include "obs/log.hpp"
 #include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
 #include "replication/maintainer.hpp"
@@ -287,6 +286,17 @@ int main(int argc, char** argv) {
   staleness.burn_threshold = 2.0;
   slo.add_spec(staleness);
 
+  // Each maintainer tick runs under a root span on its replica's clock, so
+  // a failed refresh shows in /tracez as an event on the tick that failed.
+  auto traced_tick = [](replication::ReplicaMaintainer& maintainer,
+                        net::SimFlow& flow, const char* host) {
+    obs::Tracer tracer([&flow] { return flow.now(); });
+    tracer.set_host(host);
+    tracer.set_sink(&obs::global_trace_collector());
+    auto tick = tracer.span("maintainer.tick");
+    maintainer.tick(flow.now());
+  };
+
   // One 10-second ops round: a couple of verified fetches, a scrape round,
   // an SLO evaluation.
   std::uint64_t round = 0;
@@ -316,8 +326,8 @@ int main(int argc, char** argv) {
     }
     os2_flow->set_time(t + util::seconds(2));
     os3_flow->set_time(t + util::seconds(2));
-    os2_maintainer.tick(os2_flow->now());
-    os3_maintainer.tick(os3_flow->now());
+    traced_tick(os2_maintainer, *os2_flow, "os-2");
+    traced_tick(os3_maintainer, *os3_flow, "os-3");
     aggregator.scrape_round(*client_flow);
     slo.evaluate(client_flow->now());
     return true;
@@ -350,7 +360,7 @@ int main(int argc, char** argv) {
   // --- The admin surface over a real socket.  /metrics serves the proxy
   // node's local view; /federate and /alertz serve the cluster plane.
   obs::AdminConfig admin_config;
-  admin_config.service = "telemetry-demo";  // collector/log: process globals
+  admin_config.service = "telemetry-demo";  // collector: the process global
   admin_config.registry = &proxy_registry;
   admin_config.profile = &proxy_profile;
   admin_config.aggregator = &aggregator;

@@ -116,7 +116,6 @@ util::Result<globedoc::EdgeFetch> EdgeCacheTier::fetch_through(
   }
   globedoc::EdgeFetch out;
   out.element = std::move(filled.element);
-  out.coalesced = !outcome.leader;
   return out;
 }
 

@@ -30,7 +30,6 @@ namespace globe::globedoc {
 struct EdgeFetch {
   PageElement element;
   bool cache_hit = false;  // served from the verified cache, zero upstream
-  bool coalesced = false;  // waited on another flow's in-flight fill
 };
 
 class ElementCacheTier {

@@ -5,7 +5,7 @@
 #include "crypto/sha1.hpp"
 #include "globedoc/server.hpp"
 #include "obs/admin.hpp"
-#include "obs/log.hpp"
+#include "obs/trace.hpp"
 #include "rpc/rpc.hpp"
 #include "util/serial.hpp"
 
@@ -195,7 +195,6 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
     edge_cache.end();
     if (!fetched.is_ok()) return fetched.status();
     metrics.served_from_edge_cache = fetched->cache_hit;
-    metrics.coalesced_fill = fetched->coalesced;
     metrics.content_bytes += fetched->element.content.size();
     return std::move(fetched->element);
   }
@@ -313,19 +312,15 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
     auto binding = bind_replica(*oid, address, tracer);
     if (!binding.is_ok()) {
       last_error = binding.status();
-      obs::global_event_log().emit(
-          obs::EventLevel::kWarn, "proxy", "binding_failed",
-          address.to_string() + ": " + last_error.to_string(),
-          transport_->now());
+      obs::emit_event(obs::EventLevel::kWarn, "proxy", "binding_failed",
+                      address.to_string() + ": " + last_error.to_string());
       continue;
     }
     auto element = fetch_element(*binding, element_name, metrics, tracer);
     if (!element.is_ok()) {
       last_error = element.status();
-      obs::global_event_log().emit(
-          obs::EventLevel::kWarn, "proxy", "element_rejected",
-          address.to_string() + ": " + last_error.to_string(),
-          transport_->now());
+      obs::emit_event(obs::EventLevel::kWarn, "proxy", "element_rejected",
+                      address.to_string() + ": " + last_error.to_string());
       continue;
     }
     if (config_.cache_bindings) {

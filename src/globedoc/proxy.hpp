@@ -109,7 +109,6 @@ struct FetchMetrics {
   std::size_t replicas_tried = 0;
   bool used_cached_binding = false;
   bool served_from_edge_cache = false;  // edge tier hit, zero upstream RPCs
-  bool coalesced_fill = false;  // waited on another flow's in-flight fill
   /// Span tree of this fetch: a "fetch" root whose children are the
   /// pipeline stages (FetchStage names).  Timestamps come from the
   /// transport clock — virtual time under SimNet, wall time over TCP.

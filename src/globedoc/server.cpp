@@ -5,7 +5,7 @@
 #include "crypto/merkle.hpp"
 #include "globedoc/fetch_many.hpp"
 #include "obs/admin.hpp"
-#include "obs/log.hpp"
+#include "obs/trace.hpp"
 #include "util/serial.hpp"
 
 namespace globe::globedoc {
@@ -286,7 +286,6 @@ void ObjectServer::register_with(rpc::ServiceDispatcher& dispatcher) {
         });
   };
   bindm(rpc::kGlobeDocAccess, kGetElement, &ObjectServer::handle_get_element);
-  bindm(rpc::kGlobeDocAccess, kListElements, &ObjectServer::handle_list_elements);
   bindm(rpc::kGlobeDocAccess, kFetchMany, &ObjectServer::handle_fetch_many);
   bindm(rpc::kGlobeDocSecurity, kGetPublicKey, &ObjectServer::handle_get_public_key);
   bindm(rpc::kGlobeDocSecurity, kGetIntegrityCert,
@@ -392,29 +391,6 @@ Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
   return resp.serialize();
 }
 
-Result<Bytes> ObjectServer::handle_list_elements(net::ServerContext& ctx,
-                                                 BytesView payload) {
-  requests_counter_->inc();
-  try {
-    util::Reader r(payload);
-    auto oid = read_oid(r);
-    if (!oid.is_ok()) return oid.status();
-    r.expect_end();
-
-    util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    util::Writer w;
-    w.u32(static_cast<std::uint32_t>(it->second.elements.size()));
-    for (const auto& el : it->second.elements) w.str(el.name);
-    return w.take();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
-}
-
 Result<Bytes> ObjectServer::handle_get_public_key(net::ServerContext& ctx,
                                                   BytesView payload) {
   requests_counter_->inc();
@@ -495,10 +471,8 @@ Result<Bytes> ObjectServer::check_admin_auth(net::ServerContext& ctx,
                                              const Bytes& signature,
                                              std::string_view tag, BytesView payload) {
   auto denied = [&](const char* why) {
-    obs::global_event_log().emit(obs::EventLevel::kWarn, "server",
-                                 "admin_auth_failed",
-                                 name_ + ": " + why + " (" + std::string(tag) + ")",
-                                 ctx.now());
+    obs::emit_event(obs::EventLevel::kWarn, "server", "admin_auth_failed",
+                    name_ + ": " + why + " (" + std::string(tag) + ")");
     return Result<Bytes>(ErrorCode::kPermissionDenied, why);
   };
   {
@@ -590,11 +564,9 @@ Result<Bytes> ObjectServer::handle_create_or_update(net::ServerContext& ctx,
     }
     install_locked(oid, std::move(*state), ctx.now());
     replica_installs_->inc();
-    obs::global_event_log().emit(obs::EventLevel::kInfo, "server",
-                                 "replica_install",
-                                 name_ + ": " + oid.to_hex() +
-                                     (create ? " created" : " updated"),
-                                 ctx.now());
+    obs::emit_event(obs::EventLevel::kInfo, "server", "replica_install",
+                    name_ + ": " + oid.to_hex() +
+                        (create ? " created" : " updated"));
     return Bytes{};
   } catch (const util::SerialError& e) {
     return Result<Bytes>(ErrorCode::kProtocol, e.what());
@@ -632,9 +604,8 @@ Result<Bytes> ObjectServer::handle_delete(net::ServerContext& ctx, BytesView pay
     installed_at_.erase(*oid);
     lease_until_.erase(*oid);
     replica_deletes_->inc();
-    obs::global_event_log().emit(obs::EventLevel::kInfo, "server",
-                                 "replica_delete", name_ + ": " + oid->to_hex(),
-                                 ctx.now());
+    obs::emit_event(obs::EventLevel::kInfo, "server", "replica_delete",
+                    name_ + ": " + oid->to_hex());
     return Bytes{};
   } catch (const util::SerialError& e) {
     return Result<Bytes>(ErrorCode::kProtocol, e.what());

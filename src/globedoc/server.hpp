@@ -39,8 +39,8 @@ class AdminHttpServer;  // obs/admin.hpp
 namespace globe::globedoc {
 
 enum AccessMethod : std::uint16_t {
-  kGetElement = 1,    // {oid20, str name} -> serialized PageElement
-  kListElements = 2,  // {oid20} -> u32 n, n × str
+  kGetElement = 1,  // {oid20, str name} -> serialized PageElement
+  // 2 is retired (it was ListElements, which no client called).
   // Batched retrieval: FetchManyRequest -> FetchManyResponse (up to
   // kFetchManyMaxElements elements + the shared integrity certificate in
   // ONE round trip; see globedoc/fetch_many.hpp).
@@ -160,8 +160,6 @@ class ObjectServer {
   // and are tainted at entry (GLOBE_UNTRUSTED in parameter position).
   util::Result<util::Bytes> handle_get_element(net::ServerContext&,
                                                GLOBE_UNTRUSTED util::BytesView);
-  util::Result<util::Bytes> handle_list_elements(net::ServerContext&,
-                                                 GLOBE_UNTRUSTED util::BytesView);
   util::Result<util::Bytes> handle_fetch_many(net::ServerContext&,
                                               GLOBE_UNTRUSTED util::BytesView);
   util::Result<util::Bytes> handle_get_public_key(net::ServerContext&,

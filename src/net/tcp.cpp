@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -52,6 +53,11 @@ bool send_frame(int fd, BytesView payload) {
 }
 
 constexpr std::size_t kMaxFrame = 64 * 1024 * 1024;
+/// A frame up to this size is read into one buffer sized up front.  A
+/// larger announced length grows the buffer by at most this much per read,
+/// so a peer that announces a huge frame and goes silent holds at most one
+/// step more memory than it has sent.
+constexpr std::size_t kFrameStep = 1024 * 1024;
 
 bool recv_frame(int fd, Bytes& out) {
   std::uint8_t len[4];
@@ -59,8 +65,13 @@ bool recv_frame(int fd, Bytes& out) {
   std::size_t n = std::size_t{len[0]} << 24 | std::size_t{len[1]} << 16 |
                   std::size_t{len[2]} << 8 | len[3];
   if (n > kMaxFrame) return false;
-  out.assign(n, 0);
-  return n == 0 || read_exact(fd, out.data(), n);
+  out.clear();
+  while (out.size() < n) {
+    std::size_t have = out.size();
+    out.resize(have + std::min(n - have, kFrameStep));
+    if (!read_exact(fd, out.data() + have, out.size() - have)) return false;
+  }
+  return true;
 }
 
 /// Wall-clock server context for live handlers.

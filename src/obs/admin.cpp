@@ -159,7 +159,6 @@ AdminHttpServer::AdminHttpServer(AdminConfig config)
     : config_(std::move(config)) {
   if (config_.registry == nullptr) config_.registry = &global_registry();
   if (config_.collector == nullptr) config_.collector = &global_trace_collector();
-  if (config_.events == nullptr) config_.events = &global_event_log();
   if (config_.profile == nullptr) config_.profile = &global_profile_registry();
 }
 
@@ -219,10 +218,10 @@ HttpResponse AdminHttpServer::serve_healthz(net::ServerContext& ctx) {
   }
   os << "],\"status\":\"" << (all_ok ? "ok" : "degraded") << "\"}";
   int status = all_ok ? 200 : 503;
-  config_.events->emit(all_ok ? EventLevel::kDebug : EventLevel::kWarn,
-                       "admin", "healthz",
-                       config_.service + " " + (all_ok ? "ok" : "degraded"),
-                       ctx.now());
+  if (!all_ok) {
+    emit_event(EventLevel::kWarn, "admin", "healthz",
+               config_.service + " degraded");
+  }
   return HttpResponse::make(status, http::reason_for_status(status),
                             util::to_bytes(os.str()), "application/json");
 }

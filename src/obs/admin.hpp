@@ -57,7 +57,6 @@
 #include "net/transport.hpp"
 #include "obs/collector.hpp"
 #include "obs/health.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "util/bounds_annotations.hpp"
@@ -82,7 +81,6 @@ struct AdminConfig {
   /// Sources served; null fields fall back to the process-wide defaults.
   MetricsRegistry* registry = nullptr;
   TraceCollector* collector = nullptr;
-  EventLog* events = nullptr;
   /// Cost-profile source for /profilez; also published into `registry` as
   /// profile.* counters on every /metrics scrape, so the fleet view
   /// (/federate) carries per-node crypto cost.  Null = the process-wide

@@ -21,6 +21,17 @@ SpanRecord* find_by_id(SpanRecord& node, std::uint64_t span_id) {
   return nullptr;
 }
 
+/// True when a span of the tree holds a warn-or-above event.
+bool holds_warning(const SpanRecord& span) {
+  for (const SpanEvent& event : span.events) {
+    if (event.level >= EventLevel::kWarn) return true;
+  }
+  for (const SpanRecord& child : span.children) {
+    if (holds_warning(child)) return true;
+  }
+  return false;
+}
+
 /// Inserts `span` into `parent`'s children keeping start order.
 void attach_child(SpanRecord& parent, SpanRecord span) {
   auto it = std::upper_bound(
@@ -115,10 +126,13 @@ void TraceCollector::assemble_locked(const TraceKey& key, TraceFragment root) {
   }
 
   // Tail-based retention: the decision runs here, where the root duration
-  // is finally known.
+  // and every fragment's events are finally known.  A warning is the only
+  // account of a retry (a rejected replica, a failed refresh), so a trace
+  // holding one is always kept.
   ++seen_;
   bool keep = trace.root.duration >= policy_.keep_slower_than ||
-              (policy_.keep_one_in != 0 && seen_ % policy_.keep_one_in == 0);
+              (policy_.keep_one_in != 0 && seen_ % policy_.keep_one_in == 0) ||
+              holds_warning(trace.root);
   if (!keep) return;
   ++kept_;
   ring_.push_back(std::move(trace));

@@ -15,7 +15,9 @@
 // is known, the trace is kept if it is slow (root duration at or above
 // `keep_slower_than`), and otherwise only every `keep_one_in`-th trace is
 // kept — the classic keep-if-slow tail sampler, decided where the latency
-// is known rather than up front.
+// is known rather than up front.  One fixed rule overrides the policy: a
+// trace any of whose spans holds a warn-or-above event (obs/trace.hpp) is
+// always kept, because that event is the only account of a retry.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,8 @@
 namespace globe::obs {
 
 /// Tail-based retention policy.  Defaults keep every slow trace plus a
-/// 1-in-16 sample of the rest.
+/// 1-in-16 sample of the rest; a trace holding a warning is kept whatever
+/// the policy says.
 struct TailSamplingPolicy {
   /// Traces whose root duration is >= this are always kept.
   util::SimDuration keep_slower_than = util::millis(250);

@@ -31,6 +31,15 @@ const char* kind_name(MetricSample::Kind kind) {
   return "unknown";
 }
 
+const char* level_name(EventLevel level) {
+  switch (level) {
+    case EventLevel::kInfo: return "info";
+    case EventLevel::kWarn: return "warn";
+    case EventLevel::kError: return "error";
+  }
+  return "info";
+}
+
 void labels_to_json(std::ostringstream& os, const Labels& labels) {
   os << '{';
   bool first = true;
@@ -76,6 +85,22 @@ void span_to_json(std::ostringstream& os, const SpanRecord& span) {
   if (span.span_id != 0) os << ",\"span_id\":" << span.span_id;
   if (!span.host.empty()) {
     os << ",\"host\":\"" << json_escape(span.host) << '"';
+  }
+  if (!span.events.empty()) {
+    os << ",\"events\":[";
+    for (std::size_t i = 0; i < span.events.size(); ++i) {
+      const SpanEvent& e = span.events[i];
+      if (i > 0) os << ',';
+      os << "{\"time_ns\":" << e.time << ",\"level\":\""
+         << level_name(e.level) << "\",\"component\":\""
+         << json_escape(e.component) << "\",\"event\":\""
+         << json_escape(e.event) << '"';
+      if (!e.detail.empty()) {
+        os << ",\"detail\":\"" << json_escape(e.detail) << '"';
+      }
+      os << '}';
+    }
+    os << ']';
   }
   os << ",\"children\":[";
   for (std::size_t i = 0; i < span.children.size(); ++i) {

@@ -35,6 +35,9 @@ std::string to_json(const Snapshot& snapshot);
 
 /// JSON object for one span tree:
 ///   {"name": "fetch", "start_ns": 0, "duration_ns": 123, "children": [...]}
+/// A span holding events also carries, before its children,
+///   "events": [{"time_ns": 90, "level": "warn", "component": "proxy",
+///               "event": "element_rejected", "detail": "..."}]
 std::string to_json(const SpanRecord& span);
 
 /// Escapes `s` for inclusion inside a JSON string literal (no quotes added).

@@ -33,8 +33,56 @@ std::atomic<std::uint64_t> g_id_counter{id_counter_seed()};
 
 /// Innermost open span of this thread, as seen by the RPC layer.
 thread_local TraceContext t_current_context;
+/// The tracer owning that span: emit_event() records on its innermost span.
+thread_local Tracer* t_current_tracer = nullptr;
+
+/// Appends `s` with bytes below 0x20 and 0x7f written as \xNN.
+void append_escaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20 || byte == 0x7f) {
+      char buf[5];
+      std::snprintf(buf, sizeof buf, "\\x%02x", byte);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+}
+
+/// Writes "[WARN] component: event: detail" to stderr as one fwrite of the
+/// whole line (stderr is unbuffered), so concurrent emitters never
+/// interleave mid-line.
+void write_stderr_line(EventLevel level, std::string_view component,
+                       std::string_view event, std::string_view detail) {
+  std::string line = level == EventLevel::kError ? "[ERROR] " : "[WARN] ";
+  append_escaped(line, component);
+  line += ": ";
+  append_escaped(line, event);
+  if (!detail.empty()) {
+    line += ": ";
+    append_escaped(line, detail);
+  }
+  line += '\n';
+  std::fwrite(line.data(), 1, line.size(), stderr);
+}
 
 }  // namespace
+
+void emit_event(EventLevel level, std::string_view component,
+                std::string_view event, std::string detail) {
+  // Warnings and errors also go to stderr, where an operator (and
+  // bench_live's captured server logs) sees them without polling /tracez.
+  if (level >= EventLevel::kWarn) {
+    write_stderr_line(level, component, event, detail);
+  }
+  Tracer* tracer = t_current_tracer;
+  if (tracer == nullptr || tracer->stack_.empty()) return;
+  SpanRecord& span = *tracer->stack_.back();
+  if (span.events.size() >= kMaxSpanEvents) return;
+  span.events.push_back(SpanEvent{level, tracer->now_(), std::string(component),
+                                  std::string(event), std::move(detail)});
+}
 
 std::uint64_t next_span_id() {
   std::uint64_t id = mix64(g_id_counter.fetch_add(1, std::memory_order_relaxed));
@@ -137,10 +185,12 @@ void Tracer::Span::end() {
 void Tracer::publish_current() {
   if (stack_.empty()) {
     t_current_context = enclosing_;
+    t_current_tracer = enclosing_tracer_;
     return;
   }
   t_current_context = TraceContext{trace_hi_, trace_lo_,
                                    stack_.back()->span_id, sampled_};
+  t_current_tracer = this;
 }
 
 Tracer::Span Tracer::span(std::string name) {
@@ -155,6 +205,7 @@ Tracer::Span Tracer::span(std::string name) {
     // fresh trace; remember the thread context in force so it can be
     // restored when this root closes (tracers on one thread nest strictly).
     enclosing_ = t_current_context;
+    enclosing_tracer_ = t_current_tracer;
     if (inherited_.valid()) {
       trace_hi_ = inherited_.trace_hi;
       trace_lo_ = inherited_.trace_lo;

@@ -20,6 +20,11 @@
 // receives completed root fragments and stitches them back into a single
 // cross-host tree.
 //
+// Span events (DESIGN.md §10): emit_event() records an occurrence such as
+// a rejected replica on the innermost open span of the calling thread, so
+// /tracez shows it inside the fetch it cost, and the tail sampler
+// (obs/collector.hpp) always keeps a trace holding a warn-or-above event.
+//
 // A Tracer belongs to one logical flow, like net::Transport: it is NOT
 // thread-safe, and a flow must stay on one thread while it has open spans
 // (the propagated context is thread-local).  Use one tracer per concurrent
@@ -73,6 +78,21 @@ TraceContext current_trace_context();
 /// bits, not guaranteed-impossible).
 std::uint64_t next_span_id();
 
+enum class EventLevel : int { kInfo, kWarn, kError };
+
+/// One event recorded on the span it happened in.
+struct SpanEvent {
+  EventLevel level = EventLevel::kInfo;
+  util::SimTime time = 0;  // the recording tracer's clock
+  std::string component;   // subsystem label, e.g. "proxy", "replication"
+  std::string event;       // machine-readable name, e.g. "binding_failed"
+  std::string detail;      // free-form human context
+};
+
+/// Events kept per span; later ones are dropped (their stderr lines, for
+/// warnings and errors, are still written).
+inline constexpr std::size_t kMaxSpanEvents = 32;
+
 /// One completed span: half-open interval [start, start + duration) with
 /// completed children, in start order.
 struct SpanRecord {
@@ -82,7 +102,16 @@ struct SpanRecord {
   std::uint64_t span_id = 0;  // unique within the trace
   std::string host;           // recording side's label (roots only; "" = unset)
   std::vector<SpanRecord> children;
+  std::vector<SpanEvent> events;  // emission order, at most kMaxSpanEvents
 };
+
+/// Records an event on the innermost open span of the calling thread,
+/// timed by that span's tracer.  Warn and error also write one
+/// "[WARN] component: event: detail" line to stderr, with control bytes
+/// escaped so text a peer chose (an RPC error message) cannot start a line
+/// of its own.  An info event outside any span is dropped.
+void emit_event(EventLevel level, std::string_view component,
+                std::string_view event, std::string detail = "");
 
 /// Sum of the durations of every span named `name` in the tree (the tree
 /// may contain several, e.g. one `key_check` per replica attempted).
@@ -180,6 +209,9 @@ class Tracer {
   std::uint64_t trace_lo() const { return trace_lo_; }
 
  private:
+  friend void emit_event(EventLevel, std::string_view, std::string_view,
+                         std::string);
+
   void end_node(SpanRecord* node);
   void publish_current();
 
@@ -191,6 +223,7 @@ class Tracer {
   std::uint64_t root_parent_ = 0;      // parent span id of the open root
   bool sampled_ = true;
   TraceContext enclosing_;             // thread context saved at root open
+  Tracer* enclosing_tracer_ = nullptr; // thread's open tracer saved at root open
   std::vector<SpanRecord> finished_ GLOBE_BOUNDED;
   std::unique_ptr<SpanRecord> root_;   // in-progress root (stable address)
   std::vector<SpanRecord*> stack_ GLOBE_BOUNDED;     // open spans, outermost first

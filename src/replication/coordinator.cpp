@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "obs/log.hpp"
+#include "obs/trace.hpp"
 
 namespace globe::replication {
 
@@ -80,18 +80,16 @@ Status DynamicReplicator::rebalance(util::SimTime now) {
       if (!created.is_ok()) return created;
       state.replicated = true;
       replicas_created_->inc();
-      obs::global_event_log().emit(
-          obs::EventLevel::kInfo, "replication", "replica_created",
-          name + " at " + std::to_string(rps) + " rps", now);
+      obs::emit_event(obs::EventLevel::kInfo, "replication", "replica_created",
+                      name + " at " + std::to_string(rps) + " rps");
     } else if (state.replicated && rps <= config_.retire_below_rps) {
       Status removed = owner_->unpublish_replica(
           *transport_, state.config.object_server, state.config.location_site);
       if (!removed.is_ok()) return removed;
       state.replicated = false;
       replicas_retired_->inc();
-      obs::global_event_log().emit(
-          obs::EventLevel::kInfo, "replication", "replica_retired",
-          name + " at " + std::to_string(rps) + " rps", now);
+      obs::emit_event(obs::EventLevel::kInfo, "replication", "replica_retired",
+                      name + " at " + std::to_string(rps) + " rps");
     }
   }
   replica_gauge_->set(static_cast<double>(replica_count()));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/log.hpp"
+#include "obs/trace.hpp"
 
 namespace globe::replication {
 
@@ -75,13 +75,11 @@ ReplicaMaintainer::TickReport ReplicaMaintainer::tick(util::SimTime now) {
         case util::ErrorCode::kUnavailable: failed_transport_->inc(); break;
         default: failed_verification_->inc(); break;
       }
-      // The record joins whatever trace is active on this thread (a bench
-      // or demo tick span), so a failed refresh is debuggable from /tracez.
-      obs::global_event_log().emit(
-          obs::EventLevel::kWarn, "replication", "refresh_failed",
-          oid.to_hex() + " reason=" + reason + ": " +
-              last_failure.to_string(),
-          now);
+      // The event lands on the caller's open span, if any (the telemetry
+      // demo runs each tick under one, so /tracez shows its failures).
+      obs::emit_event(obs::EventLevel::kWarn, "replication", "refresh_failed",
+                      oid.to_hex() + " reason=" + reason + ": " +
+                          last_failure.to_string());
     }
   }
   checked_counter_->inc(report.checked);

@@ -4,7 +4,7 @@
 
 #include "crypto/sha1.hpp"
 #include "globedoc/fetch_many.hpp"
-#include "obs/log.hpp"
+#include "obs/trace.hpp"
 #include "rpc/rpc.hpp"
 #include "util/serial.hpp"
 
@@ -29,10 +29,8 @@ Result<PullResult> pull_replica(net::Transport& transport,
   // A rejected pull is security-relevant (the peer served something that
   // failed verification) — record it joinable to the enclosing trace.
   auto reject = [&](ErrorCode code, std::string message) {
-    obs::global_event_log().emit(obs::EventLevel::kWarn, "replication",
-                                 "pull_rejected",
-                                 source.to_string() + ": " + message,
-                                 transport.now());
+    obs::emit_event(obs::EventLevel::kWarn, "replication", "pull_rejected",
+                    source.to_string() + ": " + message);
     return Result<PullResult>(code, std::move(message));
   };
 
@@ -151,11 +149,9 @@ Result<PullResult> pull_replica(net::Transport& transport,
   }
   result.installed = true;
   local.install_replica_unchecked(state, transport.now());
-  obs::global_event_log().emit(
-      obs::EventLevel::kInfo, "replication", "pull_installed",
-      oid.to_hex() + " v" + std::to_string(result.version) + " from " +
-          source.to_string(),
-      transport.now());
+  obs::emit_event(obs::EventLevel::kInfo, "replication", "pull_installed",
+                  oid.to_hex() + " v" + std::to_string(result.version) +
+                      " from " + source.to_string());
   return result;
 }
 

@@ -202,17 +202,6 @@ TEST_F(ServerFixture, AccessUnknownElementOrObject) {
             ErrorCode::kNotFound);
 }
 
-TEST_F(ServerFixture, ListElements) {
-  server->install_replica_unchecked(state_v2);
-  rpc::RpcClient client(*flow, ep);
-  util::Writer req;
-  req.raw(oid.to_bytes());
-  auto raw = client.call(rpc::kGlobeDocAccess, kListElements, req.buffer());
-  ASSERT_TRUE(raw.is_ok());
-  util::Reader r(*raw);
-  EXPECT_EQ(r.u32(), 3u);
-}
-
 TEST_F(ServerFixture, SecurityInterfaceServesKeyAndCerts) {
   server->install_replica_unchecked(state_v1);
   rpc::RpcClient client(*flow, ep);

@@ -7,7 +7,7 @@
 #include "http/parser.hpp"
 #include "obs/admin.hpp"
 #include "obs/collector.hpp"
-#include "obs/log.hpp"
+#include "obs/export.hpp"
 #include "tests/globedoc/world_fixture.hpp"
 
 namespace globe::globedoc {
@@ -208,29 +208,141 @@ TEST_F(TraceStitchFixture, ProxyHealthzFlipsOnReplicaLinkFailure) {
   EXPECT_EQ(healthz().status, 200);
 }
 
-TEST_F(TraceStitchFixture, VerificationFailureEventsJoinTheFetchTrace) {
-  // Tamper with the served replica AFTER binding material is published:
-  // overwrite one element so element verification fails, and check the
-  // emitted warn event carries the fetch's trace id.
-  obs::global_event_log().clear();
-  ReplicaState state = owner->sign_and_snapshot(0, util::seconds(3600));
-  state.elements[0].content = util::to_bytes("tampered!");
-  object_server->install_replica_unchecked(state);
+// GET /tracez from the process-wide collector, as an operator would.
+std::string tracez(net::SimNet& net, net::HostId host, std::uint16_t port) {
+  obs::AdminHttpServer admin;
+  net::Endpoint admin_ep{host, port};
+  net.bind(admin_ep, admin.handler());
+  auto flow = net.open_flow(host);
+  http::HttpRequest req;
+  req.target = "/tracez";
+  auto raw = flow->call(admin_ep, req.serialize());
+  net.unbind(admin_ep);
+  EXPECT_TRUE(raw.is_ok());
+  auto resp = http::parse_response(*raw);
+  EXPECT_TRUE(resp.is_ok());
+  EXPECT_EQ(resp->status, 200);
+  return util::to_string(resp->body);
+}
 
+// Overwrites one element of the served replica AFTER binding material is
+// published, so element verification of "index.html" fails.
+void tamper_index(ObjectOwner& owner, ObjectServer& server) {
+  ReplicaState state = owner.sign_and_snapshot(0, util::seconds(3600));
+  state.elements[0].content = util::to_bytes("tampered!");
+  server.install_replica_unchecked(state);
+}
+
+TEST_F(TraceStitchFixture, VerificationFailureEventsJoinTheFetchTrace) {
+  tamper_index(*owner, *object_server);
   GlobeDocProxy proxy(*client_flow, proxy_config());
+  ::testing::internal::CaptureStderr();
   auto result = proxy.fetch(object_name, "index.html");
+  std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(err.rfind("[WARN] proxy: element_rejected: host", 0), 0u) << err;
+
+  // The rejection sits on the stitched trace's fetch span, next to the
+  // server spans of the RPCs it cost.
+  ASSERT_EQ(collector->size(), 1u);
+  obs::StitchedTrace trace = collector->recent(1)[0];
+  EXPECT_TRUE(trace.complete);
+  EXPECT_GE(trace.fragments, 4u);
+  ASSERT_EQ(trace.root.name, FetchStage::kFetch);
+  ASSERT_EQ(trace.root.events.size(), 1u);
+  const obs::SpanEvent& event = trace.root.events[0];
+  EXPECT_EQ(event.level, obs::EventLevel::kWarn);
+  EXPECT_EQ(event.component, "proxy");
+  EXPECT_EQ(event.event, "element_rejected");
+  EXPECT_NE(event.detail.find("HASH_MISMATCH"), std::string::npos);
+  EXPECT_GE(event.time, trace.root.start);
+  EXPECT_LE(event.time, trace.root.start + trace.root.duration);
+}
+
+TEST_F(TraceStitchFixture, DefaultTailPolicyKeepsAFastRejectedFetch) {
+  // Under the default policy a fast trace is kept one in 16; the first
+  // trace after clear() is not that one, and this fetch is fast.  Its
+  // warning keeps it anyway, and /tracez serves the event JSON-escaped.
+  collector->set_policy(obs::TailSamplingPolicy{});
+  tamper_index(*owner, *object_server);
+  GlobeDocProxy proxy(*client_flow, proxy_config());
+  ::testing::internal::CaptureStderr();
+  auto result = proxy.fetch(object_name, "index.html");
+  ::testing::internal::GetCapturedStderr();
   ASSERT_FALSE(result.is_ok());
 
-  bool found = false;
-  for (const auto& record : obs::global_event_log().recent(64)) {
-    if (record.event != "element_rejected") continue;
-    found = true;
-    EXPECT_TRUE(record.trace_hi != 0 || record.trace_lo != 0);
-    ASSERT_FALSE(
-        obs::global_event_log().for_trace(record.trace_hi, record.trace_lo)
-            .empty());
+  EXPECT_EQ(collector->traces_seen(), 1u);
+  ASSERT_EQ(collector->traces_kept(), 1u);
+  obs::StitchedTrace trace = collector->recent(1)[0];
+  EXPECT_LT(trace.duration(), obs::TailSamplingPolicy{}.keep_slower_than);
+  ASSERT_EQ(trace.root.events.size(), 1u);
+  EXPECT_EQ(trace.root.events[0].event, "element_rejected");
+
+  std::string body = tracez(net, infra_host, 9903);
+  EXPECT_NE(body.find(trace.trace_id()), std::string::npos);
+  EXPECT_NE(body.find("\"event\":\"element_rejected\",\"detail\":\"" +
+                      obs::json_escape(trace.root.events[0].detail) + "\""),
+            std::string::npos);
+}
+
+TEST_F(TraceStitchFixture, FailedAdminAuthEventRidesTheServerSpan) {
+  // The owner's key is revoked, then a traced update is refused: the
+  // refusal is recorded on the object server's rpc span inside the
+  // caller's trace.
+  object_server->revoke(owner_credentials.pub);
+  obs::Tracer tracer([this] { return publish_flow->now(); });
+  tracer.set_sink(collector);
+  ::testing::internal::CaptureStderr();
+  {
+    auto root = tracer.span("refresh");
+    EXPECT_FALSE(owner->refresh_replicas(*publish_flow, 0, util::seconds(3600))
+                     .is_ok());
   }
-  EXPECT_TRUE(found);
+  std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err,
+            "[WARN] server: admin_auth_failed: srv-1: key not in keystore "
+            "(update)\n");
+
+  auto trace = collector->find(tracer.trace_hi(), tracer.trace_lo());
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_TRUE(trace->complete);
+  EXPECT_TRUE(trace->root.events.empty());
+  const obs::SpanRecord* update = find_span(trace->root, "rpc:gd.admin/3");
+  ASSERT_NE(update, nullptr);
+  ASSERT_EQ(update->events.size(), 1u);
+  EXPECT_EQ(update->events[0].level, obs::EventLevel::kWarn);
+  EXPECT_EQ(update->events[0].component, "server");
+  EXPECT_EQ(update->events[0].event, "admin_auth_failed");
+  EXPECT_EQ(update->events[0].detail, "srv-1: key not in keystore (update)");
+}
+
+TEST_F(TraceStitchFixture, PeerErrorTextCannotForgeAStderrLine) {
+  // A lying replica answers every call with an error whose message carries
+  // a newline and a forged log line.  The proxy's one warning stays one
+  // stderr line; the span keeps the raw text and /tracez escapes it.
+  net.unbind(server_ep);
+  net.bind(server_ep, [](net::ServerContext&, util::BytesView) {
+    return util::Result<util::Bytes>(
+        util::ErrorCode::kInternal, "boom\n[WARN] proxy: forged_event: all good");
+  });
+  GlobeDocProxy proxy(*client_flow, proxy_config());
+  ::testing::internal::CaptureStderr();
+  auto result = proxy.fetch(object_name, "index.html");
+  std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(err, "[WARN] proxy: binding_failed: " + server_ep.to_string() +
+                     ": INTERNAL: boom\\x0a[WARN] proxy: forged_event: all "
+                     "good\n");
+
+  ASSERT_EQ(collector->size(), 1u);
+  obs::StitchedTrace trace = collector->recent(1)[0];
+  ASSERT_EQ(trace.root.events.size(), 1u);
+  EXPECT_EQ(trace.root.events[0].detail,
+            server_ep.to_string() +
+                ": INTERNAL: boom\n[WARN] proxy: forged_event: all good");
+  std::string body = tracez(net, infra_host, 9904);
+  EXPECT_NE(body.find("INTERNAL: boom\\n[WARN] proxy: forged_event"),
+            std::string::npos);
 }
 
 }  // namespace

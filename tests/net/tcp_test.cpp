@@ -1,5 +1,11 @@
 #include "net/tcp.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -120,6 +126,53 @@ TEST(TcpTest, StopIsIdempotent) {
   });
   server.stop();
   server.stop();
+}
+
+long peak_rss_kb() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(TcpTest, AnnouncedFrameLengthIsNotAllocatedUpFront) {
+  // A raw peer reads the request, answers with a header announcing a
+  // 64 MiB frame and closes.  The call fails without the client having
+  // zero-filled the announced length: its buffer grows only as bytes
+  // arrive.  call() returns only after the frame read has run.
+  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len),
+            0);
+  std::thread peer([listen_fd] {
+    int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    std::uint8_t request[5];  // u32 length 1 + the one payload byte
+    std::size_t got = 0;
+    while (got < sizeof request) {
+      ssize_t r = ::recv(fd, request + got, sizeof request - got, 0);
+      if (r <= 0) break;
+      got += static_cast<std::size_t>(r);
+    }
+    const std::uint8_t header[4] = {0x04, 0x00, 0x00, 0x00};  // 64 MiB
+    ::send(fd, header, sizeof header, MSG_NOSIGNAL);
+    ::close(fd);
+  });
+
+  long before_kb = peak_rss_kb();
+  TcpTransport client;
+  auto r = client.call(Endpoint{HostId{0}, ntohs(addr.sin_port)},
+                       util::to_bytes("x"));
+  long rise_kb = peak_rss_kb() - before_kb;
+  peer.join();
+  ::close(listen_fd);
+  EXPECT_EQ(r.code(), ErrorCode::kUnavailable);
+  EXPECT_LT(rise_kb, 16 * 1024);
 }
 
 }  // namespace

@@ -28,7 +28,6 @@ struct AdminFixture : ::testing::Test {
     config.service = "test-service";
     config.registry = &registry;
     config.collector = &collector;
-    config.events = &events;
     config.profile = &profile;
     // Deterministic probe clocks: every read advances 100 ns, so probe
     // costs in /profilez are exact and runs are byte-identical.
@@ -78,7 +77,6 @@ struct AdminFixture : ::testing::Test {
   net::HostId admin_host, peer_host, client_host;
   MetricsRegistry registry;
   TraceCollector collector{16};
-  EventLog events{64};
   ProfileRegistry profile;
   std::uint64_t clock_ns = 0;
   std::unique_ptr<AdminHttpServer> admin;

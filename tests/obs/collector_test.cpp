@@ -159,6 +159,46 @@ TEST(TraceCollector, TailSamplerKeepsOneInNOfTheFastTraces) {
   EXPECT_EQ(collector.traces_kept(), 4u);
 }
 
+TEST(TraceCollector, TailSamplerKeepsEveryTraceHoldingAWarning) {
+  // Default policy, fast traces, none of them the 1-in-16th: a warning on
+  // any span of the stitched tree keeps its trace, an info event does not,
+  // and stitching carries the events through untouched.
+  TraceCollector collector(8);
+  SpanRecord refused = make_span("rpc:gd.admin/3", 201, millis(1), millis(2));
+  refused.events.push_back({EventLevel::kWarn, millis(2), "server",
+                            "admin_auth_failed", "srv-1: bad admin signature"});
+  collector.record(fragment(1, 1, 100, refused));
+  collector.record(fragment(1, 1, 0, make_span("refresh", 100, 0, millis(5))));
+
+  SpanRecord quiet = make_span("fetch", 300, 0, millis(5));
+  quiet.events.push_back({EventLevel::kInfo, millis(1), "proxy", "served", ""});
+  collector.record(fragment(2, 2, 0, quiet));
+
+  SpanRecord rejected = make_span("fetch", 400, 0, millis(5));
+  rejected.children.push_back(make_span("element_verify", 401, 0, millis(1)));
+  rejected.events.push_back({EventLevel::kError, millis(3), "proxy",
+                             "element_rejected", "host1:8000: HASH_MISMATCH"});
+  collector.record(fragment(3, 3, 0, rejected));
+
+  EXPECT_EQ(collector.traces_seen(), 3u);
+  EXPECT_EQ(collector.traces_kept(), 2u);
+  EXPECT_FALSE(collector.find(2, 2).has_value());
+  ASSERT_TRUE(collector.find(3, 3).has_value());
+
+  auto trace = collector.find(1, 1);
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_TRUE(trace->complete);
+  EXPECT_TRUE(trace->root.events.empty());
+  ASSERT_EQ(trace->root.children.size(), 1u);
+  const SpanRecord& server = trace->root.children[0];
+  ASSERT_EQ(server.events.size(), 1u);
+  EXPECT_EQ(server.events[0].level, EventLevel::kWarn);
+  EXPECT_EQ(server.events[0].time, millis(2));
+  EXPECT_EQ(server.events[0].component, "server");
+  EXPECT_EQ(server.events[0].event, "admin_auth_failed");
+  EXPECT_EQ(server.events[0].detail, "srv-1: bad admin signature");
+}
+
 TEST(TraceCollector, RingEvictsOldestBeyondCapacity) {
   TraceCollector collector(4);
   collector.set_policy(keep_everything());

@@ -7,12 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "http/parser.hpp"
 #include "obs/admin.hpp"
 #include "obs/collector.hpp"
-#include "obs/log.hpp"
+#include "obs/trace.hpp"
 #include "obs/telemetry.hpp"
 #include "replication/maintainer.hpp"
 #include "replication/refresher.hpp"
@@ -137,20 +138,34 @@ TEST_F(AuditFixture, LinkDownReplicaClassifiesStaleNotDivergedAndRecovers) {
   ASSERT_TRUE(
       owner->refresh_replicas(*publish_flow, bump, util::seconds(3600)).is_ok());
   tick_flow->set_time(bump);
-  auto report = maintainer.tick(tick_flow->now());
+  // The failure is split by reason, prints one warning, and leaves an
+  // event on the span the tick ran under.
+  obs::Tracer tracer([this] { return tick_flow->now(); });
+  ReplicaMaintainer::TickReport report;
+  ::testing::internal::CaptureStderr();
+  {
+    auto tick = tracer.span("maintainer.tick");
+    report = maintainer.tick(tick_flow->now());
+  }
+  std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(report.failed, 1u);
-  // Satellite: the failure is split by reason and leaves a traceable event.
   EXPECT_EQ(maintainer_registry
                 .counter("replication.maintainer.failed",
                          {{"reason", "transport"}})
                 .value(),
             1.0);
-  bool logged = false;
-  for (const obs::EventRecord& record : obs::global_event_log().recent(64)) {
-    logged |= record.event == "refresh_failed" &&
-              record.component == "replication";
-  }
-  EXPECT_TRUE(logged);
+  EXPECT_EQ(err.rfind("[WARN] replication: refresh_failed: " + oid().to_hex() +
+                          " reason=transport: ",
+                      0),
+            0u)
+      << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1);
+  auto roots = tracer.take_finished();
+  ASSERT_EQ(roots.size(), 1u);
+  ASSERT_EQ(roots[0].events.size(), 1u);
+  EXPECT_EQ(roots[0].events[0].level, obs::EventLevel::kWarn);
+  EXPECT_EQ(roots[0].events[0].component, "replication");
+  EXPECT_EQ(roots[0].events[0].event, "refresh_failed");
 
   audit_flow->set_time(bump);
   agg->scrape_round(*audit_flow);

@@ -39,7 +39,7 @@ GROWTH_SUBSYS = {"cache", "replication", "obs"}
 LONGLIVED_RE = re.compile(
     r"(Server|Dispatcher|Proxy|Tier|Framer|Pool|Registry|Replicator|"
     r"Coordinator|Maintainer|Collector|Aggregator|Auditor|Evaluator|"
-    r"Tracer|Cache|Node|Client|SingleFlight|EventLog|Resolver)")
+    r"Tracer|Cache|Node|Client|SingleFlight|Resolver)")
 
 GROWTH_METHODS = {"push_back", "emplace_back", "emplace", "try_emplace",
                   "insert", "push", "append", "push_front", "emplace_front"}
