@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 
-#include "globedoc/element.hpp"
 #include "globedoc/fetch_many.hpp"
+#include "globedoc/verify.hpp"
 
 namespace globe::cache {
 
@@ -23,7 +23,7 @@ bool DelayedReplicator::schedule(const globedoc::Oid& oid,
   for (const auto& task : queue_) {
     if (task.oid == oid) return false;  // already queued
   }
-  if (queue_.size() >= config_.max_queue) {
+  if (queue_.size() >= kMaxQueue) {
     ++dropped_;
     return false;
   }
@@ -68,7 +68,7 @@ DelayedReplicator::PumpStats DelayedReplicator::pump(
       globedoc::Oid target;
       bool found = false;
       for (const auto& task : queue_) {
-        if (origin_batches[task.origin] < config_.per_origin_batches) {
+        if (origin_batches[task.origin] < kPerOriginBatches) {
           target = task.oid;
           found = true;
           break;
@@ -104,15 +104,9 @@ DelayedReplicator::PumpStats DelayedReplicator::pump(
         ++stats.elements_failed;
         continue;
       }
-      auto element = globedoc::PageElement::parse(item.element);
+      auto element = globedoc::verify_element(transport, batch->certificate,
+                                              batch->names[i], item.element);
       if (!element.is_ok()) {
-        ++stats.elements_failed;
-        continue;
-      }
-      transport.charge(net::CpuOp::kSha1, item.element.size());
-      if (!batch->certificate
-               .check_element(batch->names[i], *element, transport.now())
-               .is_ok()) {
         ++stats.elements_failed;
         continue;
       }

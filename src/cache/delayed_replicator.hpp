@@ -6,17 +6,17 @@
 // DelayedReplicator remembers (document, remaining element names,
 // certificate, origin) and pulls the remainder in batched element/fetch_many
 // round trips when pumped, verifying each element against the certificate
-// before admitting it to the cache.  Follow-up requests for sibling
-// elements then hit the cache without an upstream round trip.
+// (globedoc::verify_element) before admitting it to the cache.  Follow-up
+// requests for sibling elements then hit the cache without a round trip.
 //
-// Bounds: the queue holds at most `max_queue` documents (new work is
-// dropped, not blocked, when full — delayed replication is an optimisation,
-// never a correctness requirement) and each pump issues at most
-// `per_origin_batches` fetch_many calls per origin, so one hot origin
-// cannot monopolise a pump round.  cancel(oid) drops pending work, e.g.
-// when the document's entries are evicted; it is safe to call from the
-// cache's eviction listener (lock order is cache → replicator, and the
-// pump never calls into the cache while holding the replicator lock).
+// Bounds: the queue holds at most kMaxQueue documents (new work is dropped,
+// not blocked, when full — delayed replication is an optimisation, never a
+// correctness requirement) and each pump issues at most kPerOriginBatches
+// fetch_many calls per origin, so one hot origin cannot monopolise a pump
+// round.  cancel(oid) drops pending work, e.g. when the document's entries
+// are evicted; it is safe to call from the cache's eviction listener (lock
+// order is cache → replicator, and the pump never calls into the cache
+// while holding the replicator lock).
 #pragma once
 
 #include <cstdint>
@@ -36,10 +36,8 @@ namespace globe::cache {
 
 class DelayedReplicator {
  public:
-  struct Config {
-    std::size_t max_queue = 64;         // pending documents
-    std::size_t per_origin_batches = 2;  // fetch_many calls per origin/pump
-  };
+  static constexpr std::size_t kMaxQueue = 64;         // pending documents
+  static constexpr std::size_t kPerOriginBatches = 2;  // per origin per pump
 
   struct PumpStats {
     std::uint64_t elements_pulled = 0;   // verified and admitted
@@ -47,8 +45,7 @@ class DelayedReplicator {
     std::uint64_t documents_done = 0;    // tasks fully drained this pump
   };
 
-  DelayedReplicator(Config config, ElementCache& cache)
-      : config_(config), cache_(&cache) {}
+  explicit DelayedReplicator(ElementCache& cache) : cache_(&cache) {}
 
   /// Queues the elements of `certificate` other than `accessed_name` for
   /// background pull from `origin`.  Dedupes by OID; returns false when the
@@ -60,7 +57,7 @@ class DelayedReplicator {
   /// Drops pending work for `oid`.  Safe under the cache lock.
   void cancel(const globedoc::Oid& oid) GLOBE_EXCLUDES(mutex_);
 
-  /// Pulls queued work over `transport`, at most `per_origin_batches`
+  /// Pulls queued work over `transport`, at most kPerOriginBatches
   /// fetch_many calls per origin.  Returns what was accomplished; call
   /// repeatedly to drain.
   PumpStats pump(net::Transport& transport) GLOBE_EXCLUDES(mutex_);
@@ -83,7 +80,6 @@ class DelayedReplicator {
   std::optional<Task> claim_batch_locked(const globedoc::Oid& oid)
       GLOBE_REQUIRES(mutex_);
 
-  Config config_;
   ElementCache* cache_;
   mutable util::Mutex mutex_;
   std::deque<Task> queue_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);

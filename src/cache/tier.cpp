@@ -1,6 +1,7 @@
 #include "cache/tier.hpp"
 
 #include "globedoc/fetch_many.hpp"
+#include "globedoc/verify.hpp"
 #include "obs/profile.hpp"
 #include "util/clock.hpp"
 
@@ -23,7 +24,7 @@ const std::vector<double>& fill_ms_bounds() {
 EdgeCacheTier::EdgeCacheTier(TierConfig config)
     : config_(config),
       cache_(config.cache),
-      replicator_(config.replicator, cache_),
+      replicator_(cache_),
       seen_({.max_entries = 4096}) {
   if (config_.registry) {
     auto& reg = *config_.registry;
@@ -103,7 +104,7 @@ util::Result<globedoc::EdgeFetch> EdgeCacheTier::fetch_through(
   if (misses_) misses_->inc();
 
   auto outcome = flights_.run(key, [&]() -> util::Result<EdgeFill> {
-    return fill(transport, replica, oid, cert, element_name, entry->sha1);
+    return fill(transport, replica, oid, cert, *entry);
   });
   if (!outcome.leader && coalesced_) coalesced_->inc();
   if (!outcome.result.is_ok()) return outcome.result.status();
@@ -122,7 +123,7 @@ util::Result<globedoc::EdgeFetch> EdgeCacheTier::fetch_through(
 util::Result<EdgeCacheTier::EdgeFill> EdgeCacheTier::fill(
     net::Transport& transport, const net::Endpoint& replica,
     const globedoc::Oid& oid, const globedoc::IntegrityCertificate& cert,
-    const std::string& element_name, const util::Bytes& digest) {
+    const globedoc::ElementEntry& entry) {
   GLOBE_PROFILE_SCOPE("cache.fill");
   const util::SimTime start = transport.now();
 
@@ -130,44 +131,37 @@ util::Result<EdgeCacheTier::EdgeFill> EdgeCacheTier::fill(
   // previous flight's insert landed becomes leader of a fresh flight.  Serve
   // the freshly admitted entry instead of re-fetching, so a herd costs the
   // origin one upstream fetch per element, not one per flight generation.
-  const CacheKey key{oid, element_name, digest};
+  const CacheKey key{oid, entry.name, entry.sha1};
   if (auto hit = cache_.lookup(key, transport.now())) {
     EdgeFill cached;
     cached.element = std::move(hit->element);
     transport.charge(net::CpuOp::kMemCopy, cached.element.content.size());
     cached.completed_at = transport.now();
-    cached.expires = hit->expires;
     return cached;
   }
 
   globedoc::FetchManyRequest request;
   request.oid = oid;
   request.include_cert = false;  // filling under an already-verified cert
-  request.names.push_back(element_name);
+  request.names.push_back(entry.name);
   auto response = globedoc::fetch_many(transport, replica, request);
   if (!response.is_ok()) return response.status();
 
   const auto& item = response.value().items.front();
   if (!item.found) {
     return util::Status(util::ErrorCode::kNotFound,
-                        "replica has no element " + element_name);
+                        "replica has no element " + entry.name);
   }
-  auto element = globedoc::PageElement::parse(item.element);
-  if (!element.is_ok()) return element.status();
+  auto element =
+      globedoc::verify_element(transport, cert, entry.name, item.element);
+  if (!element.is_ok()) return element.status();  // failures never admit
 
-  transport.charge(net::CpuOp::kSha1, item.element.size());
-  util::Status check =
-      cert.check_element(element_name, *element, transport.now());
-  if (!check.is_ok()) return check;  // nothing cached: failures never admit
-
-  const auto* entry = cert.find(element_name);
-  cache_.insert(key, *element, entry->expires);
+  cache_.insert(key, *element, entry.expires);
   if (fill_ms_) fill_ms_->observe(util::to_millis(transport.now() - start));
 
   EdgeFill filled;
   filled.element = std::move(*element);
   filled.completed_at = transport.now();
-  filled.expires = entry->expires;
   return filled;
 }
 

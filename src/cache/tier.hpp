@@ -10,10 +10,10 @@
 //   2. entry already expired → kExpired before touching cache or network;
 //   3. cache hit → serve, zero upstream traffic;
 //   4. miss → single-flight fill: ONE fetch_many round trip to the replica,
-//      SHA-1 + check_element verification, admission, and every concurrent
-//      requester of the same content shares that one result — including a
-//      failure (a tampered fill fails the whole coalesced group and caches
-//      nothing).
+//      globedoc::verify_element (the proxy's own step-6 check), admission,
+//      and every concurrent requester of the same content shares that one
+//      result — including a failure (a tampered fill fails the whole
+//      coalesced group and caches nothing).
 // First access to a document also schedules its remaining elements for
 // delayed pull (run_delayed_pulls() drains the queue); evicting an entry
 // cancels pending pulls for its document.
@@ -36,7 +36,6 @@ namespace globe::cache {
 
 struct TierConfig {
   ElementCache::Config cache;
-  DelayedReplicator::Config replicator;
   bool delayed_replication = true;  // schedule sibling pulls on first access
   /// Registry for the cache.* metric family; nullptr = unmetered.
   obs::MetricsRegistry* registry = nullptr;
@@ -64,15 +63,14 @@ class EdgeCacheTier final : public globedoc::ElementCacheTier {
   struct EdgeFill {
     globedoc::PageElement element;
     util::SimTime completed_at = 0;  // leader's clock when the fill landed
-    util::SimTime expires = 0;
   };
 
+  /// Fills the element of `entry`, one of `certificate`'s entries.
   util::Result<EdgeFill> fill(net::Transport& transport,
                               const net::Endpoint& replica,
                               const globedoc::Oid& oid,
                               const globedoc::IntegrityCertificate& certificate,
-                              const std::string& element_name,
-                              const util::Bytes& digest);
+                              const globedoc::ElementEntry& entry);
 
   // First-access tracking for delayed replication.  Forgetting an old
   // document merely means a later access may schedule a (deduped) pull again.

@@ -90,18 +90,26 @@ net::MessageHandler element_swap_attack(net::MessageHandler inner,
              net::ServerContext& ctx, BytesView request) -> Result<Bytes> {
     RpcHeader header;
     if (!read_header(request, header) || header.service != rpc::kGlobeDocAccess ||
-        header.method != kGetElement) {
+        (header.method != kGetElement && header.method != kFetchMany)) {
       return inner(ctx, request);
+    }
+    util::Writer w;
+    w.raw(request.first(header.prefix));  // preserve any trace header
+    w.u16(header.service);
+    w.u16(header.method);
+    if (header.method == kFetchMany) {
+      // Batched path: every requested name becomes the decoy.
+      auto batch = FetchManyRequest::parse(header.payload);
+      if (!batch.is_ok()) return inner(ctx, request);
+      for (auto& name : batch->names) name = decoy;
+      w.raw(batch->serialize());
+      return inner(ctx, w.buffer());
     }
     try {
       util::Reader r(header.payload);
       Bytes oid = r.raw(Oid::kSize);
       (void)r.str();  // discard the requested name
       r.expect_end();
-      util::Writer w;
-      w.raw(request.first(header.prefix));  // preserve any trace header
-      w.u16(header.service);
-      w.u16(header.method);
       w.raw(oid);
       w.str(decoy);
       return inner(ctx, w.buffer());

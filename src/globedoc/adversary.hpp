@@ -19,13 +19,14 @@
 namespace globe::globedoc {
 
 /// Flips bits in the *content* of every page element served through
-/// `inner` (kGlobeDocAccess/kGetElement responses).  Other traffic passes
-/// through untouched.
+/// `inner` (kGetElement responses, and the first element present in a
+/// kFetchMany batch).  Other traffic passes through untouched.
 net::MessageHandler tampering_element_attack(net::MessageHandler inner);
 
-/// Rewrites every element request to ask `inner` for `decoy_element`
-/// instead — serving genuine, fresh, signed content that the client did
-/// not ask for (the consistency attack of §3.2.1).
+/// Rewrites every element request — kGetElement, and each name of a
+/// kFetchMany batch — to ask `inner` for `decoy_element` instead, serving
+/// genuine, fresh, signed content that the client did not ask for (the
+/// consistency attack of §3.2.1).
 net::MessageHandler element_swap_attack(net::MessageHandler inner,
                                         std::string decoy_element);
 

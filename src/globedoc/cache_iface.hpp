@@ -6,10 +6,11 @@
 // to it in ProxyConfig.
 //
 // Contract for implementations (what makes the tier *safe* to trust):
-//   * an element may only be returned if it passed
-//     IntegrityCertificate::check_element under `certificate` — either just
-//     now (a fill) or when it was admitted to the cache (verified once,
-//     served many times from an untrusted position, paper §3.2.2);
+//   * an element may only be returned if it passed globedoc::verify_element
+//     (globedoc/verify.hpp, the proxy's own step-6 check) under
+//     `certificate` — either just now (a fill) or when it was admitted to
+//     the cache (verified once, served many times from an untrusted
+//     position, paper §3.2.2);
 //   * a cached copy must never outlive its certificate entry's validity
 //     window (expiry evicts);
 //   * a failed verification must never be cached (no negative entries, no

@@ -79,11 +79,6 @@ void DynamicReplicaServer::set_cheat(std::function<Bytes(Bytes)> corruptor) {
   cheat_ = std::move(corruptor);
 }
 
-std::size_t DynamicReplicaServer::queries_served() const {
-  util::LockGuard lock(mutex_);
-  return queries_served_;
-}
-
 void DynamicReplicaServer::register_with(rpc::ServiceDispatcher& dispatcher) {
   dispatcher.register_method(
       rpc::kGlobeDocDynamic, kDynQuery,
@@ -113,7 +108,6 @@ Result<Bytes> DynamicReplicaServer::handle_query(net::ServerContext& ctx,
       }
       generator = it->second;
       cheat = cheat_;
-      ++queries_served_;
     }
 
     Bytes response = generator(query);
@@ -170,7 +164,6 @@ Result<std::pair<Bytes, DynamicReceipt>> DynamicAuditor::parse_reply(BytesView r
 
 Result<Bytes> DynamicAuditor::query(const Oid& oid, const std::string& template_name,
                                     const std::string& query_string) {
-  ++queries_;
   util::Writer req;
   req.raw(oid.to_bytes());
   req.str(template_name);

@@ -86,8 +86,6 @@ class DynamicReplicaServer {
   void set_cheat(std::function<util::Bytes(util::Bytes)> corruptor)
       GLOBE_EXCLUDES(mutex_);
 
-  std::size_t queries_served() const GLOBE_EXCLUDES(mutex_);
-
  private:
   util::Result<util::Bytes> handle_query(net::ServerContext& ctx,
                                          GLOBE_UNTRUSTED util::BytesView payload);
@@ -98,7 +96,6 @@ class DynamicReplicaServer {
   std::map<std::pair<Oid, std::string>, Generator> generators_ GLOBE_BOUNDED
       GLOBE_GUARDED_BY(mutex_);
   std::function<util::Bytes(util::Bytes)> cheat_ GLOBE_GUARDED_BY(mutex_);
-  std::size_t queries_served_ GLOBE_GUARDED_BY(mutex_) = 0;
 };
 
 /// A verifiable accusation: the receipt (server-signed) plus what the
@@ -135,7 +132,6 @@ class DynamicAuditor {
 
   const std::vector<MisbehaviorProof>& proofs() const { return proofs_; }
   std::size_t audits_performed() const { return audits_; }
-  std::size_t queries_performed() const { return queries_; }
 
  private:
   static util::Result<std::pair<util::Bytes, DynamicReceipt>> parse_reply(
@@ -146,7 +142,6 @@ class DynamicAuditor {
   util::SplitMix64 rng_;
   std::vector<MisbehaviorProof> proofs_;
   std::size_t audits_ = 0;
-  std::size_t queries_ = 0;
 };
 
 }  // namespace globe::globedoc

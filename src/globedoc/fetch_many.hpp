@@ -5,18 +5,18 @@
 // certificate — the "multiple entries per HTTP request" idea: the
 // per-element verification model means a batch needs no extra trust, every
 // element is still checked individually against its certificate entry.
-// Consumers: the edge-cache tier's fill path (src/cache/tier.cpp) and the
-// peer-to-peer pull path (replication/refresher.cpp), which both used to
-// pay one round trip per element.
+// Consumers: the edge-cache tier's fills and delayed pulls (src/cache/) and
+// peer pulls (replication/refresher.cpp).
 //
 // Wire formats (util/serial.hpp conventions):
 //   request:  oid20, u8 include_cert, u32 n, n × str name
 //   response: u8 has_cert, [bytes certificate], u32 n,
 //             n × (u8 found, [bytes element])
 // The response echoes exactly one item per requested name, in request
-// order; elements and certificate travel as opaque length-prefixed blobs so
-// the caller parses and VERIFIES them itself — the transport-level decode
-// here proves nothing about authenticity.
+// order; elements and certificate travel as opaque length-prefixed blobs,
+// and each consumer runs every element through globedoc::verify_element
+// (globedoc/verify.hpp) — the transport-level decode here proves nothing
+// about authenticity.
 #pragma once
 
 #include <optional>

@@ -49,6 +49,28 @@ Result<IdentityCertificate> IdentityCertificate::parse(BytesView data) {
   }
 }
 
+void write_identity_list(util::Writer& w,
+                         const std::vector<IdentityCertificate>& certs) {
+  w.u32(static_cast<std::uint32_t>(certs.size()));
+  for (const auto& cert : certs) w.bytes(cert.serialize());
+}
+
+std::vector<IdentityCertificate> parse_identity_list(BytesView data) {
+  std::vector<IdentityCertificate> certs;
+  try {
+    util::Reader r(data);
+    std::uint32_t n = util::checked_count(
+        r.u32(), static_cast<std::uint32_t>(kMaxIdentityCerts));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      auto cert = IdentityCertificate::parse(r.bytes());
+      if (cert.is_ok()) certs.push_back(std::move(*cert));
+    }
+  } catch (const util::SerialError&) {
+    certs.clear();
+  }
+  return certs;
+}
+
 CertificateAuthority::CertificateAuthority(std::string name, crypto::RsaKeyPair keys)
     : name_(std::move(name)), keys_(std::move(keys)) {}
 

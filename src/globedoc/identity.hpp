@@ -15,9 +15,14 @@
 #include "crypto/rsa.hpp"
 #include "globedoc/oid.hpp"
 #include "util/clock.hpp"
+#include "util/serial.hpp"
 #include "util/taint_annotations.hpp"
 
 namespace globe::globedoc {
+
+/// Protocol ceiling on identity certificates per replica state.  Decoders
+/// reject lists claiming more before allocating for the claimed count.
+inline constexpr std::size_t kMaxIdentityCerts = 64;
 
 struct IdentityCertificate {
   std::string subject;   // real-world entity behind the object
@@ -30,6 +35,17 @@ struct IdentityCertificate {
   util::Bytes serialize() const;
   static util::Result<IdentityCertificate> parse(util::BytesView data);
 };
+
+/// Identity-certificate list wire form (kGetIdentityCerts replies and
+/// ReplicaState): u32 n, then n length-prefixed certificates.
+void write_identity_list(util::Writer& w,
+                         const std::vector<IdentityCertificate>& certs);
+
+/// Lenient decode of a served list: unparseable certificates are skipped,
+/// and a malformed list or one over kMaxIdentityCerts yields none.  Nothing
+/// is verified (readers judge each against a TrustStore), so it is untrusted.
+GLOBE_UNTRUSTED std::vector<IdentityCertificate> parse_identity_list(
+    util::BytesView data);
 
 /// A certificate authority: issues identity certificates for OIDs.
 class CertificateAuthority {

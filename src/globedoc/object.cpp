@@ -30,8 +30,7 @@ Bytes ReplicaState::serialize() const {
   util::Writer w;
   w.bytes(public_key);
   w.bytes(certificate.serialize());
-  w.u32(static_cast<std::uint32_t>(identity_certs.size()));
-  for (const auto& cert : identity_certs) w.bytes(cert.serialize());
+  write_identity_list(w, identity_certs);
   w.u32(static_cast<std::uint32_t>(elements.size()));
   for (const auto& el : elements) w.bytes(el.serialize());
   return w.take();

@@ -18,11 +18,6 @@
 
 namespace globe::globedoc {
 
-/// Protocol ceiling on identity certificates per replica state.  parse()
-/// rejects states claiming more as a protocol error, never allocating for
-/// the claimed count.
-inline constexpr std::size_t kMaxIdentityCerts = 64;
-
 /// Everything a replica stores (paper §3.2.2: "every server that hosts
 /// GlobeDoc replicas is required to store all of the object's page elements
 /// and the object's integrity certificate").
@@ -58,7 +53,6 @@ class GlobeDocObject {
 
   const Oid& oid() const { return oid_; }
   const crypto::RsaPublicKey& public_key() const { return keys_.pub; }
-  const crypto::RsaPrivateKey& private_key() const { return keys_.priv; }
 
   /// Adds or replaces an element; the state becomes dirty until re-signed.
   /// Trusted sink: whatever lands here will be signed by the owner's key

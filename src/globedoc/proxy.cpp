@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "crypto/sha1.hpp"
 #include "globedoc/server.hpp"
+#include "globedoc/verify.hpp"
 #include "obs/admin.hpp"
 #include "obs/trace.hpp"
 #include "rpc/rpc.hpp"
@@ -88,21 +88,12 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
                                                            const net::Endpoint& address,
                                                            obs::Tracer& tracer) {
   rpc::RpcClient replica(*transport_, address);
+  const Bytes oid_req = oid.to_bytes();
 
   // --- Step 3: public key, self-certifying check (security time).
   Stage key_check(tracer, FetchStage::kKeyCheck);
-  util::Writer oid_req;
-  oid_req.raw(oid.to_bytes());
-  auto key_raw = replica.call(rpc::kGlobeDocSecurity, kGetPublicKey, oid_req.buffer());
-  if (!key_raw.is_ok()) return key_raw.status();
-  auto object_key = crypto::RsaPublicKey::parse(*key_raw);
+  auto object_key = fetch_object_key(replica, oid);
   if (!object_key.is_ok()) return object_key.status();
-  transport_->charge(net::CpuOp::kSha1, key_raw->size());
-  if (!oid.matches_key(*object_key)) {
-    return Result<Binding>(ErrorCode::kOidMismatch,
-                           "public key does not hash to the OID at " +
-                               address.to_string());
-  }
   key_check.end();
 
   Binding binding;
@@ -114,22 +105,10 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
   if (config_.request_identity) {
     Stage identity(tracer, FetchStage::kIdentity);
     auto certs_raw =
-        replica.call(rpc::kGlobeDocSecurity, kGetIdentityCerts, oid_req.buffer());
+        replica.call(rpc::kGlobeDocSecurity, kGetIdentityCerts, oid_req);
     if (certs_raw.is_ok()) {
-      std::vector<IdentityCertificate> certs;
-      try {
-        // Each certificate may cost an RSA verify: cap the replica's count.
-        util::Reader r(*certs_raw);
-        std::uint32_t n = util::checked_count(
-            r.u32(), static_cast<std::uint32_t>(kMaxIdentityCerts));
-        for (std::uint32_t i = 0; i < n; ++i) {
-          auto cert = IdentityCertificate::parse(r.bytes());
-          if (cert.is_ok()) certs.push_back(std::move(*cert));
-        }
-      } catch (const util::SerialError&) {
-        // Malformed list: treat as no usable certificates.
-        certs.clear();
-      }
+      // Each certificate may cost an RSA verify: the decode caps the count.
+      std::vector<IdentityCertificate> certs = parse_identity_list(*certs_raw);
       // One public-key verification per certificate examined.
       transport_->charge(net::CpuOp::kRsaVerify, certs.size());
       binding.certified_as =
@@ -143,16 +122,15 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
 
   // --- Step 5: integrity certificate, signature check.
   Stage integrity_verify(tracer, FetchStage::kIntegrityVerify);
-  auto cert_raw =
-      replica.call(rpc::kGlobeDocSecurity, kGetIntegrityCert, oid_req.buffer());
+  auto cert_raw = replica.call(rpc::kGlobeDocSecurity, kGetIntegrityCert, oid_req);
   if (!cert_raw.is_ok()) return cert_raw.status();
   auto certificate = IntegrityCertificate::parse(*cert_raw);
   if (!certificate.is_ok()) return certificate.status();
   // One RSA verify per (document key, certificate): a document fetch touches
   // many elements, each re-binding when bindings aren't cached, but the
   // certificate bytes rarely change between those binds.  The memo replays
-  // verifications of byte-identical (key, certificate) inputs only, so the
-  // hit path is exactly as strong as re-verifying.
+  // verifications of byte-identical (key, certificate) inputs only — and the
+  // key fixes the OID — so the hit path is exactly as strong as re-verifying.
   std::pair<Bytes, Bytes> memo_key{binding.object_key.serialize(), *cert_raw};
   {
     // The probe covers hit and miss alike, so /profilez shows cert_verify
@@ -161,18 +139,12 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
     if (cert_verify_memo_.find(memo_key, transport_->now()) != nullptr) {
       cert_verify_memo_hits_->inc();
     } else {
-      transport_->charge(net::CpuOp::kRsaVerify, 1);
       cert_verifies_->inc();
-      if (!certificate->verify_signature(binding.object_key)) {
-        return Result<Binding>(ErrorCode::kBadSignature,
-                               "integrity certificate signature invalid");
-      }
+      Status verified =
+          verify_certificate(*transport_, *certificate, binding.object_key, oid);
+      if (!verified.is_ok()) return verified;
       cert_verify_memo_.put(std::move(memo_key), true);
     }
-  }
-  if (certificate->oid() != oid) {
-    return Result<Binding>(ErrorCode::kWrongElement,
-                           "integrity certificate for a different object");
   }
   binding.certificate = std::move(*certificate);
   return binding;
@@ -183,10 +155,10 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
                                                  FetchMetrics& metrics,
                                                  obs::Tracer& tracer) {
   // Edge-cache tier (step 6 via the verified element cache): hits are served
-  // locally, misses coalesce into one batched fill.  The tier performs the
-  // §3.2.2 element checks itself under `binding.certificate`, so its results
-  // carry the same guarantees as the direct path below; verification time
-  // lands in the edge_cache span instead of element_verify.
+  // locally, misses coalesce into one batched fill.  A fill runs the same
+  // verify_element check as the direct path below, under
+  // `binding.certificate`; verification time lands in the edge_cache span
+  // instead of element_verify.
   if (config_.edge_cache != nullptr) {
     Stage edge_cache(tracer, FetchStage::kEdgeCache);
     auto fetched = config_.edge_cache->fetch_through(
@@ -206,16 +178,12 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
   auto raw = replica.call(rpc::kGlobeDocAccess, kGetElement, req.buffer());
   if (!raw.is_ok()) return raw.status();
 
-  auto element = PageElement::parse(*raw);
-  if (!element.is_ok()) return element.status();
-
   // --- Step 6: authenticity, consistency, freshness (security time).
   Stage element_verify(tracer, FetchStage::kElementVerify);
-  transport_->charge(net::CpuOp::kSha1, raw->size());
-  Status check = binding.certificate.check_element(element_name, *element,
-                                                   transport_->now());
+  auto element =
+      verify_element(*transport_, binding.certificate, element_name, *raw);
   element_verify.end();
-  if (!check.is_ok()) return check;
+  if (!element.is_ok()) return element.status();
 
   metrics.content_bytes += element->content.size();
   return element;
@@ -374,13 +342,7 @@ http::HttpResponse GlobeDocProxy::handle_browser_request(
     }
     // The paper's "Security Check Failed" document.
     Status status = result.status();
-    bool security_failure =
-        status.code() == ErrorCode::kBadSignature ||
-        status.code() == ErrorCode::kHashMismatch ||
-        status.code() == ErrorCode::kExpired ||
-        status.code() == ErrorCode::kWrongElement ||
-        status.code() == ErrorCode::kOidMismatch ||
-        status.code() == ErrorCode::kUntrustedIssuer;
+    bool security_failure = util::is_verification_failure(status.code());
     int code = security_failure ? 403 : (status.code() == ErrorCode::kNotFound ? 404 : 502);
     std::string body =
         "<html><head><title>Security Check Failed</title></head><body>"

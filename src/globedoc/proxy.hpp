@@ -10,6 +10,8 @@
 //   5.  fetch the integrity certificate and verify its signature;
 //   6.  fetch the requested page element and verify authenticity,
 //       freshness and consistency against the certificate.
+// Steps 3, 5 and 6 are the checks of globedoc/verify.hpp, shared with the
+// edge tier and peer pulls.
 // Any verification failure is typed (BAD_SIGNATURE, HASH_MISMATCH, EXPIRED,
 // WRONG_ELEMENT, OID_MISMATCH, UNTRUSTED_ISSUER); on failure the proxy
 // falls back to the next contact address, so a malicious replica or a lying
@@ -187,7 +189,7 @@ class GlobeDocProxy {
   /// Success tail of a fetch served under a cached or fresh binding: observes
   /// proxy.fetch_ms since `start` and hands the element to the caller (and so
   /// to the browser).  Trusted sink: only elements that passed
-  /// check_element(), directly or inside the edge tier, may reach it.
+  /// verify_element(), directly or inside the edge tier, may reach it.
   FetchResult serve(GLOBE_TRUSTED_SINK const Binding& binding,
                     GLOBE_TRUSTED_SINK PageElement element,
                     FetchMetrics& metrics, util::SimTime start);

@@ -33,6 +33,14 @@ Bytes admin_signed_payload(std::string_view tag, BytesView nonce, BytesView payl
 constexpr std::size_t kNonceSize = 16;
 constexpr std::size_t kMaxOutstandingNonces = 4096;
 
+bool lapsed(util::SimTime lease_until, util::SimTime now) {
+  return lease_until != 0 && lease_until <= now;  // 0 = unlimited
+}
+
+Result<Bytes> not_hosted(const Oid& oid) {
+  return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid.to_hex());
+}
+
 }  // namespace
 
 util::Bytes HostingGrant::serialize() const {
@@ -106,10 +114,13 @@ void ObjectServer::install_replica_unchecked(const ReplicaState& state,
   install_locked(state.certificate.oid(), state, now);
 }
 
-void ObjectServer::install_locked(const Oid& oid, ReplicaState state,
-                                  util::SimTime now) {
-  replicas_[oid] = std::move(state);
-  installed_at_[oid] = now;
+ObjectServer::Hosted& ObjectServer::install_locked(const Oid& oid,
+                                                   ReplicaState state,
+                                                   util::SimTime now) {
+  Hosted& hosted = replicas_[oid];
+  hosted.state = std::move(state);
+  hosted.installed_at = now;
+  return hosted;
 }
 
 void ObjectServer::set_resource_limits(const ResourceLimits& limits) {
@@ -117,38 +128,27 @@ void ObjectServer::set_resource_limits(const ResourceLimits& limits) {
   limits_ = limits;
 }
 
-ResourceLimits ObjectServer::resource_limits() const {
-  util::LockGuard lock(mutex_);
-  return limits_;
-}
-
 std::uint64_t ObjectServer::hosted_bytes() const {
   util::LockGuard lock(mutex_);
   std::uint64_t total = 0;
-  for (const auto& [oid, state] : replicas_) total += state.content_bytes();
+  for (const auto& [oid, hosted] : replicas_) total += hosted.state.content_bytes();
   return total;
 }
 
-bool ObjectServer::lease_expired_locked(const Oid& oid, util::SimTime now) const {
-  auto it = lease_until_.find(oid);
-  return it != lease_until_.end() && it->second <= now;
+const ReplicaState* ObjectServer::live_locked(const Oid& oid, util::SimTime now) {
+  auto it = replicas_.find(oid);
+  if (it == replicas_.end()) return nullptr;
+  if (lapsed(it->second.lease_until, now)) {
+    replicas_.erase(it);
+    return nullptr;
+  }
+  return &it->second.state;
 }
 
-std::size_t ObjectServer::expire_leases(util::SimTime now) {
-  util::LockGuard lock(mutex_);
-  std::size_t evicted = 0;
-  for (auto it = lease_until_.begin(); it != lease_until_.end();) {
-    if (it->second <= now) {
-      replicas_.erase(it->first);
-      installed_at_.erase(it->first);
-      creators_.erase(it->first);
-      it = lease_until_.erase(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  return evicted;
+void ObjectServer::evict_lapsed_locked(util::SimTime now) {
+  std::erase_if(replicas_, [now](const auto& entry) {
+    return lapsed(entry.second.lease_until, now);
+  });
 }
 
 HostingGrant ObjectServer::check_capacity_locked(std::uint64_t bytes,
@@ -165,9 +165,9 @@ HostingGrant ObjectServer::check_capacity_locked(std::uint64_t bytes,
   }
   if (limits_.max_total_bytes != 0) {
     std::uint64_t in_use = 0;
-    for (const auto& [oid, state] : replicas_) {
+    for (const auto& [oid, hosted] : replicas_) {
       if (existing_oid != nullptr && oid == *existing_oid) continue;
-      in_use += state.content_bytes();
+      in_use += hosted.state.content_bytes();
     }
     if (in_use + bytes > limits_.max_total_bytes) {
       grant.reason = "insufficient storage capacity";
@@ -205,7 +205,7 @@ void ObjectServer::register_health_checks(obs::AdminHttpServer& admin) {
     }
     if (limits_.max_total_bytes != 0) {
       std::uint64_t used = 0;
-      for (const auto& [oid, state] : replicas_) used += state.content_bytes();
+      for (const auto& [oid, hosted] : replicas_) used += hosted.state.content_bytes();
       if (used >= limits_.max_total_bytes) {
         return Status(ErrorCode::kUnavailable, name_ + " at byte capacity");
       }
@@ -221,7 +221,7 @@ void ObjectServer::register_freshness_probe(obs::AdminHttpServer& admin,
     util::LockGuard lock(mutex_);
     if (replicas_.empty()) return Status::ok();
     util::SimTime newest = 0;
-    for (const auto& [oid, at] : installed_at_) newest = std::max(newest, at);
+    for (const auto& [oid, h] : replicas_) newest = std::max(newest, h.installed_at);
     util::SimTime now = ctx.now();
     if (now > newest && now - newest > budget) {
       return Status(ErrorCode::kUnavailable,
@@ -238,7 +238,8 @@ obs::ConsistencyReport ObjectServer::consistency_report() const {
   util::LockGuard lock(mutex_);
   obs::ConsistencyReport report;
   report.docs.reserve(replicas_.size());
-  for (const auto& [oid, state] : replicas_) {
+  for (const auto& [oid, hosted] : replicas_) {
+    const ReplicaState& state = hosted.state;
     obs::DocConsistency doc;
     doc.oid = oid.to_bytes();
     doc.epoch = state.certificate.version();
@@ -306,7 +307,8 @@ void ObjectServer::register_with(rpc::ServiceDispatcher& dispatcher) {
   bindm(rpc::kGlobeDocAdmin, kNegotiate, &ObjectServer::handle_negotiate);
 }
 
-Result<Bytes> ObjectServer::handle_negotiate(net::ServerContext&, BytesView payload) {
+Result<Bytes> ObjectServer::handle_negotiate(net::ServerContext& ctx,
+                                             BytesView payload) {
   try {
     util::Reader r(payload);
     std::uint64_t bytes = r.u64();
@@ -314,6 +316,7 @@ Result<Bytes> ObjectServer::handle_negotiate(net::ServerContext&, BytesView payl
     r.expect_end();
 
     util::LockGuard lock(mutex_);
+    evict_lapsed_locked(ctx.now());
     HostingGrant grant = check_capacity_locked(bytes, nullptr);
     if (grant.accepted) {
       if (limits_.max_lease == 0) {
@@ -339,11 +342,9 @@ Result<Bytes> ObjectServer::handle_get_element(net::ServerContext& ctx,
     r.expect_end();
 
     util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    const PageElement* el = it->second.find(name);
+    const ReplicaState* state = live_locked(*oid, ctx.now());
+    if (state == nullptr) return not_hosted(*oid);
+    const PageElement* el = state->find(name);
     if (el == nullptr) {
       return Result<Bytes>(ErrorCode::kNotFound, "no element '" + name + "'");
     }
@@ -365,19 +366,16 @@ Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
   if (!req.is_ok()) return req.status();
 
   util::LockGuard lock(mutex_);
-  auto it = replicas_.find(req->oid);
-  if (it == replicas_.end() || lease_expired_locked(req->oid, ctx.now())) {
-    return Result<Bytes>(ErrorCode::kNotFound,
-                         "no replica of " + req->oid.to_hex());
-  }
+  const ReplicaState* state = live_locked(req->oid, ctx.now());
+  if (state == nullptr) return not_hosted(req->oid);
   FetchManyResponse resp;
   if (req->include_cert) {
-    resp.certificate = it->second.certificate.serialize();
+    resp.certificate = state->certificate.serialize();
   }
   resp.items.reserve(req->names.size());
   for (const auto& name : req->names) {
     FetchManyResponse::Item item;
-    const PageElement* el = it->second.find(name);
+    const PageElement* el = state->find(name);
     if (el != nullptr) {
       item.found = true;
       item.element = el->serialize();
@@ -400,11 +398,9 @@ Result<Bytes> ObjectServer::handle_get_public_key(net::ServerContext& ctx,
     if (!oid.is_ok()) return oid.status();
     r.expect_end();
     util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    return it->second.public_key;
+    const ReplicaState* state = live_locked(*oid, ctx.now());
+    if (state == nullptr) return not_hosted(*oid);
+    return state->public_key;
   } catch (const util::SerialError& e) {
     return Result<Bytes>(ErrorCode::kProtocol, e.what());
   }
@@ -419,11 +415,9 @@ Result<Bytes> ObjectServer::handle_get_integrity_cert(net::ServerContext& ctx,
     if (!oid.is_ok()) return oid.status();
     r.expect_end();
     util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    return it->second.certificate.serialize();
+    const ReplicaState* state = live_locked(*oid, ctx.now());
+    if (state == nullptr) return not_hosted(*oid);
+    return state->certificate.serialize();
   } catch (const util::SerialError& e) {
     return Result<Bytes>(ErrorCode::kProtocol, e.what());
   }
@@ -438,13 +432,10 @@ Result<Bytes> ObjectServer::handle_get_identity_certs(net::ServerContext& ctx,
     if (!oid.is_ok()) return oid.status();
     r.expect_end();
     util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
+    const ReplicaState* state = live_locked(*oid, ctx.now());
+    if (state == nullptr) return not_hosted(*oid);
     util::Writer w;
-    w.u32(static_cast<std::uint32_t>(it->second.identity_certs.size()));
-    for (const auto& cert : it->second.identity_certs) w.bytes(cert.serialize());
+    write_identity_list(w, state->identity_certs);
     return w.take();
   } catch (const util::SerialError& e) {
     return Result<Bytes>(ErrorCode::kProtocol, e.what());
@@ -526,25 +517,25 @@ Result<Bytes> ObjectServer::handle_create_or_update(net::ServerContext& ctx,
     Oid oid = state->certificate.oid();
 
     util::LockGuard lock(mutex_);
-    auto cit = creators_.find(oid);
+    evict_lapsed_locked(ctx.now());
+    // A replica installed unchecked (a peer pull) has no creator: it may be
+    // created over, but not updated or deleted through the admin path.
+    auto it = replicas_.find(oid);
+    const bool managed = it != replicas_.end() && !it->second.creator.empty();
     if (create) {
-      if (cit != creators_.end()) {
+      if (managed) {
         return Result<Bytes>(ErrorCode::kAlreadyExists,
                              "replica exists: " + oid.to_hex());
       }
-      creators_[oid] = *auth;
     } else {
-      if (cit == creators_.end()) {
-        return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid.to_hex());
-      }
-      if (cit->second != *auth) {
+      if (!managed) return not_hosted(oid);
+      if (it->second.creator != *auth) {
         return Result<Bytes>(ErrorCode::kPermissionDenied,
                              "only the creating entity may manage this replica");
       }
       // Refuse version rollback: a stale (but correctly signed) state must
       // not replace a newer one through the admin path.
-      if (state->certificate.version() <
-          replicas_[oid].certificate.version()) {
+      if (state->certificate.version() < it->second.state.certificate.version()) {
         return Result<Bytes>(ErrorCode::kInvalidArgument,
                              "state version older than the hosted replica");
       }
@@ -554,15 +545,11 @@ Result<Bytes> ObjectServer::handle_create_or_update(net::ServerContext& ctx,
     HostingGrant grant =
         check_capacity_locked(state->content_bytes(), create ? nullptr : &oid);
     if (!grant.accepted) {
-      if (create) creators_.erase(oid);
       return Result<Bytes>(ErrorCode::kUnavailable, "hosting refused: " + grant.reason);
     }
-    if (grant.lease != 0) {
-      lease_until_[oid] = ctx.now() + grant.lease;
-    } else {
-      lease_until_.erase(oid);
-    }
-    install_locked(oid, std::move(*state), ctx.now());
+    Hosted& hosted = install_locked(oid, std::move(*state), ctx.now());
+    hosted.creator = *auth;
+    hosted.lease_until = grant.lease != 0 ? ctx.now() + grant.lease : 0;
     replica_installs_->inc();
     obs::emit_event(obs::EventLevel::kInfo, "server", "replica_install",
                     name_ + ": " + oid.to_hex() +
@@ -591,18 +578,13 @@ Result<Bytes> ObjectServer::handle_delete(net::ServerContext& ctx, BytesView pay
     if (!oid.is_ok()) return oid.status();
 
     util::LockGuard lock(mutex_);
-    auto cit = creators_.find(*oid);
-    if (cit == creators_.end()) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    if (cit->second != *auth) {
+    auto it = replicas_.find(*oid);
+    if (it == replicas_.end() || it->second.creator.empty()) return not_hosted(*oid);
+    if (it->second.creator != *auth) {
       return Result<Bytes>(ErrorCode::kPermissionDenied,
                            "only the creating entity may manage this replica");
     }
-    creators_.erase(cit);
-    replicas_.erase(*oid);
-    installed_at_.erase(*oid);
-    lease_until_.erase(*oid);
+    replicas_.erase(it);
     replica_deletes_->inc();
     obs::emit_event(obs::EventLevel::kInfo, "server", "replica_delete",
                     name_ + ": " + oid->to_hex());
@@ -620,7 +602,7 @@ Result<Bytes> ObjectServer::handle_list_replicas(net::ServerContext&,
   util::LockGuard lock(mutex_);
   util::Writer w;
   w.u32(static_cast<std::uint32_t>(replicas_.size()));
-  for (const auto& [oid, state] : replicas_) w.raw(oid.to_bytes());
+  for (const auto& [oid, hosted] : replicas_) w.raw(oid.to_bytes());
   return w.take();
 }
 

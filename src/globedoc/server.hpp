@@ -129,13 +129,11 @@ class ObjectServer {
 
   /// Resource policy (paper §6 extension).  Limits apply to future creates
   /// and updates; existing replicas are untouched until their lease ends.
+  /// A replica whose lease has lapsed is evicted where the server first
+  /// sees the lapse: a read of it, or any create, update or negotiation.
   void set_resource_limits(const ResourceLimits& limits) GLOBE_EXCLUDES(mutex_);
-  ResourceLimits resource_limits() const GLOBE_EXCLUDES(mutex_);
   /// Content bytes currently hosted across all replicas.
   std::uint64_t hosted_bytes() const GLOBE_EXCLUDES(mutex_);
-  /// Drops replicas whose lease expired at or before `now`; returns how
-  /// many were evicted.  Also applied lazily on every access.
-  std::size_t expire_leases(util::SimTime now) GLOBE_EXCLUDES(mutex_);
 
   /// Serving statistics.
   std::size_t elements_served() const GLOBE_EXCLUDES(mutex_);
@@ -187,14 +185,27 @@ class ObjectServer {
                                      const Oid* existing_oid) const
       GLOBE_REQUIRES(mutex_);
 
-  /// Removes a replica whose lease has passed; caller holds mutex_.
-  [[nodiscard]] bool lease_expired_locked(const Oid& oid, util::SimTime now) const
+  // One hosted replica and the bookkeeping that leaves with it.
+  struct Hosted {
+    ReplicaState state;
+    util::SimTime installed_at = 0;  // freshness probe input
+    util::Bytes creator;  // serialized creator key; empty = installed unchecked
+    util::SimTime lease_until = 0;  // 0 = unlimited
+  };
+
+  /// The state of `oid` if it is hosted and its lease has not lapsed at
+  /// `now`; a lapsed replica is evicted here.
+  const ReplicaState* live_locked(const Oid& oid, util::SimTime now)
       GLOBE_REQUIRES(mutex_);
+
+  /// Evicts every replica whose lease lapsed at or before `now`, so a
+  /// capacity decision never counts one.
+  void evict_lapsed_locked(util::SimTime now) GLOBE_REQUIRES(mutex_);
 
   /// The one place replica state enters the hosted set.  Trusted sink:
   /// callers on a network path must have run ReplicaState::verify() first.
-  void install_locked(const Oid& oid, GLOBE_TRUSTED_SINK ReplicaState state,
-                      util::SimTime now)
+  Hosted& install_locked(const Oid& oid, GLOBE_TRUSTED_SINK ReplicaState state,
+                         util::SimTime now)
       GLOBE_REQUIRES(mutex_);
 
   /// Validates (nonce, pubkey, signature) against the keystore; returns the
@@ -215,13 +226,7 @@ class ObjectServer {
   std::set<util::Bytes> keystore_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   // Challenges issued and not yet answered; single use, oldest evicted first.
   util::LruCache<util::Bytes, bool> outstanding_nonces_ GLOBE_GUARDED_BY(mutex_);
-  std::map<Oid, ReplicaState> replicas_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  // oid -> when its current state was installed (freshness probe input)
-  std::map<Oid, util::SimTime> installed_at_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  // oid -> serialized creator key
-  std::map<Oid, util::Bytes> creators_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  // absent = unlimited
-  std::map<Oid, util::SimTime> lease_until_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
+  std::map<Oid, Hosted> replicas_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   ResourceLimits limits_ GLOBE_GUARDED_BY(mutex_);
   std::size_t elements_served_ GLOBE_GUARDED_BY(mutex_) = 0;
   std::uint64_t content_bytes_served_ GLOBE_GUARDED_BY(mutex_) = 0;

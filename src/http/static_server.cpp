@@ -85,16 +85,6 @@ HttpResponse StaticHttpServer::handle(const HttpRequest& req) const {
   return resp;
 }
 
-obs::HealthProbe StaticHttpServer::docroot_health_check() const {
-  return [this](net::ServerContext&) {
-    if (file_count() == 0) {
-      return util::Status(util::ErrorCode::kUnavailable,
-                          server_name_ + ": empty document root");
-    }
-    return util::Status::ok();
-  };
-}
-
 net::MessageHandler StaticHttpServer::handler() {
   return [this](net::ServerContext&, BytesView raw) -> Result<Bytes> {
     auto req = parse_request(raw);

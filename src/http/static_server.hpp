@@ -8,7 +8,6 @@
 #include "http/message.hpp"
 #include "http/parser.hpp"
 #include "net/transport.hpp"
-#include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "util/bounds_annotations.hpp"
 #include "util/mutex.hpp"
@@ -36,11 +35,6 @@ class StaticHttpServer {
   /// MessageHandler adapter: request bytes are a serialized HTTP request,
   /// response bytes a serialized HTTP response.
   net::MessageHandler handler();
-
-  /// Readiness probe for an admin surface ("docroot"): unhealthy while the
-  /// document root is empty (nothing published yet, or torn down).  The
-  /// server must outlive the returned probe.
-  obs::HealthProbe docroot_health_check() const;
 
  private:
   struct FileEntry {

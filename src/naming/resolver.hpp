@@ -37,7 +37,6 @@ class SecureResolver {
   static constexpr std::size_t kCacheEntries = 1024;
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   std::size_t cache_size() const { return cache_.size(); }
-  void clear_cache() { cache_.clear(); }
 
   /// Verified-signature counter (used by the security-overhead benchmarks).
   std::size_t signatures_verified() const { return signatures_verified_; }

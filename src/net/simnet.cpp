@@ -86,11 +86,6 @@ void SimNet::unbind(const Endpoint& ep) {
   handlers_.erase(ep);
 }
 
-bool SimNet::is_bound(const Endpoint& ep) const {
-  util::LockGuard lock(bind_mutex_);
-  return handlers_.count(ep) > 0;
-}
-
 std::unique_ptr<SimFlow> SimNet::open_flow(HostId host, SimTime start) {
   if (host.value >= hosts_.size()) {
     throw std::out_of_range("SimNet::open_flow: unknown host");

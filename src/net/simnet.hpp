@@ -82,7 +82,6 @@ class SimNet {
   void bind(const Endpoint& ep, MessageHandler handler)
       GLOBE_EXCLUDES(bind_mutex_);
   void unbind(const Endpoint& ep) GLOBE_EXCLUDES(bind_mutex_);
-  bool is_bound(const Endpoint& ep) const GLOBE_EXCLUDES(bind_mutex_);
 
   /// Opens a client flow originating at `host`, starting at virtual time
   /// `start`.  The flow keeps a pointer to this SimNet, which must outlive it.

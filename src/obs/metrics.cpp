@@ -182,11 +182,6 @@ void MetricsRegistry::set_default_labels(Labels labels) {
   default_labels_ = normalize(std::move(labels));
 }
 
-Labels MetricsRegistry::default_labels() const {
-  util::LockGuard lock(mutex_);
-  return default_labels_;
-}
-
 Snapshot MetricsRegistry::snapshot() const {
   util::LockGuard lock(mutex_);
   Snapshot snap;

@@ -159,7 +159,6 @@ class MetricsRegistry {
   /// registry tags itself (node=, role=) without touching each call site.
   /// A series label with the same key wins over the default.
   void set_default_labels(Labels labels) GLOBE_EXCLUDES(mutex_);
-  Labels default_labels() const GLOBE_EXCLUDES(mutex_);
 
   Snapshot snapshot() const GLOBE_EXCLUDES(mutex_);
 

@@ -2,19 +2,16 @@
 
 #include <algorithm>
 
-#include "crypto/sha1.hpp"
 #include "globedoc/fetch_many.hpp"
+#include "globedoc/verify.hpp"
 #include "obs/trace.hpp"
 #include "rpc/rpc.hpp"
-#include "util/serial.hpp"
 
 namespace globe::replication {
 
 using globedoc::IntegrityCertificate;
 using globedoc::Oid;
-using globedoc::PageElement;
 using globedoc::ReplicaState;
-using util::Bytes;
 using util::ErrorCode;
 using util::Result;
 
@@ -23,43 +20,29 @@ Result<PullResult> pull_replica(net::Transport& transport,
                                 globedoc::ObjectServer& local,
                                 std::uint64_t local_version) {
   rpc::RpcClient peer(transport, source);
-  util::Writer oid_req;
-  oid_req.raw(oid.to_bytes());
 
-  // A rejected pull is security-relevant (the peer served something that
+  // A refused check is security-relevant (the peer served something that
   // failed verification) — record it joinable to the enclosing trace.
-  auto reject = [&](ErrorCode code, std::string message) {
-    obs::emit_event(obs::EventLevel::kWarn, "replication", "pull_rejected",
-                    source.to_string() + ": " + message);
-    return Result<PullResult>(code, std::move(message));
+  auto fail = [&](util::Status status) -> Result<PullResult> {
+    if (util::is_verification_failure(status.code())) {
+      obs::emit_event(obs::EventLevel::kWarn, "replication", "pull_rejected",
+                      source.to_string() + ": " + status.to_string());
+    }
+    return status;
   };
 
-  // --- Public key: self-certifying check against the OID.
-  auto key_raw =
-      peer.call(rpc::kGlobeDocSecurity, globedoc::kGetPublicKey, oid_req.buffer());
-  if (!key_raw.is_ok()) return key_raw.status();
-  auto object_key = crypto::RsaPublicKey::parse(*key_raw);
-  if (!object_key.is_ok()) return object_key.status();
-  transport.charge(net::CpuOp::kSha1, key_raw->size());
-  if (!oid.matches_key(*object_key)) {
-    return reject(ErrorCode::kOidMismatch,
-                  "peer served a key not hashing to the OID");
-  }
-
-  // --- Integrity certificate: signature, object binding, freshness, version.
+  // --- Public key and integrity certificate: the client's checks
+  // (globedoc/verify.hpp), then version and freshness.
+  auto object_key = globedoc::fetch_object_key(peer, oid);
+  if (!object_key.is_ok()) return fail(object_key.status());
   auto cert_raw = peer.call(rpc::kGlobeDocSecurity, globedoc::kGetIntegrityCert,
-                            oid_req.buffer());
+                            oid.to_bytes());
   if (!cert_raw.is_ok()) return cert_raw.status();
   auto certificate = IntegrityCertificate::parse(*cert_raw);
   if (!certificate.is_ok()) return certificate.status();
-  transport.charge(net::CpuOp::kRsaVerify, 1);
-  if (!certificate->verify_signature(*object_key)) {
-    return reject(ErrorCode::kBadSignature, "peer certificate signature invalid");
-  }
-  if (certificate->oid() != oid) {
-    return reject(ErrorCode::kWrongElement,
-                  "peer certificate for a different object");
-  }
+  util::Status verified =
+      globedoc::verify_certificate(transport, *certificate, *object_key, oid);
+  if (!verified.is_ok()) return fail(verified);
   if (certificate->version() <= local_version) {
     return Result<PullResult>(ErrorCode::kInvalidArgument,
                               "peer state is not newer than local version " +
@@ -68,8 +51,8 @@ Result<PullResult> pull_replica(net::Transport& transport,
   // Refuse to propagate already-stale state: every entry must still be live.
   for (const auto& entry : certificate->entries()) {
     if (entry.expires <= transport.now()) {
-      return reject(ErrorCode::kExpired,
-                    "peer state already expired: " + entry.name);
+      return fail(util::Status(ErrorCode::kExpired,
+                               "peer state already expired: " + entry.name));
     }
   }
 
@@ -103,18 +86,12 @@ Result<PullResult> pull_replica(net::Transport& transport,
     for (std::size_t i = base; i < end; ++i) {
       const auto& item = batch->items[i - base];
       if (!item.found) {
-        return reject(ErrorCode::kNotFound,
-                      "peer has no element " + entries[i].name);
+        return fail(util::Status(ErrorCode::kNotFound,
+                                 "peer has no element " + entries[i].name));
       }
-      auto element = PageElement::parse(item.element);
-      if (!element.is_ok()) return element.status();
-      transport.charge(net::CpuOp::kSha1, item.element.size());
-      util::Status check =
-          certificate->check_element(entries[i].name, *element, transport.now());
-      if (!check.is_ok()) {
-        return reject(check.code(), "element " + entries[i].name + " failed: " +
-                                        check.to_string());
-      }
+      auto element = globedoc::verify_element(transport, *certificate,
+                                              entries[i].name, item.element);
+      if (!element.is_ok()) return fail(element.status());
       state.elements.push_back(std::move(*element));
     }
   }
@@ -122,20 +99,9 @@ Result<PullResult> pull_replica(net::Transport& transport,
   // --- Identity certificates travel along unverified (clients check them
   // against their own trust stores; a peer cannot forge ones that matter).
   auto ids_raw = peer.call(rpc::kGlobeDocSecurity, globedoc::kGetIdentityCerts,
-                           oid_req.buffer());
+                           oid.to_bytes());
   if (ids_raw.is_ok()) {
-    try {
-      util::Reader r(*ids_raw);
-      std::uint32_t n = util::checked_count(
-          r.u32(), static_cast<std::uint32_t>(globedoc::kMaxIdentityCerts));
-      for (std::uint32_t i = 0; i < n; ++i) {
-        auto cert = globedoc::IdentityCertificate::parse(r.bytes());
-        if (cert.is_ok()) state.identity_certs.push_back(std::move(*cert));
-      }
-    } catch (const util::SerialError&) {
-      // Malformed identity list: drop it, the core state is already verified.
-      state.identity_certs.clear();
-    }
+    state.identity_certs = globedoc::parse_identity_list(*ids_raw);
   }
 
   PullResult result;

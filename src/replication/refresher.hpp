@@ -31,11 +31,14 @@ struct PullResult {
 /// Fetches the complete state of `oid` from the (untrusted) replica at
 /// `source`, verifies every part of it, and installs it into `local` when
 /// it is newer than what `local` already hosts (pass the currently hosted
-/// version in `local_version`; 0 = none).  Typed failures:
+/// version in `local_version`; 0 = none).  The checks are the client's
+/// (globedoc/verify.hpp), so the typed failures are too:
 ///   OID_MISMATCH   — source served a key that does not hash to the OID
 ///   BAD_SIGNATURE  — certificate signature invalid
+///   WRONG_ELEMENT  — certificate of another object, or a swapped element
 ///   HASH_MISMATCH  — some element does not match its certificate entry
 ///   EXPIRED        — the fetched certificate is already stale
+///   NOT_FOUND      — the source lacks an element its certificate lists
 ///   INVALID_ARGUMENT — source state is not newer than local_version
 GLOBE_BLOCKING util::Result<PullResult> pull_replica(net::Transport& transport,
                                       const net::Endpoint& source,

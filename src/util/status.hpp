@@ -38,6 +38,11 @@ enum class ErrorCode : std::uint8_t {
 /// Human-readable name of an ErrorCode ("HASH_MISMATCH", ...).
 const char* error_code_name(ErrorCode c);
 
+/// True when a check refused what a peer served (not a transport error).
+inline bool is_verification_failure(ErrorCode c) {
+  return c >= ErrorCode::kBadSignature;
+}
+
 /// A success-or-error value with an optional message.
 class [[nodiscard]] Status {
  public:

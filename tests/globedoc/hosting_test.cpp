@@ -172,14 +172,34 @@ TEST_F(HostingFixture, LeaseExpiryStopsServingAndEvicts) {
   req.str("data.bin");
   EXPECT_TRUE(reader.call(rpc::kGlobeDocAccess, kGetElement, req.buffer()).is_ok());
 
-  // Past the lease, access fails lazily...
+  // Past the lease, the read that first sees the lapse is refused and
+  // evicts the state.
   flow->advance(util::seconds(200));
   EXPECT_EQ(reader.call(rpc::kGlobeDocAccess, kGetElement, req.buffer()).code(),
             ErrorCode::kNotFound);
-  // ...and explicit expiry evicts the state.
-  EXPECT_EQ(server->expire_leases(flow->now()), 1u);
   EXPECT_FALSE(server->hosts(oid));
   EXPECT_EQ(server->hosted_bytes(), 0u);
+}
+
+TEST_F(HostingFixture, LapsedLeaseFreesItsSlotForTheNextCreate) {
+  // No read ever touches the lapsed replica: the create's capacity decision
+  // must still not count it, and /replicaz must stop listing it.
+  ResourceLimits limits;
+  limits.max_replicas = 1;
+  limits.max_lease = util::seconds(100);
+  server->set_resource_limits(limits);
+  auto client = admin();
+
+  Oid first, second;
+  ASSERT_TRUE(client.create_replica(make_state(160, 100, &first)).is_ok());
+  flow->advance(util::seconds(200));
+  ASSERT_TRUE(client.create_replica(make_state(161, 100, &second)).is_ok());
+
+  EXPECT_FALSE(server->hosts(first));
+  EXPECT_TRUE(server->hosts(second));
+  obs::ConsistencyReport report = server->consistency_report();
+  ASSERT_EQ(report.docs.size(), 1u);
+  EXPECT_EQ(report.docs[0].oid, second.to_bytes());
 }
 
 TEST_F(HostingFixture, RefusedCreateCanBeRetriedElsewhere) {

@@ -22,6 +22,16 @@ Documents"):
                  Everything else must go through those sites so there is one
                  auditable place per protocol check.
 
+  replica-check  Calls of the three replica checks (.check_element(,
+                 .verify_signature(, .matches_key() in src/ are allowed only
+                 in globedoc/verify.cpp, whose helpers every path that takes
+                 replica bytes calls, and in ReplicaState::verify
+                 (globedoc/object.cpp).  A copied-out check drifts.
+
+  allow-stale    Every file on the raw-crypto or replica-check allow-list
+                 must still make such a call: a stale entry would let a new
+                 copy into that file unnoticed.
+
   no-rand        rand()/std::rand/srand/random() are banned everywhere: all
                  randomness flows through the DRBG (crypto::HmacDrbg) or the
                  seeded simulation RNG (util::SplitMix64), keeping runs
@@ -146,16 +156,38 @@ RAW_CRYPTO_ALLOWED = {
     "src/globedoc/dynamic.cpp",        # dynamic receipts sign/verify
     "src/globedoc/object.cpp",         # object key generation
     "src/globedoc/server.cpp",         # admin challenge/response signatures
-    "src/globedoc/owner.cpp",          # owner-side signing helpers
     "src/globedoc/importer.cpp",       # import-manifest digest gate (§9)
     "src/naming/service.cpp",          # zone record signing
     "src/naming/resolver.cpp",         # zone record validation
     "src/http/secure_channel.cpp",     # TLS-like handshake + record crypto
     "src/http/static_server.cpp",      # ETag generation (non-security digest)
-    "src/replication/refresher.cpp",   # replica re-verification on pull
 }
 # Tests, benches and examples may exercise primitives directly.
 RAW_CRYPTO_ALLOWED_DIRS = ("src/crypto/", "tests/", "bench/", "examples/")
+
+# ---------------------------------------------------------------------------
+# replica-check: the §3.1.2/§3.2.2 checks are called from one module.
+# ---------------------------------------------------------------------------
+
+REPLICA_CHECK_RE = re.compile(
+    r"(?:\.|->)\s*(?:check_element|verify_signature|matches_key)\s*\(")
+REPLICA_CHECK_ALLOWED = {
+    "src/globedoc/verify.cpp",         # the shared replica checks
+    "src/globedoc/object.cpp",         # ReplicaState::verify (admin path)
+}
+REPLICA_CHECK_ALLOWED_DIRS = ("tests/", "bench/", "examples/")
+
+# Each allow-listed rule: (tag, call pattern, allowed files, exempt path
+# prefixes, what a violation means).  allow-stale checks every table.
+ALLOW_LISTS = [
+    ("raw-crypto", RAW_CRYPTO_RE, RAW_CRYPTO_ALLOWED, RAW_CRYPTO_ALLOWED_DIRS,
+     "raw primitive call outside src/crypto and the designated "
+     "verification sites"),
+    ("replica-check", REPLICA_CHECK_RE, REPLICA_CHECK_ALLOWED,
+     REPLICA_CHECK_ALLOWED_DIRS,
+     "replica check called outside globedoc/verify.cpp; call "
+     "fetch_object_key, verify_certificate or verify_element instead"),
+]
 
 # ---------------------------------------------------------------------------
 # no-rand: libc randomness is banned everywhere.
@@ -225,16 +257,10 @@ def strip_strings(line: str) -> str:
     return re.sub(r'"(?:[^"\\]|\\.)*"|\'(?:[^\'\\]|\\.)*\'', '""', line)
 
 
-def check_file(path: pathlib.Path, violations: list[str]) -> None:
-    rel = relpath(path)
-    text = path.read_text(encoding="utf-8", errors="replace")
-    lines = text.splitlines()
+def code_lines(lines: list[str]):
+    """Yields (lineno, code) for each line outside comments, with string
+    and char literals blanked and any trailing // comment cut."""
     in_block_comment = False
-    # True when the previous code line leaves an expression open (assignment,
-    # call argument list, boolean operator, return ...): the current line is a
-    # continuation, so a leading verification call is NOT a discarded result.
-    prev_continues = False
-
     for lineno, raw_line in enumerate(lines, start=1):
         line = strip_strings(raw_line)
 
@@ -249,24 +275,24 @@ def check_file(path: pathlib.Path, violations: list[str]) -> None:
             continue
         if COMMENT_RE.match(line):
             continue
-        code = line.split("//", 1)[0]
+        yield lineno, line.split("//", 1)[0]
 
+
+def check_file(path: pathlib.Path, violations: list[str]) -> None:
+    rel = relpath(path)
+    text = path.read_text(encoding="utf-8", errors="replace")
+    lines = text.splitlines()
+    # True when the previous code line leaves an expression open (assignment,
+    # call argument list, boolean operator, return ...): the current line is a
+    # continuation, so a leading verification call is NOT a discarded result.
+    prev_continues = False
+
+    for lineno, code in code_lines(lines):
         # --- no-rand: everywhere ---
         if RAND_RE.search(code):
             violations.append(
                 f"{rel}:{lineno}: [no-rand] libc randomness is banned; use "
                 f"crypto::HmacDrbg (nonces/keys) or util::SplitMix64 (simulation)"
-            )
-
-        # --- raw-crypto: outside crypto/ and designated sites ---
-        if (
-            not rel.startswith(RAW_CRYPTO_ALLOWED_DIRS)
-            and rel not in RAW_CRYPTO_ALLOWED
-            and RAW_CRYPTO_RE.search(code)
-        ):
-            violations.append(
-                f"{rel}:{lineno}: [raw-crypto] raw primitive call outside "
-                f"src/crypto and the designated verification sites"
             )
 
         # --- unchecked: discarded verification result ---
@@ -313,6 +339,29 @@ def check_file(path: pathlib.Path, violations: list[str]) -> None:
             )
         # blank lines keep the previous continuation state (wrapped exprs
         # never contain blank lines in this tree, but comments may intervene)
+
+
+def check_allow_lists(violations: list[str]) -> None:
+    """A call matching an allow-listed rule outside its allowed files is a
+    violation; an allowed file with no such call is a stale entry."""
+    used: set[tuple[str, str]] = set()
+    for path in iter_sources():
+        rel = relpath(path)
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+        for lineno, code in code_lines(lines):
+            for tag, pattern, allowed, exempt_dirs, why in ALLOW_LISTS:
+                if rel.startswith(exempt_dirs) or not pattern.search(code):
+                    continue
+                if rel in allowed:
+                    used.add((tag, rel))
+                else:
+                    violations.append(f"{rel}:{lineno}: [{tag}] {why}")
+    for tag, _pattern, allowed, _dirs, _why in ALLOW_LISTS:
+        for rel in sorted(allowed):
+            if (tag, rel) not in used:
+                violations.append(
+                    f"tools/lint.py: [allow-stale] {tag} allows {rel}, which "
+                    "makes no such call — remove the entry")
 
 
 def check_metric_catalog(violations: list[str]) -> None:
@@ -486,6 +535,7 @@ def run_lint() -> int:
     violations: list[str] = []
     for path in iter_sources():
         check_file(path, violations)
+    check_allow_lists(violations)
     check_metric_catalog(violations)
     check_probe_catalog(violations)
     check_slo_catalog(violations)
@@ -537,6 +587,39 @@ SELF_TEST_CASES = [
         "  auto d = crypto::Sha1::digest_bytes(body);\n",
         None,
     ),
+    # The self-test allow-lists (see run_self_test) name one file each,
+    # src/globedoc/integrity.cpp and src/globedoc/verify.cpp, and seed a
+    # call in each.
+    (
+        "stale raw-crypto entry fires",
+        "src/globedoc/integrity.cpp",
+        "  return entries_.size();\n",
+        "allow-stale",
+    ),
+    (
+        "check_element outside verify.cpp fires",
+        "src/cache/tier.cpp",
+        "  util::Status check = cert.check_element(name, *element, now);\n",
+        "replica-check",
+    ),
+    (
+        "matches_key through a pointer fires",
+        "src/replication/refresher.cpp",
+        "  if (!oid->matches_key(*key)) return mismatch();\n",
+        "replica-check",
+    ),
+    (
+        "check in a test clean",
+        "tests/cache/tier_test.cpp",
+        "  EXPECT_TRUE(cert.check_element(name, element, now).is_ok());\n",
+        None,
+    ),
+    (
+        "stale replica-check entry fires",
+        "src/globedoc/verify.cpp",
+        "  return Status::ok();\n",
+        "allow-stale",
+    ),
     (
         "dropped verify fires",
         "src/globedoc/proxy.cpp",
@@ -551,19 +634,19 @@ SELF_TEST_CASES = [
     ),
     (
         "branched verify clean",
-        "src/globedoc/proxy.cpp",
+        "src/globedoc/verify.cpp",
         "  if (!cert.verify_signature(key)) return bad();\n",
         None,
     ),
     (
         "assigned verify clean",
-        "src/globedoc/proxy.cpp",
+        "src/globedoc/verify.cpp",
         "  bool ok = cert.verify_signature(key);\n",
         None,
     ),
     (
         "void-cast verify clean",
-        "src/globedoc/proxy.cpp",
+        "src/globedoc/verify.cpp",
         "  (void)cert.verify_signature(key);  // fuzz: only parsing matters\n",
         None,
     ),
@@ -824,19 +907,36 @@ def run_self_test() -> int:
                     "class Registered {\n"
                     "  std::deque<int> ring_ GLOBE_BOUNDED;\n"
                     "};\n")
+            # Minimal allow-lists, one file per rule seeded with a call, so
+            # allow-list cases can distinguish allowed from not and live
+            # from stale (skipped when the case under test owns the path).
+            seeds = {
+                "raw-crypto": ("src/globedoc/integrity.cpp",
+                               "  auto sig = crypto::rsa_sign_sha1(key, body);\n"),
+                "replica-check": ("src/globedoc/verify.cpp",
+                                  "  if (!oid.matches_key(*key)) return bad();\n"),
+            }
+            for seed_rel, seed in seeds.values():
+                seedfile = root / seed_rel
+                if not seedfile.exists():
+                    seedfile.parent.mkdir(parents=True, exist_ok=True)
+                    seedfile.write_text(seed)
             violations: list[str] = []
-            global REPO
-            saved_repo = REPO
+            global REPO, ALLOW_LISTS
+            saved_repo, saved_lists = REPO, ALLOW_LISTS
             try:
                 REPO = root
+                ALLOW_LISTS = [(tag, pattern, {seeds[tag][0]}, dirs, why)
+                               for tag, pattern, _a, dirs, why in saved_lists]
                 check_file(target, violations)
+                check_allow_lists(violations)
                 check_metric_catalog(violations)
                 check_probe_catalog(violations)
                 check_slo_catalog(violations)
                 check_lock_hierarchy(violations)
                 check_capacity_registry(violations)
             finally:
-                REPO = saved_repo
+                REPO, ALLOW_LISTS = saved_repo, saved_lists
             tags = {re.search(r"\[([\w-]+)\]", v).group(1) for v in violations}
             if expected is None:
                 ok = not violations
