@@ -1,7 +1,7 @@
 // Live telemetry plane: a per-node-instrumented GlobeDoc fleet (proxy,
-// object servers, naming server) scraped and consistency-audited by a
-// central TelemetryAggregator over SimNet RPC, watched by an SLO burn-rate
-// evaluator, and surfaced on a real localhost HTTP socket (/metrics
+// object servers, naming server) scraped, consistency-audited and watched
+// by SLO burn-rate alerts from a central TelemetryAggregator over SimNet
+// RPC, and surfaced on a real localhost HTTP socket (/metrics
 // /healthz /tracez /federate /alertz /profilez /replicaz — see DESIGN.md
 // §10-11, §15-16).
 //
@@ -51,7 +51,6 @@
 #include "net/simnet.hpp"
 #include "obs/admin.hpp"
 #include "obs/collector.hpp"
-#include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
 #include "replication/maintainer.hpp"
 #include "replication/refresher.hpp"
@@ -260,7 +259,6 @@ int main(int argc, char** argv) {
   aggregator.add_target(
       {"os-3", "object-server", os3_ep, obs::AuditRole::kReplica});
 
-  obs::SloEvaluator slo(aggregator);
   obs::SloSpec latency;
   latency.name = "fetch-latency";
   latency.type = obs::SloSpec::Type::kLatency;
@@ -270,7 +268,7 @@ int main(int argc, char** argv) {
   latency.short_window = util::seconds(60);
   latency.long_window = util::seconds(300);
   latency.burn_threshold = 2.0;
-  slo.add_spec(latency);
+  aggregator.add_slo(latency);
 
   // Staleness SLO (DESIGN.md §16): at least 95% of the per-round replica
   // checks must come back fresh.  With one of two replicas stuck,
@@ -284,7 +282,7 @@ int main(int argc, char** argv) {
   staleness.short_window = util::seconds(60);
   staleness.long_window = util::seconds(300);
   staleness.burn_threshold = 2.0;
-  slo.add_spec(staleness);
+  aggregator.add_slo(staleness);
 
   // Each maintainer tick runs under a root span on its replica's clock, so
   // a failed refresh shows in /tracez as an event on the tick that failed.
@@ -297,8 +295,8 @@ int main(int argc, char** argv) {
     maintainer.tick(flow.now());
   };
 
-  // One 10-second ops round: a couple of verified fetches, a scrape round,
-  // an SLO evaluation.
+  // One 10-second ops round: a couple of verified fetches, then a scrape
+  // round, which also evaluates the SLOs.
   std::uint64_t round = 0;
   auto ops_round = [&]() -> bool {
     client_flow->set_time(util::seconds(10) * ++round);
@@ -329,7 +327,6 @@ int main(int argc, char** argv) {
     traced_tick(os2_maintainer, *os2_flow, "os-2");
     traced_tick(os3_maintainer, *os3_flow, "os-3");
     aggregator.scrape_round(*client_flow);
-    slo.evaluate(client_flow->now());
     return true;
   };
 
@@ -346,7 +343,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 4; ++i) {
     if (!ops_round()) return 1;
   }
-  for (const obs::AlertState& alert : slo.alerts()) {
+  for (const obs::AlertState& alert : aggregator.alerts()) {
     std::string labels;
     for (const auto& [k, v] : alert.labels) {
       labels += (labels.empty() ? "" : ",") + k + "=" + v;
@@ -364,7 +361,6 @@ int main(int argc, char** argv) {
   admin_config.registry = &proxy_registry;
   admin_config.profile = &proxy_profile;
   admin_config.aggregator = &aggregator;
-  admin_config.slo = &slo;
   obs::AdminHttpServer admin(admin_config);
   proxy.register_health_checks(admin);
   // Freshness probe on the master: unhealthy if no state installed within

@@ -1,11 +1,12 @@
 #include "obs/admin.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "http/parser.hpp"
 #include "obs/consistency.hpp"
 #include "obs/export.hpp"
-#include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
 #include "util/serial.hpp"
 
@@ -24,110 +25,66 @@ namespace {
 /// small enough that millis() cannot overflow.
 constexpr std::uint64_t kMaxMinMs = 1'000'000'000;
 
-/// Strict sanitizer for the /tracez query string.  Accepts exactly "" or
-/// "min_ms=<1..10 digits>"; everything else — stray parameters, empty
-/// value, signs, whitespace, overlong numbers — is INVALID_ARGUMENT.  The
-/// input came off the wire; after this gate only a bounded integer
-/// survives, so nothing attacker-controlled can reach a response body.
-GLOBE_SANITIZER Result<std::uint64_t> parse_tracez_query(
-    GLOBE_UNTRUSTED const std::string& query) {
-  if (query.empty()) return std::uint64_t{0};
-  constexpr std::string_view kKey = "min_ms=";
-  if (query.size() <= kKey.size() || query.compare(0, kKey.size(), kKey) != 0) {
-    return Status(util::ErrorCode::kInvalidArgument, "unknown query parameter");
-  }
-  std::string_view digits = std::string_view(query).substr(kKey.size());
-  if (digits.size() > 10) {
-    return Status(util::ErrorCode::kInvalidArgument, "min_ms out of range");
-  }
-  std::uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
-      return Status(util::ErrorCode::kInvalidArgument, "min_ms not a number");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (value > kMaxMinMs) {
-    return Status(util::ErrorCode::kInvalidArgument, "min_ms out of range");
-  }
-  return value;
-}
-
-/// Parsed /profilez query: table by default, folded stacks on request.
-struct ProfilezQuery {
-  bool folded = false;
-  std::uint64_t top_n = 20;
-};
-
 /// Upper bound on the n= row filter: far more stacks than the registry can
 /// hold, and small enough that rendering stays cheap.
 constexpr std::uint64_t kMaxProfileRows = 10'000;
 
-/// Strict sanitizer for the /profilez query string, same discipline as
-/// /tracez: accepts exactly "", "fmt=folded", "n=<1..5 digits>" or
-/// "fmt=folded&n=<1..5 digits>"; anything else — stray parameters, other
-/// fmt words, signs, whitespace — is INVALID_ARGUMENT.  After this gate
-/// only a flag and a bounded integer survive, so nothing attacker-chosen
-/// can reach a response body.
-GLOBE_SANITIZER Result<ProfilezQuery> parse_profilez_query(
-    GLOBE_UNTRUSTED const std::string& query) {
-  ProfilezQuery out;
-  std::string_view rest = query;
-  constexpr std::string_view kFmt = "fmt=folded";
-  if (rest.substr(0, kFmt.size()) == kFmt) {
-    out.folded = true;
-    rest.remove_prefix(kFmt.size());
-    if (!rest.empty()) {
-      if (rest[0] != '&') {
-        return Status(util::ErrorCode::kInvalidArgument, "unknown fmt");
-      }
-      rest.remove_prefix(1);
-      if (rest.empty()) {
-        return Status(util::ErrorCode::kInvalidArgument, "trailing separator");
-      }
-    }
-  }
-  if (rest.empty()) return out;
-  constexpr std::string_view kN = "n=";
-  if (rest.size() <= kN.size() || rest.substr(0, kN.size()) != kN) {
-    return Status(util::ErrorCode::kInvalidArgument, "unknown query parameter");
-  }
-  std::string_view digits = rest.substr(kN.size());
-  if (digits.size() > 5) {  // kMaxProfileRows = 10000 needs five digits
-    return Status(util::ErrorCode::kInvalidArgument, "n out of range");
-  }
-  std::uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
-      return Status(util::ErrorCode::kInvalidArgument, "n not a number");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (value == 0 || value > kMaxProfileRows) {
-    return Status(util::ErrorCode::kInvalidArgument, "n out of range");
-  }
-  out.top_n = value;
-  return out;
-}
+/// One query parameter an endpoint accepts: a decimal in [min, max] with at
+/// most as many digits as `max`, or, when `words` is set, one of them.
+struct QueryParam {
+  std::string_view key;
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+  std::vector<std::string_view> words = {};
+};
 
-/// Strict sanitizer for the /replicaz query string.  Accepts exactly "" or
-/// "state=<one of the six ReplicaConsistency names>"; everything else is
-/// INVALID_ARGUMENT.  After this gate only a vetted constant survives —
-/// the filter string in the response is ours, never the peer's.
-GLOBE_SANITIZER Result<std::string> parse_replicaz_query(
-    GLOBE_UNTRUSTED const std::string& query) {
-  if (query.empty()) return std::string();
-  constexpr std::string_view kKey = "state=";
-  if (query.size() <= kKey.size() || query.compare(0, kKey.size(), kKey) != 0) {
-    return Status(util::ErrorCode::kInvalidArgument, "unknown query parameter");
+/// Per parameter: its number, the index of its word, or nullopt if absent.
+using QueryValues = std::vector<std::optional<std::uint64_t>>;
+
+/// Strict sanitizer for every admin query string.  Accepts exactly "" or
+/// key=value pairs joined by '&', the keys drawn from `params` in that
+/// order, each at most once; anything else (unknown, repeated or reordered
+/// keys, empty values, signs, whitespace, overlong numbers, other words) is
+/// INVALID_ARGUMENT.  The input came off the wire; after this gate only
+/// bounded integers survive, so nothing attacker-controlled can reach a
+/// response body.
+GLOBE_SANITIZER Result<QueryValues> parse_query(
+    GLOBE_UNTRUSTED std::string_view query,
+    const std::vector<QueryParam>& params) {
+  QueryValues out(params.size());
+  if (query.empty()) return out;
+  const Status bad(util::ErrorCode::kInvalidArgument, "bad query");
+  std::size_t next = 0;
+  for (std::string_view rest = query;;) {
+    std::size_t end = rest.find('&');
+    std::string_view pair = rest.substr(0, end);
+    std::size_t eq = pair.find('=');
+    if (eq == std::string_view::npos) return bad;
+    std::string_view key = pair.substr(0, eq);
+    std::string_view value = pair.substr(eq + 1);
+    while (next < params.size() && params[next].key != key) ++next;
+    if (next == params.size()) return bad;
+    const QueryParam& param = params[next];
+    if (!param.words.empty()) {
+      auto word = std::find(param.words.begin(), param.words.end(), value);
+      if (word == param.words.end()) return bad;
+      out[next] = static_cast<std::uint64_t>(word - param.words.begin());
+    } else {
+      if (value.empty() || value.size() > std::to_string(param.max).size()) {
+        return bad;
+      }
+      std::uint64_t number = 0;
+      for (char c : value) {
+        if (c < '0' || c > '9') return bad;
+        number = number * 10 + static_cast<std::uint64_t>(c - '0');
+      }
+      if (number < param.min || number > param.max) return bad;
+      out[next] = number;
+    }
+    ++next;
+    if (end == std::string_view::npos) return out;
+    rest.remove_prefix(end + 1);
   }
-  std::string_view want = std::string_view(query).substr(kKey.size());
-  static constexpr std::string_view kStates[] = {
-      "fresh", "stale", "diverged", "expired", "missing", "unreachable"};
-  for (std::string_view state : kStates) {
-    if (want == state) return std::string(state);
-  }
-  return Status(util::ErrorCode::kInvalidArgument, "unknown state filter");
 }
 
 /// Static error bodies only: a 4xx must not echo what the peer sent.
@@ -179,20 +136,23 @@ HttpResponse AdminHttpServer::serve_metrics() {
 }
 
 HttpResponse AdminHttpServer::serve_profilez(const std::string& query) {
-  Result<ProfilezQuery> parsed = parse_profilez_query(query);
+  static const std::vector<QueryParam> kParams = {
+      {.key = "fmt", .words = {"folded"}},
+      {.key = "n", .min = 1, .max = kMaxProfileRows}};
+  Result<QueryValues> parsed = parse_query(query, kParams);
   if (!parsed.is_ok()) {
     return error_response(400,
                           "400 bad query: expected fmt=folded and/or n=<rows>\n");
   }
+  bool folded = (*parsed)[0].has_value();
   // Re-clamp the row count through the length guard: top_n sizes the table
   // buffer, and it arrived in an untrusted query string.
   std::uint32_t top_n = util::checked_count(
-      static_cast<std::uint32_t>(parsed->top_n),
+      static_cast<std::uint32_t>((*parsed)[1].value_or(20)),
       static_cast<std::uint32_t>(kMaxProfileRows));
   ProfileSnapshot snap = config_.profile->snapshot();
-  std::string body = parsed->folded
-                         ? to_folded(snap)
-                         : to_table(snap, static_cast<std::size_t>(top_n));
+  std::string body = folded ? to_folded(snap)
+                            : to_table(snap, static_cast<std::size_t>(top_n));
   return HttpResponse::make(200, "OK", util::to_bytes(body), "text/plain");
 }
 
@@ -227,14 +187,17 @@ HttpResponse AdminHttpServer::serve_healthz(net::ServerContext& ctx) {
 }
 
 HttpResponse AdminHttpServer::serve_tracez(const std::string& query) {
-  Result<std::uint64_t> min_ms = parse_tracez_query(query);
-  if (!min_ms.is_ok()) {
+  static const std::vector<QueryParam> kParams = {
+      {.key = "min_ms", .max = kMaxMinMs}};
+  Result<QueryValues> parsed = parse_query(query, kParams);
+  if (!parsed.is_ok()) {
     return error_response(400, "400 bad query: expected min_ms=<millis>\n");
   }
+  std::uint64_t min_ms = (*parsed)[0].value_or(0);
   std::vector<StitchedTrace> traces =
-      config_.collector->recent(64, util::millis(*min_ms));
+      config_.collector->recent(64, util::millis(min_ms));
   std::ostringstream os;
-  os << "{\"min_ms\":" << *min_ms
+  os << "{\"min_ms\":" << min_ms
      << ",\"seen\":" << config_.collector->traces_seen()
      << ",\"kept\":" << config_.collector->traces_kept() << ",\"traces\":[";
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -256,12 +219,11 @@ HttpResponse AdminHttpServer::serve_federate() {
        << (node.stale ? "stale" : "fresh") << " ok=" << node.scrapes_ok
        << " failed=" << node.scrapes_failed;
     if (!node.last_error.empty()) {
-      // Scrape errors carry transport/protocol detail, not peer-chosen
-      // bytes past the sanitizer; still keep them to one comment line.
-      std::string error = node.last_error;
-      for (char& c : error) {
-        if (c == '\n' || c == '\r') c = ' ';
-      }
+      // A scrape error can carry peer-chosen bytes (the identity a node
+      // answered with, a TCP peer's message): escaped, they stay inert
+      // inside this one comment line.
+      std::string error;
+      append_escaped(error, node.last_error);
       os << " error=\"" << error << '"';
     }
     os << '\n';
@@ -270,15 +232,19 @@ HttpResponse AdminHttpServer::serve_federate() {
   return HttpResponse::make(200, "OK", util::to_bytes(os.str()), "text/plain");
 }
 
-HttpResponse AdminHttpServer::serve_alertz(net::ServerContext& ctx) {
-  config_.slo->evaluate(ctx.now());
-  return HttpResponse::make(200, "OK", util::to_bytes(config_.slo->to_json()),
-                            "application/json");
+HttpResponse AdminHttpServer::serve_alertz() {
+  return HttpResponse::make(
+      200, "OK", util::to_bytes(alerts_to_json(config_.aggregator->alerts())),
+      "application/json");
 }
 
 HttpResponse AdminHttpServer::serve_replicaz(const std::string& query) {
-  Result<std::string> filter = parse_replicaz_query(query);
-  if (!filter.is_ok()) {
+  static const std::vector<QueryParam> kParams = {
+      {.key = "state",
+       .words = {"fresh", "stale", "diverged", "expired", "missing",
+                 "unreachable"}}};
+  Result<QueryValues> parsed = parse_query(query, kParams);
+  if (!parsed.is_ok()) {
     return error_response(
         400,
         "400 bad query: expected "
@@ -291,9 +257,10 @@ HttpResponse AdminHttpServer::serve_replicaz(const std::string& query) {
      << " replicas=" << fleet.replica_count() << " converged="
      << (fleet.converged() ? "true" : "false") << '\n';
   os << "# replica oid epoch master lag staleness_ms expiry_s state\n";
+  std::optional<std::uint64_t> filter = (*parsed)[0];
   for (const ReplicaRow& row : rows) {
     const char* state = replica_consistency_name(row.state);
-    if (!filter->empty() && *filter != state) continue;
+    if (filter.has_value() && kParams[0].words[*filter] != state) continue;
     std::uint64_t lag =
         row.master_epoch > row.epoch ? row.master_epoch - row.epoch : 0;
     os << row.replica << ' ' << row.oid_hex << " epoch=" << row.epoch
@@ -317,27 +284,22 @@ HttpResponse AdminHttpServer::handle(net::ServerContext& ctx,
     query = path.substr(q + 1);
     path.resize(q);
   }
-  if (path == "/metrics") {
-    if (!query.empty()) return error_response(400, "400 bad query\n");
-    return serve_metrics();
-  }
-  if (path == "/healthz") {
-    if (!query.empty()) return error_response(400, "400 bad query\n");
-    return serve_healthz(ctx);
-  }
+  // An endpoint without parameters accepts only the empty query.
+  auto plain = [&](auto serve) {
+    return parse_query(query, {}).is_ok()
+               ? serve()
+               : error_response(400, "400 bad query\n");
+  };
+  bool fleet = config_.aggregator != nullptr;
+  if (path == "/metrics") return plain([&] { return serve_metrics(); });
+  if (path == "/healthz") return plain([&] { return serve_healthz(ctx); });
   if (path == "/tracez") return serve_tracez(query);
   if (path == "/profilez") return serve_profilez(query);
-  if (path == "/federate" && config_.aggregator != nullptr) {
-    if (!query.empty()) return error_response(400, "400 bad query\n");
-    return serve_federate();
+  if (path == "/federate" && fleet) {
+    return plain([&] { return serve_federate(); });
   }
-  if (path == "/alertz" && config_.slo != nullptr) {
-    if (!query.empty()) return error_response(400, "400 bad query\n");
-    return serve_alertz(ctx);
-  }
-  if (path == "/replicaz" && config_.aggregator != nullptr) {
-    return serve_replicaz(query);
-  }
+  if (path == "/alertz" && fleet) return plain([&] { return serve_alertz(); });
+  if (path == "/replicaz" && fleet) return serve_replicaz(query);
   return error_response(404, "404 not found\n");
 }
 

@@ -22,10 +22,10 @@
 //                         nodes are visible.  404 unless an aggregator is
 //                         configured.
 //   GET /alertz           SLO burn-rate alerts as JSON (firing / pending /
-//                         resolved, with offending labels).  Each GET
-//                         re-evaluates the specs against the aggregator's
-//                         ring first.  404 unless an evaluator is
-//                         configured.
+//                         resolved, with offending labels) as of the
+//                         aggregator's latest scrape round, which evaluated
+//                         them; a GET only reads.  404 unless an aggregator
+//                         is configured.
 //   GET /profilez[?fmt=folded][&n=N]
 //                         Cost-profile self view (DESIGN.md §15): by
 //                         default a table of the top-N probe stacks by
@@ -41,12 +41,13 @@
 //                         state.  404 unless an aggregator is configured.
 //
 // Security: the request — target, query string included — crossed the wire
-// from an untrusted peer (DESIGN.md §9).  The query is parsed by a strict
-// sanitizer (digits only, bounded length); malformed input yields a 400
-// with a STATIC body, never an echo of what was sent.  Anything variable
-// that does land in a response body (metric names, span names, host
-// labels) goes through json_escape, and /tracez is served as
-// application/json so a hostile span name cannot become markup.
+// from an untrusted peer (DESIGN.md §9).  Every query is parsed by one
+// strict sanitizer (each endpoint's keys in a fixed order, values bounded
+// digits or fixed words); malformed input yields a 400 with a STATIC body,
+// never an echo of what was sent.  Anything variable that does land in a
+// response body (metric names, span names, host labels) goes through
+// json_escape, and /tracez is served as application/json so a hostile span
+// name cannot become markup.
 #pragma once
 
 #include <functional>
@@ -66,7 +67,6 @@
 namespace globe::obs {
 
 class TelemetryAggregator;   // obs/telemetry.hpp
-class SloEvaluator;          // obs/slo.hpp
 
 /// Probe helper: true reachability of a peer endpoint.  Sends a minimal
 /// no-op frame and reports UNAVAILABLE only when the transport does (link
@@ -86,11 +86,9 @@ struct AdminConfig {
   /// (/federate) carries per-node crypto cost.  Null = the process-wide
   /// global_profile_registry().
   ProfileRegistry* profile = nullptr;
-  /// Cluster-plane sources; these have no process-wide default — leaving
-  /// either null simply 404s its endpoints (/federate and /replicaz,
-  /// /alertz).
+  /// Cluster-plane source; it has no process-wide default — leaving it
+  /// null simply 404s its endpoints (/federate, /alertz, /replicaz).
   TelemetryAggregator* aggregator = nullptr;
-  SloEvaluator* slo = nullptr;
 };
 
 class AdminHttpServer {
@@ -118,7 +116,7 @@ class AdminHttpServer {
   http::HttpResponse serve_tracez(const std::string& query);
   http::HttpResponse serve_profilez(const std::string& query);
   http::HttpResponse serve_federate();
-  http::HttpResponse serve_alertz(net::ServerContext& ctx);
+  http::HttpResponse serve_alertz();
   http::HttpResponse serve_replicaz(const std::string& query);
 
   AdminConfig config_;

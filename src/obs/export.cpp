@@ -135,6 +135,19 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+void append_escaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20 || byte == 0x7f) {
+      char buf[5];
+      std::snprintf(buf, sizeof buf, "\\x%02x", byte);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+}
+
 std::string to_text(const Snapshot& snapshot) {
   std::ostringstream os;
   for (const MetricSample& s : snapshot.samples) {

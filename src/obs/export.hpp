@@ -43,6 +43,11 @@ std::string to_json(const SpanRecord& span);
 /// Escapes `s` for inclusion inside a JSON string literal (no quotes added).
 std::string json_escape(std::string_view s);
 
+/// Appends `s` to `out` with bytes below 0x20 and 0x7f written as \xNN, so
+/// peer-chosen text stays on one inert line (stderr events, /federate
+/// node comments).
+void append_escaped(std::string& out, std::string_view s);
+
 /// Writes {"bench": bench_name, "metrics": <snapshot JSON>} to `path`.
 util::Status write_bench_json(const std::string& path,
                               const std::string& bench_name,

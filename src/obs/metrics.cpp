@@ -80,6 +80,12 @@ std::vector<Exemplar> Histogram::exemplars() const {
   return out;
 }
 
+bool labels_contain(const Labels& labels, const Labels& subset) {
+  return std::all_of(subset.begin(), subset.end(), [&](const auto& pair) {
+    return std::find(labels.begin(), labels.end(), pair) != labels.end();
+  });
+}
+
 double bucket_quantile(const std::vector<double>& bounds,
                        const std::vector<std::uint64_t>& counts, double q) {
   q = std::clamp(q, 0.0, 1.0);

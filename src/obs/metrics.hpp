@@ -30,6 +30,9 @@ namespace globe::obs {
 /// key; the registry normalizes whatever order the caller passes.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
+/// True when `labels` carries every pair of `subset`, in any order.
+bool labels_contain(const Labels& labels, const Labels& subset);
+
 /// Monotonically increasing event count.
 class Counter {
  public:

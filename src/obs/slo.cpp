@@ -1,11 +1,14 @@
+// SLO evaluation: the TelemetryAggregator members (obs/telemetry.hpp) that
+// turn each round's window deltas into alert states, and the /alertz body.
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/export.hpp"
+#include "obs/telemetry.hpp"
 
 namespace globe::obs {
 
@@ -13,23 +16,48 @@ namespace {
 
 /// Bad fraction → burn rate against the spec's error budget.
 double burn_rate(double bad_fraction, double objective) {
-  double budget = 1.0 - objective;
-  if (budget <= 0) return bad_fraction > 0 ? HUGE_VAL : 0.0;
-  return bad_fraction / budget;
+  return std::clamp(bad_fraction, 0.0, 1.0) / (1.0 - objective);
 }
 
-Labels with_pair(Labels labels, const std::string& key,
-                 const std::string& value) {
-  labels.emplace_back(key, value);
-  std::sort(labels.begin(), labels.end());
-  return labels;
-}
-
-std::string number(double v) {
-  if (!std::isfinite(v)) return "1e308";  // JSON has no inf
-  std::ostringstream os;
-  os << v;
-  return os.str();
+/// Burn of one alert instance over one window delta; 0 when the window
+/// holds no traffic for it — absence of traffic is not an outage.
+double window_burn(const SloSpec& spec, const Labels& instance,
+                   const std::vector<MetricSample>& delta) {
+  if (spec.type == SloSpec::Type::kAvailability) {
+    double total = 0, good = 0;
+    for (const MetricSample& s : delta) {
+      if (s.name != spec.metric || s.kind != MetricSample::Kind::kCounter ||
+          !labels_contain(s.labels, instance)) {
+        continue;
+      }
+      total += s.value;
+      if (labels_contain(s.labels, spec.good_labels)) good += s.value;
+    }
+    if (total <= 0) return 0;
+    return burn_rate((total - good) / total, spec.objective);
+  }
+  auto series = std::find_if(delta.begin(), delta.end(), [&](const auto& s) {
+    return s.name == spec.metric && s.labels == instance &&
+           s.kind == MetricSample::Kind::kHistogram;
+  });
+  if (series == delta.end() || series->count == 0) return 0;
+  // Good = observations in buckets whose upper bound fits the threshold.
+  // A threshold strictly between bounds rounds UP: the straddling bucket
+  // counts as good, because the histogram cannot distinguish its members.
+  std::uint64_t good = 0;
+  bool boundary_hit = false;
+  for (std::size_t i = 0; i < series->bounds.size(); ++i) {
+    if (series->bounds[i] <= spec.threshold_ms) {
+      good += series->bucket_counts[i];
+      boundary_hit = series->bounds[i] == spec.threshold_ms;
+    } else {
+      if (!boundary_hit) good += series->bucket_counts[i];  // round up
+      break;
+    }
+  }
+  return burn_rate(static_cast<double>(series->count - good) /
+                       static_cast<double>(series->count),
+                   spec.objective);
 }
 
 }  // namespace
@@ -43,19 +71,7 @@ const char* alert_state_name(AlertStateKind state) {
   return "unknown";
 }
 
-SloEvaluator::SloEvaluator(const TelemetryAggregator& aggregator,
-                           MetricsRegistry* self_registry)
-    : aggregator_(&aggregator),
-      registry_(self_registry != nullptr
-                    ? self_registry
-                    : &const_cast<TelemetryAggregator&>(aggregator)
-                           .self_registry()) {
-  evaluations_ = &registry_->counter("slo.evaluations");
-  firing_ = &registry_->gauge("slo.alerts_firing");
-  pending_ = &registry_->gauge("slo.alerts_pending");
-}
-
-void SloEvaluator::add_spec(SloSpec spec) {
+void TelemetryAggregator::add_slo(SloSpec spec) {
   if (spec.objective <= 0 || spec.objective >= 1) {
     throw std::invalid_argument("SLO objective must be in (0, 1): " +
                                 spec.name);
@@ -65,173 +81,97 @@ void SloEvaluator::add_spec(SloSpec spec) {
                                 spec.name);
   }
   util::LockGuard lock(mutex_);
-  specs_.push_back(std::move(spec));
+  slos_.push_back(std::move(spec));
 }
 
-std::size_t SloEvaluator::spec_count() const {
+std::vector<AlertState> TelemetryAggregator::alerts() const {
   util::LockGuard lock(mutex_);
-  return specs_.size();
+  std::vector<AlertState> out;
+  out.reserve(alerts_.size());
+  for (const auto& [key, state] : alerts_) out.push_back(state);
+  return out;
 }
 
-SloEvaluator::Burn SloEvaluator::availability_burn(
-    const SloSpec& spec, const Labels& instance) const {
-  Burn burn;
-  auto window_burn = [&](util::SimDuration w) -> std::optional<double> {
-    auto total = aggregator_->windowed_delta_sum(spec.metric, instance, w);
-    if (!total.has_value() || total->delta <= 0) return std::nullopt;
-    Labels good_filter = instance;
-    for (const auto& kv : spec.good_labels) {
-      good_filter = with_pair(std::move(good_filter), kv.first, kv.second);
-    }
-    auto good = aggregator_->windowed_delta_sum(spec.metric, good_filter, w);
-    double good_delta = good.has_value() ? good->delta : 0.0;
-    double bad_fraction =
-        std::clamp((total->delta - good_delta) / total->delta, 0.0, 1.0);
-    return burn_rate(bad_fraction, spec.objective);
-  };
-  burn.short_burn = window_burn(spec.short_window);
-  burn.long_burn = window_burn(spec.long_window);
-  return burn;
-}
-
-SloEvaluator::Burn SloEvaluator::latency_burn(const SloSpec& spec,
-                                              const Labels& series) const {
-  Burn burn;
-  auto window_burn = [&](util::SimDuration w) -> std::optional<double> {
-    auto sample = aggregator_->windowed_histogram(spec.metric, series, w);
-    if (!sample.has_value() || sample->count == 0) return std::nullopt;
-    // Good = observations in buckets whose upper bound fits the threshold.
-    // A threshold strictly between bounds rounds UP: the straddling bucket
-    // counts as good, because the histogram cannot distinguish its members.
-    std::uint64_t good = 0;
-    bool boundary_hit = false;
-    for (std::size_t i = 0; i < sample->bounds.size(); ++i) {
-      if (sample->bounds[i] <= spec.threshold_ms) {
-        good += sample->bucket_counts[i];
-        boundary_hit = sample->bounds[i] == spec.threshold_ms;
-      } else {
-        if (!boundary_hit) good += sample->bucket_counts[i];  // round up
-        break;
-      }
-    }
-    double bad_fraction = static_cast<double>(sample->count - good) /
-                          static_cast<double>(sample->count);
-    return burn_rate(std::clamp(bad_fraction, 0.0, 1.0), spec.objective);
-  };
-  burn.short_burn = window_burn(spec.short_window);
-  burn.long_burn = window_burn(spec.long_window);
-  return burn;
-}
-
-void SloEvaluator::evaluate(util::SimTime now) {
-  std::vector<SloSpec> specs;
-  {
-    util::LockGuard lock(mutex_);
-    specs = specs_;
-  }
-
-  struct Observation {
-    InstanceKey key;
-    std::string metric;
-    Burn burn;
-  };
-  std::vector<Observation> observed;
-
-  for (const SloSpec& spec : specs) {
-    if (spec.type == SloSpec::Type::kAvailability) {
-      // One instance per node= value among matching series, so the alert
-      // names the offending node rather than a faceless cluster total.
-      std::set<std::string> node_values;
-      for (const Labels& labels : aggregator_->series_labels(spec.metric)) {
-        for (const auto& [key, value] : labels) {
-          if (key == "node") node_values.insert(value);
-        }
-      }
-      for (const std::string& node : node_values) {
-        Labels instance = with_pair(spec.filter, "node", node);
-        observed.push_back(
-            {{spec.name, instance}, spec.metric,
-             availability_burn(spec, instance)});
-      }
-    } else {
-      std::set<Labels> series;
-      for (const Labels& labels : aggregator_->series_labels(spec.metric)) {
-        bool matches = true;
-        for (const auto& need : spec.filter) {
-          if (std::find(labels.begin(), labels.end(), need) == labels.end()) {
-            matches = false;
-            break;
-          }
-        }
-        if (matches) series.insert(labels);
-      }
-      for (const Labels& labels : series) {
-        observed.push_back(
-            {{spec.name, labels}, spec.metric, latency_burn(spec, labels)});
+void TelemetryAggregator::evaluate_slos_locked() {
+  const Round& latest = ring_.back();
+  // Each distinct window's delta is computed once per round.
+  std::map<util::SimDuration, std::vector<MetricSample>> deltas;
+  for (const SloSpec& spec : slos_) {
+    for (util::SimDuration window : {spec.short_window, spec.long_window}) {
+      auto [it, added] = deltas.try_emplace(window);
+      if (!added) continue;
+      if (auto delta = window_delta_locked(window)) {
+        it->second = std::move(delta->series);
       }
     }
   }
 
-  std::size_t firing = 0, pending = 0;
-  {
-    util::LockGuard lock(mutex_);
-    // Spec lookup for thresholds (specs_ may have grown; names are stable).
-    auto threshold_of = [&](const std::string& name) {
-      for (const SloSpec& s : specs_) {
-        if (s.name == name) return s.burn_threshold;
+  for (const SloSpec& spec : slos_) {
+    // Availability: one instance per node= value among the latest round's
+    // series, so the alert names the offending node rather than a faceless
+    // cluster total.  Latency: one per matching series.
+    std::set<Labels> instances;
+    for (const auto& [node, snap] : latest.per_node) {
+      for (const MetricSample& s : snap.samples) {
+        if (s.name != spec.metric) continue;
+        if (spec.type == SloSpec::Type::kLatency) {
+          if (labels_contain(s.labels, spec.filter)) instances.insert(s.labels);
+          continue;
+        }
+        for (const auto& [key, value] : s.labels) {
+          if (key != "node") continue;
+          Labels instance = spec.filter;
+          instance.emplace_back(key, value);
+          std::sort(instance.begin(), instance.end());
+          instances.insert(std::move(instance));
+        }
       }
-      return 0.0;
-    };
-    for (const Observation& obs : observed) {
-      double threshold = threshold_of(obs.key.slo);
-      bool short_hot = obs.burn.short_burn.value_or(0) > threshold;
-      bool long_hot = obs.burn.long_burn.value_or(0) > threshold;
+    }
+    for (const Labels& instance : instances) {
+      double burn_short =
+          window_burn(spec, instance, deltas.at(spec.short_window));
+      double burn_long = window_burn(spec, instance, deltas.at(spec.long_window));
+      bool short_hot = burn_short > spec.burn_threshold;
+      bool long_hot = burn_long > spec.burn_threshold;
       AlertStateKind next = short_hot && long_hot ? AlertStateKind::kFiring
                             : short_hot || long_hot ? AlertStateKind::kPending
                                                     : AlertStateKind::kResolved;
-      auto it = instances_.find(obs.key);
-      if (it == instances_.end()) {
+      auto it = alerts_.find({spec.name, instance});
+      if (it == alerts_.end()) {
         // A clean series never creates an instance: /alertz lists
         // incidents, not the whole SLO catalog.
         if (next == AlertStateKind::kResolved) continue;
         AlertState state;
-        state.slo = obs.key.slo;
-        state.metric = obs.metric;
-        state.labels = obs.key.labels;
+        state.slo = spec.name;
+        state.metric = spec.metric;
+        state.labels = instance;
         state.state = next;
-        state.since = now;
-        it = instances_.emplace(obs.key, std::move(state)).first;
+        state.since = latest.time;
+        it = alerts_.emplace(std::pair(spec.name, instance), std::move(state))
+                 .first;
       } else if (it->second.state != next) {
         it->second.state = next;
-        it->second.since = now;
+        it->second.since = latest.time;
       }
-      it->second.burn_short = obs.burn.short_burn.value_or(0);
-      it->second.burn_long = obs.burn.long_burn.value_or(0);
-    }
-    for (const auto& [key, state] : instances_) {
-      if (state.state == AlertStateKind::kFiring) ++firing;
-      if (state.state == AlertStateKind::kPending) ++pending;
+      it->second.burn_short = burn_short;
+      it->second.burn_long = burn_long;
     }
   }
-  evaluations_->inc();
-  firing_->set(static_cast<double>(firing));
-  pending_->set(static_cast<double>(pending));
+
+  std::size_t firing = 0, pending = 0;
+  for (const auto& [key, state] : alerts_) {
+    if (state.state == AlertStateKind::kFiring) ++firing;
+    if (state.state == AlertStateKind::kPending) ++pending;
+  }
+  alerts_firing_->set(static_cast<double>(firing));
+  alerts_pending_->set(static_cast<double>(pending));
 }
 
-std::vector<AlertState> SloEvaluator::alerts() const {
-  util::LockGuard lock(mutex_);
-  std::vector<AlertState> out;
-  out.reserve(instances_.size());
-  for (const auto& [key, state] : instances_) out.push_back(state);
-  return out;
-}
-
-std::string SloEvaluator::to_json() const {
-  std::vector<AlertState> states = alerts();
+std::string alerts_to_json(const std::vector<AlertState>& alerts) {
   std::ostringstream os;
   os << "{\"alerts\":[";
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    const AlertState& a = states[i];
+  for (std::size_t i = 0; i < alerts.size(); ++i) {
+    const AlertState& a = alerts[i];
     if (i > 0) os << ',';
     os << "{\"slo\":\"" << json_escape(a.slo) << "\",\"metric\":\""
        << json_escape(a.metric) << "\",\"labels\":{";
@@ -241,9 +181,9 @@ std::string SloEvaluator::to_json() const {
          << json_escape(a.labels[l].second) << '"';
     }
     os << "},\"state\":\"" << alert_state_name(a.state)
-       << "\",\"burn_short\":" << number(a.burn_short)
-       << ",\"burn_long\":" << number(a.burn_long)
-       << ",\"since_ns\":" << a.since << '}';
+       << "\",\"burn_short\":" << a.burn_short
+       << ",\"burn_long\":" << a.burn_long << ",\"since_ns\":" << a.since
+       << '}';
   }
   os << "]}";
   return os.str();

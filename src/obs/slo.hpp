@@ -1,7 +1,10 @@
 // Declarative SLOs over the federated telemetry plane (DESIGN.md §11).
 //
 // A SloSpec states an objective over metrics the TelemetryAggregator
-// already collects — no instrumented component knows SLOs exist:
+// already collects — no instrumented component knows SLOs exist.  Specs are
+// installed with TelemetryAggregator::add_slo and evaluated at the end of
+// every scrape round, over the same window deltas that feed /federate's
+// derived series:
 //
 //   * availability: of the windowed delta of a counter family (all series
 //     matching `filter`, summed across label values), the fraction matching
@@ -20,19 +23,16 @@
 // short window proves it is still happening (and lets the alert resolve
 // quickly once the cause is fixed).  One window above, one below, is
 // PENDING (arriving or draining); both below is RESOLVED.
+//
+// The evaluation itself is part of the aggregator; its definitions live in
+// obs/slo.cpp next to the burn math.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "util/clock.hpp"
-#include "util/bounds_annotations.hpp"
-#include "util/mutex.hpp"
 
 namespace globe::obs {
 
@@ -65,6 +65,8 @@ enum class AlertStateKind { kPending, kFiring, kResolved };
 const char* alert_state_name(AlertStateKind state);
 
 /// One alert instance: a spec applied to one offending label set.
+/// Instances appear on their first non-clean round and persist (as
+/// kResolved) afterwards, so /alertz shows an incident's history.
 struct AlertState {
   std::string slo;      // SloSpec::name
   std::string metric;
@@ -72,65 +74,11 @@ struct AlertState {
   AlertStateKind state = AlertStateKind::kPending;
   double burn_short = 0;
   double burn_long = 0;
-  util::SimTime since = 0;  // when the current state was entered
+  util::SimTime since = 0;  // time of the scrape round that entered `state`
 };
 
-/// Evaluates every spec against the aggregator's ring.  Call evaluate()
-/// after each scrape round (or on each /alertz hit); alerts() / to_json()
-/// report the latest states.  Thread-safe.
-class SloEvaluator {
- public:
-  /// `self_registry` receives the evaluator's own slo.* series; nullptr
-  /// means the aggregator's self registry.
-  explicit SloEvaluator(const TelemetryAggregator& aggregator,
-                        MetricsRegistry* self_registry = nullptr);
-
-  /// Specs must reference cataloged metric names (docs/metrics.md) — the
-  /// project lint's slo-catalog check enforces this on literals.
-  void add_spec(SloSpec spec) GLOBE_EXCLUDES(mutex_);
-  std::size_t spec_count() const GLOBE_EXCLUDES(mutex_);
-
-  /// Recomputes every alert instance at time `now` (stamped into `since`
-  /// on state transitions).  Instances appear on first non-clean
-  /// evaluation and persist (as kResolved) afterwards, so /alertz shows
-  /// the firing → resolved history of an incident.
-  void evaluate(util::SimTime now) GLOBE_EXCLUDES(mutex_);
-
-  std::vector<AlertState> alerts() const GLOBE_EXCLUDES(mutex_);
-
-  /// /alertz body: {"alerts":[{slo, metric, labels, state, burn_short,
-  /// burn_long, since_ns}, ...]} sorted by (slo, labels).
-  std::string to_json() const GLOBE_EXCLUDES(mutex_);
-
- private:
-  struct InstanceKey {
-    std::string slo;
-    Labels labels;
-    bool operator<(const InstanceKey& o) const {
-      return slo != o.slo ? slo < o.slo : labels < o.labels;
-    }
-  };
-
-  /// Burn rates for one instance over both windows; nullopt = no data in
-  /// a window (treated as burn 0: absence of traffic is not an outage —
-  /// availability of zero requests is vacuously met).
-  struct Burn {
-    std::optional<double> short_burn;
-    std::optional<double> long_burn;
-  };
-
-  Burn availability_burn(const SloSpec& spec, const Labels& instance) const;
-  Burn latency_burn(const SloSpec& spec, const Labels& series) const;
-
-  const TelemetryAggregator* aggregator_;
-  MetricsRegistry* registry_;
-  Counter* evaluations_;
-  Gauge* firing_;
-  Gauge* pending_;
-
-  mutable util::Mutex mutex_;
-  std::vector<SloSpec> specs_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  std::map<InstanceKey, AlertState> instances_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-};
+/// /alertz body: {"alerts":[{slo, metric, labels, state, burn_short,
+/// burn_long, since_ns}, ...]} in the given order, on one line.
+std::string alerts_to_json(const std::vector<AlertState>& alerts);
 
 }  // namespace globe::obs

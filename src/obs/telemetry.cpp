@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
+#include <set>
+#include <tuple>
 
 #include "obs/collector.hpp"
 #include "obs/profile.hpp"
@@ -70,18 +73,56 @@ bool printable(const std::string& s) {
 const std::vector<double> kStalenessBoundsMs = {
     100, 500, 1000, 2500, 5000, 10000, 30000, 60000, 300000, 900000};
 
-bool labels_contain(const Labels& haystack, const Labels& needles) {
-  for (const auto& need : needles) {
-    bool found = false;
-    for (const auto& have : haystack) {
-      if (have == need) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
+/// Cluster aggregates, keyed by (name, labels without node/role).
+using ClusterView = std::map<std::pair<std::string, Labels>, MetricSample>;
+
+/// Folds one node's sample into its cluster aggregate: counters sum, gauges
+/// last-write in node map order, histograms merge bucket-wise.
+void add_to_cluster(ClusterView& cluster, const MetricSample& s) {
+  std::pair<std::string, Labels> key{s.name, strip_node_labels(s.labels)};
+  auto it = cluster.find(key);
+  if (it == cluster.end()) {
+    MetricSample first = s;
+    first.labels = key.second;
+    cluster.emplace(std::move(key), std::move(first));
+    return;
   }
-  return true;
+  MetricSample& into = it->second;
+  switch (s.kind) {
+    case MetricSample::Kind::kCounter:
+      into.value += s.value;
+      break;
+    case MetricSample::Kind::kGauge:
+      into.value = s.value;
+      break;
+    case MetricSample::Kind::kHistogram:
+      // Incompatible bucket layouts refuse to blend; the first node's
+      // sample stands alone rather than silently absorbing garbage.
+      (void)merge_histogram_sample(into, s);
+      break;
+  }
+}
+
+/// merged()'s `<name><suffix>` gauges from the cluster aggregate of a
+/// window delta's `kind` series over `seconds`: a counter's rate, a
+/// histogram's p99.
+void append_derived(Snapshot& out, const std::vector<MetricSample>& delta,
+                    double seconds, MetricSample::Kind kind,
+                    const char* suffix) {
+  ClusterView cluster;
+  for (const MetricSample& s : delta) {
+    if (s.kind == kind) add_to_cluster(cluster, s);
+  }
+  for (const auto& [key, sample] : cluster) {
+    MetricSample derived;
+    derived.name = sample.name + suffix;
+    derived.labels = sample.labels;
+    derived.kind = MetricSample::Kind::kGauge;
+    derived.value = kind == MetricSample::Kind::kCounter
+                        ? sample.value / seconds
+                        : sample.p99;
+    out.samples.push_back(std::move(derived));
+  }
 }
 
 }  // namespace
@@ -272,11 +313,12 @@ TelemetryAggregator::TelemetryAggregator() : TelemetryAggregator(Config()) {}
 
 TelemetryAggregator::TelemetryAggregator(Config config)
     : config_(std::move(config)) {
-  self_registry_.set_default_labels(
-      {{"node", config_.node}, {"role", "aggregator"}});
+  self_registry_.set_default_labels({{"node", kNode}, {"role", "aggregator"}});
   scrape_rounds_ = &self_registry_.counter("telemetry.scrape_rounds");
   nodes_fresh_ = &self_registry_.gauge("telemetry.nodes_fresh");
   nodes_stale_ = &self_registry_.gauge("telemetry.nodes_stale");
+  alerts_firing_ = &self_registry_.gauge("slo.alerts_firing");
+  alerts_pending_ = &self_registry_.gauge("slo.alerts_pending");
 }
 
 void TelemetryAggregator::add_target(ScrapeTarget target) {
@@ -315,7 +357,7 @@ void TelemetryAggregator::scrape_round(net::Transport& transport) {
   }
 
   Tracer tracer([&transport] { return transport.now(); });
-  tracer.set_host(config_.node);
+  tracer.set_host(kNode);
   tracer.set_sink(config_.trace_sink != nullptr ? config_.trace_sink
                                                 : &global_trace_collector());
   Round round;
@@ -418,10 +460,11 @@ void TelemetryAggregator::scrape_round(net::Transport& transport) {
   // The aggregator's own registry joins the round as one more node (not a
   // target): this round's verdicts and health counters are windowable in
   // this round, and merged() serves them with the fleet's.
-  round.per_node[config_.node] = self_registry_.snapshot();
+  round.per_node[kNode] = self_registry_.snapshot();
   ring_.push_back(std::move(round));
-  while (ring_.size() > config_.max_rounds) ring_.pop_front();
+  while (ring_.size() > kMaxRounds) ring_.pop_front();
   round_count_ += 1;
+  evaluate_slos_locked();
 }
 
 void TelemetryAggregator::audit_locked(
@@ -552,95 +595,27 @@ Snapshot TelemetryAggregator::merged() const {
   util::LockGuard lock(mutex_);
   Snapshot out;
   if (ring_.empty()) return out;
-  const Round& latest = ring_.back();
 
   // 1. Per-node series: each scraped node's exactly as scraped (node=/role=
-  //    enforced above), and the aggregator's own.
-  for (const auto& [node, snap] : latest.per_node) {
-    for (const MetricSample& s : snap.samples) out.samples.push_back(s);
+  //    enforced above), and the aggregator's own.  2. Cluster aggregates.
+  ClusterView cluster;
+  for (const auto& [node, snap] : ring_.back().per_node) {
+    for (const MetricSample& s : snap.samples) {
+      out.samples.push_back(s);
+      add_to_cluster(cluster, s);
+    }
   }
+  for (const auto& [key, sample] : cluster) out.samples.push_back(sample);
 
-  // 2. Cluster aggregates: node/role stripped, grouped by (name, labels).
-  auto aggregate = [](const Round& round) {
-    std::map<std::pair<std::string, Labels>, MetricSample> agg;
-    for (const auto& [node, snap] : round.per_node) {
-      for (const MetricSample& s : snap.samples) {
-        std::pair<std::string, Labels> key{s.name, strip_node_labels(s.labels)};
-        auto it = agg.find(key);
-        if (it == agg.end()) {
-          MetricSample cluster = s;
-          cluster.labels = key.second;
-          agg.emplace(std::move(key), std::move(cluster));
-          continue;
-        }
-        MetricSample& cluster = it->second;
-        switch (s.kind) {
-          case MetricSample::Kind::kCounter:
-            cluster.value += s.value;
-            break;
-          case MetricSample::Kind::kGauge:
-            cluster.value = s.value;  // last write wins, node map order
-            break;
-          case MetricSample::Kind::kHistogram:
-            // Incompatible bucket layouts refuse to blend; the first node's
-            // sample stands alone rather than silently absorbing garbage.
-            (void)merge_histogram_sample(cluster, s);
-            break;
-        }
-      }
-    }
-    return agg;
-  };
-
-  auto cluster_now = aggregate(latest);
-  for (const auto& [key, sample] : cluster_now) out.samples.push_back(sample);
-
-  // 3. Derived windowed series from the ring: <name>:rate1m for counters,
-  //    <name>:p99_5m for histograms, computed from aggregate deltas between
-  //    the latest round and the round at each window's far edge.
-  auto derive = [&](util::SimDuration window, bool counters) {
-    const Round* start = window_start_locked(window);
-    if (start == nullptr) return;
-    double dt = util::to_seconds(latest.time - start->time);
-    if (dt <= 0) return;
-    auto cluster_then = aggregate(*start);
-    for (const auto& [key, now_sample] : cluster_now) {
-      auto then = cluster_then.find(key);
-      if (then == cluster_then.end()) continue;
-      const MetricSample& then_sample = then->second;
-      if (counters && now_sample.kind == MetricSample::Kind::kCounter) {
-        double delta = now_sample.value - then_sample.value;
-        if (delta < 0) continue;  // counter reset across the window
-        MetricSample derived;
-        derived.name = now_sample.name + ":rate1m";
-        derived.labels = now_sample.labels;
-        derived.kind = MetricSample::Kind::kGauge;
-        derived.value = delta / dt;
-        out.samples.push_back(std::move(derived));
-      }
-      if (!counters && now_sample.kind == MetricSample::Kind::kHistogram &&
-          now_sample.bounds == then_sample.bounds) {
-        std::vector<std::uint64_t> delta(now_sample.bucket_counts.size());
-        bool valid = then_sample.bucket_counts.size() == delta.size();
-        for (std::size_t i = 0; valid && i < delta.size(); ++i) {
-          if (now_sample.bucket_counts[i] < then_sample.bucket_counts[i]) {
-            valid = false;
-            break;
-          }
-          delta[i] = now_sample.bucket_counts[i] - then_sample.bucket_counts[i];
-        }
-        if (!valid) continue;
-        MetricSample derived;
-        derived.name = now_sample.name + ":p99_5m";
-        derived.labels = now_sample.labels;
-        derived.kind = MetricSample::Kind::kGauge;
-        derived.value = bucket_quantile(now_sample.bounds, delta, 0.99);
-        out.samples.push_back(std::move(derived));
-      }
-    }
-  };
-  derive(util::seconds(60), /*counters=*/true);
-  derive(util::seconds(300), /*counters=*/false);
+  // 3. Derived windowed series from the window deltas.
+  if (auto minute = window_delta_locked(util::seconds(60))) {
+    append_derived(out, minute->series, minute->seconds,
+                   MetricSample::Kind::kCounter, ":rate1m");
+  }
+  if (auto five = window_delta_locked(util::seconds(300))) {
+    append_derived(out, five->series, five->seconds,
+                   MetricSample::Kind::kHistogram, ":p99_5m");
+  }
 
   std::sort(out.samples.begin(), out.samples.end(),
             [](const MetricSample& a, const MetricSample& b) {
@@ -657,43 +632,65 @@ std::vector<NodeStatus> TelemetryAggregator::nodes() const {
   return out;
 }
 
-const MetricSample* TelemetryAggregator::find_sample_locked(
-    const Round& round, const std::string& name, const Labels& labels) const {
-  for (const auto& [node, snap] : round.per_node) {
+std::optional<TelemetryAggregator::WindowDelta>
+TelemetryAggregator::window_delta_locked(util::SimDuration window) const {
+  if (ring_.size() < 2) return std::nullopt;
+  const Round& latest = ring_.back();
+  util::SimTime cutoff = latest.time >= window ? latest.time - window : 0;
+  auto start = std::find_if(ring_.begin(), ring_.end(), [&](const Round& r) {
+    return r.time >= cutoff && r.time < latest.time;
+  });
+  if (start == ring_.end()) return std::nullopt;
+
+  // Index the start edge's counters and histograms by (name, labels); each
+  // pairs with at most one latest-round series.
+  auto by_series = [](const MetricSample* a, const MetricSample* b) {
+    return std::tie(a->name, a->labels) < std::tie(b->name, b->labels);
+  };
+  std::set<const MetricSample*, decltype(by_series)> then(by_series);
+  for (const auto& [node, snap] : start->per_node) {
     for (const MetricSample& s : snap.samples) {
-      if (s.name == name && s.labels == labels) return &s;
+      if (s.kind != MetricSample::Kind::kGauge) then.insert(&s);
     }
   }
-  return nullptr;
-}
 
-const TelemetryAggregator::Round* TelemetryAggregator::window_start_locked(
-    util::SimDuration window) const {
-  if (ring_.size() < 2) return nullptr;
-  const Round& latest = ring_.back();
-  util::SimTime cutoff =
-      latest.time >= window ? latest.time - window : 0;
-  for (const Round& round : ring_) {
-    if (round.time >= cutoff && round.time < latest.time) return &round;
+  WindowDelta out;
+  out.seconds = util::to_seconds(latest.time - start->time);
+  for (const auto& [node, snap] : latest.per_node) {
+    for (const MetricSample& now : snap.samples) {
+      auto found = then.find(&now);
+      if (found == then.end()) continue;
+      const MetricSample& was = **found;
+      then.erase(found);
+      if (now.kind != was.kind) continue;
+      MetricSample delta;
+      delta.name = now.name;
+      delta.labels = now.labels;
+      delta.kind = now.kind;
+      delta.value = now.value - was.value;
+      if (now.kind == MetricSample::Kind::kHistogram) {
+        if (now.bounds != was.bounds ||
+            !std::equal(was.bucket_counts.begin(), was.bucket_counts.end(),
+                        now.bucket_counts.begin(), now.bucket_counts.end(),
+                        std::less_equal<>())) {
+          continue;  // another bucket layout, or a reset across the window
+        }
+        delta.bounds = now.bounds;
+        for (std::size_t i = 0; i < now.bucket_counts.size(); ++i) {
+          delta.bucket_counts.push_back(now.bucket_counts[i] -
+                                        was.bucket_counts[i]);
+          delta.count += delta.bucket_counts.back();
+        }
+        delta.p50 = bucket_quantile(delta.bounds, delta.bucket_counts, 0.50);
+        delta.p90 = bucket_quantile(delta.bounds, delta.bucket_counts, 0.90);
+        delta.p99 = bucket_quantile(delta.bounds, delta.bucket_counts, 0.99);
+      } else if (delta.value < 0) {
+        continue;  // counter reset across the window
+      }
+      out.series.push_back(std::move(delta));
+    }
   }
-  return nullptr;
-}
-
-std::optional<double> TelemetryAggregator::rate(const std::string& name,
-                                                const Labels& labels,
-                                                util::SimDuration window) const {
-  util::LockGuard lock(mutex_);
-  const Round* start = window_start_locked(window);
-  if (start == nullptr) return std::nullopt;
-  const Round& latest = ring_.back();
-  const MetricSample* a = find_sample_locked(*start, name, labels);
-  const MetricSample* b = find_sample_locked(latest, name, labels);
-  if (a == nullptr || b == nullptr) return std::nullopt;
-  double dt = util::to_seconds(latest.time - start->time);
-  if (dt <= 0) return std::nullopt;
-  double delta = b->value - a->value;
-  if (delta < 0) return std::nullopt;  // counter reset
-  return delta / dt;
+  return out;
 }
 
 std::optional<TelemetryAggregator::WindowedSum>
@@ -701,26 +698,18 @@ TelemetryAggregator::windowed_delta_sum(const std::string& name,
                                         const Labels& filter,
                                         util::SimDuration window) const {
   util::LockGuard lock(mutex_);
-  const Round* start = window_start_locked(window);
-  if (start == nullptr) return std::nullopt;
-  const Round& latest = ring_.back();
-  double dt = util::to_seconds(latest.time - start->time);
-  if (dt <= 0) return std::nullopt;
-
+  std::optional<WindowDelta> delta = window_delta_locked(window);
+  if (!delta.has_value()) return std::nullopt;
   WindowedSum out;
-  out.seconds = dt;
+  out.seconds = delta->seconds;
   bool matched = false;
-  for (const auto& [node, snap] : latest.per_node) {
-    for (const MetricSample& s : snap.samples) {
-      if (s.name != name || s.kind != MetricSample::Kind::kCounter) continue;
-      if (!labels_contain(s.labels, filter)) continue;
-      const MetricSample* then = find_sample_locked(*start, name, s.labels);
-      if (then == nullptr) continue;
-      double delta = s.value - then->value;
-      if (delta < 0) continue;  // counter reset
-      out.delta += delta;
-      matched = true;
+  for (const MetricSample& s : delta->series) {
+    if (s.name != name || s.kind != MetricSample::Kind::kCounter ||
+        !labels_contain(s.labels, filter)) {
+      continue;
     }
+    out.delta += s.value;
+    matched = true;
   }
   if (!matched) return std::nullopt;
   return out;
@@ -730,34 +719,15 @@ std::optional<MetricSample> TelemetryAggregator::windowed_histogram(
     const std::string& name, const Labels& labels,
     util::SimDuration window) const {
   util::LockGuard lock(mutex_);
-  const Round* start = window_start_locked(window);
-  if (start == nullptr) return std::nullopt;
-  const Round& latest = ring_.back();
-  const MetricSample* a = find_sample_locked(*start, name, labels);
-  const MetricSample* b = find_sample_locked(latest, name, labels);
-  if (a == nullptr || b == nullptr) return std::nullopt;
-  if (a->kind != MetricSample::Kind::kHistogram ||
-      b->kind != MetricSample::Kind::kHistogram || a->bounds != b->bounds ||
-      a->bucket_counts.size() != b->bucket_counts.size()) {
-    return std::nullopt;
+  std::optional<WindowDelta> delta = window_delta_locked(window);
+  if (!delta.has_value()) return std::nullopt;
+  for (MetricSample& s : delta->series) {
+    if (s.name == name && s.labels == labels &&
+        s.kind == MetricSample::Kind::kHistogram) {
+      return std::move(s);
+    }
   }
-  MetricSample out;
-  out.name = name;
-  out.labels = labels;
-  out.kind = MetricSample::Kind::kHistogram;
-  out.bounds = b->bounds;
-  out.bucket_counts.resize(b->bucket_counts.size());
-  out.count = 0;
-  for (std::size_t i = 0; i < out.bucket_counts.size(); ++i) {
-    if (b->bucket_counts[i] < a->bucket_counts[i]) return std::nullopt;
-    out.bucket_counts[i] = b->bucket_counts[i] - a->bucket_counts[i];
-    out.count += out.bucket_counts[i];
-  }
-  out.value = b->value - a->value;
-  out.p50 = bucket_quantile(out.bounds, out.bucket_counts, 0.50);
-  out.p90 = bucket_quantile(out.bounds, out.bucket_counts, 0.90);
-  out.p99 = bucket_quantile(out.bounds, out.bucket_counts, 0.99);
-  return out;
+  return std::nullopt;
 }
 
 std::vector<Labels> TelemetryAggregator::series_labels(

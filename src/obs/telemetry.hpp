@@ -1,5 +1,6 @@
-// Cluster telemetry plane (DESIGN.md §11): per-node registry federation
-// and the fleet consistency audit (DESIGN.md §16) in one poller.
+// Cluster telemetry plane (DESIGN.md §11): per-node registry federation,
+// the fleet consistency audit (DESIGN.md §16) and SLO burn-rate alerting
+// (obs/slo.hpp) in one poller.
 //
 // Every fleet role (proxy, object server, static server, naming node,
 // location node, replication coordinator) owns a MetricsRegistry tagged
@@ -17,16 +18,16 @@
 //     node/role labels;
 //   * snapshots merge across nodes (counter sums, gauge last-write,
 //     histogram bucket-wise merge via obs::merge_histogram_sample);
-//   * every round is retained in a bounded ring of timestamped windows, so
-//     *rates* (counter delta / elapsed) and *windowed quantiles* (quantile
-//     of the bucket deltas over the last W) are computable, not just
-//     lifetime values — this is what the SLO burn-rate evaluator
-//     (obs/slo.hpp) reads;
+//   * every round is retained in a bounded ring of timestamped windows,
+//     and the aggregator is the ring's only reader: every windowed number
+//     — rates, windowed quantiles, SLO burn rates — comes from one window
+//     delta (the per-series increments between the latest round and the
+//     oldest round inside the window);
 //   * the round ends with the consistency audit: the master target's
 //     report is the authority and every (replica target, OID) pair gets a
 //     verdict on the aggregator's own registry, which joins the round as
 //     one more node so the verdicts are windowable in the round that saw
-//     them;
+//     them; then every installed SLO is evaluated against the new ring;
 //   * a target that times out, is unreachable, or returns a malformed
 //     reply is marked stale — its data simply drops out of the merged
 //     view until it answers again (telemetry.scrape_errors counts each
@@ -54,6 +55,7 @@
 #include "net/transport.hpp"
 #include "obs/consistency.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "rpc/rpc.hpp"
 #include "util/mutex.hpp"
@@ -145,9 +147,10 @@ struct NodeStatus {
   std::string last_error;        // most recent failure, "" when none yet
 };
 
-/// Polls the fleet and audits its consistency.  Besides its telemetry.*
-/// health series, the aggregator's own registry (node=<Config::node>,
-/// role=aggregator) carries the audit's exports:
+/// Polls the fleet, audits its consistency and evaluates its SLOs.
+/// Besides its telemetry.* health series and the slo.alerts_firing /
+/// slo.alerts_pending gauges, the aggregator's own registry
+/// (node=aggregator, role=aggregator) carries the audit's exports:
 ///   * replication.staleness_ms{replica=}        histogram of how far
 ///     behind non-fresh replicas are (time since the pair fell behind);
 ///   * replication.stale_replicas /
@@ -162,11 +165,11 @@ struct NodeStatus {
 class TelemetryAggregator {
  public:
   struct Config {
-    std::size_t max_rounds = 128;  // bounded ring of scrape rounds
     /// Scrape spans land here; nullptr = obs::global_trace_collector().
     TraceSink* trace_sink = nullptr;
-    std::string node = "aggregator";
   };
+  /// Scrape rounds the ring retains, oldest dropped first.
+  static constexpr std::size_t kMaxRounds = 128;
 
   TelemetryAggregator();
   explicit TelemetryAggregator(Config config);
@@ -174,12 +177,23 @@ class TelemetryAggregator {
   void add_target(ScrapeTarget target) GLOBE_EXCLUDES(mutex_);
   std::size_t target_count() const GLOBE_EXCLUDES(mutex_);
 
+  /// Installs an SLO, evaluated at the end of every scrape round.  Specs
+  /// must reference cataloged metric names (docs/metrics.md) — the project
+  /// lint's slo-catalog check enforces this on literals.  Throws
+  /// std::invalid_argument unless 0 < objective < 1 and
+  /// 0 < short_window <= long_window.
+  void add_slo(SloSpec spec) GLOBE_EXCLUDES(mutex_);
+
+  /// Alert instances as of the latest round, sorted by (slo, labels).
+  std::vector<AlertState> alerts() const GLOBE_EXCLUDES(mutex_);
+
   /// One scrape round over `transport` at transport.now(): calls every
   /// target under a "scrape_round" trace (one child span per target),
-  /// audits the round's consistency reports, and appends the round —
-  /// with the aggregator's own registry filed as one more node — to the
-  /// ring.  Thread-compatible like a client flow: call from one driving
-  /// thread.
+  /// audits the round's consistency reports, appends the round — with
+  /// the aggregator's own registry filed as one more node — to the ring,
+  /// and evaluates every SLO against it (state changes are stamped with
+  /// the round's time).  Thread-compatible like a client flow: call from
+  /// one driving thread.
   /// Blocking: one RPC per fleet target.  Targets are snapshotted under
   /// the lock; the RPCs themselves run with no lock held.
   GLOBE_BLOCKING void scrape_round(net::Transport& transport) GLOBE_EXCLUDES(mutex_);
@@ -187,29 +201,20 @@ class TelemetryAggregator {
   /// Per-node series of the latest round (fresh nodes and the aggregator
   /// itself, node=/role= labels guaranteed) plus cluster-level aggregates
   /// with node/role labels stripped (counter sums, gauge last-write in
-  /// target order, histogram bucket merges), plus derived windowed series:
-  /// for each cluster counter a `<name>:rate1m` gauge, for each cluster
-  /// histogram a `<name>:p99_5m` gauge, when the ring spans enough history.
+  /// target order, histogram bucket merges), plus derived windowed series
+  /// from the cluster aggregate of the window delta: for each counter a
+  /// `<name>:rate1m` gauge, for each histogram a `<name>:p99_5m` gauge,
+  /// when the ring spans enough history.
   Snapshot merged() const GLOBE_EXCLUDES(mutex_);
 
   std::vector<NodeStatus> nodes() const GLOBE_EXCLUDES(mutex_);
 
-  /// Events/second of a counter series over the trailing window: the value
-  /// delta between the latest round and the oldest round inside the window,
-  /// divided by the actual time spanned.  nullopt without two such rounds
-  /// or when the series is absent.  Labels must match exactly (node= and
-  /// role= included).
-  std::optional<double> rate(const std::string& name, const Labels& labels,
-                             util::SimDuration window) const
-      GLOBE_EXCLUDES(mutex_);
-
-  /// Summed counter delta over the trailing window across every series
-  /// named `name` whose label set CONTAINS all of `filter` (subset match,
-  /// unlike rate()'s exact match) — how the SLO evaluator totals
-  /// "proxy.fetches across all outcomes on node X".  A series must appear
-  /// in both edge rounds to contribute; negative deltas (counter reset)
-  /// drop that series.  nullopt without two spanning rounds or when no
-  /// series matched; .seconds is the actual time spanned.
+  /// Summed window delta of every counter series named `name` whose label
+  /// set CONTAINS all of `filter` (subset match; pass the full label set,
+  /// node= and role= included, to read one series) — how an availability
+  /// SLO totals "proxy.fetches across all outcomes on node X".  nullopt
+  /// without a window or when no series matched; .seconds is the actual
+  /// time spanned.
   struct WindowedSum {
     double delta = 0;
     double seconds = 0;
@@ -219,11 +224,10 @@ class TelemetryAggregator {
                                                 util::SimDuration window) const
       GLOBE_EXCLUDES(mutex_);
 
-  /// Histogram delta over the trailing window as a sample: bucket counts,
-  /// count and sum are the increments between the window's edge rounds;
-  /// quantiles are re-estimated from the delta buckets.  nullopt without
-  /// two spanning rounds, on a series gap, or on counter-reset (negative
-  /// delta).
+  /// The window delta of one histogram series (labels matched exactly):
+  /// bucket counts, count and sum are the increments between the window's
+  /// edge rounds; quantiles are re-estimated from the delta buckets.
+  /// nullopt without a window or when the series has no delta in it.
   std::optional<MetricSample> windowed_histogram(const std::string& name,
                                                  const Labels& labels,
                                                  util::SimDuration window) const
@@ -247,20 +251,32 @@ class TelemetryAggregator {
   MetricsRegistry& self_registry() { return self_registry_; }
 
  private:
+  /// The node label of the aggregator's own registry in every round.
+  static constexpr const char* kNode = "aggregator";
+
   struct Round {
     util::SimTime time = 0;
     // node -> labeled snapshot (successful scrapes only).
     std::map<std::string, Snapshot> per_node;
   };
 
-  /// Latest sample of (name, labels) at or before the window start, plus
-  /// the latest sample overall.  Used by rate()/windowed_histogram().
-  const MetricSample* find_sample_locked(const Round& round,
-                                         const std::string& name,
-                                         const Labels& labels) const
+  /// What changed over a trailing window: the latest round against the
+  /// oldest round inside the window.  One non-negative delta sample per
+  /// counter or histogram series present at both edges (labels matched
+  /// exactly, histogram quantiles re-estimated from the delta buckets),
+  /// in latest-round order.  A series born or lost inside the window, or
+  /// reset across it, has no delta.
+  struct WindowDelta {
+    double seconds = 0;  // time spanned by the two edge rounds
+    std::vector<MetricSample> series;
+  };
+  /// nullopt while no earlier round lies inside the window.
+  std::optional<WindowDelta> window_delta_locked(util::SimDuration window) const
       GLOBE_REQUIRES(mutex_);
-  const Round* window_start_locked(util::SimDuration window) const
-      GLOBE_REQUIRES(mutex_);
+
+  /// Burns every SLO against the ring's newest round and steps each alert
+  /// instance's state machine at that round's time (obs/slo.cpp).
+  void evaluate_slos_locked() GLOBE_REQUIRES(mutex_);
 
   /// Authoritative per-document state from the master's latest report.
   struct DocState {
@@ -281,6 +297,8 @@ class TelemetryAggregator {
   Counter* scrape_rounds_;
   Gauge* nodes_fresh_;
   Gauge* nodes_stale_;
+  Gauge* alerts_firing_;
+  Gauge* alerts_pending_;
 
   mutable util::Mutex mutex_;
   std::vector<ScrapeTarget> targets_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
@@ -298,6 +316,10 @@ class TelemetryAggregator {
   std::map<std::pair<std::string, util::Bytes>, util::SimTime> stale_since_
       GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   bool master_reachable_ GLOBE_GUARDED_BY(mutex_) = false;
+  std::vector<SloSpec> slos_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
+  // One instance per (spec name, offending label set), kept as history.
+  std::map<std::pair<std::string, Labels>, AlertState> alerts_
+      GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
 };
 
 }  // namespace globe::obs

@@ -6,6 +6,8 @@
 #include <random>
 #include <utility>
 
+#include "obs/export.hpp"
+
 namespace globe::obs {
 
 namespace {
@@ -35,20 +37,6 @@ std::atomic<std::uint64_t> g_id_counter{id_counter_seed()};
 thread_local TraceContext t_current_context;
 /// The tracer owning that span: emit_event() records on its innermost span.
 thread_local Tracer* t_current_tracer = nullptr;
-
-/// Appends `s` with bytes below 0x20 and 0x7f written as \xNN.
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    auto byte = static_cast<unsigned char>(c);
-    if (byte < 0x20 || byte == 0x7f) {
-      char buf[5];
-      std::snprintf(buf, sizeof buf, "\\x%02x", byte);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
 
 /// Writes "[WARN] component: event: detail" to stderr as one fwrite of the
 /// whole line (stderr is unbuffered), so concurrent emitters never

@@ -1,7 +1,7 @@
 // End-to-end telemetry-plane acceptance: a multi-node SimNet fleet scraped
 // by a central aggregator, surfaced through /federate and /alertz, with a
-// slow replica tripping the latency burn-rate alert and scrape RPCs
-// visible in /tracez.
+// slow replica tripping the latency burn-rate alert (evaluated in the scrape
+// round) and scrape RPCs visible in /tracez.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include "net/simnet.hpp"
 #include "obs/admin.hpp"
 #include "obs/collector.hpp"
-#include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
 #include "rpc/rpc.hpp"
 
@@ -63,7 +62,6 @@ struct FederationFixture : ::testing::Test {
     os1 = &add_node("os-1", "object-server");
     os2 = &add_node("os-2", "object-server");
 
-    slo = std::make_unique<SloEvaluator>(*agg);
     SloSpec spec;
     spec.name = "fetch-latency";
     spec.type = SloSpec::Type::kLatency;
@@ -73,14 +71,13 @@ struct FederationFixture : ::testing::Test {
     spec.short_window = seconds(60);
     spec.long_window = seconds(300);
     spec.burn_threshold = 2.0;
-    slo->add_spec(spec);
+    agg->add_slo(spec);
 
     AdminConfig admin_config;
     admin_config.service = "aggregator";
     admin_config.registry = &agg->self_registry();
     admin_config.collector = &collector;
     admin_config.aggregator = agg.get();
-    admin_config.slo = slo.get();
     admin = std::make_unique<AdminHttpServer>(admin_config);
     admin_ep = net::Endpoint{admin_host, 9900};
     net.bind(admin_ep, admin->handler());
@@ -127,7 +124,6 @@ struct FederationFixture : ::testing::Test {
   net::SimNet net;
   TraceCollector collector{64};
   std::unique_ptr<TelemetryAggregator> agg;
-  std::unique_ptr<SloEvaluator> slo;
   std::unique_ptr<AdminHttpServer> admin;
   std::vector<std::unique_ptr<FleetNode>> fleet;
   FleetNode* proxy = nullptr;
@@ -208,6 +204,8 @@ TEST_F(FederationFixture, SlowReplicaTripsLatencyAlertThenResolves) {
   // os-2 turns slow: its replica-labeled series burns through the budget.
   for (int i = 0; i < 4; ++i) tick(/*slow_ms=*/500);
   body = body_of(get("/alertz"));
+  // A GET only reads the round's verdict: asking again changes nothing.
+  EXPECT_EQ(body_of(get("/alertz")), body);
   EXPECT_NE(body.find("\"state\":\"firing\""), std::string::npos);
   EXPECT_NE(body.find("\"slo\":\"fetch-latency\""), std::string::npos);
   EXPECT_NE(body.find("\"replica\":\"os-2\""), std::string::npos);
@@ -259,6 +257,52 @@ TEST_F(FederationFixture, FederateReportsStaleNodeAfterLinkLoss) {
   body = body_of(get("/federate"));
   EXPECT_NE(body.find("# node os-2 role=object-server fresh"),
             std::string::npos);
+}
+
+TEST_F(FederationFixture, StaleNodeLeavesTheClusterRateToTheRest) {
+  tick(/*slow_ms=*/5);
+  net.set_link_down(admin_host, os2->host, true);
+  tick(/*slow_ms=*/5);
+
+  // os-2 merely stopped answering: the cluster rate is os-1's 20 requests
+  // over the 10 s between the rounds, the same window delta the SLOs read.
+  std::string body = body_of(get("/federate"));
+  EXPECT_NE(body.find("\nobject_server.requests:rate1m 2\n"),
+            std::string::npos)
+      << body;
+  auto sum = agg->windowed_delta_sum("object_server.requests", {}, seconds(60));
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_EQ(sum->delta, 20.0);
+  EXPECT_EQ(sum->seconds, 10.0);
+}
+
+TEST_F(FederationFixture, PeerChosenIdentityIsEscapedInFederate) {
+  // A target answering under another identity is rejected, and its scrape
+  // error quotes what it claimed: terminal escapes and bells must not
+  // reach the /federate body raw.
+  rpc::ServiceDispatcher liar;
+  liar.register_method(rpc::kTelemetryService, kScrape,
+                       [](net::ServerContext&, util::BytesView) {
+                         util::Writer w;
+                         w.str("os-9\x1b[2J\x07x");
+                         w.str("object-server");
+                         encode_snapshot(w, Snapshot{});
+                         return util::Result<util::Bytes>(w.take());
+                       });
+  net::HostId liar_host = net.add_host({"os-9", net::CpuModel{}});
+  net::Endpoint liar_ep{liar_host, 9100};
+  net.bind(liar_ep, liar.handler());
+  agg->add_target({"os-9", "object-server", liar_ep});
+  tick(/*slow_ms=*/5);
+
+  std::string body = body_of(get("/federate"));
+  EXPECT_NE(body.find("answered as os-9\\x1b[2J\\x07x\""), std::string::npos)
+      << body;
+  for (char c : body) {
+    auto byte = static_cast<unsigned char>(c);
+    EXPECT_TRUE(c == '\n' || (byte >= 0x20 && byte != 0x7f))
+        << "raw control byte " << static_cast<int>(byte);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// SLO burn-rate evaluation over the telemetry aggregator: availability and
-// latency specs, the pending/firing/resolved state machine, and alert JSON.
+// SLO burn-rate evaluation in the telemetry aggregator's scrape round:
+// availability and latency specs, the pending/firing/resolved state
+// machine, and alert JSON.  Rounds alone drive every state change.
 #include "obs/slo.hpp"
 
 #include <gtest/gtest.h>
@@ -55,29 +56,38 @@ struct SloFixture : ::testing::Test {
 };
 
 TEST_F(SloFixture, SpecValidationRejectsNonsense) {
-  SloEvaluator slo(agg);
+  registry.counter("proxy.fetches", {{"outcome", "error"}});
   SloSpec bad;
   bad.name = "bad";
   bad.metric = "proxy.fetches";
+  bad.good_labels = {{"outcome", "ok"}};
   bad.objective = 1.0;
-  EXPECT_THROW(slo.add_spec(bad), std::invalid_argument);
+  EXPECT_THROW(agg.add_slo(bad), std::invalid_argument);
   bad.objective = 0;
-  EXPECT_THROW(slo.add_spec(bad), std::invalid_argument);
+  EXPECT_THROW(agg.add_slo(bad), std::invalid_argument);
   bad.objective = 0.99;
   bad.short_window = seconds(120);
   bad.long_window = seconds(60);
-  EXPECT_THROW(slo.add_spec(bad), std::invalid_argument);
+  EXPECT_THROW(agg.add_slo(bad), std::invalid_argument);
   bad.short_window = seconds(60);
   bad.long_window = seconds(300);
-  slo.add_spec(bad);
-  EXPECT_EQ(slo.spec_count(), 1u);
+  EXPECT_NO_THROW(agg.add_slo(bad));
+
+  // Only the accepted spec is evaluated: every fetch fails, so it fires.
+  for (int t = 1; t <= 3; ++t) {
+    registry.counter("proxy.fetches", {{"outcome", "error"}}).inc(10);
+    round(t);
+  }
+  auto alerts = agg.alerts();
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].slo, "bad");
+  EXPECT_EQ(alerts[0].state, AlertStateKind::kFiring);
 }
 
 TEST_F(SloFixture, AvailabilityIncidentFiresAndResolves) {
   auto& ok = registry.counter("proxy.fetches", {{"outcome", "ok"}});
   auto& err = registry.counter("proxy.fetches", {{"outcome", "error"}});
 
-  SloEvaluator slo(agg);
   SloSpec spec;
   spec.name = "proxy-availability";
   spec.type = SloSpec::Type::kAvailability;
@@ -87,7 +97,7 @@ TEST_F(SloFixture, AvailabilityIncidentFiresAndResolves) {
   spec.short_window = seconds(60);
   spec.long_window = seconds(300);
   spec.burn_threshold = 2.0;
-  slo.add_spec(spec);
+  agg.add_slo(spec);
 
   // Healthy warmup: a clean series never creates an alert instance.
   int t = 0;
@@ -95,8 +105,7 @@ TEST_F(SloFixture, AvailabilityIncidentFiresAndResolves) {
     ok.inc(100);
     round(++t);
   }
-  slo.evaluate(flow->now());
-  EXPECT_TRUE(slo.alerts().empty());
+  EXPECT_TRUE(agg.alerts().empty());
 
   // Outage: half the fetches fail.  Both windows go hot -> firing.
   for (int i = 0; i < 3; ++i) {
@@ -104,8 +113,7 @@ TEST_F(SloFixture, AvailabilityIncidentFiresAndResolves) {
     err.inc(50);
     round(++t);
   }
-  slo.evaluate(flow->now());
-  auto alerts = slo.alerts();
+  auto alerts = agg.alerts();
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].state, AlertStateKind::kFiring);
   EXPECT_GT(alerts[0].burn_short, 2.0);
@@ -118,22 +126,29 @@ TEST_F(SloFixture, AvailabilityIncidentFiresAndResolves) {
   EXPECT_TRUE(named);
 
   // Recovery: clean rounds.  The short window drains first (pending), then
-  // the long window, and the instance persists as resolved history.
+  // the long window, and the instance persists as resolved history.  Each
+  // transition is stamped with the time of the round that made it.
   bool saw_pending = false, saw_resolved = false;
   AlertStateKind last = AlertStateKind::kFiring;
   for (int i = 0; i < 40 && !saw_resolved; ++i) {
     ok.inc(100);
     round(++t);
-    slo.evaluate(flow->now());
-    last = state_of(slo.alerts(), "proxy-availability");
+    AlertStateKind before = last;
+    last = state_of(agg.alerts(), "proxy-availability");
+    if (last != before) {
+      EXPECT_EQ(agg.alerts()[0].since,
+                util::seconds(10) * static_cast<std::uint64_t>(t));
+    }
     if (last == AlertStateKind::kPending) saw_pending = true;
     if (last == AlertStateKind::kResolved) saw_resolved = true;
     // Never back to firing during a clean recovery.
-    if (saw_pending) EXPECT_NE(last, AlertStateKind::kFiring);
+    if (saw_pending) {
+      EXPECT_NE(last, AlertStateKind::kFiring);
+    }
   }
   EXPECT_TRUE(saw_pending);
   EXPECT_TRUE(saw_resolved);
-  ASSERT_EQ(slo.alerts().size(), 1u);  // history retained, not deleted
+  ASSERT_EQ(agg.alerts().size(), 1u);  // history retained, not deleted
 }
 
 TEST_F(SloFixture, LatencyIncidentNamesTheSlowSeries) {
@@ -142,7 +157,6 @@ TEST_F(SloFixture, LatencyIncidentNamesTheSlowSeries) {
   auto& slow = registry.histogram("proxy.fetch_ms", {10, 100, 1000},
                                   {{"replica", "r-slow"}});
 
-  SloEvaluator slo(agg);
   SloSpec spec;
   spec.name = "fetch-latency";
   spec.type = SloSpec::Type::kLatency;
@@ -152,7 +166,7 @@ TEST_F(SloFixture, LatencyIncidentNamesTheSlowSeries) {
   spec.short_window = seconds(60);
   spec.long_window = seconds(300);
   spec.burn_threshold = 2.0;
-  slo.add_spec(spec);
+  agg.add_slo(spec);
 
   int t = 0;
   for (int i = 0; i < 7; ++i) {
@@ -162,8 +176,7 @@ TEST_F(SloFixture, LatencyIncidentNamesTheSlowSeries) {
     }
     round(++t);
   }
-  slo.evaluate(flow->now());
-  EXPECT_TRUE(slo.alerts().empty());
+  EXPECT_TRUE(agg.alerts().empty());
 
   // One replica turns slow; the other stays fast.
   for (int i = 0; i < 3; ++i) {
@@ -173,8 +186,7 @@ TEST_F(SloFixture, LatencyIncidentNamesTheSlowSeries) {
     }
     round(++t);
   }
-  slo.evaluate(flow->now());
-  auto alerts = slo.alerts();
+  auto alerts = agg.alerts();
   ASSERT_EQ(alerts.size(), 1u);  // only the slow replica's series alerts
   EXPECT_EQ(alerts[0].state, AlertStateKind::kFiring);
   bool slow_named = false, fast_named = false;
@@ -193,8 +205,7 @@ TEST_F(SloFixture, LatencyIncidentNamesTheSlowSeries) {
       slow.observe(5);
     }
     round(++t);
-    slo.evaluate(flow->now());
-    last = state_of(slo.alerts(), "fetch-latency");
+    last = state_of(agg.alerts(), "fetch-latency");
   }
   EXPECT_EQ(last, AlertStateKind::kResolved);
 }
@@ -203,7 +214,6 @@ TEST_F(SloFixture, LatencyThresholdBetweenBoundsRoundsUp) {
   auto& h = registry.histogram("proxy.fetch_ms", {100, 200},
                                {{"replica", "r1"}});
 
-  SloEvaluator slo(agg);
   SloSpec spec;
   spec.name = "rounded";
   spec.type = SloSpec::Type::kLatency;
@@ -212,7 +222,7 @@ TEST_F(SloFixture, LatencyThresholdBetweenBoundsRoundsUp) {
   spec.objective = 0.9;     // counts as good
   spec.short_window = seconds(60);
   spec.long_window = seconds(300);
-  slo.add_spec(spec);
+  agg.add_slo(spec);
 
   // All observations land in the (100, 200] bucket — over 150 in truth, but
   // the histogram cannot tell, so the evaluator must not guess them bad.
@@ -221,34 +231,30 @@ TEST_F(SloFixture, LatencyThresholdBetweenBoundsRoundsUp) {
     for (int j = 0; j < 20; ++j) h.observe(180);
     round(++t);
   }
-  slo.evaluate(flow->now());
-  EXPECT_TRUE(slo.alerts().empty());
+  EXPECT_TRUE(agg.alerts().empty());
 }
 
 TEST_F(SloFixture, NoTrafficIsNotAnOutage) {
   registry.counter("proxy.fetches", {{"outcome", "ok"}});  // exists, never incs
 
-  SloEvaluator slo(agg);
   SloSpec spec;
   spec.name = "quiet";
   spec.type = SloSpec::Type::kAvailability;
   spec.metric = "proxy.fetches";
   spec.good_labels = {{"outcome", "ok"}};
-  slo.add_spec(spec);
+  agg.add_slo(spec);
 
   for (int t = 1; t <= 5; ++t) round(t);
-  slo.evaluate(flow->now());
-  EXPECT_TRUE(slo.alerts().empty());
+  EXPECT_TRUE(agg.alerts().empty());
 }
 
 TEST_F(SloFixture, EvaluatorExportsItsOwnSeries) {
-  SloEvaluator slo(agg);  // self-registry defaults to the aggregator's
-  slo.evaluate(flow->now());
+  round(1);
   bool saw = false;
   for (const MetricSample& s : agg.self_registry().snapshot().samples) {
-    if (s.name == "slo.evaluations") {
+    if (s.name == "slo.alerts_firing") {
       saw = true;
-      EXPECT_DOUBLE_EQ(s.value, 1);
+      EXPECT_DOUBLE_EQ(s.value, 0);
     }
   }
   EXPECT_TRUE(saw);
@@ -258,13 +264,12 @@ TEST_F(SloFixture, JsonListsAlertsWithStateAndLabels) {
   auto& ok = registry.counter("proxy.fetches", {{"outcome", "ok"}});
   auto& err = registry.counter("proxy.fetches", {{"outcome", "error"}});
 
-  SloEvaluator slo(agg);
   SloSpec spec;
   spec.name = "proxy-availability";
   spec.type = SloSpec::Type::kAvailability;
   spec.metric = "proxy.fetches";
   spec.good_labels = {{"outcome", "ok"}};
-  slo.add_spec(spec);
+  agg.add_slo(spec);
 
   int t = 0;
   for (int i = 0; i < 6; ++i) {
@@ -272,16 +277,15 @@ TEST_F(SloFixture, JsonListsAlertsWithStateAndLabels) {
     err.inc(90);
     round(++t);
   }
-  slo.evaluate(flow->now());
 
-  std::string json = slo.to_json();
+  std::string json = alerts_to_json(agg.alerts());
   EXPECT_NE(json.find("\"alerts\":["), std::string::npos);
   EXPECT_NE(json.find("\"slo\":\"proxy-availability\""), std::string::npos);
   EXPECT_NE(json.find("\"state\":\"firing\""), std::string::npos);
   EXPECT_NE(json.find("\"node\":\"proxy-1\""), std::string::npos);
   EXPECT_NE(json.find("\"burn_short\":"), std::string::npos);
 
-  EXPECT_EQ(slo.to_json().find("\n"), std::string::npos);  // single line
+  EXPECT_EQ(json.find("\n"), std::string::npos);  // single line
 }
 
 }  // namespace

@@ -442,13 +442,13 @@ TEST_F(FleetFixture, WindowedRateSumAndQuantiles) {
     agg.scrape_round(*flow);
   }
 
-  // rate: exact-label counter delta / elapsed.  5 deltas of 40 over 50 s.
+  // One series by its exact labels: 5 deltas of 40 over 50 s.
   Labels ok_labels = la;
   ok_labels.emplace_back("outcome", "ok");
   std::sort(ok_labels.begin(), ok_labels.end());
-  auto r = agg.rate("req", ok_labels, seconds(60));
-  ASSERT_TRUE(r.has_value());
-  EXPECT_NEAR(*r, 200.0 / 50.0, 1e-9);
+  auto ok_sum = agg.windowed_delta_sum("req", ok_labels, seconds(60));
+  ASSERT_TRUE(ok_sum.has_value());
+  EXPECT_NEAR(ok_sum->delta / ok_sum->seconds, 200.0 / 50.0, 1e-9);
 
   // windowed_delta_sum: subset filter sums both outcomes.
   auto sum = agg.windowed_delta_sum("req", la, seconds(60));
@@ -465,9 +465,10 @@ TEST_F(FleetFixture, WindowedRateSumAndQuantiles) {
   EXPECT_LE(wh->p99, 10.0);
 
   // Too little history: a 5 s window has no earlier round inside it.
-  EXPECT_FALSE(agg.rate("req", ok_labels, seconds(5)).has_value());
+  EXPECT_FALSE(agg.windowed_delta_sum("req", ok_labels, seconds(5)).has_value());
   // Unknown series.
-  EXPECT_FALSE(agg.rate("nope", ok_labels, seconds(60)).has_value());
+  EXPECT_FALSE(
+      agg.windowed_delta_sum("nope", ok_labels, seconds(60)).has_value());
 }
 
 TEST_F(FleetFixture, CounterResetYieldsNoRate) {
@@ -479,26 +480,62 @@ TEST_F(FleetFixture, CounterResetYieldsNoRate) {
   a.registry.reset();  // counter drops to 0: a restart
   flow->set_time(util::seconds(20));
   agg.scrape_round(*flow);
-  EXPECT_FALSE(agg.rate("req", la, seconds(60)).has_value());
   EXPECT_FALSE(agg.windowed_delta_sum("req", la, seconds(60)).has_value());
 }
 
 TEST_F(FleetFixture, RingIsBounded) {
-  TelemetryAggregator::Config config;
-  config.max_rounds = 4;
-  TelemetryAggregator small(std::move(config));
-  small.add_target({"os-1", "object-server", a.endpoint});
-  for (int i = 0; i < 10; ++i) {
-    flow->advance(util::seconds(1));
-    small.scrape_round(*flow);
+  constexpr std::uint64_t kRounds = TelemetryAggregator::kMaxRounds + 2;
+  for (std::uint64_t round = 1; round <= kRounds; ++round) {
+    a.registry.counter("req").inc();
+    flow->set_time(util::seconds(10) * round);
+    agg.scrape_round(*flow);
   }
-  EXPECT_EQ(small.rounds(), 10u);
-  EXPECT_GT(small.last_round_time(), util::seconds(5));
+  EXPECT_EQ(agg.rounds(), kRounds);
+  EXPECT_EQ(agg.last_round_time(), util::seconds(10) * kRounds);
+  // A 10-hour window reaches back only to the oldest retained round.
+  auto sum = agg.windowed_delta_sum(
+      "req", {{"node", "os-1"}, {"role", "object-server"}}, seconds(36000));
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_EQ(sum->seconds, 10.0 * (TelemetryAggregator::kMaxRounds - 1));
+  EXPECT_EQ(sum->delta, TelemetryAggregator::kMaxRounds - 1.0);
   // A series that never existed stays absent regardless of window size.
-  EXPECT_FALSE(small
-                   .windowed_delta_sum("telemetry_noop", {{"node", "os-1"}},
-                                       seconds(3600))
+  EXPECT_FALSE(agg.windowed_delta_sum("telemetry_noop", {{"node", "os-1"}},
+                                      seconds(36000))
                    .has_value());
+}
+
+TEST_F(FleetFixture, TargetAddedMidRingContributesOnlyItsInWindowDelta) {
+  // Every server serves 10 requests per 10 s round from t=10 s; os-3 joins
+  // the scrape at t=30 s with 1000 more on its lifetime counter.
+  Node c;
+  c.registry.counter("object_server.requests").inc(1000);
+  for (std::uint64_t round = 1; round <= 4; ++round) {
+    if (round == 3) add_node(c, "os-3", "object-server");
+    for (Node* node : {&a, &b, &c}) {
+      node->registry.counter("object_server.requests").inc(10);
+    }
+    flow->set_time(util::seconds(10) * round);
+    agg.scrape_round(*flow);
+  }
+  // The 60 s window starts at t=10 s, before os-3 was scraped: its series
+  // is born inside the window and has no delta, so the cluster rate is the
+  // other two servers' 60 requests over 30 s, not os-3's lifetime.
+  Snapshot merged = agg.merged();
+  const MetricSample* rate =
+      find(merged, "object_server.requests:rate1m", {});
+  ASSERT_NE(rate, nullptr);
+  EXPECT_DOUBLE_EQ(rate->value, 2.0);
+  auto minute =
+      agg.windowed_delta_sum("object_server.requests", {}, seconds(60));
+  ASSERT_TRUE(minute.has_value());
+  EXPECT_EQ(minute->delta, 60.0);
+  // A 10 s window starts at t=30 s, once os-3 is scraped: its in-window
+  // round of 10 requests counts beside the others'.
+  auto last =
+      agg.windowed_delta_sum("object_server.requests", {}, seconds(10));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->delta, 30.0);
+  EXPECT_EQ(last->seconds, 10.0);
 }
 
 // --- Failure paths: a bad node can deny its own data, never poison -----------
@@ -755,7 +792,7 @@ TEST(TelemetryAggregatorEdge, EmptyAggregatorAnswersCleanly) {
   EXPECT_EQ(agg.target_count(), 0u);
   EXPECT_TRUE(agg.merged().samples.empty());
   EXPECT_TRUE(agg.nodes().empty());
-  EXPECT_FALSE(agg.rate("x", {}, seconds(60)).has_value());
+  EXPECT_FALSE(agg.windowed_delta_sum("x", {}, seconds(60)).has_value());
   EXPECT_FALSE(agg.windowed_histogram("x", {}, seconds(60)).has_value());
   EXPECT_TRUE(agg.series_labels("x").empty());
   EXPECT_EQ(agg.rounds(), 0u);
