@@ -1,6 +1,7 @@
 // Ablation A5 — real wall-clock microbenchmarks of the from-scratch crypto
 // substrate (google-benchmark).  These are the 2026 numbers; the simulated
-// figures use the era CpuModel instead (see DESIGN.md §2).
+// figures use the era CpuModel instead (see DESIGN.md §2).  The context line
+// `sha_compress` names the SHA compression path this CPU took.
 #include <benchmark/benchmark.h>
 
 #include "crypto/aes.hpp"
@@ -11,6 +12,7 @@
 #include "crypto/rsa.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha_compress.hpp"
 #include "globedoc/integrity.hpp"
 
 namespace {
@@ -38,7 +40,8 @@ void BM_Sha1(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha1)->Arg(1024)->Arg(65536)->Arg(1048576);
+// 262144 is warm_large's element size in bench_live.
+BENCHMARK(BM_Sha1)->Arg(1024)->Arg(65536)->Arg(262144)->Arg(1048576);
 
 void BM_Sha256(benchmark::State& state) {
   util::Bytes data = test_data(static_cast<std::size_t>(state.range(0)));
@@ -48,7 +51,7 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(65536)->Arg(262144);
 
 void BM_HmacSha1(benchmark::State& state) {
   util::Bytes key = test_data(20);
@@ -114,6 +117,16 @@ void mod_pow_case(benchmark::State& state, std::size_t bits) {
   }
 }
 
+// One 512-bit candidate draw: what keygen pulls from the DRBG per prime
+// candidate.
+void BM_DrbgDraw512(benchmark::State& state) {
+  auto rng = crypto::HmacDrbg::from_seed(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::BigInt::random_bits(512, rng));
+  }
+}
+BENCHMARK(BM_DrbgDraw512);
+
 void BM_ModPow512(benchmark::State& state) { mod_pow_case(state, 512); }
 BENCHMARK(BM_ModPow512);
 
@@ -168,4 +181,11 @@ BENCHMARK(BM_CheckElement);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("sha_compress", globe::crypto::detail::compress_path());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -393,16 +393,22 @@ std::size_t window_bits(std::size_t bits) {
   return bits > 671 ? 6 : bits > 239 ? 5 : bits > 79 ? 4 : bits > 23 ? 3 : 1;
 }
 
-/// Montgomery multiplication modulo an odd n-limb m, R = 2^(64n), over
-/// storage the caller owns.
+/// Montgomery arithmetic modulo an odd n-limb m, R = 2^(64n), over storage
+/// the caller owns.  N is the limb count when it is known at compile time
+/// (8: the 512-bit Miller–Rabin and CRT moduli of RSA-1024) and 0 when only
+/// the run time knows it; both instantiations are this one source.
+template <std::size_t N>
 struct Montgomery {
   const u64* m;
-  std::size_t n;
-  u64 m0inv;  // −m⁻¹ mod 2^64
-  u64* t;     // n + 2 limbs
+  std::size_t limbs;  // n, equal to N when N != 0
+  u64 m0inv;          // −m⁻¹ mod 2^64
+  u64* t;             // 2n + 2 limbs
+
+  std::size_t size() const { return N != 0 ? N : limbs; }
 
   /// out = a·b·R⁻¹ mod m (CIOS) for a, b < m; out may alias a or b.
   void mul(const u64* a, const u64* b, u64* out) const {
+    const std::size_t n = size();
     std::fill(t, t + n + 2, 0);
     for (std::size_t i = 0; i < n; ++i) {
       // t += a · b[i]
@@ -427,16 +433,105 @@ struct Montgomery {
       t[n - 1] = static_cast<u64>(top);
       t[n] = t[n + 1] + static_cast<u64>(top >> 64);
     }
-    // t < 2m: subtract m unless that borrows out of t[n].
+    subtract_if_ge(t, t[n], out);
+  }
+
+  /// out = a·a·R⁻¹ mod m for a < m; out may alias a.  Each cross product
+  /// a[i]·a[j], i < j, is computed once and doubled, the squares a[i]² are
+  /// added on the diagonal, and the 2n-limb square is reduced in one pass.
+  void sqr(const u64* a, u64* out) const {
+    const std::size_t n = size();
+    std::fill(t, t + 2 * n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      u64 carry = 0;
+      for (std::size_t j = i + 1; j < n; ++j) {
+        u128 cur = u128{a[i]} * a[j] + t[i + j] + carry;
+        t[i + j] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> 64);
+      }
+      t[i + n] = carry;
+    }
+    // t = 2·t + Σ a[i]²·2^(128i).  The result is a² < 2^(128n), so nothing
+    // carries out of limb 2n − 1.
+    u64 shifted_out = 0, carry = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      u128 square = u128{a[i]} * a[i];
+      u64 lo = t[2 * i], hi = t[2 * i + 1];
+      u128 sum = u128{lo << 1 | shifted_out} + static_cast<u64>(square) + carry;
+      t[2 * i] = static_cast<u64>(sum);
+      sum = u128{hi << 1 | lo >> 63} + static_cast<u64>(square >> 64) +
+            static_cast<u64>(sum >> 64);
+      t[2 * i + 1] = static_cast<u64>(sum);
+      carry = static_cast<u64>(sum >> 64);
+      shifted_out = hi >> 63;
+    }
+    // Reduce: for each limb i add mu·m·2^(64i), mu chosen to clear limb i.
+    // Then t is a multiple of R, and t / R = t[n..2n) + top·R is below 2m.
+    u64 top = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      u64 mu = t[i] * m0inv;
+      u64 c = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        u128 cur = u128{mu} * m[j] + t[i + j] + c;
+        t[i + j] = static_cast<u64>(cur);
+        c = static_cast<u64>(cur >> 64);
+      }
+      u128 cur = u128{t[i + n]} + c + top;
+      t[i + n] = static_cast<u64>(cur);
+      top = static_cast<u64>(cur >> 64);
+    }
+    subtract_if_ge(t + n, top, out);
+  }
+
+  /// out = x − m if x (n limbs plus the limb `top` above them) is at least
+  /// m, else x; x < 2m and x must not alias out.
+  void subtract_if_ge(const u64* x, u64 top, u64* out) const {
+    const std::size_t n = size();
     u64 borrow = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      u128 d = u128{t[j]} - m[j] - borrow;
+      u128 d = u128{x[j]} - m[j] - borrow;
       out[j] = static_cast<u64>(d);
       borrow = static_cast<u64>(d >> 64) & 1;
     }
-    if (borrow > t[n]) std::copy(t, t + n, out);
+    if (borrow > top) std::copy(x, x + n, out);
   }
 };
+
+/// Left-to-right fixed windows of width w over the table the caller seeded
+/// with table[0] = base·R mod m.  Fills the rest of the table (base^d·R for
+/// d < 2^w), runs the windows into acc, and takes acc out of Montgomery
+/// form, using `one` (n limbs) as scratch.
+template <std::size_t N>
+void window_pow(const Montgomery<N>& mont, const BigInt& exp, std::size_t w,
+                u64* table, u64* acc, u64* one) {
+  const std::size_t n = mont.size();
+  const std::size_t entries = (std::size_t{1} << w) - 1;
+  if (entries > 1) mont.sqr(table, table + n);
+  for (std::size_t d = 2; d < entries; ++d) {
+    mont.mul(table + (d - 1) * n, table, table + d * n);
+  }
+
+  // The top window holds the exponent's top bit, so it is nonzero and seeds
+  // the accumulator.
+  auto digit = [&exp](std::size_t lo, std::size_t width) {
+    std::size_t d = 0;
+    for (std::size_t i = width; i-- > 0;) d = d << 1 | (exp.bit(lo + i) ? 1 : 0);
+    return d;
+  };
+  const std::size_t bits = exp.bit_length();
+  std::size_t pos = (bits - 1) / w * w;
+  std::copy_n(table + (digit(pos, bits - pos) - 1) * n, n, acc);
+  while (pos > 0) {
+    pos -= w;
+    for (std::size_t i = 0; i < w; ++i) mont.sqr(acc, acc);
+    if (std::size_t d = digit(pos, w)) mont.mul(acc, table + (d - 1) * n, acc);
+  }
+
+  // Out of Montgomery form: acc·1·R⁻¹.
+  std::fill(one, one + n, 0);
+  one[0] = 1;
+  mont.mul(acc, one, acc);
+}
 
 }  // namespace
 
@@ -458,17 +553,17 @@ BigInt BigInt::mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
 
   const std::size_t n = (m.limbs_.size() + 1) / 2;
   const std::size_t base_n = (base.limbs_.size() + 1) / 2;
-  const std::size_t bits = exp.bit_length();
-  const std::size_t w = window_bits(bits);
+  const std::size_t w = window_bits(exp.bit_length());
   const std::size_t entries = (std::size_t{1} << w) - 1;
 
-  // The one allocation: modulus, CIOS temporary, window table, accumulator,
-  // and the dividend and divisor that bring the base into Montgomery form.
+  // The one allocation: modulus, Montgomery temporary, window table,
+  // accumulator, and the dividend and divisor that bring the base into
+  // Montgomery form.
   const std::size_t num_len = n + base_n + 1;
-  std::vector<u64> scratch(n + (n + 2) + entries * n + n + num_len + n);
+  std::vector<u64> scratch(n + (2 * n + 2) + entries * n + n + num_len + n);
   u64* mod = scratch.data();
   u64* t = mod + n;
-  u64* table = t + n + 2;  // table[(d − 1)·n ..] = base^d·R mod m
+  u64* table = t + 2 * n + 2;  // table[(d − 1)·n ..] = base^d·R mod m
   u64* acc = table + entries * n;
   u64* num = acc + n;
   u64* div = num + num_len;
@@ -476,36 +571,19 @@ BigInt BigInt::mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
   for (std::size_t i = 0; i < n; ++i) mod[i] = limb64(m.limbs_, i);
   u64 inv = 1;  // Newton: each step doubles the correct low bits of m⁻¹
   for (int i = 0; i < 6; ++i) inv *= 2 - mod[0] * inv;
-  const Montgomery mont{mod, n, 0 - inv, t};
 
   // table[0] = base·R mod m, the remainder of base·2^(64n) divided by m.
   for (std::size_t i = 0; i < base_n; ++i) num[n + i] = limb64(base.limbs_, i);
   std::copy(mod, mod + n, div);
   long_divide(num, num_len, div, n, nullptr);
   std::copy(num, num + n, table);
-  for (std::size_t d = 1; d < entries; ++d) {
-    mont.mul(table + (d - 1) * n, table, table + d * n);
-  }
 
-  // Left-to-right fixed windows.  The top window holds the exponent's top
-  // bit, so it is nonzero and seeds the accumulator.
-  auto digit = [&exp](std::size_t lo, std::size_t width) {
-    std::size_t d = 0;
-    for (std::size_t i = width; i-- > 0;) d = d << 1 | (exp.bit(lo + i) ? 1 : 0);
-    return d;
-  };
-  std::size_t pos = (bits - 1) / w * w;
-  std::copy_n(table + (digit(pos, bits - pos) - 1) * n, n, acc);
-  while (pos > 0) {
-    pos -= w;
-    for (std::size_t i = 0; i < w; ++i) mont.mul(acc, acc, acc);
-    if (std::size_t d = digit(pos, w)) mont.mul(acc, table + (d - 1) * n, acc);
+  // The spent dividend is the scratch for leaving Montgomery form.
+  if (n == 8) {
+    window_pow(Montgomery<8>{mod, n, 0 - inv, t}, exp, w, table, acc, num);
+  } else {
+    window_pow(Montgomery<0>{mod, n, 0 - inv, t}, exp, w, table, acc, num);
   }
-
-  // Out of Montgomery form: acc·1·R⁻¹ (the spent dividend holds the 1).
-  std::fill(num, num + n, 0);
-  num[0] = 1;
-  mont.mul(acc, num, acc);
   return from_limbs64(acc, n);
 }
 

@@ -7,13 +7,17 @@
 // divmod and mod_pow regroup the limbs as 64-bit limbs with 128-bit
 // products.  divmod is Knuth's Algorithm D on 64-bit digits.  mod_pow with
 // an odd modulus, which covers every RSA/prime use in this codebase, is
-// Montgomery multiplication (CIOS) over fixed exponent windows: one bit up
-// to 23-bit exponents, so e = 65537 builds no table, then 3 to 6 bits as the
-// exponent grows (5 for the 512-bit CRT and Miller–Rabin exponents of
-// RSA-1024).  It allocates one scratch buffer per call, sized from the
-// modulus, the base and the window: modulus, window table, accumulator, CIOS
-// temporary, and the long division that brings the base into Montgomery
-// form.
+// Montgomery arithmetic over fixed exponent windows: one bit up to 23-bit
+// exponents, so e = 65537 builds no table, then 3 to 6 bits as the exponent
+// grows (5 for the 512-bit CRT and Miller–Rabin exponents of RSA-1024).
+// Multiplies are CIOS; every squaring (the window loop's and the table's
+// base²) is a dedicated Montgomery squaring that computes each cross product
+// once, doubles the sum and reduces once.  The arithmetic is one template
+// on the limb count, instantiated for the 8-limb (512-bit) moduli of
+// RSA-1024 keygen and CRT, and for any other size at run time.  It
+// allocates one scratch buffer per call, sized from the modulus, the base
+// and the window: modulus, window table, accumulator, Montgomery temporary,
+// and the long division that brings the base into Montgomery form.
 #pragma once
 
 #include <cstdint>

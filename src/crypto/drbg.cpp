@@ -4,13 +4,14 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "crypto/hmac.hpp"
-#include "crypto/sha256.hpp"
-
 namespace globe::crypto {
 
-HmacDrbg::HmacDrbg(util::BytesView seed)
-    : key_(Sha256::kDigestSize, 0x00), v_(Sha256::kDigestSize, 0x01) {
+namespace {
+constexpr std::uint8_t kZeroKey[Sha256::kDigestSize] = {};
+}  // namespace
+
+HmacDrbg::HmacDrbg(util::BytesView seed) : key_(kZeroKey) {
+  v_.fill(0x01);
   update(seed);
 }
 
@@ -23,27 +24,21 @@ HmacDrbg HmacDrbg::from_seed(std::uint64_t seed) {
 }
 
 void HmacDrbg::update(util::BytesView provided) {
-  util::Bytes msg = v_;
-  msg.push_back(0x00);
-  util::append(msg, provided);
-  key_ = hmac_bytes<Sha256>(key_, msg);
-  v_ = hmac_bytes<Sha256>(key_, v_);
+  const std::uint8_t zero = 0x00, one = 0x01;
+  key_.rekey(key_.mac({v_, {&zero, 1}, provided}));
+  v_ = key_.mac({v_});
   if (!provided.empty()) {
-    msg = v_;
-    msg.push_back(0x01);
-    util::append(msg, provided);
-    key_ = hmac_bytes<Sha256>(key_, msg);
-    v_ = hmac_bytes<Sha256>(key_, v_);
+    key_.rekey(key_.mac({v_, {&one, 1}, provided}));
+    v_ = key_.mac({v_});
   }
 }
 
 void HmacDrbg::fill(util::Bytes& out, std::size_t n) {
-  out.clear();
-  out.reserve(n);
-  while (out.size() < n) {
-    v_ = hmac_bytes<Sha256>(key_, v_);
-    std::size_t take = std::min(v_.size(), n - out.size());
-    out.insert(out.end(), v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(take));
+  out.resize(n);
+  for (std::size_t done = 0; done < n; done += v_.size()) {
+    v_ = key_.mac({v_});
+    std::copy_n(v_.begin(), std::min(v_.size(), n - done),
+                out.begin() + static_cast<std::ptrdiff_t>(done));
   }
   update({});
 }

@@ -1,10 +1,16 @@
 // HMAC-DRBG (NIST SP 800-90A) with SHA-256, plus the process-wide system
 // entropy source.  The DRBG gives tests and benchmarks fully deterministic
 // key generation from a seed.
+//
+// K is held as its keyed HMAC state, whose padded blocks are absorbed only
+// when K changes, and V as a 32-byte array, so a draw allocates nothing but
+// its output.  The stream is the SP 800-90A one, byte for byte.
 #pragma once
 
 #include <cstdint>
 
+#include "crypto/hmac.hpp"
+#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -27,8 +33,8 @@ class HmacDrbg final : public util::RandomSource {
  private:
   void update(util::BytesView provided);
 
-  util::Bytes key_;  // K
-  util::Bytes v_;    // V
+  Hmac<Sha256> key_;   // K
+  Sha256::Digest v_;   // V
 };
 
 /// OS entropy (/dev/urandom).  Throws std::runtime_error if unavailable.

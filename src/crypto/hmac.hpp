@@ -2,38 +2,58 @@
 // HKDF-style expand used by the TLS-like secure channel's key schedule.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 
 #include "util/bytes.hpp"
 
 namespace globe::crypto {
 
+/// HMAC-H under one key, for H in {Sha1, Sha256}.  The key's padded blocks
+/// are absorbed once, when the key is set; each mac() then costs only the
+/// message's blocks plus one outer block, and allocates nothing.
+template <typename Hash>
+class Hmac {
+ public:
+  explicit Hmac(util::BytesView key) { rekey(key); }
+
+  void rekey(util::BytesView key) {
+    std::array<std::uint8_t, Hash::kBlockSize> pad{};
+    if (key.size() > pad.size()) {
+      auto d = Hash::digest(key);
+      std::copy(d.begin(), d.end(), pad.begin());
+    } else {
+      std::copy(key.begin(), key.end(), pad.begin());
+    }
+    for (auto& b : pad) b ^= 0x36;
+    inner_.reset();
+    inner_.update(pad);
+    for (auto& b : pad) b ^= 0x36 ^ 0x5c;
+    outer_.reset();
+    outer_.update(pad);
+  }
+
+  /// HMAC over the concatenation of `parts`.
+  typename Hash::Digest mac(std::initializer_list<util::BytesView> parts) const {
+    Hash inner = inner_;
+    for (util::BytesView part : parts) inner.update(part);
+    auto inner_digest = inner.finish();
+    Hash outer = outer_;
+    outer.update(inner_digest);
+    return outer.finish();
+  }
+
+ private:
+  Hash inner_;  // has absorbed key ^ ipad
+  Hash outer_;  // has absorbed key ^ opad
+};
+
 /// Computes HMAC-H(key, data) for H in {Sha1, Sha256}.
 template <typename Hash>
 typename Hash::Digest hmac(util::BytesView key, util::BytesView data) {
-  constexpr std::size_t kBlock = Hash::kBlockSize;
-  util::Bytes k(key.begin(), key.end());
-  if (k.size() > kBlock) {
-    auto d = Hash::digest(k);
-    k.assign(d.begin(), d.end());
-  }
-  k.resize(kBlock, 0);
-
-  util::Bytes ipad(kBlock), opad(kBlock);
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
-  }
-
-  Hash inner;
-  inner.update(ipad);
-  inner.update(data);
-  auto inner_digest = inner.finish();
-
-  Hash outer;
-  outer.update(opad);
-  outer.update(util::BytesView(inner_digest.data(), inner_digest.size()));
-  return outer.finish();
+  return Hmac<Hash>(key).mac({data});
 }
 
 template <typename Hash>

@@ -1,117 +1,111 @@
 #include "crypto/sha1.hpp"
 
-#include <algorithm>
-#include <cstring>
-
+#include "crypto/sha_compress.hpp"
 #include "obs/profile.hpp"
 
 namespace globe::crypto {
 
 namespace {
+
 inline std::uint32_t rotl(std::uint32_t v, unsigned n) {
   return (v << n) | (v >> (32 - n));
 }
+
+// One round: e += rotl(a, 5) + f + k + w, and b rotates by 30.  Five calls
+// with the variables rotated one place each stand for the usual shuffle
+// e = d, d = c, c = rotl(b, 30), b = a, a = temp.
+inline void step(std::uint32_t a, std::uint32_t& b, std::uint32_t& e,
+                 std::uint32_t f, std::uint32_t k, std::uint32_t w) {
+  e += rotl(a, 5) + f + k + w;
+  b = rotl(b, 30);
+}
+
+inline std::uint32_t ch(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return (b & c) | (~b & d);
+}
+inline std::uint32_t parity(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return b ^ c ^ d;
+}
+inline std::uint32_t maj(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return (b & c) | (b & d) | (c & d);
+}
+
+// Rounds i..i+4 with round function F: no round tests its index.
+template <std::uint32_t (*F)(std::uint32_t, std::uint32_t, std::uint32_t)>
+inline void five_rounds(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
+                        std::uint32_t& d, std::uint32_t& e, std::uint32_t k,
+                        const std::uint32_t* w) {
+  step(a, b, e, F(b, c, d), k, w[0]);
+  step(e, a, d, F(a, b, c), k, w[1]);
+  step(d, e, c, F(e, a, b), k, w[2]);
+  step(c, d, b, F(d, e, a), k, w[3]);
+  step(b, c, a, F(c, d, e), k, w[4]);
+}
+
+void compress(std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  static const detail::CompressFn chosen = [] {
+#if defined(__x86_64__)
+    if (detail::cpu_has_sha_ni()) return detail::sha1_compress_shani;
+#endif
+    return detail::sha1_compress_portable;
+  }();
+  chosen(state, data, blocks);
+}
+
 }  // namespace
 
+namespace detail {
+
+void sha1_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[80];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = std::uint32_t{data[4 * i]} << 24 | std::uint32_t{data[4 * i + 1]} << 16 |
+             std::uint32_t{data[4 * i + 2]} << 8 | data[4 * i + 3];
+    }
+    for (int i = 16; i < 80; ++i) {
+      w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3], e = state[4];
+    for (int i = 0; i < 20; i += 5) five_rounds<ch>(a, b, c, d, e, 0x5A827999u, w + i);
+    for (int i = 20; i < 40; i += 5) five_rounds<parity>(a, b, c, d, e, 0x6ED9EBA1u, w + i);
+    for (int i = 40; i < 60; i += 5) five_rounds<maj>(a, b, c, d, e, 0x8F1BBCDCu, w + i);
+    for (int i = 60; i < 80; i += 5) five_rounds<parity>(a, b, c, d, e, 0xCA62C1D6u, w + i);
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+  }
+}
+
+}  // namespace detail
+
 void Sha1::reset() {
-  h_ = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+  h_ = detail::kSha1Iv;
   buffer_len_ = 0;
   total_len_ = 0;
 }
 
 void Sha1::update(util::BytesView data) {
   total_len_ += data.size();
-  std::size_t offset = 0;
-  if (buffer_len_ > 0) {
-    std::size_t take = std::min(kBlockSize - buffer_len_, data.size());
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
-    buffer_len_ += take;
-    offset = take;
-    if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
-  }
-  if (offset < data.size()) {
-    buffer_len_ = data.size() - offset;
-    std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
-  }
+  detail::absorb(compress, h_.data(), buffer_.data(), buffer_len_, data);
 }
 
 Sha1::Digest Sha1::finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(util::BytesView(&pad, 1));
-  static constexpr std::uint8_t kZero[kBlockSize] = {};
-  while (buffer_len_ != 56) {
-    std::size_t fill = buffer_len_ < 56 ? 56 - buffer_len_ : kBlockSize - buffer_len_;
-    update(util::BytesView(kZero, fill));
-  }
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  // update() counts these padding bytes in total_len_, but bit_len was
-  // captured before padding so the encoded length is correct.
-  update(util::BytesView(len_be, 8));
-
+  detail::pad(compress, h_.data(), buffer_.data(), buffer_len_, total_len_);
   Digest out;
-  for (int i = 0; i < 5; ++i) {
-    out[static_cast<std::size_t>(4 * i)] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[static_cast<std::size_t>(4 * i + 1)] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[static_cast<std::size_t>(4 * i + 2)] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[static_cast<std::size_t>(4 * i + 3)] = static_cast<std::uint8_t>(h_[i]);
-  }
+  detail::store_digest(h_, out.data());
   return out;
 }
 
-void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = std::uint32_t{block[4 * i]} << 24 | std::uint32_t{block[4 * i + 1]} << 16 |
-           std::uint32_t{block[4 * i + 2]} << 8 | block[4 * i + 3];
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    std::uint32_t tmp = rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = tmp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-}
+Sha1::Digest Sha1::digest(util::BytesView data) { return digest_parts({data}); }
 
-Sha1::Digest Sha1::digest(util::BytesView data) {
+Sha1::Digest Sha1::digest_parts(std::initializer_list<util::BytesView> parts) {
   GLOBE_PROFILE_SCOPE("sha1");
   Sha1 h;
-  h.update(data);
+  for (util::BytesView part : parts) h.update(part);
   return h.finish();
 }
 

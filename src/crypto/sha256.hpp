@@ -1,5 +1,9 @@
 // SHA-256 (FIPS 180-2).  Used by HMAC-DRBG, the TLS-like secure channel's
 // key derivation, and identity-certificate signatures.
+//
+// Like Sha1, blocks go through the CPU's SHA extensions where CPUID reports
+// them and through portable rounds everywhere else, chosen once per process;
+// update() hands each run of whole blocks to one compression call.
 #pragma once
 
 #include <array>
@@ -25,8 +29,6 @@ class Sha256 {
   static util::Bytes digest_bytes(util::BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> h_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffer_len_ = 0;

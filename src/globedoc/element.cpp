@@ -1,5 +1,7 @@
 #include "globedoc/element.hpp"
 
+#include <array>
+
 #include "crypto/sha1.hpp"
 #include "util/serial.hpp"
 
@@ -8,6 +10,20 @@ namespace globe::globedoc {
 using util::Bytes;
 using util::ErrorCode;
 using util::Result;
+
+namespace {
+
+util::BytesView bytes_of(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+/// The u32 big-endian length util::Writer puts before a field.
+std::array<std::uint8_t, 4> length_prefix(std::size_t n) {
+  return {static_cast<std::uint8_t>(n >> 24), static_cast<std::uint8_t>(n >> 16),
+          static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n)};
+}
+
+}  // namespace
 
 Bytes PageElement::serialize() const {
   util::Writer w;
@@ -35,7 +51,13 @@ Result<PageElement> PageElement::parse(util::BytesView data) {
 }
 
 Bytes PageElement::digest() const {
-  return crypto::Sha1::digest_bytes(serialize());
+  // serialize()'s bytes, hashed where they lie.
+  const auto name_len = length_prefix(name.size());
+  const auto type_len = length_prefix(content_type.size());
+  const auto content_len = length_prefix(content.size());
+  auto d = crypto::Sha1::digest_parts({name_len, bytes_of(name), type_len,
+                                       bytes_of(content_type), content_len, content});
+  return Bytes(d.begin(), d.end());
 }
 
 }  // namespace globe::globedoc

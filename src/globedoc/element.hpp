@@ -22,7 +22,8 @@ struct PageElement {
   static util::Result<PageElement> parse(util::BytesView data);
 
   /// SHA-1 over the serialized element — the digest stored in integrity
-  /// certificates.
+  /// certificates.  The fields are hashed in place; no serialized copy is
+  /// built.
   util::Bytes digest() const;
 
   friend bool operator==(const PageElement& a, const PageElement& b) {

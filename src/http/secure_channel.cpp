@@ -1,5 +1,7 @@
 #include "http/secure_channel.hpp"
 
+#include <algorithm>
+
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha1.hpp"
@@ -127,6 +129,11 @@ std::size_t SecureServer::handshakes() const {
   return handshake_count_;
 }
 
+std::size_t SecureServer::sessions() const {
+  util::LockGuard lock(mutex_);
+  return sessions_.size();
+}
+
 net::MessageHandler SecureServer::handler() {
   return [this](net::ServerContext& ctx, BytesView raw) { return handle(ctx, raw); };
 }
@@ -143,6 +150,11 @@ Result<Bytes> SecureServer::handle(net::ServerContext& ctx, BytesView raw) {
           return Result<Bytes>(ErrorCode::kProtocol, "bad client random");
         }
         util::LockGuard lock(mutex_);
+        if (sessions_.size() >= kMaxSessions) {
+          auto victim = std::find_if(sessions_.begin(), sessions_.end(),
+                                     [](const auto& kv) { return !kv.second.established; });
+          sessions_.erase(victim != sessions_.end() ? victim : sessions_.begin());
+        }
         std::uint64_t id = next_session_++;
         Session& s = sessions_[id];
         s.client_random = std::move(client_random);

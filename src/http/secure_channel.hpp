@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -46,6 +47,15 @@ class SecureServer {
   /// Number of completed handshakes (for tests/benchmarks).
   std::size_t handshakes() const GLOBE_EXCLUDES(mutex_);
 
+  /// Sessions held at once.  A hello past the cap evicts the oldest
+  /// half-open session, else the oldest established one, so a peer that
+  /// sends hellos and never completes a key exchange recycles only its own
+  /// half-open slots.
+  static constexpr std::size_t kMaxSessions = 1024;
+
+  /// Sessions held now, half-open and established (for tests).
+  std::size_t sessions() const GLOBE_EXCLUDES(mutex_);
+
  private:
   struct Session {
     util::Bytes client_random;
@@ -64,7 +74,8 @@ class SecureServer {
   net::MessageHandler inner_;
   mutable util::Mutex mutex_;
   crypto::HmacDrbg rng_ GLOBE_GUARDED_BY(mutex_);
-  std::unordered_map<std::uint64_t, Session> sessions_ GLOBE_GUARDED_BY(mutex_);
+  // Keyed by session id, which counts up, so iteration runs oldest first.
+  std::map<std::uint64_t, Session> sessions_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   std::uint64_t next_session_ GLOBE_GUARDED_BY(mutex_) = 1;
   std::size_t handshake_count_ GLOBE_GUARDED_BY(mutex_) = 0;
 };

@@ -237,33 +237,43 @@ TEST_P(BigIntModPowProperty, MontgomeryMatchesNaive) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntModPowProperty, ::testing::Range(0, 8));
 
 // Property at RSA sizes: odd moduli from 33 bits to the 8192-bit key cap
-// (an odd count of 32-bit limbs leaves the top 64-bit limb half full), short
-// exponents and exponents either side of each window-width step, and the
-// edge bases.  Exponents stay short on the largest moduli so the naive
-// reference stays fast.
+// (an odd count of 32-bit limbs leaves the top 64-bit limb half full),
+// including the 512-bit moduli that take the fixed 8-limb Montgomery path and
+// 1024 bits beside them, short exponents and exponents either side of each
+// window-width step, and the edge bases.  All-ones moduli keep Montgomery
+// form equal to the value (R ≡ 1), so all-ones bases and m − 1 reach the
+// squaring with every limb saturated.  Exponents stay short on the largest
+// moduli so the naive reference stays fast.
 TEST(BigIntTest, ModPowMatchesNaiveAtRsaSizes) {
   auto rng = HmacDrbg::from_seed(4000);
   // Exponent lengths at which the window widens (1 → 3 → 4 → 5 → 6 bits).
   const std::size_t kWindowSteps[] = {24, 80, 240, 672};
   const std::pair<std::size_t, std::size_t> kSizes[] = {
-      {33, 673}, {544, 673}, {1056, 673}, {2048, 241}, {4096, 81}, {8192, 25}};
+      {33, 673},   {512, 673},  {544, 673}, {1024, 673},
+      {1056, 673}, {2048, 241}, {4096, 81}, {8192, 25}};
+  auto all_ones = [](std::size_t bits) { return (BigInt(1) << bits) - BigInt(1); };
   for (auto [mod_bits, max_exp_bits] : kSizes) {
-    BigInt m = BigInt::random_bits(mod_bits, rng);
-    if (m.is_even()) m = m + BigInt(1);
+    BigInt random_m = BigInt::random_bits(mod_bits, rng);
+    if (random_m.is_even()) random_m = random_m + BigInt(1);
+    std::vector<BigInt> moduli = {random_m};
+    if (mod_bits % 64 == 0) moduli.push_back(all_ones(mod_bits));
     std::vector<BigInt> exps = {BigInt(1), BigInt(2), BigInt(3), BigInt(65537)};
     for (std::size_t step : kWindowSteps) {
       for (std::size_t bits : {step - 1, step, step + 1}) {
         if (bits <= max_exp_bits) exps.push_back(BigInt::random_bits(bits, rng));
       }
     }
-    const BigInt bases[] = {BigInt(), BigInt(1), m - BigInt(1),
-                            BigInt::random_below(m, rng),
-                            m + BigInt::random_bits(mod_bits + 40, rng)};
-    for (const BigInt& exp : exps) {
-      for (const BigInt& base : bases) {
-        EXPECT_EQ(BigInt::mod_pow(base, exp, m), naive_mod_pow(base, exp, m))
-            << "modulus bits=" << mod_bits << " exponent bits="
-            << exp.bit_length() << " base bits=" << base.bit_length();
+    for (const BigInt& m : moduli) {
+      const BigInt bases[] = {BigInt(), BigInt(1), m - BigInt(1),
+                              all_ones(mod_bits - 1), all_ones(mod_bits + 64),
+                              BigInt::random_below(m, rng),
+                              m + BigInt::random_bits(mod_bits + 40, rng)};
+      for (const BigInt& exp : exps) {
+        for (const BigInt& base : bases) {
+          EXPECT_EQ(BigInt::mod_pow(base, exp, m), naive_mod_pow(base, exp, m))
+              << "modulus " << m.to_hex() << " exponent bits=" << exp.bit_length()
+              << " base bits=" << base.bit_length();
+        }
       }
     }
   }

@@ -40,6 +40,20 @@ TEST(HmacDrbgTest, ReseedChangesStream) {
   EXPECT_NE(a.bytes(32), b.bytes(32));
 }
 
+// Seeded keys, and so the OIDs derived from them, rest on this stream: any
+// change to the DRBG's arithmetic must leave it byte for byte as it is.
+TEST(HmacDrbgTest, SeededStreamIsByteStable) {
+  auto d = HmacDrbg::from_seed(1);
+  EXPECT_EQ(util::hex_encode(d.bytes(96)),
+            "63874537429702556009a5cb14f3154321aa42bea097d0264651c83f3d3f5323"
+            "4fa54bf4f1508acf4bb840709b96c97619108b305d21deae04127f1d3a47dc4b"
+            "ff75ffecc1a07fe835b98cd566d48c41be70ae5e9d1811b1596177dafbd256ed");
+  d.reseed(util::to_bytes("reseed"));
+  EXPECT_EQ(util::hex_encode(d.bytes(40)),
+            "207e313fd909edf90ae51af76fa35cb94dc6021082705df302cf9db8c23cf7e1"
+            "feac10eb234a80e5");
+}
+
 TEST(HmacDrbgTest, OutputLooksUniform) {
   auto d = HmacDrbg::from_seed(1234);
   Bytes sample = d.bytes(4096);

@@ -97,5 +97,19 @@ TEST(ElementTest, DigestCoversNameTypeAndContent) {
   EXPECT_EQ(base.digest(), copy.digest());
 }
 
+// digest() hashes the fields where they lie; the certificates it feeds pin
+// the digest of the serialized element, so the two must agree at any size.
+TEST(ElementTest, DigestIsSha1OfSerializedElement) {
+  auto rng = crypto::HmacDrbg::from_seed(17);
+  const PageElement elements[] = {
+      {"", "", {}},
+      {"x", "", {0x42}},
+      {"big.bin", "application/octet-stream", rng.bytes(256 * 1024 + 17)}};
+  for (const PageElement& el : elements) {
+    EXPECT_EQ(el.digest(), crypto::Sha1::digest_bytes(el.serialize()))
+        << "content bytes=" << el.content.size();
+  }
+}
+
 }  // namespace
 }  // namespace globe::globedoc

@@ -120,6 +120,30 @@ TEST_F(SecureFixture, DataOnUnknownSessionRejected) {
   EXPECT_EQ(r.code(), ErrorCode::kNotFound);
 }
 
+// A peer that sends hellos and never completes a key exchange holds at most
+// the session table's cap, and evicts only half-open sessions: a client
+// that finished its handshake before the flood keeps its session.
+TEST_F(SecureFixture, HelloFloodStaysAtCapAndSparesEstablishedSessions) {
+  SecureHttpClient client(*flow, "www.example.org", 7);
+  ASSERT_TRUE(client.get(ep, "/secret.html").is_ok());
+  ASSERT_EQ(secure->sessions(), 1u);
+
+  auto attacker = net.open_flow(client_host);
+  util::Writer hello;
+  hello.u8(1);  // hello record
+  hello.bytes(Bytes(32, 0x5a));
+  for (std::size_t i = 0; i < 2 * SecureServer::kMaxSessions; ++i) {
+    ASSERT_TRUE(attacker->call(ep, hello.buffer()).is_ok());
+    ASSERT_LE(secure->sessions(), SecureServer::kMaxSessions);
+  }
+  EXPECT_EQ(secure->sessions(), SecureServer::kMaxSessions);
+
+  auto resp = client.get(ep, "/secret.html");
+  ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+  EXPECT_EQ(util::to_string(resp->body), "<html>classified</html>");
+  EXPECT_EQ(client.handshakes_performed(), 1u);
+}
+
 TEST(CertificateTest, MakeAndVerifyRoundTrip) {
   Bytes cert = make_certificate("host.test", server_identity());
   auto pub = verify_certificate(cert, "host.test");

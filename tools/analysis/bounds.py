@@ -43,7 +43,9 @@ LONGLIVED_RE = re.compile(
 
 GROWTH_METHODS = {"push_back", "emplace_back", "emplace", "try_emplace",
                   "insert", "push", "append", "push_front", "emplace_front"}
-# Containers whose operator[] inserts a missing key: `m[k] = v` is growth.
+# Containers whose operator[] inserts a missing key: any `m[k]` is growth,
+# whether assigned (`m[k] = v`), bound to a reference (`T& x = m[k]`),
+# incremented (`++m[k]`) or written through (`m[k].f = v`).
 MAP_TYPES = {"map", "unordered_map"}
 CONTAINER_TYPES = {"vector", "deque", "list", "map", "multimap",
                    "unordered_map", "set", "multiset", "unordered_set",
@@ -162,8 +164,8 @@ class Analyzer(Dataflow):
                         note(f, cs.recv, cs.line, cs.name)
                 if st.compound and st.lhs and not st.lhs_is_member:
                     note(f, st.lhs, st.line, "+=")
-                if st.lhs_subscript:
-                    note(f, st.lhs, st.line, "operator[]", MAP_TYPES)
+                for base in st.subscripts:
+                    note(f, base, st.line, "operator[]", MAP_TYPES)
         return events
 
     def _has_enforcement(self, cls: str, member: str) -> bool:

@@ -36,7 +36,7 @@ class Stmt:
     is_return: bool = False
     lhs: str | None = None
     lhs_is_member: bool = False                  # write through x.f / x->f / x[i]
-    lhs_subscript: bool = False                  # `lhs[...] = ...`
+    subscripts: list = field(default_factory=list)  # x in every `x[...]`
     compound: bool = False                       # += style: taint accumulates
     decl_type: str | None = None                 # declared type of lhs, if a decl
     refs: list = field(default_factory=list)     # rhs identifier references

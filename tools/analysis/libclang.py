@@ -291,7 +291,25 @@ def _assigned_subscript(node):
 def _mark_subscript(st, node):
     base = _assigned_subscript(node)
     if base:
-        st.lhs, st.lhs_is_member, st.lhs_subscript = base, True, True
+        st.lhs, st.lhs_is_member = base, True
+
+
+def _subscript_bases(node):
+    """The variable subscripted by each operator[] call under `node`,
+    whatever uses the result: an assignment, a reference binding, ++, or a
+    field write (`m[k].f = v`)."""
+    K = ci.CursorKind
+    out = []
+    for n in node.walk_preorder():
+        if n.kind != K.CALL_EXPR or n.spelling != "operator[]":
+            continue
+        args = list(n.get_arguments())
+        refs = []
+        if args:
+            collect_expr(args[0], refs, [])
+        if len(refs) == 1:
+            out.append(refs[0])
+    return out
 
 
 def linearize(f: Func, body_cur):
@@ -312,7 +330,8 @@ def _linearize(node, stmts, local_types):
              K.DEFAULT_STMT, K.CXX_FOR_RANGE_STMT):
         for ch in node.get_children():
             if k == K.CXX_FOR_RANGE_STMT and ch.kind == K.VAR_DECL:
-                st = Stmt(line=ch.location.line, lhs=ch.spelling)
+                st = Stmt(line=ch.location.line, lhs=ch.spelling,
+                          subscripts=_subscript_bases(ch))
                 for sub in ch.get_children():
                     collect_expr(sub, st.refs, st.calls)
                 stmts.append(st)
@@ -322,7 +341,8 @@ def _linearize(node, stmts, local_types):
     if k == K.DECL_STMT:
         for ch in node.get_children():
             if ch.kind == K.VAR_DECL:
-                st = Stmt(line=ch.location.line, lhs=ch.spelling)
+                st = Stmt(line=ch.location.line, lhs=ch.spelling,
+                          subscripts=_subscript_bases(ch))
                 st.decl_type = base_type(ch.type.spelling) or None
                 if st.decl_type:
                     local_types[ch.spelling] = st.decl_type
@@ -331,7 +351,8 @@ def _linearize(node, stmts, local_types):
                 stmts.append(st)
         return
     if k == K.RETURN_STMT:
-        st = Stmt(line=node.location.line, is_return=True)
+        st = Stmt(line=node.location.line, is_return=True,
+                  subscripts=_subscript_bases(node))
         for ch in node.get_children():
             collect_expr(ch, st.refs, st.calls)
         stmts.append(st)
@@ -341,7 +362,8 @@ def _linearize(node, stmts, local_types):
         if len(kids) == 2:
             lrefs, lcalls = [], []
             collect_expr(kids[0], lrefs, lcalls)
-            st = Stmt(line=node.location.line)
+            st = Stmt(line=node.location.line,
+                      subscripts=_subscript_bases(node))
             if lrefs:
                 st.lhs = lrefs[0]
                 st.lhs_is_member = len(lrefs) > 1
@@ -352,7 +374,7 @@ def _linearize(node, stmts, local_types):
             stmts.append(st)
             return
     # generic statement/expression
-    st = Stmt(line=node.location.line)
+    st = Stmt(line=node.location.line, subscripts=_subscript_bases(node))
     collect_expr(node, st.refs, st.calls)
     _mark_subscript(st, node)
     if st.refs or st.calls:

@@ -19,6 +19,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "|=", "&=", "^=", "<<=", ">>="}
+# Switch labels: `case k: {` opens a block like a control statement does.
+LABELS = {"case", "default"}
 
 # Template functions the parser must read through `<...>` to see the call:
 # make_unique<T[]>(n) allocates n elements.
@@ -307,7 +309,7 @@ def split_body(toks):
             i += 1
             continue
         elif pdepth == 0 and t == "{":
-            if not seg or seg[0][0] in CONTROL:
+            if not seg or seg[0][0] in CONTROL or seg[0][0] in LABELS:
                 yield seg, t, line
                 seg = []
                 i += 1
@@ -407,18 +409,41 @@ def parse_expr(toks):
     return refs, calls
 
 
+def subscript_bases(seg):
+    """The variable subscripted in each `x[...]` / `this->x[...]` of a
+    statement, wherever it sits: an assignment target, a reference
+    binding, an operand of ++, or a receiver (`x[k].f = v`).  `o.x[...]`
+    subscripts another object's member and is left out."""
+    out = []
+    for i in range(len(seg) - 1):
+        t = seg[i][0]
+        if seg[i + 1][0] != "[" or not is_ident(t) or t in KEYWORDS:
+            continue
+        if i > 0 and seg[i - 1][0] in (".", "->") \
+                and not (i > 1 and seg[i - 2][0] == "this"):
+            continue
+        out.append(t)
+    return out
+
+
 def parse_stmt(seg) -> Stmt | None:
     """seg: one statement's tokens (no trailing ';')."""
     if not seg:
         return None
-    st = Stmt(line=seg[0][1])
+    st = Stmt(line=seg[0][1], subscripts=subscript_bases(seg))
     # Strip leading control keywords / labels.
     while seg and seg[0][0] in ("else", "do", "try"):
         seg = seg[1:]
     if not seg:
         return None
+    # A case label heads the statement it labels: `case k: x = f();`.
+    if seg[0][0] in LABELS:
+        colon = next((i for i, tk in enumerate(seg) if tk[0] == ":"), None)
+        seg = seg[colon + 1:] if colon is not None else []
+        if not seg:
+            return None
     head = seg[0][0]
-    if head in ("case", "default", "break", "continue", "goto", "using",
+    if head in ("break", "continue", "goto", "using",
                 "public", "private", "protected"):
         return None
     cond_refs, cond_calls = [], []
@@ -459,10 +484,6 @@ def parse_stmt(seg) -> Stmt | None:
             if member:
                 st.lhs = idents[0]
                 st.lhs_is_member = True
-                first = next(i for i, tk in enumerate(lhs_toks)
-                             if tk[0] == idents[0])
-                st.lhs_subscript = first + 1 < len(lhs_toks) \
-                    and lhs_toks[first + 1][0] == "["
                 # index expressions are reads
                 st.refs.extend(idents[1:])
             else:

@@ -18,10 +18,12 @@ This analyzer proves two resource invariants over the whole call graph:
      tainted buffer is input-bounded metadata, not an untrusted size.
 
   2. Unbounded-growth state: a container member grown
-     (push_back/emplace/insert/append/+=, or ``m[k] = v`` on a map, whose
-     ``operator[]`` inserts every new key) from a member function of a
-     long-lived class (anything in src/cache, src/replication, src/obs, or a
-     class whose name marks it as a server/proxy/dispatcher/pool/...) must
+     (push_back/emplace/insert/append/+=, or any ``m[k]`` on a map, whose
+     ``operator[]`` inserts every new key however its result is used:
+     assigned, bound to a reference, incremented or written through) from
+     a member function of a long-lived class (anything in src/cache,
+     src/replication, src/obs, or a class whose name marks it as a
+     server/proxy/dispatcher/pool/...) must
      either carry GLOBE_BOUNDED (src/util/bounds_annotations.hpp) or be
      ranked in tools/capacity_bounds.txt.  A declared bound must be real:
      unless its registry entry is capacity 0 (grows only during trusted
