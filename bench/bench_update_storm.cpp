@@ -119,8 +119,12 @@ int main(int argc, char** argv) {
     auto owner = std::make_unique<globedoc::ObjectOwner>(
         std::move(object), bench_key(6000 + static_cast<std::uint64_t>(d)));
     oids.push_back(owner->object().oid());
-    master.install_replica_unchecked(
+    util::Status hosted = master.install_replica_unchecked(
         owner->sign_and_snapshot(0, util::seconds(100000)), 0);
+    if (!hosted.is_ok()) {
+      std::fprintf(stderr, "master install failed: %s\n", hosted.to_string().c_str());
+      return 1;
+    }
     owners.push_back(std::move(owner));
   }
 
@@ -165,7 +169,11 @@ int main(int argc, char** argv) {
   for (int d = 0; d < kDocs; ++d) {
     auto state = owners[d]->sign_and_snapshot(kStorm, util::seconds(100000));
     storm_versions[d] = state.certificate.version();
-    master.install_replica_unchecked(state, kStorm);
+    util::Status hosted = master.install_replica_unchecked(state, kStorm);
+    if (!hosted.is_ok()) {
+      std::fprintf(stderr, "master install failed: %s\n", hosted.to_string().c_str());
+      return 1;
+    }
   }
 
   // --- Replicas poll on staggered 2s ticks; the aggregator rounds every 2s.

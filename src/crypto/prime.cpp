@@ -1,5 +1,6 @@
 #include "crypto/prime.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace globe::crypto {
@@ -11,6 +12,63 @@ constexpr std::uint32_t kSmallPrimes[] = {
     47,  53,  59,  61,  67,  71,  73,  79,  83,  89,  97,  101, 103, 107,
     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
+
+// generate_prime strikes every multiple of an odd prime below kSieveBound
+// from a window of kWindow odd offsets before any Miller–Rabin round runs.
+// 2,048 consecutive 512-bit integers hold ~5.8 primes on average, so one
+// random start nearly always yields a prime.
+constexpr std::uint32_t kSieveBound = 1u << 16;
+constexpr std::size_t kWindow = 1024;
+static_assert(kSieveBound <= 1u << 16, "SievePrime and residue() need p < 2^16");
+
+// Sieve of Eratosthenes over [0, kSieveBound): true where i is not prime.
+constexpr std::array<bool, kSieveBound> not_prime_below_bound() {
+  std::array<bool, kSieveBound> not_prime{};
+  not_prime[0] = not_prime[1] = true;
+  for (std::uint32_t i = 2; i * i < kSieveBound; ++i) {
+    if (not_prime[i]) continue;
+    for (std::uint32_t j = i * i; j < kSieveBound; j += i) not_prime[j] = true;
+  }
+  return not_prime;
+}
+
+constexpr std::size_t kSievePrimeCount = [] {
+  const auto not_prime = not_prime_below_bound();
+  std::size_t count = 0;
+  for (std::uint32_t i = 3; i < kSieveBound; i += 2) count += !not_prime[i];
+  return count;
+}();
+
+// An odd sieving prime with 2^32 and 2^64 reduced mod p.
+struct SievePrime {
+  std::uint16_t p, pow32, pow64;
+};
+
+// The odd primes below kSieveBound, in order.
+constexpr auto kSievePrimes = [] {
+  const auto not_prime = not_prime_below_bound();
+  std::array<SievePrime, kSievePrimeCount> primes{};
+  std::size_t count = 0;
+  for (std::uint64_t p = 3; p < kSieveBound; p += 2) {
+    if (not_prime[p]) continue;
+    const std::uint64_t pow32 = (std::uint64_t{1} << 32) % p;
+    primes[count++] = {static_cast<std::uint16_t>(p), static_cast<std::uint16_t>(pow32),
+                       static_cast<std::uint16_t>(pow32 * pow32 % p)};
+  }
+  return primes;
+}();
+
+// The value of `limbs` mod sp.p, one division per 64 bits: with p < 2^16,
+// rem * (2^64 mod p) + hi * (2^32 mod p) + lo stays below 2^49.
+std::uint64_t residue(const std::vector<std::uint32_t>& limbs, const SievePrime& sp) {
+  std::size_t i = limbs.size();
+  std::uint64_t rem = i % 2 ? limbs[--i] % sp.p : 0;
+  while (i > 0) {
+    i -= 2;
+    rem = (rem * sp.pow64 + std::uint64_t{limbs[i + 1]} * sp.pow32 + limbs[i]) % sp.p;
+  }
+  return rem;
+}
 
 }  // namespace
 
@@ -54,10 +112,33 @@ bool is_probable_prime(const BigInt& n, util::RandomSource& rng, int rounds) {
 
 BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds) {
   if (bits < 8) throw std::invalid_argument("generate_prime: bits < 8");
+  const BigInt top = BigInt(1) << bits;
   for (;;) {
-    BigInt candidate = BigInt::random_bits(bits, rng);
-    if (candidate.is_even()) candidate = candidate + BigInt(1);
-    if (is_probable_prime(candidate, rng, mr_rounds)) return candidate;
+    // A random odd start in [1.5 * 2^(bits-1), 2^bits): bits-1 random bits
+    // with their top bit forced, under a forced top bit.
+    BigInt start = (BigInt(1) << (bits - 1)) + BigInt::random_bits(bits - 1, rng);
+    if (start.is_even()) start = start + BigInt(1);
+    // Only offsets k with start + 2k < 2^bits keep `bits` bits.
+    std::size_t window = kWindow;
+    BigInt room = top - start;
+    if (room < BigInt(2 * kWindow)) window = (room.low_u64() + 1) / 2;
+
+    // Below kSieveBound a candidate can be a sieving prime itself, which is
+    // not struck.
+    const std::uint64_t small_start = start.bit_length() <= 32 ? start.low_u64() : 0;
+    std::array<bool, kWindow> struck{};
+    for (const SievePrime& sp : kSievePrimes) {
+      const std::uint64_t p = sp.p;
+      // The first k at which p divides start + 2k; (p + 1) / 2 inverts 2.
+      std::uint64_t k = (p - residue(start.limbs(), sp)) * ((p + 1) / 2) % p;
+      if (small_start + 2 * k == p) k += p;
+      for (; k < window; k += p) struck[k] = true;
+    }
+    for (std::size_t k = 0; k < window; ++k) {
+      if (struck[k]) continue;
+      BigInt candidate = start + BigInt(2 * k);
+      if (is_probable_prime(candidate, rng, mr_rounds)) return candidate;
+    }
   }
 }
 

@@ -41,6 +41,10 @@ Result<Bytes> not_hosted(const Oid& oid) {
   return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid.to_hex());
 }
 
+Status refused(const HostingGrant& grant) {
+  return Status(ErrorCode::kUnavailable, "hosting refused: " + grant.reason);
+}
+
 }  // namespace
 
 util::Bytes HostingGrant::serialize() const {
@@ -108,10 +112,15 @@ bool ObjectServer::hosts(const Oid& oid) const {
   return replicas_.count(oid) > 0;
 }
 
-void ObjectServer::install_replica_unchecked(const ReplicaState& state,
-                                             util::SimTime now) {
+Status ObjectServer::install_replica_unchecked(const ReplicaState& state,
+                                               util::SimTime now) {
+  const Oid oid = state.certificate.oid();
   util::LockGuard lock(mutex_);
-  install_locked(state.certificate.oid(), state, now);
+  HostingGrant grant = check_capacity_locked(
+      state.content_bytes(), replicas_.count(oid) > 0 ? &oid : nullptr);
+  if (!grant.accepted) return refused(grant);
+  install_locked(oid, state, now);
+  return Status::ok();
 }
 
 ObjectServer::Hosted& ObjectServer::install_locked(const Oid& oid,
@@ -544,9 +553,7 @@ Result<Bytes> ObjectServer::handle_create_or_update(net::ServerContext& ctx,
     // limits and start the hosting lease.
     HostingGrant grant =
         check_capacity_locked(state->content_bytes(), create ? nullptr : &oid);
-    if (!grant.accepted) {
-      return Result<Bytes>(ErrorCode::kUnavailable, "hosting refused: " + grant.reason);
-    }
+    if (!grant.accepted) return refused(grant);
     Hosted& hosted = install_locked(oid, std::move(*state), ctx.now());
     hosted.creator = *auth;
     hosted.lease_until = grant.lease != 0 ? ctx.now() + grant.lease : 0;

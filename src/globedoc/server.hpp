@@ -113,9 +113,12 @@ class ObjectServer {
   /// Trusted sink: the state is hosted and served as-is, so it must have
   /// passed ReplicaState::verify() when it crossed a trust boundary.
   /// `now` stamps the install time for the freshness probe; callers off the
-  /// network path (test bootstrap at t=0) may leave it defaulted.
-  void install_replica_unchecked(GLOBE_TRUSTED_SINK const ReplicaState& state,
-                                 util::SimTime now = 0)
+  /// network path (test bootstrap at t=0) may leave it defaulted.  The
+  /// resource limits still apply, as to a create or an update of a hosted
+  /// replica: a state they refuse is not installed, and the result is the
+  /// admin path's kUnavailable "hosting refused: ..." status.
+  util::Status install_replica_unchecked(GLOBE_TRUSTED_SINK const ReplicaState& state,
+                                         util::SimTime now = 0)
       GLOBE_EXCLUDES(mutex_);
 
   /// Per-OID (epoch, content digest, certificate expiry horizon) for the
@@ -127,8 +130,9 @@ class ObjectServer {
   /// via set_consistency_source().
   obs::ConsistencyReport consistency_report() const GLOBE_EXCLUDES(mutex_);
 
-  /// Resource policy (paper §6 extension).  Limits apply to future creates
-  /// and updates; existing replicas are untouched until their lease ends.
+  /// Resource policy (paper §6 extension).  Limits apply to future creates,
+  /// updates and pulled installs; existing replicas are untouched until
+  /// their lease ends.
   /// A replica whose lease has lapsed is evicted where the server first
   /// sees the lapse: a read of it, or any create, update or negotiation.
   void set_resource_limits(const ResourceLimits& limits) GLOBE_EXCLUDES(mutex_);

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -42,6 +43,15 @@ bool write_all(int fd, const std::uint8_t* buf, std::size_t n) {
   return true;
 }
 
+constexpr std::size_t kMaxFrame = 64 * 1024 * 1024;
+/// A frame up to this size is read into one buffer sized up front.  A
+/// larger announced length grows the buffer by at most this much per read,
+/// so a peer that announces a huge frame and goes silent holds at most one
+/// step more memory than it has sent.
+constexpr std::size_t kFrameStep = 1024 * 1024;
+
+}  // namespace
+
 bool send_frame(int fd, BytesView payload) {
   std::uint8_t len[4] = {
       static_cast<std::uint8_t>(payload.size() >> 24),
@@ -49,15 +59,20 @@ bool send_frame(int fd, BytesView payload) {
       static_cast<std::uint8_t>(payload.size() >> 8),
       static_cast<std::uint8_t>(payload.size()),
   };
-  return write_all(fd, len, 4) && write_all(fd, payload.data(), payload.size());
+  // Header and payload leave in one sendmsg, so the peer wakes once per
+  // frame; write_all finishes whatever a short write left.
+  iovec iov[2] = {{len, sizeof len},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+  if (r <= 0) return false;
+  const auto sent = static_cast<std::size_t>(r);
+  if (sent < sizeof len && !write_all(fd, len + sent, sizeof len - sent)) return false;
+  const std::size_t body = sent > sizeof len ? sent - sizeof len : 0;
+  return write_all(fd, payload.data() + body, payload.size() - body);
 }
-
-constexpr std::size_t kMaxFrame = 64 * 1024 * 1024;
-/// A frame up to this size is read into one buffer sized up front.  A
-/// larger announced length grows the buffer by at most this much per read,
-/// so a peer that announces a huge frame and goes silent holds at most one
-/// step more memory than it has sent.
-constexpr std::size_t kFrameStep = 1024 * 1024;
 
 bool recv_frame(int fd, Bytes& out) {
   std::uint8_t len[4];
@@ -73,6 +88,8 @@ bool recv_frame(int fd, Bytes& out) {
   }
   return true;
 }
+
+namespace {
 
 /// Wall-clock server context for live handlers.
 class TcpServerContext final : public ServerContext {

@@ -18,6 +18,14 @@
 
 namespace globe::net {
 
+/// Writes one frame to a connected blocking socket: header and payload go
+/// out in one sendmsg, and a short write is finished with plain sends.
+/// Returns false on error.
+GLOBE_BLOCKING bool send_frame(int fd, util::BytesView payload);
+/// Reads one frame into `out`.  Returns false on EOF, error, or an
+/// announced length over 64 MiB.
+GLOBE_BLOCKING bool recv_frame(int fd, util::Bytes& out);
+
 /// Serves one MessageHandler on a localhost TCP port.  Accepts connections
 /// on a background thread and handles each request on a worker pool.
 class TcpServer {

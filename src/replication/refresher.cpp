@@ -114,7 +114,8 @@ Result<PullResult> pull_replica(net::Transport& transport,
                                  : std::min(result.earliest_expiry, entry.expires);
   }
   result.installed = true;
-  local.install_replica_unchecked(state, transport.now());
+  util::Status hosted = local.install_replica_unchecked(state, transport.now());
+  if (!hosted.is_ok()) return hosted;
   obs::emit_event(obs::EventLevel::kInfo, "replication", "pull_installed",
                   oid.to_hex() + " v" + std::to_string(result.version) +
                       " from " + source.to_string());

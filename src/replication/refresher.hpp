@@ -40,6 +40,8 @@ struct PullResult {
 ///   EXPIRED        — the fetched certificate is already stale
 ///   NOT_FOUND      — the source lacks an element its certificate lists
 ///   INVALID_ARGUMENT — source state is not newer than local_version
+///   UNAVAILABLE    — `local`'s resource limits refuse the state ("hosting
+///                    refused: ..."); the hosted version stays
 GLOBE_BLOCKING util::Result<PullResult> pull_replica(net::Transport& transport,
                                       const net::Endpoint& source,
                                       const globedoc::Oid& oid,

@@ -1,6 +1,5 @@
 #include "util/bytes.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace globe::util {
@@ -52,74 +51,6 @@ Bytes hex_decode(std::string_view s) {
   return out;
 }
 
-namespace {
-
-constexpr char kB64Alphabet[] =
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-std::array<std::int8_t, 256> make_b64_reverse() {
-  std::array<std::int8_t, 256> rev{};
-  rev.fill(-1);
-  for (int i = 0; i < 64; ++i) {
-    rev[static_cast<unsigned char>(kB64Alphabet[i])] = static_cast<std::int8_t>(i);
-  }
-  return rev;
-}
-
-const std::array<std::int8_t, 256> kB64Reverse = make_b64_reverse();
-
-}  // namespace
-
-std::string base64_encode(BytesView b) {
-  std::string out;
-  out.reserve((b.size() + 2) / 3 * 4);
-  std::size_t i = 0;
-  for (; i + 3 <= b.size(); i += 3) {
-    std::uint32_t v = std::uint32_t{b[i]} << 16 | std::uint32_t{b[i + 1]} << 8 | b[i + 2];
-    out.push_back(kB64Alphabet[(v >> 18) & 63]);
-    out.push_back(kB64Alphabet[(v >> 12) & 63]);
-    out.push_back(kB64Alphabet[(v >> 6) & 63]);
-    out.push_back(kB64Alphabet[v & 63]);
-  }
-  std::size_t rem = b.size() - i;
-  if (rem == 1) {
-    std::uint32_t v = std::uint32_t{b[i]} << 16;
-    out.push_back(kB64Alphabet[(v >> 18) & 63]);
-    out.push_back(kB64Alphabet[(v >> 12) & 63]);
-    out.push_back('=');
-    out.push_back('=');
-  } else if (rem == 2) {
-    std::uint32_t v = std::uint32_t{b[i]} << 16 | std::uint32_t{b[i + 1]} << 8;
-    out.push_back(kB64Alphabet[(v >> 18) & 63]);
-    out.push_back(kB64Alphabet[(v >> 12) & 63]);
-    out.push_back(kB64Alphabet[(v >> 6) & 63]);
-    out.push_back('=');
-  }
-  return out;
-}
-
-Bytes base64_decode(std::string_view s) {
-  // Strip padding.
-  while (!s.empty() && s.back() == '=') s.remove_suffix(1);
-  Bytes out;
-  out.reserve(s.size() * 3 / 4 + 3);
-  std::uint32_t acc = 0;
-  int bits = 0;
-  for (char c : s) {
-    std::int8_t v = kB64Reverse[static_cast<unsigned char>(c)];
-    if (v < 0) {
-      throw std::invalid_argument("base64_decode: invalid character");
-    }
-    acc = acc << 6 | static_cast<std::uint32_t>(v);
-    bits += 6;
-    if (bits >= 8) {
-      bits -= 8;
-      out.push_back(static_cast<std::uint8_t>((acc >> bits) & 0xff));
-    }
-  }
-  return out;
-}
-
 bool ct_equal(BytesView a, BytesView b) {
   if (a.size() != b.size()) return false;
   std::uint8_t diff = 0;
@@ -129,15 +60,6 @@ bool ct_equal(BytesView a, BytesView b) {
 
 void append(Bytes& dst, BytesView src) {
   dst.insert(dst.end(), src.begin(), src.end());
-}
-
-Bytes concat(std::initializer_list<BytesView> parts) {
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  Bytes out;
-  out.reserve(total);
-  for (const auto& p : parts) append(out, p);
-  return out;
 }
 
 }  // namespace globe::util

@@ -1,8 +1,8 @@
 // Byte-buffer primitives shared by every GlobeDoc subsystem.
 //
 // `Bytes` is the universal owned buffer type; views are passed as
-// `std::span<const std::uint8_t>` (aliased to `BytesView`).  Hex and base64
-// codecs live here because wire formats, OIDs and fingerprints all need them.
+// `std::span<const std::uint8_t>` (aliased to `BytesView`).  The hex codec
+// lives here because wire formats, OIDs and fingerprints all need it.
 #pragma once
 
 #include <cstdint>
@@ -29,21 +29,11 @@ std::string hex_encode(BytesView b);
 /// (odd length or non-hex character).
 Bytes hex_decode(std::string_view s);
 
-/// Standard base64 with padding (RFC 4648).
-std::string base64_encode(BytesView b);
-
-/// Decodes base64; tolerates missing padding. Throws std::invalid_argument
-/// on characters outside the alphabet.
-Bytes base64_decode(std::string_view s);
-
 /// Constant-time equality: timing does not depend on where buffers differ.
 /// (Length mismatch returns false immediately; lengths are public here.)
 bool ct_equal(BytesView a, BytesView b);
 
 /// Appends `src` to `dst`.
 void append(Bytes& dst, BytesView src);
-
-/// Concatenates any number of buffers.
-Bytes concat(std::initializer_list<BytesView> parts);
 
 }  // namespace globe::util

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "crypto/drbg.hpp"
 
 namespace globe::crypto {
 namespace {
+
+bool is_prime_by_trial_division(std::uint64_t n) {
+  if (n < 2) return false;
+  for (std::uint64_t d = 2; d * d <= n; ++d) {
+    if (n % d == 0) return false;
+  }
+  return true;
+}
 
 TEST(PrimeTest, SmallPrimesRecognized) {
   auto rng = HmacDrbg::from_seed(1);
@@ -47,6 +57,35 @@ TEST(PrimeTest, GeneratedPrimeHasExactBits) {
     EXPECT_TRUE(p.is_odd());
     EXPECT_TRUE(is_probable_prime(p, rng));
   }
+}
+
+// Below 2^20 every output is checked exhaustively.  Widths up to 16 bits
+// draw candidates from among the sieving primes themselves.
+TEST(PrimeTest, SmallWidthsGiveTopTwoBitPrimes) {
+  for (std::size_t bits = 8; bits <= 20; ++bits) {
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+      auto rng = HmacDrbg::from_seed(1000 * bits + seed);
+      std::uint64_t p = generate_prime(bits, rng).low_u64();
+      EXPECT_TRUE(is_prime_by_trial_division(p)) << p;
+      EXPECT_EQ(p & 1, 1u) << p;
+      EXPECT_EQ(p >> (bits - 2), 3u) << "bits=" << bits << " p=" << p;
+    }
+  }
+}
+
+// Every 8-bit prime with its top two bits set is a sieving prime; the sieve
+// strikes its multiples but not the prime, so each one is still returned.
+TEST(PrimeTest, SievingPrimesRemainReachable) {
+  std::set<std::uint64_t> all;
+  for (std::uint64_t n = 192; n < 256; ++n) {
+    if (is_prime_by_trial_division(n)) all.insert(n);
+  }
+  std::set<std::uint64_t> seen;
+  for (std::uint64_t seed = 0; seed < 512 && seen != all; ++seed) {
+    auto rng = HmacDrbg::from_seed(seed);
+    seen.insert(generate_prime(8, rng).low_u64());
+  }
+  EXPECT_EQ(seen, all);
 }
 
 TEST(PrimeTest, GenerationIsDeterministicPerSeed) {

@@ -183,6 +183,8 @@ TEST(RsaTest, DeterministicKeygenFromSeed) {
 // Seeded keys are pinned byte for byte: a document's OID is the hash of
 // its public key, so arithmetic changes below rsa_generate must not move
 // any key.  The last seed is the one bench_live derives its fleet from.
+// The digests are those of the sieved search for top-two-bit primes
+// (prime.hpp); a change to how candidates are drawn or ordered moves them.
 TEST(RsaTest, SeededKeygenIsByteStable) {
   struct Golden {
     std::uint64_t seed;
@@ -191,17 +193,35 @@ TEST(RsaTest, SeededKeygenIsByteStable) {
   };
   const Golden kGolden[] = {
       {4242, 1024,
-       "e83f042b37f9026ecec57adbc5f3a1c06ddc228e088a00edca91d8792b96b1e1"},
+       "5e6aff00a19e0190b241e6fcae96af1dbd0a4c7bebe388f261bf784a07af824c"},
       {31337, 512,
-       "0f1f7c081dbc1963d408a0a4af8d37fd33c06c96841ca95131da26e479efbc4c"},
+       "bc738d2250fea1a6e337c31a3d651a0bef939f402acb55a0840e9670c641c2d0"},
       {0x6c697665'6b657973ull, 1024,
-       "e84967d561e899d23319e18b879bc4818e7a1ddd2437e37fbc6608f7c8cba504"},
+       "905cf7b9728e8c3cacc0bd6d57eb2ed15417aa633c15cf4dd18bdb1690d11c9a"},
   };
   for (const Golden& g : kGolden) {
     auto rng = HmacDrbg::from_seed(g.seed);
     Bytes priv = rsa_generate(g.bits, rng).priv.serialize();
     EXPECT_EQ(util::hex_encode(Sha256::digest_bytes(priv)), g.priv_sha256)
         << "seed=" << g.seed << " bits=" << g.bits;
+  }
+}
+
+// Both primes have their top two bits set, so every pair gives a modulus of
+// exactly `bits` bits.
+TEST(RsaTest, EveryKeyHasExactBitsAndSigns) {
+  const Bytes msg = to_bytes("exact modulus");
+  for (auto [bits, seeds] : {std::pair<std::size_t, std::uint64_t>{512, 32}, {1024, 16}}) {
+    const BigInt floor = BigInt(3) << (bits / 2 - 2);  // 1.5 * 2^(bits/2 - 1)
+    for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+      auto rng = HmacDrbg::from_seed(seed);
+      RsaKeyPair kp = rsa_generate(bits, rng);
+      EXPECT_EQ(kp.pub.n.bit_length(), bits) << "seed=" << seed;
+      EXPECT_GT(kp.priv.p, kp.priv.q) << "seed=" << seed;
+      EXPECT_GE(kp.priv.q, floor) << "seed=" << seed;
+      EXPECT_TRUE(rsa_verify_sha256(kp.pub, msg, rsa_sign_sha256(kp.priv, msg)))
+          << "seed=" << seed;
+    }
   }
 }
 

@@ -83,7 +83,7 @@ TEST_F(ProxyFixture, IdentityCertificateFloodIsRejectedBeforeVerifying) {
   state.identity_certs.assign(
       2 * kMaxIdentityCerts,
       impostor.issue("Evil Corp", owner->object().oid(), util::seconds(5000)));
-  object_server->install_replica_unchecked(state, client_flow->now());
+  ASSERT_TRUE(object_server->install_replica_unchecked(state, client_flow->now()).is_ok());
 
   obs::ProfileRegistry profile;
   ProxyConfig config = proxy_config();

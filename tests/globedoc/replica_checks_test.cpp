@@ -85,7 +85,7 @@ struct ReplicaChecksFixture : WorldFixture {
         std::erase_if(state.elements, [](const PageElement& e) {
           return e.name == "index.html";
         });
-        object_server->install_replica_unchecked(state);
+        ASSERT_TRUE(object_server->install_replica_unchecked(state).is_ok());
         break;
       }
       case Fault::kExpired:

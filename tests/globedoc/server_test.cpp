@@ -170,7 +170,7 @@ TEST_F(ServerFixture, BadSignatureRejected) {
 }
 
 TEST_F(ServerFixture, AccessInterfaceServesElements) {
-  server->install_replica_unchecked(state_v1);
+  ASSERT_TRUE(server->install_replica_unchecked(state_v1).is_ok());
   rpc::RpcClient client(*flow, ep);
 
   util::Writer req;
@@ -186,7 +186,7 @@ TEST_F(ServerFixture, AccessInterfaceServesElements) {
 }
 
 TEST_F(ServerFixture, AccessUnknownElementOrObject) {
-  server->install_replica_unchecked(state_v1);
+  ASSERT_TRUE(server->install_replica_unchecked(state_v1).is_ok());
   rpc::RpcClient client(*flow, ep);
 
   util::Writer missing_el;
@@ -203,7 +203,7 @@ TEST_F(ServerFixture, AccessUnknownElementOrObject) {
 }
 
 TEST_F(ServerFixture, SecurityInterfaceServesKeyAndCerts) {
-  server->install_replica_unchecked(state_v1);
+  ASSERT_TRUE(server->install_replica_unchecked(state_v1).is_ok());
   rpc::RpcClient client(*flow, ep);
   util::Writer req;
   req.raw(oid.to_bytes());

@@ -63,7 +63,7 @@ struct TaintBoundaryFixture : WorldFixture {
     // install_replica_unchecked models the server's own storage, which sits
     // inside the server's trust domain — nothing verifies it again on the
     // way out; only clients do.
-    evil_server->install_replica_unchecked(state);
+    ASSERT_TRUE(evil_server->install_replica_unchecked(state).is_ok());
 
     location::LocationClient loc(*publish_flow, site);
     ASSERT_TRUE(loc.insert(site, owner->object().oid().to_bytes(), evil_ep)

@@ -230,7 +230,7 @@ std::string tracez(net::SimNet& net, net::HostId host, std::uint16_t port) {
 void tamper_index(ObjectOwner& owner, ObjectServer& server) {
   ReplicaState state = owner.sign_and_snapshot(0, util::seconds(3600));
   state.elements[0].content = util::to_bytes("tampered!");
-  server.install_replica_unchecked(state);
+  ASSERT_TRUE(server.install_replica_unchecked(state).is_ok());
 }
 
 TEST_F(TraceStitchFixture, VerificationFailureEventsJoinTheFetchTrace) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -126,6 +127,66 @@ TEST(TcpTest, StopIsIdempotent) {
   });
   server.stop();
   server.stop();
+}
+
+TEST(TcpTest, ShortSendmsgIsFinishedAndTheFrameArrivesWhole) {
+  // The sender has a small send buffer and a 250 ms send timeout; the
+  // receiver has a small receive buffer and drains at most 4 KB per
+  // millisecond.  Moving 2 MiB then takes over half a second, so sendmsg
+  // gives up after 250 ms with part of the frame sent, and send_frame must
+  // finish the rest.
+  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(listen_fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof small), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len),
+            0);
+  int tx = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(tx, 0);
+  ASSERT_EQ(::setsockopt(tx, SOL_SOCKET, SO_SNDBUF, &small, sizeof small), 0);
+  const timeval timeout{0, 250 * 1000};
+  ASSERT_EQ(::setsockopt(tx, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout), 0);
+  ASSERT_EQ(::connect(tx, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  int rx = ::accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(rx, 0);
+
+  Bytes payload(2 * 1024 * 1024);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + i / 4096);
+  }
+  Bytes received;
+  std::thread reader([rx, &received] {
+    std::uint8_t chunk[4096];
+    for (;;) {
+      ssize_t r = ::recv(rx, chunk, sizeof chunk, 0);
+      if (r <= 0) return;
+      received.insert(received.end(), chunk, chunk + r);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const auto begin = std::chrono::steady_clock::now();
+  const bool sent = send_frame(tx, payload);
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  ::shutdown(tx, SHUT_WR);  // the reader stops at EOF
+  reader.join();
+  ::close(tx);
+  ::close(rx);
+  ::close(listen_fd);
+
+  ASSERT_TRUE(sent);
+  // One sendmsg blocks for at most the timeout, so a longer send took more
+  // than one call.
+  EXPECT_GT(elapsed, std::chrono::milliseconds(250));
+  ASSERT_EQ(received.size(), 4 + payload.size());
+  const Bytes header(received.begin(), received.begin() + 4);
+  EXPECT_EQ(header, (Bytes{0x00, 0x20, 0x00, 0x00}));
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), received.begin() + 4));
 }
 
 long peak_rss_kb() {

@@ -280,8 +280,8 @@ TEST_F(AuditFixture, TamperedElementSurfacesAsDivergedInReplicaz) {
   ReplicaState tampered = fresh_state;  // same certificate, same epoch
   ASSERT_FALSE(tampered.elements.empty());
   tampered.elements[0].content = util::to_bytes("tampered bytes");
-  mirror->install_replica_unchecked(tampered);
-  object_server->install_replica_unchecked(fresh_state);
+  ASSERT_TRUE(mirror->install_replica_unchecked(tampered).is_ok());
+  ASSERT_TRUE(object_server->install_replica_unchecked(fresh_state).is_ok());
 
   agg->scrape_round(*audit_flow);
   ReplicaRow row = row_for("replica-1");

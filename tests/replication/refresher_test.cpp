@@ -73,6 +73,34 @@ TEST_F(RefresherFixture, PullsNewerVersionAfterOwnerUpdate) {
   EXPECT_EQ(result->version, 2u);
 }
 
+// The pull path runs the limits that create and update run: a refreshed
+// state over max_replica_bytes is refused and the old version stays hosted.
+TEST_F(RefresherFixture, RefreshOverTheReplicaByteLimitIsRefused) {
+  auto first = pull_replica(*pull_flow, server_ep, oid(), *peer_server, 0);
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  globedoc::ResourceLimits limits;
+  limits.max_replica_bytes = first->content_bytes;
+  peer_server->set_resource_limits(limits);
+
+  owner->object().put_element(
+      {"index.html", "text/html",
+       util::to_bytes("<html><body>news story, updated</body></html>")});
+  ASSERT_TRUE(owner
+                  ->refresh_replicas(*publish_flow, pull_flow->now(),
+                                     util::seconds(3600))
+                  .is_ok());
+  auto refused =
+      pull_replica(*pull_flow, server_ep, oid(), *peer_server, first->version);
+  EXPECT_EQ(refused.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(refused.status().message(),
+            "hosting refused: replica exceeds per-replica byte limit");
+
+  EXPECT_EQ(peer_server->hosted_bytes(), first->content_bytes);
+  auto report = peer_server->consistency_report();
+  ASSERT_EQ(report.docs.size(), 1u);
+  EXPECT_EQ(report.docs[0].epoch, first->version);
+}
+
 TEST_F(RefresherFixture, TamperingPeerRejected) {
   net::Endpoint evil{server_host, 8600};
   net.bind(evil, globedoc::tampering_element_attack(server_dispatcher.handler()));
