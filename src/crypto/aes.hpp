@@ -1,4 +1,5 @@
-// AES-128/192/256 block cipher (FIPS 197) and CTR-mode keystream.
+// AES-128/192/256 block cipher (FIPS 197) and CTR-mode keystream.  CTR
+// mode only ever runs the forward cipher, so there is no inverse cipher.
 //
 // Used by the TLS-like secure channel that serves as the paper's "Apache +
 // SSL" baseline.  Table-based implementation; not hardened against cache
@@ -22,7 +23,6 @@ class Aes {
   explicit Aes(util::BytesView key);
 
   void encrypt_block(const Block& in, Block& out) const;
-  void decrypt_block(const Block& in, Block& out) const;
 
  private:
   std::array<std::uint32_t, 60> round_keys_{};

@@ -70,18 +70,8 @@ std::uint64_t residue(const std::vector<std::uint32_t>& limbs, const SievePrime&
   return rem;
 }
 
-}  // namespace
-
-bool is_probable_prime(const BigInt& n, util::RandomSource& rng, int rounds) {
-  if (n < BigInt(2)) return false;
-  for (std::uint32_t p : kSmallPrimes) {
-    // n mod p from the top limb down; the running remainder stays below p.
-    std::uint64_t rem = 0;
-    for (std::size_t i = n.limbs().size(); i-- > 0;) {
-      rem = (rem << 32 | n.limbs()[i]) % p;
-    }
-    if (rem == 0) return n.limbs().size() == 1 && n.limbs()[0] == p;  // n is p
-  }
+// `rounds` Miller–Rabin rounds with random bases, for odd n > 3.
+bool miller_rabin(const BigInt& n, util::RandomSource& rng, int rounds) {
   // n - 1 = d * 2^r with d odd.
   BigInt n_minus_1 = n - BigInt(1);
   BigInt d = n_minus_1;
@@ -110,6 +100,21 @@ bool is_probable_prime(const BigInt& n, util::RandomSource& rng, int rounds) {
   return true;
 }
 
+}  // namespace
+
+bool is_probable_prime(const BigInt& n, util::RandomSource& rng, int rounds) {
+  if (n < BigInt(2)) return false;
+  for (std::uint32_t p : kSmallPrimes) {
+    // n mod p from the top limb down; the running remainder stays below p.
+    std::uint64_t rem = 0;
+    for (std::size_t i = n.limbs().size(); i-- > 0;) {
+      rem = (rem << 32 | n.limbs()[i]) % p;
+    }
+    if (rem == 0) return n.limbs().size() == 1 && n.limbs()[0] == p;  // n is p
+  }
+  return miller_rabin(n, rng, rounds);
+}
+
 BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds) {
   if (bits < 8) throw std::invalid_argument("generate_prime: bits < 8");
   const BigInt top = BigInt(1) << bits;
@@ -134,10 +139,11 @@ BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds) 
       if (small_start + 2 * k == p) k += p;
       for (; k < window; k += p) struck[k] = true;
     }
+    // The sieve has already struck every multiple of the trial-division primes.
     for (std::size_t k = 0; k < window; ++k) {
       if (struck[k]) continue;
       BigInt candidate = start + BigInt(2 * k);
-      if (is_probable_prime(candidate, rng, mr_rounds)) return candidate;
+      if (miller_rabin(candidate, rng, mr_rounds)) return candidate;
     }
   }
 }

@@ -14,9 +14,9 @@ bool is_probable_prime(const BigInt& n, util::RandomSource& rng, int rounds = 32
 /// top two bits set, so the product of two such primes has exactly twice
 /// their bits.  It draws a random odd start of that form, strikes from the
 /// 1,024 odd offsets above it every multiple of an odd prime below 2^16
-/// (but not the prime itself), and runs is_probable_prime (trial division,
-/// then `mr_rounds` Miller–Rabin rounds) on the survivors in order.  A new
-/// start is drawn only when the window is used up or would pass 2^bits.
+/// (but not the prime itself), and runs `mr_rounds` Miller–Rabin rounds on
+/// the survivors in order.  A new start is drawn only when the window is
+/// used up or would pass 2^bits.
 /// `bits` must be >= 8.
 BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds = 32);
 

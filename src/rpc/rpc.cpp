@@ -21,7 +21,6 @@ const char* service_name(std::uint16_t service) {
     case kGlobeDocSecurity: return "gd.security";
     case kGlobeDocAdmin: return "gd.admin";
     case kHttpGateway: return "http";
-    case kGlobeDocDynamic: return "gd.dynamic";
     case kTelemetryService: return "telemetry";
   }
   return nullptr;

@@ -48,7 +48,7 @@ enum ServiceId : std::uint16_t {
   kGlobeDocSecurity = 4,  // public key / certificates (paper §3.1.2)
   kGlobeDocAdmin = 5,     // replica management, keystore-ACL'd (paper §2.1.3)
   kHttpGateway = 6,       // baseline static HTTP server
-  kGlobeDocDynamic = 7,   // audited dynamic content (paper §6 extension)
+  // 7 is retired (it was GlobeDocDynamic, which no client called).
   kTelemetryService = 8,  // per-node metrics scrape (obs/telemetry.hpp)
 };
 

@@ -51,19 +51,6 @@ TEST(AesTest, Sp800_38aEcbAes128) {
             "3ad77bb40d7a3660a89ecaf32466ef97");
 }
 
-TEST(AesTest, DecryptInvertsEncrypt) {
-  for (std::size_t key_size : {16u, 24u, 32u}) {
-    auto rng = HmacDrbg::from_seed(key_size);
-    Aes aes(rng.bytes(key_size));
-    Aes::Block pt = to_block(rng.bytes(16));
-    Aes::Block ct, back;
-    aes.encrypt_block(pt, ct);
-    aes.decrypt_block(ct, back);
-    EXPECT_EQ(back, pt) << "key_size=" << key_size;
-    EXPECT_NE(ct, pt);
-  }
-}
-
 TEST(AesTest, RejectsBadKeySize) {
   EXPECT_THROW(Aes(Bytes(15)), std::invalid_argument);
   EXPECT_THROW(Aes(Bytes(0)), std::invalid_argument);

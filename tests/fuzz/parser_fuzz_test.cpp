@@ -8,7 +8,6 @@
 #include "crypto/drbg.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/rsa.hpp"
-#include "globedoc/dynamic.hpp"
 #include "globedoc/identity.hpp"
 #include "globedoc/integrity.hpp"
 #include "globedoc/object.hpp"
@@ -31,7 +30,6 @@ void feed_all_parsers(BytesView data) {
   (void)globedoc::ReplicaState::parse(data);
   (void)globedoc::IntegrityCertificate::parse(data);
   (void)globedoc::IdentityCertificate::parse(data);
-  (void)globedoc::DynamicReceipt::parse(data);
   (void)globedoc::HostingGrant::parse(data);
   (void)globedoc::Oid::from_bytes(data);
   (void)naming::OidRecord::parse(data);
@@ -87,15 +85,6 @@ std::vector<Bytes> valid_encodings() {
 
   globedoc::CertificateAuthority ca("CA", keys);
   out.push_back(ca.issue("Subject Org", oid, util::seconds(99)).serialize());
-
-  globedoc::DynamicReceipt receipt;
-  receipt.oid = oid;
-  receipt.template_name = "t";
-  receipt.query = "q";
-  receipt.response_sha1 = crypto::Sha1::digest_bytes(util::to_bytes("x"));
-  receipt.server_name = "s";
-  receipt.signature = crypto::rsa_sign_sha256(keys.priv, receipt.signed_body());
-  out.push_back(receipt.serialize());
 
   globedoc::HostingGrant grant;
   grant.accepted = true;
@@ -187,8 +176,7 @@ TEST(FuzzSanity, ValidEncodingsActuallyParse) {
   EXPECT_TRUE(globedoc::ReplicaState::parse(corpus[1]).is_ok());
   EXPECT_TRUE(globedoc::IntegrityCertificate::parse(corpus[2]).is_ok());
   EXPECT_TRUE(globedoc::IdentityCertificate::parse(corpus[3]).is_ok());
-  EXPECT_TRUE(globedoc::DynamicReceipt::parse(corpus[4]).is_ok());
-  EXPECT_TRUE(globedoc::HostingGrant::parse(corpus[5]).is_ok());
+  EXPECT_TRUE(globedoc::HostingGrant::parse(corpus[4]).is_ok());
 }
 
 }  // namespace

@@ -89,6 +89,20 @@ TEST_F(RpcFixture, EmptyPayloadAllowed) {
   EXPECT_EQ(util::to_string(*r), "A");
 }
 
+// The ids are wire values: each must match its row in docs/PROTOCOL.md, and a
+// retired id is never reused, so it renders as a bare number.
+TEST(ServiceIdTest, IdsMatchTheProtocolTableAndSevenIsRetired) {
+  EXPECT_EQ(kNamingService, 1);
+  EXPECT_EQ(kLocationService, 2);
+  EXPECT_EQ(kGlobeDocAccess, 3);
+  EXPECT_EQ(kGlobeDocSecurity, 4);
+  EXPECT_EQ(kGlobeDocAdmin, 5);
+  EXPECT_EQ(kHttpGateway, 6);
+  EXPECT_EQ(kTelemetryService, 8);
+  EXPECT_EQ(rpc_span_name(kTelemetryService, 1), "rpc:telemetry/1");
+  EXPECT_EQ(rpc_span_name(7, 1), "rpc:7/1");
+}
+
 // --- Distributed trace propagation over the request framing ----------------
 
 struct TracedRpcFixture : RpcFixture {

@@ -81,6 +81,14 @@ Documents"):
                  two tools can never disagree about what counts as a bounded
                  member.
 
+  orphan-module  Every header under src/ must be #included by some file
+                 under src/, bench/ or examples/ other than its own .cpp.
+                 Tests and fuzz harnesses are not callers: a module that
+                 only its tests reach runs in no proxy or server path, no
+                 benchmark and no example, so it is code to maintain that
+                 no workload exercises.  Give it a caller or delete it
+                 together with its tests.
+
 Exit status: 0 when clean, 1 when any violation is found, 2 on usage errors.
 Run `tools/lint.py --self-test` to verify every check still fires on seeded
 violations.
@@ -90,6 +98,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import posixpath
 import re
 import sys
 
@@ -153,10 +162,8 @@ RAW_CRYPTO_ALLOWED = {
     "src/globedoc/element.cpp",        # element digests for cert entries
     "src/globedoc/integrity.cpp",      # integrity-certificate sign/verify
     "src/globedoc/identity.cpp",       # CA identity-certificate sign/verify
-    "src/globedoc/dynamic.cpp",        # dynamic receipts sign/verify
     "src/globedoc/object.cpp",         # object key generation
     "src/globedoc/server.cpp",         # admin challenge/response signatures
-    "src/globedoc/importer.cpp",       # import-manifest digest gate (§9)
     "src/naming/service.cpp",          # zone record signing
     "src/naming/resolver.cpp",         # zone record validation
     "src/http/secure_channel.cpp",     # TLS-like handshake + record crypto
@@ -234,6 +241,17 @@ STAGE_CONST_RE = re.compile(r'\bk\w+\s*=\s*"([^"]+)"')
 # The field name is unique to SloSpec in this tree.
 SLO_METRIC_RE = re.compile(r'\.\s*metric\s*=\s*"([^"]+)"')
 SLO_SCAN_DIRS = ("src", "bench", "examples")
+
+# ---------------------------------------------------------------------------
+# orphan-module: every src/ header is included outside its own .cpp and the
+# tests.
+# ---------------------------------------------------------------------------
+
+# A quoted include at the start of a line; includes name paths under src/
+# (`#include "globedoc/proxy.hpp"`) or, failing that, beside the includer.
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
+CALLER_DIRS = ("src/", "bench/", "examples/")
+HEADER_SUFFIXES = {".hpp", ".h"}
 
 COMMENT_RE = re.compile(r"^\s*(//|\*|/\*)")
 
@@ -463,6 +481,38 @@ def check_slo_catalog(violations: list[str]) -> None:
                     )
 
 
+def include_target(includer: str, name: str, headers: set[str]) -> str | None:
+    """The src/ header that `#include "name"` in `includer` reaches: the
+    one beside the includer, else the one under src/."""
+    beside = posixpath.normpath(posixpath.join(posixpath.dirname(includer), name))
+    for candidate in (beside, "src/" + name):
+        if candidate in headers:
+            return candidate
+    return None
+
+
+def check_orphan_modules(violations: list[str]) -> None:
+    """Every src/ header needs an include from src/, bench/ or examples/
+    other than its own .cpp."""
+    sources = [relpath(p) for p in iter_sources()]
+    headers = {rel for rel in sources
+               if rel.startswith("src/") and posixpath.splitext(rel)[1] in HEADER_SUFFIXES}
+    called: set[str] = set()
+    for rel in sources:
+        if not rel.startswith(CALLER_DIRS):
+            continue
+        text = (REPO / rel).read_text(encoding="utf-8", errors="replace")
+        for name in INCLUDE_RE.findall(text):
+            header = include_target(rel, name, headers)
+            if header and rel != posixpath.splitext(header)[0] + ".cpp":
+                called.add(header)
+    for header in sorted(headers - called):
+        violations.append(
+            f"{header}: [orphan-module] no file under src/, bench/ or "
+            "examples/ includes this header (its own .cpp and tests do not "
+            "count) — give it a caller or delete the module and its tests")
+
+
 LOCK_HIERARCHY = "tools/lock_hierarchy.txt"
 CAPACITY_BOUNDS = "tools/capacity_bounds.txt"
 
@@ -541,6 +591,7 @@ def run_lint() -> int:
     check_slo_catalog(violations)
     check_lock_hierarchy(violations)
     check_capacity_registry(violations)
+    check_orphan_modules(violations)
     for v in violations:
         print(v)
     if violations:
@@ -856,11 +907,81 @@ SELF_TEST_CASES = [
     ),
 ]
 
+# orphan-module cases need a header and its includers, so each one is a
+# whole tree: (name, {path: text}, expected-tag or None).  The single-file
+# cases above run without this check, since their seeded headers have no
+# includers.
+ORPHAN_SELF_TEST_CASES = [
+    (
+        "header only its own .cpp includes fires",
+        {"src/globedoc/orphan.hpp": "struct Orphan {};\n",
+         "src/globedoc/orphan.cpp": '#include "globedoc/orphan.hpp"\n'},
+        "orphan-module",
+    ),
+    (
+        "header only a test includes fires",
+        {"src/globedoc/orphan.hpp": "struct Orphan {};\n",
+         "tests/globedoc/orphan_test.cpp": '#include "globedoc/orphan.hpp"\n'},
+        "orphan-module",
+    ),
+    (
+        "commented-out include fires",
+        {"src/globedoc/orphan.hpp": "struct Orphan {};\n",
+         "examples/demo.cpp": '// #include "globedoc/orphan.hpp"\n'},
+        "orphan-module",
+    ),
+    (
+        "header a bench includes clean",
+        {"src/globedoc/verify.hpp": "struct Verify {};\n",
+         "src/globedoc/verify.cpp": '#include "globedoc/verify.hpp"\n',
+         "bench/bench_verify.cpp": '#include "globedoc/verify.hpp"\n'},
+        None,
+    ),
+    (
+        "header another src file includes clean",
+        {"src/util/bytes.hpp": "struct Bytes {};\n",
+         "src/crypto/sha1.cpp": '#include "util/bytes.hpp"\n'},
+        None,
+    ),
+    (
+        "include beside the includer clean",
+        {"src/crypto/sha_compress.hpp": "void compress();\n",
+         "src/crypto/sha1.cpp": '#  include "sha_compress.hpp"\n'},
+        None,
+    ),
+]
+
+
+def run_orphan_self_test() -> int:
+    import tempfile
+
+    global REPO
+    failures = 0
+    for name, files, expected in ORPHAN_SELF_TEST_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            for rel, text in files.items():
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text(text)
+            violations: list[str] = []
+            saved_repo = REPO
+            try:
+                REPO = root
+                check_orphan_modules(violations)
+            finally:
+                REPO = saved_repo
+            ok = (not violations if expected is None
+                  else any(f"[{expected}]" in v for v in violations))
+            print(f"  {'PASS' if ok else 'FAIL'}: {name}"
+                  + ("" if ok else f" (got {violations or 'nothing'})"))
+            failures += 0 if ok else 1
+    return failures
+
 
 def run_self_test() -> int:
     import tempfile
 
-    failures = 0
+    failures = run_orphan_self_test()
     for name, rel, snippet, expected in SELF_TEST_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             root = pathlib.Path(tmp)
@@ -949,7 +1070,8 @@ def run_self_test() -> int:
     if failures:
         print(f"tools/lint.py --self-test: {failures} case(s) FAILED.")
         return 1
-    print(f"tools/lint.py --self-test: all {len(SELF_TEST_CASES)} cases passed.")
+    total = len(SELF_TEST_CASES) + len(ORPHAN_SELF_TEST_CASES)
+    print(f"tools/lint.py --self-test: all {total} cases passed.")
     return 0
 
 

@@ -5,9 +5,9 @@ Proves the paper's §3 dataflow invariant over the whole call graph: bytes
 obtained from an untrusted source (RPC replies, location records, naming
 records, plain-HTTP bodies, wire payloads) must pass a verification entry
 point (a GLOBE_SANITIZER) before they reach a trusted sink (element-cache
-insert, client response, replica-state install, importer store, contact
-dial).  Sources, sanitizers and sinks are declared in the source itself via
-the macros in src/util/taint_annotations.hpp.
+insert, client response, replica-state install, contact dial).  Sources,
+sanitizers and sinks are declared in the source itself via the macros in
+src/util/taint_annotations.hpp.
 
 This file is a thin command-line shim over the taint pass of the analyzer
 package in tools/analysis/, which holds the lexer, both frontends (libclang
