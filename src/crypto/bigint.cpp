@@ -1,7 +1,10 @@
 #include "crypto/bigint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace globe::crypto {
 
@@ -393,94 +396,123 @@ std::size_t window_bits(std::size_t bits) {
   return bits > 671 ? 6 : bits > 239 ? 5 : bits > 79 ? 4 : bits > 23 ? 3 : 1;
 }
 
-/// Montgomery arithmetic modulo an odd n-limb m, R = 2^(64n), over storage
-/// the caller owns.  N is the limb count when it is known at compile time
-/// (8: the 512-bit Miller–Rabin and CRT moduli of RSA-1024) and 0 when only
-/// the run time knows it; both instantiations are this one source.
+/// The column sum of product scanning, three limbs wide: a column adds at
+/// most 2n + 1 products, each below 2^128, to the carry from the column
+/// below, so for any n below 2^60 the sum fits.
+struct Accumulator {
+  u128 low = 0;  // limbs 0 and 1
+  u64 high = 0;  // limb 2
+
+  void add(u64 x, u64 y) {
+    const u128 p = u128{x} * y;
+    low += p;
+    high += low < p;
+  }
+
+  /// Adds 2·c.
+  void add_twice(const Accumulator& c) {
+    const u128 twice = c.low << 1;
+    high += c.high << 1 | static_cast<u64>(c.low >> 127);
+    low += twice;
+    high += low < twice;
+  }
+
+  /// Returns limb 0 and moves the rest down one limb: the carry into the
+  /// next column.
+  u64 shift() {
+    const u64 limb = static_cast<u64>(low);
+    low = low >> 64 | u128{high} << 64;
+    high = 0;
+    return limb;
+  }
+};
+
+/// Calls column(k) for k = 0 .. count − 1.  When the count is known at
+/// compile time (Count != 0), each call receives k as a constant, so the
+/// loops inside every column unroll fully.
+template <std::size_t Count, class F>
+void for_each_column(std::size_t count, F column) {
+  if constexpr (Count != 0) {
+    [&]<std::size_t... K>(std::index_sequence<K...>) {
+      (column(std::integral_constant<std::size_t, K>{}), ...);
+    }(std::make_index_sequence<Count>{});
+  } else {
+    for (std::size_t k = 0; k < count; ++k) column(k);
+  }
+}
+
+/// Montgomery arithmetic modulo an odd n-limb m, R = 2^(64n), by product
+/// scanning (Koç, Acar and Kaliski's FIPS method).  Column k of the 2n-limb
+/// sum a·b + u·m gathers every a[j]·b[k−j] and u[j]·m[k−j] in one
+/// accumulator; each of the n low columns picks its quotient digit u[k] so
+/// that the column's low limb cancels, and the n high columns are the
+/// result r = (a·b + u·m) / R < 2m.  N is the limb count when it is known at
+/// compile time (8: the 512-bit Miller–Rabin and CRT moduli of RSA-1024),
+/// with u and r on the stack and every column unrolled, and 0 when only the
+/// run time knows it, with u and r in the caller's storage; both
+/// instantiations are this one source.
 template <std::size_t N>
 struct Montgomery {
   const u64* m;
   std::size_t limbs;  // n, equal to N when N != 0
   u64 m0inv;          // −m⁻¹ mod 2^64
-  u64* t;             // 2n + 2 limbs
+  u64* t;             // 2n limbs for u and r when N == 0
 
   std::size_t size() const { return N != 0 ? N : limbs; }
 
-  /// out = a·b·R⁻¹ mod m (CIOS) for a, b < m; out may alias a or b.
-  void mul(const u64* a, const u64* b, u64* out) const {
+  /// out = a·b·R⁻¹ mod m for a, b < m; out may alias a or b.  mul and sqr
+  /// stay out of line: unrolled for 8 limbs, each body is kilobytes of code,
+  /// and inlined into window_pow's call sites it ran slower.
+  [[gnu::noinline]] void mul(const u64* a, const u64* b, u64* out) const {
     const std::size_t n = size();
-    std::fill(t, t + n + 2, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      // t += a · b[i]
-      u64 carry = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        u128 cur = u128{a[j]} * b[i] + t[j] + carry;
-        t[j] = static_cast<u64>(cur);
-        carry = static_cast<u64>(cur >> 64);
+    std::array<u64, 2 * N> local{};
+    u64* const u = N != 0 ? local.data() : t;
+    u64* const r = u + n;
+    Accumulator acc;
+    for_each_column<2 * N>(2 * n, [&](auto column) {
+      const std::size_t k = column;
+      for (std::size_t j = k < n ? 0 : k - n + 1; j < k && j < n; ++j) {
+        acc.add(a[j], b[k - j]);
+        acc.add(u[j], m[k - j]);
       }
-      u128 top = u128{t[n]} + carry;
-      t[n] = static_cast<u64>(top);
-      t[n + 1] = static_cast<u64>(top >> 64);
-      // t = (t + mu·m) / 2^64, mu chosen so the low limb cancels
-      u64 mu = t[0] * m0inv;
-      carry = static_cast<u64>((u128{mu} * m[0] + t[0]) >> 64);
-      for (std::size_t j = 1; j < n; ++j) {
-        u128 cur = u128{mu} * m[j] + t[j] + carry;
-        t[j - 1] = static_cast<u64>(cur);
-        carry = static_cast<u64>(cur >> 64);
+      if (k < n) {
+        acc.add(a[k], b[0]);
+        u[k] = static_cast<u64>(acc.low) * m0inv;
+        acc.add(u[k], m[0]);
+        acc.shift();
+      } else {
+        r[k - n] = acc.shift();
       }
-      top = u128{t[n]} + carry;
-      t[n - 1] = static_cast<u64>(top);
-      t[n] = t[n + 1] + static_cast<u64>(top >> 64);
-    }
-    subtract_if_ge(t, t[n], out);
+    });
+    subtract_if_ge(r, static_cast<u64>(acc.low), out);
   }
 
-  /// out = a·a·R⁻¹ mod m for a < m; out may alias a.  Each cross product
-  /// a[i]·a[j], i < j, is computed once and doubled, the squares a[i]² are
-  /// added on the diagonal, and the 2n-limb square is reduced in one pass.
-  void sqr(const u64* a, u64* out) const {
+  /// out = a·a·R⁻¹ mod m for a < m; out may alias a.  Each column sums its
+  /// cross products a[j]·a[k−j], j < k − j, once and adds them twice, then
+  /// its square a[k/2]² and its u[j]·m[k−j].
+  [[gnu::noinline]] void sqr(const u64* a, u64* out) const {
     const std::size_t n = size();
-    std::fill(t, t + 2 * n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      u64 carry = 0;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        u128 cur = u128{a[i]} * a[j] + t[i + j] + carry;
-        t[i + j] = static_cast<u64>(cur);
-        carry = static_cast<u64>(cur >> 64);
+    std::array<u64, 2 * N> local{};
+    u64* const u = N != 0 ? local.data() : t;
+    u64* const r = u + n;
+    Accumulator acc;
+    for_each_column<2 * N>(2 * n, [&](auto column) {
+      const std::size_t k = column;
+      const std::size_t first = k < n ? 0 : k - n + 1;
+      Accumulator cross;
+      for (std::size_t j = first; j < k - j; ++j) cross.add(a[j], a[k - j]);
+      acc.add_twice(cross);
+      if (k % 2 == 0 && k / 2 < n) acc.add(a[k / 2], a[k / 2]);
+      for (std::size_t j = first; j < k && j < n; ++j) acc.add(u[j], m[k - j]);
+      if (k < n) {
+        u[k] = static_cast<u64>(acc.low) * m0inv;
+        acc.add(u[k], m[0]);
+        acc.shift();
+      } else {
+        r[k - n] = acc.shift();
       }
-      t[i + n] = carry;
-    }
-    // t = 2·t + Σ a[i]²·2^(128i).  The result is a² < 2^(128n), so nothing
-    // carries out of limb 2n − 1.
-    u64 shifted_out = 0, carry = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      u128 square = u128{a[i]} * a[i];
-      u64 lo = t[2 * i], hi = t[2 * i + 1];
-      u128 sum = u128{lo << 1 | shifted_out} + static_cast<u64>(square) + carry;
-      t[2 * i] = static_cast<u64>(sum);
-      sum = u128{hi << 1 | lo >> 63} + static_cast<u64>(square >> 64) +
-            static_cast<u64>(sum >> 64);
-      t[2 * i + 1] = static_cast<u64>(sum);
-      carry = static_cast<u64>(sum >> 64);
-      shifted_out = hi >> 63;
-    }
-    // Reduce: for each limb i add mu·m·2^(64i), mu chosen to clear limb i.
-    // Then t is a multiple of R, and t / R = t[n..2n) + top·R is below 2m.
-    u64 top = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      u64 mu = t[i] * m0inv;
-      u64 c = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        u128 cur = u128{mu} * m[j] + t[i + j] + c;
-        t[i + j] = static_cast<u64>(cur);
-        c = static_cast<u64>(cur >> 64);
-      }
-      u128 cur = u128{t[i + n]} + c + top;
-      t[i + n] = static_cast<u64>(cur);
-      top = static_cast<u64>(cur >> 64);
-    }
-    subtract_if_ge(t + n, top, out);
+    });
+    subtract_if_ge(r, static_cast<u64>(acc.low), out);
   }
 
   /// out = x − m if x (n limbs plus the limb `top` above them) is at least
@@ -556,14 +588,14 @@ BigInt BigInt::mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
   const std::size_t w = window_bits(exp.bit_length());
   const std::size_t entries = (std::size_t{1} << w) - 1;
 
-  // The one allocation: modulus, Montgomery temporary, window table,
-  // accumulator, and the dividend and divisor that bring the base into
-  // Montgomery form.
+  // The one allocation: modulus, the run-time kernel's u and result, window
+  // table, accumulator, and the dividend and divisor that bring the base
+  // into Montgomery form.
   const std::size_t num_len = n + base_n + 1;
-  std::vector<u64> scratch(n + (2 * n + 2) + entries * n + n + num_len + n);
+  std::vector<u64> scratch(n + 2 * n + entries * n + n + num_len + n);
   u64* mod = scratch.data();
   u64* t = mod + n;
-  u64* table = t + 2 * n + 2;  // table[(d − 1)·n ..] = base^d·R mod m
+  u64* table = t + 2 * n;  // table[(d − 1)·n ..] = base^d·R mod m
   u64* acc = table + entries * n;
   u64* num = acc + n;
   u64* div = num + num_len;

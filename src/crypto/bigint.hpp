@@ -10,14 +10,24 @@
 // Montgomery arithmetic over fixed exponent windows: one bit up to 23-bit
 // exponents, so e = 65537 builds no table, then 3 to 6 bits as the exponent
 // grows (5 for the 512-bit CRT and Miller–Rabin exponents of RSA-1024).
-// Multiplies are CIOS; every squaring (the window loop's and the table's
-// base²) is a dedicated Montgomery squaring that computes each cross product
-// once, doubles the sum and reduces once.  The arithmetic is one template
-// on the limb count, instantiated for the 8-limb (512-bit) moduli of
-// RSA-1024 keygen and CRT, and for any other size at run time.  It
-// allocates one scratch buffer per call, sized from the modulus, the base
-// and the window: modulus, window table, accumulator, Montgomery temporary,
-// and the long division that brings the base into Montgomery form.
+//
+// The Montgomery multiply and squaring scan products by column (Koç, Acar
+// and Kaliski's FIPS method): column k of a·b + u·m adds every a[j]·b[k−j]
+// and u[j]·m[k−j] into one three-limb accumulator, so the products of a
+// column are independent and only the accumulator's additions chain.  Each
+// of the n low columns picks the quotient digit u[k] that cancels its low
+// limb; the n high columns are the result, with one conditional
+// subtraction of m at the end.  The squaring sums each column's cross
+// products once and adds them twice.  The arithmetic is one template on the
+// limb count.  The 8-limb (512-bit) instantiation serves RSA-1024 keygen
+// and CRT, nearly all of this code's time: its columns unroll fully with u
+// and the result on the stack, and its multiply and squaring stay out of
+// line, since inlining kilobytes of unrolled code into the window loop ran
+// slower.  Any other size runs the same source with loops at run time.
+// mod_pow allocates one scratch buffer per call, sized from the modulus, the
+// base and the window: modulus, window table, accumulator, the run-time
+// kernel's u and result, and the long division that brings the base into
+// Montgomery form.
 #pragma once
 
 #include <cstdint>

@@ -96,8 +96,15 @@ Result<RsaPublicKey> RsaPublicKey::parse(BytesView data) {
     }
     key.n = BigInt::from_bytes(n_bytes);
     key.e = BigInt::from_bytes(e_bytes);
-    if (key.n.is_zero() || key.e.is_zero()) {
-      return Result<RsaPublicKey>(ErrorCode::kProtocol, "RSA key with zero component");
+    if (key.n.is_even()) {
+      return Result<RsaPublicKey>(ErrorCode::kProtocol, "RSA modulus is even");
+    }
+    if (key.e.is_even() || key.e < BigInt(3) ||
+        key.e.bit_length() > kMaxRsaExponentBits) {
+      return Result<RsaPublicKey>(
+          ErrorCode::kProtocol,
+          "RSA exponent must be odd, at least 3 and at most " +
+              std::to_string(kMaxRsaExponentBits) + " bits");
     }
     return key;
   } catch (const util::SerialError& e) {

@@ -18,9 +18,16 @@
 namespace globe::crypto {
 
 /// Hard ceiling on an RSA modulus decoded off the wire: 8192 bits.  parse()
-/// rejects anything larger as a protocol error, so a peer cannot make the
-/// verifier allocate or exponentiate against an absurd modulus.
+/// rejects anything larger as a protocol error, which caps what a peer's key
+/// makes the verifier allocate.  It does not cap the verifier's work: with an
+/// 8192-bit modulus, an 8192-bit exponent costs ~360 times what e = 65537
+/// does, so the exponent has its own bound, kMaxRsaExponentBits.
 inline constexpr std::size_t kMaxRsaModulusBytes = 1024;
+
+/// Widest public exponent parse() accepts (BoringSSL's cap).  Verifying
+/// squares once per exponent bit, so the exponent's width is a cost the
+/// key's owner picks; every key rsa_generate makes uses e = 65537.
+inline constexpr std::size_t kMaxRsaExponentBits = 33;
 
 struct RsaPublicKey {
   BigInt n;  // modulus
@@ -35,6 +42,9 @@ struct RsaPublicKey {
 
   /// Canonical wire encoding: len-prefixed big-endian n, then e.
   util::Bytes serialize() const;
+  /// Decodes a key and rejects, as kProtocol, a modulus that is even or
+  /// wider than kMaxRsaModulusBytes, and an exponent that is even, below 3
+  /// or wider than kMaxRsaExponentBits.
   static util::Result<RsaPublicKey> parse(util::BytesView data);
 
   friend bool operator==(const RsaPublicKey& a, const RsaPublicKey& b) {

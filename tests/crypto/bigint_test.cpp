@@ -257,6 +257,12 @@ TEST(BigIntTest, ModPowMatchesNaiveAtRsaSizes) {
     if (random_m.is_even()) random_m = random_m + BigInt(1);
     std::vector<BigInt> moduli = {random_m};
     if (mod_bits % 64 == 0) moduli.push_back(all_ones(mod_bits));
+    if (mod_bits == 512) {
+      // The 8-limb kernel's sparse and near-all-ones shapes: 2^511 + 1 and
+      // 2^512 − 2^64 + 1.
+      moduli.push_back((BigInt(1) << 511) + BigInt(1));
+      moduli.push_back((BigInt(1) << 512) - (BigInt(1) << 64) + BigInt(1));
+    }
     std::vector<BigInt> exps = {BigInt(1), BigInt(2), BigInt(3), BigInt(65537)};
     for (std::size_t step : kWindowSteps) {
       for (std::size_t bits : {step - 1, step, step + 1}) {

@@ -221,6 +221,8 @@ TEST(RsaTest, EveryKeyHasExactBitsAndSigns) {
       EXPECT_GE(kp.priv.q, floor) << "seed=" << seed;
       EXPECT_TRUE(rsa_verify_sha256(kp.pub, msg, rsa_sign_sha256(kp.priv, msg)))
           << "seed=" << seed;
+      auto parsed = RsaPublicKey::parse(kp.pub.serialize());
+      EXPECT_TRUE(parsed.is_ok() && *parsed == kp.pub) << "seed=" << seed;
     }
   }
 }
@@ -243,12 +245,36 @@ TEST(RsaParseTest, RejectsOversizedModulus) {
   // A wire key claiming a modulus beyond kMaxRsaModulusBytes (8192 bits)
   // is a protocol error before BigInt::from_bytes materializes it; every
   // downstream modulus_bytes()-sized buffer stays capped by construction.
-  util::Writer w;
-  w.bytes(Bytes(kMaxRsaModulusBytes + 1, 0xFF));  // n
-  w.bytes(Bytes{0x01, 0x00, 0x01});               // e
-  auto key = RsaPublicKey::parse(w.take());
-  EXPECT_FALSE(key.is_ok());
-  EXPECT_EQ(key.code(), util::ErrorCode::kProtocol);
+  // So is a key no verifier should exponentiate with: an even modulus, or
+  // an exponent that is even, 1, or wider than kMaxRsaExponentBits, whose
+  // width a peer would otherwise choose as the verifier's cost.
+  auto wire = [](const Bytes& n, const Bytes& e) {
+    util::Writer w;
+    w.bytes(n);
+    w.bytes(e);
+    return w.take();
+  };
+  const Bytes n = test_key().pub.n.to_bytes();
+  const Bytes even_n = (test_key().pub.n - BigInt(1)).to_bytes();
+  const Bytes e_max = ((BigInt(1) << kMaxRsaExponentBits) - BigInt(1)).to_bytes();
+  const Bytes rejected[] = {
+      wire(Bytes(kMaxRsaModulusBytes + 1, 0xFF), {0x01, 0x00, 0x01}),
+      wire(even_n, {0x01, 0x00, 0x01}),
+      wire(Bytes{}, {0x01, 0x00, 0x01}),
+      wire(n, {0x01, 0x00, 0x00}),
+      wire(n, {0x01}),
+      wire(n, Bytes{}),
+      wire(n, ((BigInt(1) << kMaxRsaExponentBits) + BigInt(1)).to_bytes()),
+      wire(n, Bytes(kMaxRsaModulusBytes, 0xFF)),
+  };
+  for (std::size_t i = 0; i < std::size(rejected); ++i) {
+    auto key = RsaPublicKey::parse(rejected[i]);
+    EXPECT_FALSE(key.is_ok()) << "input " << i;
+    EXPECT_EQ(key.code(), util::ErrorCode::kProtocol) << "input " << i;
+  }
+  // The bounds themselves parse: e = 3 and a full 33-bit exponent.
+  EXPECT_TRUE(RsaPublicKey::parse(wire(n, {0x03})).is_ok());
+  EXPECT_TRUE(RsaPublicKey::parse(wire(n, e_max)).is_ok());
 }
 }  // namespace
 }  // namespace globe::crypto
