@@ -1,13 +1,17 @@
 // Ablation A5 — real wall-clock microbenchmarks of the from-scratch crypto
 // substrate (google-benchmark).  These are the 2026 numbers; the simulated
-// figures use the era CpuModel instead (see DESIGN.md §2).  The context line
-// `sha_compress` names the SHA compression path this CPU took.
+// figures use the era CpuModel instead (see DESIGN.md §2).  The context lines
+// `sha_compress` and `mod_pow_lanes` name the SHA compression path and the
+// lane kernel this CPU took.
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "crypto/aes.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/merkle.hpp"
+#include "crypto/mod_pow_lanes.hpp"
 #include "crypto/prime.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha1.hpp"
@@ -149,14 +153,37 @@ BENCHMARK(BM_ModPow512);
 void BM_ModPow1024(benchmark::State& state) { mod_pow_case(state, 1024); }
 BENCHMARK(BM_ModPow1024);
 
-void BM_MillerRabin256(benchmark::State& state) {
-  auto rng = crypto::HmacDrbg::from_seed(3);
-  crypto::BigInt prime = crypto::generate_prime(256, rng);
+// Eight BM_ModPow512 cases, each with its own modulus, base and exponent, in
+// one pass of the lane kernel: side by side on the IFMA kernel, one after
+// another on the portable one.
+void BM_ModPow512Lanes(benchmark::State& state) {
+  auto rng = crypto::HmacDrbg::from_seed(2);
+  std::array<crypto::BigInt, crypto::kMaxLanes> base, exp, mod, out;
+  std::array<crypto::PowLane, crypto::kMaxLanes> lanes;
+  for (std::size_t i = 0; i < crypto::kMaxLanes; ++i) {
+    base[i] = crypto::BigInt::random_bits(512, rng);
+    exp[i] = crypto::BigInt::random_bits(512, rng);
+    mod[i] = crypto::BigInt::random_bits(512, rng);
+    if (mod[i].is_even()) mod[i] = mod[i] + crypto::BigInt(1);
+    lanes[i] = {&base[i], &exp[i], &mod[i]};
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::is_probable_prime(prime, rng, 8));
+    crypto::mod_pow_lanes(512).pass(lanes.data(), lanes.size(), out.data());
+    benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_MillerRabin256);
+BENCHMARK(BM_ModPow512Lanes);
+
+// What keygen runs on each probable prime: 32 random-base rounds, in passes
+// of the lane kernel.
+void BM_MillerRabin512(benchmark::State& state) {
+  auto rng = crypto::HmacDrbg::from_seed(3);
+  crypto::BigInt prime = crypto::generate_prime(512, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::is_probable_prime(prime, rng, 32));
+  }
+}
+BENCHMARK(BM_MillerRabin512);
 
 void BM_MerkleBuild(benchmark::State& state) {
   std::vector<util::Bytes> leaves;
@@ -201,6 +228,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("sha_compress", globe::crypto::detail::compress_path());
+  benchmark::AddCustomContext("mod_pow_lanes", globe::crypto::mod_pow_lanes(512).name);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

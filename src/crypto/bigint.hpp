@@ -10,6 +10,10 @@
 // Montgomery arithmetic over fixed exponent windows: one bit up to 23-bit
 // exponents, so e = 65537 builds no table, then 3 to 6 bits as the exponent
 // grows (5 for the 512-bit CRT and Miller–Rabin exponents of RSA-1024).
+// Independent exponentiations can also run eight to a pass through the lane
+// kernel (crypto/mod_pow_lanes.hpp), whose portable form calls mod_pow and
+// whose AVX-512 IFMA form computes the same values side by side; keygen's
+// Miller–Rabin rounds take that path.
 //
 // The Montgomery multiply and squaring scan products by column (Koç, Acar
 // and Kaliski's FIPS method): column k of a·b + u·m adds every a[j]·b[k−j]
@@ -19,8 +23,8 @@
 // limb; the n high columns are the result, with one conditional
 // subtraction of m at the end.  The squaring sums each column's cross
 // products once and adds them twice.  The arithmetic is one template on the
-// limb count.  The 8-limb (512-bit) instantiation serves RSA-1024 keygen
-// and CRT, nearly all of this code's time: its columns unroll fully with u
+// limb count.  The 8-limb (512-bit) instantiation serves RSA-1024 CRT
+// signing, and keygen on CPUs without IFMA: its columns unroll fully with u
 // and the result on the stack, and its multiply and squaring stay out of
 // line, since inlining kilobytes of unrolled code into the window loop ran
 // slower.  Any other size runs the same source with loops at run time.

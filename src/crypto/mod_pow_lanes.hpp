@@ -1,0 +1,75 @@
+// Internal to src/crypto: the lane kernel, up to eight independent modular
+// exponentiations per pass, each with its own odd modulus, its own base and
+// its own exponent.
+//
+// Miller–Rabin spends nearly all of RSA-1024 keygen in 512-bit
+// exponentiations that do not depend on each other: one per sieve survivor,
+// then 32 per probable prime.  The AVX-512 IFMA kernel runs eight of them
+// side by side, one per 64-bit lane of each register (the multi-buffer layout
+// of OpenSSL's rsaz_avx512 and of Drucker and Gueron, "Fast modular squaring
+// with AVX512IFMA", 2018): a value is ten 52-bit limbs, limb j of all eight
+// lanes in register j, and each lane runs its own almost-Montgomery
+// arithmetic with R = 2^520 over fixed 5-bit windows, its window digits
+// gathered per lane from a 32-entry table (20 KB on the pass's stack).  As
+// 4m < R, products of values below 2m stay below 2m with no conditional
+// subtraction; only the result leaves Montgomery form and is reduced, and
+// moduli wider than 512 bits do not fit.  The portable kernel runs
+// BigInt::mod_pow on one lane after another, on moduli of any width.
+//
+// mod_pow_lanes() picks the kernel for a modulus width, from CPUID and
+// XGETBV, as the SHA hashes pick SHA-NI; there is no option to pick another.
+// The kernels are named here so that tests can run both on one CPU and pass
+// the prime search a kernel of another width.
+#pragma once
+
+#include <cstddef>
+
+#include "crypto/bigint.hpp"
+
+namespace globe::crypto {
+
+/// Most lanes one pass of any kernel takes.
+inline constexpr std::size_t kMaxLanes = 8;
+
+/// One exponentiation of a pass: base^exp mod mod.  The modulus must be odd
+/// and at most the kernel's max_bits wide; the base and the exponent may be
+/// any size.
+struct PowLane {
+  const BigInt* base;
+  const BigInt* exp;
+  const BigInt* mod;
+};
+
+struct LaneKernel {
+  const char* name;      // "avx512-ifma" or "portable"
+  std::size_t width;     // lanes one pass runs side by side
+  std::size_t max_bits;  // widest modulus a lane may take
+  /// out[i] = lanes[i].base ^ lanes[i].exp mod lanes[i].mod for i < count;
+  /// out must not alias any lane's values.  count may be anything up to
+  /// kMaxLanes; a kernel narrower than count runs the lanes in turn.
+  /// Throws std::invalid_argument on a modulus that is even or wider than
+  /// max_bits, or on count > kMaxLanes.
+  void (*pass)(const PowLane* lanes, std::size_t count, BigInt* out);
+};
+
+/// The kernel this process runs on moduli of at most `mod_bits` bits: the
+/// IFMA kernel (width 8, at most 512 bits) where CPUID and XGETBV report
+/// AVX-512F, AVX-512 IFMA and OS-saved ZMM state, else the portable one
+/// (width 1, any width).
+const LaneKernel& mod_pow_lanes(std::size_t mod_bits);
+
+namespace detail {
+
+extern const LaneKernel kPortableLanes;
+
+#if defined(__x86_64__)
+/// True when the IFMA kernel may run here.  Calling kIfmaLanes.pass on any
+/// other CPU raises an illegal-instruction fault.
+bool cpu_has_ifma();
+
+extern const LaneKernel kIfmaLanes;
+#endif
+
+}  // namespace detail
+
+}  // namespace globe::crypto

@@ -1,7 +1,13 @@
 #include "crypto/prime.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "crypto/mod_pow_lanes.hpp"
 
 namespace globe::crypto {
 
@@ -20,6 +26,11 @@ constexpr std::uint32_t kSmallPrimes[] = {
 constexpr std::uint32_t kSieveBound = 1u << 16;
 constexpr std::size_t kWindow = 1024;
 static_assert(kSieveBound <= 1u << 16, "SievePrime and residue() need p < 2^16");
+
+// Starts one generate_prime call may draw.  Only broken arithmetic uses them
+// up: a window of 512-bit odd numbers holds ~5.8 primes, and at 8 bits, the
+// narrowest, 2 of the 32 odd starts have no prime above them.
+constexpr int kMaxStarts = 64;
 
 // Sieve of Eratosthenes over [0, kSieveBound): true where i is not prime.
 constexpr std::array<bool, kSieveBound> not_prime_below_bound() {
@@ -70,32 +81,57 @@ std::uint64_t residue(const std::vector<std::uint32_t>& limbs, const SievePrime&
   return rem;
 }
 
-// `rounds` Miller–Rabin rounds with random bases, for odd n > 3.
-bool miller_rabin(const BigInt& n, util::RandomSource& rng, int rounds) {
-  // n - 1 = d * 2^r with d odd.
-  BigInt n_minus_1 = n - BigInt(1);
-  BigInt d = n_minus_1;
+// Odd n > 3 split as n − 1 = d·2^r with d odd: what a Miller–Rabin round
+// of n needs.
+struct Candidate {
+  BigInt n, n_minus_1, n_minus_3, d;
   std::size_t r = 0;
-  while (d.is_even()) {
-    d = d >> 1;
-    ++r;
+
+  explicit Candidate(BigInt value)
+      : n(std::move(value)), n_minus_1(n - BigInt(1)), n_minus_3(n - BigInt(3)), d(n_minus_1) {
+    while (d.is_even()) {
+      d = d >> 1;
+      ++r;
+    }
   }
-  BigInt two(2);
-  BigInt n_minus_3 = n - BigInt(3);
-  for (int round = 0; round < rounds; ++round) {
-    // Base a uniform in [2, n-2].
-    BigInt a = BigInt::random_below(n_minus_3, rng) + two;
-    BigInt x = BigInt::mod_pow(a, d, n);
-    if (x == BigInt(1) || x == n_minus_1) continue;
-    bool witness = true;
+
+  /// A round's base, uniform in [2, n − 2].
+  BigInt draw_base(util::RandomSource& rng) const {
+    return BigInt::random_below(n_minus_3, rng) + BigInt(2);
+  }
+
+  /// False when x = a^d mod n shows a to be a witness, which proves n
+  /// composite: x is neither 1 nor n − 1, and squaring it r − 1 times never
+  /// reaches n − 1.
+  bool round_passes(BigInt x) const {
+    if (x == BigInt(1) || x == n_minus_1) return true;
     for (std::size_t i = 1; i < r; ++i) {
       x = (x * x) % n;
-      if (x == n_minus_1) {
-        witness = false;
-        break;
-      }
+      if (x == n_minus_1) return true;
     }
-    if (witness) return false;
+    return false;
+  }
+};
+
+// `rounds` Miller–Rabin rounds of c: round 0 with base `first`, the rest
+// with bases drawn from rng in round order, a kernel pass of bases at a
+// time.  Stops at the first pass that holds a witness.
+bool random_base_rounds(const Candidate& c, BigInt first, util::RandomSource& rng,
+                        int rounds, const LaneKernel& kernel) {
+  std::array<BigInt, kMaxLanes> bases, x;
+  std::array<PowLane, kMaxLanes> lanes;
+  bases[0] = std::move(first);
+  std::size_t drawn = 1;
+  for (int done = 0; done < rounds;) {
+    const std::size_t count = std::min(kernel.width, static_cast<std::size_t>(rounds - done));
+    for (; drawn < count; ++drawn) bases[drawn] = c.draw_base(rng);
+    for (std::size_t i = 0; i < count; ++i) lanes[i] = {&bases[i], &c.d, &c.n};
+    kernel.pass(lanes.data(), count, x.data());
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!c.round_passes(std::move(x[i]))) return false;
+    }
+    done += static_cast<int>(count);
+    drawn = 0;
   }
   return true;
 }
@@ -112,13 +148,23 @@ bool is_probable_prime(const BigInt& n, util::RandomSource& rng, int rounds) {
     }
     if (rem == 0) return n.limbs().size() == 1 && n.limbs()[0] == p;  // n is p
   }
-  return miller_rabin(n, rng, rounds);
+  if (rounds <= 0) return true;
+  const Candidate c(n);
+  return random_base_rounds(c, c.draw_base(rng), rng, rounds, mod_pow_lanes(n.bit_length()));
 }
 
 BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds) {
+  return detail::generate_prime(bits, rng, mr_rounds, mod_pow_lanes(bits));
+}
+
+namespace detail {
+
+BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds,
+                      const LaneKernel& kernel) {
   if (bits < 8) throw std::invalid_argument("generate_prime: bits < 8");
   const BigInt top = BigInt(1) << bits;
-  for (;;) {
+  const BigInt two(2);
+  for (int starts = 0; starts < kMaxStarts; ++starts) {
     // A random odd start in [1.5 * 2^(bits-1), 2^bits): bits-1 random bits
     // with their top bit forced, under a forced top bit.
     BigInt start = (BigInt(1) << (bits - 1)) + BigInt::random_bits(bits - 1, rng);
@@ -139,13 +185,42 @@ BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds) 
       if (small_start + 2 * k == p) k += p;
       for (; k < window; k += p) struck[k] = true;
     }
-    // The sieve has already struck every multiple of the trial-division primes.
-    for (std::size_t k = 0; k < window; ++k) {
-      if (struck[k]) continue;
-      BigInt candidate = start + BigInt(2 * k);
-      if (miller_rabin(candidate, rng, mr_rounds)) return candidate;
+    // The sieve has already struck every multiple of the trial-division
+    // primes.  The survivors go through in order, a kernel pass at a time.
+    // A wider kernel gives each group one base-2 round, drawing nothing; a
+    // one-lane kernel would pay one more exponentiation per probable prime
+    // for it, so there each candidate goes straight to its random bases.
+    const bool base_2 = kernel.width > 1;
+    std::vector<Candidate> group;
+    std::array<PowLane, kMaxLanes> lanes;
+    std::array<BigInt, kMaxLanes> x;
+    for (std::size_t k = 0; k < window;) {
+      group.clear();
+      for (; k < window && group.size() < kernel.width; ++k) {
+        if (!struck[k]) group.emplace_back(start + BigInt(2 * k));
+      }
+      if (base_2) {
+        for (std::size_t i = 0; i < group.size(); ++i) {
+          lanes[i] = {&two, &group[i].d, &group[i].n};
+        }
+        kernel.pass(lanes.data(), group.size(), x.data());
+      }
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        // Round 0's base is drawn for every candidate reached, as when each
+        // candidate's first round was a random one, so the DRBG stream and
+        // every seeded key stay as they were.
+        BigInt first = mr_rounds > 0 ? group[i].draw_base(rng) : BigInt();
+        if (base_2 && !group[i].round_passes(std::move(x[i]))) continue;
+        if (random_base_rounds(group[i], std::move(first), rng, mr_rounds, kernel)) {
+          return group[i].n;
+        }
+      }
     }
   }
+  throw std::runtime_error("generate_prime: no prime above " + std::to_string(kMaxStarts) +
+                           " random starts; the modular arithmetic is broken");
 }
+
+}  // namespace detail
 
 }  // namespace globe::crypto

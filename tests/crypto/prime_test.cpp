@@ -5,6 +5,7 @@
 #include <set>
 
 #include "crypto/drbg.hpp"
+#include "crypto/mod_pow_lanes.hpp"
 
 namespace globe::crypto {
 namespace {
@@ -33,8 +34,14 @@ TEST(PrimeTest, SmallCompositesRejected) {
 
 TEST(PrimeTest, CarmichaelNumbersRejected) {
   // Fermat pseudoprimes that fool a^(n-1) tests; Miller-Rabin must reject.
+  // From 280601 on, strong pseudoprimes to base 2 with no factor below 252,
+  // so trial division passes them and only random bases can reject them
+  // (the small ones, 2047 to 8321, all have such a factor);
+  // 3825123056546413051 is strong to every prime base up to 23.
   auto rng = HmacDrbg::from_seed(3);
-  for (std::uint64_t c : {561u, 1105u, 1729u, 2465u, 2821u, 41041u, 825265u}) {
+  for (std::uint64_t c : {561ull, 1105ull, 1729ull, 2465ull, 2821ull, 41041ull, 825265ull,
+                          280601ull, 390937ull, 458989ull, 514447ull, 580337ull, 741751ull,
+                          3825123056546413051ull}) {
     EXPECT_FALSE(is_probable_prime(BigInt(c), rng)) << c;
   }
 }
@@ -47,11 +54,16 @@ TEST(PrimeTest, LargeKnownPrimeAccepted) {
   // 2^128 - 1 is composite.
   BigInt m128 = (BigInt(1) << 128) - BigInt(1);
   EXPECT_FALSE(is_probable_prime(m128, rng));
+  // Past the IFMA kernel's 512 bits: the Mersenne prime 2^521 - 1, and its
+  // product with 2^127 - 1, which has no factor trial division finds.
+  BigInt m521 = (BigInt(1) << 521) - BigInt(1);
+  EXPECT_TRUE(is_probable_prime(m521, rng));
+  EXPECT_FALSE(is_probable_prime(m521 * m127, rng));
 }
 
 TEST(PrimeTest, GeneratedPrimeHasExactBits) {
   auto rng = HmacDrbg::from_seed(5);
-  for (std::size_t bits : {16u, 64u, 128u}) {
+  for (std::size_t bits : {16u, 64u, 128u, 768u}) {
     BigInt p = generate_prime(bits, rng);
     EXPECT_EQ(p.bit_length(), bits);
     EXPECT_TRUE(p.is_odd());
@@ -92,6 +104,21 @@ TEST(PrimeTest, GenerationIsDeterministicPerSeed) {
   auto a = HmacDrbg::from_seed(77);
   auto b = HmacDrbg::from_seed(77);
   EXPECT_EQ(generate_prime(64, a), generate_prime(64, b));
+}
+
+// A kernel whose every result is 0, a witness for every candidate, as broken
+// arithmetic could make it: the search gives up after 64 starts rather than
+// drawing new ones forever.
+void zero_pass(const PowLane*, std::size_t count, BigInt* out) {
+  for (std::size_t i = 0; i < count; ++i) out[i] = BigInt();
+}
+
+TEST(PrimeTest, BrokenArithmeticThrowsAfterTheStartCap) {
+  const LaneKernel broken{"broken", kMaxLanes, 512, zero_pass};
+  for (std::size_t bits : {8u, 512u}) {
+    auto rng = HmacDrbg::from_seed(8);
+    EXPECT_THROW(detail::generate_prime(bits, rng, 32, broken), std::runtime_error) << bits;
+  }
 }
 
 TEST(PrimeTest, TinyBitWidthRejected) {
