@@ -98,11 +98,12 @@ void serve_connection(int fd, obs::AdminHttpServer& admin, DemoContext& ctx) {
     }
   }
   auto message = framer.take_message();
-  auto response = handler(ctx, message);  // parse failures become 400 inside
-  if (!response.is_ok()) return;
+  auto reply = handler(ctx, message);  // parse failures become 400 inside
+  if (!reply.is_ok()) return;
+  const util::Bytes response = std::move(*reply).flatten();
   std::size_t off = 0;
-  while (off < response->size()) {
-    ssize_t n = ::write(fd, response->data() + off, response->size() - off);
+  while (off < response.size()) {
+    ssize_t n = ::write(fd, response.data() + off, response.size() - off);
     if (n <= 0) return;
     off += static_cast<std::size_t>(n);
   }

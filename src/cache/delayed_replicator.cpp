@@ -99,13 +99,13 @@ DelayedReplicator::PumpStats DelayedReplicator::pump(
     }
 
     for (std::size_t i = 0; i < batch->names.size(); ++i) {
-      const auto& item = response.value().items[i];
+      auto& item = response.value().items[i];
       if (!item.found) {
         ++stats.elements_failed;
         continue;
       }
       auto element = globedoc::verify_element(transport, batch->certificate,
-                                              batch->names[i], item.element);
+                                              batch->names[i], std::move(item.element));
       if (!element.is_ok()) {
         ++stats.elements_failed;
         continue;

@@ -147,13 +147,13 @@ util::Result<EdgeCacheTier::EdgeFill> EdgeCacheTier::fill(
   auto response = globedoc::fetch_many(transport, replica, request);
   if (!response.is_ok()) return response.status();
 
-  const auto& item = response.value().items.front();
+  auto& item = response.value().items.front();
   if (!item.found) {
     return util::Status(util::ErrorCode::kNotFound,
                         "replica has no element " + entry.name);
   }
-  auto element =
-      globedoc::verify_element(transport, cert, entry.name, item.element);
+  auto element = globedoc::verify_element(transport, cert, entry.name,
+                                          std::move(item.element));
   if (!element.is_ok()) return element.status();  // failures never admit
 
   cache_.insert(key, *element, entry.expires);

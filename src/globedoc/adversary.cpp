@@ -40,12 +40,20 @@ bool read_header(BytesView request, RpcHeader& out) {
   return true;
 }
 
+/// What `inner` answers, in one buffer, for the attacks that rewrite it.
+Result<Bytes> flat_reply(const net::MessageHandler& inner, net::ServerContext& ctx,
+                         BytesView request) {
+  auto reply = inner(ctx, request);
+  if (!reply.is_ok()) return reply.status();
+  return std::move(*reply).flatten();
+}
+
 }  // namespace
 
 net::MessageHandler tampering_element_attack(net::MessageHandler inner) {
   return [inner = std::move(inner)](net::ServerContext& ctx,
                                     BytesView request) -> Result<Bytes> {
-    auto response = inner(ctx, request);
+    auto response = flat_reply(inner, ctx, request);
     RpcHeader header;
     if (!response.is_ok() || !read_header(request, header) ||
         header.service != rpc::kGlobeDocAccess ||
@@ -87,7 +95,7 @@ net::MessageHandler tampering_element_attack(net::MessageHandler inner) {
 net::MessageHandler element_swap_attack(net::MessageHandler inner,
                                         std::string decoy_element) {
   return [inner = std::move(inner), decoy = std::move(decoy_element)](
-             net::ServerContext& ctx, BytesView request) -> Result<Bytes> {
+             net::ServerContext& ctx, BytesView request) -> Result<net::Reply> {
     RpcHeader header;
     if (!read_header(request, header) || header.service != rpc::kGlobeDocAccess ||
         (header.method != kGetElement && header.method != kFetchMany)) {
@@ -122,14 +130,14 @@ net::MessageHandler element_swap_attack(net::MessageHandler inner,
 net::MessageHandler key_substitution_attack(net::MessageHandler inner,
                                             Bytes attacker_key_serialized) {
   return [inner = std::move(inner), key = std::move(attacker_key_serialized)](
-             net::ServerContext& ctx, BytesView request) -> Result<Bytes> {
+             net::ServerContext& ctx, BytesView request) -> Result<net::Reply> {
     auto response = inner(ctx, request);
     RpcHeader header;
     if (!response.is_ok() || !read_header(request, header) ||
         header.service != rpc::kGlobeDocSecurity || header.method != kGetPublicKey) {
       return response;
     }
-    return key;
+    return net::Reply(key);
   };
 }
 
@@ -152,7 +160,7 @@ net::MessageHandler misdirecting_location_node(
 net::MessageHandler certificate_forgery_attack(net::MessageHandler inner) {
   return [inner = std::move(inner)](net::ServerContext& ctx,
                                     BytesView request) -> Result<Bytes> {
-    auto response = inner(ctx, request);
+    auto response = flat_reply(inner, ctx, request);
     RpcHeader header;
     if (!response.is_ok() || !read_header(request, header) ||
         header.service != rpc::kGlobeDocSecurity ||

@@ -23,23 +23,14 @@ std::array<std::uint8_t, 4> length_prefix(std::size_t n) {
           static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n)};
 }
 
-}  // namespace
-
-Bytes PageElement::serialize() const {
-  util::Writer w;
-  w.str(name);
-  w.str(content_type);
-  w.bytes(content);
-  return w.take();
-}
-
-Result<PageElement> PageElement::parse(util::BytesView data) {
+/// parse() up to the content, which is left as a view into `data`.
+Result<PageElement> parse_fields(util::BytesView data, util::BytesView& content) {
   try {
     util::Reader r(data);
     PageElement el;
     el.name = r.str();
     el.content_type = r.str();
-    el.content = r.bytes();
+    content = r.view(r.u32());
     r.expect_end();
     if (el.name.empty()) {
       return Result<PageElement>(ErrorCode::kProtocol, "element with empty name");
@@ -48,6 +39,39 @@ Result<PageElement> PageElement::parse(util::BytesView data) {
   } catch (const util::SerialError& e) {
     return Result<PageElement>(ErrorCode::kProtocol, e.what());
   }
+}
+
+}  // namespace
+
+Bytes PageElement::serialize() const {
+  Bytes out = serialize_head();
+  util::append(out, content);
+  return out;
+}
+
+Bytes PageElement::serialize_head() const {
+  util::Writer w;
+  w.str(name);
+  w.str(content_type);
+  w.u32(static_cast<std::uint32_t>(content.size()));
+  return w.take();
+}
+
+Result<PageElement> PageElement::parse(util::BytesView data) {
+  util::BytesView content;
+  auto el = parse_fields(data, content);
+  if (el.is_ok()) el->content.assign(content.begin(), content.end());
+  return el;
+}
+
+Result<PageElement> PageElement::parse(util::Bytes&& data) {
+  util::BytesView content;
+  auto el = parse_fields(data, content);
+  if (el.is_ok()) {
+    data.erase(data.begin(), data.begin() + (content.data() - data.data()));
+    el->content = std::move(data);
+  }
+  return el;
 }
 
 Bytes PageElement::digest() const {

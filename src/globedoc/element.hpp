@@ -19,7 +19,12 @@ struct PageElement {
   util::Bytes content;
 
   util::Bytes serialize() const;
+  /// The bytes serialize() puts before the content.
+  util::Bytes serialize_head() const;
   static util::Result<PageElement> parse(util::BytesView data);
+  /// The same, but the content keeps `data`'s buffer: the few bytes before
+  /// it are dropped in place instead of the content being copied out.
+  static util::Result<PageElement> parse(util::Bytes&& data);
 
   /// SHA-1 over the serialized element — the digest stored in integrity
   /// certificates.  The fields are hashed in place; no serialized copy is

@@ -180,8 +180,8 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
 
   // --- Step 6: authenticity, consistency, freshness (security time).
   Stage element_verify(tracer, FetchStage::kElementVerify);
-  auto element =
-      verify_element(*transport_, binding.certificate, element_name, *raw);
+  auto element = verify_element(*transport_, binding.certificate, element_name,
+                                std::move(*raw));
   element_verify.end();
   if (!element.is_ok()) return element.status();
 
@@ -333,8 +333,9 @@ http::HttpResponse GlobeDocProxy::handle_browser_request(
   if (is_hybrid_url(request.target)) {
     auto result = fetch_url(request.target);
     if (result.is_ok()) {
-      auto resp = http::HttpResponse::make(200, "OK", result->element.content,
-                                           result->element.content_type);
+      // The verified content moves into the body: no copy on the way out.
+      auto resp = http::HttpResponse::make(
+          200, "OK", std::move(result->element.content), result->element.content_type);
       if (result->certified_as.has_value()) {
         resp.headers.set("X-GlobeDoc-Certified-As", *result->certified_as);
       }

@@ -17,7 +17,7 @@ std::size_t ProxyHttpServer::requests_served() const {
 }
 
 net::MessageHandler ProxyHttpServer::handler() {
-  return [this](net::ServerContext&, BytesView raw) -> Result<Bytes> {
+  return [this](net::ServerContext&, BytesView raw) -> Result<net::Reply> {
     auto request = http::parse_request(raw);
     http::HttpResponse response;
     if (!request.is_ok()) {
@@ -30,7 +30,12 @@ net::MessageHandler ProxyHttpServer::handler() {
       response = proxy_->handle_browser_request(*request);
     }
     response.headers.set("Via", "1.1 globedoc-proxy");
-    return response.serialize();
+    // The head and the body leave as the reply's two parts, so the body (a
+    // verified element's content) is not copied behind the head.
+    Bytes head = response.serialize_head();
+    auto body = std::make_shared<const Bytes>(std::move(response.body));
+    BytesView tail = *body;
+    return net::Reply(std::move(head), tail, std::move(body));
   };
 }
 

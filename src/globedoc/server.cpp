@@ -127,7 +127,7 @@ ObjectServer::Hosted& ObjectServer::install_locked(const Oid& oid,
                                                    ReplicaState state,
                                                    util::SimTime now) {
   Hosted& hosted = replicas_[oid];
-  hosted.state = std::move(state);
+  hosted.state = std::make_shared<const ReplicaState>(std::move(state));
   hosted.installed_at = now;
   return hosted;
 }
@@ -140,18 +140,19 @@ void ObjectServer::set_resource_limits(const ResourceLimits& limits) {
 std::uint64_t ObjectServer::hosted_bytes() const {
   util::LockGuard lock(mutex_);
   std::uint64_t total = 0;
-  for (const auto& [oid, hosted] : replicas_) total += hosted.state.content_bytes();
+  for (const auto& [oid, hosted] : replicas_) total += hosted.state->content_bytes();
   return total;
 }
 
-const ReplicaState* ObjectServer::live_locked(const Oid& oid, util::SimTime now) {
+std::shared_ptr<const ReplicaState> ObjectServer::live_locked(const Oid& oid,
+                                                               util::SimTime now) {
   auto it = replicas_.find(oid);
   if (it == replicas_.end()) return nullptr;
   if (lapsed(it->second.lease_until, now)) {
     replicas_.erase(it);
     return nullptr;
   }
-  return &it->second.state;
+  return it->second.state;
 }
 
 void ObjectServer::evict_lapsed_locked(util::SimTime now) {
@@ -176,7 +177,7 @@ HostingGrant ObjectServer::check_capacity_locked(std::uint64_t bytes,
     std::uint64_t in_use = 0;
     for (const auto& [oid, hosted] : replicas_) {
       if (existing_oid != nullptr && oid == *existing_oid) continue;
-      in_use += hosted.state.content_bytes();
+      in_use += hosted.state->content_bytes();
     }
     if (in_use + bytes > limits_.max_total_bytes) {
       grant.reason = "insufficient storage capacity";
@@ -214,7 +215,7 @@ void ObjectServer::register_health_checks(obs::AdminHttpServer& admin) {
     }
     if (limits_.max_total_bytes != 0) {
       std::uint64_t used = 0;
-      for (const auto& [oid, hosted] : replicas_) used += hosted.state.content_bytes();
+      for (const auto& [oid, hosted] : replicas_) used += hosted.state->content_bytes();
       if (used >= limits_.max_total_bytes) {
         return Status(ErrorCode::kUnavailable, name_ + " at byte capacity");
       }
@@ -248,7 +249,7 @@ obs::ConsistencyReport ObjectServer::consistency_report() const {
   obs::ConsistencyReport report;
   report.docs.reserve(replicas_.size());
   for (const auto& [oid, hosted] : replicas_) {
-    const ReplicaState& state = hosted.state;
+    const ReplicaState& state = *hosted.state;
     obs::DocConsistency doc;
     doc.oid = oid.to_bytes();
     doc.epoch = state.certificate.version();
@@ -340,8 +341,8 @@ Result<Bytes> ObjectServer::handle_negotiate(net::ServerContext& ctx,
   }
 }
 
-Result<Bytes> ObjectServer::handle_get_element(net::ServerContext& ctx,
-                                               BytesView payload) {
+Result<net::Reply> ObjectServer::handle_get_element(net::ServerContext& ctx,
+                                                    BytesView payload) {
   requests_counter_->inc();
   try {
     util::Reader r(payload);
@@ -350,20 +351,27 @@ Result<Bytes> ObjectServer::handle_get_element(net::ServerContext& ctx,
     std::string name = r.str();
     r.expect_end();
 
-    util::LockGuard lock(mutex_);
-    const ReplicaState* state = live_locked(*oid, ctx.now());
-    if (state == nullptr) return not_hosted(*oid);
-    const PageElement* el = state->find(name);
-    if (el == nullptr) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no element '" + name + "'");
+    std::shared_ptr<const ReplicaState> state;
+    const PageElement* el = nullptr;
+    {
+      util::LockGuard lock(mutex_);
+      state = live_locked(*oid, ctx.now());
+      if (state == nullptr) return not_hosted(*oid);
+      el = state->find(name);
+      if (el == nullptr) {
+        return Result<net::Reply>(ErrorCode::kNotFound, "no element '" + name + "'");
+      }
+      ++elements_served_;
+      content_bytes_served_ += el->content.size();
+      elements_counter_->inc();
+      bytes_counter_->inc(el->content.size());
     }
-    ++elements_served_;
-    content_bytes_served_ += el->content.size();
-    elements_counter_->inc();
-    bytes_counter_->inc(el->content.size());
-    return el->serialize();
+    // serialize()'s bytes: the few before the content, then a view of the
+    // content in the snapshot, which the reply keeps alive across updates.
+    BytesView content = el->content;
+    return net::Reply(el->serialize_head(), content, std::move(state));
   } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
+    return Result<net::Reply>(ErrorCode::kProtocol, e.what());
   }
 }
 
@@ -375,7 +383,7 @@ Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
   if (!req.is_ok()) return req.status();
 
   util::LockGuard lock(mutex_);
-  const ReplicaState* state = live_locked(req->oid, ctx.now());
+  auto state = live_locked(req->oid, ctx.now());
   if (state == nullptr) return not_hosted(req->oid);
   FetchManyResponse resp;
   if (req->include_cert) {
@@ -407,7 +415,7 @@ Result<Bytes> ObjectServer::handle_get_public_key(net::ServerContext& ctx,
     if (!oid.is_ok()) return oid.status();
     r.expect_end();
     util::LockGuard lock(mutex_);
-    const ReplicaState* state = live_locked(*oid, ctx.now());
+    auto state = live_locked(*oid, ctx.now());
     if (state == nullptr) return not_hosted(*oid);
     return state->public_key;
   } catch (const util::SerialError& e) {
@@ -424,7 +432,7 @@ Result<Bytes> ObjectServer::handle_get_integrity_cert(net::ServerContext& ctx,
     if (!oid.is_ok()) return oid.status();
     r.expect_end();
     util::LockGuard lock(mutex_);
-    const ReplicaState* state = live_locked(*oid, ctx.now());
+    auto state = live_locked(*oid, ctx.now());
     if (state == nullptr) return not_hosted(*oid);
     return state->certificate.serialize();
   } catch (const util::SerialError& e) {
@@ -441,7 +449,7 @@ Result<Bytes> ObjectServer::handle_get_identity_certs(net::ServerContext& ctx,
     if (!oid.is_ok()) return oid.status();
     r.expect_end();
     util::LockGuard lock(mutex_);
-    const ReplicaState* state = live_locked(*oid, ctx.now());
+    auto state = live_locked(*oid, ctx.now());
     if (state == nullptr) return not_hosted(*oid);
     util::Writer w;
     write_identity_list(w, state->identity_certs);
@@ -544,7 +552,7 @@ Result<Bytes> ObjectServer::handle_create_or_update(net::ServerContext& ctx,
       }
       // Refuse version rollback: a stale (but correctly signed) state must
       // not replace a newer one through the admin path.
-      if (state->certificate.version() < it->second.state.certificate.version()) {
+      if (state->certificate.version() < it->second.state->certificate.version()) {
         return Result<Bytes>(ErrorCode::kInvalidArgument,
                              "state version older than the hosted replica");
       }

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -160,8 +161,8 @@ class ObjectServer {
  private:
   // RPC handler payloads arrive straight off the wire from arbitrary callers
   // and are tainted at entry (GLOBE_UNTRUSTED in parameter position).
-  util::Result<util::Bytes> handle_get_element(net::ServerContext&,
-                                               GLOBE_UNTRUSTED util::BytesView);
+  util::Result<net::Reply> handle_get_element(net::ServerContext&,
+                                              GLOBE_UNTRUSTED util::BytesView);
   util::Result<util::Bytes> handle_fetch_many(net::ServerContext&,
                                               GLOBE_UNTRUSTED util::BytesView);
   util::Result<util::Bytes> handle_get_public_key(net::ServerContext&,
@@ -189,9 +190,11 @@ class ObjectServer {
                                      const Oid* existing_oid) const
       GLOBE_REQUIRES(mutex_);
 
-  // One hosted replica and the bookkeeping that leaves with it.
+  // One hosted replica and the bookkeeping that leaves with it.  The state
+  // is an immutable snapshot that a create or an update replaces whole, so a
+  // reply can view its elements after mutex_ is released.
   struct Hosted {
-    ReplicaState state;
+    std::shared_ptr<const ReplicaState> state;
     util::SimTime installed_at = 0;  // freshness probe input
     util::Bytes creator;  // serialized creator key; empty = installed unchecked
     util::SimTime lease_until = 0;  // 0 = unlimited
@@ -199,7 +202,7 @@ class ObjectServer {
 
   /// The state of `oid` if it is hosted and its lease has not lapsed at
   /// `now`; a lapsed replica is evicted here.
-  const ReplicaState* live_locked(const Oid& oid, util::SimTime now)
+  std::shared_ptr<const ReplicaState> live_locked(const Oid& oid, util::SimTime now)
       GLOBE_REQUIRES(mutex_);
 
   /// Evicts every replica whose lease lapsed at or before `now`, so a

@@ -40,10 +40,11 @@ Status verify_certificate(net::Transport& transport,
 util::Result<PageElement> verify_element(net::Transport& transport,
                                          const IntegrityCertificate& certificate,
                                          const std::string& name,
-                                         util::BytesView served) {
-  auto element = PageElement::parse(served);
+                                         util::Bytes served) {
+  const std::size_t served_bytes = served.size();
+  auto element = PageElement::parse(std::move(served));
   if (!element.is_ok()) return element.status();
-  transport.charge(net::CpuOp::kSha1, served.size());
+  transport.charge(net::CpuOp::kSha1, served_bytes);
   Status check = certificate.check_element(name, *element, transport.now());
   if (!check.is_ok()) return check;
   return element;

@@ -29,9 +29,11 @@ GLOBE_BLOCKING util::Result<crypto::RsaPublicKey> fetch_object_key(
     const crypto::RsaPublicKey& key, const Oid& oid);
 
 /// Step 6: parses the bytes a replica served for `name` and runs
-/// check_element under `certificate` at the transport's now().
+/// check_element under `certificate` at the transport's now().  The
+/// element's content keeps `served`'s buffer, so a caller that moves the
+/// reply in copies no content.
 [[nodiscard]] util::Result<PageElement> verify_element(
     net::Transport& transport, const IntegrityCertificate& certificate,
-    const std::string& name, util::BytesView served);
+    const std::string& name, util::Bytes served);
 
 }  // namespace globe::globedoc

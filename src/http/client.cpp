@@ -19,7 +19,7 @@ Result<HttpResponse> HttpClient::request(const net::Endpoint& ep,
                                          const HttpRequest& req) {
   auto raw = transport_->call(ep, req.serialize());
   if (!raw.is_ok()) return raw.status();
-  return parse_response(*raw);
+  return parse_response(std::move(*raw));  // the body keeps the frame's buffer
 }
 
 }  // namespace globe::http

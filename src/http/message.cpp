@@ -19,10 +19,13 @@ void append_str(util::Bytes& out, std::string_view s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
-util::Bytes serialize_common(std::string_view start_line, const Headers& headers,
-                             const util::Bytes& body) {
+/// The message up to its body: start line, headers (with a Content-Length
+/// for `body` unless one is set) and the blank line.  `reserve` extra bytes
+/// are set aside for whatever the caller appends.
+util::Bytes serialize_head(std::string_view start_line, const Headers& headers,
+                           const util::Bytes& body, std::size_t reserve) {
   util::Bytes out;
-  out.reserve(start_line.size() + 256 + body.size());
+  out.reserve(start_line.size() + 256 + reserve);
   append_str(out, start_line);
   append_str(out, "\r\n");
   bool has_content_length = headers.has("Content-Length");
@@ -36,8 +39,18 @@ util::Bytes serialize_common(std::string_view start_line, const Headers& headers
     append_str(out, "Content-Length: " + std::to_string(body.size()) + "\r\n");
   }
   append_str(out, "\r\n");
+  return out;
+}
+
+util::Bytes serialize_common(std::string_view start_line, const Headers& headers,
+                             const util::Bytes& body) {
+  util::Bytes out = serialize_head(start_line, headers, body, body.size());
   util::append(out, body);
   return out;
+}
+
+std::string status_line(const HttpResponse& r) {
+  return r.version + " " + std::to_string(r.status) + " " + r.reason;
 }
 
 }  // namespace
@@ -68,8 +81,11 @@ util::Bytes HttpRequest::serialize() const {
 }
 
 util::Bytes HttpResponse::serialize() const {
-  return serialize_common(version + " " + std::to_string(status) + " " + reason,
-                          headers, body);
+  return serialize_common(status_line(*this), headers, body);
+}
+
+util::Bytes HttpResponse::serialize_head() const {
+  return http::serialize_head(status_line(*this), headers, body, 0);
 }
 
 HttpResponse HttpResponse::make(int status, std::string reason, util::Bytes body,

@@ -46,6 +46,8 @@ struct HttpResponse {
   util::Bytes body;
 
   util::Bytes serialize() const;
+  /// serialize() without the body, which a caller sends after it.
+  util::Bytes serialize_head() const;
 
   static HttpResponse make(int status, std::string reason, util::Bytes body,
                            std::string content_type = "text/html");

@@ -121,24 +121,71 @@ Result<Bytes> decode_chunked(std::string_view body) {
   return out;
 }
 
-Result<Bytes> extract_body(const ParsedHead& head, std::string_view text) {
+bool is_chunked(const ParsedHead& head) {
+  auto te = head.headers.get("Transfer-Encoding");
+  return te && iequals(trim(*te), "chunked");
+}
+
+/// The body of a message that is not chunked, where it lies in `text`.
+Result<std::string_view> framed_body(const ParsedHead& head, std::string_view text) {
   std::string_view body = text.substr(head.body_offset);
-  if (auto te = head.headers.get("Transfer-Encoding");
-      te && iequals(trim(*te), "chunked")) {
-    return decode_chunked(body);
-  }
   if (auto cl = head.headers.get("Content-Length")) {
     std::size_t n = 0;
     auto [p, ec] = std::from_chars(cl->data(), cl->data() + cl->size(), n);
     if (ec != std::errc() || p != cl->data() + cl->size()) {
-      return Result<Bytes>(ErrorCode::kProtocol, "bad Content-Length");
+      return Result<std::string_view>(ErrorCode::kProtocol, "bad Content-Length");
     }
     if (body.size() < n) {
-      return Result<Bytes>(ErrorCode::kProtocol, "body shorter than Content-Length");
+      return Result<std::string_view>(ErrorCode::kProtocol,
+                                      "body shorter than Content-Length");
     }
     body = body.substr(0, n);
   }
-  return Bytes(body.begin(), body.end());
+  return body;
+}
+
+Result<Bytes> extract_body(const ParsedHead& head, std::string_view text) {
+  if (is_chunked(head)) return decode_chunked(text.substr(head.body_offset));
+  auto body = framed_body(head, text);
+  if (!body.is_ok()) return body.status();
+  return Bytes(body->begin(), body->end());
+}
+
+/// extract_body, but a body that is not chunked keeps `data`'s buffer: the
+/// head is dropped in place.
+Result<Bytes> take_body(const ParsedHead& head, Bytes&& data) {
+  if (is_chunked(head)) return extract_body(head, as_view(data));
+  auto body = framed_body(head, as_view(data));
+  if (!body.is_ok()) return body.status();
+  const std::size_t n = body->size();
+  data.erase(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(head.body_offset));
+  data.resize(n);
+  return std::move(data);
+}
+
+/// A parsed response's status line and headers; the caller adds the body.
+Result<HttpResponse> response_head(const ParsedHead& head) {
+  HttpResponse resp;
+  std::string_view line = head.start_line;
+  std::size_t sp1 = line.find(' ');
+  if (sp1 == std::string::npos || line.substr(0, 5) != "HTTP/") {
+    return Result<HttpResponse>(ErrorCode::kProtocol, "bad status line");
+  }
+  resp.version = std::string(line.substr(0, sp1));
+  std::size_t sp2 = line.find(' ', sp1 + 1);
+  std::string_view code = line.substr(sp1 + 1, sp2 == std::string::npos
+                                                   ? std::string::npos
+                                                   : sp2 - sp1 - 1);
+  int status = 0;
+  auto [p, ec] = std::from_chars(code.data(), code.data() + code.size(), status);
+  if (ec != std::errc() || p != code.data() + code.size() || status < 100 ||
+      status > 599) {
+    return Result<HttpResponse>(ErrorCode::kProtocol, "bad status code");
+  }
+  resp.status = status;
+  resp.reason = sp2 == std::string::npos ? "" : std::string(line.substr(sp2 + 1));
+  resp.headers = head.headers;
+  return resp;
 }
 
 }  // namespace
@@ -177,30 +224,22 @@ Result<HttpRequest> parse_request(BytesView data) {
 Result<HttpResponse> parse_response(BytesView data) {
   auto head = parse_head(as_view(data));
   if (!head.is_ok()) return head.status();
-
-  HttpResponse resp;
-  std::string_view line = head->start_line;
-  std::size_t sp1 = line.find(' ');
-  if (sp1 == std::string::npos || line.substr(0, 5) != "HTTP/") {
-    return Result<HttpResponse>(ErrorCode::kProtocol, "bad status line");
-  }
-  resp.version = std::string(line.substr(0, sp1));
-  std::size_t sp2 = line.find(' ', sp1 + 1);
-  std::string_view code = line.substr(sp1 + 1, sp2 == std::string::npos
-                                                   ? std::string::npos
-                                                   : sp2 - sp1 - 1);
-  int status = 0;
-  auto [p, ec] = std::from_chars(code.data(), code.data() + code.size(), status);
-  if (ec != std::errc() || p != code.data() + code.size() || status < 100 ||
-      status > 599) {
-    return Result<HttpResponse>(ErrorCode::kProtocol, "bad status code");
-  }
-  resp.status = status;
-  resp.reason = sp2 == std::string::npos ? "" : std::string(line.substr(sp2 + 1));
-  resp.headers = head->headers;
+  auto resp = response_head(*head);
+  if (!resp.is_ok()) return resp;
   auto body = extract_body(*head, as_view(data));
   if (!body.is_ok()) return body.status();
-  resp.body = std::move(*body);
+  resp->body = std::move(*body);
+  return resp;
+}
+
+Result<HttpResponse> parse_response(Bytes&& data) {
+  auto head = parse_head(as_view(data));  // copies what it keeps
+  if (!head.is_ok()) return head.status();
+  auto resp = response_head(*head);
+  if (!resp.is_ok()) return resp;
+  auto body = take_body(*head, std::move(data));
+  if (!body.is_ok()) return body.status();
+  resp->body = std::move(*body);
   return resp;
 }
 

@@ -14,6 +14,9 @@ util::Result<HttpRequest> parse_request(util::BytesView data);
 
 /// Parses a complete response message.
 util::Result<HttpResponse> parse_response(util::BytesView data);
+/// The same, but a body that is not chunked keeps `data`'s buffer instead
+/// of being copied out of it.
+util::Result<HttpResponse> parse_response(util::Bytes&& data);
 
 /// Incremental framer for stream transports: feed() bytes until a full
 /// message is buffered, then take_message() yields its raw bytes.

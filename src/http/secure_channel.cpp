@@ -209,8 +209,9 @@ Result<Bytes> SecureServer::handle(net::ServerContext& ctx, BytesView raw) {
 
         auto inner_result = inner_(ctx, *plain);
         if (!inner_result.is_ok()) return inner_result.status();
+        Bytes reply = std::move(*inner_result).flatten();  // the cipher reads it whole
 
-        ctx.charge(net::CpuOp::kSymCipher, inner_result->size());
+        ctx.charge(net::CpuOp::kSymCipher, reply.size());
         util::Writer w;
         Bytes nonce;
         {
@@ -218,7 +219,7 @@ Result<Bytes> SecureServer::handle(net::ServerContext& ctx, BytesView raw) {
           nonce = rng_.bytes(12);
         }
         crypto::AesCtr ctr(session.server_key, nonce);
-        Bytes ct = ctr.process_copy(*inner_result);
+        Bytes ct = ctr.process_copy(reply);
         Bytes mac = record_mac(session.server_mac, nonce, ct);
         w.bytes(nonce);
         w.bytes(ct);

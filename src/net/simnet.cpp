@@ -183,7 +183,7 @@ Result<Bytes> SimNet::deliver(SimFlow& flow, const Endpoint& ep, BytesView reque
   SimTime arrival = flow.now() + transfer_time(request.size() + kWireOverhead, l);
 
   HostState& hs = hosts_[ep.host.value];
-  Result<Bytes> result(ErrorCode::kInternal, "handler did not run");
+  Result<Reply> result(ErrorCode::kInternal, "handler did not run");
   SimTime t_done;
 
   // Execute the handler as if it started at arrival to learn its service
@@ -202,7 +202,7 @@ Result<Bytes> SimNet::deliver(SimFlow& flow, const Endpoint& ep, BytesView reque
   try {
     result = handler(ctx, request);
   } catch (const std::exception& e) {
-    result = Result<Bytes>(ErrorCode::kInternal,
+    result = Result<Reply>(ErrorCode::kInternal,
                            std::string("handler threw: ") + e.what());
   }
   SimDuration service = server_flow.now() - arrival;
@@ -216,7 +216,8 @@ Result<Bytes> SimNet::deliver(SimFlow& flow, const Endpoint& ep, BytesView reque
       (result.is_ok() ? result->size() : result.status().message().size()) +
       kWireOverhead;
   flow.set_time(t_done + transfer_time(resp_size, l));
-  return result;
+  if (!result.is_ok()) return result.status();
+  return std::move(*result).flatten();
 }
 
 Result<Bytes> SimFlow::call(const Endpoint& ep, BytesView request) {

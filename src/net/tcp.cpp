@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -33,16 +34,6 @@ bool read_exact(int fd, std::uint8_t* buf, std::size_t n) {
   return true;
 }
 
-bool write_all(int fd, const std::uint8_t* buf, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r <= 0) return false;
-    sent += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
 constexpr std::size_t kMaxFrame = 64 * 1024 * 1024;
 /// A frame up to this size is read into one buffer sized up front.  A
 /// larger announced length grows the buffer by at most this much per read,
@@ -50,36 +41,14 @@ constexpr std::size_t kMaxFrame = 64 * 1024 * 1024;
 /// step more memory than it has sent.
 constexpr std::size_t kFrameStep = 1024 * 1024;
 
-}  // namespace
-
-bool send_frame(int fd, BytesView payload) {
-  std::uint8_t len[4] = {
-      static_cast<std::uint8_t>(payload.size() >> 24),
-      static_cast<std::uint8_t>(payload.size() >> 16),
-      static_cast<std::uint8_t>(payload.size() >> 8),
-      static_cast<std::uint8_t>(payload.size()),
-  };
-  // Header and payload leave in one sendmsg, so the peer wakes once per
-  // frame; write_all finishes whatever a short write left.
-  iovec iov[2] = {{len, sizeof len},
-                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
-  msghdr msg{};
-  msg.msg_iov = iov;
-  msg.msg_iovlen = 2;
-  ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-  if (r <= 0) return false;
-  const auto sent = static_cast<std::size_t>(r);
-  if (sent < sizeof len && !write_all(fd, len + sent, sizeof len - sent)) return false;
-  const std::size_t body = sent > sizeof len ? sent - sizeof len : 0;
-  return write_all(fd, payload.data() + body, payload.size() - body);
+std::size_t frame_length(const std::uint8_t* len) {
+  return std::size_t{len[0]} << 24 | std::size_t{len[1]} << 16 |
+         std::size_t{len[2]} << 8 | len[3];
 }
 
-bool recv_frame(int fd, Bytes& out) {
-  std::uint8_t len[4];
-  if (!read_exact(fd, len, 4)) return false;
-  std::size_t n = std::size_t{len[0]} << 24 | std::size_t{len[1]} << 16 |
-                  std::size_t{len[2]} << 8 | len[3];
-  if (n > kMaxFrame) return false;
+/// Reads the next n bytes of a frame into `out`, growing it by at most
+/// kFrameStep per read.
+bool read_payload(int fd, std::size_t n, Bytes& out) {
   out.clear();
   while (out.size() < n) {
     std::size_t have = out.size();
@@ -87,6 +56,56 @@ bool recv_frame(int fd, Bytes& out) {
     if (!read_exact(fd, out.data() + have, out.size() - have)) return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool send_frame(int fd, std::span<const BytesView> parts) {
+  if (parts.size() > kMaxFrameParts) {
+    throw std::invalid_argument("send_frame: too many parts");
+  }
+  std::size_t total = 0;
+  for (BytesView part : parts) total += part.size();
+  std::uint8_t len[4] = {
+      static_cast<std::uint8_t>(total >> 24),
+      static_cast<std::uint8_t>(total >> 16),
+      static_cast<std::uint8_t>(total >> 8),
+      static_cast<std::uint8_t>(total),
+  };
+  std::array<iovec, 1 + kMaxFrameParts> iov;
+  std::size_t count = 0;
+  iov[count++] = {len, sizeof len};
+  for (BytesView part : parts) {
+    if (!part.empty()) iov[count++] = {const_cast<std::uint8_t*>(part.data()), part.size()};
+  }
+  // The header and every part leave in one sendmsg, so the peer wakes once
+  // per frame; a short write is resumed where it stopped.
+  iovec* next = iov.data();
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
+    ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (r <= 0) return false;
+    auto sent = static_cast<std::size_t>(r);
+    while (count > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
+  }
+  return true;
+}
+
+bool recv_frame(int fd, Bytes& out) {
+  std::uint8_t len[4];
+  if (!read_exact(fd, len, 4)) return false;
+  std::size_t n = frame_length(len);
+  return n <= kMaxFrame && read_payload(fd, n, out);
 }
 
 namespace {
@@ -158,27 +177,30 @@ void TcpServer::accept_loop() {
 void TcpServer::serve_connection(int fd) {
   int yes = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &yes, sizeof(yes));
+  static constexpr std::uint8_t kOk = 1;
   Bytes request;
   while (!stopping_.load() && recv_frame(fd, request)) {
     TcpTransport nested;
     TcpServerContext ctx(nested);
-    Result<Bytes> result(ErrorCode::kInternal, "handler did not run");
+    Result<Reply> result(ErrorCode::kInternal, "handler did not run");
     try {
       result = handler_(ctx, request);
     } catch (const std::exception& e) {
-      result = Result<Bytes>(ErrorCode::kInternal,
+      result = Result<Reply>(ErrorCode::kInternal,
                              std::string("handler threw: ") + e.what());
     }
-    util::Writer w;
+    bool sent;
     if (result.is_ok()) {
-      w.u8(1);
-      w.raw(*result);
+      const BytesView parts[] = {BytesView(&kOk, 1), result->head(), result->tail()};
+      sent = send_frame(fd, parts);
     } else {
+      util::Writer w;
       w.u8(0);
       w.u8(static_cast<std::uint8_t>(result.status().code()));
       w.str(result.status().message());
+      sent = send_frame(fd, w.buffer());
     }
-    if (!send_frame(fd, w.buffer())) break;
+    if (!sent) break;
   }
   ::close(fd);
 }
@@ -216,22 +238,27 @@ Result<Bytes> TcpTransport::call(const Endpoint& ep, BytesView request) {
     return Result<Bytes>(ErrorCode::kUnavailable,
                          "cannot connect to port " + std::to_string(ep.port));
   }
-  if (!send_frame(fd, request)) {
+  auto drop = [&](ErrorCode code, const char* why) {
     connections_.erase(ep.port);
     ::close(fd);
-    return Result<Bytes>(ErrorCode::kUnavailable, "send failed");
+    return Result<Bytes>(code, why);
+  };
+  constexpr auto kClosed = ErrorCode::kUnavailable;
+  if (!send_frame(fd, request)) return drop(kClosed, "send failed");
+  // The length and the status byte in one read, so an OK payload is read
+  // into the buffer that is returned.  A reply frame always holds the
+  // status byte: an empty one has put the stream out of step.
+  std::uint8_t head[5];
+  if (!read_exact(fd, head, sizeof head)) return drop(kClosed, "connection closed by peer");
+  std::size_t n = frame_length(head);
+  if (n == 0) return drop(ErrorCode::kProtocol, "empty reply frame");
+  Bytes payload;
+  if (n > kMaxFrame || !read_payload(fd, n - 1, payload)) {
+    return drop(kClosed, "connection closed by peer");
   }
-  Bytes frame;
-  if (!recv_frame(fd, frame)) {
-    connections_.erase(ep.port);
-    ::close(fd);
-    return Result<Bytes>(ErrorCode::kUnavailable, "connection closed by peer");
-  }
+  if (head[4] == 1) return payload;
   try {
-    util::Reader r(frame);
-    if (r.u8() == 1) {
-      return r.raw(r.remaining());
-    }
+    util::Reader r(payload);
     auto code = static_cast<ErrorCode>(r.u8());
     return Result<Bytes>(code, r.str());
   } catch (const util::SerialError& e) {

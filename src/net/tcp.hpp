@@ -5,10 +5,14 @@
 // Framing: every message is a u32 (big-endian) length followed by that many
 // bytes.  Responses add a one-byte OK flag; failures carry an ErrorCode byte
 // plus a UTF-8 message.  Endpoints use the port only (host 127.0.0.1).
+// A server writes a reply's status byte, head and tail straight from where
+// they lie, and a client reads the status byte with the length, so an OK
+// payload lands in the buffer call() returns.
 #pragma once
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <thread>
 #include <unordered_map>
 
@@ -18,10 +22,18 @@
 
 namespace globe::net {
 
-/// Writes one frame to a connected blocking socket: header and payload go
-/// out in one sendmsg, and a short write is finished with plain sends.
-/// Returns false on error.
-GLOBE_BLOCKING bool send_frame(int fd, util::BytesView payload);
+/// Most parts one frame's payload may be gathered from.
+inline constexpr std::size_t kMaxFrameParts = 7;
+
+/// Writes one frame to a connected blocking socket.  The payload is the
+/// concatenation of `parts`: the length header and every part go out in one
+/// sendmsg, and a short write is finished with further ones.  Returns false
+/// on error; throws std::invalid_argument beyond kMaxFrameParts parts.
+GLOBE_BLOCKING bool send_frame(int fd, std::span<const util::BytesView> parts);
+/// A frame whose payload is one buffer.
+GLOBE_BLOCKING inline bool send_frame(int fd, util::BytesView payload) {
+  return send_frame(fd, std::span<const util::BytesView>(&payload, 1));
+}
 /// Reads one frame into `out`.  Returns false on EOF, error, or an
 /// announced length over 64 MiB.
 GLOBE_BLOCKING bool recv_frame(int fd, util::Bytes& out);

@@ -40,11 +40,43 @@ class ServerContext {
   virtual class Transport& transport() = 0;
 };
 
-/// A bound service: receives opaque request bytes, returns response bytes.
+/// A handler's response bytes: an owned head, then a tail that views
+/// immutable storage the reply shares ownership of.  A handler that builds
+/// bytes returns them as a flat reply (Bytes converts implicitly); one that
+/// serves stored content puts a few header bytes in the head and views the
+/// content, so the content is not copied per request.  TcpServer writes the
+/// two parts with one sendmsg; SimNet and wrappers that read the bytes
+/// flatten() the reply.
+class Reply {
+ public:
+  Reply() = default;
+  Reply(util::Bytes bytes) : head_(std::move(bytes)) {}  // NOLINT(google-explicit-constructor)
+  /// `tail` must lie inside the storage `owner` keeps alive.
+  Reply(util::Bytes head, util::BytesView tail, std::shared_ptr<const void> owner)
+      : head_(std::move(head)), tail_(tail), owner_(std::move(owner)) {}
+
+  util::BytesView head() const { return head_; }
+  util::BytesView tail() const { return tail_; }
+  std::size_t size() const { return head_.size() + tail_.size(); }
+
+  /// The reply's bytes in one buffer; a flat reply gives up its head as is.
+  util::Bytes flatten() && {
+    util::Bytes out = std::move(head_);
+    util::append(out, tail_);
+    return out;
+  }
+
+ private:
+  util::Bytes head_;
+  util::BytesView tail_;
+  std::shared_ptr<const void> owner_;
+};
+
+/// A bound service: receives opaque request bytes, returns a Reply.
 /// Handlers must be thread-safe; concurrent flows may invoke them from
 /// multiple threads (per-host serialization is provided by SimNet).
 using MessageHandler =
-    std::function<util::Result<util::Bytes>(ServerContext&, util::BytesView)>;
+    std::function<util::Result<Reply>(ServerContext&, util::BytesView)>;
 
 /// Client-side transport handle.  One instance per logical flow (client
 /// session); not thread-safe across flows.

@@ -84,13 +84,13 @@ Result<PullResult> pull_replica(net::Transport& transport,
     auto batch = globedoc::fetch_many(transport, source, batch_req);
     if (!batch.is_ok()) return batch.status();
     for (std::size_t i = base; i < end; ++i) {
-      const auto& item = batch->items[i - base];
+      auto& item = batch->items[i - base];
       if (!item.found) {
         return fail(util::Status(ErrorCode::kNotFound,
                                  "peer has no element " + entries[i].name));
       }
       auto element = globedoc::verify_element(transport, *certificate,
-                                              entries[i].name, item.element);
+                                              entries[i].name, std::move(item.element));
       if (!element.is_ok()) return fail(element.status());
       state.elements.push_back(std::move(*element));
     }

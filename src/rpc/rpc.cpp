@@ -61,8 +61,8 @@ void ServiceDispatcher::set_trace_host(std::string host) {
   trace_host_ = std::move(host);
 }
 
-Result<Bytes> ServiceDispatcher::dispatch(net::ServerContext& ctx,
-                                          BytesView request) const {
+Result<net::Reply> ServiceDispatcher::dispatch(net::ServerContext& ctx,
+                                               BytesView request) const {
   std::uint16_t service, method;
   util::BytesView payload;
   obs::TraceContext caller;
@@ -77,9 +77,9 @@ Result<Bytes> ServiceDispatcher::dispatch(net::ServerContext& ctx,
       // past safely and is rejected rather than guessed at.
       std::uint8_t version = r.u8();
       if (version != kTraceVersion) {
-        return Result<Bytes>(ErrorCode::kProtocol,
-                             "unsupported trace header version " +
-                                 std::to_string(version));
+        return Result<net::Reply>(ErrorCode::kProtocol,
+                                  "unsupported trace header version " +
+                                      std::to_string(version));
       }
       caller = obs::TraceContext::decode(r);
       service = r.u16();
@@ -92,7 +92,7 @@ Result<Bytes> ServiceDispatcher::dispatch(net::ServerContext& ctx,
     // above before any offset is formed.
     payload = request.subspan(request.size() - r.remaining());
   } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
+    return Result<net::Reply>(ErrorCode::kProtocol, e.what());
   }
   MethodFn fn;
   obs::TraceSink* sink;
@@ -101,9 +101,9 @@ Result<Bytes> ServiceDispatcher::dispatch(net::ServerContext& ctx,
     util::LockGuard lock(mutex_);
     auto it = methods_.find({service, method});
     if (it == methods_.end()) {
-      return Result<Bytes>(ErrorCode::kNotFound,
-                           "no method " + std::to_string(service) + "/" +
-                               std::to_string(method));
+      return Result<net::Reply>(ErrorCode::kNotFound,
+                                "no method " + std::to_string(service) + "/" +
+                                    std::to_string(method));
     }
     fn = it->second;
     sink = trace_sink_;

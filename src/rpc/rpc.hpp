@@ -53,7 +53,7 @@ enum ServiceId : std::uint16_t {
 };
 
 using MethodFn =
-    std::function<util::Result<util::Bytes>(net::ServerContext&, util::BytesView)>;
+    std::function<util::Result<net::Reply>(net::ServerContext&, util::BytesView)>;
 
 /// Marker u16 that introduces the optional trace header (see file comment).
 inline constexpr std::uint16_t kTraceMarker = 0xFFFF;
@@ -81,8 +81,8 @@ class ServiceDispatcher {
   /// Adapter to bind on a SimNet endpoint or TcpServer.
   net::MessageHandler handler();
 
-  util::Result<util::Bytes> dispatch(net::ServerContext& ctx,
-                                     util::BytesView request) const
+  util::Result<net::Reply> dispatch(net::ServerContext& ctx,
+                                    util::BytesView request) const
       GLOBE_EXCLUDES(mutex_);
 
  private:

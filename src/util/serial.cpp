@@ -83,11 +83,15 @@ std::string Reader::str() {
 }
 
 Bytes Reader::raw(std::size_t n) {
+  BytesView v = view(n);
+  return Bytes(v.begin(), v.end());
+}
+
+BytesView Reader::view(std::size_t n) {
   need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  BytesView v = data_.subspan(pos_, n);
   pos_ += n;
-  return out;
+  return v;
 }
 
 std::uint32_t checked_count(std::uint32_t n, std::uint32_t max_n) {

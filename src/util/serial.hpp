@@ -58,6 +58,8 @@ class Reader {
   std::string str();
   /// Exactly n raw bytes.
   Bytes raw(std::size_t n);
+  /// Exactly n raw bytes, viewed where they lie in the input.
+  BytesView view(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return remaining() == 0; }

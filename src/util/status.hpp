@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -91,6 +92,14 @@ class [[nodiscard]] Result {
   }
   Result(ErrorCode code, std::string message)
       : v_(Status(code, std::move(message))) {}
+  /// Converts from a result whose value converts to T (a handler's
+  /// Result<Bytes> into Result<net::Reply>): the value or the error carries
+  /// over.
+  template <typename U>
+    requires(!std::is_same_v<U, T> && std::is_convertible_v<U, T>)
+  Result(Result<U> other)  // NOLINT(google-explicit-constructor)
+      : v_(other.is_ok() ? std::variant<T, Status>(T(std::move(other).value()))
+                         : std::variant<T, Status>(other.status())) {}
 
   bool is_ok() const { return std::holds_alternative<T>(v_); }
   explicit operator bool() const { return is_ok(); }

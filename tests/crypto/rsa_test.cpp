@@ -207,6 +207,19 @@ TEST(RsaTest, SeededKeygenIsByteStable) {
   }
 }
 
+// qinv is the inverse of q mod p that CRT recombination needs, reduced
+// below p, on the golden seeds above.
+TEST(RsaTest, QinvInvertsQModPOnGoldenSeeds) {
+  const std::pair<std::uint64_t, std::size_t> kSeeds[] = {
+      {4242, 1024}, {31337, 512}, {0x6c697665'6b657973ull, 1024}};
+  for (auto [seed, bits] : kSeeds) {
+    auto rng = HmacDrbg::from_seed(seed);
+    RsaPrivateKey priv = rsa_generate(bits, rng).priv;
+    EXPECT_EQ((priv.qinv * priv.q) % priv.p, BigInt(1)) << "seed=" << seed;
+    EXPECT_LT(priv.qinv, priv.p) << "seed=" << seed;
+  }
+}
+
 // Both primes have their top two bits set, so every pair gives a modulus of
 // exactly `bits` bits.
 TEST(RsaTest, EveryKeyHasExactBitsAndSigns) {

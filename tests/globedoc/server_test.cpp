@@ -4,6 +4,7 @@
 
 #include "crypto/drbg.hpp"
 #include "net/simnet.hpp"
+#include "net/tcp.hpp"
 #include "util/serial.hpp"
 
 namespace globe::globedoc {
@@ -183,6 +184,74 @@ TEST_F(ServerFixture, AccessInterfaceServesElements) {
   EXPECT_EQ(el->name, "index.html");
   EXPECT_EQ(server->elements_served(), 1u);
   EXPECT_GT(server->content_bytes_served(), 0u);
+}
+
+/// Serves a dispatcher call made directly, outside any transport.
+class DirectContext final : public net::ServerContext {
+ public:
+  explicit DirectContext(net::Transport& transport) : transport_(transport) {}
+  util::SimTime now() const override { return transport_.now(); }
+  void charge(net::CpuOp, std::uint64_t) override {}
+  net::HostId local_host() const override { return transport_.local_host(); }
+  net::Transport& transport() override { return transport_; }
+
+ private:
+  net::Transport& transport_;
+};
+
+Bytes get_element_request(const Oid& oid, const std::string& name) {
+  util::Writer w;
+  w.u16(rpc::kGlobeDocAccess);
+  w.u16(kGetElement);
+  w.raw(oid.to_bytes());
+  w.str(name);
+  return w.take();
+}
+
+TEST_F(ServerFixture, GetElementReplyOutlivesAnUpdate) {
+  // A GetElement reply views the element in the hosted snapshot it was
+  // served from.  An update installed before the reply is sent replaces the
+  // snapshot but leaves the reply's bytes as they were; the next request
+  // is served from the update.
+  GlobeDocObject object(make_key(53));
+  object.put_element({"index.html", "text/html", Bytes(4096, 'a')});
+  object.sign_state(0, util::seconds(3600));
+  const PageElement old_element = *object.element("index.html");
+  AdminClient admin(*flow, ep, owner_key);
+  ASSERT_TRUE(admin.create_replica(object.snapshot()).is_ok());
+
+  DirectContext ctx(*flow);
+  const Bytes request = get_element_request(object.oid(), "index.html");
+  auto before = dispatcher.dispatch(ctx, request);
+  ASSERT_TRUE(before.is_ok());
+  EXPECT_EQ(before->tail().size(), old_element.content.size());  // a view, not a copy
+
+  object.put_element({"index.html", "text/html", Bytes(4096, 'b')});
+  object.sign_state(0, util::seconds(3600));
+  ASSERT_TRUE(admin.update_replica(object.snapshot()).is_ok());
+
+  EXPECT_EQ(std::move(*before).flatten(), old_element.serialize());
+  auto after = dispatcher.dispatch(ctx, request);
+  ASSERT_TRUE(after.is_ok());
+  EXPECT_EQ(std::move(*after).flatten(), object.element("index.html")->serialize());
+}
+
+TEST_F(ServerFixture, SimNetAndTcpServeIdenticalGetElementBytes) {
+  ASSERT_TRUE(server->install_replica_unchecked(state_v1).is_ok());
+  net::TcpServer tcp(0, dispatcher.handler(), /*workers=*/1);
+  net::TcpTransport tcp_transport;
+  util::Writer req;
+  req.raw(oid.to_bytes());
+  req.str("data.bin");
+
+  auto over_sim = rpc::RpcClient(*flow, ep).call(rpc::kGlobeDocAccess, kGetElement,
+                                                 req.buffer());
+  auto over_tcp = rpc::RpcClient(tcp_transport, net::Endpoint{net::HostId{0}, tcp.port()})
+                      .call(rpc::kGlobeDocAccess, kGetElement, req.buffer());
+  ASSERT_TRUE(over_sim.is_ok());
+  ASSERT_TRUE(over_tcp.is_ok());
+  EXPECT_EQ(*over_sim, *over_tcp);
+  EXPECT_EQ(*over_sim, state_v1.find("data.bin")->serialize());
 }
 
 TEST_F(ServerFixture, AccessUnknownElementOrObject) {

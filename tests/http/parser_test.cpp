@@ -72,6 +72,29 @@ TEST(ParseResponseTest, Basic) {
   EXPECT_EQ(util::to_string(r->body), "abc");
 }
 
+// A response parsed from a buffer it may keep (HttpClient's frame) reads
+// the same as one parsed from a view of it, whichever way the body is
+// framed, and fails on the same inputs.
+TEST(ParseResponseTest, OwnedFrameParsesLikeItsView) {
+  for (const char* wire : {
+           "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabcTRAILING",
+           "HTTP/1.1 200 OK\r\nX-A: b\r\n\r\nno length",
+           "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+           "HTTP/1.1 204 No Content\r\n\r\n",
+           "HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nshort",
+       }) {
+    const Bytes frame = to_bytes(wire);
+    auto viewed = parse_response(util::BytesView(frame));
+    auto owned = parse_response(Bytes(frame));
+    ASSERT_EQ(owned.code(), viewed.code()) << wire;
+    if (!viewed.is_ok()) continue;
+    EXPECT_EQ(owned->status, viewed->status) << wire;
+    EXPECT_EQ(owned->reason, viewed->reason) << wire;
+    EXPECT_EQ(owned->headers.all(), viewed->headers.all()) << wire;
+    EXPECT_EQ(owned->body, viewed->body) << wire;
+  }
+}
+
 TEST(ParseResponseTest, MultiWordReason) {
   auto r = parse_response(to_bytes("HTTP/1.1 404 Not Found\r\n\r\n"));
   ASSERT_TRUE(r.is_ok());

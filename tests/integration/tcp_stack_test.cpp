@@ -4,6 +4,10 @@
 // Transport differs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "crypto/drbg.hpp"
 #include "globedoc/owner.hpp"
 #include "globedoc/proxy.hpp"
@@ -13,6 +17,46 @@
 #include "location/tree.hpp"
 #include "naming/service.hpp"
 #include "net/tcp.hpp"
+
+// Every allocation in this binary goes through the replacement operator new
+// below, which counts those of at least kLargeAllocation bytes while armed:
+// an element of 256 KB costs one count for each buffer that holds it whole.
+namespace {
+
+constexpr std::size_t kLargeAllocation = 128 * 1024;
+std::atomic<bool> g_count_large{false};
+std::atomic<int> g_large_allocations{0};
+
+void* counted_malloc(std::size_t n) {
+  if (n >= kLargeAllocation && g_count_large.load(std::memory_order_relaxed)) {
+    g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Every replaceable form that the runtime would otherwise pair with its own
+// allocator; the aligned forms stay the runtime's, as a pair.
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace globe::globedoc {
 namespace {
@@ -171,6 +215,45 @@ TEST_F(TcpStackFixture, BrowserThroughProxyOverRealSockets) {
   auto missing = browser.get(port_ep(proxy_tcp.port()), "/globe/tcp.vu.nl/ghost");
   ASSERT_TRUE(missing.is_ok());
   EXPECT_EQ(missing->status, 404);
+}
+
+TEST_F(TcpStackFixture, WarmLargeFetchHoldsTheElementInTwoBuffers) {
+  // One 256 KB element fetched the way bench_live's warm_large fetches it:
+  // an HttpClient browser -> TcpServer with ProxyHttpServer -> TcpServer with
+  // ObjectServer, the proxy's binding cached by an earlier fetch.  The
+  // element is held whole once where the proxy reads the replica's reply
+  // and once where the browser reads the proxy's; nothing in between copies
+  // it.
+  Bytes content(256 * 1024);
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<std::uint8_t>(i * 131 + (i >> 9));
+  }
+  owner->object().put_element({"large.bin", "application/octet-stream", content});
+  ASSERT_TRUE(owner
+                  ->refresh_replicas(owner_transport, util::RealClock().now(),
+                                     util::seconds(600))
+                  .is_ok());
+  net::TcpTransport proxy_transport;
+  ProxyConfig config = proxy_config();
+  config.cache_bindings = true;
+  ProxyHttpServer front(std::make_unique<GlobeDocProxy>(proxy_transport, config));
+  net::TcpServer proxy_tcp(0, front.handler(), /*workers=*/2);
+  net::TcpTransport browser_transport;
+  http::HttpClient browser(browser_transport);
+  const std::string url = "/globe/tcp.vu.nl/large.bin";
+  auto cold = browser.get(port_ep(proxy_tcp.port()), url);
+  ASSERT_TRUE(cold.is_ok()) << cold.status().to_string();
+  ASSERT_EQ(cold->status, 200);
+
+  g_large_allocations.store(0);
+  g_count_large.store(true);
+  auto warm = browser.get(port_ep(proxy_tcp.port()), url);
+  g_count_large.store(false);
+
+  ASSERT_TRUE(warm.is_ok()) << warm.status().to_string();
+  EXPECT_EQ(warm->status, 200);
+  EXPECT_EQ(warm->body, content);
+  EXPECT_LE(g_large_allocations.load(), 2) << "allocations of 128 KB or more";
 }
 
 }  // namespace

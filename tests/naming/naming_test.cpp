@@ -218,10 +218,10 @@ TEST_F(ResolverFixture, TamperedRecordDetected) {
   auto inner = root_dispatcher.handler();
   net.bind(evil_ep, [inner](net::ServerContext& ctx,
                             util::BytesView req) -> util::Result<Bytes> {
-    auto resp = inner(ctx, req);
-    if (resp.is_ok() && !resp->empty()) {
-      (*resp)[resp->size() / 2] ^= 0x01;
-    }
+    auto reply = inner(ctx, req);
+    if (!reply.is_ok()) return reply.status();
+    Bytes resp = std::move(*reply).flatten();
+    if (!resp.empty()) resp[resp.size() / 2] ^= 0x01;
     return resp;
   });
   SecureResolver resolver(*flow, evil_ep, root_key.pub);

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -129,12 +131,13 @@ TEST(TcpTest, StopIsIdempotent) {
   server.stop();
 }
 
-TEST(TcpTest, ShortSendmsgIsFinishedAndTheFrameArrivesWhole) {
-  // The sender has a small send buffer and a 250 ms send timeout; the
-  // receiver has a small receive buffer and drains at most 4 KB per
-  // millisecond.  Moving 2 MiB then takes over half a second, so sendmsg
-  // gives up after 250 ms with part of the frame sent, and send_frame must
-  // finish the rest.
+// Sends `parts` as one frame and checks that `payload`, their
+// concatenation, arrives whole.  The sender has a small send buffer and a
+// 250 ms send timeout; the receiver has a small receive buffer and drains
+// at most 4 KB per millisecond.  Moving 2 MiB then takes over half a
+// second, so sendmsg gives up after 250 ms with part of the frame sent, and
+// send_frame must finish the rest.
+void expect_short_sends_finish(std::span<const BytesView> parts, const Bytes& payload) {
   int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listen_fd, 0);
   const int small = 4096;
@@ -156,10 +159,6 @@ TEST(TcpTest, ShortSendmsgIsFinishedAndTheFrameArrivesWhole) {
   int rx = ::accept(listen_fd, nullptr, nullptr);
   ASSERT_GE(rx, 0);
 
-  Bytes payload(2 * 1024 * 1024);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::uint8_t>(i * 7 + i / 4096);
-  }
   Bytes received;
   std::thread reader([rx, &received] {
     std::uint8_t chunk[4096];
@@ -171,7 +170,7 @@ TEST(TcpTest, ShortSendmsgIsFinishedAndTheFrameArrivesWhole) {
     }
   });
   const auto begin = std::chrono::steady_clock::now();
-  const bool sent = send_frame(tx, payload);
+  const bool sent = send_frame(tx, parts);
   const auto elapsed = std::chrono::steady_clock::now() - begin;
   ::shutdown(tx, SHUT_WR);  // the reader stops at EOF
   reader.join();
@@ -187,6 +186,131 @@ TEST(TcpTest, ShortSendmsgIsFinishedAndTheFrameArrivesWhole) {
   const Bytes header(received.begin(), received.begin() + 4);
   EXPECT_EQ(header, (Bytes{0x00, 0x20, 0x00, 0x00}));
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(), received.begin() + 4));
+}
+
+TEST(TcpTest, ShortSendmsgIsFinishedAndTheFrameArrivesWhole) {
+  Bytes payload(2 * 1024 * 1024);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + i / 4096);
+  }
+  {
+    SCOPED_TRACE("one part");
+    const BytesView whole[] = {payload};
+    expect_short_sends_finish(whole, payload);
+  }
+  {
+    // Each 250 ms send moves far more than the 4 KB first part and far less
+    // than the second, so the first short write ends inside the second
+    // part and send_frame resumes from the middle of it.
+    SCOPED_TRACE("three parts");
+    const BytesView all = payload;
+    const BytesView split[] = {all.first(4096), all.subspan(4096, all.size() - 8192),
+                               all.last(4096)};
+    expect_short_sends_finish(split, payload);
+  }
+}
+
+TEST(TcpTest, OneSendFrameWritesFlatAndGatheredFrames) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const Bytes head = util::to_bytes("head:");
+  const Bytes tail = util::to_bytes("tail bytes");
+  const BytesView gathered[] = {head, BytesView{}, tail, head};
+  ASSERT_TRUE(send_frame(fds[0], util::to_bytes("flat")));
+  ASSERT_TRUE(send_frame(fds[0], gathered));
+  ASSERT_TRUE(send_frame(fds[0], std::span<const BytesView>{}));
+  const BytesView too_many[kMaxFrameParts + 1] = {};
+  EXPECT_THROW(send_frame(fds[0], too_many), std::invalid_argument);
+  ::close(fds[0]);
+
+  // Every frame is its length, then the parts back to back.
+  Bytes wire;
+  std::uint8_t chunk[256];
+  for (ssize_t r; (r = ::recv(fds[1], chunk, sizeof chunk, 0)) > 0;) {
+    wire.insert(wire.end(), chunk, chunk + r);
+  }
+  ::close(fds[1]);
+  const Bytes expected = util::to_bytes(std::string("\0\0\0\4flat", 8) +
+                                        std::string("\0\0\0\x14head:tail byteshead:", 24) +
+                                        std::string(4, '\0'));
+  EXPECT_EQ(wire, expected);
+}
+
+/// The payload of the reply frame `server` writes for `request`, read off a
+/// raw socket.
+Bytes reply_on_the_wire(const TcpServer& server, BytesView request) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  Bytes payload;
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  EXPECT_TRUE(send_frame(fd, request));
+  EXPECT_TRUE(recv_frame(fd, payload));
+  ::close(fd);
+  return payload;
+}
+
+TEST(TcpTest, GatheredReplyArrivesAsItsFlattenedForm) {
+  auto stored = std::make_shared<const Bytes>(util::to_bytes("content the reply views"));
+  auto reply = [stored] { return Reply(util::to_bytes("head|"), *stored, stored); };
+  TcpServer server(0, [reply](ServerContext&, BytesView) -> Result<Reply> {
+    return reply();
+  });
+  const Bytes flat = reply().flatten();
+  EXPECT_EQ(util::to_string(flat), "head|content the reply views");
+
+  Bytes expected{1};  // the OK status byte, then the reply's bytes
+  util::append(expected, flat);
+  EXPECT_EQ(reply_on_the_wire(server, util::to_bytes("x")), expected);
+  TcpTransport client;
+  auto r = client.call(Endpoint{HostId{0}, server.port()}, util::to_bytes("x"));
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(*r, flat);
+}
+
+TEST(TcpTest, ErrorReplyFrameIsUnchanged) {
+  TcpServer server(0, [](ServerContext&, BytesView) -> Result<Bytes> {
+    return Result<Bytes>(ErrorCode::kPermissionDenied, "no");
+  });
+  // Status 0, the code byte, then the message as a length-prefixed string.
+  const Bytes expected{0, static_cast<std::uint8_t>(ErrorCode::kPermissionDenied),
+                       0, 0, 0, 2, 'n', 'o'};
+  EXPECT_EQ(reply_on_the_wire(server, util::to_bytes("x")), expected);
+}
+
+TEST(TcpTest, EmptyReplyFrameIsAProtocolError) {
+  // A raw peer answers with a frame too short to hold the status byte.  The
+  // call fails as a protocol error and drops the connection, whose stream
+  // is out of step.
+  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listen_fd, 2), 0);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len),
+            0);
+  std::thread peer([listen_fd] {
+    int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    Bytes request;
+    if (recv_frame(fd, request)) {
+      const std::uint8_t reply[5] = {0, 0, 0, 0, 1};  // empty frame, stray byte
+      ::send(fd, reply, sizeof reply, MSG_NOSIGNAL);
+    }
+    while (recv_frame(fd, request)) {
+    }
+    ::close(fd);
+  });
+  TcpTransport client;
+  const Endpoint ep{HostId{0}, ntohs(addr.sin_port)};
+  EXPECT_EQ(client.call(ep, util::to_bytes("x")).code(), ErrorCode::kProtocol);
+  peer.join();  // returns once the client has closed the connection
+  ::close(listen_fd);
 }
 
 long peak_rss_kb() {
