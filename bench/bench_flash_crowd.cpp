@@ -98,7 +98,11 @@ void run_thundering_herd(obs::MetricsRegistry& registry, bool fast) {
         tier = std::make_unique<cache::EdgeCacheTier>(tc);
       }
 
-      const std::size_t origin_before = world.object_server().elements_served();
+      // The origin's own series, as /metrics shows it (PaperWorld's object
+      // server reports into the process-global registry).
+      obs::Counter& origin_served = registry.counter(
+          "object_server.elements_served", {{"server", "ginger"}});
+      const std::uint64_t origin_before = origin_served.value();
       // Per-cell crypto attribution: the herd's proxies carry no profile
       // registry, so their probes land in the process-global one — reset it
       // after setup (publication signs/hashes are not part of the herd) and
@@ -169,8 +173,7 @@ void run_thundering_herd(obs::MetricsRegistry& registry, bool fast) {
         }
       }
 
-      const std::size_t origin_fetches =
-          world.object_server().elements_served() - origin_before;
+      const std::size_t origin_fetches = origin_served.value() - origin_before;
       const double per_element = static_cast<double>(origin_fetches) /
                                  static_cast<double>(kElements);
       const double p99 = percentile(herd_ms, 0.99);

@@ -2,13 +2,16 @@
 // through the GlobeDoc proxy, narrating every step of the paper's Fig. 3.
 //
 //   1. An owner creates a GlobeDoc object (key pair -> self-certifying OID),
-//      fills it with page elements and signs an integrity certificate.
+//      fills it with page elements, has a CA certify the OID's real-world
+//      identity and signs an integrity certificate.
 //   2. The name "news.vu.nl" is registered in the secure naming service.
 //   3. A replica is pushed to an (untrusted) object server and its contact
 //      address registered in the location service.
 //   4. A client proxy resolves the name, locates the replica, verifies the
-//      key against the OID, verifies the certificate, fetches the element
-//      and checks authenticity / freshness / consistency.
+//      key against the OID, matches the identity certificate against the
+//      CAs its user trusts ("Certified as:"), verifies the certificate,
+//      fetches the element and checks authenticity / freshness /
+//      consistency.
 #include <cstdio>
 
 #include "crypto/drbg.hpp"
@@ -71,8 +74,17 @@ int main() {
                       util::to_bytes("<html><body><h1>VU News</h1>"
                                      "<img src=logo.gif></body></html>")});
   object.put_element({"logo.gif", "image/gif", util::Bytes(256, 0x47)});
-  globedoc::ObjectOwner owner(std::move(object), credentials);
   std::printf("[owner] added 2 page elements\n");
+
+  // Optional: a CA binds the OID to the real-world entity behind it.
+  auto ca_rng = crypto::HmacDrbg::from_seed(5);
+  globedoc::CertificateAuthority ca("Example Root CA",
+                                    crypto::rsa_generate(1024, ca_rng));
+  object.add_identity_certificate(
+      ca.issue("Vrije Universiteit Amsterdam", object.oid(), util::seconds(86400)));
+  std::printf("[owner] %s certified the OID as Vrije Universiteit Amsterdam\n",
+              ca.name().c_str());
+  globedoc::ObjectOwner owner(std::move(object), credentials);
 
   // --- 2. Register the human-readable name.
   owner.register_name(*root_zone, "news.vu.nl", util::seconds(86400));
@@ -96,6 +108,8 @@ int main() {
   config.naming_root = naming_ep;
   config.naming_anchor = zone_keys.pub;
   config.location_site = tree.endpoint("site-client");
+  config.trust.trust(ca.name(), ca.public_key());  // the user trusts this CA
+  config.request_identity = true;
   globedoc::GlobeDocProxy proxy(*client_flow, config);
 
   auto result = proxy.fetch_url("http://globe/news.vu.nl/index.html");
@@ -107,6 +121,11 @@ int main() {
   std::printf("[proxy]   resolved name, located replica, verified key==OID,\n");
   std::printf("[proxy]   verified certificate signature, checked element hash,\n");
   std::printf("[proxy]   freshness and consistency: ALL OK\n");
+  if (!result->certified_as) {
+    std::fprintf(stderr, "no identity certificate from a trusted CA\n");
+    return 1;
+  }
+  std::printf("[proxy] Certified as: %s\n", result->certified_as->c_str());
   std::printf("[proxy] -> %zu bytes of %s in %.1f ms (%.1f ms security ops)\n\n",
               result->element.content.size(), result->element.content_type.c_str(),
               util::to_millis(result->metrics.total_time),

@@ -23,10 +23,7 @@ bool DelayedReplicator::schedule(const globedoc::Oid& oid,
   for (const auto& task : queue_) {
     if (task.oid == oid) return false;  // already queued
   }
-  if (queue_.size() >= kMaxQueue) {
-    ++dropped_;
-    return false;
-  }
+  if (queue_.size() >= kMaxQueue) return false;
   queue_.push_back(Task{oid, origin, cert, std::move(names)});
   return true;
 }
@@ -123,11 +120,6 @@ DelayedReplicator::PumpStats DelayedReplicator::pump(
 std::size_t DelayedReplicator::pending() const {
   util::LockGuard lock(mutex_);
   return queue_.size();
-}
-
-std::uint64_t DelayedReplicator::dropped() const {
-  util::LockGuard lock(mutex_);
-  return dropped_;
 }
 
 }  // namespace globe::cache

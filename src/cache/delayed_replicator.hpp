@@ -64,9 +64,6 @@ class DelayedReplicator {
 
   std::size_t pending() const GLOBE_EXCLUDES(mutex_);
 
-  /// Total schedule() calls dropped because the queue was full.
-  std::uint64_t dropped() const GLOBE_EXCLUDES(mutex_);
-
  private:
   struct Task {
     globedoc::Oid oid;
@@ -83,7 +80,6 @@ class DelayedReplicator {
   ElementCache* cache_;
   mutable util::Mutex mutex_;
   std::deque<Task> queue_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  std::uint64_t dropped_ GLOBE_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace globe::cache

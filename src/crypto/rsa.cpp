@@ -120,28 +120,6 @@ Bytes RsaPrivateKey::serialize() const {
   return w.take();
 }
 
-Result<RsaPrivateKey> RsaPrivateKey::parse(BytesView data) {
-  try {
-    util::Reader r(data);
-    RsaPrivateKey key;
-    for (BigInt* v : {&key.n, &key.e, &key.d, &key.p, &key.q, &key.dp, &key.dq,
-                      &key.qinv}) {
-      Bytes component = r.bytes();
-      if (component.size() > kMaxRsaModulusBytes) {
-        return Result<RsaPrivateKey>(
-            ErrorCode::kProtocol,
-            "RSA key component exceeds " +
-                std::to_string(kMaxRsaModulusBytes * 8) + " bits");
-      }
-      *v = BigInt::from_bytes(component);
-    }
-    r.expect_end();
-    return key;
-  } catch (const util::SerialError& e) {
-    return Result<RsaPrivateKey>(ErrorCode::kProtocol, e.what());
-  }
-}
-
 RsaKeyPair rsa_generate(std::size_t bits, util::RandomSource& rng) {
   if (bits < 256) throw std::invalid_argument("rsa_generate: modulus too small");
   const BigInt e(65537);

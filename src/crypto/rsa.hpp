@@ -60,7 +60,6 @@ struct RsaPrivateKey {
   RsaPublicKey public_key() const { return RsaPublicKey{n, e}; }
 
   util::Bytes serialize() const;
-  static util::Result<RsaPrivateKey> parse(util::BytesView data);
 };
 
 struct RsaKeyPair {

@@ -50,7 +50,6 @@ class IntegrityCertificate {
   const Oid& oid() const { return oid_; }
   std::uint64_t version() const { return version_; }
   const std::vector<ElementEntry>& entries() const { return entries_; }
-  const util::Bytes& signature() const { return signature_; }
 
   [[nodiscard]] const ElementEntry* find(const std::string& name) const;
 

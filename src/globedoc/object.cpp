@@ -121,13 +121,6 @@ const PageElement* GlobeDocObject::element(const std::string& name) const {
   return it == elements_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> GlobeDocObject::element_names() const {
-  std::vector<std::string> names;
-  names.reserve(elements_.size());
-  for (const auto& [name, el] : elements_) names.push_back(name);
-  return names;
-}
-
 void GlobeDocObject::add_identity_certificate(IdentityCertificate cert) {
   identity_certs_.push_back(std::move(cert));
   dirty_ = true;

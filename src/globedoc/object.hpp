@@ -61,7 +61,6 @@ class GlobeDocObject {
   void put_element(GLOBE_TRUSTED_SINK PageElement element);
   void remove_element(const std::string& name);
   const PageElement* element(const std::string& name) const;
-  std::vector<std::string> element_names() const;
   std::size_t element_count() const { return elements_.size(); }
 
   void add_identity_certificate(IdentityCertificate cert);

@@ -11,11 +11,6 @@ using util::Result;
 ProxyHttpServer::ProxyHttpServer(std::unique_ptr<GlobeDocProxy> proxy)
     : proxy_(std::move(proxy)) {}
 
-std::size_t ProxyHttpServer::requests_served() const {
-  util::LockGuard lock(mutex_);
-  return requests_served_;
-}
-
 net::MessageHandler ProxyHttpServer::handler() {
   return [this](net::ServerContext&, BytesView raw) -> Result<net::Reply> {
     auto request = http::parse_request(raw);
@@ -26,7 +21,6 @@ net::MessageHandler ProxyHttpServer::handler() {
           util::to_bytes("<html><body>400 Bad Request</body></html>"));
     } else {
       util::LockGuard lock(mutex_);
-      ++requests_served_;
       response = proxy_->handle_browser_request(*request);
     }
     response.headers.set("Via", "1.1 globedoc-proxy");

@@ -26,14 +26,11 @@ class ProxyHttpServer {
   /// wrapped proxy.  Callers must not race with a live handler().
   GlobeDocProxy& proxy() GLOBE_NO_THREAD_SAFETY_ANALYSIS { return *proxy_; }
 
-  std::size_t requests_served() const GLOBE_EXCLUDES(mutex_);
-
  private:
   mutable util::Mutex mutex_;
-  // One user proxy serves one browser (paper Fig. 3): the proxy object and
-  // the request counter are both driven under the handler mutex.
+  // One user proxy serves one browser (paper Fig. 3): the proxy object is
+  // driven under the handler mutex.
   std::unique_ptr<GlobeDocProxy> proxy_ GLOBE_PT_GUARDED_BY(mutex_);
-  std::size_t requests_served_ GLOBE_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace globe::globedoc

@@ -47,28 +47,6 @@ Status refused(const HostingGrant& grant) {
 
 }  // namespace
 
-util::Bytes HostingGrant::serialize() const {
-  util::Writer w;
-  w.u8(accepted ? 1 : 0);
-  w.u64(lease);
-  w.str(reason);
-  return w.take();
-}
-
-Result<HostingGrant> HostingGrant::parse(BytesView data) {
-  try {
-    util::Reader r(data);
-    HostingGrant grant;
-    grant.accepted = r.u8() != 0;
-    grant.lease = r.u64();
-    grant.reason = r.str();
-    r.expect_end();
-    return grant;
-  } catch (const util::SerialError& e) {
-    return Result<HostingGrant>(ErrorCode::kProtocol, e.what());
-  }
-}
-
 ObjectServer::ObjectServer(std::string name, std::uint64_t nonce_seed,
                            obs::MetricsRegistry* registry,
                            obs::ProfileRegistry* profile)
@@ -92,30 +70,11 @@ void ObjectServer::authorize(const crypto::RsaPublicKey& key) {
   keystore_.insert(key.serialize());
 }
 
-void ObjectServer::revoke(const crypto::RsaPublicKey& key) {
-  util::LockGuard lock(mutex_);
-  keystore_.erase(key.serialize());
-}
-
-bool ObjectServer::is_authorized(const crypto::RsaPublicKey& key) const {
-  util::LockGuard lock(mutex_);
-  return keystore_.count(key.serialize()) > 0;
-}
-
-std::size_t ObjectServer::replica_count() const {
-  util::LockGuard lock(mutex_);
-  return replicas_.size();
-}
-
-bool ObjectServer::hosts(const Oid& oid) const {
-  util::LockGuard lock(mutex_);
-  return replicas_.count(oid) > 0;
-}
-
 Status ObjectServer::install_replica_unchecked(const ReplicaState& state,
                                                util::SimTime now) {
   const Oid oid = state.certificate.oid();
   util::LockGuard lock(mutex_);
+  evict_lapsed_locked(now);
   HostingGrant grant = check_capacity_locked(
       state.content_bytes(), replicas_.count(oid) > 0 ? &oid : nullptr);
   if (!grant.accepted) return refused(grant);
@@ -135,13 +94,6 @@ ObjectServer::Hosted& ObjectServer::install_locked(const Oid& oid,
 void ObjectServer::set_resource_limits(const ResourceLimits& limits) {
   util::LockGuard lock(mutex_);
   limits_ = limits;
-}
-
-std::uint64_t ObjectServer::hosted_bytes() const {
-  util::LockGuard lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [oid, hosted] : replicas_) total += hosted.state->content_bytes();
-  return total;
 }
 
 std::shared_ptr<const ReplicaState> ObjectServer::live_locked(const Oid& oid,
@@ -187,41 +139,6 @@ HostingGrant ObjectServer::check_capacity_locked(std::uint64_t bytes,
   grant.accepted = true;
   grant.lease = limits_.max_lease;
   return grant;
-}
-
-std::size_t ObjectServer::elements_served() const {
-  util::LockGuard lock(mutex_);
-  return elements_served_;
-}
-
-std::uint64_t ObjectServer::content_bytes_served() const {
-  util::LockGuard lock(mutex_);
-  return content_bytes_served_;
-}
-
-void ObjectServer::register_health_checks(obs::AdminHttpServer& admin) {
-  admin.add_health_check("store", [this](net::ServerContext&) {
-    util::LockGuard lock(mutex_);
-    (void)replicas_.size();  // replica table accessible
-    return Status::ok();
-  });
-  admin.add_health_check("capacity", [this](net::ServerContext&) {
-    util::LockGuard lock(mutex_);
-    if (limits_.max_replicas != 0 && replicas_.size() >= limits_.max_replicas) {
-      return Status(ErrorCode::kUnavailable,
-                    name_ + " at replica capacity (" +
-                        std::to_string(replicas_.size()) + "/" +
-                        std::to_string(limits_.max_replicas) + ")");
-    }
-    if (limits_.max_total_bytes != 0) {
-      std::uint64_t used = 0;
-      for (const auto& [oid, hosted] : replicas_) used += hosted.state->content_bytes();
-      if (used >= limits_.max_total_bytes) {
-        return Status(ErrorCode::kUnavailable, name_ + " at byte capacity");
-      }
-    }
-    return Status::ok();
-  });
 }
 
 void ObjectServer::register_freshness_probe(obs::AdminHttpServer& admin,
@@ -313,32 +230,6 @@ void ObjectServer::register_with(rpc::ServiceDispatcher& dispatcher) {
                                return handle_create_or_update(ctx, payload, false);
                              });
   bindm(rpc::kGlobeDocAdmin, kDeleteReplica, &ObjectServer::handle_delete);
-  bindm(rpc::kGlobeDocAdmin, kListReplicas, &ObjectServer::handle_list_replicas);
-  bindm(rpc::kGlobeDocAdmin, kNegotiate, &ObjectServer::handle_negotiate);
-}
-
-Result<Bytes> ObjectServer::handle_negotiate(net::ServerContext& ctx,
-                                             BytesView payload) {
-  try {
-    util::Reader r(payload);
-    std::uint64_t bytes = r.u64();
-    std::uint64_t requested_lease = r.u64();
-    r.expect_end();
-
-    util::LockGuard lock(mutex_);
-    evict_lapsed_locked(ctx.now());
-    HostingGrant grant = check_capacity_locked(bytes, nullptr);
-    if (grant.accepted) {
-      if (limits_.max_lease == 0) {
-        grant.lease = requested_lease;
-      } else if (requested_lease != 0) {
-        grant.lease = std::min<util::SimDuration>(requested_lease, limits_.max_lease);
-      }
-    }
-    return grant.serialize();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
 }
 
 Result<net::Reply> ObjectServer::handle_get_element(net::ServerContext& ctx,
@@ -352,20 +243,17 @@ Result<net::Reply> ObjectServer::handle_get_element(net::ServerContext& ctx,
     r.expect_end();
 
     std::shared_ptr<const ReplicaState> state;
-    const PageElement* el = nullptr;
     {
       util::LockGuard lock(mutex_);
       state = live_locked(*oid, ctx.now());
-      if (state == nullptr) return not_hosted(*oid);
-      el = state->find(name);
-      if (el == nullptr) {
-        return Result<net::Reply>(ErrorCode::kNotFound, "no element '" + name + "'");
-      }
-      ++elements_served_;
-      content_bytes_served_ += el->content.size();
-      elements_counter_->inc();
-      bytes_counter_->inc(el->content.size());
     }
+    if (state == nullptr) return not_hosted(*oid);
+    const PageElement* el = state->find(name);
+    if (el == nullptr) {
+      return Result<net::Reply>(ErrorCode::kNotFound, "no element '" + name + "'");
+    }
+    elements_counter_->inc();
+    bytes_counter_->inc(el->content.size());
     // serialize()'s bytes: the few before the content, then a view of the
     // content in the snapshot, which the reply keeps alive across updates.
     BytesView content = el->content;
@@ -382,9 +270,13 @@ Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
   auto req = FetchManyRequest::parse(payload);
   if (!req.is_ok()) return req.status();
 
-  util::LockGuard lock(mutex_);
-  auto state = live_locked(req->oid, ctx.now());
+  std::shared_ptr<const ReplicaState> state;
+  {
+    util::LockGuard lock(mutex_);
+    state = live_locked(req->oid, ctx.now());
+  }
   if (state == nullptr) return not_hosted(req->oid);
+  // The snapshot is immutable, so the reply is built outside mutex_.
   FetchManyResponse resp;
   if (req->include_cert) {
     resp.certificate = state->certificate.serialize();
@@ -396,8 +288,6 @@ Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
     if (el != nullptr) {
       item.found = true;
       item.element = el->serialize();
-      ++elements_served_;
-      content_bytes_served_ += el->content.size();
       elements_counter_->inc();
       bytes_counter_->inc(el->content.size());
     }
@@ -609,18 +499,6 @@ Result<Bytes> ObjectServer::handle_delete(net::ServerContext& ctx, BytesView pay
   }
 }
 
-Result<Bytes> ObjectServer::handle_list_replicas(net::ServerContext&,
-                                                 BytesView payload) {
-  if (!payload.empty()) {
-    return Result<Bytes>(ErrorCode::kProtocol, "list takes no payload");
-  }
-  util::LockGuard lock(mutex_);
-  util::Writer w;
-  w.u32(static_cast<std::uint32_t>(replicas_.size()));
-  for (const auto& [oid, hosted] : replicas_) w.raw(oid.to_bytes());
-  return w.take();
-}
-
 AdminClient::AdminClient(net::Transport& transport, net::Endpoint server,
                          crypto::RsaKeyPair credentials)
     : transport_(&transport), server_(server), credentials_(std::move(credentials)) {}
@@ -671,39 +549,6 @@ Status AdminClient::update_replica(const ReplicaState& state) {
 
 Status AdminClient::delete_replica(const Oid& oid) {
   return authed_call(kDeleteReplica, "delete", oid.to_bytes());
-}
-
-Result<HostingGrant> AdminClient::negotiate(std::uint64_t bytes,
-                                            util::SimDuration lease) {
-  util::Writer w;
-  w.u64(bytes);
-  w.u64(lease);
-  rpc::RpcClient client(*transport_, server_);
-  auto raw = client.call(rpc::kGlobeDocAdmin, kNegotiate, w.buffer());
-  if (!raw.is_ok()) return raw.status();
-  return HostingGrant::parse(*raw);
-}
-
-Result<std::vector<Oid>> AdminClient::list_replicas() {
-  rpc::RpcClient client(*transport_, server_);
-  auto raw = client.call(rpc::kGlobeDocAdmin, kListReplicas, Bytes{});
-  if (!raw.is_ok()) return raw.status();
-  try {
-    util::Reader r(*raw);
-    std::uint32_t n = util::checked_count(
-        r.u32(), static_cast<std::uint32_t>(kMaxListReplicas));
-    std::vector<Oid> oids;
-    oids.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      auto oid = Oid::from_bytes(r.raw(Oid::kSize));
-      if (!oid.is_ok()) return oid.status();
-      oids.push_back(*oid);
-    }
-    r.expect_end();
-    return oids;
-  } catch (const util::SerialError& e) {
-    return Result<std::vector<Oid>>(ErrorCode::kProtocol, e.what());
-  }
 }
 
 }  // namespace globe::globedoc

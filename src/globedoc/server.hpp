@@ -59,17 +59,12 @@ enum AdminMethod : std::uint16_t {
   kCreateReplica = 2,  // {nonce, pubkey, sig, state}
   kUpdateReplica = 3,  // {nonce, pubkey, sig, state}
   kDeleteReplica = 4,  // {nonce, pubkey, sig, oid20}
-  kListReplicas = 5,   // {} -> u32 n, n × oid20
-  kNegotiate = 6,      // {u64 bytes, u64 lease_ns} -> HostingGrant
+  // 5 and 6 are retired (they were ListReplicas and Negotiate, which no
+  // client called); neither id is reused.
 };
 
-/// Protocol ceiling on OIDs in a kListReplicas reply (~1.25 MiB of OIDs).
-/// AdminClient::list_replicas rejects replies claiming more as protocol
-/// errors before allocating for the claimed count.
-inline constexpr std::size_t kMaxListReplicas = 65536;
-
 /// Resource limitations a server administrator imposes on hosted replicas
-/// (the hosting-negotiation extension sketched in the paper's §6).
+/// (the resource-managed hosting extension sketched in the paper's §6).
 struct ResourceLimits {
   std::size_t max_replicas = 0;        // 0 = unlimited
   std::uint64_t max_total_bytes = 0;   // 0 = unlimited (content bytes)
@@ -77,15 +72,12 @@ struct ResourceLimits {
   util::SimDuration max_lease = 0;     // 0 = unlimited hosting duration
 };
 
-/// Reply to a hosting negotiation: whether the server would accept a
-/// replica of the stated size, and for how long.
+/// The resource policy's verdict on one replica: whether the server hosts
+/// it, and for how long.
 struct HostingGrant {
   bool accepted = false;
   util::SimDuration lease = 0;  // granted duration (0 = unlimited)
   std::string reason;           // populated on rejection
-
-  util::Bytes serialize() const;
-  static util::Result<HostingGrant> parse(util::BytesView data);
 };
 
 class ObjectServer {
@@ -100,14 +92,8 @@ class ObjectServer {
 
   /// Keystore ACL management (server administrator's side).
   void authorize(const crypto::RsaPublicKey& key) GLOBE_EXCLUDES(mutex_);
-  void revoke(const crypto::RsaPublicKey& key) GLOBE_EXCLUDES(mutex_);
-  [[nodiscard]] bool is_authorized(const crypto::RsaPublicKey& key) const
-      GLOBE_EXCLUDES(mutex_);
 
   void register_with(rpc::ServiceDispatcher& dispatcher);
-
-  std::size_t replica_count() const GLOBE_EXCLUDES(mutex_);
-  bool hosts(const Oid& oid) const GLOBE_EXCLUDES(mutex_);
 
   /// Installs a replica bypassing admin *auth* (local bootstrap in tests
   /// and the pull path, both of which hold an already-verified state).
@@ -117,7 +103,8 @@ class ObjectServer {
   /// network path (test bootstrap at t=0) may leave it defaulted.  The
   /// resource limits still apply, as to a create or an update of a hosted
   /// replica: a state they refuse is not installed, and the result is the
-  /// admin path's kUnavailable "hosting refused: ..." status.
+  /// admin path's kUnavailable "hosting refused: ..." status.  Replicas
+  /// whose lease lapsed by `now` are evicted first, as for a create.
   util::Status install_replica_unchecked(GLOBE_TRUSTED_SINK const ReplicaState& state,
                                          util::SimTime now = 0)
       GLOBE_EXCLUDES(mutex_);
@@ -135,20 +122,8 @@ class ObjectServer {
   /// updates and pulled installs; existing replicas are untouched until
   /// their lease ends.
   /// A replica whose lease has lapsed is evicted where the server first
-  /// sees the lapse: a read of it, or any create, update or negotiation.
+  /// sees the lapse: a read of it, or any create, update or pulled install.
   void set_resource_limits(const ResourceLimits& limits) GLOBE_EXCLUDES(mutex_);
-  /// Content bytes currently hosted across all replicas.
-  std::uint64_t hosted_bytes() const GLOBE_EXCLUDES(mutex_);
-
-  /// Serving statistics.
-  std::size_t elements_served() const GLOBE_EXCLUDES(mutex_);
-  std::uint64_t content_bytes_served() const GLOBE_EXCLUDES(mutex_);
-
-  /// Registers this server's readiness probes on an admin surface:
-  /// "store" (replica table accessible) and "capacity" (degraded once the
-  /// administrator's max_replicas limit is reached).  The server must
-  /// outlive `admin`.
-  void register_health_checks(obs::AdminHttpServer& admin);
 
   /// Registers the "replication-freshness" probe: unhealthy once the newest
   /// replica state on this server was installed more than `budget` before
@@ -178,10 +153,6 @@ class ObjectServer {
                                                     bool create);
   util::Result<util::Bytes> handle_delete(net::ServerContext&,
                                           GLOBE_UNTRUSTED util::BytesView);
-  util::Result<util::Bytes> handle_list_replicas(net::ServerContext&,
-                                                 GLOBE_UNTRUSTED util::BytesView);
-  util::Result<util::Bytes> handle_negotiate(net::ServerContext&,
-                                             GLOBE_UNTRUSTED util::BytesView);
 
   /// Checks the resource policy for a replica of `bytes` content bytes
   /// (excluding `existing_oid`'s current usage when updating).  Returns an
@@ -235,8 +206,6 @@ class ObjectServer {
   util::LruCache<util::Bytes, bool> outstanding_nonces_ GLOBE_GUARDED_BY(mutex_);
   std::map<Oid, Hosted> replicas_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   ResourceLimits limits_ GLOBE_GUARDED_BY(mutex_);
-  std::size_t elements_served_ GLOBE_GUARDED_BY(mutex_) = 0;
-  std::uint64_t content_bytes_served_ GLOBE_GUARDED_BY(mutex_) = 0;
   // Registry series, labeled by this server's name.
   obs::Counter* requests_counter_;
   obs::Counter* batch_requests_counter_;
@@ -258,11 +227,6 @@ class AdminClient {
   util::Status create_replica(const ReplicaState& state);
   util::Status update_replica(const ReplicaState& state);
   util::Status delete_replica(const Oid& oid);
-  util::Result<std::vector<Oid>> list_replicas();
-
-  /// Asks the server whether it would host `bytes` of content for `lease`
-  /// (0 = indefinitely) before paying for a state transfer.
-  util::Result<HostingGrant> negotiate(std::uint64_t bytes, util::SimDuration lease);
 
  private:
   util::Result<util::Bytes> fresh_nonce();

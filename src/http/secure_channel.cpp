@@ -118,15 +118,9 @@ Result<crypto::RsaPublicKey> verify_certificate(BytesView cert,
 SecureServer::SecureServer(crypto::RsaKeyPair identity, std::string certificate_name,
                            net::MessageHandler inner, std::uint64_t rng_seed)
     : identity_(std::move(identity)),
-      cert_name_(std::move(certificate_name)),
       inner_(std::move(inner)),
       rng_(crypto::HmacDrbg::from_seed(rng_seed)) {
-  certificate_ = make_certificate(cert_name_, identity_);
-}
-
-std::size_t SecureServer::handshakes() const {
-  util::LockGuard lock(mutex_);
-  return handshake_count_;
+  certificate_ = make_certificate(certificate_name, identity_);
 }
 
 std::size_t SecureServer::sessions() const {
@@ -186,7 +180,6 @@ Result<Bytes> SecureServer::handle(net::ServerContext& ctx, BytesView raw) {
         it->second.client_mac = std::move(keys.client_mac);
         it->second.server_mac = std::move(keys.server_mac);
         it->second.established = true;
-        ++handshake_count_;
         util::Writer w;
         w.u8(1);  // ack
         return w.take();

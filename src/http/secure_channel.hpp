@@ -42,10 +42,6 @@ class SecureServer {
   net::MessageHandler handler();
 
   const crypto::RsaPublicKey& public_key() const { return identity_.pub; }
-  const std::string& certificate_name() const { return cert_name_; }
-
-  /// Number of completed handshakes (for tests/benchmarks).
-  std::size_t handshakes() const GLOBE_EXCLUDES(mutex_);
 
   /// Sessions held at once.  A hello past the cap evicts the oldest
   /// half-open session, else the oldest established one, so a peer that
@@ -69,7 +65,6 @@ class SecureServer {
       GLOBE_EXCLUDES(mutex_);
 
   crypto::RsaKeyPair identity_;
-  std::string cert_name_;
   util::Bytes certificate_;  // serialized name+pubkey+signature
   net::MessageHandler inner_;
   mutable util::Mutex mutex_;
@@ -77,7 +72,6 @@ class SecureServer {
   // Keyed by session id, which counts up, so iteration runs oldest first.
   std::map<std::uint64_t, Session> sessions_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   std::uint64_t next_session_ GLOBE_GUARDED_BY(mutex_) = 1;
-  std::size_t handshake_count_ GLOBE_GUARDED_BY(mutex_) = 0;
 };
 
 /// Client side: performs the handshake on first contact with an endpoint and

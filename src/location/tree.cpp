@@ -142,11 +142,6 @@ void LocationNode::register_with(rpc::ServiceDispatcher& dispatcher) {
   bindm(kRemovePointer, &LocationNode::handle_remove_pointer);
 }
 
-std::size_t LocationNode::lookups_served() const {
-  util::LockGuard lock(mutex_);
-  return lookups_served_;
-}
-
 std::size_t LocationNode::records_stored() const {
   util::LockGuard lock(mutex_);
   return is_site_ ? addresses_.size() : pointers_.size();
@@ -193,7 +188,6 @@ Result<Bytes> LocationNode::handle_lookup(net::ServerContext& ctx, BytesView pay
   bool need_down = false;
   {
     util::LockGuard lock(mutex_);
-    ++lookups_served_;
     if (is_site_) {
       auto it = addresses_.find(oid);
       if (it != addresses_.end() && !it->second.empty()) {

@@ -63,9 +63,6 @@ class LocationNode {
   LocationNode(std::string domain, bool is_site,
                obs::MetricsRegistry* registry = nullptr);
 
-  const std::string& domain() const { return domain_; }
-  bool is_site() const { return is_site_; }
-
   /// Wires the tree: parent endpoint (absent for the root) and named
   /// children (interior nodes).
   void set_parent(const net::Endpoint& parent);
@@ -73,8 +70,8 @@ class LocationNode {
 
   void register_with(rpc::ServiceDispatcher& dispatcher);
 
-  /// Diagnostics for the location-service benchmarks.
-  std::size_t lookups_served() const GLOBE_EXCLUDES(mutex_);
+  /// OIDs this node holds records for (addresses at a site, pointers at
+  /// an interior node).
   std::size_t records_stored() const GLOBE_EXCLUDES(mutex_);
 
  private:
@@ -106,7 +103,6 @@ class LocationNode {
   // Site: OID -> contact addresses.  Interior: OID -> child domains.
   std::map<util::Bytes, std::set<net::Endpoint>> addresses_ GLOBE_GUARDED_BY(mutex_);
   std::map<util::Bytes, std::set<std::string>> pointers_ GLOBE_GUARDED_BY(mutex_);
-  std::size_t lookups_served_ GLOBE_GUARDED_BY(mutex_) = 0;
   // Registry series, labeled by this node's domain.
   obs::Counter* lookups_counter_;
   obs::Counter* lookup_hits_;

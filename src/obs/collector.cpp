@@ -50,11 +50,6 @@ void TraceCollector::set_policy(const TailSamplingPolicy& policy) {
   policy_ = policy;
 }
 
-TailSamplingPolicy TraceCollector::policy() const {
-  util::LockGuard lock(mutex_);
-  return policy_;
-}
-
 void TraceCollector::evict_pending_locked() {
   while (pending_count_ > kMaxPendingFragments && !pending_order_.empty()) {
     TraceKey oldest = pending_order_.front();

@@ -66,7 +66,6 @@ class TraceCollector final : public TraceSink {
   void record(TraceFragment fragment) override GLOBE_EXCLUDES(mutex_);
 
   void set_policy(const TailSamplingPolicy& policy) GLOBE_EXCLUDES(mutex_);
-  TailSamplingPolicy policy() const GLOBE_EXCLUDES(mutex_);
 
   /// Up to `max` most recent kept traces whose root duration is at least
   /// `min_duration`, newest first.

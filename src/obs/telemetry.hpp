@@ -110,8 +110,6 @@ class TelemetryNode {
     consistency_source_ = std::move(source);
   }
 
-  const std::string& node() const { return node_; }
-  const std::string& role() const { return role_; }
   MetricsRegistry& registry() { return *registry_; }
 
  private:

@@ -12,11 +12,13 @@
 #include "globedoc/adversary.hpp"
 #include "globedoc/proxy.hpp"
 #include "obs/profile.hpp"
+#include "tests/globedoc/operator_view.hpp"
 #include "tests/globedoc/world_fixture.hpp"
 
 namespace globe::cache {
 namespace {
 
+using globe::globedoc::testing::elements_served;
 using globe::globedoc::testing::WorldFixture;
 using globedoc::GlobeDocProxy;
 using globedoc::ProxyConfig;
@@ -47,7 +49,7 @@ TEST_F(TierFixture, MissFillsThenHitServesWithoutOrigin) {
                                   "index.html");
   ASSERT_TRUE(first.is_ok());
   EXPECT_FALSE(first->cache_hit);
-  const std::size_t served_after_fill = object_server->elements_served();
+  const std::size_t served_after_fill = elements_served("srv-1");
 
   auto second = tier.fetch_through(*client_flow, server_ep, oid(), cert,
                                    "index.html");
@@ -55,7 +57,7 @@ TEST_F(TierFixture, MissFillsThenHitServesWithoutOrigin) {
   EXPECT_TRUE(second->cache_hit);
   EXPECT_EQ(second->element.content, first->element.content);
   // The hit never touched the origin.
-  EXPECT_EQ(object_server->elements_served(), served_after_fill);
+  EXPECT_EQ(elements_served("srv-1"), served_after_fill);
   EXPECT_EQ(registry.counter("cache.hits").value(), 1u);
   EXPECT_EQ(registry.counter("cache.misses").value(), 1u);
 }
@@ -71,7 +73,7 @@ TEST_F(TierFixture, SharedTierCollapsesManyClientsToOneOriginFetch) {
   auto flow_b = net.open_flow(client_host);
   GlobeDocProxy proxy_b(*flow_b, pc);
 
-  const std::size_t before = object_server->elements_served();
+  const std::size_t before = elements_served("srv-1");
   auto a = proxy_a.fetch(object_name, "logo.gif");
   auto b = proxy_b.fetch(object_name, "logo.gif");
   ASSERT_TRUE(a.is_ok());
@@ -79,7 +81,7 @@ TEST_F(TierFixture, SharedTierCollapsesManyClientsToOneOriginFetch) {
   EXPECT_FALSE(a->metrics.served_from_edge_cache);
   EXPECT_TRUE(b->metrics.served_from_edge_cache);
   // One origin element fetch for two clients.
-  EXPECT_EQ(object_server->elements_served(), before + 1);
+  EXPECT_EQ(elements_served("srv-1"), before + 1);
 }
 
 TEST_F(TierFixture, DelayedReplicationPullsSiblingsInBackground) {
@@ -98,7 +100,7 @@ TEST_F(TierFixture, DelayedReplicationPullsSiblingsInBackground) {
   EXPECT_EQ(registry.counter("cache.delayed_pulls").value(), 2u);
 
   // Siblings now serve from cache with zero origin traffic.
-  const std::size_t served = object_server->elements_served();
+  const std::size_t served = elements_served("srv-1");
   auto logo =
       tier.fetch_through(*client_flow, server_ep, oid(), cert, "logo.gif");
   auto story =
@@ -107,7 +109,7 @@ TEST_F(TierFixture, DelayedReplicationPullsSiblingsInBackground) {
   ASSERT_TRUE(story.is_ok());
   EXPECT_TRUE(logo->cache_hit);
   EXPECT_TRUE(story->cache_hit);
-  EXPECT_EQ(object_server->elements_served(), served);
+  EXPECT_EQ(elements_served("srv-1"), served);
 }
 
 TEST_F(TierFixture, EvictionCancelsPendingDelayedPulls) {
@@ -210,12 +212,12 @@ TEST_F(TierFixture, ExpiredEntryIsRefetchedNotServed) {
                                      util::seconds(3600))
                   .is_ok());
   auto fresh_cert = current_cert();
-  const std::size_t served = object_server->elements_served();
+  const std::size_t served = elements_served("srv-1");
   auto again = tier.fetch_through(*client_flow, server_ep, oid(), fresh_cert,
                                   "index.html");
   ASSERT_TRUE(again.is_ok());
   EXPECT_FALSE(again->cache_hit);                         // refetched...
-  EXPECT_EQ(object_server->elements_served(), served + 1);  // ...from origin
+  EXPECT_EQ(elements_served("srv-1"), served + 1);  // ...from origin
   EXPECT_GE(registry.counter("cache.evictions", {{"reason", "expired"}}).value(),
             1u);
 }
@@ -419,7 +421,7 @@ TEST_F(TierFixture, DecoratedUrlDuplicatesShareOneCacheEntry) {
   pc.edge_cache = &tier;
   GlobeDocProxy proxy(*client_flow, pc);
 
-  const std::size_t before = object_server->elements_served();
+  const std::size_t before = elements_served("srv-1");
   auto v1 = proxy.fetch_url("http://globe/news.vu.nl/logo.gif?v=1");
   auto v2 = proxy.fetch_url("http://globe/news.vu.nl/logo.gif?v=2&cb=99");
   auto frag = proxy.fetch_url("globe://news.vu.nl/logo.gif#top");
@@ -429,7 +431,7 @@ TEST_F(TierFixture, DecoratedUrlDuplicatesShareOneCacheEntry) {
   // Decoration canonicalized away: one upstream fetch, the rest are hits.
   EXPECT_TRUE(v2->metrics.served_from_edge_cache);
   EXPECT_TRUE(frag->metrics.served_from_edge_cache);
-  EXPECT_EQ(object_server->elements_served(), before + 1);
+  EXPECT_EQ(elements_served("srv-1"), before + 1);
 }
 
 TEST_F(TierFixture, ProxyFallsBackToDirectPathWithoutTier) {

@@ -161,15 +161,15 @@ TEST(RsaTest, PublicKeyParseRejectsGarbage) {
 }
 
 TEST(RsaTest, PrivateKeySerializationRoundTrip) {
+  // The encoding the keygen pin hashes: the eight components in order, each
+  // a length-prefixed big-endian integer that reads back to the component.
   const auto& kp = test_key();
-  Bytes wire = kp.priv.serialize();
-  auto parsed = RsaPrivateKey::parse(wire);
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_EQ(parsed->n, kp.priv.n);
-  EXPECT_EQ(parsed->d, kp.priv.d);
-  // The parsed key must still sign correctly.
-  Bytes msg = to_bytes("check");
-  EXPECT_TRUE(rsa_verify_sha1(kp.pub, msg, rsa_sign_sha1(*parsed, msg)));
+  util::Reader r(kp.priv.serialize());
+  for (const BigInt* v : {&kp.priv.n, &kp.priv.e, &kp.priv.d, &kp.priv.p,
+                          &kp.priv.q, &kp.priv.dp, &kp.priv.dq, &kp.priv.qinv}) {
+    EXPECT_EQ(BigInt::from_bytes(r.bytes()), *v);
+  }
+  r.expect_end();
 }
 
 TEST(RsaTest, DeterministicKeygenFromSeed) {

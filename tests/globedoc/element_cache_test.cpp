@@ -9,6 +9,7 @@
 #include "cache/tier.hpp"
 #include "globedoc/proxy.hpp"
 #include "obs/metrics.hpp"
+#include "tests/globedoc/operator_view.hpp"
 #include "tests/globedoc/world_fixture.hpp"
 
 namespace globe::globedoc {
@@ -39,15 +40,17 @@ struct ElementCacheFixture : WorldFixture {
   /// server returned, the proxy's name resolutions, and lookups at its
   /// Location Service site.
   struct Upstream {
-    std::size_t elements = 0;
+    std::uint64_t elements = 0;
     std::uint64_t resolves = 0;
-    std::size_t lookups = 0;
+    std::uint64_t lookups = 0;
     bool operator==(const Upstream&) const = default;
   };
   Upstream upstream() {
-    return {object_server->elements_served(),
+    return {testing::elements_served("srv-1"),
             registry.counter("naming.resolves", {{"outcome", "ok"}}).value(),
-            tree->node("site-client").lookups_served()};
+            obs::global_registry()
+                .counter("location.node.lookups", {{"domain", "site-client"}})
+                .value()};
   }
 
   obs::MetricsRegistry registry;
@@ -95,11 +98,11 @@ TEST_F(ElementCacheFixture, CacheExpiresWithCertificateEntry) {
                   ->refresh_replicas(*publish_flow, client_flow->now(),
                                      util::seconds(3600))
                   .is_ok());
-  const std::size_t served = object_server->elements_served();
+  const std::size_t served = testing::elements_served("srv-1");
   auto again = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(again.is_ok());
   EXPECT_FALSE(again->metrics.served_from_edge_cache);
-  EXPECT_EQ(object_server->elements_served(), served + 1);
+  EXPECT_EQ(testing::elements_served("srv-1"), served + 1);
   EXPECT_EQ(tier.element_cache().size(), 1u);
   EXPECT_EQ(registry.counter("cache.evictions", {{"reason", "expired"}}).value(),
             1u);
@@ -121,11 +124,11 @@ TEST_F(ElementCacheFixture, ClearCacheForcesRefetch) {
   ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());
   tier.element_cache().clear();
   EXPECT_EQ(tier.element_cache().size(), 0u);
-  const std::size_t served = object_server->elements_served();
+  const std::size_t served = testing::elements_served("srv-1");
   auto result = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(result.is_ok());
   EXPECT_FALSE(result->metrics.served_from_edge_cache);
-  EXPECT_EQ(object_server->elements_served(), served + 1);
+  EXPECT_EQ(testing::elements_served("srv-1"), served + 1);
 }
 
 TEST_F(ElementCacheFixture, DisabledByDefault) {
@@ -133,11 +136,11 @@ TEST_F(ElementCacheFixture, DisabledByDefault) {
   ASSERT_EQ(config.edge_cache, nullptr);
   GlobeDocProxy proxy(*client_flow, config);
   ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());
-  const std::size_t served = object_server->elements_served();
+  const std::size_t served = testing::elements_served("srv-1");
   auto second = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(second.is_ok());
   EXPECT_FALSE(second->metrics.served_from_edge_cache);
-  EXPECT_EQ(object_server->elements_served(), served + 1);
+  EXPECT_EQ(testing::elements_served("srv-1"), served + 1);
 }
 
 TEST_F(ElementCacheFixture, StaleCacheCannotHideAnUpdateBeyondItsWindow) {

@@ -6,13 +6,15 @@
 #include "globedoc/server.hpp"
 #include "net/simnet.hpp"
 #include "rpc/rpc.hpp"
+#include "tests/globedoc/operator_view.hpp"
 
 namespace globe::globedoc {
 namespace {
 
+using testing::hosts;
+using testing::replica_count;
 using util::Bytes;
 using util::ErrorCode;
-using util::to_bytes;
 
 crypto::RsaKeyPair host_key(std::uint64_t seed) {
   auto rng = crypto::HmacDrbg::from_seed(seed);
@@ -52,47 +54,27 @@ struct HostingFixture : ::testing::Test {
   std::unique_ptr<net::SimFlow> flow;
 };
 
+/// A GetElement of `oid`'s data.bin, as a client reads it.
+util::Status read_element(net::Transport& transport, const net::Endpoint& ep,
+                          const Oid& oid) {
+  rpc::RpcClient reader(transport, ep);
+  util::Writer req;
+  req.raw(oid.to_bytes());
+  req.str("data.bin");
+  return reader.call(rpc::kGlobeDocAccess, kGetElement, req.buffer()).status();
+}
+
 TEST_F(HostingFixture, UnlimitedByDefault) {
+  // No limits: every create is hosted, and its lease never lapses.
   auto client = admin();
-  auto grant = client.negotiate(50'000'000, 0);
-  ASSERT_TRUE(grant.is_ok());
-  EXPECT_TRUE(grant->accepted);
-  EXPECT_EQ(grant->lease, 0u);  // indefinite
-}
-
-TEST_F(HostingFixture, NegotiationReflectsByteLimit) {
-  ResourceLimits limits;
-  limits.max_total_bytes = 10'000;
-  server->set_resource_limits(limits);
-  auto client = admin();
-
-  auto small = client.negotiate(5'000, 0);
-  ASSERT_TRUE(small.is_ok());
-  EXPECT_TRUE(small->accepted);
-
-  auto big = client.negotiate(20'000, 0);
-  ASSERT_TRUE(big.is_ok());
-  EXPECT_FALSE(big->accepted);
-  EXPECT_NE(big->reason.find("capacity"), std::string::npos);
-}
-
-TEST_F(HostingFixture, NegotiationClampsLease) {
-  ResourceLimits limits;
-  limits.max_lease = util::seconds(100);
-  server->set_resource_limits(limits);
-  auto client = admin();
-
-  auto shorter = client.negotiate(100, util::seconds(50));
-  ASSERT_TRUE(shorter.is_ok());
-  EXPECT_EQ(shorter->lease, util::seconds(50));
-
-  auto longer = client.negotiate(100, util::seconds(500));
-  ASSERT_TRUE(longer.is_ok());
-  EXPECT_EQ(longer->lease, util::seconds(100));
-
-  auto indefinite = client.negotiate(100, 0);
-  ASSERT_TRUE(indefinite.is_ok());
-  EXPECT_EQ(indefinite->lease, util::seconds(100));
+  Oid oid;
+  ASSERT_TRUE(client.create_replica(make_state(90, 200'000, &oid)).is_ok());
+  EXPECT_TRUE(client.create_replica(make_state(91, 200'000)).is_ok());
+  EXPECT_TRUE(client.create_replica(make_state(92, 200'000)).is_ok());
+  EXPECT_EQ(replica_count(*server), 3u);
+  flow->advance(util::seconds(1u << 20));
+  EXPECT_TRUE(read_element(*flow, ep, oid).is_ok());
+  EXPECT_EQ(replica_count(*server), 3u);
 }
 
 TEST_F(HostingFixture, CreateRefusedBeyondTotalBytes) {
@@ -104,8 +86,7 @@ TEST_F(HostingFixture, CreateRefusedBeyondTotalBytes) {
   EXPECT_TRUE(client.create_replica(make_state(100, 6'000)).is_ok());
   auto refused = client.create_replica(make_state(101, 6'000));
   EXPECT_EQ(refused.code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(server->replica_count(), 1u);
-  EXPECT_LE(server->hosted_bytes(), 10'000u);
+  EXPECT_EQ(replica_count(*server), 1u);
 }
 
 TEST_F(HostingFixture, CreateRefusedBeyondReplicaSlots) {
@@ -163,22 +144,17 @@ TEST_F(HostingFixture, LeaseExpiryStopsServingAndEvicts) {
   Oid oid;
   ReplicaState state = make_state(140, 500, &oid);
   ASSERT_TRUE(client.create_replica(state).is_ok());
-  EXPECT_TRUE(server->hosts(oid));
+  EXPECT_TRUE(hosts(*server, oid));
 
   // Within the lease, the replica serves.
-  rpc::RpcClient reader(*flow, ep);
-  util::Writer req;
-  req.raw(oid.to_bytes());
-  req.str("data.bin");
-  EXPECT_TRUE(reader.call(rpc::kGlobeDocAccess, kGetElement, req.buffer()).is_ok());
+  EXPECT_TRUE(read_element(*flow, ep, oid).is_ok());
 
   // Past the lease, the read that first sees the lapse is refused and
   // evicts the state.
   flow->advance(util::seconds(200));
-  EXPECT_EQ(reader.call(rpc::kGlobeDocAccess, kGetElement, req.buffer()).code(),
-            ErrorCode::kNotFound);
-  EXPECT_FALSE(server->hosts(oid));
-  EXPECT_EQ(server->hosted_bytes(), 0u);
+  EXPECT_EQ(read_element(*flow, ep, oid).code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(hosts(*server, oid));
+  EXPECT_EQ(replica_count(*server), 0u);
 }
 
 TEST_F(HostingFixture, LapsedLeaseFreesItsSlotForTheNextCreate) {
@@ -195,8 +171,8 @@ TEST_F(HostingFixture, LapsedLeaseFreesItsSlotForTheNextCreate) {
   flow->advance(util::seconds(200));
   ASSERT_TRUE(client.create_replica(make_state(161, 100, &second)).is_ok());
 
-  EXPECT_FALSE(server->hosts(first));
-  EXPECT_TRUE(server->hosts(second));
+  EXPECT_FALSE(hosts(*server, first));
+  EXPECT_TRUE(hosts(*server, second));
   obs::ConsistencyReport report = server->consistency_report();
   ASSERT_EQ(report.docs.size(), 1u);
   EXPECT_EQ(report.docs[0].oid, second.to_bytes());
@@ -219,25 +195,40 @@ TEST_F(HostingFixture, RefusedCreateCanBeRetriedElsewhere) {
   object.put_element({"big", "application/octet-stream", Bytes(500, 1)});
   object.sign_state(0, util::seconds(1u << 30));
   EXPECT_TRUE(client.create_replica(object.snapshot()).is_ok());
-  EXPECT_TRUE(server->hosts(oid));
+  EXPECT_TRUE(hosts(*server, oid));
 }
 
-TEST_F(HostingFixture, NegotiateMalformedRejected) {
-  rpc::RpcClient client(*flow, ep);
-  EXPECT_EQ(client.call(rpc::kGlobeDocAdmin, kNegotiate, to_bytes("xx")).code(),
-            ErrorCode::kProtocol);
+TEST_F(HostingFixture, PulledInstallOverALapsedReplicaServes) {
+  // The pull path's install over an admin-created replica whose lease has
+  // lapsed: the lapsed entry is evicted first, so the pulled state is
+  // hosted afresh and the next read is served.
+  ResourceLimits limits;
+  limits.max_lease = util::seconds(100);
+  server->set_resource_limits(limits);
+  Oid oid;
+  ReplicaState state = make_state(170, 500, &oid);
+  ASSERT_TRUE(admin().create_replica(state).is_ok());
+  flow->advance(util::seconds(200));
+  ASSERT_TRUE(server->install_replica_unchecked(state, flow->now()).is_ok());
+  EXPECT_TRUE(read_element(*flow, ep, oid).is_ok());
+  EXPECT_TRUE(hosts(*server, oid));
 }
 
-TEST(HostingGrantTest, SerializationRoundTrip) {
-  HostingGrant grant;
-  grant.accepted = true;
-  grant.lease = util::seconds(42);
-  grant.reason = "";
-  auto parsed = HostingGrant::parse(grant.serialize());
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_TRUE(parsed->accepted);
-  EXPECT_EQ(parsed->lease, util::seconds(42));
-  EXPECT_FALSE(HostingGrant::parse(to_bytes("zz")).is_ok());
+TEST_F(HostingFixture, LapsedLeaseFreesItsSlotForAPulledInstall) {
+  // As for a create: a pulled install's capacity decision must not count a
+  // replica whose lease has lapsed.
+  ResourceLimits limits;
+  limits.max_replicas = 1;
+  limits.max_lease = util::seconds(100);
+  server->set_resource_limits(limits);
+  Oid first, second;
+  ASSERT_TRUE(admin().create_replica(make_state(180, 100, &first)).is_ok());
+  flow->advance(util::seconds(200));
+  ASSERT_TRUE(server->install_replica_unchecked(make_state(181, 100, &second),
+                                                flow->now())
+                  .is_ok());
+  EXPECT_FALSE(hosts(*server, first));
+  EXPECT_TRUE(hosts(*server, second));
 }
 
 }  // namespace

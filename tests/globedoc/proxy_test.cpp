@@ -4,6 +4,7 @@
 
 #include "globedoc/adversary.hpp"
 #include "http/static_server.hpp"
+#include "tests/globedoc/operator_view.hpp"
 #include "tests/globedoc/world_fixture.hpp"
 
 namespace globe::globedoc {
@@ -313,7 +314,7 @@ TEST_F(ProxyFixture, UnpublishRemovesReplica) {
                   ->unpublish_replica(*publish_flow, server_ep,
                                       tree->endpoint("site-server"))
                   .is_ok());
-  EXPECT_FALSE(object_server->hosts(owner->object().oid()));
+  EXPECT_FALSE(testing::hosts(*object_server, owner->object().oid()));
   GlobeDocProxy proxy(*client_flow, proxy_config());
   EXPECT_EQ(proxy.fetch(object_name, "index.html").code(), ErrorCode::kNotFound);
 }
@@ -333,7 +334,7 @@ TEST_F(ProxyFixture, PublishRollsBackWhenLocationRegistrationFails) {
   auto status =
       owner->publish_replica(*publish_flow, second_ep, dead_site, state);
   EXPECT_FALSE(status.is_ok());
-  EXPECT_FALSE(second.hosts(owner->object().oid()));  // rolled back
+  EXPECT_FALSE(testing::hosts(second, owner->object().oid()));  // rolled back
   EXPECT_EQ(owner->replicas().size(), 1u);
 }
 
@@ -355,12 +356,14 @@ TEST_F(ProxyFixture, SecondReplicaServesClients) {
                   .is_ok());
   EXPECT_EQ(owner->replicas().size(), 2u);
 
+  const std::uint64_t first_before = testing::elements_served("srv-1");
+  const std::uint64_t second_before = testing::elements_served("srv-2");
   GlobeDocProxy proxy(*client_flow, proxy_config());
   auto result = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(result.is_ok());
   // Served locally: the whole fetch is fast (no 5ms WAN hops for content).
-  EXPECT_TRUE(second.elements_served() == 1 ||
-              object_server->elements_served() == 1);
+  EXPECT_TRUE(testing::elements_served("srv-2") - second_before == 1 ||
+              testing::elements_served("srv-1") - first_before == 1);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "cache/tier.hpp"
 #include "globedoc/adversary.hpp"
 #include "replication/refresher.hpp"
+#include "tests/globedoc/operator_view.hpp"
 #include "tests/globedoc/world_fixture.hpp"
 
 namespace globe::globedoc {
@@ -125,7 +126,7 @@ struct ReplicaChecksFixture : WorldFixture {
         auto pulled =
             replication::pull_replica(*flow, server_ep, oid(), peer, 0);
         out.status = pulled.status();
-        out.admitted = peer.hosts(oid());
+        out.admitted = testing::hosts(peer, oid());
         break;
       }
     }

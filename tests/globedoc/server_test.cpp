@@ -5,11 +5,14 @@
 #include "crypto/drbg.hpp"
 #include "net/simnet.hpp"
 #include "net/tcp.hpp"
+#include "tests/globedoc/operator_view.hpp"
 #include "util/serial.hpp"
 
 namespace globe::globedoc {
 namespace {
 
+using testing::hosts;
+using testing::replica_count;
 using util::Bytes;
 using util::ErrorCode;
 using util::to_bytes;
@@ -61,31 +64,39 @@ struct ServerFixture : ::testing::Test {
 TEST_F(ServerFixture, AuthorizedCreateUpdateDelete) {
   AdminClient admin(*flow, ep, owner_key);
   EXPECT_TRUE(admin.create_replica(state_v1).is_ok());
-  EXPECT_TRUE(server->hosts(oid));
-  EXPECT_EQ(server->replica_count(), 1u);
+  EXPECT_TRUE(hosts(*server, oid));
+  EXPECT_EQ(replica_count(*server), 1u);
 
   EXPECT_TRUE(admin.update_replica(state_v2).is_ok());
-  auto list = admin.list_replicas();
-  ASSERT_TRUE(list.is_ok());
-  ASSERT_EQ(list->size(), 1u);
-  EXPECT_EQ((*list)[0], oid);
+  auto report = server->consistency_report();
+  ASSERT_EQ(report.docs.size(), 1u);
+  EXPECT_EQ(report.docs[0].oid, oid.to_bytes());
+  EXPECT_EQ(report.docs[0].epoch, state_v2.certificate.version());
 
   EXPECT_TRUE(admin.delete_replica(oid).is_ok());
-  EXPECT_FALSE(server->hosts(oid));
+  EXPECT_FALSE(hosts(*server, oid));
 }
 
 TEST_F(ServerFixture, UnauthorizedKeyRejected) {
   AdminClient intruder(*flow, ep, intruder_key);
   EXPECT_EQ(intruder.create_replica(state_v1).code(), ErrorCode::kPermissionDenied);
-  EXPECT_EQ(server->replica_count(), 0u);
+  EXPECT_EQ(replica_count(*server), 0u);
 }
 
 TEST_F(ServerFixture, RevokedKeyRejected) {
+  // Revoking a key is restarting the server with a keystore that no longer
+  // lists it: the key's challenge answers are then refused.
   AdminClient admin(*flow, ep, owner_key);
   EXPECT_TRUE(admin.create_replica(state_v1).is_ok());
-  server->revoke(owner_key.pub);
-  EXPECT_FALSE(server->is_authorized(owner_key.pub));
-  EXPECT_EQ(admin.update_replica(state_v2).code(), ErrorCode::kPermissionDenied);
+  ObjectServer restarted("srv", 8);
+  restarted.authorize(intruder_key.pub);
+  rpc::ServiceDispatcher restarted_dispatcher;
+  restarted.register_with(restarted_dispatcher);
+  net::Endpoint restarted_ep{host, 8001};
+  net.bind(restarted_ep, restarted_dispatcher.handler());
+  AdminClient revoked(*flow, restarted_ep, owner_key);
+  EXPECT_EQ(revoked.create_replica(state_v2).code(), ErrorCode::kPermissionDenied);
+  EXPECT_EQ(replica_count(restarted), 0u);
 }
 
 TEST_F(ServerFixture, OnlyCreatorMayManageReplica) {
@@ -98,7 +109,7 @@ TEST_F(ServerFixture, OnlyCreatorMayManageReplica) {
   AdminClient other(*flow, ep, second_owner);
   EXPECT_EQ(other.update_replica(state_v2).code(), ErrorCode::kPermissionDenied);
   EXPECT_EQ(other.delete_replica(oid).code(), ErrorCode::kPermissionDenied);
-  EXPECT_TRUE(server->hosts(oid));
+  EXPECT_TRUE(hosts(*server, oid));
 }
 
 TEST_F(ServerFixture, DuplicateCreateRejected) {
@@ -173,6 +184,11 @@ TEST_F(ServerFixture, BadSignatureRejected) {
 TEST_F(ServerFixture, AccessInterfaceServesElements) {
   ASSERT_TRUE(server->install_replica_unchecked(state_v1).is_ok());
   rpc::RpcClient client(*flow, ep);
+  auto series = [](const char* name) {
+    return obs::global_registry().counter(name, {{"server", "srv"}}).value();
+  };
+  const std::uint64_t elements = series("object_server.elements_served");
+  const std::uint64_t bytes = series("object_server.bytes_served");
 
   util::Writer req;
   req.raw(oid.to_bytes());
@@ -182,8 +198,8 @@ TEST_F(ServerFixture, AccessInterfaceServesElements) {
   auto el = PageElement::parse(*raw);
   ASSERT_TRUE(el.is_ok());
   EXPECT_EQ(el->name, "index.html");
-  EXPECT_EQ(server->elements_served(), 1u);
-  EXPECT_GT(server->content_bytes_served(), 0u);
+  EXPECT_EQ(series("object_server.elements_served") - elements, 1u);
+  EXPECT_EQ(series("object_server.bytes_served") - bytes, el->content.size());
 }
 
 /// Serves a dispatcher call made directly, outside any transport.
@@ -305,8 +321,8 @@ TEST_F(ServerFixture, TamperedStatePushRejected) {
   ASSERT_FALSE(tampered.elements.empty());
   tampered.elements[0].content.push_back(0xEE);  // flipped after signing
   EXPECT_FALSE(admin.create_replica(tampered).is_ok());
-  EXPECT_FALSE(server->hosts(oid));
-  EXPECT_EQ(server->replica_count(), 0u);
+  EXPECT_FALSE(hosts(*server, oid));
+  EXPECT_EQ(replica_count(*server), 0u);
 }
 
 TEST_F(ServerFixture, WrongKeyStatePushRejected) {
@@ -317,7 +333,7 @@ TEST_F(ServerFixture, WrongKeyStatePushRejected) {
   ReplicaState forged = state_v1;
   forged.public_key = intruder_key.pub.serialize();
   EXPECT_FALSE(admin.create_replica(forged).is_ok());
-  EXPECT_FALSE(server->hosts(oid));
+  EXPECT_FALSE(hosts(*server, oid));
 }
 
 TEST_F(ServerFixture, TamperedUpdateKeepsPriorState) {
@@ -328,8 +344,8 @@ TEST_F(ServerFixture, TamperedUpdateKeepsPriorState) {
   tampered.elements[0].content.clear();
   EXPECT_FALSE(admin.update_replica(tampered).is_ok());
   // The verified v1 replica must still be hosted, untouched.
-  EXPECT_TRUE(server->hosts(oid));
-  EXPECT_EQ(server->replica_count(), 1u);
+  EXPECT_TRUE(hosts(*server, oid));
+  EXPECT_EQ(replica_count(*server), 1u);
 }
 
 TEST_F(ServerFixture, MalformedPayloadsRejected) {
@@ -338,8 +354,23 @@ TEST_F(ServerFixture, MalformedPayloadsRejected) {
             ErrorCode::kProtocol);
   EXPECT_EQ(client.call(rpc::kGlobeDocAdmin, kChallenge, to_bytes("payload")).code(),
             ErrorCode::kProtocol);
-  EXPECT_EQ(client.call(rpc::kGlobeDocAdmin, kListReplicas, to_bytes("p")).code(),
-            ErrorCode::kProtocol);
+}
+
+TEST_F(ServerFixture, RetiredAdminMethodsAnswerNotFound) {
+  // The admin ids on the wire: Challenge..DeleteReplica are 1..4, and 5 and
+  // 6 (ListReplicas and Negotiate) are retired, never reused.
+  EXPECT_EQ(kChallenge, 1);
+  EXPECT_EQ(kCreateReplica, 2);
+  EXPECT_EQ(kUpdateReplica, 3);
+  EXPECT_EQ(kDeleteReplica, 4);
+  rpc::RpcClient client(*flow, ep);
+  for (std::uint16_t method : {5, 6}) {
+    auto reply = client.call(rpc::kGlobeDocAdmin, method, Bytes{});
+    EXPECT_EQ(reply.code(), ErrorCode::kNotFound);
+    EXPECT_EQ(reply.status().message(),
+              "no method " + std::to_string(rpc::kGlobeDocAdmin) + "/" +
+                  std::to_string(method));
+  }
 }
 
 }  // namespace

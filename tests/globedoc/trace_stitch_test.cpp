@@ -286,10 +286,14 @@ TEST_F(TraceStitchFixture, DefaultTailPolicyKeepsAFastRejectedFetch) {
 }
 
 TEST_F(TraceStitchFixture, FailedAdminAuthEventRidesTheServerSpan) {
-  // The owner's key is revoked, then a traced update is refused: the
-  // refusal is recorded on the object server's rpc span inside the
-  // caller's trace.
-  object_server->revoke(owner_credentials.pub);
+  // The owner's key is revoked (the object server restarts with a keystore
+  // that no longer lists it), then a traced update is refused: the refusal
+  // is recorded on the object server's rpc span inside the caller's trace.
+  ObjectServer restarted("srv-1", 43);
+  rpc::ServiceDispatcher restarted_dispatcher;
+  restarted.register_with(restarted_dispatcher);
+  net.unbind(server_ep);
+  net.bind(server_ep, restarted_dispatcher.handler());
   obs::Tracer tracer([this] { return publish_flow->now(); });
   tracer.set_sink(collector);
   ::testing::internal::CaptureStderr();

@@ -52,7 +52,6 @@ TEST_F(SecureFixture, HandshakeAndGet) {
   EXPECT_EQ(resp->status, 200);
   EXPECT_EQ(util::to_string(resp->body), "<html>classified</html>");
   EXPECT_EQ(client.handshakes_performed(), 1u);
-  EXPECT_EQ(secure->handshakes(), 1u);
 }
 
 TEST_F(SecureFixture, SessionReusedAcrossRequests) {
@@ -70,7 +69,6 @@ TEST_F(SecureFixture, ResetSessionsForcesRehandshake) {
   client.reset_sessions();
   ASSERT_TRUE(client.get(ep, "/secret.html").is_ok());
   EXPECT_EQ(client.handshakes_performed(), 2u);
-  EXPECT_EQ(secure->handshakes(), 2u);
 }
 
 TEST_F(SecureFixture, WrongExpectedNameRejected) {

@@ -2,6 +2,7 @@
 
 #include "location/builder.hpp"
 #include "location/tree.hpp"
+#include "obs/metrics.hpp"
 #include "net/simnet.hpp"
 #include "util/serial.hpp"
 
@@ -170,11 +171,20 @@ TEST_F(TreeFixture, LocalLookupCheaperThanGlobal) {
 }
 
 TEST_F(TreeFixture, LookupCountersAdvance) {
+  // Each ring's location.node.lookups series, as /metrics shows it.
+  auto lookups = [](const char* domain) {
+    return obs::global_registry()
+        .counter("location.node.lookups", {{"domain", domain}})
+        .value();
+  };
+  const std::uint64_t site = lookups("site-ams");
+  const std::uint64_t region = lookups("region-eu");
+  const std::uint64_t root = lookups("root");
   LocationClient client(*flow, tree->endpoint("site-ams"));
   (void)client.lookup(oid(12));
-  EXPECT_EQ(tree->node("site-ams").lookups_served(), 1u);
-  EXPECT_EQ(tree->node("region-eu").lookups_served(), 1u);
-  EXPECT_EQ(tree->node("root").lookups_served(), 1u);
+  EXPECT_EQ(lookups("site-ams") - site, 1u);
+  EXPECT_EQ(lookups("region-eu") - region, 1u);
+  EXPECT_EQ(lookups("root") - root, 1u);
 }
 
 TEST(LocationBuilderTest, RejectsBadSpecs) {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "globedoc/proxy.hpp"
+#include "tests/globedoc/operator_view.hpp"
 #include "tests/globedoc/world_fixture.hpp"
 
 namespace globe::replication {
 namespace {
 
+using globe::globedoc::testing::hosts;
 using globe::globedoc::testing::WorldFixture;
 using util::ErrorCode;
 
@@ -57,13 +59,12 @@ TEST_F(ReplicatorFixture, HotRegionGetsReplica) {
   util::SimTime end = now + util::seconds(60);
   ASSERT_TRUE(replicator->rebalance(end).is_ok());
   EXPECT_TRUE(replicator->has_replica("client-region"));
-  EXPECT_TRUE(client_server->hosts(owner->object().oid()));
+  EXPECT_TRUE(hosts(*client_server, owner->object().oid()));
 
   // Clients at the site now resolve the local replica.
   globedoc::GlobeDocProxy proxy(*client_flow, proxy_config());
   auto result = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(result.is_ok());
-  EXPECT_GE(client_server->elements_served(), 0u);
 }
 
 TEST_F(ReplicatorFixture, ColdRegionLosesReplica) {
@@ -78,7 +79,7 @@ TEST_F(ReplicatorFixture, ColdRegionLosesReplica) {
   // Hours later with no traffic: the window is empty, the replica retires.
   ASSERT_TRUE(replicator->rebalance(now + util::seconds(7200)).is_ok());
   EXPECT_FALSE(replicator->has_replica("client-region"));
-  EXPECT_FALSE(client_server->hosts(owner->object().oid()));
+  EXPECT_FALSE(hosts(*client_server, owner->object().oid()));
 }
 
 TEST_F(ReplicatorFixture, RateComputation) {

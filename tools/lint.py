@@ -81,6 +81,15 @@ Documents"):
                  two tools can never disagree about what counts as a bounded
                  member.
 
+  test-only-api  Every public function a src/ header declares must have a
+  api-stale      caller under src/, bench/ or examples/; a caller in tests/
+                 does not count, nor does one inside a function that is
+                 itself flagged.  Constructors, destructors, operators and
+                 overrides are out of scope.  tools/api_allowlist.txt names
+                 the exceptions (test seams, reference paths), each with a
+                 reason; an entry that matches no flagged function is stale.
+                 Functions, like headers, earn a caller or go.
+
   orphan-module  Every header under src/ must be #included by some file
                  under src/, bench/ or examples/ other than its own .cpp.
                  Tests and fuzz harnesses are not callers: a module that
@@ -103,6 +112,7 @@ import re
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from analysis.api import ApiIndex, scan  # noqa: E402
 from analysis.bounds import load_capacity  # noqa: E402
 from analysis.conc import load_hierarchy  # noqa: E402
 from analysis.ir import Program, subsys_of  # noqa: E402
@@ -513,6 +523,83 @@ def check_orphan_modules(violations: list[str]) -> None:
             "count) — give it a caller or delete the module and its tests")
 
 
+API_ALLOWLIST = "tools/api_allowlist.txt"
+
+
+def load_api_allowlist() -> dict[str, tuple[int, str]]:
+    """`<qualified name>  # reason` lines -> {name: (line, reason)}.  A
+    name covers a function, or every function of a class or namespace."""
+    entries = {}
+    path = REPO / API_ALLOWLIST
+    if not path.is_file():
+        return entries
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
+                                 start=1):
+        name, _, reason = raw.partition("#")
+        if name.strip():
+            entries[name.strip()] = (lineno, reason.strip())
+    return entries
+
+
+def test_only_api() -> tuple[list, set]:
+    """(public src/ functions no caller outside the tests reaches, the
+    qualified names of those a test calls).  A caller inside a flagged
+    function does not count, so a chain that only tests enter is flagged
+    whole."""
+    sources = [relpath(p) for p in iter_sources()]
+    scans = {rel: scan((REPO / rel).read_text(encoding="utf-8", errors="replace"),
+                       rel, rel.startswith("src/")
+                       and posixpath.splitext(rel)[1] in HEADER_SUFFIXES)
+             for rel in sources}
+    index = ApiIndex(sc for sc in scans.values() if sc.decls)
+    owners: dict[str, set] = {q: set() for q in index.funcs}
+    tested: set[str] = set()
+    for rel, sc in scans.items():
+        for use in sc.uses:
+            for f in index.resolve(use, sc):
+                if not rel.startswith(CALLER_DIRS):
+                    tested.add(f.qname)
+                elif use.owner != f.qname:
+                    owners[f.qname].add(use.owner)
+    flagged: set[str] = set()
+    while True:
+        grown = {q for q, callers in owners.items() if callers <= flagged}
+        if grown == flagged:
+            break
+        flagged = grown
+    return sorted((index.funcs[q] for q in flagged),
+                  key=lambda f: (f.file, f.line)), tested
+
+
+def check_test_only_api(violations: list[str]) -> None:
+    """Public src/ functions need a caller outside the tests, or an
+    allowlist entry with a reason; every entry must still match."""
+    flagged, tested = test_only_api()
+    allow = load_api_allowlist()
+    used: set[str] = set()
+    for f in flagged:
+        key = f.qname.removeprefix("globe::")
+        entry = next((e for e in allow
+                      if key == e or key.startswith(e + "::")), None)
+        if entry is not None:
+            used.add(entry)
+            continue
+        who = "only tests call it" if f.qname in tested else "nothing calls it"
+        violations.append(
+            f"{f.file}:{f.line}: [test-only-api] {key} has no caller under "
+            f"src/, bench/ or examples/ ({who}) — delete it, give it a "
+            f"caller, or allowlist it in {API_ALLOWLIST} with a reason")
+    for entry, (lineno, reason) in sorted(allow.items()):
+        if not reason:
+            violations.append(
+                f"{API_ALLOWLIST}:{lineno}: [test-only-api] entry \"{entry}\" "
+                "gives no reason — add `# why no workload reaches it`")
+        if entry not in used:
+            violations.append(
+                f"{API_ALLOWLIST}:{lineno}: [api-stale] entry \"{entry}\" "
+                "matches no function that lacks a caller — remove the line")
+
+
 LOCK_HIERARCHY = "tools/lock_hierarchy.txt"
 CAPACITY_BOUNDS = "tools/capacity_bounds.txt"
 
@@ -592,6 +679,7 @@ def run_lint() -> int:
     check_lock_hierarchy(violations)
     check_capacity_registry(violations)
     check_orphan_modules(violations)
+    check_test_only_api(violations)
     for v in violations:
         print(v)
     if violations:
@@ -952,6 +1040,142 @@ ORPHAN_SELF_TEST_CASES = [
 ]
 
 
+# test-only-api cases are whole trees too: (name, {path: text}, None for
+# clean or a text that some violation must contain).
+_WIDGET = ("namespace globe::globedoc {\nclass Widget {\n public:\n"
+           "  void spin();\n\n private:\n  void hidden();\n};\n}\n")
+API_SELF_TEST_CASES = [
+    (
+        "method only a test calls fires",
+        {"src/globedoc/widget.hpp": _WIDGET,
+         "tests/globedoc/widget_test.cpp": "void f() { Widget w; w.spin(); }\n"},
+        "[test-only-api] globedoc::Widget::spin",
+    ),
+    (
+        "method a bench calls clean",
+        {"src/globedoc/widget.hpp": _WIDGET,
+         "bench/bench_widget.cpp": "int main() { Widget w; w.spin(); }\n"},
+        None,
+    ),
+    (
+        "method an example calls clean",
+        {"src/globedoc/widget.hpp": _WIDGET,
+         "examples/demo.cpp": "int main() { auto w = std::make_unique<Widget>();"
+                              " w->spin(); }\n"},
+        None,
+    ),
+    (
+        "allowlisted method clean",
+        {"src/globedoc/widget.hpp": _WIDGET,
+         "tools/api_allowlist.txt": "globedoc::Widget::spin  # fault seam\n"},
+        None,
+    ),
+    (
+        "stale allowlist entry fires",
+        {"src/globedoc/widget.hpp": _WIDGET,
+         "bench/bench_widget.cpp": "int main() { Widget w; w.spin(); }\n",
+         "tools/api_allowlist.txt": "globedoc::Widget::spin  # fault seam\n"},
+        "[api-stale]",
+    ),
+    (
+        "allowlist entry without a reason fires",
+        {"src/globedoc/widget.hpp": _WIDGET,
+         "tools/api_allowlist.txt": "globedoc::Widget\n"},
+        "gives no reason",
+    ),
+    (
+        "same-named method of another class does not hide it",
+        {"src/obs/fleet.hpp": "namespace globe::obs {\n"
+                              "struct Server { std::size_t replica_count() const; };\n"
+                              "struct Fleet { std::size_t replica_count() const; };\n}\n",
+         "bench/bench_fleet.cpp": "void f(const obs::Fleet& fleet) {\n"
+                                  "  print(fleet.replica_count());\n}\n"},
+        "[test-only-api] obs::Server::replica_count",
+    ),
+    (
+        "caller inside a flagged function does not count",
+        {"src/globedoc/grant.hpp": "namespace globe::globedoc {\n"
+                                   "struct Grant { static Grant parse(int x); };\n"
+                                   "class Client { public: Grant ask(); };\n}\n",
+         "src/globedoc/grant.cpp": "namespace globe::globedoc {\n"
+                                   "Grant Client::ask() { return Grant::parse(1); }\n}\n"},
+        "[test-only-api] globedoc::Grant::parse",
+    ),
+    (
+        "call with explicit template arguments clean",
+        {"src/http/channel.hpp": "namespace globe::http {\n"
+                                 "template <typename H> Bytes hmac_bytes(BytesView k);\n}\n",
+         "src/http/channel.cpp": "Bytes mac(BytesView k) {\n"
+                                 "  return hmac_bytes<crypto::Sha1>(k);\n}\n"},
+        None,
+    ),
+    (
+        "call from a destructor clean",
+        {"src/net/server.hpp": "namespace globe::net {\nclass Server {\n public:\n"
+                               "  ~Server();\n  void stop();\n};\n}\n",
+         "src/net/server.cpp": "Server::~Server() { stop(); }\n"},
+        None,
+    ),
+    (
+        "call in an initializer list clean",
+        {"src/obs/probe.hpp": "namespace globe::obs {\nint now_ns();\n"
+                              "struct Probe { Probe(); int start_; };\n}\n",
+         "src/obs/probe.cpp": "Probe::Probe() : start_(now_ns()) {}\n"},
+        None,
+    ),
+    (
+        "member named by &Class::name clean",
+        {"src/globedoc/widget.hpp": _WIDGET,
+         "src/globedoc/bind.cpp": "void wire(Dispatcher& d) {\n"
+                                  "  d.bind(&Widget::spin);\n}\n"},
+        None,
+    ),
+    (
+        "override called through its base clean",
+        {"src/net/transport.hpp": "namespace globe::net {\nclass Transport {\n"
+                                  " public:\n  virtual int call() = 0;\n};\n"
+                                  "class Sim final : public Transport {\n"
+                                  " public:\n  int call() override;\n};\n}\n",
+         "bench/bench_call.cpp": "void f(net::Transport& t) { t.call(); }\n"},
+        None,
+    ),
+    (
+        "base method called through a derived receiver clean",
+        {"src/net/transport.hpp": "namespace globe::net {\nclass Transport {\n"
+                                  " public:\n  void charge(int n);\n};\n"
+                                  "class Sim : public Transport {};\n}\n",
+         "bench/bench_call.cpp": "int main() { net::Sim sim; sim.charge(1); }\n"},
+        None,
+    ),
+]
+
+
+def run_api_self_test() -> int:
+    import tempfile
+
+    global REPO
+    failures = 0
+    for name, files, expected in API_SELF_TEST_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            for rel, text in files.items():
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text(text)
+            violations: list[str] = []
+            saved_repo = REPO
+            try:
+                REPO = root
+                check_test_only_api(violations)
+            finally:
+                REPO = saved_repo
+            ok = (not violations if expected is None
+                  else any(expected in v for v in violations))
+            print(f"  {'PASS' if ok else 'FAIL'}: {name}"
+                  + ("" if ok else f" (got {violations or 'nothing'})"))
+            failures += 0 if ok else 1
+    return failures
+
+
 def run_orphan_self_test() -> int:
     import tempfile
 
@@ -981,7 +1205,7 @@ def run_orphan_self_test() -> int:
 def run_self_test() -> int:
     import tempfile
 
-    failures = run_orphan_self_test()
+    failures = run_orphan_self_test() + run_api_self_test()
     for name, rel, snippet, expected in SELF_TEST_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             root = pathlib.Path(tmp)
@@ -1070,7 +1294,8 @@ def run_self_test() -> int:
     if failures:
         print(f"tools/lint.py --self-test: {failures} case(s) FAILED.")
         return 1
-    total = len(SELF_TEST_CASES) + len(ORPHAN_SELF_TEST_CASES)
+    total = (len(SELF_TEST_CASES) + len(ORPHAN_SELF_TEST_CASES)
+             + len(API_SELF_TEST_CASES))
     print(f"tools/lint.py --self-test: all {total} cases passed.")
     return 0
 
