@@ -171,19 +171,12 @@ BigInt BigInt::operator-(const BigInt& rhs) const {
   return out;
 }
 
-namespace {
-
-/// Below this limb count Karatsuba's recursion overhead beats its savings.
-constexpr std::size_t kKaratsubaThreshold = 24;
-
-}  // namespace
-
-BigInt BigInt::schoolbook_mul(const BigInt& lhs, const BigInt& rhs) {
+BigInt BigInt::operator*(const BigInt& rhs) const {
   BigInt out;
-  out.limbs_.assign(lhs.limbs_.size() + rhs.limbs_.size(), 0);
-  for (std::size_t i = 0; i < lhs.limbs_.size(); ++i) {
+  out.limbs_.assign(limbs_.size() + rhs.limbs_.size(), 0);
+  for (std::size_t i = 0; i < limbs_.size(); ++i) {
     u64 carry = 0;
-    u64 ai = lhs.limbs_[i];
+    u64 ai = limbs_[i];
     for (std::size_t j = 0; j < rhs.limbs_.size(); ++j) {
       u64 cur = out.limbs_[i + j] + ai * rhs.limbs_[j] + carry;
       out.limbs_[i + j] = static_cast<u32>(cur);
@@ -193,44 +186,6 @@ BigInt BigInt::schoolbook_mul(const BigInt& lhs, const BigInt& rhs) {
   }
   out.trim();
   return out;
-}
-
-BigInt BigInt::split_low(std::size_t limbs) const {
-  BigInt out;
-  out.limbs_.assign(limbs_.begin(),
-                    limbs_.begin() + static_cast<std::ptrdiff_t>(
-                                         std::min(limbs, limbs_.size())));
-  out.trim();
-  return out;
-}
-
-BigInt BigInt::split_high(std::size_t limbs) const {
-  BigInt out;
-  if (limbs < limbs_.size()) {
-    out.limbs_.assign(limbs_.begin() + static_cast<std::ptrdiff_t>(limbs),
-                      limbs_.end());
-  }
-  return out;
-}
-
-BigInt BigInt::operator*(const BigInt& rhs) const {
-  if (is_zero() || rhs.is_zero()) return BigInt();
-  if (std::min(limbs_.size(), rhs.limbs_.size()) < kKaratsubaThreshold) {
-    return schoolbook_mul(*this, rhs);
-  }
-  // Karatsuba: split both at half the larger operand.
-  //   x = x1·B + x0,  y = y1·B + y0   (B = 2^(32·half))
-  //   x·y = z2·B² + z1·B + z0 with z2 = x1·y1, z0 = x0·y0,
-  //   z1 = (x0+x1)(y0+y1) − z2 − z0  — three multiplies instead of four.
-  std::size_t half = std::max(limbs_.size(), rhs.limbs_.size()) / 2;
-  BigInt x0 = split_low(half), x1 = split_high(half);
-  BigInt y0 = rhs.split_low(half), y1 = rhs.split_high(half);
-
-  BigInt z2 = x1 * y1;
-  BigInt z0 = x0 * y0;
-  BigInt z1 = (x0 + x1) * (y0 + y1) - z2 - z0;
-
-  return (z2 << (64 * half)) + (z1 << (32 * half)) + z0;
 }
 
 BigInt BigInt::operator<<(std::size_t bits) const {
@@ -569,19 +524,9 @@ void window_pow(const Montgomery<N>& mont, const BigInt& exp, std::size_t w,
 
 BigInt BigInt::mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
   if (m.is_zero()) throw std::domain_error("mod_pow: zero modulus");
+  if (m.is_even()) throw std::invalid_argument("mod_pow: even modulus");
   if (m.limbs_.size() == 1 && m.limbs_[0] == 1) return BigInt();
   if (exp.is_zero()) return BigInt(1);
-
-  if (m.is_even()) {
-    // Even modulus: plain square-and-multiply with division-based reduction.
-    BigInt b = base % m;
-    BigInt result(1);
-    for (std::size_t i = exp.bit_length(); i-- > 0;) {
-      result = (result * result) % m;
-      if (exp.bit(i)) result = (result * b) % m;
-    }
-    return result;
-  }
 
   const std::size_t n = (m.limbs_.size() + 1) / 2;
   const std::size_t base_n = (base.limbs_.size() + 1) / 2;

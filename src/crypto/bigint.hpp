@@ -4,9 +4,11 @@
 // most significant limb is non-zero (zero is the empty vector).  All
 // arithmetic is correctness-first and variable-time.
 //
+// Multiplication is the O(n²) schoolbook product; RSA-1024 never multiplies
+// two operands of 768 bits or more.
 // divmod and mod_pow regroup the limbs as 64-bit limbs with 128-bit
-// products.  divmod is Knuth's Algorithm D on 64-bit digits.  mod_pow with
-// an odd modulus, which covers every RSA/prime use in this codebase, is
+// products.  divmod is Knuth's Algorithm D on 64-bit digits.  mod_pow takes
+// odd moduli only, which covers every RSA/prime use in this codebase, and is
 // Montgomery arithmetic over fixed exponent windows: one bit up to 23-bit
 // exponents, so e = 65537 builds no table, then 3 to 6 bits as the exponent
 // grows (5 for the 512-bit CRT and Miller–Rabin exponents of RSA-1024).
@@ -96,8 +98,8 @@ class BigInt {
   /// Quotient and remainder in one pass (Knuth Algorithm D).
   static void divmod(const BigInt& num, const BigInt& den, BigInt& quot, BigInt& rem);
 
-  /// (base ^ exp) mod m.  m must be non-zero.  Uses Montgomery form for odd
-  /// m, plain square-and-multiply with division otherwise.
+  /// (base ^ exp) mod m in Montgomery form.  m must be odd: a zero modulus
+  /// throws std::domain_error and any other even one std::invalid_argument.
   static BigInt mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m);
 
   /// Modular inverse of a mod m; throws std::domain_error when gcd(a, m) != 1.
@@ -114,12 +116,6 @@ class BigInt {
 
  private:
   void trim();
-  /// O(n²) base multiplication; operator* switches to Karatsuba above a
-  /// limb-count threshold.
-  static BigInt schoolbook_mul(const BigInt& lhs, const BigInt& rhs);
-  /// Lowest `limbs` limbs / everything above them (Karatsuba split).
-  BigInt split_low(std::size_t limbs) const;
-  BigInt split_high(std::size_t limbs) const;
   /// The value of n little-endian 64-bit limbs (the width divmod and
   /// mod_pow compute in).
   static BigInt from_limbs64(const std::uint64_t* limbs, std::size_t n);

@@ -37,12 +37,13 @@ bool lapsed(util::SimTime lease_until, util::SimTime now) {
   return lease_until != 0 && lease_until <= now;  // 0 = unlimited
 }
 
-Result<Bytes> not_hosted(const Oid& oid) {
-  return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid.to_hex());
+Status not_hosted(const Oid& oid) {
+  return Status(ErrorCode::kNotFound, "no replica of " + oid.to_hex());
 }
 
-Status refused(const HostingGrant& grant) {
-  return Status(ErrorCode::kUnavailable, "hosting refused: " + grant.reason);
+Status not_creator() {
+  return Status(ErrorCode::kPermissionDenied,
+                "only the creating entity may manage this replica");
 }
 
 }  // namespace
@@ -72,23 +73,31 @@ void ObjectServer::authorize(const crypto::RsaPublicKey& key) {
 
 Status ObjectServer::install_replica_unchecked(const ReplicaState& state,
                                                util::SimTime now) {
-  const Oid oid = state.certificate.oid();
+  auto held = std::make_shared<const ReplicaState>(state);
+  const Oid oid = held->certificate.oid();
   util::LockGuard lock(mutex_);
-  evict_lapsed_locked(now);
-  HostingGrant grant = check_capacity_locked(
-      state.content_bytes(), replicas_.count(oid) > 0 ? &oid : nullptr);
-  if (!grant.accepted) return refused(grant);
-  install_locked(oid, state, now);
-  return Status::ok();
+  return admit_locked(oid, std::move(held), now, nullptr);
 }
 
-ObjectServer::Hosted& ObjectServer::install_locked(const Oid& oid,
-                                                   ReplicaState state,
-                                                   util::SimTime now) {
-  Hosted& hosted = replicas_[oid];
-  hosted.state = std::make_shared<const ReplicaState>(std::move(state));
+Status ObjectServer::admit_locked(const Oid& oid,
+                                  std::shared_ptr<const ReplicaState> state,
+                                  util::SimTime now, const Bytes* creator) {
+  evict_lapsed_locked(now);
+  auto it = replicas_.find(oid);
+  const bool fresh = it == replicas_.end();
+  Status capacity =
+      check_capacity_locked(state->content_bytes(), fresh ? nullptr : &it->second);
+  if (!capacity.is_ok()) return capacity;
+  Hosted& hosted = fresh ? replicas_[oid] : it->second;
+  hosted.state = std::move(state);
   hosted.installed_at = now;
-  return hosted;
+  // A pull over a hosted replica neither extends its lease nor takes it
+  // from its creator.
+  if (creator != nullptr || fresh) {
+    hosted.lease_until = limits_.max_lease != 0 ? now + limits_.max_lease : 0;
+  }
+  if (creator != nullptr) hosted.creator = *creator;
+  return Status::ok();
 }
 
 void ObjectServer::set_resource_limits(const ResourceLimits& limits) {
@@ -96,15 +105,22 @@ void ObjectServer::set_resource_limits(const ResourceLimits& limits) {
   limits_ = limits;
 }
 
-std::shared_ptr<const ReplicaState> ObjectServer::live_locked(const Oid& oid,
-                                                               util::SimTime now) {
+const ObjectServer::Hosted* ObjectServer::live_locked(const Oid& oid,
+                                                      util::SimTime now) {
   auto it = replicas_.find(oid);
   if (it == replicas_.end()) return nullptr;
   if (lapsed(it->second.lease_until, now)) {
     replicas_.erase(it);
     return nullptr;
   }
-  return it->second.state;
+  return &it->second;
+}
+
+std::shared_ptr<const ReplicaState> ObjectServer::snapshot(const Oid& oid,
+                                                           util::SimTime now) {
+  util::LockGuard lock(mutex_);
+  const Hosted* hosted = live_locked(oid, now);
+  return hosted != nullptr ? hosted->state : nullptr;
 }
 
 void ObjectServer::evict_lapsed_locked(util::SimTime now) {
@@ -113,42 +129,39 @@ void ObjectServer::evict_lapsed_locked(util::SimTime now) {
   });
 }
 
-HostingGrant ObjectServer::check_capacity_locked(std::uint64_t bytes,
-                                                 const Oid* existing_oid) const {
-  HostingGrant grant;
+Status ObjectServer::check_capacity_locked(std::uint64_t bytes,
+                                           const Hosted* replaced) const {
   if (limits_.max_replica_bytes != 0 && bytes > limits_.max_replica_bytes) {
-    grant.reason = "replica exceeds per-replica byte limit";
-    return grant;
+    return Status(ErrorCode::kUnavailable,
+                  "hosting refused: replica exceeds per-replica byte limit");
   }
-  if (existing_oid == nullptr && limits_.max_replicas != 0 &&
+  if (replaced == nullptr && limits_.max_replicas != 0 &&
       replicas_.size() >= limits_.max_replicas) {
-    grant.reason = "replica slots exhausted";
-    return grant;
+    return Status(ErrorCode::kUnavailable, "hosting refused: replica slots exhausted");
   }
   if (limits_.max_total_bytes != 0) {
     std::uint64_t in_use = 0;
     for (const auto& [oid, hosted] : replicas_) {
-      if (existing_oid != nullptr && oid == *existing_oid) continue;
-      in_use += hosted.state->content_bytes();
+      if (&hosted != replaced) in_use += hosted.state->content_bytes();
     }
     if (in_use + bytes > limits_.max_total_bytes) {
-      grant.reason = "insufficient storage capacity";
-      return grant;
+      return Status(ErrorCode::kUnavailable,
+                    "hosting refused: insufficient storage capacity");
     }
   }
-  grant.accepted = true;
-  grant.lease = limits_.max_lease;
-  return grant;
+  return Status::ok();
 }
 
 void ObjectServer::register_freshness_probe(obs::AdminHttpServer& admin,
                                             util::SimDuration budget) {
   admin.add_health_check("replication-freshness", [this, budget](
                                                       net::ServerContext& ctx) {
-    util::LockGuard lock(mutex_);
-    if (replicas_.empty()) return Status::ok();
     util::SimTime newest = 0;
-    for (const auto& [oid, h] : replicas_) newest = std::max(newest, h.installed_at);
+    {
+      util::LockGuard lock(mutex_);
+      if (replicas_.empty()) return Status::ok();
+      for (const auto& [oid, h] : replicas_) newest = std::max(newest, h.installed_at);
+    }
     util::SimTime now = ctx.now();
     if (now > newest && now - newest > budget) {
       return Status(ErrorCode::kUnavailable,
@@ -162,11 +175,16 @@ void ObjectServer::register_freshness_probe(obs::AdminHttpServer& admin,
 }
 
 obs::ConsistencyReport ObjectServer::consistency_report() const {
-  util::LockGuard lock(mutex_);
+  std::vector<std::pair<Oid, std::shared_ptr<const ReplicaState>>> hosted;
+  {
+    util::LockGuard lock(mutex_);
+    hosted.reserve(replicas_.size());
+    for (const auto& [oid, h] : replicas_) hosted.emplace_back(oid, h.state);
+  }
   obs::ConsistencyReport report;
-  report.docs.reserve(replicas_.size());
-  for (const auto& [oid, hosted] : replicas_) {
-    const ReplicaState& state = *hosted.state;
+  report.docs.reserve(hosted.size());
+  for (const auto& [oid, held] : hosted) {
+    const ReplicaState& state = *held;
     obs::DocConsistency doc;
     doc.oid = oid.to_bytes();
     doc.epoch = state.certificate.version();
@@ -235,32 +253,24 @@ void ObjectServer::register_with(rpc::ServiceDispatcher& dispatcher) {
 Result<net::Reply> ObjectServer::handle_get_element(net::ServerContext& ctx,
                                                     BytesView payload) {
   requests_counter_->inc();
-  try {
-    util::Reader r(payload);
-    auto oid = read_oid(r);
-    if (!oid.is_ok()) return oid.status();
-    std::string name = r.str();
-    r.expect_end();
+  util::Reader r(payload);
+  auto oid = read_oid(r);
+  if (!oid.is_ok()) return oid.status();
+  std::string name = r.str();
+  r.expect_end();
 
-    std::shared_ptr<const ReplicaState> state;
-    {
-      util::LockGuard lock(mutex_);
-      state = live_locked(*oid, ctx.now());
-    }
-    if (state == nullptr) return not_hosted(*oid);
-    const PageElement* el = state->find(name);
-    if (el == nullptr) {
-      return Result<net::Reply>(ErrorCode::kNotFound, "no element '" + name + "'");
-    }
-    elements_counter_->inc();
-    bytes_counter_->inc(el->content.size());
-    // serialize()'s bytes: the few before the content, then a view of the
-    // content in the snapshot, which the reply keeps alive across updates.
-    BytesView content = el->content;
-    return net::Reply(el->serialize_head(), content, std::move(state));
-  } catch (const util::SerialError& e) {
-    return Result<net::Reply>(ErrorCode::kProtocol, e.what());
+  std::shared_ptr<const ReplicaState> state = snapshot(*oid, ctx.now());
+  if (state == nullptr) return not_hosted(*oid);
+  const PageElement* el = state->find(name);
+  if (el == nullptr) {
+    return Result<net::Reply>(ErrorCode::kNotFound, "no element '" + name + "'");
   }
+  elements_counter_->inc();
+  bytes_counter_->inc(el->content.size());
+  // serialize()'s bytes: the few before the content, then a view of the
+  // content in the snapshot, which the reply keeps alive across updates.
+  BytesView content = el->content;
+  return net::Reply(el->serialize_head(), content, std::move(state));
 }
 
 Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
@@ -270,13 +280,8 @@ Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
   auto req = FetchManyRequest::parse(payload);
   if (!req.is_ok()) return req.status();
 
-  std::shared_ptr<const ReplicaState> state;
-  {
-    util::LockGuard lock(mutex_);
-    state = live_locked(req->oid, ctx.now());
-  }
+  std::shared_ptr<const ReplicaState> state = snapshot(req->oid, ctx.now());
   if (state == nullptr) return not_hosted(req->oid);
-  // The snapshot is immutable, so the reply is built outside mutex_.
   FetchManyResponse resp;
   if (req->include_cert) {
     resp.certificate = state->certificate.serialize();
@@ -296,78 +301,72 @@ Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
   return resp.serialize();
 }
 
+Result<std::shared_ptr<const ReplicaState>> ObjectServer::oid_request(
+    net::ServerContext& ctx, BytesView payload) {
+  requests_counter_->inc();
+  util::Reader r(payload);
+  auto oid = read_oid(r);
+  if (!oid.is_ok()) return oid.status();
+  r.expect_end();
+  std::shared_ptr<const ReplicaState> state = snapshot(*oid, ctx.now());
+  if (state == nullptr) return not_hosted(*oid);
+  return state;
+}
+
 Result<Bytes> ObjectServer::handle_get_public_key(net::ServerContext& ctx,
                                                   BytesView payload) {
-  requests_counter_->inc();
-  try {
-    util::Reader r(payload);
-    auto oid = read_oid(r);
-    if (!oid.is_ok()) return oid.status();
-    r.expect_end();
-    util::LockGuard lock(mutex_);
-    auto state = live_locked(*oid, ctx.now());
-    if (state == nullptr) return not_hosted(*oid);
-    return state->public_key;
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
+  auto state = oid_request(ctx, payload);
+  if (!state.is_ok()) return state.status();
+  return (*state)->public_key;
 }
 
 Result<Bytes> ObjectServer::handle_get_integrity_cert(net::ServerContext& ctx,
                                                       BytesView payload) {
-  requests_counter_->inc();
-  try {
-    util::Reader r(payload);
-    auto oid = read_oid(r);
-    if (!oid.is_ok()) return oid.status();
-    r.expect_end();
-    util::LockGuard lock(mutex_);
-    auto state = live_locked(*oid, ctx.now());
-    if (state == nullptr) return not_hosted(*oid);
-    return state->certificate.serialize();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
+  auto state = oid_request(ctx, payload);
+  if (!state.is_ok()) return state.status();
+  return (*state)->certificate.serialize();
 }
 
 Result<Bytes> ObjectServer::handle_get_identity_certs(net::ServerContext& ctx,
                                                       BytesView payload) {
-  requests_counter_->inc();
-  try {
-    util::Reader r(payload);
-    auto oid = read_oid(r);
-    if (!oid.is_ok()) return oid.status();
-    r.expect_end();
-    util::LockGuard lock(mutex_);
-    auto state = live_locked(*oid, ctx.now());
-    if (state == nullptr) return not_hosted(*oid);
-    util::Writer w;
-    write_identity_list(w, state->identity_certs);
-    return w.take();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
+  auto state = oid_request(ctx, payload);
+  if (!state.is_ok()) return state.status();
+  util::Writer w;
+  write_identity_list(w, (*state)->identity_certs);
+  return w.take();
 }
 
 Result<Bytes> ObjectServer::handle_challenge(net::ServerContext&, BytesView payload) {
   if (!payload.empty()) {
     return Result<Bytes>(ErrorCode::kProtocol, "challenge takes no payload");
   }
-  util::LockGuard lock(mutex_);
-  // Bound against nonce flooding: a nonce is never looked up before it is
-  // consumed, so LRU order is issue order and the OLDEST outstanding
-  // challenge is evicted — a flood cannot selectively displace a fresh one.
-  Bytes nonce = nonce_rng_.bytes(kNonceSize);
-  outstanding_nonces_.put(nonce, true);
+  Bytes nonce;
+  {
+    util::LockGuard lock(mutex_);
+    // Bound against nonce flooding: a nonce is never looked up before it is
+    // consumed, so LRU order is issue order and the OLDEST outstanding
+    // challenge is evicted — a flood cannot selectively displace a fresh one.
+    nonce = nonce_rng_.bytes(kNonceSize);
+    outstanding_nonces_.put(nonce, true);
+  }
   util::Writer w;
   w.bytes(nonce);
   return w.take();
 }
 
+ObjectServer::AdminRequest ObjectServer::read_admin_request(BytesView payload) {
+  util::Reader r(payload);
+  AdminRequest request;
+  request.nonce = r.bytes();
+  request.pubkey = r.bytes();
+  request.signature = r.bytes();
+  request.rest = r.raw(r.remaining());
+  return request;
+}
+
 Result<Bytes> ObjectServer::check_admin_auth(net::ServerContext& ctx,
-                                             const Bytes& nonce, const Bytes& pubkey,
-                                             const Bytes& signature,
-                                             std::string_view tag, BytesView payload) {
+                                             const AdminRequest& request,
+                                             std::string_view tag) {
   auto denied = [&](const char* why) {
     obs::emit_event(obs::EventLevel::kWarn, "server", "admin_auth_failed",
                     name_ + ": " + why + " (" + std::string(tag) + ")");
@@ -375,60 +374,57 @@ Result<Bytes> ObjectServer::check_admin_auth(net::ServerContext& ctx,
   };
   {
     util::LockGuard lock(mutex_);
-    if (!outstanding_nonces_.erase(nonce)) {  // single use
+    if (!outstanding_nonces_.erase(request.nonce)) {  // single use
       return denied("unknown or replayed nonce");
     }
-    if (keystore_.count(pubkey) == 0) {
+    if (keystore_.count(request.pubkey) == 0) {
       return denied("key not in keystore");
     }
   }
-  auto key = crypto::RsaPublicKey::parse(pubkey);
+  auto key = crypto::RsaPublicKey::parse(request.pubkey);
   if (!key.is_ok()) return key.status();
   ctx.charge(net::CpuOp::kRsaVerify, 1);
-  if (!crypto::rsa_verify_sha256(*key, admin_signed_payload(tag, nonce, payload),
-                                 signature)) {
+  // The signature vouches for who sent the rest, not for what it holds: a
+  // state in it is verified on its own before it is hosted.  Passed as its
+  // own local, the signature is all the taint pass takes as checked here,
+  // not the whole request.
+  const Bytes& signature = request.signature;
+  if (!crypto::rsa_verify_sha256(
+          *key, admin_signed_payload(tag, request.nonce, request.rest), signature)) {
     return denied("bad admin signature");
   }
-  return pubkey;
+  return request.pubkey;
 }
 
 Result<Bytes> ObjectServer::handle_create_or_update(net::ServerContext& ctx,
                                                     BytesView payload, bool create) {
-  try {
-    util::Reader r(payload);
-    Bytes nonce = r.bytes();
-    Bytes pubkey = r.bytes();
-    Bytes signature = r.bytes();
-    // The signature covers the raw remaining payload exactly as the client
-    // serialized it.
-    Bytes signed_payload = r.raw(r.remaining());
+  AdminRequest request = read_admin_request(payload);
+  auto auth = check_admin_auth(ctx, request, create ? "create" : "update");
+  if (!auth.is_ok()) return auth.status();
 
-    auto auth = check_admin_auth(ctx, nonce, pubkey, signature,
-                                 create ? "create" : "update", signed_payload);
-    if (!auth.is_ok()) return auth.status();
+  util::Reader rp(request.rest);
+  Bytes state_wire = rp.bytes();
+  rp.expect_end();
 
-    util::Reader rp(signed_payload);
-    Bytes state_wire = rp.bytes();
-    rp.expect_end();
+  auto state = ReplicaState::parse(state_wire);
+  if (!state.is_ok()) return state.status();
+  // Verify before use (paper §3.2.2): admin auth only proves *who* pushed
+  // the state, not that the state is internally authentic.  Hosting an
+  // inconsistent state would make this server serve bytes every client
+  // rejects — or worse, keep serving them if a client-side check ever
+  // regressed.  Key↔OID, certificate signature, element hashes and entry
+  // freshness are all checked here, before anything is installed.
+  util::Status state_ok = state->verify(ctx.now());
+  if (!state_ok.is_ok()) return state_ok;
+  const Oid oid = state->certificate.oid();
+  auto held = std::make_shared<const ReplicaState>(std::move(*state));
 
-    auto state = ReplicaState::parse(state_wire);
-    if (!state.is_ok()) return state.status();
-    // Verify before use (paper §3.2.2): admin auth only proves *who* pushed
-    // the state, not that the state is internally authentic.  Hosting an
-    // inconsistent state would make this server serve bytes every client
-    // rejects — or worse, keep serving them if a client-side check ever
-    // regressed.  Key↔OID, certificate signature, element hashes and entry
-    // freshness are all checked here, before anything is installed.
-    util::Status state_ok = state->verify(ctx.now());
-    if (!state_ok.is_ok()) return state_ok;
-    Oid oid = state->certificate.oid();
-
+  {
     util::LockGuard lock(mutex_);
-    evict_lapsed_locked(ctx.now());
     // A replica installed unchecked (a peer pull) has no creator: it may be
     // created over, but not updated or deleted through the admin path.
-    auto it = replicas_.find(oid);
-    const bool managed = it != replicas_.end() && !it->second.creator.empty();
+    const Hosted* hosted = live_locked(oid, ctx.now());
+    const bool managed = hosted != nullptr && !hosted->creator.empty();
     if (create) {
       if (managed) {
         return Result<Bytes>(ErrorCode::kAlreadyExists,
@@ -436,67 +432,47 @@ Result<Bytes> ObjectServer::handle_create_or_update(net::ServerContext& ctx,
       }
     } else {
       if (!managed) return not_hosted(oid);
-      if (it->second.creator != *auth) {
-        return Result<Bytes>(ErrorCode::kPermissionDenied,
-                             "only the creating entity may manage this replica");
-      }
+      if (hosted->creator != *auth) return not_creator();
       // Refuse version rollback: a stale (but correctly signed) state must
       // not replace a newer one through the admin path.
-      if (state->certificate.version() < it->second.state->certificate.version()) {
+      if (held->certificate.version() < hosted->state->certificate.version()) {
         return Result<Bytes>(ErrorCode::kInvalidArgument,
                              "state version older than the hosted replica");
       }
     }
     // Resource policy (paper §6 extension): enforce the administrator's
     // limits and start the hosting lease.
-    HostingGrant grant =
-        check_capacity_locked(state->content_bytes(), create ? nullptr : &oid);
-    if (!grant.accepted) return refused(grant);
-    Hosted& hosted = install_locked(oid, std::move(*state), ctx.now());
-    hosted.creator = *auth;
-    hosted.lease_until = grant.lease != 0 ? ctx.now() + grant.lease : 0;
-    replica_installs_->inc();
-    obs::emit_event(obs::EventLevel::kInfo, "server", "replica_install",
-                    name_ + ": " + oid.to_hex() +
-                        (create ? " created" : " updated"));
-    return Bytes{};
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
+    Status admitted = admit_locked(oid, std::move(held), ctx.now(), &*auth);
+    if (!admitted.is_ok()) return admitted;
   }
+  replica_installs_->inc();
+  obs::emit_event(obs::EventLevel::kInfo, "server", "replica_install",
+                  name_ + ": " + oid.to_hex() + (create ? " created" : " updated"));
+  return Bytes{};
 }
 
 Result<Bytes> ObjectServer::handle_delete(net::ServerContext& ctx, BytesView payload) {
-  try {
-    util::Reader r(payload);
-    Bytes nonce = r.bytes();
-    Bytes pubkey = r.bytes();
-    Bytes signature = r.bytes();
-    Bytes oid_bytes = r.raw(r.remaining());
-    if (oid_bytes.size() != Oid::kSize) {
-      return Result<Bytes>(ErrorCode::kProtocol, "delete payload must be an OID");
-    }
+  AdminRequest request = read_admin_request(payload);
+  if (request.rest.size() != Oid::kSize) {
+    return Result<Bytes>(ErrorCode::kProtocol, "delete payload must be an OID");
+  }
+  auto auth = check_admin_auth(ctx, request, "delete");
+  if (!auth.is_ok()) return auth.status();
 
-    auto auth = check_admin_auth(ctx, nonce, pubkey, signature, "delete", oid_bytes);
-    if (!auth.is_ok()) return auth.status();
+  auto oid = Oid::from_bytes(request.rest);
+  if (!oid.is_ok()) return oid.status();
 
-    auto oid = Oid::from_bytes(oid_bytes);
-    if (!oid.is_ok()) return oid.status();
-
+  {
     util::LockGuard lock(mutex_);
     auto it = replicas_.find(*oid);
     if (it == replicas_.end() || it->second.creator.empty()) return not_hosted(*oid);
-    if (it->second.creator != *auth) {
-      return Result<Bytes>(ErrorCode::kPermissionDenied,
-                           "only the creating entity may manage this replica");
-    }
+    if (it->second.creator != *auth) return not_creator();
     replicas_.erase(it);
-    replica_deletes_->inc();
-    obs::emit_event(obs::EventLevel::kInfo, "server", "replica_delete",
-                    name_ + ": " + oid->to_hex());
-    return Bytes{};
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
   }
+  replica_deletes_->inc();
+  obs::emit_event(obs::EventLevel::kInfo, "server", "replica_delete",
+                  name_ + ": " + oid->to_hex());
+  return Bytes{};
 }
 
 AdminClient::AdminClient(net::Transport& transport, net::Endpoint server,

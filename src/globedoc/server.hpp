@@ -72,14 +72,6 @@ struct ResourceLimits {
   util::SimDuration max_lease = 0;     // 0 = unlimited hosting duration
 };
 
-/// The resource policy's verdict on one replica: whether the server hosts
-/// it, and for how long.
-struct HostingGrant {
-  bool accepted = false;
-  util::SimDuration lease = 0;  // granted duration (0 = unlimited)
-  std::string reason;           // populated on rejection
-};
-
 class ObjectServer {
  public:
   /// `registry` receives the object_server.* series (labeled with this
@@ -101,10 +93,13 @@ class ObjectServer {
   /// passed ReplicaState::verify() when it crossed a trust boundary.
   /// `now` stamps the install time for the freshness probe; callers off the
   /// network path (test bootstrap at t=0) may leave it defaulted.  The
-  /// resource limits still apply, as to a create or an update of a hosted
-  /// replica: a state they refuse is not installed, and the result is the
-  /// admin path's kUnavailable "hosting refused: ..." status.  Replicas
-  /// whose lease lapsed by `now` are evicted first, as for a create.
+  /// state is admitted as an admin create or update is: replicas whose lease
+  /// lapsed by `now` are evicted first, and the resource limits apply
+  /// without counting the copy it replaces; a state they refuse is not
+  /// installed, and the result is the admin path's kUnavailable "hosting
+  /// refused: ..." status.  A newly hosted OID starts its lease at `now`,
+  /// with no creator; over a hosted replica only the content is refreshed,
+  /// and its creator and lease stay.
   util::Status install_replica_unchecked(GLOBE_TRUSTED_SINK const ReplicaState& state,
                                          util::SimTime now = 0)
       GLOBE_EXCLUDES(mutex_);
@@ -114,15 +109,17 @@ class ObjectServer {
   /// integrity certificate's version, the digest a Merkle root over the
   /// serialized elements THIS server actually stores (name order,
   /// recomputed per call so post-install tampering is visible), expiry the
-  /// earliest certificate-entry deadline.  Wire this into a TelemetryNode
-  /// via set_consistency_source().
+  /// earliest certificate-entry deadline.  The digests are computed after
+  /// the lock is released, over the snapshots it copied.  Wire this into a
+  /// TelemetryNode via set_consistency_source().
   obs::ConsistencyReport consistency_report() const GLOBE_EXCLUDES(mutex_);
 
   /// Resource policy (paper §6 extension).  Limits apply to future creates,
   /// updates and pulled installs; existing replicas are untouched until
   /// their lease ends.
   /// A replica whose lease has lapsed is evicted where the server first
-  /// sees the lapse: a read of it, or any create, update or pulled install.
+  /// sees the lapse: a read or an admin check of it, or the admission of
+  /// any create, update or pulled install.
   void set_resource_limits(const ResourceLimits& limits) GLOBE_EXCLUDES(mutex_);
 
   /// Registers the "replication-freshness" probe: unhealthy once the newest
@@ -154,16 +151,15 @@ class ObjectServer {
   util::Result<util::Bytes> handle_delete(net::ServerContext&,
                                           GLOBE_UNTRUSTED util::BytesView);
 
-  /// Checks the resource policy for a replica of `bytes` content bytes
-  /// (excluding `existing_oid`'s current usage when updating).  Returns an
-  /// accepted grant or a rejection with a reason.  Caller holds mutex_.
-  HostingGrant check_capacity_locked(std::uint64_t bytes,
-                                     const Oid* existing_oid) const
-      GLOBE_REQUIRES(mutex_);
+  /// The shared front of the three {oid20} handlers: decodes the OID and
+  /// returns its snapshot, or kNotFound when it is not hosted.
+  util::Result<std::shared_ptr<const ReplicaState>> oid_request(
+      net::ServerContext& ctx, GLOBE_UNTRUSTED util::BytesView payload)
+      GLOBE_EXCLUDES(mutex_);
 
   // One hosted replica and the bookkeeping that leaves with it.  The state
-  // is an immutable snapshot that a create or an update replaces whole, so a
-  // reply can view its elements after mutex_ is released.
+  // is an immutable snapshot that an admission replaces whole, so a reply
+  // can view its elements after mutex_ is released.
   struct Hosted {
     std::shared_ptr<const ReplicaState> state;
     util::SimTime installed_at = 0;  // freshness probe input
@@ -171,30 +167,56 @@ class ObjectServer {
     util::SimTime lease_until = 0;  // 0 = unlimited
   };
 
-  /// The state of `oid` if it is hosted and its lease has not lapsed at
+  /// How every handler reaches hosted state: the snapshot of `oid` if it is
+  /// hosted and its lease has not lapsed at `now` (a lapsed replica is
+  /// evicted here), copied under mutex_ for the caller to read after.
+  std::shared_ptr<const ReplicaState> snapshot(const Oid& oid, util::SimTime now)
+      GLOBE_EXCLUDES(mutex_);
+
+  /// The entry of `oid` if it is hosted and its lease has not lapsed at
   /// `now`; a lapsed replica is evicted here.
-  std::shared_ptr<const ReplicaState> live_locked(const Oid& oid, util::SimTime now)
-      GLOBE_REQUIRES(mutex_);
+  const Hosted* live_locked(const Oid& oid, util::SimTime now) GLOBE_REQUIRES(mutex_);
 
   /// Evicts every replica whose lease lapsed at or before `now`, so a
   /// capacity decision never counts one.
   void evict_lapsed_locked(util::SimTime now) GLOBE_REQUIRES(mutex_);
 
-  /// The one place replica state enters the hosted set.  Trusted sink:
-  /// callers on a network path must have run ReplicaState::verify() first.
-  Hosted& install_locked(const Oid& oid, GLOBE_TRUSTED_SINK ReplicaState state,
-                         util::SimTime now)
+  /// The resource policy's verdict on hosting `bytes` content bytes in
+  /// place of `replaced` (null for a new OID): ok, or the admin path's
+  /// kUnavailable "hosting refused: ..." status.
+  util::Status check_capacity_locked(std::uint64_t bytes, const Hosted* replaced) const
       GLOBE_REQUIRES(mutex_);
 
-  /// Validates (nonce, pubkey, signature) against the keystore; returns the
-  /// authorized key's serialized form, or an error.  `tag` domain-separates
-  /// create/update/delete signatures.
+  /// The one way a state enters or replaces an entry of replicas_: evicts
+  /// lapsed replicas, checks capacity without counting the entry `state`
+  /// replaces, and installs it at `now`.  An admin create or update passes
+  /// its `creator`, which becomes the entry's and restarts the lease; a pull
+  /// (null `creator`) starts the lease only for an OID not hosted yet, and
+  /// otherwise refreshes the content alone.  Callers build the snapshot
+  /// before taking mutex_.  Trusted sink: callers on a network path must
+  /// have run ReplicaState::verify() first.
+  util::Status admit_locked(const Oid& oid,
+                            GLOBE_TRUSTED_SINK std::shared_ptr<const ReplicaState> state,
+                            util::SimTime now, const util::Bytes* creator)
+      GLOBE_REQUIRES(mutex_);
+
+  /// A create, update or delete request: {bytes nonce, bytes pubkey, bytes
+  /// signature, rest}, where the signature covers the rest exactly as the
+  /// client serialized it.
+  struct AdminRequest {
+    util::Bytes nonce;
+    util::Bytes pubkey;
+    util::Bytes signature;
+    util::Bytes rest;
+  };
+  static AdminRequest read_admin_request(GLOBE_UNTRUSTED util::BytesView payload);
+
+  /// Validates the request's (nonce, pubkey, signature) against the
+  /// keystore; returns the authorized key's serialized form, or an error.
+  /// `tag` domain-separates create/update/delete signatures.
   util::Result<util::Bytes> check_admin_auth(net::ServerContext& ctx,
-                                             const util::Bytes& nonce,
-                                             const util::Bytes& pubkey,
-                                             const util::Bytes& signature,
-                                             std::string_view tag,
-                                             util::BytesView payload)
+                                             const AdminRequest& request,
+                                             std::string_view tag)
       GLOBE_EXCLUDES(mutex_);
 
   std::string name_;

@@ -38,17 +38,13 @@ Bytes encode_oid_endpoint(BytesView oid, const net::Endpoint& ep) {
   return w.take();
 }
 
-Result<OidEndpoint> decode_oid_endpoint(BytesView payload) {
-  try {
-    util::Reader r(payload);
-    OidEndpoint out;
-    out.oid = r.bytes();
-    out.address = read_endpoint(r);
-    r.expect_end();
-    return out;
-  } catch (const util::SerialError& e) {
-    return Result<OidEndpoint>(ErrorCode::kProtocol, e.what());
-  }
+OidEndpoint decode_oid_endpoint(BytesView payload) {
+  util::Reader r(payload);
+  OidEndpoint out;
+  out.oid = r.bytes();
+  out.address = read_endpoint(r);
+  r.expect_end();
+  return out;
 }
 
 struct OidChild {
@@ -63,17 +59,13 @@ Bytes encode_oid_child(BytesView oid, const std::string& child) {
   return w.take();
 }
 
-Result<OidChild> decode_oid_child(BytesView payload) {
-  try {
-    util::Reader r(payload);
-    OidChild out;
-    out.oid = r.bytes();
-    out.child = r.str();
-    r.expect_end();
-    return out;
-  } catch (const util::SerialError& e) {
-    return Result<OidChild>(ErrorCode::kProtocol, e.what());
-  }
+OidChild decode_oid_child(BytesView payload) {
+  util::Reader r(payload);
+  OidChild out;
+  out.oid = r.bytes();
+  out.child = r.str();
+  r.expect_end();
+  return out;
 }
 
 }  // namespace
@@ -175,14 +167,9 @@ Result<std::vector<net::Endpoint>> LocationNode::resolve_down(net::ServerContext
 }
 
 Result<Bytes> LocationNode::handle_lookup(net::ServerContext& ctx, BytesView payload) {
-  Bytes oid;
-  try {
-    util::Reader r(payload);
-    oid = r.bytes();
-    r.expect_end();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
+  util::Reader r(payload);
+  Bytes oid = r.bytes();
+  r.expect_end();
 
   LookupReply reply;
   bool need_down = false;
@@ -217,30 +204,29 @@ Result<Bytes> LocationNode::handle_insert(net::ServerContext& ctx, BytesView pay
     return Result<Bytes>(ErrorCode::kInvalidArgument,
                          "contact addresses are stored at site nodes only");
   }
-  auto req = decode_oid_endpoint(payload);
-  if (!req.is_ok()) return req.status();
+  const auto req = decode_oid_endpoint(payload);
 
   bool first_for_oid;
   {
     util::LockGuard lock(mutex_);
-    auto& set = addresses_[req->oid];
+    auto& set = addresses_[req.oid];
     // Without this cap a node could accumulate more addresses than
     // LookupReply::parse accepts and every compliant client would start
     // rejecting its replies.
-    if (set.size() >= kMaxLookupAddresses && set.count(req->address) == 0) {
+    if (set.size() >= kMaxLookupAddresses && set.count(req.address) == 0) {
       return Result<Bytes>(ErrorCode::kInvalidArgument,
                            "object already has " +
                                std::to_string(kMaxLookupAddresses) +
                                " registered addresses");
     }
     first_for_oid = set.empty();
-    set.insert(req->address);
+    set.insert(req.address);
   }
   inserts_counter_->inc();
   if (first_for_oid && has_parent_) {
     rpc::RpcClient parent(ctx.transport(), parent_);
     auto r = parent.call(rpc::kLocationService, kInsertPointer,
-                         encode_oid_child(req->oid, domain_));
+                         encode_oid_child(req.oid, domain_));
     if (!r.is_ok()) return r.status();
   }
   return Bytes{};
@@ -251,14 +237,13 @@ Result<Bytes> LocationNode::handle_remove(net::ServerContext& ctx, BytesView pay
     return Result<Bytes>(ErrorCode::kInvalidArgument,
                          "contact addresses are stored at site nodes only");
   }
-  auto req = decode_oid_endpoint(payload);
-  if (!req.is_ok()) return req.status();
+  const auto req = decode_oid_endpoint(payload);
 
   bool oid_gone = false;
   {
     util::LockGuard lock(mutex_);
-    auto it = addresses_.find(req->oid);
-    if (it == addresses_.end() || it->second.erase(req->address) == 0) {
+    auto it = addresses_.find(req.oid);
+    if (it == addresses_.end() || it->second.erase(req.address) == 0) {
       return Result<Bytes>(ErrorCode::kNotFound, "address not registered");
     }
     if (it->second.empty()) {
@@ -270,30 +255,29 @@ Result<Bytes> LocationNode::handle_remove(net::ServerContext& ctx, BytesView pay
   if (oid_gone && has_parent_) {
     rpc::RpcClient parent(ctx.transport(), parent_);
     (void)parent.call(rpc::kLocationService, kRemovePointer,
-                      encode_oid_child(req->oid, domain_));
+                      encode_oid_child(req.oid, domain_));
   }
   return Bytes{};
 }
 
 Result<Bytes> LocationNode::handle_insert_pointer(net::ServerContext& ctx,
                                                   BytesView payload) {
-  auto req = decode_oid_child(payload);
-  if (!req.is_ok()) return req.status();
-  if (children_.count(req->child) == 0) {
+  const auto req = decode_oid_child(payload);
+  if (children_.count(req.child) == 0) {
     return Result<Bytes>(ErrorCode::kInvalidArgument,
-                         "'" + req->child + "' is not a child of '" + domain_ + "'");
+                         "'" + req.child + "' is not a child of '" + domain_ + "'");
   }
   bool first_for_oid;
   {
     util::LockGuard lock(mutex_);
-    auto& set = pointers_[req->oid];
+    auto& set = pointers_[req.oid];
     first_for_oid = set.empty();
-    set.insert(req->child);
+    set.insert(req.child);
   }
   if (first_for_oid && has_parent_) {
     rpc::RpcClient parent(ctx.transport(), parent_);
     auto r = parent.call(rpc::kLocationService, kInsertPointer,
-                         encode_oid_child(req->oid, domain_));
+                         encode_oid_child(req.oid, domain_));
     if (!r.is_ok()) return r.status();
   }
   return Bytes{};
@@ -301,14 +285,13 @@ Result<Bytes> LocationNode::handle_insert_pointer(net::ServerContext& ctx,
 
 Result<Bytes> LocationNode::handle_remove_pointer(net::ServerContext& ctx,
                                                   BytesView payload) {
-  auto req = decode_oid_child(payload);
-  if (!req.is_ok()) return req.status();
+  const auto req = decode_oid_child(payload);
   bool oid_gone = false;
   {
     util::LockGuard lock(mutex_);
-    auto it = pointers_.find(req->oid);
+    auto it = pointers_.find(req.oid);
     if (it != pointers_.end()) {
-      it->second.erase(req->child);
+      it->second.erase(req.child);
       if (it->second.empty()) {
         pointers_.erase(it);
         oid_gone = true;
@@ -318,7 +301,7 @@ Result<Bytes> LocationNode::handle_remove_pointer(net::ServerContext& ctx,
   if (oid_gone && has_parent_) {
     rpc::RpcClient parent(ctx.transport(), parent_);
     (void)parent.call(rpc::kLocationService, kRemovePointer,
-                      encode_oid_child(req->oid, domain_));
+                      encode_oid_child(req.oid, domain_));
   }
   return Bytes{};
 }

@@ -143,15 +143,10 @@ void NamingServer::register_with(rpc::ServiceDispatcher& dispatcher) {
 }
 
 Result<Bytes> NamingServer::handle_lookup(net::ServerContext&, BytesView payload) {
-  std::string zone, name;
-  try {
-    util::Reader r(payload);
-    zone = r.str();
-    name = r.str();
-    r.expect_end();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
+  util::Reader r(payload);
+  std::string zone = r.str();
+  std::string name = r.str();
+  r.expect_end();
   std::shared_ptr<ZoneAuthority> authority;
   {
     util::LockGuard lock(mutex_);
@@ -174,14 +169,9 @@ Result<Bytes> NamingServer::handle_lookup(net::ServerContext&, BytesView payload
 }
 
 Result<Bytes> NamingServer::handle_zone_key(net::ServerContext&, BytesView payload) {
-  std::string zone;
-  try {
-    util::Reader r(payload);
-    zone = r.str();
-    r.expect_end();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
+  util::Reader r(payload);
+  std::string zone = r.str();
+  r.expect_end();
   zone_key_requests_->inc();
   util::LockGuard lock(mutex_);
   auto it = zones_.find(zone);

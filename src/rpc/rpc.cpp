@@ -20,7 +20,6 @@ const char* service_name(std::uint16_t service) {
     case kGlobeDocAccess: return "gd.access";
     case kGlobeDocSecurity: return "gd.security";
     case kGlobeDocAdmin: return "gd.admin";
-    case kHttpGateway: return "http";
     case kTelemetryService: return "telemetry";
   }
   return nullptr;
@@ -110,7 +109,16 @@ Result<net::Reply> ServiceDispatcher::dispatch(net::ServerContext& ctx,
     host = trace_host_;
   }
 
-  if (!caller.valid() || !caller.sampled) return fn(ctx, payload);
+  // A handler decodes its payload with util::Reader and lets a truncated or
+  // malformed one throw: the answer is PROTOCOL with the reader's message.
+  auto call = [&]() -> Result<net::Reply> {
+    try {
+      return fn(ctx, payload);
+    } catch (const util::SerialError& e) {
+      return Result<net::Reply>(ErrorCode::kProtocol, e.what());
+    }
+  };
+  if (!caller.valid() || !caller.sampled) return call();
 
   // Open the server-side span as a child of the caller's innermost span.
   // SimNet runs handlers inline on the caller's thread; the tracer saves
@@ -122,7 +130,7 @@ Result<net::Reply> ServiceDispatcher::dispatch(net::ServerContext& ctx,
   tracer.set_sink(sink != nullptr ? sink : &obs::global_trace_collector());
   tracer.adopt(caller);
   auto span = tracer.span(rpc_span_name(service, method));
-  return fn(ctx, payload);
+  return call();
 }
 
 net::MessageHandler ServiceDispatcher::handler() {

@@ -47,7 +47,8 @@ enum ServiceId : std::uint16_t {
   kGlobeDocAccess = 3,    // page-element retrieval (untrusted path)
   kGlobeDocSecurity = 4,  // public key / certificates (paper §3.1.2)
   kGlobeDocAdmin = 5,     // replica management, keystore-ACL'd (paper §2.1.3)
-  kHttpGateway = 6,       // baseline static HTTP server
+  // 6 is retired (it was HttpGateway, which nothing registered: the static
+  // HTTP server serves on its own endpoint).
   // 7 is retired (it was GlobeDocDynamic, which no client called).
   kTelemetryService = 8,  // per-node metrics scrape (obs/telemetry.hpp)
 };
@@ -81,6 +82,8 @@ class ServiceDispatcher {
   /// Adapter to bind on a SimNet endpoint or TcpServer.
   net::MessageHandler handler();
 
+  /// A util::SerialError that the method throws, on a payload it cannot
+  /// decode, is answered as kProtocol with the error's message.
   util::Result<net::Reply> dispatch(net::ServerContext& ctx,
                                     util::BytesView request) const
       GLOBE_EXCLUDES(mutex_);

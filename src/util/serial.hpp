@@ -48,6 +48,8 @@ class Writer {
 class Reader {
  public:
   explicit Reader(BytesView data) : data_(data) {}
+  /// A Reader views its input, so a temporary would dangle.
+  Reader(Bytes&&) = delete;
 
   std::uint8_t u8();
   std::uint16_t u16();

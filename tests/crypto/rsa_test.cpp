@@ -164,7 +164,8 @@ TEST(RsaTest, PrivateKeySerializationRoundTrip) {
   // The encoding the keygen pin hashes: the eight components in order, each
   // a length-prefixed big-endian integer that reads back to the component.
   const auto& kp = test_key();
-  util::Reader r(kp.priv.serialize());
+  const Bytes wire = kp.priv.serialize();
+  util::Reader r(wire);
   for (const BigInt* v : {&kp.priv.n, &kp.priv.e, &kp.priv.d, &kp.priv.p,
                           &kp.priv.q, &kp.priv.dp, &kp.priv.dq, &kp.priv.qinv}) {
     EXPECT_EQ(BigInt::from_bytes(r.bytes()), *v);

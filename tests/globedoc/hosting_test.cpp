@@ -231,5 +231,76 @@ TEST_F(HostingFixture, LapsedLeaseFreesItsSlotForAPulledInstall) {
   EXPECT_TRUE(hosts(*server, second));
 }
 
+TEST_F(HostingFixture, CreateOverAPulledReplicaTakesItsSlot) {
+  // The pulled copy is replaced, not counted beside its replacement; the
+  // created replica is then its creator's to delete.
+  ResourceLimits limits;
+  limits.max_replicas = 1;
+  server->set_resource_limits(limits);
+  Oid oid;
+  ReplicaState state = make_state(190, 100, &oid);
+  ASSERT_TRUE(server->install_replica_unchecked(state, flow->now()).is_ok());
+  ASSERT_TRUE(admin().create_replica(state).is_ok());
+  EXPECT_EQ(replica_count(*server), 1u);
+  EXPECT_TRUE(admin().delete_replica(oid).is_ok());
+  EXPECT_EQ(replica_count(*server), 0u);
+}
+
+TEST_F(HostingFixture, CreateOverAPulledReplicaReusesItsBytes) {
+  ResourceLimits limits;
+  limits.max_total_bytes = 150;
+  server->set_resource_limits(limits);
+  Oid oid;
+  ReplicaState state = make_state(191, 100, &oid);
+  ASSERT_TRUE(server->install_replica_unchecked(state, flow->now()).is_ok());
+  ASSERT_TRUE(admin().create_replica(state).is_ok());
+  EXPECT_TRUE(hosts(*server, oid));
+  EXPECT_EQ(replica_count(*server), 1u);
+}
+
+TEST_F(HostingFixture, PulledReplicaLeaseLapses) {
+  // A pull of an OID the server does not host starts its lease.
+  ResourceLimits limits;
+  limits.max_lease = util::seconds(100);
+  server->set_resource_limits(limits);
+  Oid oid;
+  ASSERT_TRUE(
+      server->install_replica_unchecked(make_state(192, 500, &oid), flow->now()).is_ok());
+  flow->advance(util::seconds(90));
+  EXPECT_TRUE(read_element(*flow, ep, oid).is_ok());
+
+  flow->advance(util::seconds(20));
+  EXPECT_TRUE(hosts(*server, oid));  // no read has seen the lapse yet
+  EXPECT_EQ(read_element(*flow, ep, oid).code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(hosts(*server, oid));
+}
+
+TEST_F(HostingFixture, PullOverACreatedReplicaKeepsItsCreator) {
+  Oid oid;
+  ReplicaState state = make_state(193, 500, &oid);
+  ASSERT_TRUE(admin().create_replica(state).is_ok());
+  ASSERT_TRUE(server->install_replica_unchecked(state, flow->now()).is_ok());
+  EXPECT_TRUE(admin().delete_replica(oid).is_ok());
+  EXPECT_FALSE(hosts(*server, oid));
+}
+
+TEST_F(HostingFixture, PullsDoNotExtendACreatedReplicasLease) {
+  // A pull over a hosted replica refreshes its content only: the lease its
+  // create started still ends at create + max_lease.
+  ResourceLimits limits;
+  limits.max_lease = util::seconds(100);
+  server->set_resource_limits(limits);
+  Oid oid;
+  ReplicaState state = make_state(194, 500, &oid);
+  ASSERT_TRUE(admin().create_replica(state).is_ok());
+  flow->advance(util::seconds(60));
+  ASSERT_TRUE(server->install_replica_unchecked(state, flow->now()).is_ok());
+  flow->advance(util::seconds(30));
+  EXPECT_TRUE(read_element(*flow, ep, oid).is_ok());
+  flow->advance(util::seconds(30));
+  EXPECT_EQ(read_element(*flow, ep, oid).code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(hosts(*server, oid));
+}
+
 }  // namespace
 }  // namespace globe::globedoc

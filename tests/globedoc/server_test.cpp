@@ -354,6 +354,19 @@ TEST_F(ServerFixture, MalformedPayloadsRejected) {
             ErrorCode::kProtocol);
   EXPECT_EQ(client.call(rpc::kGlobeDocAdmin, kChallenge, to_bytes("payload")).code(),
             ErrorCode::kProtocol);
+  // Every other method, on a payload too short for its first field.
+  const std::pair<std::uint16_t, std::uint16_t> methods[] = {
+      {rpc::kGlobeDocAccess, kFetchMany},
+      {rpc::kGlobeDocSecurity, kGetPublicKey},
+      {rpc::kGlobeDocSecurity, kGetIntegrityCert},
+      {rpc::kGlobeDocSecurity, kGetIdentityCerts},
+      {rpc::kGlobeDocAdmin, kCreateReplica},
+      {rpc::kGlobeDocAdmin, kUpdateReplica},
+      {rpc::kGlobeDocAdmin, kDeleteReplica}};
+  for (auto [service, method] : methods) {
+    EXPECT_EQ(client.call(service, method, to_bytes("xx")).code(), ErrorCode::kProtocol)
+        << service << "/" << method;
+  }
 }
 
 TEST_F(ServerFixture, RetiredAdminMethodsAnswerNotFound) {

@@ -153,6 +153,40 @@ TEST_F(TreeFixture, InsertAtInteriorNodeRejected) {
             ErrorCode::kInvalidArgument);
 }
 
+TEST_F(TreeFixture, TruncatedPayloadsAnswerProtocol) {
+  // Each request cut one byte short: every method a site node serves, and
+  // the three an interior node decodes (it refuses Insert and Remove before
+  // decoding), answer PROTOCOL.
+  util::Writer by_oid, by_address, by_child;
+  by_oid.bytes(oid(13));
+  by_address.bytes(oid(13));
+  by_address.u32(3);
+  by_address.u16(8000);
+  by_child.bytes(oid(13));
+  by_child.str("site-ams");
+  auto cut_call = [&](const char* node, std::uint16_t method, const util::Writer& w) {
+    Bytes payload = w.buffer();
+    payload.pop_back();
+    rpc::RpcClient client(*flow, tree->endpoint(node));
+    return client.call(rpc::kLocationService, method, payload).code();
+  };
+  const std::pair<std::uint16_t, const util::Writer*> site_methods[] = {
+      {kLookup, &by_oid},
+      {kInsert, &by_address},
+      {kRemove, &by_address},
+      {kInsertPointer, &by_child},
+      {kRemovePointer, &by_child}};
+  for (auto [method, w] : site_methods) {
+    EXPECT_EQ(cut_call("site-ams", method, *w), ErrorCode::kProtocol) << method;
+  }
+  const std::pair<std::uint16_t, const util::Writer*> interior_methods[] = {
+      {kLookup, &by_oid}, {kInsertPointer, &by_child}, {kRemovePointer, &by_child}};
+  for (auto [method, w] : interior_methods) {
+    EXPECT_EQ(cut_call("region-eu", method, *w), ErrorCode::kProtocol) << method;
+  }
+  EXPECT_EQ(tree->node("site-ams").records_stored(), 0u);
+}
+
 TEST_F(TreeFixture, LocalLookupCheaperThanGlobal) {
   LocationClient setup(*flow, tree->endpoint("site-ams"));
   ASSERT_TRUE(setup.insert(tree->endpoint("site-ams"), oid(10), replica(3, 1)).is_ok());

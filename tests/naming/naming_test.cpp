@@ -194,6 +194,24 @@ TEST_F(ResolverFixture, DirectAnswerFromRootZone) {
   EXPECT_EQ(resolver.signatures_verified(), 1u);
 }
 
+TEST_F(ResolverFixture, TruncatedPayloadsAnswerProtocol) {
+  // Both naming methods, each request cut one byte short.
+  util::Writer lookup, zone_key;
+  lookup.str("vu.nl");
+  lookup.str("doc.vu.nl");
+  zone_key.str("vu.nl");
+  rpc::RpcClient client(*flow, vu_ep);
+  const std::pair<std::uint16_t, const util::Writer*> methods[] = {
+      {kLookup, &lookup}, {kZonePublicKey, &zone_key}};
+  for (auto [method, w] : methods) {
+    Bytes payload = w->buffer();
+    payload.pop_back();
+    EXPECT_EQ(client.call(rpc::kNamingService, method, payload).code(),
+              ErrorCode::kProtocol)
+        << method;
+  }
+}
+
 TEST_F(ResolverFixture, UnknownNameNotFound) {
   SecureResolver resolver(*flow, root_ep, root_key.pub);
   EXPECT_EQ(resolver.resolve("ghost.vu.nl").code(), ErrorCode::kNotFound);

@@ -97,9 +97,9 @@ TEST(ServiceIdTest, IdsMatchTheProtocolTableAndSevenIsRetired) {
   EXPECT_EQ(kGlobeDocAccess, 3);
   EXPECT_EQ(kGlobeDocSecurity, 4);
   EXPECT_EQ(kGlobeDocAdmin, 5);
-  EXPECT_EQ(kHttpGateway, 6);
   EXPECT_EQ(kTelemetryService, 8);
   EXPECT_EQ(rpc_span_name(kTelemetryService, 1), "rpc:telemetry/1");
+  EXPECT_EQ(rpc_span_name(6, 1), "rpc:6/1");
   EXPECT_EQ(rpc_span_name(7, 1), "rpc:7/1");
 }
 
@@ -191,6 +191,36 @@ TEST_F(TracedRpcFixture, UnsampledContextIsNotInjected) {
   span.end();
   EXPECT_EQ(collector.traces_seen(), 0u);
   EXPECT_EQ(collector.pending_fragments(), 0u);
+}
+
+TEST_F(TracedRpcFixture, UndecodablePayloadAnswersProtocolInsideTheServerSpan) {
+  // A handler that reads a u32 throws on a shorter payload; the dispatcher
+  // answers PROTOCOL with the reader's message, traced or not, and a traced
+  // call's server span still closes under the caller's.
+  dispatcher.register_method(kGlobeDocAccess, 8,
+                             [](net::ServerContext&, BytesView req) -> Result<Bytes> {
+                               util::Reader r(req);
+                               r.u32();
+                               return Bytes{};
+                             });
+  RpcClient client(*flow, ep);
+  auto untraced = client.call(kGlobeDocAccess, 8, Bytes{1});
+  EXPECT_EQ(untraced.code(), ErrorCode::kProtocol);
+  EXPECT_EQ(untraced.status().message(), "truncated message: need 4 bytes, have 1");
+
+  obs::Tracer tracer([this] { return flow->now(); });
+  tracer.set_sink(&collector);
+  {
+    auto fetch = tracer.span("fetch");
+    auto traced = client.call(kGlobeDocAccess, 8, Bytes{1});
+    EXPECT_EQ(traced.code(), ErrorCode::kProtocol);
+    EXPECT_EQ(traced.status().message(), untraced.status().message());
+  }
+  auto trace = collector.find(tracer.trace_hi(), tracer.trace_lo());
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_TRUE(trace->complete);
+  ASSERT_EQ(trace->root.children.size(), 1u);
+  EXPECT_EQ(trace->root.children[0].name, "rpc:gd.access/8");
 }
 
 TEST_F(TracedRpcFixture, UntaggedLegacyFramingStillDispatches) {
