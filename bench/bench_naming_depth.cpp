@@ -64,7 +64,8 @@ int main() {
     zones.back()->add_oid(name, util::Bytes(20, 0x55), util::seconds(1u << 30));
 
     auto flow = net.open_quiescent_flow(client_host);
-    naming::SecureResolver resolver(*flow, endpoints[0], keys[0].pub);
+    obs::MetricsRegistry registry;
+    naming::SecureResolver resolver(*flow, endpoints[0], keys[0].pub, &registry);
     resolver.set_cache_enabled(true);
 
     util::SimTime start = flow->now();
@@ -75,7 +76,7 @@ int main() {
     }
     double resolve_ms = util::to_millis(flow->now() - start);
     double verify_ms =
-        util::to_millis(static_cast<std::uint64_t>(resolver.signatures_verified()) *
+        util::to_millis(registry.counter("naming.signatures_verified").value() *
                         net::CpuModel{}.rsa_verify);
 
     util::SimTime cached_start = flow->now();

@@ -1,6 +1,7 @@
 #include "globedoc/server.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "crypto/merkle.hpp"
 #include "globedoc/fetch_many.hpp"
@@ -228,7 +229,7 @@ void ObjectServer::register_with(rpc::ServiceDispatcher& dispatcher) {
           // its server span's name.
           obs::ProfileRegistryScope profile_scope(profile_);
           obs::CostProbe probe(span_name.c_str());
-          return (this->*fn)(ctx, payload);
+          return std::invoke(fn, this, ctx, payload);
         });
   };
   bindm(rpc::kGlobeDocAccess, kGetElement, &ObjectServer::handle_get_element);
@@ -239,14 +240,14 @@ void ObjectServer::register_with(rpc::ServiceDispatcher& dispatcher) {
   bindm(rpc::kGlobeDocSecurity, kGetIdentityCerts,
         &ObjectServer::handle_get_identity_certs);
   bindm(rpc::kGlobeDocAdmin, kChallenge, &ObjectServer::handle_challenge);
-  dispatcher.register_method(rpc::kGlobeDocAdmin, kCreateReplica,
-                             [this](net::ServerContext& ctx, BytesView payload) {
-                               return handle_create_or_update(ctx, payload, true);
-                             });
-  dispatcher.register_method(rpc::kGlobeDocAdmin, kUpdateReplica,
-                             [this](net::ServerContext& ctx, BytesView payload) {
-                               return handle_create_or_update(ctx, payload, false);
-                             });
+  bindm(rpc::kGlobeDocAdmin, kCreateReplica,
+        [](ObjectServer* self, net::ServerContext& ctx, BytesView payload) {
+          return self->handle_create_or_update(ctx, payload, /*create=*/true);
+        });
+  bindm(rpc::kGlobeDocAdmin, kUpdateReplica,
+        [](ObjectServer* self, net::ServerContext& ctx, BytesView payload) {
+          return self->handle_create_or_update(ctx, payload, /*create=*/false);
+        });
   bindm(rpc::kGlobeDocAdmin, kDeleteReplica, &ObjectServer::handle_delete);
 }
 

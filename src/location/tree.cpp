@@ -14,58 +14,12 @@ using util::Status;
 
 namespace {
 
-void write_endpoint(util::Writer& w, const net::Endpoint& ep) {
-  w.u32(ep.host.value);
-  w.u16(ep.port);
-}
-
-net::Endpoint read_endpoint(util::Reader& r) {
-  net::Endpoint ep;
-  ep.host.value = r.u32();
-  ep.port = r.u16();
-  return ep;
-}
-
-struct OidEndpoint {
-  Bytes oid;
-  net::Endpoint address;
-};
-
-Bytes encode_oid_endpoint(BytesView oid, const net::Endpoint& ep) {
+// The Insert/Remove payload: {oid, endpoint}.
+Bytes encode_oid_endpoint(BytesView oid, const net::Endpoint& address) {
   util::Writer w;
   w.bytes(oid);
-  write_endpoint(w, ep);
+  net::write_endpoint(w, address);
   return w.take();
-}
-
-OidEndpoint decode_oid_endpoint(BytesView payload) {
-  util::Reader r(payload);
-  OidEndpoint out;
-  out.oid = r.bytes();
-  out.address = read_endpoint(r);
-  r.expect_end();
-  return out;
-}
-
-struct OidChild {
-  Bytes oid;
-  std::string child;
-};
-
-Bytes encode_oid_child(BytesView oid, const std::string& child) {
-  util::Writer w;
-  w.bytes(oid);
-  w.str(child);
-  return w.take();
-}
-
-OidChild decode_oid_child(BytesView payload) {
-  util::Reader r(payload);
-  OidChild out;
-  out.oid = r.bytes();
-  out.child = r.str();
-  r.expect_end();
-  return out;
 }
 
 }  // namespace
@@ -74,9 +28,9 @@ Bytes LookupReply::serialize() const {
   util::Writer w;
   w.u8(found ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(addresses.size()));
-  for (const auto& a : addresses) write_endpoint(w, a);
+  for (const auto& a : addresses) net::write_endpoint(w, a);
   w.u8(has_parent ? 1 : 0);
-  write_endpoint(w, parent);
+  net::write_endpoint(w, parent);
   return w.take();
 }
 
@@ -88,9 +42,11 @@ Result<LookupReply> LookupReply::parse(BytesView data) {
     std::uint32_t n = util::checked_count(
         r.u32(), static_cast<std::uint32_t>(kMaxLookupAddresses));
     reply.addresses.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) reply.addresses.push_back(read_endpoint(r));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      reply.addresses.push_back(net::read_endpoint(r));
+    }
     reply.has_parent = r.u8() != 0;
-    reply.parent = read_endpoint(r);
+    reply.parent = net::read_endpoint(r);
     r.expect_end();
     return reply;
   } catch (const util::SerialError& e) {
@@ -120,50 +76,29 @@ void LocationNode::add_child(const std::string& child_domain,
 }
 
 void LocationNode::register_with(rpc::ServiceDispatcher& dispatcher) {
-  auto bindm = [&](std::uint16_t method,
-                   Result<Bytes> (LocationNode::*fn)(net::ServerContext&, BytesView)) {
-    dispatcher.register_method(rpc::kLocationService, method,
-                               [this, fn](net::ServerContext& ctx, BytesView payload) {
-                                 return (this->*fn)(ctx, payload);
-                               });
-  };
-  bindm(kLookup, &LocationNode::handle_lookup);
-  bindm(kInsert, &LocationNode::handle_insert);
-  bindm(kRemove, &LocationNode::handle_remove);
-  bindm(kInsertPointer, &LocationNode::handle_insert_pointer);
-  bindm(kRemovePointer, &LocationNode::handle_remove_pointer);
+  dispatcher.register_method(rpc::kLocationService, kLookup,
+                             [this](net::ServerContext& ctx, BytesView payload) {
+                               return handle_lookup(ctx, payload);
+                             });
+  for (std::uint16_t method : {kInsert, kInsertPointer}) {
+    dispatcher.register_method(
+        rpc::kLocationService, method,
+        [this, method](net::ServerContext& ctx, BytesView payload) {
+          return handle_insert(ctx, method, payload);
+        });
+  }
+  for (std::uint16_t method : {kRemove, kRemovePointer}) {
+    dispatcher.register_method(
+        rpc::kLocationService, method,
+        [this, method](net::ServerContext& ctx, BytesView payload) {
+          return handle_remove(ctx, method, payload);
+        });
+  }
 }
 
 std::size_t LocationNode::records_stored() const {
   util::LockGuard lock(mutex_);
-  return is_site_ ? addresses_.size() : pointers_.size();
-}
-
-Result<std::vector<net::Endpoint>> LocationNode::resolve_down(net::ServerContext& ctx,
-                                                              const Bytes& oid) {
-  std::vector<std::string> targets;
-  {
-    util::LockGuard lock(mutex_);
-    auto it = pointers_.find(oid);
-    if (it != pointers_.end()) {
-      targets.assign(it->second.begin(), it->second.end());
-    }
-  }
-  std::vector<net::Endpoint> all;
-  for (const auto& child_name : targets) {
-    auto cit = children_.find(child_name);
-    if (cit == children_.end()) continue;  // stale pointer to removed child
-    util::Writer q;
-    q.bytes(oid);
-    rpc::RpcClient client(ctx.transport(), cit->second);
-    auto raw = client.call(rpc::kLocationService, kLookup, q.buffer());
-    if (!raw.is_ok()) continue;  // child down: best effort
-    auto reply = LookupReply::parse(*raw);
-    if (reply.is_ok() && reply->found) {
-      all.insert(all.end(), reply->addresses.begin(), reply->addresses.end());
-    }
-  }
-  return all;
+  return records_.size();
 }
 
 Result<Bytes> LocationNode::handle_lookup(net::ServerContext& ctx, BytesView payload) {
@@ -172,137 +107,132 @@ Result<Bytes> LocationNode::handle_lookup(net::ServerContext& ctx, BytesView pay
   r.expect_end();
 
   LookupReply reply;
-  bool need_down = false;
+  std::vector<net::Endpoint> down;  // children leading to a replica, by name
   {
     util::LockGuard lock(mutex_);
-    if (is_site_) {
-      auto it = addresses_.find(oid);
-      if (it != addresses_.end() && !it->second.empty()) {
-        reply.found = true;
+    auto it = records_.find(oid);
+    if (it != records_.end()) {
+      if (is_site_) {
         reply.addresses.assign(it->second.begin(), it->second.end());
+      } else {
+        down.reserve(it->second.size());
+        for (const auto& [name, child] : children_) {
+          if (it->second.count(child) > 0) down.push_back(child);
+        }
       }
-    } else {
-      need_down = pointers_.count(oid) > 0;
     }
     reply.has_parent = has_parent_;
     reply.parent = parent_;
   }
-  if (need_down) {
-    auto down = resolve_down(ctx, oid);
-    if (down.is_ok() && !down->empty()) {
-      reply.found = true;
-      reply.addresses = std::move(*down);
+  // An interior node resolves downward, asking only endpoints of children_.
+  for (const auto& child : down) {
+    util::Writer q;
+    q.bytes(oid);
+    rpc::RpcClient client(ctx.transport(), child);
+    auto raw = client.call(rpc::kLocationService, kLookup, q.buffer());
+    if (!raw.is_ok()) continue;  // child down: best effort
+    auto child_reply = LookupReply::parse(*raw);
+    if (child_reply.is_ok() && child_reply->found) {
+      reply.addresses.insert(reply.addresses.end(), child_reply->addresses.begin(),
+                             child_reply->addresses.end());
     }
   }
+  reply.found = !reply.addresses.empty();
   lookups_counter_->inc();
   if (reply.found) lookup_hits_->inc();
   return reply.serialize();
 }
 
-Result<Bytes> LocationNode::handle_insert(net::ServerContext& ctx, BytesView payload) {
-  if (!is_site_) {
-    return Result<Bytes>(ErrorCode::kInvalidArgument,
-                         "contact addresses are stored at site nodes only");
+Result<LocationNode::Record> LocationNode::read_record(std::uint16_t method,
+                                                       BytesView payload) const {
+  const bool pointer = method == kInsertPointer || method == kRemovePointer;
+  if (!pointer && !is_site_) {
+    return Result<Record>(ErrorCode::kInvalidArgument,
+                          "contact addresses are stored at site nodes only");
   }
-  const auto req = decode_oid_endpoint(payload);
+  util::Reader r(payload);
+  Record record;
+  record.oid = r.bytes();
+  if (!pointer) {
+    record.entry = net::read_endpoint(r);
+    r.expect_end();
+    return record;
+  }
+  std::string child = r.str();
+  r.expect_end();
+  auto it = children_.find(child);
+  if (it == children_.end()) {
+    return Result<Record>(ErrorCode::kInvalidArgument,
+                          "'" + child + "' is not a child of '" + domain_ + "'");
+  }
+  record.entry = it->second;
+  return record;
+}
+
+Status LocationNode::tell_parent(net::ServerContext& ctx, std::uint16_t method,
+                                 const Bytes& oid) const {
+  if (!has_parent_) return Status();
+  util::Writer w;
+  w.bytes(oid);
+  w.str(domain_);
+  rpc::RpcClient parent(ctx.transport(), parent_);
+  return parent.call(rpc::kLocationService, method, w.buffer()).status();
+}
+
+Result<Bytes> LocationNode::handle_insert(net::ServerContext& ctx, std::uint16_t method,
+                                          BytesView payload) {
+  const bool pointer = method == kInsertPointer;
+  auto record = read_record(method, payload);
+  if (!record.is_ok()) return record.status();
 
   bool first_for_oid;
   {
     util::LockGuard lock(mutex_);
-    auto& set = addresses_[req.oid];
-    // Without this cap a node could accumulate more addresses than
+    auto& set = records_[record->oid];
+    // Without this cap a site could accumulate more addresses than
     // LookupReply::parse accepts and every compliant client would start
     // rejecting its replies.
-    if (set.size() >= kMaxLookupAddresses && set.count(req.address) == 0) {
+    if (!pointer && set.size() >= kMaxLookupAddresses &&
+        set.count(record->entry) == 0) {
       return Result<Bytes>(ErrorCode::kInvalidArgument,
                            "object already has " +
                                std::to_string(kMaxLookupAddresses) +
                                " registered addresses");
     }
     first_for_oid = set.empty();
-    set.insert(req.address);
+    set.insert(record->entry);
   }
-  inserts_counter_->inc();
-  if (first_for_oid && has_parent_) {
-    rpc::RpcClient parent(ctx.transport(), parent_);
-    auto r = parent.call(rpc::kLocationService, kInsertPointer,
-                         encode_oid_child(req.oid, domain_));
-    if (!r.is_ok()) return r.status();
+  if (!pointer) inserts_counter_->inc();
+  if (first_for_oid) {
+    Status up = tell_parent(ctx, kInsertPointer, record->oid);
+    if (!up.is_ok()) return up;
   }
   return Bytes{};
 }
 
-Result<Bytes> LocationNode::handle_remove(net::ServerContext& ctx, BytesView payload) {
-  if (!is_site_) {
-    return Result<Bytes>(ErrorCode::kInvalidArgument,
-                         "contact addresses are stored at site nodes only");
-  }
-  const auto req = decode_oid_endpoint(payload);
+Result<Bytes> LocationNode::handle_remove(net::ServerContext& ctx, std::uint16_t method,
+                                          BytesView payload) {
+  // A pointer this node does not hold, as from a domain that is not a
+  // child, is removed quietly; an address must be registered.
+  const bool pointer = method == kRemovePointer;
+  auto record = read_record(method, payload);
+  if (!record.is_ok()) return pointer ? Result<Bytes>(Bytes{}) : record.status();
 
   bool oid_gone = false;
   {
     util::LockGuard lock(mutex_);
-    auto it = addresses_.find(req.oid);
-    if (it == addresses_.end() || it->second.erase(req.address) == 0) {
+    auto it = records_.find(record->oid);
+    if (it == records_.end() || it->second.erase(record->entry) == 0) {
+      if (pointer) return Bytes{};
       return Result<Bytes>(ErrorCode::kNotFound, "address not registered");
     }
     if (it->second.empty()) {
-      addresses_.erase(it);
+      records_.erase(it);
       oid_gone = true;
     }
   }
-  removes_counter_->inc();
-  if (oid_gone && has_parent_) {
-    rpc::RpcClient parent(ctx.transport(), parent_);
-    (void)parent.call(rpc::kLocationService, kRemovePointer,
-                      encode_oid_child(req.oid, domain_));
-  }
-  return Bytes{};
-}
-
-Result<Bytes> LocationNode::handle_insert_pointer(net::ServerContext& ctx,
-                                                  BytesView payload) {
-  const auto req = decode_oid_child(payload);
-  if (children_.count(req.child) == 0) {
-    return Result<Bytes>(ErrorCode::kInvalidArgument,
-                         "'" + req.child + "' is not a child of '" + domain_ + "'");
-  }
-  bool first_for_oid;
-  {
-    util::LockGuard lock(mutex_);
-    auto& set = pointers_[req.oid];
-    first_for_oid = set.empty();
-    set.insert(req.child);
-  }
-  if (first_for_oid && has_parent_) {
-    rpc::RpcClient parent(ctx.transport(), parent_);
-    auto r = parent.call(rpc::kLocationService, kInsertPointer,
-                         encode_oid_child(req.oid, domain_));
-    if (!r.is_ok()) return r.status();
-  }
-  return Bytes{};
-}
-
-Result<Bytes> LocationNode::handle_remove_pointer(net::ServerContext& ctx,
-                                                  BytesView payload) {
-  const auto req = decode_oid_child(payload);
-  bool oid_gone = false;
-  {
-    util::LockGuard lock(mutex_);
-    auto it = pointers_.find(req.oid);
-    if (it != pointers_.end()) {
-      it->second.erase(req.child);
-      if (it->second.empty()) {
-        pointers_.erase(it);
-        oid_gone = true;
-      }
-    }
-  }
-  if (oid_gone && has_parent_) {
-    rpc::RpcClient parent(ctx.transport(), parent_);
-    (void)parent.call(rpc::kLocationService, kRemovePointer,
-                      encode_oid_child(req.oid, domain_));
-  }
+  if (!pointer) removes_counter_->inc();
+  if (oid_gone) (void)tell_parent(ctx, kRemovePointer, record->oid);
   return Bytes{};
 }
 

@@ -3,9 +3,9 @@
 //
 // The world is divided into hierarchical domains (site ⊂ region ⊂ ... ⊂
 // root).  A replica's contact address is stored at its site node; every
-// enclosing domain up to the root stores a *pointer* to the child domain
-// that leads to it.  Lookups use expanding rings: the client asks its local
-// site, then each enclosing domain in turn; the first node holding a
+// enclosing domain up to the root stores a *pointer*: the endpoint of the
+// child that leads to it.  Lookups use expanding rings: the client asks its
+// local site, then each enclosing domain in turn; the first node holding a
 // pointer resolves it downward (server-side recursion along tree edges,
 // which is acyclic) and returns the contact addresses.
 //
@@ -54,8 +54,9 @@ struct LookupReply {
   static util::Result<LookupReply> parse(util::BytesView data);
 };
 
-/// One node of the search tree.  Site nodes store contact addresses;
-/// interior nodes store pointers to children.
+/// One node of the search tree.  Its one table maps an OID to endpoints:
+/// contact addresses at a site, the endpoints of the children leading to a
+/// replica at an interior node.
 class LocationNode {
  public:
   /// `registry` receives the location.node.* series (labeled with this
@@ -75,23 +76,35 @@ class LocationNode {
   std::size_t records_stored() const GLOBE_EXCLUDES(mutex_);
 
  private:
+  /// One entry of records_, as a mutation names it.
+  struct Record {
+    util::Bytes oid;
+    net::Endpoint entry;
+  };
+
   // Wire payloads from arbitrary callers: tainted at entry.  The stored
   // records stay untrusted by design (§3.1.2) — there is no sanitizer here,
   // and no trusted sink either: consumers re-verify whatever they fetch.
   util::Result<util::Bytes> handle_lookup(net::ServerContext& ctx,
                                           GLOBE_UNTRUSTED util::BytesView payload);
-  util::Result<util::Bytes> handle_insert(net::ServerContext& ctx,
+  /// kInsert and kInsertPointer: the one way an entry enters records_.
+  util::Result<util::Bytes> handle_insert(net::ServerContext& ctx, std::uint16_t method,
                                           GLOBE_UNTRUSTED util::BytesView payload);
-  util::Result<util::Bytes> handle_remove(net::ServerContext& ctx,
+  /// kRemove and kRemovePointer: the one way an entry leaves records_.
+  util::Result<util::Bytes> handle_remove(net::ServerContext& ctx, std::uint16_t method,
                                           GLOBE_UNTRUSTED util::BytesView payload);
-  util::Result<util::Bytes> handle_insert_pointer(
-      net::ServerContext& ctx, GLOBE_UNTRUSTED util::BytesView payload);
-  util::Result<util::Bytes> handle_remove_pointer(
-      net::ServerContext& ctx, GLOBE_UNTRUSTED util::BytesView payload);
 
-  /// Resolves a pointer downward to concrete addresses (interior nodes).
-  util::Result<std::vector<net::Endpoint>> resolve_down(net::ServerContext& ctx,
-                                                        const util::Bytes& oid);
+  /// Decodes a mutation: {oid, endpoint} for kInsert/kRemove, which only a
+  /// site takes (an interior node refuses them before decoding); {oid,
+  /// child domain} for the pointer methods, whose child must be one of
+  /// children_ and is mapped to its endpoint.
+  util::Result<Record> read_record(std::uint16_t method,
+                                   GLOBE_UNTRUSTED util::BytesView payload) const;
+
+  /// Sends `method` (kInsertPointer or kRemovePointer) for `oid`, naming
+  /// this domain, to the parent; ok at the root.
+  util::Status tell_parent(net::ServerContext& ctx, std::uint16_t method,
+                           const util::Bytes& oid) const;
 
   std::string domain_;
   bool is_site_;
@@ -100,9 +113,8 @@ class LocationNode {
   std::map<std::string, net::Endpoint> children_ GLOBE_BOUNDED;
 
   mutable util::Mutex mutex_;
-  // Site: OID -> contact addresses.  Interior: OID -> child domains.
-  std::map<util::Bytes, std::set<net::Endpoint>> addresses_ GLOBE_GUARDED_BY(mutex_);
-  std::map<util::Bytes, std::set<std::string>> pointers_ GLOBE_GUARDED_BY(mutex_);
+  // OID -> contact addresses at a site, child endpoints at an interior node.
+  std::map<util::Bytes, std::set<net::Endpoint>> records_ GLOBE_GUARDED_BY(mutex_);
   // Registry series, labeled by this node's domain.
   obs::Counter* lookups_counter_;
   obs::Counter* lookup_hits_;

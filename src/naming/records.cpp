@@ -41,8 +41,7 @@ Bytes DelegationRecord::serialize() const {
   w.u8(2);
   w.str(zone);
   w.bytes(child_public_key);
-  w.u32(name_server.host.value);
-  w.u16(name_server.port);
+  net::write_endpoint(w, name_server);
   w.u64(expires);
   return w.take();
 }
@@ -56,8 +55,7 @@ Result<DelegationRecord> DelegationRecord::parse(BytesView data) {
     DelegationRecord rec;
     rec.zone = r.str();
     rec.child_public_key = r.bytes();
-    rec.name_server.host.value = r.u32();
-    rec.name_server.port = r.u16();
+    rec.name_server = net::read_endpoint(r);
     rec.expires = r.u64();
     r.expect_end();
     return rec;

@@ -55,7 +55,6 @@ Result<Bytes> SecureResolver::resolve_walk(const std::string& name) {
 
     // Verify the zone signature over the record (one public-key op).
     transport_->charge(net::CpuOp::kRsaVerify, 1);
-    ++signatures_verified_;
     signatures_counter_->inc();
     if (!crypto::rsa_verify_sha256(zone_key, reply->blob.record,
                                    reply->blob.signature)) {

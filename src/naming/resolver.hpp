@@ -38,9 +38,6 @@ class SecureResolver {
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   std::size_t cache_size() const { return cache_.size(); }
 
-  /// Verified-signature counter (used by the security-overhead benchmarks).
-  std::size_t signatures_verified() const { return signatures_verified_; }
-
  private:
   util::Result<util::Bytes> resolve_walk(const std::string& name);
 
@@ -50,7 +47,6 @@ class SecureResolver {
   bool cache_enabled_ = false;
   // name -> OID, each until its record expires
   util::LruCache<std::string, util::Bytes> cache_{{.max_entries = kCacheEntries}};
-  std::size_t signatures_verified_ = 0;
   // Registry series: resolves by outcome, cache hits, referral hops,
   // signatures verified.
   obs::Counter* resolves_ok_;

@@ -7,6 +7,8 @@
 #include <functional>
 #include <string>
 
+#include "util/serial.hpp"
+
 namespace globe::net {
 
 /// Index of a host within a network (SimNet host table, or a slot in the
@@ -27,6 +29,20 @@ struct Endpoint {
     return "host" + std::to_string(host.value) + ":" + std::to_string(port);
   }
 };
+
+/// An endpoint's wire form, shared by every record that carries one:
+/// u32 host, then u16 port.
+inline void write_endpoint(util::Writer& w, const Endpoint& ep) {
+  w.u32(ep.host.value);
+  w.u16(ep.port);
+}
+
+inline Endpoint read_endpoint(util::Reader& r) {
+  Endpoint ep;
+  ep.host.value = r.u32();
+  ep.port = r.u16();
+  return ep;
+}
 
 }  // namespace globe::net
 

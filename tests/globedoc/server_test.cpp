@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "crypto/drbg.hpp"
 #include "net/simnet.hpp"
 #include "net/tcp.hpp"
+#include "obs/profile.hpp"
 #include "tests/globedoc/operator_view.hpp"
 #include "util/serial.hpp"
 
@@ -75,6 +78,31 @@ TEST_F(ServerFixture, AuthorizedCreateUpdateDelete) {
 
   EXPECT_TRUE(admin.delete_replica(oid).is_ok());
   EXPECT_FALSE(hosts(*server, oid));
+}
+
+TEST_F(ServerFixture, CreateAndUpdateProfiledUnderTheirRpcFrames) {
+  // Like every bound method, create and update are profiled in the server's
+  // own registry under their server span's name, their RSA verifies (the
+  // admin signature's and the state's) included.
+  obs::ProfileRegistry profile;
+  ObjectServer profiled("profiled", 9, nullptr, &profile);
+  profiled.authorize(owner_key.pub);
+  rpc::ServiceDispatcher profiled_dispatcher;
+  profiled.register_with(profiled_dispatcher);
+  net::Endpoint profiled_ep{host, 8002};
+  net.bind(profiled_ep, profiled_dispatcher.handler());
+  AdminClient admin(*flow, profiled_ep, owner_key);
+  ASSERT_TRUE(admin.create_replica(state_v1).is_ok());
+  ASSERT_TRUE(admin.update_replica(state_v2).is_ok());
+
+  std::map<std::string, std::uint64_t> verifies_under;  // root frame -> calls
+  for (const obs::ProfileSample& s : profile.snapshot().samples) {
+    if (s.leaf == "rsa_verify") {
+      verifies_under[s.stack.substr(0, s.stack.find(';'))] += s.stat.calls;
+    }
+  }
+  EXPECT_GT(verifies_under["rpc:gd.admin/2"], 0u);
+  EXPECT_GT(verifies_under["rpc:gd.admin/3"], 0u);
 }
 
 TEST_F(ServerFixture, UnauthorizedKeyRejected) {

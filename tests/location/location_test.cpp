@@ -187,6 +187,78 @@ TEST_F(TreeFixture, TruncatedPayloadsAnswerProtocol) {
   EXPECT_EQ(tree->node("site-ams").records_stored(), 0u);
 }
 
+TEST_F(TreeFixture, PointerFromNonChildRefusedAndNothingStored) {
+  // A node takes pointers only from its own children: region-us is not a
+  // child of region-eu, and a site has no children at all.
+  util::Writer by_child;
+  by_child.bytes(oid(14));
+  by_child.str("region-us");
+  for (const char* node : {"region-eu", "site-ams"}) {
+    rpc::RpcClient client(*flow, tree->endpoint(node));
+    auto r = client.call(rpc::kLocationService, kInsertPointer, by_child.buffer());
+    EXPECT_EQ(r.code(), ErrorCode::kInvalidArgument) << node;
+    EXPECT_EQ(r.status().message(),
+              "'region-us' is not a child of '" + std::string(node) + "'");
+    EXPECT_EQ(tree->node(node).records_stored(), 0u) << node;
+  }
+  EXPECT_EQ(tree->node("root").records_stored(), 0u);
+  LocationClient client(*flow, tree->endpoint("site-ams"));
+  EXPECT_EQ(client.lookup(oid(14)).code(), ErrorCode::kNotFound);
+}
+
+TEST_F(TreeFixture, RemovePointerForUnheldEntryChangesNothing) {
+  LocationClient client(*flow, tree->endpoint("site-ams"));
+  ASSERT_TRUE(
+      client.insert(tree->endpoint("site-ams"), oid(15), replica(3, 8000)).is_ok());
+  auto remove_pointer = [&](const char* node, std::uint8_t fill, const char* child) {
+    util::Writer w;
+    w.bytes(oid(fill));
+    w.str(child);
+    rpc::RpcClient rpc_client(*flow, tree->endpoint(node));
+    return rpc_client.call(rpc::kLocationService, kRemovePointer, w.buffer()).code();
+  };
+  // An OID not held, a child not holding it, domains that are not children
+  // (a site has none).
+  EXPECT_EQ(remove_pointer("region-eu", 16, "site-ams"), ErrorCode::kOk);
+  EXPECT_EQ(remove_pointer("region-eu", 15, "site-paris"), ErrorCode::kOk);
+  EXPECT_EQ(remove_pointer("region-eu", 15, "region-us"), ErrorCode::kOk);
+  EXPECT_EQ(remove_pointer("root", 15, "region-us"), ErrorCode::kOk);
+  EXPECT_EQ(remove_pointer("site-ams", 15, "site-ams"), ErrorCode::kOk);
+  EXPECT_EQ(tree->node("site-ams").records_stored(), 1u);
+  EXPECT_EQ(tree->node("region-eu").records_stored(), 1u);
+  EXPECT_EQ(tree->node("root").records_stored(), 1u);
+
+  LocationClient remote(*flow, tree->endpoint("site-ithaca"));
+  auto r = remote.lookup(oid(15));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(*r, std::vector<net::Endpoint>{replica(3, 8000)});
+}
+
+TEST(LocationOrderTest, InteriorLookupListsChildrenInNameOrder) {
+  // site-a's endpoint sorts after site-b's, and so does its replica's
+  // address: only child-name order puts site-a's address first.  The proxy
+  // dials replicas in the order a lookup lists them.
+  net::SimNet net;
+  std::vector<net::HostId> h;
+  for (int i = 0; i < 3; ++i) {
+    h.push_back(net.add_host({"h" + std::to_string(i), net::CpuModel{}}));
+  }
+  net.set_default_link({util::millis(5), 1e6});
+  LocationTree tree(net, {{"region", "", h[0], 100, false},
+                          {"site-a", "region", h[2], 100, true},
+                          {"site-b", "region", h[1], 100, true}});
+  ASSERT_LT(tree.endpoint("site-b"), tree.endpoint("site-a"));
+  const net::Endpoint at_a{net::HostId{7}, 9000}, at_b{net::HostId{6}, 9000};
+  auto flow = net.open_flow(h[0]);
+  LocationClient client(*flow, tree.endpoint("region"));
+  ASSERT_TRUE(client.insert(tree.endpoint("site-b"), oid(17), at_b).is_ok());
+  ASSERT_TRUE(client.insert(tree.endpoint("site-a"), oid(17), at_a).is_ok());
+  auto r = client.lookup(oid(17));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(client.last_rings(), 1u);
+  EXPECT_EQ(*r, (std::vector<net::Endpoint>{at_a, at_b}));
+}
+
 TEST_F(TreeFixture, LocalLookupCheaperThanGlobal) {
   LocationClient setup(*flow, tree->endpoint("site-ams"));
   ASSERT_TRUE(setup.insert(tree->endpoint("site-ams"), oid(10), replica(3, 1)).is_ok());

@@ -5,6 +5,7 @@
 #include "naming/resolver.hpp"
 #include "naming/service.hpp"
 #include "net/simnet.hpp"
+#include "obs/metrics.hpp"
 
 namespace globe::naming {
 namespace {
@@ -131,6 +132,11 @@ TEST(ZoneAuthorityTest, SelfDelegationRejected) {
 
 // --- End-to-end resolution over the simulated network -----------------
 
+// Zone-record signatures a resolver has checked, as its series counts them.
+std::uint64_t signatures_verified(obs::MetricsRegistry& registry) {
+  return registry.counter("naming.signatures_verified").value();
+}
+
 struct ResolverFixture : ::testing::Test {
   void SetUp() override {
     ns_host = net.add_host({"nameserver", net::CpuModel{}});
@@ -178,20 +184,22 @@ struct ResolverFixture : ::testing::Test {
 };
 
 TEST_F(ResolverFixture, ResolvesThroughDelegationChain) {
-  SecureResolver resolver(*flow, root_ep, root_key.pub);
+  obs::MetricsRegistry registry;
+  SecureResolver resolver(*flow, root_ep, root_key.pub, &registry);
   auto oid = resolver.resolve("doc.vu.nl");
   ASSERT_TRUE(oid.is_ok()) << oid.status().to_string();
   EXPECT_EQ(*oid, fake_oid(0xAB));
-  EXPECT_EQ(resolver.signatures_verified(), 3u);  // root, nl, vu.nl
+  EXPECT_EQ(signatures_verified(registry), 3u);  // root, nl, vu.nl
 }
 
 TEST_F(ResolverFixture, DirectAnswerFromRootZone) {
   root->add_oid("tld-doc", fake_oid(0x11), util::seconds(1000));
-  SecureResolver resolver(*flow, root_ep, root_key.pub);
+  obs::MetricsRegistry registry;
+  SecureResolver resolver(*flow, root_ep, root_key.pub, &registry);
   auto oid = resolver.resolve("tld-doc");
   ASSERT_TRUE(oid.is_ok());
   EXPECT_EQ(*oid, fake_oid(0x11));
-  EXPECT_EQ(resolver.signatures_verified(), 1u);
+  EXPECT_EQ(signatures_verified(registry), 1u);
 }
 
 TEST_F(ResolverFixture, TruncatedPayloadsAnswerProtocol) {
@@ -266,14 +274,15 @@ TEST_F(ResolverFixture, SubstitutedAnswerDetectedAsWrongName) {
 }
 
 TEST_F(ResolverFixture, CachingSkipsNetworkUntilExpiry) {
-  SecureResolver resolver(*flow, root_ep, root_key.pub);
+  obs::MetricsRegistry registry;
+  SecureResolver resolver(*flow, root_ep, root_key.pub, &registry);
   resolver.set_cache_enabled(true);
   ASSERT_TRUE(resolver.resolve("doc.vu.nl").is_ok());
   EXPECT_EQ(resolver.cache_size(), 1u);
   util::SimTime t1 = flow->now();
   ASSERT_TRUE(resolver.resolve("doc.vu.nl").is_ok());
   EXPECT_EQ(flow->now(), t1);  // served from cache, zero time
-  EXPECT_EQ(resolver.signatures_verified(), 3u);
+  EXPECT_EQ(signatures_verified(registry), 3u);
 
   // After expiry the resolver must go back to the network.
   flow->advance(util::seconds(2000));
