@@ -81,6 +81,8 @@ void BM_AesCtr(benchmark::State& state) {
 }
 BENCHMARK(BM_AesCtr);
 
+// Both CRT halves as one two-lane pass of the lane kernel, then the
+// s^e = m (mod n) check that every signature passes before it is released.
 void BM_RsaSign1024(benchmark::State& state) {
   util::Bytes msg = test_data(256);
   for (auto _ : state) {
@@ -124,8 +126,9 @@ void BM_GeneratePrime512(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratePrime512)->Unit(benchmark::kMillisecond)->Iterations(kLiveKeys);
 
-// A full-width exponent modulo an odd `bits`-bit modulus: 512 bits is one
-// CRT half of an RSA-1024 signature and one Miller-Rabin round of keygen.
+// A full-width exponent modulo an odd `bits`-bit modulus: at 512 bits, what
+// one CRT half of an RSA-1024 signature and one Miller-Rabin round of keygen
+// cost on the portable lane kernel, which runs where the CPU has no IFMA.
 void mod_pow_case(benchmark::State& state, std::size_t bits) {
   auto rng = crypto::HmacDrbg::from_seed(2);
   crypto::BigInt base = crypto::BigInt::random_bits(bits, rng);

@@ -15,7 +15,8 @@
 // Independent exponentiations can also run eight to a pass through the lane
 // kernel (crypto/mod_pow_lanes.hpp), whose portable form calls mod_pow and
 // whose AVX-512 IFMA form computes the same values side by side; keygen's
-// Miller–Rabin rounds take that path.
+// Miller–Rabin rounds and the two halves of RSA's CRT private-key
+// operations take that path.
 //
 // The Montgomery multiply and squaring scan products by column (Koç, Acar
 // and Kaliski's FIPS method): column k of a·b + u·m adds every a[j]·b[k−j]
@@ -26,7 +27,7 @@
 // subtraction of m at the end.  The squaring sums each column's cross
 // products once and adds them twice.  The arithmetic is one template on the
 // limb count.  The 8-limb (512-bit) instantiation serves RSA-1024 CRT
-// signing, and keygen on CPUs without IFMA: its columns unroll fully with u
+// signing and keygen on CPUs without IFMA: its columns unroll fully with u
 // and the result on the stack, and its multiply and squaring stay out of
 // line, since inlining kilobytes of unrolled code into the window loop ran
 // slower.  Any other size runs the same source with loops at run time.

@@ -2,24 +2,28 @@
 // exponentiations per pass, each with its own odd modulus, its own base and
 // its own exponent.
 //
-// Miller–Rabin spends nearly all of RSA-1024 keygen in 512-bit
-// exponentiations that do not depend on each other: one per sieve survivor,
-// then 32 per probable prime.  The AVX-512 IFMA kernel runs eight of them
-// side by side, one per 64-bit lane of each register (the multi-buffer layout
-// of OpenSSL's rsaz_avx512 and of Drucker and Gueron, "Fast modular squaring
-// with AVX512IFMA", 2018): a value is ten 52-bit limbs, limb j of all eight
-// lanes in register j, and each lane runs its own almost-Montgomery
-// arithmetic with R = 2^520 over fixed 5-bit windows, its window digits
-// gathered per lane from a 32-entry table (20 KB on the pass's stack).  As
-// 4m < R, products of values below 2m stay below 2m with no conditional
-// subtraction; only the result leaves Montgomery form and is reduced, and
-// moduli wider than 512 bits do not fit.  The portable kernel runs
-// BigInt::mod_pow on one lane after another, on moduli of any width.
+// It has two users, both made of exponentiations that do not depend on each
+// other.  Miller–Rabin spends nearly all of RSA-1024 keygen in 512-bit ones:
+// one per sieve survivor, then 32 per probable prime, eight to a pass.  A CRT
+// private-key operation (crypto/rsa.hpp) is two, (c mod p)^dp and (c mod q)^dq,
+// as one two-lane pass.  The AVX-512 IFMA kernel runs up to eight side by side,
+// one per 64-bit lane of each register (the multi-buffer layout of OpenSSL's
+// rsaz_avx512 and of Drucker and Gueron, "Fast modular squaring with
+// AVX512IFMA", 2018): a value is ten 52-bit limbs, limb j of all eight lanes in
+// register j, and each lane runs its own almost-Montgomery arithmetic with
+// R = 2^520 over fixed 5-bit windows, its window digits gathered per lane from a
+// 32-entry table (20 KB on the pass's stack).  The five squarings per window
+// take a dedicated squaring step that forms each cross product once and doubles
+// it (320 multiply-adds against a product's 410).  As 4m < R, products of
+// values below 2m stay below 2m with no conditional subtraction; only the
+// result leaves Montgomery form and is reduced, and moduli wider than 512 bits
+// do not fit.  The portable kernel runs BigInt::mod_pow on one lane after
+// another, on moduli of any width.
 //
 // mod_pow_lanes() picks the kernel for a modulus width, from CPUID and
 // XGETBV, as the SHA hashes pick SHA-NI; there is no option to pick another.
-// The kernels are named here so that tests can run both on one CPU and pass
-// the prime search a kernel of another width.
+// The kernels are named here so that tests can run both on one CPU, and pass
+// the prime search and signing a kernel of another width or one that fails.
 #pragma once
 
 #include <cstddef>

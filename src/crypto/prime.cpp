@@ -50,8 +50,10 @@ constexpr std::size_t kSievePrimeCount = [] {
   return count;
 }();
 
-// An odd sieving prime with 2^32 and 2^64 reduced mod p.
+// An odd sieving prime with 2^32 and 2^64 reduced mod p, and its Barrett
+// reciprocal floor(2^64 / p).
 struct SievePrime {
+  std::uint64_t reciprocal;
   std::uint16_t p, pow32, pow64;
 };
 
@@ -63,20 +65,30 @@ constexpr auto kSievePrimes = [] {
   for (std::uint64_t p = 3; p < kSieveBound; p += 2) {
     if (not_prime[p]) continue;
     const std::uint64_t pow32 = (std::uint64_t{1} << 32) % p;
-    primes[count++] = {static_cast<std::uint16_t>(p), static_cast<std::uint16_t>(pow32),
+    primes[count++] = {~std::uint64_t{0} / p, static_cast<std::uint16_t>(p),
+                       static_cast<std::uint16_t>(pow32),
                        static_cast<std::uint16_t>(pow32 * pow32 % p)};
   }
   return primes;
 }();
 
-// The value of `limbs` mod sp.p, one division per 64 bits: with p < 2^16,
+// x mod sp.p for x < 2^64, with no divide: the quotient estimate
+// x·floor(2^64 / p) / 2^64 is floor(x / p) or one less, so one conditional
+// subtraction finishes.  (As p is odd, floor((2^64 − 1) / p) = floor(2^64 / p).)
+std::uint64_t reduce(std::uint64_t x, const SievePrime& sp) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(x) * sp.reciprocal;
+  const std::uint64_t r = x - static_cast<std::uint64_t>(product >> 64) * sp.p;
+  return r >= sp.p ? r - sp.p : r;
+}
+
+// The value of `limbs` mod sp.p, one reduction per 64 bits: with p < 2^16,
 // rem * (2^64 mod p) + hi * (2^32 mod p) + lo stays below 2^49.
 std::uint64_t residue(const std::vector<std::uint32_t>& limbs, const SievePrime& sp) {
   std::size_t i = limbs.size();
-  std::uint64_t rem = i % 2 ? limbs[--i] % sp.p : 0;
+  std::uint64_t rem = i % 2 ? reduce(limbs[--i], sp) : 0;
   while (i > 0) {
     i -= 2;
-    rem = (rem * sp.pow64 + std::uint64_t{limbs[i + 1]} * sp.pow32 + limbs[i]) % sp.p;
+    rem = reduce(rem * sp.pow64 + std::uint64_t{limbs[i + 1]} * sp.pow32 + limbs[i], sp);
   }
   return rem;
 }
@@ -159,6 +171,14 @@ BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds) 
 
 namespace detail {
 
+std::vector<std::uint16_t> sieve_residues(const BigInt& x) {
+  std::vector<std::uint16_t> out(kSievePrimes.size());
+  for (std::size_t i = 0; i < kSievePrimes.size(); ++i) {
+    out[i] = static_cast<std::uint16_t>(residue(x.limbs(), kSievePrimes[i]));
+  }
+  return out;
+}
+
 BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds,
                       const LaneKernel& kernel) {
   if (bits < 8) throw std::invalid_argument("generate_prime: bits < 8");
@@ -178,10 +198,11 @@ BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds,
     // not struck.
     const std::uint64_t small_start = start.bit_length() <= 32 ? start.low_u64() : 0;
     std::array<bool, kWindow> struck{};
-    for (const SievePrime& sp : kSievePrimes) {
-      const std::uint64_t p = sp.p;
+    const std::vector<std::uint16_t> residues = sieve_residues(start);
+    for (std::size_t i = 0; i < kSievePrimes.size(); ++i) {
+      const std::uint64_t p = kSievePrimes[i].p;
       // The first k at which p divides start + 2k; (p + 1) / 2 inverts 2.
-      std::uint64_t k = (p - residue(start.limbs(), sp)) * ((p + 1) / 2) % p;
+      std::uint64_t k = reduce((p - residues[i]) * ((p + 1) / 2), kSievePrimes[i]);
       if (small_start + 2 * k == p) k += p;
       for (; k < window; k += p) struck[k] = true;
     }

@@ -10,6 +10,9 @@
 // generate_prime), which is rare at RSA sizes but not ruled out.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "crypto/bigint.hpp"
 #include "util/rng.hpp"
 
@@ -45,6 +48,11 @@ bool is_probable_prime(const BigInt& n, util::RandomSource& rng, int rounds = 32
 BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds = 32);
 
 namespace detail {
+
+/// x mod p for every odd prime p below 2^16, in increasing order of p: the
+/// residues generate_prime's sieve strikes from, each found with p's Barrett
+/// reciprocal rather than a divide.
+std::vector<std::uint16_t> sieve_residues(const BigInt& x);
 
 /// generate_prime on a given kernel, which must take `bits`-bit moduli, for
 /// tests to run it at other widths and on kernels that fail.

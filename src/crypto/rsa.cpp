@@ -1,7 +1,9 @@
 #include "crypto/rsa.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "crypto/mod_pow_lanes.hpp"
 #include "crypto/prime.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
@@ -41,21 +43,39 @@ Bytes emsa_encode(BytesView digest_info_prefix, BytesView digest, std::size_t em
   return em;
 }
 
-// Raw private-key exponentiation via the CRT.
-BigInt rsa_private_op(const RsaPrivateKey& key, const BigInt& c) {
-  BigInt m1 = BigInt::mod_pow(c % key.p, key.dp, key.p);
-  BigInt m2 = BigInt::mod_pow(c % key.q, key.dq, key.q);
-  // h = qinv * (m1 - m2) mod p, guarding against m1 < m2.
-  BigInt diff = (m1 + key.p - (m2 % key.p)) % key.p;
-  BigInt h = (key.qinv * diff) % key.p;
-  return m2 + h * key.q;
+// The kernel a key's private-key operations run on: the lane kernel for
+// moduli as wide as its primes.
+const LaneKernel& crt_kernel(const RsaPrivateKey& key) {
+  return mod_pow_lanes(std::max(key.p.bit_length(), key.q.bit_length()));
 }
 
-Bytes sign_encoded(const RsaPrivateKey& key, BytesView prefix, BytesView digest) {
+// Raw private-key exponentiation via the CRT: both halves, (c mod p)^dp and
+// (c mod q)^dq, in one pass of `kernel`, side by side on a kernel that runs
+// lanes in parallel and one after the other on the portable one.
+BigInt rsa_private_op(const RsaPrivateKey& key, const BigInt& c, const LaneKernel& kernel) {
+  const BigInt cp = c % key.p, cq = c % key.q;
+  const PowLane lanes[2] = {{&cp, &key.dp, &key.p}, {&cq, &key.dq, &key.q}};
+  BigInt m[2];
+  kernel.pass(lanes, 2, m);
+  // h = qinv * (m1 - m2) mod p, guarding against m1 < m2.
+  BigInt diff = (m[0] + key.p - (m[1] % key.p)) % key.p;
+  BigInt h = (key.qinv * diff) % key.p;
+  return m[1] + h * key.q;
+}
+
+// A signature is released only once s^e = m (mod n) holds: a fault in one CRT
+// half gives anyone who sees s a factor of n, gcd(s^e - m, n) (Boneh, DeMillo
+// and Lipton, 1997).  The check costs one public-exponent exponentiation.
+Bytes sign_encoded(const RsaPrivateKey& key, BytesView prefix, BytesView digest,
+                   const LaneKernel& kernel) {
   std::size_t k = (key.n.bit_length() + 7) / 8;
   Bytes em = emsa_encode(prefix, digest, k);
   BigInt m = BigInt::from_bytes(em);
-  BigInt s = rsa_private_op(key, m);
+  BigInt s = rsa_private_op(key, m, kernel);
+  if (BigInt::mod_pow(s, key.e, key.n) != m) {
+    throw std::runtime_error(
+        "rsa_sign: the CRT result fails s^e = m (mod n); no signature released");
+  }
   return s.to_bytes(k);
 }
 
@@ -154,7 +174,7 @@ Bytes rsa_sign_sha1(const RsaPrivateKey& key, BytesView msg) {
   GLOBE_PROFILE_SCOPE("rsa_sign");
   auto digest = Sha1::digest(msg);
   return sign_encoded(key, BytesView(kSha1Prefix, sizeof(kSha1Prefix)),
-                      BytesView(digest.data(), digest.size()));
+                      BytesView(digest.data(), digest.size()), crt_kernel(key));
 }
 
 bool rsa_verify_sha1(const RsaPublicKey& key, BytesView msg, BytesView signature) {
@@ -166,9 +186,7 @@ bool rsa_verify_sha1(const RsaPublicKey& key, BytesView msg, BytesView signature
 
 Bytes rsa_sign_sha256(const RsaPrivateKey& key, BytesView msg) {
   GLOBE_PROFILE_SCOPE("rsa_sign");
-  auto digest = Sha256::digest(msg);
-  return sign_encoded(key, BytesView(kSha256Prefix, sizeof(kSha256Prefix)),
-                      BytesView(digest.data(), digest.size()));
+  return detail::rsa_sign_sha256(key, msg, crt_kernel(key));
 }
 
 bool rsa_verify_sha256(const RsaPublicKey& key, BytesView msg, BytesView signature) {
@@ -214,7 +232,7 @@ Result<Bytes> rsa_decrypt(const RsaPrivateKey& key, BytesView ct) {
   if (c >= key.n) {
     return Result<Bytes>(ErrorCode::kInvalidArgument, "rsa_decrypt: ciphertext >= n");
   }
-  BigInt m = rsa_private_op(key, c);
+  BigInt m = rsa_private_op(key, c, crt_kernel(key));
   Bytes em = m.to_bytes(k);
   if (em.size() < 11 || em[0] != 0x00 || em[1] != 0x02) {
     return Result<Bytes>(ErrorCode::kProtocol, "rsa_decrypt: bad padding");
@@ -226,5 +244,15 @@ Result<Bytes> rsa_decrypt(const RsaPrivateKey& key, BytesView ct) {
   }
   return Bytes(em.begin() + static_cast<std::ptrdiff_t>(sep + 1), em.end());
 }
+
+namespace detail {
+
+Bytes rsa_sign_sha256(const RsaPrivateKey& key, BytesView msg, const LaneKernel& kernel) {
+  auto digest = Sha256::digest(msg);
+  return sign_encoded(key, BytesView(kSha256Prefix, sizeof(kSha256Prefix)),
+                      BytesView(digest.data(), digest.size()), kernel);
+}
+
+}  // namespace detail
 
 }  // namespace globe::crypto

@@ -3,7 +3,16 @@
 //
 // This is the signature scheme behind GlobeDoc integrity certificates and
 // identity certificates (paper §3), and the key-transport primitive of the
-// TLS-like baseline channel.  Private-key operations use the CRT.
+// TLS-like baseline channel.
+//
+// Private-key operations use the CRT, and run both halves, (c mod p)^dp and
+// (c mod q)^dq, as one pass of the lane kernel (crypto/mod_pow_lanes.hpp)
+// for moduli as wide as p and q: side by side on the AVX-512 IFMA kernel,
+// which takes primes of up to 512 bits (RSA-1024), and as two
+// BigInt::mod_pow calls on the portable kernel everywhere else.  Every
+// kernel gives the same bytes.  A signature leaves rsa_sign_* only after
+// s^e = m (mod n) is checked, since a fault in one half would give away a
+// factor of n; a failed check throws std::runtime_error.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +37,8 @@ inline constexpr std::size_t kMaxRsaModulusBytes = 1024;
 /// squares once per exponent bit, so the exponent's width is a cost the
 /// key's owner picks; every key rsa_generate makes uses e = 65537.
 inline constexpr std::size_t kMaxRsaExponentBits = 33;
+
+struct LaneKernel;
 
 struct RsaPublicKey {
   BigInt n;  // modulus
@@ -88,5 +99,15 @@ GLOBE_SANITIZER [[nodiscard]] bool rsa_verify_sha256(const RsaPublicKey& key,
 util::Result<util::Bytes> rsa_encrypt(const RsaPublicKey& key, util::BytesView msg,
                                       util::RandomSource& rng);
 util::Result<util::Bytes> rsa_decrypt(const RsaPrivateKey& key, util::BytesView ct);
+
+namespace detail {
+
+/// rsa_sign_sha256 with both CRT halves on `kernel`, which must take moduli
+/// as wide as p and q, for tests to sign under each kernel and under one
+/// that fails.
+util::Bytes rsa_sign_sha256(const RsaPrivateKey& key, util::BytesView msg,
+                            const LaneKernel& kernel);
+
+}  // namespace detail
 
 }  // namespace globe::crypto

@@ -124,8 +124,11 @@ Result<Bytes> LocationNode::handle_lookup(net::ServerContext& ctx, BytesView pay
     reply.has_parent = has_parent_;
     reply.parent = parent_;
   }
-  // An interior node resolves downward, asking only endpoints of children_.
+  // An interior node resolves downward, asking only endpoints of children_,
+  // until the reply holds the kMaxLookupAddresses that LookupReply::parse
+  // accepts.
   for (const auto& child : down) {
+    if (reply.addresses.size() >= kMaxLookupAddresses) break;
     util::Writer q;
     q.bytes(oid);
     rpc::RpcClient client(ctx.transport(), child);
@@ -133,8 +136,10 @@ Result<Bytes> LocationNode::handle_lookup(net::ServerContext& ctx, BytesView pay
     if (!raw.is_ok()) continue;  // child down: best effort
     auto child_reply = LookupReply::parse(*raw);
     if (child_reply.is_ok() && child_reply->found) {
+      const std::size_t take = std::min(child_reply->addresses.size(),
+                                        kMaxLookupAddresses - reply.addresses.size());
       reply.addresses.insert(reply.addresses.end(), child_reply->addresses.begin(),
-                             child_reply->addresses.end());
+                             child_reply->addresses.begin() + static_cast<std::ptrdiff_t>(take));
     }
   }
   reply.found = !reply.addresses.empty();

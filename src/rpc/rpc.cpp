@@ -93,7 +93,13 @@ Result<net::Reply> ServiceDispatcher::dispatch(net::ServerContext& ctx,
   } catch (const util::SerialError& e) {
     return Result<net::Reply>(ErrorCode::kProtocol, e.what());
   }
-  MethodFn fn;
+  // A registered method is never erased or replaced (a duplicate throws), and
+  // a std::map node does not move, so the handler is called through a pointer
+  // after the lock is released: copying the std::function would allocate
+  // whenever its captures outgrow the inline buffer.  The host is copied for
+  // traced requests only.
+  const bool traced = caller.valid() && caller.sampled;
+  const MethodFn* fn = nullptr;
   obs::TraceSink* sink;
   std::string host;
   {
@@ -104,21 +110,21 @@ Result<net::Reply> ServiceDispatcher::dispatch(net::ServerContext& ctx,
                                 "no method " + std::to_string(service) + "/" +
                                     std::to_string(method));
     }
-    fn = it->second;
+    fn = &it->second;
     sink = trace_sink_;
-    host = trace_host_;
+    if (traced) host = trace_host_;
   }
 
   // A handler decodes its payload with util::Reader and lets a truncated or
   // malformed one throw: the answer is PROTOCOL with the reader's message.
   auto call = [&]() -> Result<net::Reply> {
     try {
-      return fn(ctx, payload);
+      return (*fn)(ctx, payload);
     } catch (const util::SerialError& e) {
       return Result<net::Reply>(ErrorCode::kProtocol, e.what());
     }
   };
-  if (!caller.valid() || !caller.sampled) return call();
+  if (!traced) return call();
 
   // Open the server-side span as a child of the caller's innermost span.
   // SimNet runs handlers inline on the caller's thread; the tracer saves

@@ -137,6 +137,27 @@ TEST_P(LaneKernelTest, EdgeExponents) {
                                  {BigInt(), BigInt(), mod}});
 }
 
+// Exponents 2^k run squarings only: every window digit below the top one is
+// zero.  On moduli just above 2^511 and just below 2^512 the squaring step's
+// doubled cross products peak; the base m − 1 squares to 1, m − 2 and the
+// rest to values spread over the modulus.
+TEST_P(LaneKernelTest, PureSquaringsOnModuliAtTheEdgesOf512Bits) {
+  auto rng = HmacDrbg::from_seed(2507);
+  const BigInt two_511 = BigInt(1) << 511, two_512 = BigInt(1) << 512;
+  for (const BigInt& mod : {two_511 + BigInt(1), two_511 + BigInt(0x1F7), two_512 - BigInt(3),
+                            two_512 - BigInt(1)}) {
+    const BigInt m1 = mod - BigInt(1), m2 = mod - BigInt(2);
+    expect_pass_matches(kernel(), {{m1, BigInt(1) << 1, mod},
+                                   {m1, BigInt(1) << 5, mod},
+                                   {m1, BigInt(1) << 511, mod},
+                                   {m2, BigInt(1) << 100, mod},
+                                   {m2, BigInt(1) << 512, mod},
+                                   {two_512 - BigInt(1), BigInt(1) << 257, mod},
+                                   {BigInt::random_below(mod, rng), BigInt(1) << 64, mod},
+                                   {BigInt::random_below(mod, rng), BigInt(1) << 510, mod}});
+  }
+}
+
 TEST_P(LaneKernelTest, PassesOfOneToEightLanes) {
   auto rng = HmacDrbg::from_seed(2505);
   for (std::size_t count = 1; count <= kMaxLanes; ++count) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "crypto/drbg.hpp"
 #include "crypto/mod_pow_lanes.hpp"
@@ -98,6 +99,28 @@ TEST(PrimeTest, SievingPrimesRemainReachable) {
     seen.insert(generate_prime(8, rng).low_u64());
   }
   EXPECT_EQ(seen, all);
+}
+
+// The sieve's residues, each found with its prime's Barrett reciprocal, are
+// BigInt's remainders for every odd prime below 2^16, on the ends of the
+// 512-bit range, on random 512-bit values and on an odd number of limbs.
+TEST(PrimeTest, SieveResiduesMatchBigIntRemainders) {
+  std::vector<std::uint32_t> primes;
+  for (std::uint32_t p = 3; p < (1u << 16); p += 2) {
+    if (is_prime_by_trial_division(p)) primes.push_back(p);
+  }
+  auto rng = HmacDrbg::from_seed(9);
+  std::vector<BigInt> values = {BigInt(1) << 511, (BigInt(1) << 512) - BigInt(1),
+                                BigInt::random_bits(479, rng)};
+  for (int i = 0; i < 4; ++i) values.push_back(BigInt::random_bits(512, rng));
+  for (const BigInt& x : values) {
+    const std::vector<std::uint16_t> residues = detail::sieve_residues(x);
+    ASSERT_EQ(residues.size(), primes.size());
+    for (std::size_t i = 0; i < primes.size(); ++i) {
+      ASSERT_EQ(residues[i], (x % BigInt(primes[i])).low_u64())
+          << "p=" << primes[i] << " x=" << x.to_hex();
+    }
+  }
 }
 
 TEST(PrimeTest, GenerationIsDeterministicPerSeed) {

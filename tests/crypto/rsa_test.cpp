@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "crypto/drbg.hpp"
+#include "crypto/mod_pow_lanes.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
@@ -218,6 +222,59 @@ TEST(RsaTest, QinvInvertsQModPOnGoldenSeeds) {
     RsaPrivateKey priv = rsa_generate(bits, rng).priv;
     EXPECT_EQ((priv.qinv * priv.q) % priv.p, BigInt(1)) << "seed=" << seed;
     EXPECT_LT(priv.qinv, priv.p) << "seed=" << seed;
+  }
+}
+
+// PKCS#1 v1.5 signatures are deterministic, so every lane kernel gives the
+// same bytes: the portable one (two BigInt::mod_pow calls), the IFMA one
+// where the CPU has it (one two-lane pass) and the kernel rsa_sign_sha256
+// picks, on the golden seeds above.  The digest of them all is the scalar
+// CRT path's.
+TEST(RsaTest, GoldenKeySignaturesAreByteEqualUnderEveryKernel) {
+  std::vector<const LaneKernel*> kernels = {&detail::kPortableLanes};
+#if defined(__x86_64__)
+  if (detail::cpu_has_ifma()) kernels.push_back(&detail::kIfmaLanes);
+#endif
+  const std::pair<std::uint64_t, std::size_t> kSeeds[] = {
+      {4242, 1024}, {31337, 512}, {0x6c697665'6b657973ull, 1024}};
+  Bytes all;
+  for (auto [seed, bits] : kSeeds) {
+    auto rng = HmacDrbg::from_seed(seed);
+    const RsaPrivateKey key = rsa_generate(bits, rng).priv;
+    for (int i = 0; i < 8; ++i) {
+      const Bytes msg = to_bytes("golden message " + std::to_string(i));
+      const Bytes sig = rsa_sign_sha256(key, msg);
+      for (const LaneKernel* kernel : kernels) {
+        EXPECT_EQ(detail::rsa_sign_sha256(key, msg, *kernel), sig)
+            << "seed=" << seed << " message " << i << " on " << kernel->name;
+      }
+      util::append(all, sig);
+    }
+  }
+  EXPECT_EQ(util::hex_encode(Sha256::digest_bytes(all)),
+            "ce8bf2d39106fff84ec86b2b82b4ce0270a47cbd51fac911b0a0bf5c9ebe704a");
+}
+
+// A kernel that runs every lane and then corrupts one lane's result, as a
+// fault in one CRT half would.
+template <std::size_t kLane>
+void corrupt_lane_pass(const PowLane* lanes, std::size_t count, BigInt* out) {
+  mod_pow_lanes(512).pass(lanes, count, out);
+  BigInt& x = out[kLane];
+  x = x.is_odd() ? x - BigInt(1) : x + BigInt(1);
+}
+
+// Such a signature would give away a factor of n, gcd(s^e - m, n), so
+// signing checks s^e = m (mod n) and throws before any bytes leave.
+TEST(RsaTest, AFaultInEitherCrtHalfIsCaughtBeforeRelease) {
+  const Bytes msg = to_bytes("faulted signature");
+  const LaneKernel faulty[] = {{"lane 0 (mod p) corrupted", kMaxLanes, 512, corrupt_lane_pass<0>},
+                               {"lane 1 (mod q) corrupted", kMaxLanes, 512, corrupt_lane_pass<1>}};
+  for (const LaneKernel& kernel : faulty) {
+    Bytes sig;
+    EXPECT_THROW(sig = detail::rsa_sign_sha256(test_key().priv, msg, kernel), std::runtime_error)
+        << kernel.name;
+    EXPECT_TRUE(sig.empty()) << kernel.name;
   }
 }
 

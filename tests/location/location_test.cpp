@@ -349,6 +349,34 @@ TEST(LookupReplyTest, RejectsForgedAddressCount) {
   EXPECT_EQ(reply.code(), ErrorCode::kProtocol);
 }
 
+// An interior node stops at the reply ceiling too: with 40 addresses at each
+// of two sites, their parent answers the first site's 40 and the first 24
+// the second site returned, not 80 that LookupReply::parse refuses.
+TEST_F(TreeFixture, InteriorLookupStopsAtTheReplyCeiling) {
+  LocationClient client(*flow, tree->endpoint("site-ams"));
+  for (std::uint16_t i = 0; i < 40; ++i) {
+    const auto port = static_cast<std::uint16_t>(8000 + i);
+    ASSERT_TRUE(client.insert(tree->endpoint("site-ams"), oid(43), replica(3, port)).is_ok());
+    ASSERT_TRUE(client.insert(tree->endpoint("site-paris"), oid(43), replica(4, port)).is_ok());
+  }
+  auto lookup_at = [&](const char* domain) {
+    auto domain_flow = net.open_flow(hosts[0]);
+    LocationClient at(*domain_flow, tree->endpoint(domain));
+    return at.lookup(oid(43));
+  };
+  auto ams = lookup_at("site-ams");
+  auto paris = lookup_at("site-paris");
+  ASSERT_TRUE(ams.is_ok() && paris.is_ok());
+  ASSERT_EQ(ams->size(), 40u);
+  ASSERT_EQ(paris->size(), 40u);
+  std::vector<net::Endpoint> expected = *ams;
+  expected.insert(expected.end(), paris->begin(), paris->begin() + 24);
+  auto root = lookup_at("root");
+  ASSERT_TRUE(root.is_ok()) << root.status().to_string();
+  EXPECT_EQ(root->size(), kMaxLookupAddresses);
+  EXPECT_EQ(*root, expected);
+}
+
 TEST_F(TreeFixture, InsertCapMatchesReplyCeiling) {
   // A site node stops registering addresses at kMaxLookupAddresses: past
   // that, its lookup replies would exceed the ceiling every compliant

@@ -2,8 +2,52 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "net/simnet.hpp"
 #include "obs/collector.hpp"
+#include "util/serial.hpp"
+
+// Every allocation in this binary goes through the replacement operator new
+// below, which counts them while armed.
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<int> g_allocations{0};
+
+void* counted_malloc(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Every replaceable form that the runtime would otherwise pair with its own
+// allocator; the aligned forms stay the runtime's, as a pair.
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace globe::rpc {
 namespace {
@@ -87,6 +131,40 @@ TEST_F(RpcFixture, EmptyPayloadAllowed) {
   auto r = client.call(kNamingService, 1, Bytes{});
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(util::to_string(*r), "A");
+}
+
+// A serving context for calling dispatch() directly; the no-op method below
+// reads none of it.
+struct BareContext : net::ServerContext {
+  util::SimTime now() const override { return 0; }
+  void charge(net::CpuOp, std::uint64_t) override {}
+  net::HostId local_host() const override { return net::HostId{0}; }
+  net::Transport& transport() override { std::abort(); }
+};
+
+// The dispatcher calls the registered handler in place.  A lambda that
+// captures 32 bytes outgrows std::function's inline buffer, so a copy of the
+// handler per request would allocate.
+TEST(DispatchAllocationTest, UntracedDispatchOfANoOpMethodAllocatesNothing) {
+  ServiceDispatcher dispatcher;
+  const std::array<std::uint64_t, 4> captured{1, 2, 3, 4};
+  static_assert(sizeof(captured) >= 32);
+  dispatcher.register_method(
+      kNamingService, 1, [captured](net::ServerContext&, BytesView) -> Result<net::Reply> {
+        (void)captured;
+        return net::Reply();
+      });
+  util::Writer w;
+  w.u16(kNamingService);
+  w.u16(1);
+  const Bytes request = w.take();
+  BareContext ctx;
+  g_allocations.store(0);
+  g_counting.store(true);
+  auto reply = dispatcher.dispatch(ctx, request);
+  g_counting.store(false);
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(g_allocations.load(), 0);
 }
 
 // The ids are wire values: each must match its row in docs/PROTOCOL.md, and a
