@@ -47,6 +47,20 @@ void BM_Sha1(benchmark::State& state) {
 // 262144 is warm_large's element size in bench_live.
 BENCHMARK(BM_Sha1)->Arg(1024)->Arg(65536)->Arg(262144)->Arg(1048576);
 
+// SHA-1's portable compression function called directly, whatever path
+// Sha1 takes on this CPU: what CPUs without SHA-NI hash at.
+void BM_Sha1Portable(benchmark::State& state) {
+  util::Bytes data = test_data(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto h = crypto::detail::kSha1Iv;
+    crypto::detail::sha1_compress_portable(h.data(), data.data(), data.size() / 64);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha1Portable)->Arg(262144);
+
 void BM_Sha256(benchmark::State& state) {
   util::Bytes data = test_data(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -156,14 +170,17 @@ BENCHMARK(BM_ModPow512);
 void BM_ModPow1024(benchmark::State& state) { mod_pow_case(state, 1024); }
 BENCHMARK(BM_ModPow1024);
 
-// Eight BM_ModPow512 cases, each with its own modulus, base and exponent, in
-// one pass of the lane kernel: side by side on the IFMA kernel, one after
-// another on the portable one.
+// state.range(0) BM_ModPow512 cases, each with its own modulus, base and
+// exponent, in one pass of the lane kernel: side by side on the IFMA kernel,
+// one after another on the portable one.  Two lanes are a CRT signature's
+// pass, which the IFMA kernel runs on 256-bit registers, and eight a
+// screening pass of keygen's sieve survivors, on 512-bit registers.
 void BM_ModPow512Lanes(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
   auto rng = crypto::HmacDrbg::from_seed(2);
   std::array<crypto::BigInt, crypto::kMaxLanes> base, exp, mod, out;
   std::array<crypto::PowLane, crypto::kMaxLanes> lanes;
-  for (std::size_t i = 0; i < crypto::kMaxLanes; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     base[i] = crypto::BigInt::random_bits(512, rng);
     exp[i] = crypto::BigInt::random_bits(512, rng);
     mod[i] = crypto::BigInt::random_bits(512, rng);
@@ -171,11 +188,22 @@ void BM_ModPow512Lanes(benchmark::State& state) {
     lanes[i] = {&base[i], &exp[i], &mod[i]};
   }
   for (auto _ : state) {
-    crypto::mod_pow_lanes(512).pass(lanes.data(), lanes.size(), out.data());
+    crypto::mod_pow_lanes(512).pass(lanes.data(), count, out.data());
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_ModPow512Lanes);
+BENCHMARK(BM_ModPow512Lanes)->Arg(2)->Arg(8);
+
+// The sieve's residue pass: one random 512-bit start modulo each odd prime
+// below 2^16, what keygen pays per start before any Miller-Rabin round.
+void BM_SieveResidues(benchmark::State& state) {
+  auto rng = crypto::HmacDrbg::from_seed(5);
+  const crypto::BigInt start = crypto::BigInt::random_bits(512, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::detail::sieve_residues(start));
+  }
+}
+BENCHMARK(BM_SieveResidues);
 
 // What keygen runs on each probable prime: 32 random-base rounds, in passes
 // of the lane kernel.

@@ -564,50 +564,106 @@ BigInt BigInt::mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
   return from_limbs64(acc, n);
 }
 
-BigInt BigInt::mod_inverse(const BigInt& a, const BigInt& m) {
-  // Extended Euclid on (a mod m, m) tracking only the coefficient of a.
-  // Signs handled by tracking magnitudes plus a boolean.
-  BigInt r0 = m, r1 = a % m;
-  BigInt t0, t1(1);
-  bool t0_neg = false, t1_neg = false;
-  while (!r1.is_zero()) {
-    BigInt q = r0 / r1;
-    BigInt r2 = r0 - q * r1;
-    // t2 = t0 - q*t1 with sign tracking.
-    BigInt qt1 = q * t1;
-    BigInt t2;
-    bool t2_neg;
-    if (t0_neg == t1_neg) {
-      if (t0 >= qt1) {
-        t2 = t0 - qt1;
-        t2_neg = t0_neg;
-      } else {
-        t2 = qt1 - t0;
-        t2_neg = !t0_neg;
-      }
-    } else {
-      t2 = t0 + qt1;
-      t2_neg = t0_neg;
-    }
-    r0 = std::move(r1);
-    r1 = std::move(r2);
-    t0 = std::move(t1);
-    t0_neg = t1_neg;
-    t1 = std::move(t2);
-    t1_neg = t2_neg;
+namespace {
+
+/// a[0..n) −= b[0..n); returns the borrow out of the top limb.
+u64 subtract_in_place(u64* a, const u64* b, std::size_t n) {
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u128 d = u128{a[i]} - b[i] - borrow;
+    a[i] = static_cast<u64>(d);
+    borrow = static_cast<u64>(d >> 64) & 1;
   }
-  if (r0 != BigInt(1)) throw std::domain_error("mod_inverse: not coprime");
-  if (t0_neg) return m - (t0 % m);
-  return t0 % m;
+  return borrow;
 }
 
-BigInt BigInt::gcd(BigInt a, BigInt b) {
-  while (!b.is_zero()) {
-    BigInt r = a % b;
-    a = std::move(b);
-    b = std::move(r);
+/// a[0..n) += b[0..n); returns the carry out of the top limb.
+u64 add_in_place(u64* a, const u64* b, std::size_t n) {
+  u64 carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u128 sum = u128{a[i]} + b[i] + carry;
+    a[i] = static_cast<u64>(sum);
+    carry = static_cast<u64>(sum >> 64);
   }
-  return a;
+  return carry;
+}
+
+/// a[0..n) = (a[0..n) + top·2^(64n)) / 2^k, for 0 < k < 64 and top < 2^k.
+void shift_right(u64* a, std::size_t n, unsigned k, u64 top) {
+  for (std::size_t i = 0; i + 1 < n; ++i) a[i] = a[i] >> k | a[i + 1] << (64 - k);
+  a[n - 1] = a[n - 1] >> k | top << (64 - k);
+}
+
+/// a[0..n) = a·2^−k mod m, for a < m, m odd, 0 < k < 64 and
+/// m_neg_inv = −m⁻¹ mod 2^64: a plus the multiple t·m, t < 2^k, that makes
+/// the sum divisible by 2^k, divided by 2^k, which stays below m.
+void divide_by_power_of_two(u64* a, const u64* m, std::size_t n, unsigned k, u64 m_neg_inv) {
+  const u64 t = a[0] * m_neg_inv & ((u64{1} << k) - 1);
+  u64 carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u128 sum = u128{a[i]} + u128{t} * m[i] + carry;
+    a[i] = static_cast<u64>(sum);
+    carry = static_cast<u64>(sum >> 64);
+  }
+  shift_right(a, n, k, carry);
+}
+
+bool is_zero_limbs(const u64* a, std::size_t n) {
+  return std::all_of(a, a + n, [](u64 limb) { return limb == 0; });
+}
+
+/// Compares a[0..n) with b[0..n).
+bool less_limbs(const u64* a, const u64* b, std::size_t n) {
+  for (std::size_t i = n; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i];
+  }
+  return false;
+}
+
+}  // namespace
+
+BigInt BigInt::mod_inverse(const BigInt& a, const BigInt& m) {
+  if (m.is_zero()) throw std::domain_error("mod_inverse: zero modulus");
+  if (m.is_even()) throw std::invalid_argument("mod_inverse: even modulus");
+  // Binary extended Euclid over n fixed-width limbs, keeping x·a ≡ u and
+  // y·a ≡ v (mod m) with v odd: an even u loses its trailing zeros, k at a
+  // time, and x is divided by 2^k mod m with it; otherwise the smaller of u
+  // and v is taken from the larger, which leaves an even u.  When u reaches
+  // 0, v is gcd(a, m) and y, when v is 1, the inverse.
+  const std::size_t n = (m.limbs_.size() + 1) / 2;
+  std::vector<u64> scratch(5 * n);
+  u64* mod = scratch.data();
+  u64* u = mod + n;
+  u64* v = u + n;
+  u64* x = v + n;
+  u64* y = x + n;
+  const BigInt reduced = a % m;
+  for (std::size_t i = 0; i < n; ++i) {
+    mod[i] = limb64(m.limbs_, i);
+    u[i] = limb64(reduced.limbs_, i);
+  }
+  std::copy(mod, mod + n, v);
+  x[0] = 1;
+  u64 m_inv = 1;  // Newton: each step doubles the correct low bits of m⁻¹
+  for (int i = 0; i < 6; ++i) m_inv *= 2 - mod[0] * m_inv;
+  while (!is_zero_limbs(u, n)) {
+    if (u[0] % 2 == 0) {
+      const auto k = static_cast<unsigned>(u[0] == 0 ? 63 : __builtin_ctzll(u[0]));
+      shift_right(u, n, k, 0);
+      divide_by_power_of_two(x, mod, n, k, 0 - m_inv);
+      continue;
+    }
+    if (less_limbs(u, v, n)) {
+      std::swap(u, v);
+      std::swap(x, y);
+    }
+    subtract_in_place(u, v, n);
+    if (subtract_in_place(x, y, n)) add_in_place(x, mod, n);
+  }
+  if (v[0] != 1 || !is_zero_limbs(v + 1, n - 1)) {
+    throw std::domain_error("mod_inverse: not coprime");
+  }
+  return from_limbs64(y, n);
 }
 
 BigInt BigInt::random_below(const BigInt& bound, util::RandomSource& rng) {

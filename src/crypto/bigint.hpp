@@ -16,7 +16,9 @@
 // kernel (crypto/mod_pow_lanes.hpp), whose portable form calls mod_pow and
 // whose AVX-512 IFMA form computes the same values side by side; keygen's
 // Miller–Rabin rounds and the two halves of RSA's CRT private-key
-// operations take that path.
+// operations take that path.  mod_inverse, like mod_pow, takes odd moduli
+// only (keygen inverts q mod p and φ mod e), and runs a binary extended
+// Euclid over fixed-width 64-bit limbs in one scratch buffer.
 //
 // The Montgomery multiply and squaring scan products by column (Koç, Acar
 // and Kaliski's FIPS method): column k of a·b + u·m adds every a[j]·b[k−j]
@@ -103,10 +105,11 @@ class BigInt {
   /// throws std::domain_error and any other even one std::invalid_argument.
   static BigInt mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m);
 
-  /// Modular inverse of a mod m; throws std::domain_error when gcd(a, m) != 1.
+  /// a⁻¹ mod m, in [0, m), by a binary extended Euclid over fixed-width
+  /// limbs.  m must be odd: a zero modulus throws std::domain_error and any
+  /// other even one std::invalid_argument; an a that shares a factor with m
+  /// throws std::domain_error.
   static BigInt mod_inverse(const BigInt& a, const BigInt& m);
-
-  static BigInt gcd(BigInt a, BigInt b);
 
   /// Uniform value in [0, bound) drawn from `rng`.  bound must be > 0.
   static BigInt random_below(const BigInt& bound, util::RandomSource& rng);

@@ -4,6 +4,7 @@
 #include "crypto/mod_pow_lanes.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -45,16 +46,14 @@ const LaneKernel kPortableLanes{"portable", 1, kAnyWidth, portable_pass};
 
 #if defined(__x86_64__)
 
-#define GLOBE_IFMA_TARGET __attribute__((target("avx512f,avx512ifma")))
+#define GLOBE_IFMA_TARGET __attribute__((target("avx512f,avx512vl,avx512ifma")))
 
 namespace {
 
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
-using Vec = __m512i;
 
-constexpr std::size_t kLanes = kMaxLanes;  // one per 64-bit element of a Vec
-constexpr std::size_t kLimbs = 10;         // 52-bit limbs: R = 2^520
+constexpr std::size_t kLimbs = 10;  // 52-bit limbs: R = 2^520
 constexpr unsigned kLimbBits = 52;
 constexpr std::size_t kRBits = kLimbs * kLimbBits;
 constexpr std::size_t kMaxModBits = 512;  // so 4m < R, and 2m fits the top limb
@@ -62,8 +61,50 @@ constexpr u64 kLimbMask = (u64{1} << kLimbBits) - 1;
 constexpr unsigned kWindowBits = 5;
 constexpr std::size_t kEntries = std::size_t{1} << kWindowBits;
 
+// The kernel is one source over its register width: Simd<L> holds L lanes,
+// one per 64-bit element, and names every vector instruction the kernel
+// uses.  Passes of up to four lanes run on 256-bit registers, wider ones on
+// 512-bit registers.
+template <std::size_t L>
+struct Simd;
+
+template <>
+struct Simd<4> {
+  using V = __m256i;
+  GLOBE_IFMA_TARGET static V zero() { return _mm256_setzero_si256(); }
+  GLOBE_IFMA_TARGET static V splat(u64 x) { return _mm256_set1_epi64x(static_cast<long long>(x)); }
+  GLOBE_IFMA_TARGET static V add(V a, V b) { return _mm256_add_epi64(a, b); }
+  GLOBE_IFMA_TARGET static V low_limb(V x) { return _mm256_and_si256(x, splat(kLimbMask)); }
+  GLOBE_IFMA_TARGET static V shift_limb(V x) { return _mm256_srli_epi64(x, kLimbBits); }
+  GLOBE_IFMA_TARGET static V madd_lo(V acc, V a, V b) { return _mm256_madd52lo_epu64(acc, a, b); }
+  GLOBE_IFMA_TARGET static V madd_hi(V acc, V a, V b) { return _mm256_madd52hi_epu64(acc, a, b); }
+  /// Element l is base[index[l]].
+  GLOBE_IFMA_TARGET static V gather(V index, const u64* base) {
+    return _mm256_i64gather_epi64(reinterpret_cast<const long long*>(base), index, 8);
+  }
+};
+
+// shift_limb and gather use the masked intrinsics with a full mask: the
+// unmasked 512-bit ones start from _mm512_undefined_epi32, on which GCC 12
+// warns -Wuninitialized at every use.
+template <>
+struct Simd<8> {
+  using V = __m512i;
+  GLOBE_IFMA_TARGET static V zero() { return _mm512_setzero_si512(); }
+  GLOBE_IFMA_TARGET static V splat(u64 x) { return _mm512_set1_epi64(static_cast<long long>(x)); }
+  GLOBE_IFMA_TARGET static V add(V a, V b) { return _mm512_add_epi64(a, b); }
+  GLOBE_IFMA_TARGET static V low_limb(V x) { return _mm512_and_si512(x, splat(kLimbMask)); }
+  GLOBE_IFMA_TARGET static V shift_limb(V x) { return _mm512_maskz_srli_epi64(0xFF, x, kLimbBits); }
+  GLOBE_IFMA_TARGET static V madd_lo(V acc, V a, V b) { return _mm512_madd52lo_epu64(acc, a, b); }
+  GLOBE_IFMA_TARGET static V madd_hi(V acc, V a, V b) { return _mm512_madd52hi_epu64(acc, a, b); }
+  GLOBE_IFMA_TARGET static V gather(V index, const u64* base) {
+    return _mm512_mask_i64gather_epi64(zero(), 0xFF, index, base, 8);
+  }
+};
+
 /// One value per lane: column l of row j is limb j of lane l.
-using Columns = u64[kLimbs][kLanes];
+template <std::size_t L>
+using Columns = u64[kLimbs][L];
 
 /// The `width` (at most 52) bits of x starting at bit `pos`.
 u64 bits_at(const BigInt& x, std::size_t pos, unsigned width) {
@@ -76,14 +117,22 @@ u64 bits_at(const BigInt& x, std::size_t pos, unsigned width) {
 }
 
 /// Writes x < 2^520 into column `lane` of `out`.
-void to_columns(const BigInt& x, Columns& out, std::size_t lane) {
+template <std::size_t L>
+void to_columns(const BigInt& x, Columns<L>& out, std::size_t lane) {
   for (std::size_t j = 0; j < kLimbs; ++j) out[j][lane] = bits_at(x, kLimbBits * j, kLimbBits);
 }
 
+/// Copies column `lane` of `c` into columns `from` to L − 1.
+template <std::size_t L>
+void repeat_column(Columns<L>& c, std::size_t lane, std::size_t from) {
+  for (std::size_t j = 0; j < kLimbs; ++j) std::fill(&c[j][from], &c[j][L], c[j][lane]);
+}
+
 /// The value in column `lane` of `in`, whose limbs are each below 2^52.
-BigInt from_column(const Columns& in, std::size_t lane) {
+template <std::size_t L>
+BigInt from_column(const Columns<L>& in, std::size_t lane) {
   constexpr std::size_t kBytes = (kRBits + 7) / 8;
-  util::Bytes be(kBytes);
+  std::array<std::uint8_t, kBytes> be;
   for (std::size_t i = 0; i < kBytes; ++i) {
     const std::size_t j = 8 * i / kLimbBits, shift = 8 * i % kLimbBits;
     u64 byte = in[j][lane] >> shift;
@@ -93,12 +142,14 @@ BigInt from_column(const Columns& in, std::size_t lane) {
   return BigInt::from_bytes(be);
 }
 
-/// x >> 52 per lane.  This and gather() use the masked intrinsics with a
-/// full mask: the unmasked ones start from _mm512_undefined_epi32, on which
-/// GCC 12 warns -Wuninitialized at every use.
-GLOBE_IFMA_TARGET inline Vec shift_limb(Vec x) {
-  return _mm512_maskz_srli_epi64(0xFF, x, kLimbBits);
+/// −m⁻¹ mod 2^52.
+u64 montgomery_k0(const BigInt& m) {
+  u64 inv = 1;  // Newton: each step doubles the correct low bits of m⁻¹
+  for (int i = 0; i < 6; ++i) inv *= 2 - m.low_u64() * inv;
+  return (0 - inv) & kLimbMask;
 }
+
+bool is_two(const BigInt& x) { return x.limbs().size() == 1 && x.limbs()[0] == 2; }
 
 /// out = a·b·R⁻¹ mod m per lane, for a, b < 2m, as a value below 2m
 /// (almost-Montgomery: with 4m < R no final subtraction is needed).  Operand
@@ -107,39 +158,41 @@ GLOBE_IFMA_TARGET inline Vec shift_limb(Vec x) {
 /// one limb, and the high halves follow, so no carry is propagated until the
 /// end.  A limb of the accumulator gathers at most 40 halves below 2^52.
 /// k0 = −m⁻¹ mod 2^52; out may alias a or b.
-[[gnu::noinline]] GLOBE_IFMA_TARGET void amm(const Vec* a, const Vec* b, const Vec* m,
-                                             Vec k0, Vec* out) {
-  const Vec zero = _mm512_setzero_si512();
-  Vec acc[kLimbs];
+template <std::size_t L>
+[[gnu::noinline]] GLOBE_IFMA_TARGET void amm(const typename Simd<L>::V* a,
+                                             const typename Simd<L>::V* b,
+                                             const typename Simd<L>::V* m,
+                                             typename Simd<L>::V k0, typename Simd<L>::V* out) {
+  using S = Simd<L>;
+  typename S::V acc[kLimbs];
 #pragma GCC unroll 10
-  for (std::size_t j = 0; j < kLimbs; ++j) acc[j] = zero;
+  for (std::size_t j = 0; j < kLimbs; ++j) acc[j] = S::zero();
 #pragma GCC unroll 10
   for (std::size_t i = 0; i < kLimbs; ++i) {
-    const Vec bi = b[i];
+    const auto bi = b[i];
 #pragma GCC unroll 10
-    for (std::size_t j = 0; j < kLimbs; ++j) acc[j] = _mm512_madd52lo_epu64(acc[j], a[j], bi);
-    const Vec q = _mm512_madd52lo_epu64(zero, acc[0], k0);
+    for (std::size_t j = 0; j < kLimbs; ++j) acc[j] = S::madd_lo(acc[j], a[j], bi);
+    const auto q = S::madd_lo(S::zero(), acc[0], k0);
 #pragma GCC unroll 10
-    for (std::size_t j = 0; j < kLimbs; ++j) acc[j] = _mm512_madd52lo_epu64(acc[j], m[j], q);
+    for (std::size_t j = 0; j < kLimbs; ++j) acc[j] = S::madd_lo(acc[j], m[j], q);
     // acc[0] is now a multiple of 2^52: drop the limb, keep its carry.
-    const Vec carry = shift_limb(acc[0]);
+    const auto carry = S::shift_limb(acc[0]);
 #pragma GCC unroll 10
     for (std::size_t j = 0; j + 1 < kLimbs; ++j) acc[j] = acc[j + 1];
-    acc[kLimbs - 1] = zero;
-    acc[0] = _mm512_add_epi64(acc[0], carry);
+    acc[kLimbs - 1] = S::zero();
+    acc[0] = S::add(acc[0], carry);
 #pragma GCC unroll 10
     for (std::size_t j = 0; j < kLimbs; ++j) {
-      acc[j] = _mm512_madd52hi_epu64(acc[j], a[j], bi);
-      acc[j] = _mm512_madd52hi_epu64(acc[j], m[j], q);
+      acc[j] = S::madd_hi(acc[j], a[j], bi);
+      acc[j] = S::madd_hi(acc[j], m[j], q);
     }
   }
   // Back to 52-bit limbs; the value is below 2m < 2^513, so the top limb
   // takes the last carry without overflowing.
-  const Vec mask = _mm512_set1_epi64(static_cast<long long>(kLimbMask));
 #pragma GCC unroll 10
   for (std::size_t j = 0; j + 1 < kLimbs; ++j) {
-    acc[j + 1] = _mm512_add_epi64(acc[j + 1], shift_limb(acc[j]));
-    out[j] = _mm512_and_si512(acc[j], mask);
+    acc[j + 1] = S::add(acc[j + 1], S::shift_limb(acc[j]));
+    out[j] = S::low_limb(acc[j]);
   }
   out[kLimbs - 1] = acc[kLimbs - 1];
 }
@@ -153,140 +206,192 @@ GLOBE_IFMA_TARGET inline Vec shift_limb(Vec x) {
 /// 320 multiply-adds against amm's 410.  A column gathers at most 19 halves
 /// of the square and 20 of the reduction, each below 2^52, and one carry, so
 /// it stays below 2^58.  out may alias a.
-[[gnu::noinline]] GLOBE_IFMA_TARGET void ams(const Vec* a, const Vec* m, Vec k0, Vec* out) {
-  const Vec zero = _mm512_setzero_si512();
-  Vec t[2 * kLimbs];
+template <std::size_t L>
+[[gnu::noinline]] GLOBE_IFMA_TARGET void ams(const typename Simd<L>::V* a,
+                                             const typename Simd<L>::V* m,
+                                             typename Simd<L>::V k0, typename Simd<L>::V* out) {
+  using S = Simd<L>;
+  typename S::V t[2 * kLimbs];
 #pragma GCC unroll 20
-  for (std::size_t k = 0; k < 2 * kLimbs; ++k) t[k] = zero;
+  for (std::size_t k = 0; k < 2 * kLimbs; ++k) t[k] = S::zero();
 #pragma GCC unroll 10
   for (std::size_t i = 0; i < kLimbs; ++i) {
 #pragma GCC unroll 10
     for (std::size_t j = i + 1; j < kLimbs; ++j) {
-      t[i + j] = _mm512_madd52lo_epu64(t[i + j], a[i], a[j]);
-      t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], a[i], a[j]);
+      t[i + j] = S::madd_lo(t[i + j], a[i], a[j]);
+      t[i + j + 1] = S::madd_hi(t[i + j + 1], a[i], a[j]);
     }
   }
 #pragma GCC unroll 10
   for (std::size_t i = 0; i < kLimbs; ++i) {
-    t[2 * i] = _mm512_madd52lo_epu64(_mm512_add_epi64(t[2 * i], t[2 * i]), a[i], a[i]);
-    t[2 * i + 1] =
-        _mm512_madd52hi_epu64(_mm512_add_epi64(t[2 * i + 1], t[2 * i + 1]), a[i], a[i]);
+    t[2 * i] = S::madd_lo(S::add(t[2 * i], t[2 * i]), a[i], a[i]);
+    t[2 * i + 1] = S::madd_hi(S::add(t[2 * i + 1], t[2 * i + 1]), a[i], a[i]);
   }
 #pragma GCC unroll 10
   for (std::size_t i = 0; i < kLimbs; ++i) {
-    const Vec q = _mm512_madd52lo_epu64(zero, t[i], k0);
+    const auto q = S::madd_lo(S::zero(), t[i], k0);
 #pragma GCC unroll 10
     for (std::size_t j = 0; j < kLimbs; ++j) {
-      t[i + j] = _mm512_madd52lo_epu64(t[i + j], m[j], q);
-      t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], m[j], q);
+      t[i + j] = S::madd_lo(t[i + j], m[j], q);
+      t[i + j + 1] = S::madd_hi(t[i + j + 1], m[j], q);
     }
     // Column i is now a multiple of 2^52: keep only its carry.
-    t[i + 1] = _mm512_add_epi64(t[i + 1], shift_limb(t[i]));
+    t[i + 1] = S::add(t[i + 1], S::shift_limb(t[i]));
   }
   // Columns 10 to 19 are the result, below 2m < 2^513, as in amm.
-  const Vec mask = _mm512_set1_epi64(static_cast<long long>(kLimbMask));
 #pragma GCC unroll 10
   for (std::size_t j = kLimbs; j + 1 < 2 * kLimbs; ++j) {
-    t[j + 1] = _mm512_add_epi64(t[j + 1], shift_limb(t[j]));
-    out[j - kLimbs] = _mm512_and_si512(t[j], mask);
+    t[j + 1] = S::add(t[j + 1], S::shift_limb(t[j]));
+    out[j - kLimbs] = S::low_limb(t[j]);
   }
   out[kLimbs - 1] = t[2 * kLimbs - 1];
 }
 
-GLOBE_IFMA_TARGET void load(const Columns& in, Vec* out) {
-  for (std::size_t j = 0; j < kLimbs; ++j) out[j] = _mm512_load_si512(in[j]);
+template <std::size_t L>
+GLOBE_IFMA_TARGET void load(const Columns<L>& in, typename Simd<L>::V* out) {
+  using V = typename Simd<L>::V;
+  for (std::size_t j = 0; j < kLimbs; ++j) out[j] = *reinterpret_cast<const V*>(in[j]);
 }
 
-GLOBE_IFMA_TARGET void store(const Vec* in, Columns& out) {
-  for (std::size_t j = 0; j < kLimbs; ++j) _mm512_store_si512(out[j], in[j]);
+template <std::size_t L>
+GLOBE_IFMA_TARGET void store(const typename Simd<L>::V* in, Columns<L>& out) {
+  using V = typename Simd<L>::V;
+  for (std::size_t j = 0; j < kLimbs; ++j) *reinterpret_cast<V*>(out[j]) = in[j];
 }
 
 /// out = each lane's table entry for the window of its exponent that starts
-/// at bit `pos`.
-GLOBE_IFMA_TARGET void gather(const Columns* table, const BigInt* const* exps,
-                              std::size_t pos, Vec* out) {
-  alignas(64) long long index[kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    index[l] = static_cast<long long>(bits_at(*exps[l], pos, kWindowBits) * kLimbs * kLanes + l);
+/// at bit `pos`.  Lanes that share one exponent share the entry, whose row
+/// is loaded; otherwise each lane's limbs are gathered.
+template <std::size_t L>
+GLOBE_IFMA_TARGET void select(const Columns<L>* table, const BigInt* const* exps, bool shared,
+                              std::size_t pos, typename Simd<L>::V* out) {
+  using S = Simd<L>;
+  if (shared) return load<L>(table[bits_at(*exps[0], pos, kWindowBits)], out);
+  alignas(sizeof(typename S::V)) u64 index[L];
+  for (std::size_t l = 0; l < L; ++l) {
+    index[l] = bits_at(*exps[l], pos, kWindowBits) * kLimbs * L + l;
   }
-  const Vec vindex = _mm512_load_si512(index);
-  for (std::size_t j = 0; j < kLimbs; ++j) {
-    out[j] = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, vindex,
-                                          &table[0][j][0], 8);
-  }
+  const auto vindex = *reinterpret_cast<const typename S::V*>(index);
+  for (std::size_t j = 0; j < kLimbs; ++j) out[j] = S::gather(vindex, &table[0][j][0]);
 }
 
-GLOBE_IFMA_TARGET void ifma_pass(const PowLane* lanes, std::size_t count, BigInt* out) {
-  check_lanes(lanes, count, kMaxModBits);
-  if (count == 0) return;
+/// One pass of 1 to L lanes on L-lane registers.
+template <std::size_t L>
+GLOBE_IFMA_TARGET void pass_at_width(const PowLane* lanes, std::size_t count, BigInt* out) {
+  using S = Simd<L>;
+  using V = typename S::V;
+  // The lanes share one exponent and one modulus, as a candidate's
+  // Miller–Rabin rounds do, or each has its own.
+  bool shared = true;
+  for (std::size_t l = 1; l < count && shared; ++l) {
+    shared = *lanes[l].exp == *lanes[0].exp && *lanes[l].mod == *lanes[0].mod;
+  }
 
-  // Per lane: the modulus, −m⁻¹ mod 2^52, and R and base·R reduced mod m.
-  // Lanes past `count` repeat lane 0, and their results are dropped.
-  alignas(64) Columns mod, one, base;
-  alignas(64) u64 k0[kLanes];
-  const BigInt* exps[kLanes];
+  // Per lane: the modulus and −m⁻¹ mod 2^52; in table[0], R mod m; in
+  // table[1], base·R mod m, or a value below 2m congruent to it.  Lanes
+  // past `count` repeat lane 0, and their results are dropped.
+  // table[d] = base^d·R mod m, each below 2m.
+  alignas(sizeof(V)) Columns<L> mod, table[kEntries];
+  const BigInt* exps[L];
   std::size_t exp_bits = 0;
-  for (std::size_t l = 0; l < count; ++l) {
-    const BigInt& m = *lanes[l].mod;
-    to_columns(m, mod, l);
-    u64 inv = 1;  // Newton: each step doubles the correct low bits of m⁻¹
-    for (int i = 0; i < 6; ++i) inv *= 2 - m.low_u64() * inv;
-    k0[l] = (0 - inv) & kLimbMask;
-    to_columns((BigInt(1) << kRBits) % m, one, l);
-    to_columns((*lanes[l].base << kRBits) % m, base, l);
-    exps[l] = lanes[l].exp;
+  for (std::size_t l = 0; l < L; ++l) {
+    exps[l] = lanes[l < count ? l : 0].exp;
     exp_bits = std::max(exp_bits, exps[l]->bit_length());
   }
-  for (std::size_t l = count; l < kLanes; ++l) {
-    for (std::size_t j = 0; j < kLimbs; ++j) {
-      mod[j][l] = mod[j][0];
-      one[j][l] = one[j][0];
-      base[j][l] = base[j][0];
+  V k0;
+  if (shared) {
+    // One long division for the whole pass, R² mod m, into table[0]; the
+    // vector products below turn it into R and each base into base·R.
+    const BigInt& m = *lanes[0].mod;
+    to_columns<L>(m, mod, 0);
+    repeat_column<L>(mod, 0, 1);
+    k0 = S::splat(montgomery_k0(m));
+    to_columns<L>((BigInt(1) << 2 * kRBits) % m, table[0], 0);
+    repeat_column<L>(table[0], 0, 1);
+    for (std::size_t l = 0; l < count; ++l) {
+      const BigInt& b = *lanes[l].base;
+      if (b < m) {
+        to_columns<L>(b, table[1], l);
+      } else {
+        to_columns<L>(b % m, table[1], l);
+      }
     }
-    k0[l] = k0[0];
-    exps[l] = exps[0];
+  } else {
+    alignas(sizeof(V)) u64 k0s[L];
+    const BigInt r_power = BigInt(1) << kRBits;
+    for (std::size_t l = 0; l < count; ++l) {
+      const BigInt& m = *lanes[l].mod;
+      to_columns<L>(m, mod, l);
+      k0s[l] = montgomery_k0(m);
+      const BigInt r = r_power % m;
+      to_columns<L>(r, table[0], l);
+      // Screening's base 2 needs no second division: 2·(R mod m) < 2m.
+      to_columns<L>(is_two(*lanes[l].base) ? r << 1 : (*lanes[l].base << kRBits) % m, table[1], l);
+    }
+    repeat_column<L>(mod, 0, count);
+    repeat_column<L>(table[0], 0, count);
+    std::fill(k0s + count, k0s + L, k0s[0]);
+    k0 = *reinterpret_cast<const V*>(k0s);
+  }
+  repeat_column<L>(table[1], 0, count);
+
+  V m[kLimbs], acc[kLimbs], t[kLimbs], unit[kLimbs];
+  load<L>(mod, m);
+  for (std::size_t j = 0; j < kLimbs; ++j) unit[j] = S::zero();
+  unit[0] = S::splat(1);
+  if (shared) {
+    V square[kLimbs];
+    load<L>(table[0], square);
+    amm<L>(square, unit, m, k0, t);
+    store<L>(t, table[0]);
+    load<L>(table[1], t);
+    amm<L>(t, square, m, k0, t);
+    store<L>(t, table[1]);
   }
 
-  Vec m[kLimbs], acc[kLimbs], t[kLimbs];
-  load(mod, m);
-  const Vec vk0 = _mm512_load_si512(k0);
-
-  // table[d] = base^d·R mod m, each below 2m.
-  alignas(64) Columns table[kEntries];
-  std::copy_n(&one[0][0], kLimbs * kLanes, &table[0][0][0]);
-  std::copy_n(&base[0][0], kLimbs * kLanes, &table[1][0][0]);
-  load(base, t);
-  load(base, acc);
+  // An even entry squares the one at half its index, an odd one multiplies
+  // the entry below it by the base.
+  load<L>(table[1], t);
   for (std::size_t d = 2; d < kEntries; ++d) {
-    amm(acc, t, m, vk0, acc);
-    store(acc, table[d]);
+    if (d % 2 == 0) {
+      load<L>(table[d / 2], acc);
+      ams<L>(acc, m, k0, acc);
+    } else {
+      amm<L>(acc, t, m, k0, acc);
+    }
+    store<L>(acc, table[d]);
   }
 
   // Fixed windows from the top of the longest exponent; a shorter one's
   // top windows are zero digits, which multiply by R (one).
   const std::size_t windows = (exp_bits + kWindowBits - 1) / kWindowBits;
   if (windows == 0) {
-    load(one, acc);
+    load<L>(table[0], acc);
   } else {
-    gather(table, exps, (windows - 1) * kWindowBits, acc);
+    select<L>(table, exps, shared, (windows - 1) * kWindowBits, acc);
     for (std::size_t w = windows - 1; w-- > 0;) {
-      for (unsigned s = 0; s < kWindowBits; ++s) ams(acc, m, vk0, acc);
-      gather(table, exps, w * kWindowBits, t);
-      amm(acc, t, m, vk0, acc);
+      for (unsigned s = 0; s < kWindowBits; ++s) ams<L>(acc, m, k0, acc);
+      select<L>(table, exps, shared, w * kWindowBits, t);
+      amm<L>(acc, t, m, k0, acc);
     }
   }
 
   // Out of Montgomery form: acc·1·R⁻¹ ≤ m, equal to m only when the result
   // is 0 mod m.
-  for (std::size_t j = 0; j < kLimbs; ++j) t[j] = _mm512_setzero_si512();
-  t[0] = _mm512_set1_epi64(1);
-  amm(acc, t, m, vk0, acc);
-  alignas(64) Columns result;
-  store(acc, result);
+  amm<L>(acc, unit, m, k0, acc);
+  alignas(sizeof(V)) Columns<L> result;
+  store<L>(acc, result);
   for (std::size_t l = 0; l < count; ++l) {
-    out[l] = from_column(result, l);
+    out[l] = from_column<L>(result, l);
     if (out[l] >= *lanes[l].mod) out[l] = out[l] - *lanes[l].mod;
   }
+}
+
+GLOBE_IFMA_TARGET void ifma_pass(const PowLane* lanes, std::size_t count, BigInt* out) {
+  check_lanes(lanes, count, kMaxModBits);
+  if (count == 0) return;
+  if (count <= 4) return pass_at_width<4>(lanes, count, out);
+  pass_at_width<8>(lanes, count, out);
 }
 
 }  // namespace
@@ -299,8 +404,8 @@ bool cpu_has_ifma() {
     if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
     if (!((ecx >> 27) & 1)) return false;  // OSXSAVE: XGETBV is usable
     if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-    const bool avx512f = (ebx >> 16) & 1, ifma = (ebx >> 21) & 1;
-    if (!avx512f || !ifma) return false;
+    const bool avx512f = (ebx >> 16) & 1, ifma = (ebx >> 21) & 1, vl = (ebx >> 31) & 1;
+    if (!avx512f || !ifma || !vl) return false;
     unsigned xcr0 = 0, xcr0_high = 0;
     __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
     // The OS saves SSE, AVX, opmask and both halves of the ZMM registers.
@@ -309,7 +414,7 @@ bool cpu_has_ifma() {
   return has;
 }
 
-const LaneKernel kIfmaLanes{"avx512-ifma", kLanes, kMaxModBits, ifma_pass};
+const LaneKernel kIfmaLanes{"avx512-ifma", kMaxLanes, kMaxModBits, ifma_pass};
 
 }  // namespace detail
 

@@ -25,7 +25,7 @@ constexpr std::uint32_t kSmallPrimes[] = {
 // random start nearly always yields a prime.
 constexpr std::uint32_t kSieveBound = 1u << 16;
 constexpr std::size_t kWindow = 1024;
-static_assert(kSieveBound <= 1u << 16, "SievePrime and residue() need p < 2^16");
+static_assert(kSieveBound <= 1u << 16, "a group of four sieving primes must fit 64 bits");
 
 // Starts one generate_prime call may draw.  Only broken arithmetic uses them
 // up: a window of 512-bit odd numbers holds ~5.8 primes, and at 8 bits, the
@@ -50,47 +50,109 @@ constexpr std::size_t kSievePrimeCount = [] {
   return count;
 }();
 
-// An odd sieving prime with 2^32 and 2^64 reduced mod p, and its Barrett
-// reciprocal floor(2^64 / p).
-struct SievePrime {
-  std::uint64_t reciprocal;
-  std::uint16_t p, pow32, pow64;
-};
-
 // The odd primes below kSieveBound, in order.
 constexpr auto kSievePrimes = [] {
   const auto not_prime = not_prime_below_bound();
-  std::array<SievePrime, kSievePrimeCount> primes{};
+  std::array<std::uint16_t, kSievePrimeCount> primes{};
   std::size_t count = 0;
-  for (std::uint64_t p = 3; p < kSieveBound; p += 2) {
-    if (not_prime[p]) continue;
-    const std::uint64_t pow32 = (std::uint64_t{1} << 32) % p;
-    primes[count++] = {~std::uint64_t{0} / p, static_cast<std::uint16_t>(p),
-                       static_cast<std::uint16_t>(pow32),
-                       static_cast<std::uint16_t>(pow32 * pow32 % p)};
+  for (std::uint32_t p = 3; p < kSieveBound; p += 2) {
+    if (!not_prime[p]) primes[count++] = static_cast<std::uint16_t>(p);
   }
   return primes;
 }();
 
-// x mod sp.p for x < 2^64, with no divide: the quotient estimate
-// x·floor(2^64 / p) / 2^64 is floor(x / p) or one less, so one conditional
-// subtraction finishes.  (As p is odd, floor((2^64 − 1) / p) = floor(2^64 / p).)
-std::uint64_t reduce(std::uint64_t x, const SievePrime& sp) {
-  const unsigned __int128 product = static_cast<unsigned __int128>(x) * sp.reciprocal;
-  const std::uint64_t r = x - static_cast<std::uint64_t>(product >> 64) * sp.p;
-  return r >= sp.p ? r - sp.p : r;
+// Each sieving prime's Barrett reciprocal floor(2^64 / p).
+constexpr auto kSieveReciprocals = [] {
+  std::array<std::uint64_t, kSievePrimeCount> reciprocals{};
+  for (std::size_t i = 0; i < kSievePrimeCount; ++i) {
+    reciprocals[i] = ~std::uint64_t{0} / kSievePrimes[i];
+  }
+  return reciprocals;
+}();
+
+// The sieving primes four at a time, in order (the last group holds what is
+// left): the group's product Q < 2^64 and the reciprocal of d = Q·2^s, which
+// the shift s = clz(Q) gives its top bit, floor((2^128 − 1) / d) − 2^64.
+struct SieveGroup {
+  std::uint64_t product, reciprocal;
+};
+constexpr std::size_t kGroupPrimes = 4;
+constexpr std::size_t kSieveGroupCount = (kSievePrimeCount + kGroupPrimes - 1) / kGroupPrimes;
+
+// One past the index of group g's last prime.
+constexpr std::size_t group_end(std::size_t g) {
+  return std::min((g + 1) * kGroupPrimes, kSievePrimeCount);
 }
 
-// The value of `limbs` mod sp.p, one reduction per 64 bits: with p < 2^16,
-// rem * (2^64 mod p) + hi * (2^32 mod p) + lo stays below 2^49.
-std::uint64_t residue(const std::vector<std::uint32_t>& limbs, const SievePrime& sp) {
-  std::size_t i = limbs.size();
-  std::uint64_t rem = i % 2 ? reduce(limbs[--i], sp) : 0;
-  while (i > 0) {
-    i -= 2;
-    rem = reduce(rem * sp.pow64 + std::uint64_t{limbs[i + 1]} * sp.pow32 + limbs[i], sp);
+constexpr auto kSieveGroups = [] {
+  std::array<SieveGroup, kSieveGroupCount> groups{};
+  for (std::size_t g = 0; g < kSieveGroupCount; ++g) {
+    std::uint64_t q = 1;
+    for (std::size_t i = g * kGroupPrimes; i < group_end(g); ++i) q *= kSievePrimes[i];
+    const std::uint64_t d = q << __builtin_clzll(q);
+    groups[g] = {q, static_cast<std::uint64_t>(~static_cast<unsigned __int128>(0) / d)};
   }
-  return rem;
+  return groups;
+}();
+
+// x mod p for x < 2^64 and sieving prime i, with no divide: the quotient
+// estimate x·floor(2^64 / p) / 2^64 is floor(x / p) or one less, so one
+// conditional subtraction finishes.  (As p is odd, floor((2^64 − 1) / p) =
+// floor(2^64 / p).)
+std::uint64_t reduce(std::uint64_t x, std::size_t i) {
+  const std::uint64_t p = kSievePrimes[i];
+  const unsigned __int128 product = static_cast<unsigned __int128>(x) * kSieveReciprocals[i];
+  const std::uint64_t r = x - static_cast<std::uint64_t>(product >> 64) * p;
+  return r >= p ? r - p : r;
+}
+
+// The remainder of u1·2^64 + u0 divided by d, for u1 < d, d's top bit set
+// and v = floor((2^128 − 1) / d) − 2^64: Möller and Granlund's division by
+// an invariant word ("Improved division by invariant integers", 2011,
+// Algorithm 4) without its quotient, two multiplies and no divide.
+std::uint64_t divide_step(std::uint64_t u1, std::uint64_t u0, std::uint64_t d, std::uint64_t v) {
+  const unsigned __int128 q =
+      static_cast<unsigned __int128>(v) * u1 +
+      (static_cast<unsigned __int128>(u1 + 1) << 64 | u0);
+  std::uint64_t r = u0 - static_cast<std::uint64_t>(q >> 64) * d;
+  // r exceeds q's low word in most steps, unpredictably: a mask, not a
+  // branch, adds d back.
+  r += d & (0 - static_cast<std::uint64_t>(r > static_cast<std::uint64_t>(q)));
+  return r >= d ? r - d : r;
+}
+
+// Groups whose walks over a start's words run interleaved: a walk is a chain
+// of dependent division steps, and four chains side by side keep the
+// multipliers busy.
+constexpr std::size_t kWalks = 4;
+static_assert(kSieveGroupCount % kWalks == 0, "the walks take the groups four at a time");
+
+// x mod the product Q of each of the kWalks groups from `first`, for x given
+// as words[1..n] (64-bit, least significant first) with words[0] = 0: x·2^s
+// reduced modulo d = Q·2^s, one division step per word, is (x mod Q)·2^s.
+std::array<std::uint64_t, kWalks> group_residues(const std::vector<std::uint64_t>& words,
+                                                 std::size_t first) {
+  std::array<unsigned, kWalks> s{};
+  std::array<std::uint64_t, kWalks> d{}, r{};
+  // Word k of x·2^s takes words[k + 1]'s low bits and words[k]'s high ones;
+  // (w >> 1) >> (63 − s) is w >> (64 − s), and 0 when s is 0.
+  auto shifted = [](std::uint64_t high, std::uint64_t low, unsigned shift) {
+    return high << shift | (low >> 1) >> (63 - shift);
+  };
+  const std::size_t n = words.size() - 1;
+  for (std::size_t i = 0; i < kWalks; ++i) {
+    s[i] = static_cast<unsigned>(__builtin_clzll(kSieveGroups[first + i].product));
+    d[i] = kSieveGroups[first + i].product << s[i];
+    r[i] = shifted(0, words[n], s[i]);  // below 2^s <= d
+  }
+  for (std::size_t k = n; k > 0; --k) {
+    for (std::size_t i = 0; i < kWalks; ++i) {
+      r[i] = divide_step(r[i], shifted(words[k], words[k - 1], s[i]), d[i],
+                         kSieveGroups[first + i].reciprocal);
+    }
+  }
+  for (std::size_t i = 0; i < kWalks; ++i) r[i] >>= s[i];
+  return r;
 }
 
 // Odd n > 3 split as n − 1 = d·2^r with d odd: what a Miller–Rabin round
@@ -172,9 +234,19 @@ BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds) 
 namespace detail {
 
 std::vector<std::uint16_t> sieve_residues(const BigInt& x) {
-  std::vector<std::uint16_t> out(kSievePrimes.size());
-  for (std::size_t i = 0; i < kSievePrimes.size(); ++i) {
-    out[i] = static_cast<std::uint16_t>(residue(x.limbs(), kSievePrimes[i]));
+  const auto& limbs = x.limbs();
+  std::vector<std::uint64_t> words(1 + (limbs.size() + 1) / 2);
+  for (std::size_t i = 0; i < limbs.size(); ++i) {
+    words[1 + i / 2] |= std::uint64_t{limbs[i]} << (32 * (i % 2));
+  }
+  std::vector<std::uint16_t> out(kSievePrimeCount);
+  for (std::size_t first = 0; first < kSieveGroupCount; first += kWalks) {
+    const std::array<std::uint64_t, kWalks> r = group_residues(words, first);
+    for (std::size_t g = first; g < first + kWalks; ++g) {
+      for (std::size_t i = g * kGroupPrimes; i < group_end(g); ++i) {
+        out[i] = static_cast<std::uint16_t>(reduce(r[g - first], i));
+      }
+    }
   }
   return out;
 }
@@ -197,14 +269,23 @@ BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds,
     // Below kSieveBound a candidate can be a sieving prime itself, which is
     // not struck.
     const std::uint64_t small_start = start.bit_length() <= 32 ? start.low_u64() : 0;
-    std::array<bool, kWindow> struck{};
+    // The entry past the window takes the strikes that miss it: a prime at
+    // least as wide as the window has at most one multiple in it, and
+    // strikes with no branch on whether it does.
+    std::array<bool, kWindow + 1> struck{};
     const std::vector<std::uint16_t> residues = sieve_residues(start);
-    for (std::size_t i = 0; i < kSievePrimes.size(); ++i) {
-      const std::uint64_t p = kSievePrimes[i].p;
-      // The first k at which p divides start + 2k; (p + 1) / 2 inverts 2.
-      std::uint64_t k = reduce((p - residues[i]) * ((p + 1) / 2), kSievePrimes[i]);
+    for (std::size_t i = 0; i < kSievePrimeCount; ++i) {
+      const std::uint64_t p = kSievePrimes[i];
+      // The first k at which p divides start + 2k: half of t = −start mod p,
+      // or of t + p when t is odd.
+      const std::uint64_t t = residues[i] == 0 ? 0 : p - residues[i];
+      std::uint64_t k = (t + (t & 1) * p) / 2;
       if (small_start + 2 * k == p) k += p;
-      for (; k < window; k += p) struck[k] = true;
+      if (p < window) {
+        for (; k < window; k += p) struck[k] = true;
+      } else {
+        struck[std::min<std::uint64_t>(k, window)] = true;
+      }
     }
     // The sieve has already struck every multiple of the trial-division
     // primes.  The survivors go through in order, a kernel pass at a time.

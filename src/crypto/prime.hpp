@@ -50,8 +50,14 @@ BigInt generate_prime(std::size_t bits, util::RandomSource& rng, int mr_rounds =
 namespace detail {
 
 /// x mod p for every odd prime p below 2^16, in increasing order of p: the
-/// residues generate_prime's sieve strikes from, each found with p's Barrett
-/// reciprocal rather than a divide.
+/// residues generate_prime's sieve strikes from, with no hardware divide.
+/// The primes are taken four at a time, whose product Q fits 64 bits: one
+/// walk over x's 64-bit words per group reduces x mod Q with one two-multiply
+/// division step per word (Möller and Granlund's, by a precomputed
+/// reciprocal of Q shifted to its top bit), four walks interleaved, and each
+/// prime's Barrett reciprocal then reduces its group's remainder: two
+/// multiplies per word for four primes.  The tables (primes, their
+/// reciprocals and the groups') are 91 KB of read-only data.
 std::vector<std::uint16_t> sieve_residues(const BigInt& x);
 
 /// generate_prime on a given kernel, which must take `bits`-bit moduli, for

@@ -1,6 +1,7 @@
 #include "crypto/rsa.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "crypto/mod_pow_lanes.hpp"
@@ -148,25 +149,10 @@ RsaKeyPair rsa_generate(std::size_t bits, util::RandomSource& rng) {
     BigInt q = generate_prime(bits - bits / 2, rng);
     if (p == q) continue;
     if (p < q) std::swap(p, q);  // CRT convention: p > q
-    BigInt n = p * q;
-    if (n.bit_length() != bits) continue;
-    BigInt p1 = p - BigInt(1);
-    BigInt q1 = q - BigInt(1);
-    BigInt phi = p1 * q1;
-    if (BigInt::gcd(e, phi) != BigInt(1)) continue;
-    BigInt d = BigInt::mod_inverse(e, phi);
-    RsaPrivateKey priv;
-    priv.n = n;
-    priv.e = e;
-    priv.d = d;
-    priv.p = p;
-    priv.q = q;
-    priv.dp = d % p1;
-    priv.dq = d % q1;
-    // p is prime and q < p, so q^(p-2) is q's inverse mod p (Fermat): one
-    // Montgomery exponentiation, cheaper than mod_inverse's extended Euclid.
-    priv.qinv = BigInt::mod_pow(q, p - BigInt(2), p);
-    return RsaKeyPair{priv.public_key(), std::move(priv)};
+    if ((p * q).bit_length() != bits) continue;
+    std::optional<RsaPrivateKey> priv = detail::rsa_private_key(p, q, e);
+    if (!priv) continue;
+    return RsaKeyPair{priv->public_key(), std::move(*priv)};
   }
 }
 
@@ -246,6 +232,27 @@ Result<Bytes> rsa_decrypt(const RsaPrivateKey& key, BytesView ct) {
 }
 
 namespace detail {
+
+std::optional<RsaPrivateKey> rsa_private_key(const BigInt& p, const BigInt& q, const BigInt& e) {
+  const BigInt p1 = p - BigInt(1), q1 = q - BigInt(1);
+  const BigInt phi = p1 * q1;
+  // e is prime, so it is coprime to φ unless it divides φ.
+  const BigInt phi_mod_e = phi % e;
+  if (phi_mod_e.is_zero()) return std::nullopt;
+  // d = e⁻¹ mod φ from e's smallness: with k = −φ⁻¹ mod e, 1 + k·φ is a
+  // multiple of e, and d = (1 + k·φ) / e is below φ as k is below e.
+  const BigInt k = e - BigInt::mod_inverse(phi_mod_e, e);
+  RsaPrivateKey priv;
+  priv.n = p * q;
+  priv.e = e;
+  priv.d = (BigInt(1) + k * phi) / e;
+  priv.p = p;
+  priv.q = q;
+  priv.dp = priv.d % p1;
+  priv.dq = priv.d % q1;
+  priv.qinv = BigInt::mod_inverse(q, p);
+  return priv;
+}
 
 Bytes rsa_sign_sha256(const RsaPrivateKey& key, BytesView msg, const LaneKernel& kernel) {
   auto digest = Sha256::digest(msg);

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "crypto/bigint.hpp"
 #include "util/bounds_annotations.hpp"
@@ -101,6 +102,12 @@ util::Result<util::Bytes> rsa_encrypt(const RsaPublicKey& key, util::BytesView m
 util::Result<util::Bytes> rsa_decrypt(const RsaPrivateKey& key, util::BytesView ct);
 
 namespace detail {
+
+/// The private key of primes p > q and a prime public exponent e, or
+/// nullopt when e divides (p − 1)(q − 1) and so has no inverse: what
+/// rsa_generate makes of the primes it draws, for tests to check by hand on
+/// small primes.
+std::optional<RsaPrivateKey> rsa_private_key(const BigInt& p, const BigInt& q, const BigInt& e);
 
 /// rsa_sign_sha256 with both CRT halves on `kernel`, which must take moduli
 /// as wide as p and q, for tests to sign under each kernel and under one

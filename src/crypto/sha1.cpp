@@ -30,16 +30,29 @@ inline std::uint32_t maj(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
   return (b & c) | (b & d) | (c & d);
 }
 
-// Rounds i..i+4 with round function F: no round tests its index.
+// Word i of the message schedule, for 16 <= i < 80, computed in place in a
+// 16-word ring: w[i mod 16] holds word i − 16 until round i overwrites it.
+// Computed inside the rounds, each word is one load of four ring words the
+// compiler keeps at hand; a separate loop over an 80-word array, which GCC
+// vectorizes two lanes wide, reloads words its own last stores have not yet
+// forwarded.
+inline std::uint32_t schedule(std::uint32_t* w, int i) {
+  w[i & 15] = rotl(w[(i - 3) & 15] ^ w[(i - 8) & 15] ^ w[(i - 14) & 15] ^ w[i & 15], 1);
+  return w[i & 15];
+}
+
+// Rounds i..i+4 with round function F: no round tests its index.  Rounds
+// below 16 take the block's words as they are; later ones schedule theirs.
 template <std::uint32_t (*F)(std::uint32_t, std::uint32_t, std::uint32_t)>
 inline void five_rounds(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
                         std::uint32_t& d, std::uint32_t& e, std::uint32_t k,
-                        const std::uint32_t* w) {
-  step(a, b, e, F(b, c, d), k, w[0]);
-  step(e, a, d, F(a, b, c), k, w[1]);
-  step(d, e, c, F(e, a, b), k, w[2]);
-  step(c, d, b, F(d, e, a), k, w[3]);
-  step(b, c, a, F(c, d, e), k, w[4]);
+                        std::uint32_t* w, int i) {
+  auto word = [w, i](int j) { return i + j < 16 ? w[i + j] : schedule(w, i + j); };
+  step(a, b, e, F(b, c, d), k, word(0));
+  step(e, a, d, F(a, b, c), k, word(1));
+  step(d, e, c, F(e, a, b), k, word(2));
+  step(c, d, b, F(d, e, a), k, word(3));
+  step(b, c, a, F(c, d, e), k, word(4));
 }
 
 void compress(std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
@@ -59,19 +72,16 @@ namespace detail {
 void sha1_compress_portable(std::uint32_t* state, const std::uint8_t* data,
                             std::size_t blocks) {
   for (; blocks > 0; --blocks, data += 64) {
-    std::uint32_t w[80];
+    std::uint32_t w[16];
     for (int i = 0; i < 16; ++i) {
       w[i] = std::uint32_t{data[4 * i]} << 24 | std::uint32_t{data[4 * i + 1]} << 16 |
              std::uint32_t{data[4 * i + 2]} << 8 | data[4 * i + 3];
     }
-    for (int i = 16; i < 80; ++i) {
-      w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-    }
     std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3], e = state[4];
-    for (int i = 0; i < 20; i += 5) five_rounds<ch>(a, b, c, d, e, 0x5A827999u, w + i);
-    for (int i = 20; i < 40; i += 5) five_rounds<parity>(a, b, c, d, e, 0x6ED9EBA1u, w + i);
-    for (int i = 40; i < 60; i += 5) five_rounds<maj>(a, b, c, d, e, 0x8F1BBCDCu, w + i);
-    for (int i = 60; i < 80; i += 5) five_rounds<parity>(a, b, c, d, e, 0xCA62C1D6u, w + i);
+    for (int i = 0; i < 20; i += 5) five_rounds<ch>(a, b, c, d, e, 0x5A827999u, w, i);
+    for (int i = 20; i < 40; i += 5) five_rounds<parity>(a, b, c, d, e, 0x6ED9EBA1u, w, i);
+    for (int i = 40; i < 60; i += 5) five_rounds<maj>(a, b, c, d, e, 0x8F1BBCDCu, w, i);
+    for (int i = 60; i < 80; i += 5) five_rounds<parity>(a, b, c, d, e, 0xCA62C1D6u, w, i);
     state[0] += a;
     state[1] += b;
     state[2] += c;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "crypto/drbg.hpp"
+#include "crypto/prime.hpp"
 #include "util/bytes.hpp"
 
 namespace globe::crypto {
@@ -297,10 +298,47 @@ TEST(BigIntTest, ModInverseProperty) {
   }
 }
 
-TEST(BigIntTest, GcdKnownValues) {
-  EXPECT_EQ(BigInt::gcd(BigInt(48), BigInt(36)), BigInt(12));
-  EXPECT_EQ(BigInt::gcd(BigInt(17), BigInt(13)), BigInt(1));
-  EXPECT_EQ(BigInt::gcd(BigInt(0), BigInt(5)), BigInt(5));
+// An inverse exists only where a and m share no factor, and mod_inverse takes
+// odd moduli only.
+TEST(BigIntTest, ModInverseRejectsCommonFactorsAndEvenModuli) {
+  EXPECT_EQ(BigInt::mod_inverse(BigInt(17), BigInt(13)), BigInt(10));  // 4 · 10 = 3 · 13 + 1
+  EXPECT_EQ(BigInt::mod_inverse(BigInt(5), BigInt(1)), BigInt());
+  EXPECT_THROW(BigInt::mod_inverse(BigInt(48), BigInt(45)), std::domain_error);  // gcd 3
+  EXPECT_THROW(BigInt::mod_inverse(BigInt(0), BigInt(5)), std::domain_error);
+  EXPECT_THROW(BigInt::mod_inverse(BigInt(13 * 5), BigInt(13 * 17)), std::domain_error);
+  EXPECT_THROW(BigInt::mod_inverse(BigInt(17), BigInt(36)), std::invalid_argument);
+  EXPECT_THROW(BigInt::mod_inverse(BigInt(3), BigInt()), std::domain_error);
+}
+
+// At RSA widths the inverse agrees with Fermat's a^(p − 2) mod p on primes,
+// and on odd composites of several limbs either inverts a or throws.
+TEST(BigIntTest, ModInverseMatchesFermatOnPrimesAndInvertsOnComposites) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    auto rng = HmacDrbg::from_seed(seed);
+    const BigInt p = generate_prime(512, rng);
+    const BigInt a = BigInt::random_below(p - BigInt(1), rng) + BigInt(1);
+    EXPECT_EQ(BigInt::mod_inverse(a, p), BigInt::mod_pow(a, p - BigInt(2), p)) << seed;
+    EXPECT_EQ(BigInt::mod_inverse(a + p + p, p), BigInt::mod_inverse(a, p)) << seed;
+  }
+  auto rng = HmacDrbg::from_seed(4);
+  int inverted = 0;
+  for (std::size_t bits : {64u, 65u, 200u, 1024u}) {
+    for (int i = 0; i < 8; ++i) {
+      BigInt m = BigInt::random_bits(bits, rng);
+      if (m.is_even()) m = m + BigInt(1);
+      const BigInt a = BigInt::random_bits(bits + 3, rng);
+      BigInt inv;
+      try {
+        inv = BigInt::mod_inverse(a, m);
+      } catch (const std::domain_error&) {
+        continue;
+      }
+      ++inverted;
+      EXPECT_LT(inv, m) << "bits=" << bits;
+      EXPECT_EQ((a * inv) % m, BigInt(1)) << "bits=" << bits;
+    }
+  }
+  EXPECT_GT(inverted, 16);
 }
 
 TEST(BigIntTest, RandomBelowInRange) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ class LaneKernelTest : public ::testing::TestWithParam<std::string> {
       kernel_ = &detail::kIfmaLanes;
       return;
     }
-    GTEST_SKIP() << "CPUID or XGETBV reports no AVX-512 IFMA with OS-saved ZMM state";
+    GTEST_SKIP() << "CPUID or XGETBV reports no AVX-512 IFMA and VL with OS-saved ZMM state";
 #else
     GTEST_SKIP() << "the IFMA kernel is x86-64 only";
 #endif
@@ -210,6 +211,54 @@ TEST(ModPowLanesTest, ProcessRunsIfmaExactlyWhereTheCpuHasIt) {
   EXPECT_EQ(std::string(mod_pow_lanes(512).name), ifma ? "avx512-ifma" : "portable");
   EXPECT_EQ(mod_pow_lanes(512).width, ifma ? kMaxLanes : 1u);
   EXPECT_EQ(&mod_pow_lanes(513), &detail::kPortableLanes);
+}
+
+// Every lane count through the IFMA kernel, so that passes of up to four
+// lanes run on 256-bit registers and wider ones on 512-bit registers, in the
+// three shapes the kernel's users give it: lanes each with their own base,
+// exponent and modulus (signing's CRT halves); lanes that share one exponent
+// and one modulus, whose window rows the kernel loads rather than gathers
+// (a candidate's Miller–Rabin rounds); and lanes that share base 2 (keygen's
+// screening pass).  Each result must equal the portable kernel's.
+TEST(ModPowLanesTest, IfmaMatchesPortableAtEveryLaneCountInEveryShape) {
+#if defined(__x86_64__)
+  if (!detail::cpu_has_ifma()) {
+    GTEST_SKIP() << "CPUID or XGETBV reports no AVX-512 IFMA and VL with OS-saved ZMM state";
+  }
+  auto rng = HmacDrbg::from_seed(2508);
+  const BigInt two(2);
+  for (std::size_t count = 1; count <= kMaxLanes; ++count) {
+    std::array<BigInt, kMaxLanes> base, exp, mod;
+    const BigInt shared_mod = random_odd(512, rng), shared_exp = BigInt::random_bits(511, rng);
+    for (std::size_t i = 0; i < count; ++i) {
+      mod[i] = random_odd(512 - i % 2, rng);
+      base[i] = BigInt::random_below(mod[i], rng);
+      exp[i] = BigInt::random_bits(512 - 3 * i, rng);
+    }
+    struct Shape {
+      const char* name;
+      std::function<PowLane(std::size_t)> lane;
+    };
+    const Shape shapes[] = {
+        {"distinct", [&](std::size_t i) { return PowLane{&base[i], &exp[i], &mod[i]}; }},
+        {"shared exponent and modulus",
+         [&](std::size_t i) { return PowLane{&base[i], &shared_exp, &shared_mod}; }},
+        {"shared base 2", [&](std::size_t i) { return PowLane{&two, &exp[i], &mod[i]}; }},
+    };
+    for (const Shape& shape : shapes) {
+      std::array<PowLane, kMaxLanes> lanes;
+      for (std::size_t i = 0; i < count; ++i) lanes[i] = shape.lane(i);
+      std::array<BigInt, kMaxLanes> ifma, portable;
+      detail::kIfmaLanes.pass(lanes.data(), count, ifma.data());
+      detail::kPortableLanes.pass(lanes.data(), count, portable.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(ifma[i], portable[i]) << shape.name << ": lane " << i << " of " << count;
+      }
+    }
+  }
+#else
+  GTEST_SKIP() << "the IFMA kernel is x86-64 only";
+#endif
 }
 
 // RsaTest.SeededKeygenIsByteStable's seeds: rsa_generate draws p, then q,

@@ -123,6 +123,31 @@ TEST(PrimeTest, SieveResiduesMatchBigIntRemainders) {
   }
 }
 
+// The residue pass walks x's 64-bit words once per group of four primes with
+// a division step per word: it must hold at every word count, including
+// none, and on words of all ones, where each step's top word sits closest
+// to the group's divisor.
+TEST(PrimeTest, SieveResiduesMatchBigIntRemaindersAtEveryWordCount) {
+  std::vector<std::uint32_t> primes;
+  for (std::uint32_t p = 3; p < (1u << 16); p += 2) {
+    if (is_prime_by_trial_division(p)) primes.push_back(p);
+  }
+  auto rng = HmacDrbg::from_seed(10);
+  std::vector<BigInt> values = {BigInt()};
+  for (std::size_t bits : {1u, 31u, 63u, 64u, 65u, 128u, 700u, 1024u}) {
+    values.push_back(BigInt::random_bits(bits, rng));
+    values.push_back((BigInt(1) << bits) - BigInt(1));
+  }
+  for (const BigInt& x : values) {
+    const std::vector<std::uint16_t> residues = detail::sieve_residues(x);
+    ASSERT_EQ(residues.size(), primes.size());
+    for (std::size_t i = 0; i < primes.size(); ++i) {
+      ASSERT_EQ(residues[i], (x % BigInt(primes[i])).low_u64())
+          << "p=" << primes[i] << " x=" << x.to_hex();
+    }
+  }
+}
+
 TEST(PrimeTest, GenerationIsDeterministicPerSeed) {
   auto a = HmacDrbg::from_seed(77);
   auto b = HmacDrbg::from_seed(77);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,43 @@ TEST(RsaTest, QinvInvertsQModPOnGoldenSeeds) {
     EXPECT_EQ((priv.qinv * priv.q) % priv.p, BigInt(1)) << "seed=" << seed;
     EXPECT_LT(priv.qinv, priv.p) << "seed=" << seed;
   }
+}
+
+// d is the inverse of e mod φ = (p − 1)(q − 1), reduced below φ, and dp and
+// dq its CRT exponents, on the golden seeds above.
+TEST(RsaTest, PrivateExponentInvertsEModPhiOnGoldenSeeds) {
+  const std::pair<std::uint64_t, std::size_t> kSeeds[] = {
+      {4242, 1024}, {31337, 512}, {0x6c697665'6b657973ull, 1024}};
+  for (auto [seed, bits] : kSeeds) {
+    auto rng = HmacDrbg::from_seed(seed);
+    const RsaPrivateKey priv = rsa_generate(bits, rng).priv;
+    const BigInt p1 = priv.p - BigInt(1), q1 = priv.q - BigInt(1), phi = p1 * q1;
+    EXPECT_EQ((priv.d * priv.e) % phi, BigInt(1)) << "seed=" << seed;
+    EXPECT_LT(priv.d, phi) << "seed=" << seed;
+    EXPECT_EQ(priv.dp, priv.d % p1) << "seed=" << seed;
+    EXPECT_EQ(priv.dq, priv.d % q1) << "seed=" << seed;
+  }
+}
+
+// The textbook key p = 61, q = 53, e = 17, checked by hand: φ = 3120 and
+// 17 · 2753 = 15 · 3120 + 1, 53 · 38 = 33 · 61 + 1.  With p = 103, e divides
+// φ = 102 · 52, and there is no key.
+TEST(RsaTest, PrivateKeyOfSmallPrimesMatchesHandComputedValues) {
+  const std::optional<RsaPrivateKey> priv =
+      detail::rsa_private_key(BigInt(61), BigInt(53), BigInt(17));
+  ASSERT_TRUE(priv.has_value());
+  EXPECT_EQ(priv->n, BigInt(3233));
+  EXPECT_EQ(priv->d, BigInt(2753));
+  EXPECT_EQ(priv->dp, BigInt(53));
+  EXPECT_EQ(priv->dq, BigInt(49));
+  EXPECT_EQ(priv->qinv, BigInt(38));
+  EXPECT_FALSE(detail::rsa_private_key(BigInt(103), BigInt(53), BigInt(17)).has_value());
+  // The exponent every generated key uses: 65537 = 21 · 3120 + 17, so d is
+  // the same.
+  const std::optional<RsaPrivateKey> key_e =
+      detail::rsa_private_key(BigInt(61), BigInt(53), BigInt(65537));
+  ASSERT_TRUE(key_e.has_value());
+  EXPECT_EQ(key_e->d, BigInt(2753));
 }
 
 // PKCS#1 v1.5 signatures are deterministic, so every lane kernel gives the
